@@ -57,7 +57,7 @@ def _load_oracle(spec: str):
         data = _load_json(spec[len("staged:") :])
         if isinstance(data, dict):
             data = data["stages"]
-        return O.staged_oracle([O.stage_from_data(entry) for entry in data])
+        return O.oracle_from_descriptor({"kind": "staged", "stages": data})
     raise ValueError(f"unknown oracle {spec!r} (trivial, translation, staged:<path>)")
 
 
@@ -108,11 +108,11 @@ def cmd_run(args) -> int:
         return _fail_usage(str(exc))
     try:
         oracle = _load_oracle(args.oracle)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OrbitCodeError) as exc:
         return _fail_usage(f"cannot load oracle: {exc}")
     try:
         schedule = _build_schedule(args, flavor, oracle)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OrbitCodeError) as exc:
         return _fail_usage(f"cannot build schedule: {exc}")
     if not schedule:
         return _fail_usage("empty schedule: give --schedule, --words, or trees")
@@ -157,14 +157,14 @@ def cmd_decode(args) -> int:
         return _fail_usage(f"cannot read input: {exc}")
     except json.JSONDecodeError as exc:
         return _fail_usage(f"not JSON: {exc}")
-    if isinstance(data, dict) and "final" in data:
-        pairs = data["final"]["injection"]
-    elif isinstance(data, dict) and "injection" in data:
-        pairs = data["injection"]
-    else:
+    if not (isinstance(data, dict) and ("final" in data or "injection" in data)):
         return _fail_usage("input holds neither a trace nor a stage")
     try:
+        pairs = data["final"]["injection"] if "final" in data else data["injection"]
         s = I.injection_from_pairs(pairs)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail_usage(f"malformed injection: {exc}")
+    try:
         bits = E.decode(s, args.mode, args.upto)
     except ValueError as exc:
         return _fail_usage(str(exc))

@@ -12,10 +12,14 @@ flavors refine the base poset:
             and for every w = v^k in E the evaluation v[s] codes r in
             prime-parity up to every n with p_n ≤ k.
 
-Every operation here returns a condition extending its input and re-checks
-that claim directly, producing a certificate that can be re-verified later
-from serialized data alone.  All tie-breaking picks the least value, so runs
-are reproducible bit for bit.
+Every operation here certifies its own step, once: it returns the
+ExtensionCertificate from its input to its result, and `.upper` is the new
+condition.  A single step's certificate comes from one validate + leq check
+of the result against the input; an operation made of several steps chains
+their certificates by transitivity instead of checking again.  Callers store
+the certificate as it is, and it can be re-verified later from serialized
+data alone.  A refusal is a falsy CheckResult with a reason.  All
+tie-breaking picks the least value, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from . import words as W
 from .errors import (
     InternalCheckFailed,
     KTooSmall,
-    NotNiceInjection,
     PreconditionViolated,
     PrefixTooShort,
 )
@@ -90,14 +93,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class Refusal:
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class ExtensionCertificate:
     """A verified instance of upper ≤ lower with fixed-point snapshots."""
 
@@ -105,8 +100,20 @@ class ExtensionCertificate:
     upper: Condition
     snapshots: tuple[tuple[W.Word, frozenset[int]], ...]
 
-    def __bool__(self) -> bool:
-        return True
+
+def chain(
+    first: ExtensionCertificate | None, then: ExtensionCertificate
+) -> ExtensionCertificate:
+    """first (c → m) followed by then (m → u): the certificate c → u, by transitivity.
+
+    Fixed points of the words of c agree at c, m and u, so the snapshots of
+    `then` restricted to c's words are exactly the ones leq(u, c) records.
+    No first certificate means `then` starts the chain.
+    """
+    if first is None:
+        return then
+    kept = tuple(item for item in then.snapshots if item[0] in first.lower.words)
+    return ExtensionCertificate(first.lower, then.upper, kept)
 
 
 def support_bound(s: I.PartialInjection) -> int:
@@ -163,14 +170,14 @@ def validate(c: Condition, oracle) -> CheckResult:
     return CheckResult(True)
 
 
-def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Refusal:
+def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | CheckResult:
     """Certificate that upper extends lower: graphs and words grow, fixed points don't."""
     if upper.flavor is not lower.flavor or upper.target != lower.target:
-        return Refusal("flavor or target mismatch")
+        return CheckResult(False, "flavor or target mismatch")
     if not upper.s.extends(lower.s):
-        return Refusal("injection does not extend")
+        return CheckResult(False, "injection does not extend")
     if not lower.words <= upper.words:
-        return Refusal("word set does not extend")
+        return CheckResult(False, "word set does not extend")
     bound = support_bound(upper.s)
     snapshots = []
     for w in lower.sorted_words(oracle):
@@ -179,7 +186,8 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Re
         if fix_lower != fix_upper:
             gained = sorted(fix_upper - fix_lower)
             lost = sorted(fix_lower - fix_upper)
-            return Refusal(
+            return CheckResult(
+                False,
                 f"word {W.format_word(w, oracle)!r} changed fixed points"
                 f" (gained {gained}, lost {lost})"
             )
@@ -188,41 +196,38 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Re
 
 
 def _admissible(c: Condition, candidate: Condition, oracle):
-    """validate + leq in one step; returns the certificate or a falsy refusal."""
+    """validate + leq in one step: the certificate candidate ≤ c, or a falsy refusal."""
     check = validate(candidate, oracle)
     if not check:
-        return Refusal(check.reason)
+        return check
     return leq(candidate, c, oracle)
 
 
-def extend_domain(c: Condition, n: int, oracle) -> Condition:
+def _least_admissible(
+    c: Condition, pair_at, taken: frozenset[int], oracle, what: str
+) -> ExtensionCertificate:
+    """Certificate of the least v outside `taken` whose pair pair_at(v) extends c."""
+    for v in range(_SCAN_CAP + 1):
+        if v in taken:
+            continue
+        cert = _admissible(c, replace(c, s=c.s.with_pair(*pair_at(v))), oracle)
+        if cert:
+            return cert
+    raise InternalCheckFailed(f"no admissible {what} up to {_SCAN_CAP}")
+
+
+def extend_domain(c: Condition, n: int, oracle) -> ExtensionCertificate:
     """Add n to the domain with the least value keeping the condition's order."""
     if c.s.apply(n) is not None:
         raise PreconditionViolated(f"{n} already in domain")
-    taken = c.s.range
-    for m in itertools.count():
-        if m in taken:
-            continue
-        candidate = replace(c, s=c.s.with_pair(n, m))
-        if _admissible(c, candidate, oracle):
-            return candidate
-        if m > _SCAN_CAP:
-            raise InternalCheckFailed(f"no valid image for {n} below {_SCAN_CAP}")
+    return _least_admissible(c, lambda m: (n, m), c.s.range, oracle, f"image for {n}")
 
 
-def extend_range(c: Condition, m: int, oracle) -> Condition:
+def extend_range(c: Condition, m: int, oracle) -> ExtensionCertificate:
     """Add m to the range with the least preimage keeping the condition's order."""
     if c.s.apply_inverse(m) is not None:
         raise PreconditionViolated(f"{m} already in range")
-    taken = c.s.domain
-    for n in itertools.count():
-        if n in taken:
-            continue
-        candidate = replace(c, s=c.s.with_pair(n, m))
-        if _admissible(c, candidate, oracle):
-            return candidate
-        if n > _SCAN_CAP:
-            raise InternalCheckFailed(f"no valid preimage for {m} below {_SCAN_CAP}")
+    return _least_admissible(c, lambda n: (n, m), c.s.domain, oracle, f"preimage for {m}")
 
 
 def _nonidentity_handles(words: Iterable[W.Word], oracle) -> list:
@@ -315,7 +320,7 @@ def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
 
 def tree_extend(
     c: Condition, tree: T.InjectiveTree, node: T.Node, oracle
-) -> tuple[Condition, T.Node, int]:
+) -> tuple[ExtensionCertificate, T.Node, int]:
     """One new pair (k, t'(k)) read off a positive tree, below c.
 
     Splits E into single-x words (plus the single-x subwords of the rest) for
@@ -337,11 +342,10 @@ def tree_extend(
             f"{len(options)} options but none reaches bound {bound}"
         )
     k0, v0 = min(viable)
-    candidate = replace(c, s=c.s.with_pair(k0, v0))
-    admitted = _admissible(c, candidate, oracle)
-    if not admitted:
-        raise InternalCheckFailed(f"fresh pair ({k0}, {v0}) refused: {admitted.reason}")
-    return candidate, grown, k0
+    cert = _admissible(c, replace(c, s=c.s.with_pair(k0, v0)), oracle)
+    if not cert:
+        raise InternalCheckFailed(f"fresh pair ({k0}, {v0}) refused: {cert.reason}")
+    return cert, grown, k0
 
 
 def closing_threshold(c: Condition, n: int) -> int:
@@ -361,7 +365,7 @@ def _fresh_chain_ok(
     return True
 
 
-def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
+def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     """Close the orbit through n into a cycle of size exactly k.
 
     Works for any k above the threshold K = |orbit(n)| + L: the orbit is
@@ -381,19 +385,9 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
     if n not in c.s.support:
         # anchor the isolated point with a fresh image so the size arithmetic
         # stays exact: the orbit becomes {n, m} and only then grows a chain
-        anchored = None
-        for m in itertools.count():
-            if m in c.s.support or m == n:
-                continue
-            candidate = replace(c, s=c.s.with_pair(n, m))
-            if _admissible(c, candidate, oracle):
-                anchored = candidate
-                break
-            if m > _SCAN_CAP:
-                break
-        if anchored is None:
-            raise InternalCheckFailed(f"no fresh anchor image for {n}")
-        base = anchored
+        base = _least_admissible(
+            c, lambda m: (n, m), c.s.support | {n}, oracle, f"anchor image for {n}"
+        ).upper
 
     orbit = I.orbit_of(base.s, n)
     chain_length = k - orbit.size
@@ -419,15 +413,15 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
         raise InternalCheckFailed(
             f"closed orbit came out {final_orbit.size}, wanted {k}"
         )
-    admitted = _admissible(c, closed, oracle)
-    if not admitted:
+    cert = _admissible(c, closed, oracle)
+    if not cert:
         raise PreconditionViolated(
-            f"closing through {n} at size {k} breaks the flavor: {admitted.reason}"
+            f"closing through {n} at size {k} breaks the flavor: {cert.reason}"
         )
-    return closed
+    return cert
 
 
-def code_next_orbit(c: Condition, oracle) -> Condition:
+def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
     """Close the orbit at the least uncovered natural, parity-matched to the target."""
     if c.flavor is not Flavor.CODING:
         raise PreconditionViolated("coding flavor required")
@@ -471,7 +465,7 @@ def _base_point_ok(
     return True
 
 
-def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> Condition:
+def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCertificate:
     """Give the evaluation v[s] exactly one new closed orbit, of size k.
 
     Walks the letters of v^k around a cycle of fresh points: group letters
@@ -560,26 +554,33 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> Condition:
             f"expected one new size-{k} orbit of the evaluation,"
             f" got {sorted(o.size for o in after)} from {sorted(o.size for o in before)}"
         )
-    admitted = _admissible(c, closed, oracle)
-    if not admitted:
-        raise InternalCheckFailed(f"strong closure refused: {admitted.reason}")
-    return closed
+    cert = _admissible(c, closed, oracle)
+    if not cert:
+        raise InternalCheckFailed(f"strong closure refused: {cert.reason}")
+    return cert
 
 
-def add_word(c: Condition, w: W.Word, oracle) -> Condition:
-    """Extend a dagger condition so that w (and its closure) lies in E.
+def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
+    """Extend c so that w lies in E; a word already there leaves c unchanged.
 
-    Follows the density proof: powers of the indecomposable root are added
+    Plain and coding conditions adjoin the word alone.  Dagger conditions
+    follow the density proof: powers of the indecomposable root are added
     in increasing order, and whenever the next exponent is a prime p_n whose
     orbit-count parity disagrees with the target bit, one strong closure
-    flips it before the word enters E.
+    flips it before the word and its closure enter E.
     """
-    if c.flavor is not Flavor.DAGGER:
-        raise PreconditionViolated("dagger flavor required")
     if w in c.words:
-        return c
+        return leq(c, c, oracle)
+    if c.flavor is not Flavor.DAGGER:
+        cert = _admissible(c, replace(c, words=c.words | {w}), oracle)
+        if not cert:
+            raise PreconditionViolated(f"cannot adjoin the word: {cert.reason}")
+        return cert
     v, k = W.indecomposable_root(w, oracle)
-    current = c if k == 1 else add_word(c, W.power(v, k - 1, oracle), oracle)
+    cert = None
+    if k > 1 and W.power(v, k - 1, oracle) not in c.words:
+        cert = add_word(c, W.power(v, k - 1, oracle), oracle)
+    current = c if cert is None else cert.upper
     n = I.prime_index(k)
     if n is not None:
         if len(current.target) <= n:
@@ -588,18 +589,18 @@ def add_word(c: Condition, w: W.Word, oracle) -> Condition:
             )
         graph = I.word_graph(v, current.s, oracle)
         if I.o_dagger(graph, n)[n] != current.target[n]:
-            current = strong_close_orbit(current, v, k, oracle)
+            cert = chain(cert, strong_close_orbit(current, v, k, oracle))
+            current = cert.upper
             graph = I.word_graph(v, current.s, oracle)
             if I.o_dagger(graph, n)[n] != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
     closure = set(current.words)
     for power in range(1, k + 1):
         closure |= W.cyclic_conjugates_and_inverses(W.power(v, power, oracle), oracle)
-    result = replace(current, words=frozenset(closure))
-    admitted = _admissible(c, result, oracle)
-    if not admitted:
-        raise InternalCheckFailed(f"word addition refused: {admitted.reason}")
-    return result
+    step = _admissible(current, replace(current, words=frozenset(closure)), oracle)
+    if not step:
+        raise InternalCheckFailed(f"word addition refused: {step.reason}")
+    return chain(cert, step)
 
 
 def obligated_primes(c: Condition, oracle) -> set[int]:
@@ -614,7 +615,7 @@ def obligated_primes(c: Condition, oracle) -> set[int]:
     return out
 
 
-def close_all_orbits(c: Condition, oracle) -> Condition:
+def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     """Close every open orbit, respecting the flavor's coding discipline.
 
     Coding conditions consume target bits through code_next_orbit until no
@@ -622,20 +623,23 @@ def close_all_orbits(c: Condition, oracle) -> Condition:
     flavors close open orbits in min-order at the least admissible size,
     skipping sizes that would flip an obligated prime parity.
     """
+    cert = None
     if c.flavor is Flavor.CODING:
         while I.open_orbits(c.s):
-            c = code_next_orbit(c, oracle)
-        return c
+            cert = chain(cert, code_next_orbit(c, oracle))
+            c = cert.upper
+        return cert or leq(c, c, oracle)
     avoid = obligated_primes(c, oracle) if c.flavor is Flavor.DAGGER else set()
     while True:
         open_now = I.open_orbits(c.s)
         if not open_now:
-            return c
+            return cert or leq(c, c, oracle)
         n = open_now[0].minimum
         k = closing_threshold(c, n) + 1
         while k in avoid:
             k += 1
-        c = close_orbit(c, n, k, oracle)
+        cert = chain(cert, close_orbit(c, n, k, oracle))
+        c = cert.upper
 
 
 def condition_to_data(c: Condition, oracle) -> dict:

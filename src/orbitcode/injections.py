@@ -36,10 +36,6 @@ class PartialInjection:
         self._fwd = fwd
         self._bwd = bwd
 
-    @classmethod
-    def empty(cls) -> "PartialInjection":
-        return cls()
-
     def apply(self, n: int) -> int | None:
         return self._fwd.get(n)
 
@@ -127,13 +123,6 @@ class Orbit:
     def exit(self) -> int | None:
         """n₊, the unique point outside the domain; None when closed."""
         return None if self.closed else self.ordered[-1]
-
-    def to_report(self) -> dict:
-        report: dict = {"elements": sorted(self.ordered), "closed": self.closed}
-        if not self.closed:
-            report["n_minus"] = self.entry
-            report["n_plus"] = self.exit
-        return report
 
 
 def orbit_of(s: PartialInjection, n: int) -> Orbit:

@@ -11,8 +11,9 @@ The staged oracle is windowed: its generators are finite injections, so
 evaluation beyond the settled region raises WindowTooSmall with the needed
 bound, and grow_window extends every stage's injection (re-running domain and
 range extensions plus orbit closing against the stage's own stored condition)
-without ever changing settled values.  Old graph preservation is asserted on
-every growth.
+without ever changing settled values: each of those operations certifies
+that its result extends its input, so growth takes their `.upper` and checks
+nothing again.
 """
 
 from __future__ import annotations
@@ -335,12 +336,10 @@ class StagedOracle(GroupOracle):
 
         for point in range(n):
             if cond.s.apply(point) is None:
-                cond = retrying(lambda: F.extend_domain(cond, point, sub))
+                cond = retrying(lambda: F.extend_domain(cond, point, sub)).upper
             if cond.s.apply_inverse(point) is None:
-                cond = retrying(lambda: F.extend_range(cond, point, sub))
-        cond = retrying(lambda: F.close_all_orbits(cond, sub))
-        if not cond.s.extends(state.condition.s):
-            raise StageExtensionFailed(f"stage {index} growth altered old values")
+                cond = retrying(lambda: F.extend_range(cond, point, sub)).upper
+        cond = retrying(lambda: F.close_all_orbits(cond, sub)).upper
         new_window = I.mex(cond.s.support)
         if new_window < n:
             raise StageExtensionFailed(
@@ -356,60 +355,34 @@ class StagedOracle(GroupOracle):
         return self._check(_parse_staged(text))
 
     def descriptor(self) -> dict:
-        return {"kind": "staged", "stages": [stage_to_data(s) for s in self._stages]}
+        stages = [
+            stage_to_data(stage, StagedOracle(self._stages[:i]))
+            for i, stage in enumerate(self._stages)
+        ]
+        return {"kind": "staged", "stages": stages}
 
 
 def staged_oracle(stages: Sequence[CompletedStage]) -> StagedOracle:
     return StagedOracle(stages)
 
 
-def stage_to_data(stage: CompletedStage) -> dict:
+def stage_to_data(stage: CompletedStage, oracle: StagedOracle) -> dict:
+    """A stage's wire form; its words are written in `oracle`, the stages before it."""
     cond = stage.condition
     return {
         "generator_index": stage.generator_index,
         "injection": [list(p) for p in cond.s.pairs()],
-        "words": sorted(
-            _format_word_loose(w) for w in cond.words
-        ),
+        "words": sorted(W.format_word(w, oracle) for w in cond.words),
         "target_bits": list(cond.target or ()),
         "window": stage.window,
     }
 
 
-def _format_word_loose(w: W.Word) -> str:
-    # like words.format_word but independent of any live stage list
-    tokens = []
-    for kind, handle, exp in W._runs(w):
-        if kind == "g":
-            tokens.append("g" + _format_staged(handle))
-        elif exp == 1:
-            tokens.append("x")
-        else:
-            tokens.append(f"x^{exp}")
-    return ".".join(tokens)
-
-
-def _parse_word_loose(text: str) -> W.Word:
-    letters: list[W.Letter] = []
-    text = text.strip()
-    if not text:
-        return W.IDENTITY_WORD
-    for token in text.split("."):
-        if token == "x":
-            letters.append(W.X)
-        elif token.startswith("x^"):
-            letters.extend(W.x_power(int(token[2:])).letters)
-        elif token.startswith("g"):
-            letters.append(W.group(_parse_staged(token[1:])))
-        else:
-            raise ValueError(f"unrecognized word token: {token!r}")
-    return W.Word(tuple(letters))
-
-
-def stage_from_data(data: dict) -> CompletedStage:
+def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
+    """Inverse of stage_to_data; a word naming this stage or a later one is rejected."""
     condition = F.Condition(
         I.injection_from_pairs(data["injection"]),
-        frozenset(_parse_word_loose(text) for text in data["words"]),
+        frozenset(W.parse_word(text, oracle) for text in data["words"]),
         F.Flavor.DAGGER,
         tuple(int(b) for b in data["target_bits"]),
     )
@@ -427,5 +400,8 @@ def oracle_from_descriptor(data: dict) -> GroupOracle:
     if kind == "translation":
         return translation_oracle()
     if kind == "staged":
-        return StagedOracle([stage_from_data(s) for s in data["stages"]])
+        stages: list[CompletedStage] = []
+        for entry in data["stages"]:
+            stages.append(stage_from_data(entry, StagedOracle(stages)))
+        return StagedOracle(stages)
     raise ValueError(f"unknown oracle kind {kind!r}")

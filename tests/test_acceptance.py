@@ -226,7 +226,7 @@ def test_criterion_05_orbit_closing():
         bound = max(c.s.support, default=0) + threshold + 40
         before = {w: fixed_points(w, c.s, TRANS, bound) for w in c.words}
         for k in range(threshold + 1, threshold + 7):
-            t = close_orbit(c, n, k, TRANS)
+            t = close_orbit(c, n, k, TRANS).upper
             orbit = next(o for o in closed_orbits(t.s) if n in o.elements)
             assert orbit.size == k
             assert isinstance(leq(t, c, TRANS), ExtensionCertificate)
@@ -241,11 +241,11 @@ def _random_dagger_condition(rng):
     r = tuple(rng.randrange(2) for _ in range(4))
     c = dagger_condition(r, None, [])
     for _ in range(rng.randrange(3)):
-        c = add_word(c, x_power(rng.randrange(1, 4)), TRANS)
+        c = add_word(c, x_power(rng.randrange(1, 4)), TRANS).upper
     for _ in range(rng.randrange(4)):
         n = rng.randrange(25)
         if n not in c.s.domain:
-            c = extend_domain(c, n, TRANS)
+            c = extend_domain(c, n, TRANS).upper
     return c
 
 
@@ -261,7 +261,7 @@ def test_criterion_06_strong_closure():
         if power(v, k, TRANS) in c.words:
             continue
         before = closed_orbits(word_graph(v, c.s, TRANS))
-        t = strong_close_orbit(c, v, k, TRANS)
+        t = strong_close_orbit(c, v, k, TRANS).upper
         after = closed_orbits(word_graph(v, t.s, TRANS))
         old_sets = {o.elements for o in before}
         new = [o for o in after if o.elements not in old_sets]
@@ -296,7 +296,7 @@ def test_criterion_07_extension_validity_is_cofinite():
             assert all(m < exclusion for m in invalid)
             for probe in (exclusion, 301, 997):
                 assert _valid_pair(c, n, probe, TRANS)
-            chosen = extend_domain(c, n, TRANS).s.apply(n)
+            chosen = extend_domain(c, n, TRANS).upper.s.apply(n)
             assert chosen == min(m for m in range(200) if m not in invalid)
         else:
             m = max(c.s.support, default=0) + 1 + rng.randrange(4)
@@ -308,7 +308,7 @@ def test_criterion_07_extension_validity_is_cofinite():
             assert all(n < exclusion for n in invalid)
             for probe in (exclusion, 301, 997):
                 assert _valid_pair(c, probe, m, TRANS)
-            chosen = extend_range(c, m, TRANS).s.apply_inverse(m)
+            chosen = extend_range(c, m, TRANS).upper.s.apply_inverse(m)
             assert chosen == min(n for n in range(200) if n not in invalid)
     print("criterion 7 (cofinite extension validity, 200 conditions): PASS")
 

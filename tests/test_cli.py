@@ -87,6 +87,14 @@ def test_dagger_run_with_word_list(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "11"
 
 
+def test_inadmissible_word_fails_the_run(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code = run_cli("run", "--flavor", "plain", "--words", "x^-1", "--out", str(out))
+    assert code == 1
+    assert "x^-1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plain_run_over_translations_with_trees(tmp_path, capsys):
     out = tmp_path / "plain.json"
     code = run_cli(
@@ -154,6 +162,41 @@ def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def _assert_usage_error(capsys, *argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_decode_rejects_a_negative_orbit_order_bound(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    code = run_cli(
+        "run", "--flavor", "coding", "--bits", "1011", "--schedule", "auto:4", "--out", str(out)
+    )
+    assert code == 0
+    capsys.readouterr()
+    _assert_usage_error(capsys, "decode", str(out), "--mode", "orbit_order", "--upto", "-2")
+
+
+def test_decode_rejects_a_negative_prime_parity_bound(tmp_path, capsys):
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"injection": [[0, 1], [1, 0]]}), encoding="utf-8")
+    _assert_usage_error(capsys, "decode", str(stage), "--mode", "prime_parity", "--upto", "-1")
+
+
+def test_decode_rejects_an_injection_that_is_not_a_pair_list(tmp_path, capsys):
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"injection": 5}), encoding="utf-8")
+    _assert_usage_error(capsys, "decode", str(stage), "--mode", "orbit_order")
+
+
+def test_decode_rejects_a_final_condition_that_is_not_an_object(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"final": 3}), encoding="utf-8")
+    _assert_usage_error(capsys, "decode", str(trace), "--mode", "orbit_order")
+
+
 def test_decode_rejects_unanchored_injections(tmp_path, capsys):
     stage = tmp_path / "stage.json"
     stage.write_text(json.dumps({"injection": [[5, 6], [6, 5]]}), encoding="utf-8")
@@ -182,6 +225,44 @@ def test_unknown_oracle_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def test_malformed_stage_file_is_a_usage_error(tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps([[1, 2]]), encoding="utf-8")
+    _assert_usage_error(
+        capsys, "run", "--flavor", "plain", "--oracle", f"staged:{stages}",
+        "--schedule", "auto:2", "--out", str(tmp_path / "t.json"),
+    )
+
+
+def test_malformed_schedule_inputs_are_usage_errors(tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([[1, 2]]), encoding="utf-8")
+    out = str(tmp_path / "t.json")
+    _assert_usage_error(
+        capsys, "run", "--flavor", "plain", "--schedule", str(schedule), "--out", out
+    )
+    _assert_usage_error(
+        capsys, "run", "--flavor", "plain", "--oracle", "translation", "--words", "gfoo.x",
+        "--out", out,
+    )
+
+
+def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
+    stage = {
+        "generator_index": 0,
+        "injection": [[0, 1], [1, 0]],
+        "words": ["g0.x", "x"],
+        "target_bits": [1],
+        "window": 2,
+    }
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
+    _assert_usage_error(
+        capsys, "run", "--flavor", "plain", "--oracle", f"staged:{stages}",
+        "--schedule", "auto:2", "--out", str(tmp_path / "t.json"),
+    )
 
 
 def test_usage_errors_from_argparse_exit_two(capsys):

@@ -9,6 +9,7 @@ from orbitcode import (
     ExplicitTree,
     Flavor,
     FullInjectiveTree,
+    OrbitCodeError,
     OrbitCoded,
     PartialInjection,
     PrefixTooShort,
@@ -18,6 +19,7 @@ from orbitcode import (
     WordAdded,
     Word,
     X,
+    X_INV,
     auto_schedule,
     decode,
     group,
@@ -78,6 +80,21 @@ def test_certificates_chain_across_the_run():
     assert trace.final == previous
     # transitivity: the last condition sits below the first lower bound
     assert leq(trace.final, trace.steps[0].certificate.lower, oracle)
+
+
+@pytest.mark.parametrize("flavor, bits", [(Flavor.PLAIN, None), (Flavor.CODING, (1, 0))])
+def test_adjoining_an_inadmissible_word_is_refused(flavor, bits):
+    schedule = [DomainHits(0), WordAdded(Word((X_INV,)))]
+    with pytest.raises(OrbitCodeError, match=r"x\^-1"):
+        run(flavor, bits, schedule, trivial_oracle())
+
+
+def test_a_multi_orbit_coding_step_stores_the_chained_certificate():
+    oracle = trivial_oracle()
+    trace = run(Flavor.CODING, (1, 0, 1), [WordAdded(x_power(1)), OrbitCoded(2)], oracle)
+    step = trace.steps[1]
+    assert step.extra["orbits_closed"] == 3
+    assert step.certificate == leq(step.certificate.upper, step.certificate.lower, oracle)
 
 
 def test_dagger_run_codes_the_prime_parities():

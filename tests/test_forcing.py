@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcode import (
+    CheckResult,
     ExtensionCertificate,
     Flavor,
     FullInjectiveTree,
     KTooSmall,
     PartialInjection,
     PreconditionViolated,
-    Refusal,
     Word,
     X,
     add_word,
@@ -91,62 +91,64 @@ def test_new_fixed_point_is_refused():
     lower = plain_condition(None, [x_power(1)])
     upper = plain_condition(inj({3: 3}), [x_power(1)])
     got = leq(upper, lower, TRIV)
-    assert isinstance(got, Refusal)
+    assert isinstance(got, CheckResult) and not got
 
 
 def test_transposition_square_is_refused():
     lower = plain_condition(None, [x_power(2)])
     upper = plain_condition(inj({0: 1, 1: 0}), [x_power(2)])
-    assert isinstance(leq(upper, lower, TRIV), Refusal)
+    got = leq(upper, lower, TRIV)
+    assert isinstance(got, CheckResult) and not got
 
 
 def test_dropping_pairs_is_refused():
     lower = plain_condition(inj({0: 2}))
     upper = plain_condition(None)
-    assert isinstance(leq(upper, lower, TRIV), Refusal)
+    got = leq(upper, lower, TRIV)
+    assert isinstance(got, CheckResult) and not got
 
 
 def test_domain_extension_skips_the_fixed_point():
     c = plain_condition(None, [x_power(1)])
-    t = extend_domain(c, 0, TRIV)
+    t = extend_domain(c, 0, TRIV).upper
     assert t.s.apply(0) == 1
     assert leq(t, c, TRIV)
 
 
 def test_domain_extension_takes_the_least_harmless_value():
     c = plain_condition(inj({0: 1}), [x_power(1)])
-    t = extend_domain(c, 2, TRIV)
+    t = extend_domain(c, 2, TRIV).upper
     assert t.s.apply(2) == 0
 
 
 def test_domain_extension_without_words_is_greedy():
     c = plain_condition()
-    assert extend_domain(c, 5, TRIV).s.apply(5) == 0
+    assert extend_domain(c, 5, TRIV).upper.s.apply(5) == 0
 
 
 def test_range_extension_mirrors_the_domain_case():
     c = plain_condition(None, [x_power(1)])
-    t = extend_range(c, 0, TRIV)
+    t = extend_range(c, 0, TRIV).upper
     assert t.s.apply_inverse(0) == 1
 
 
 def test_range_extension_skips_taken_domain_points():
     c = plain_condition(inj({0: 1}))
-    t = extend_range(c, 0, TRIV)
+    t = extend_range(c, 0, TRIV).upper
     assert t.s.apply_inverse(0) == 1
 
 
 def test_range_extension_without_constraints_is_greedy():
     c = plain_condition()
-    assert extend_range(c, 9, TRIV).s.apply_inverse(9) == 0
+    assert extend_range(c, 9, TRIV).upper.s.apply_inverse(9) == 0
 
 
 def test_extension_results_stay_below_the_input():
     c = coding_condition((1, 0), inj({0: 1, 1: 2, 2: 0}), [x_power(1)])
-    t = extend_domain(c, 5, TRIV)
+    t = extend_domain(c, 5, TRIV).upper
     assert leq(t, c, TRIV)
     assert validate(t, TRIV)
-    u = extend_range(t, 7, TRIV)
+    u = extend_range(t, 7, TRIV).upper
     assert leq(u, c, TRIV)
     assert validate(u, TRIV)
 
@@ -181,7 +183,8 @@ def test_many_extensions_rejects_repeated_x_words():
 
 def test_tree_extension_adds_one_fresh_pair():
     c = plain_condition(None, [x_power(2)])
-    t, node, k = tree_extend(c, FullInjectiveTree(), (), TRIV)
+    cert, node, k = tree_extend(c, FullInjectiveTree(), (), TRIV)
+    t = cert.upper
     assert len(t.s) == 1
     assert t.s.apply(k) == node[k]
     assert t.words == c.words
@@ -190,14 +193,15 @@ def test_tree_extension_adds_one_fresh_pair():
 
 
 def test_tree_extension_of_the_empty_condition():
-    t, node, k = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
+    cert, node, k = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
+    t = cert.upper
     assert t.s.apply(k) == node[k]
 
 
 def test_tree_extension_keeps_dagger_validity():
     c = dagger_condition((0,), None, [x_power(1), x_power(2)])
     assert validate(c, TRIV)
-    t, _, _ = tree_extend(c, FullInjectiveTree(), (), TRIV)
+    t = tree_extend(c, FullInjectiveTree(), (), TRIV)[0].upper
     assert validate(t, TRIV)
     assert not closed_orbits(t.s)
 
@@ -209,7 +213,7 @@ def test_closing_threshold_counts_orbit_and_word_length():
 
 def test_close_orbit_produces_the_requested_cycle():
     c = plain_condition(None, [x_power(1)])
-    t = close_orbit(c, 0, 3, TRIV)
+    t = close_orbit(c, 0, 3, TRIV).upper
     assert t.s.pairs() == ((0, 1), (1, 2), (2, 0))
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == 3
@@ -226,7 +230,7 @@ def test_close_orbit_refuses_at_the_threshold():
 
 def test_close_orbit_against_a_longer_word():
     c = plain_condition(None, [x_power(3)])
-    t = close_orbit(c, 0, 5, TRIV)
+    t = close_orbit(c, 0, 5, TRIV).upper
     assert orbit_of(t.s, 0).size == 5
     assert fixed_points(x_power(3), t.s, TRIV, 40) == frozenset()
 
@@ -234,7 +238,7 @@ def test_close_orbit_against_a_longer_word():
 def test_close_orbit_grows_an_existing_chain():
     c = plain_condition(inj({0: 4, 4: 7}), [x_power(1)])
     k = closing_threshold(c, 0) + 1
-    t = close_orbit(c, 0, k, TRIV)
+    t = close_orbit(c, 0, k, TRIV).upper
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == k
     assert t.s.extends(c.s)
@@ -242,28 +246,28 @@ def test_close_orbit_grows_an_existing_chain():
 
 def test_coding_step_picks_the_parity_matched_length():
     c = coding_condition((1,), None, [x_power(1)])
-    t = code_next_orbit(c, TRIV)
+    t = code_next_orbit(c, TRIV).upper
     assert t.s.pairs() == ((0, 1), (1, 2), (2, 0))
     assert o_partial(t.s) == (1,)
 
 
 def test_coding_step_even_target():
     c = coding_condition((0,), None, [x_power(1)])
-    t = code_next_orbit(c, TRIV)
+    t = code_next_orbit(c, TRIV).upper
     assert orbit_of(t.s, 0).size == 4
     assert o_partial(t.s) == (0,)
 
 
 def test_two_coding_steps_commit_two_bits():
     c = coding_condition((1, 0), None, [x_power(1)])
-    t = code_next_orbit(code_next_orbit(c, TRIV), TRIV)
+    t = code_next_orbit(code_next_orbit(c, TRIV).upper, TRIV).upper
     assert o_partial(t.s) == (1, 0)
     assert validate(t, TRIV)
 
 
 def test_strong_closure_adds_one_small_cycle():
     c = dagger_condition((1,), None, [])
-    t = strong_close_orbit(c, x_power(1), 2, TRIV)
+    t = strong_close_orbit(c, x_power(1), 2, TRIV).upper
     assert t.s.pairs() == ((1, 2), (2, 1))
     assert o_dagger(t.s, 0) == (1,)
 
@@ -282,25 +286,25 @@ def test_strong_closure_refuses_decomposable_words():
 
 def test_strong_closure_through_a_group_letter():
     c = dagger_condition((), None, [])
-    t = strong_close_orbit(c, GX, 3, TRANS)
+    t = strong_close_orbit(c, GX, 3, TRANS).upper
     graph = word_graph(GX, t.s, TRANS)
     orbits = [o for o in orbit_decomposition(graph) if o.closed]
     assert [o.size for o in orbits] == [3]
 
 
 def test_strong_closure_preserves_scheduled_fixed_points():
-    base = add_word(dagger_condition((1, 1), None, []), x_power(2), TRIV)
+    base = add_word(dagger_condition((1, 1), None, []), x_power(2), TRIV).upper
     before = {
         w: fixed_points(w, base.s, TRIV, 60) for w in base.words
     }
-    t = strong_close_orbit(base, x_power(1), 5, TRIV)
+    t = strong_close_orbit(base, x_power(1), 5, TRIV).upper
     for w, points in before.items():
         assert fixed_points(w, t.s, TRIV, 60) == points
 
 
 def test_word_addition_flips_the_first_parity():
     c = dagger_condition((1,), None, [])
-    t = add_word(c, x_power(2), TRIV)
+    t = add_word(c, x_power(2), TRIV).upper
     assert x_power(1) in t.words and x_power(2) in t.words
     assert o_dagger(t.s, 0) == (1,)
     assert codes_up_to(t.s, (1,), 0)
@@ -309,14 +313,14 @@ def test_word_addition_flips_the_first_parity():
 
 def test_word_addition_is_idempotent():
     c = dagger_condition((1,), None, [])
-    t = add_word(c, x_power(2), TRIV)
-    assert add_word(t, x_power(2), TRIV) == t
+    t = add_word(c, x_power(2), TRIV).upper
+    assert add_word(t, x_power(2), TRIV).upper == t
 
 
 def test_word_addition_skips_an_already_matched_parity():
     c = dagger_condition((1, 0), None, [])
-    t = add_word(c, x_power(2), TRIV)
-    u = add_word(t, x_power(3), TRIV)
+    t = add_word(c, x_power(2), TRIV).upper
+    u = add_word(t, x_power(3), TRIV).upper
     assert u.s == t.s  # zero 3-cycles already matches the target bit
     assert x_power(3) in u.words
     assert codes_up_to(u.s, (1, 0), 1)
@@ -324,25 +328,35 @@ def test_word_addition_skips_an_already_matched_parity():
 
 def test_word_addition_closes_an_odd_count_when_needed():
     c = dagger_condition((1, 1), None, [])
-    t = add_word(c, x_power(3), TRIV)
+    t = add_word(c, x_power(3), TRIV).upper
     assert o_dagger(t.s, 1) == (1, 1)
     assert validate(t, TRIV)
 
 
 def test_close_all_orbits_leaves_nothing_open():
     c = plain_condition(inj({0: 3, 5: 6}), [x_power(1)])
-    t = close_all_orbits(c, TRIV)
+    t = close_all_orbits(c, TRIV).upper
     assert not open_orbits(t.s)
     assert leq(t, c, TRIV)
 
 
 def test_close_all_orbits_respects_dagger_obligations():
     c = dagger_condition((1,), None, [])
-    c = add_word(c, x_power(2), TRIV)
-    c = extend_domain(c, 20, TRIV)
-    t = close_all_orbits(c, TRIV)
+    c = add_word(c, x_power(2), TRIV).upper
+    c = extend_domain(c, 20, TRIV).upper
+    t = close_all_orbits(c, TRIV).upper
     assert not open_orbits(t.s)
     assert o_dagger(t.s, 0) == (1,)
+
+
+def test_chained_operations_certify_like_a_direct_order_check():
+    c = dagger_condition((1, 1, 0), inj({0: 3, 5: 6, 8: 9}), [x_power(1)])
+    for cert in (add_word(c, x_power(5), TRIV), close_all_orbits(c, TRIV)):
+        assert cert.lower == c
+        assert cert == leq(cert.upper, c, TRIV)
+    coding = coding_condition((1, 0, 1), None, [x_power(1), x_power(2)])
+    cert = close_all_orbits(extend_domain(coding, 7, TRIV).upper, TRIV)
+    assert cert == leq(cert.upper, cert.lower, TRIV)
 
 
 def test_avoidance_bound_clears_supports_and_images():
@@ -362,7 +376,7 @@ def test_condition_serialization_round_trip():
 
 def test_certificate_serialization_and_replay():
     lower = plain_condition(None, [x_power(1)])
-    upper = extend_domain(lower, 0, TRIV)
+    upper = extend_domain(lower, 0, TRIV).upper
     cert = leq(upper, lower, TRIV)
     data = certificate_to_data(cert, TRIV)
     assert verify_certificate_data(data, TRIV)
@@ -397,8 +411,8 @@ def test_order_is_transitive_along_extensions(c):
     if not validate(c, TRANS):
         return
     n = max(c.s.domain, default=-1) + 1
-    mid = extend_domain(c, n, TRANS)
-    top = extend_range(mid, max(mid.s.range, default=-1) + 1, TRANS)
+    mid = extend_domain(c, n, TRANS).upper
+    top = extend_range(mid, max(mid.s.range, default=-1) + 1, TRANS).upper
     assert leq(mid, c, TRANS)
     assert leq(top, mid, TRANS)
     assert leq(top, c, TRANS)
@@ -409,7 +423,7 @@ def test_order_is_transitive_along_extensions(c):
 def test_extension_certificates_replay_from_their_wire_form(c, n):
     if not validate(c, TRANS) or n in c.s.domain:
         return
-    t = extend_domain(c, n, TRANS)
+    t = extend_domain(c, n, TRANS).upper
     cert = leq(t, c, TRANS)
     assert verify_certificate_data(certificate_to_data(cert, TRANS), TRANS)
 
@@ -424,7 +438,7 @@ def test_random_orbit_closings_hit_their_size(c, bump):
         closed_cover |= set(o.elements)
     n = max(c.s.support | {9}, default=9) + 1  # always a fresh point
     k = closing_threshold(c, n) + bump
-    t = close_orbit(c, n, k, TRANS)
+    t = close_orbit(c, n, k, TRANS).upper
     orbit = orbit_of(t.s, n)
     assert orbit.closed and orbit.size == k
     assert leq(t, c, TRANS)

@@ -1,5 +1,7 @@
 """The three group backends: one-element, integer translations, staged."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,10 @@ from orbitcode import (
     PartialInjection,
     UnknownGroupElement,
     WindowTooSmall,
+    Word,
+    X,
     dagger_condition,
+    group,
     open_orbits,
     oracle_from_descriptor,
     stage_from_data,
@@ -207,9 +212,9 @@ def test_staged_group_laws_on_random_elements():
 
 def test_stage_serialization_round_trip():
     stage = sealed_stage()
-    data = stage_to_data(stage)
+    data = stage_to_data(stage, staged_oracle([]))
     assert set(data) == {"generator_index", "injection", "words", "target_bits", "window"}
-    back = stage_from_data(data)
+    back = stage_from_data(data, staged_oracle([]))
     assert back.generator_index == stage.generator_index
     assert back.window == stage.window
     assert back.injection == stage.injection
@@ -222,6 +227,25 @@ def test_descriptor_round_trip_for_all_backends():
     for oracle in (trivial_oracle(), translation_oracle(), staged_oracle(stages)):
         back = oracle_from_descriptor(oracle.descriptor())
         assert back.descriptor() == oracle.descriptor()
+
+
+def test_stage_words_live_in_the_stages_before_them():
+    first = sealed_stage()
+    gx = Word((group(((0, 1),)), X))
+    second = CompletedStage(
+        generator_index=1,
+        condition=dagger_condition((0,), first.injection, [x_power(1), gx]),
+        window=4,
+    )
+    data = staged_oracle([first, second]).descriptor()
+    assert "g0.x" in data["stages"][1]["words"]
+    assert oracle_from_descriptor(data).descriptor() == data
+    # a stage's words may name only the generators of the stages before it
+    for index, name in ((0, "g0.x"), (0, "g1.x"), (1, "g1.x")):
+        bad = json.loads(json.dumps(data))
+        bad["stages"][index]["words"].append(name)
+        with pytest.raises(UnknownGroupElement):
+            oracle_from_descriptor(bad)
 
 
 def test_empty_staged_oracle_is_the_one_element_group():
