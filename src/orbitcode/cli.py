@@ -20,14 +20,9 @@ from . import words as W
 from .errors import OrbitCodeError
 
 
-def _fail_usage(message: str) -> int:
+def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _fail_run(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+    return code
 
 
 def parse_bits(text: str) -> tuple[int, ...]:
@@ -99,27 +94,27 @@ def _describe(req_data: dict) -> str:
 def cmd_run(args) -> int:
     flavor = F.Flavor(args.flavor)
     if flavor is F.Flavor.PLAIN and args.bits is not None:
-        return _fail_usage("plain runs take no --bits")
+        return _fail("plain runs take no --bits", 2)
     if flavor is not F.Flavor.PLAIN and args.bits is None:
-        return _fail_usage(f"{flavor.value} runs need --bits")
+        return _fail(f"{flavor.value} runs need --bits", 2)
     try:
         bits = () if args.bits is None else parse_bits(args.bits)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc), 2)
     try:
         oracle = _load_oracle(args.oracle)
     except (OSError, ValueError, KeyError, TypeError, OrbitCodeError) as exc:
-        return _fail_usage(f"cannot load oracle: {exc}")
+        return _fail(f"cannot load oracle: {exc}", 2)
     try:
         schedule = _build_schedule(args, flavor, oracle)
     except (OSError, ValueError, KeyError, TypeError, OrbitCodeError) as exc:
-        return _fail_usage(f"cannot build schedule: {exc}")
+        return _fail(f"cannot build schedule: {exc}", 2)
     if not schedule:
-        return _fail_usage("empty schedule: give --schedule, --words, or trees")
+        return _fail("empty schedule: give --schedule, --words, or trees", 2)
     try:
         trace = E.run(flavor, bits, schedule, oracle)
     except OrbitCodeError as exc:
-        return _fail_run(str(exc))
+        return _fail(str(exc), 1)
     data = E.trace_to_data(trace, oracle)
     out = Path(args.out)
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
@@ -140,12 +135,12 @@ def cmd_verify(args) -> int:
     try:
         data = _load_json(args.trace)
     except OSError as exc:
-        return _fail_usage(f"cannot read trace: {exc}")
+        return _fail(f"cannot read trace: {exc}", 2)
     except json.JSONDecodeError as exc:
-        return _fail_usage(f"not JSON: {exc}")
+        return _fail(f"not JSON: {exc}", 2)
     result = E.verify_trace_data(data)
     if not result:
-        return _fail_run(f"verification failed: {result.reason}")
+        return _fail(f"verification failed: {result.reason}", 1)
     print(f"ok: {len(data.get('steps', []))} steps verified")
     return 0
 
@@ -154,22 +149,22 @@ def cmd_decode(args) -> int:
     try:
         data = _load_json(args.source)
     except OSError as exc:
-        return _fail_usage(f"cannot read input: {exc}")
+        return _fail(f"cannot read input: {exc}", 2)
     except json.JSONDecodeError as exc:
-        return _fail_usage(f"not JSON: {exc}")
+        return _fail(f"not JSON: {exc}", 2)
     if not (isinstance(data, dict) and ("final" in data or "injection" in data)):
-        return _fail_usage("input holds neither a trace nor a stage")
+        return _fail("input holds neither a trace nor a stage", 2)
     try:
         pairs = data["final"]["injection"] if "final" in data else data["injection"]
         s = I.injection_from_pairs(pairs)
     except (KeyError, TypeError, ValueError) as exc:
-        return _fail_usage(f"malformed injection: {exc}")
+        return _fail(f"malformed injection: {exc}", 2)
     try:
         bits = E.decode(s, args.mode, args.upto)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc), 2)
     except OrbitCodeError as exc:
-        return _fail_run(str(exc))
+        return _fail(str(exc), 1)
     print("".join(str(b) for b in bits))
     return 0
 

@@ -11,8 +11,8 @@ decoded bits) serializes to JSON that an independent verifier can replay
 without trusting the run.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
-window once, generously, and retries that step a single time before aborting
-with the step index.
+window once, generously, and retries that step a single time.  A step that
+still fails aborts the run with an EngineError naming the step.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import trees as T
 from . import words as W
 from .errors import (
     EngineError,
+    InternalCheckFailed,
     OrbitCodeError,
     PrefixTooShort,
     WindowTooSmall,
@@ -156,11 +157,12 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
         return "tree_extend", cert, extra
     if isinstance(req, OrbitCoded):
         cert = None
-        closed_before = len(I.closed_orbits(c.s))
-        while len(I.closed_orbits(c.s)) <= req.index:
+        closed = I.closed_orbits(c.s)
+        closed_before = len(closed)
+        while len(closed) <= req.index:
             cert = F.chain(cert, F.code_next_orbit(c, oracle))
             c = cert.upper
-        closed = I.closed_orbits(c.s)
+            closed = I.closed_orbits(c.s)
         extra = {
             "index": req.index,
             "orbits_closed": len(closed) - closed_before,
@@ -173,7 +175,7 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
 def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> None:
     current = oracle.window()
     if current >= O.UNBOUNDED:
-        raise EngineError(step, "an unwindowed oracle reported a window miss")
+        raise InternalCheckFailed("an unwindowed oracle reported a window miss")
     goal = max(needed, 2 * current) + 16
     reached = oracle.grow_window(goal)
     growth_events.append(
@@ -182,26 +184,29 @@ def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> Non
 
 
 def _attempt(step: int, operation, oracle, growth_events: list[dict]):
-    """Run operation, allowing one window growth and a single retry."""
+    """Run operation, allowing one window growth and a single retry.
+
+    Any package error, window growth's included, is raised as an EngineError.
+    """
     try:
-        return operation()
-    except WindowTooSmall as miss:
-        _grow_once(oracle, miss.required, step, growth_events)
         try:
             return operation()
-        except WindowTooSmall as again:
-            raise EngineError(
-                step, f"window still too small after growth, need {again.required}"
-            ) from again
+        except WindowTooSmall as miss:
+            _grow_once(oracle, miss.required, step, growth_events)
+        return operation()
+    except WindowTooSmall as again:
+        raise EngineError(
+            step, f"window still too small after growth, need {again.required}"
+        ) from again
+    except OrbitCodeError as exc:
+        raise EngineError(step, str(exc)) from exc
 
 
 def _decode_final(c: F.Condition) -> tuple[int, ...]:
     if c.flavor is F.Flavor.CODING:
-        return I.o_partial(c.s)
-    if c.flavor is F.Flavor.DAGGER:
-        if not c.target:
-            return ()
-        return I.o_dagger(c.s, len(c.target) - 1)
+        return decode(c.s, "orbit_order")
+    if c.flavor is F.Flavor.DAGGER and c.target:
+        return decode(c.s, "prime_parity", len(c.target) - 1)
     return ()
 
 
@@ -260,15 +265,18 @@ def seal(trace: RunTrace, oracle, generator_index: int = 0) -> O.CompletedStage:
     return stage
 
 
+STAGE_DEPTH = 4
+
+
 def default_stage_schedule(
-    index: int, target: tuple[int, ...], oracle, depth: int = 4
+    index: int, target: tuple[int, ...], oracle
 ) -> list[Requirement]:
     """The stock stage schedule: tie to the previous generator, code, cover.
 
     Stages after the first adjoin v = g·x and v² for the previous generator
     g, forcing the coded parity of v's evaluation before anything else; then
     the pure powers x^{p_n} pin every target bit, and domain/range hits make
-    the injection total on an initial segment.
+    the injection total on the initial segment below STAGE_DEPTH.
     """
     reqs: list[Requirement] = []
     if index > 0:
@@ -278,31 +286,24 @@ def default_stage_schedule(
         reqs.append(WordAdded(W.power(v, 2, oracle)))
     for n in range(len(target)):
         reqs.append(WordAdded(W.x_power(I.nth_prime(n))))
-    for j in range(depth):
+    for j in range(STAGE_DEPTH):
         reqs.append(DomainHits(j))
         reqs.append(RangeHits(j))
     return reqs
 
 
-def staged_run(
-    targets: Sequence[Sequence[int]],
-    schedules: Sequence[Sequence[Requirement]] | None = None,
-    depth: int = 4,
-) -> list[O.CompletedStage]:
+def staged_run(targets: Sequence[Sequence[int]]) -> list[O.CompletedStage]:
     """Build one sealed stage per target bit string, each over its predecessors.
 
-    Stage i's oracle is the staged oracle over stages 0..i-1, so its words can
-    mention every earlier generator; window growth triggered inside any stage
-    re-extends the earlier ones in place.
+    Stage i runs default_stage_schedule over the staged oracle of stages
+    0..i-1, so its words can mention every earlier generator; window growth
+    triggered inside any stage re-extends the earlier ones in place.
     """
     stages: list[O.CompletedStage] = []
     for index, target in enumerate(targets):
         bits = tuple(int(b) for b in target)
         oracle = O.StagedOracle(stages)
-        if schedules is None:
-            schedule = default_stage_schedule(index, bits, oracle, depth)
-        else:
-            schedule = list(schedules[index])
+        schedule = default_stage_schedule(index, bits, oracle)
         trace = run(F.Flavor.DAGGER, bits, schedule, oracle)
         stages.append(seal(trace, oracle, generator_index=index))
     return stages
@@ -336,9 +337,9 @@ def verify_tightness_sample(
 ) -> list[dict]:
     """Check the stage permutation diagonalizes against each explicit tree.
 
-    For each tree: search a witness above the root, then check every
-    non-maximal node has one.  Raises WindowTooSmall if a tree probes indices
-    the stage window does not settle.
+    For each tree: search a witness above the root, then the least non-maximal
+    node with none, the counterexample to dense diagonalization.  Raises
+    WindowTooSmall if a tree probes indices the stage window does not settle.
     """
     g = stage.condition.s.as_dict()
     reports = []
@@ -349,23 +350,15 @@ def verify_tightness_sample(
                 deepest, f"tree reaches depth {deepest}, window is {stage.window}"
             )
         witness = T.diagonalization_witness(g, tree, ())
-        dense = T.densely_diagonalizes(g, tree)
-        counterexample = None
-        if not dense:
-            for node in sorted(tree.sorted_nodes(), key=lambda t: (len(t), t)):
-                if not tree.is_maximal(node) and (
-                    T.diagonalization_witness(g, tree, node) is None
-                ):
-                    counterexample = list(node)
-                    break
+        node = T.undiagonalized_node(g, tree)
         reports.append(
             {
                 "tree": tree.descriptor(),
                 "root_witness": None
                 if witness is None
                 else {"node": list(witness[0]), "index": witness[1]},
-                "densely_diagonalizes": dense,
-                "counterexample": counterexample,
+                "densely_diagonalizes": node is None,
+                "counterexample": None if node is None else list(node),
             }
         )
     return reports
@@ -468,6 +461,8 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
             oracle.grow_window(int(event["target"]))
         schedule = data["schedule"]
         steps = data["steps"]
+        if not (isinstance(schedule, list) and isinstance(steps, list)):
+            raise TypeError("schedule and steps must be lists")
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")
     if len(schedule) != len(steps):

@@ -20,6 +20,10 @@ their certificates by transitivity instead of checking again.  Callers store
 the certificate as it is, and it can be re-verified later from serialized
 data alone.  A refusal is a falsy CheckResult with a reason.  All
 tie-breaking picks the least value, so runs are reproducible bit for bit.
+
+The orbit-order rule lives in injections.closed_and_gap.  The fresh-point
+clause is _fresh_point_ok, searched by _least_fresh for both close_orbit's
+chain and strong_close_orbit's cycle.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from . import words as W
 from .errors import (
     InternalCheckFailed,
     KTooSmall,
+    NotNiceInjection,
     PreconditionViolated,
     PrefixTooShort,
 )
@@ -128,9 +133,10 @@ def validate(c: Condition, oracle) -> CheckResult:
     if c.flavor is Flavor.PLAIN:
         return CheckResult(True)
     if c.flavor is Flavor.CODING:
-        if not I.is_nice_injection(c.s):
+        try:
+            bits = I.o_partial(c.s)
+        except NotNiceInjection:
             return CheckResult(False, "injection is not nice")
-        bits = I.o_partial(c.s)
         if len(bits) > len(c.target) or tuple(c.target[: len(bits)]) != bits:
             return CheckResult(
                 False, f"orbit code {list(bits)} is not a prefix of target {list(c.target)}"
@@ -152,21 +158,19 @@ def validate(c: Condition, oracle) -> CheckResult:
                     False,
                     f"missing power {power} of root of {W.format_word(w, oracle)!r}",
                 )
-        graph = None
-        n = 0
-        while I.nth_prime(n) <= k:
-            if graph is None:
-                graph = I.word_graph(v, c.s, oracle)
+        top = len(I.primes_up_to(k)) - 1
+        if top < 0:
+            continue
+        for n, bit in enumerate(I.o_dagger(I.word_graph(v, c.s, oracle), top)):
             if len(c.target) <= n:
                 return CheckResult(
                     False, f"target too short for power-{k} obligation at bit {n}"
                 )
-            if not I.codes_up_to(graph, c.target, n):
+            if bit != c.target[n]:
                 return CheckResult(
                     False,
                     f"evaluation of {W.format_word(v, oracle)!r} miscodes bit {n}",
                 )
-            n += 1
     return CheckResult(True)
 
 
@@ -353,16 +357,38 @@ def closing_threshold(c: Condition, n: int) -> int:
     return I.orbit_of(c.s, n).size + c.max_word_length
 
 
-def _fresh_chain_ok(
-    a: int, chosen: set[int], support: frozenset[int], handles, oracle
+def _fresh_point_ok(
+    b: int,
+    bound: int,
+    chosen: set[int],
+    support: frozenset[int],
+    handles,
+    oracle,
+    back: frozenset[int] = frozenset(),
 ) -> bool:
-    if a in support or a in chosen:
+    """The fresh-point clause: above the bound (-1 for chain points), no collisions.
+
+    `back` exempts the intended group edge: a point forced as g(a) is mapped
+    back onto a by g^-1, and above the pairwise bound no other handle can
+    reach a, so allowing exactly that image loses nothing.
+    """
+    if b <= bound or b in support or b in chosen:
         return False
     for h in handles:
-        image = oracle.eval(h, a)
-        if image == a or image in chosen or image in support:
+        image = oracle.eval(h, b)
+        if image == b:
+            return False
+        if (image in chosen or image in support) and image not in back:
             return False
     return True
+
+
+def _least_fresh(start: int, ok) -> int:
+    """The least b >= start with ok(b): the one fresh-point scan."""
+    for b in range(start, _SCAN_CAP + 1):
+        if ok(b):
+            return b
+    raise InternalCheckFailed("fresh-point scan exhausted")
 
 
 def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
@@ -396,13 +422,14 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     handles = _nonidentity_handles(base.words, oracle)
     support = base.s.support
     chain: list[int] = []
-    a = 0
     while len(chain) < chain_length:
-        if _fresh_chain_ok(a, set(chain), support, handles, oracle):
-            chain.append(a)
-        a += 1
-        if a > _SCAN_CAP:
-            raise InternalCheckFailed("chain scan exhausted")
+        chosen = set(chain)
+        chain.append(
+            _least_fresh(
+                chain[-1] + 1 if chain else 0,
+                lambda a: _fresh_point_ok(a, -1, chosen, support, handles, oracle),
+            )
+        )
     route = [orbit.exit, *chain, orbit.entry]
     closed = replace(
         base, s=base.s.with_pairs((route[i], route[i + 1]) for i in range(len(route) - 1))
@@ -425,44 +452,14 @@ def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
     """Close the orbit at the least uncovered natural, parity-matched to the target."""
     if c.flavor is not Flavor.CODING:
         raise PreconditionViolated("coding flavor required")
-    covered: set[int] = set()
-    for o in I.closed_orbits(c.s):
-        covered |= o.elements
-    index = len(I.closed_orbits(c.s))
+    closed, n = I.closed_and_gap(c.s)
+    index = len(closed)
     if index >= len(c.target):
         raise PrefixTooShort(f"target has only {len(c.target)} bits")
-    n = I.mex(covered)
-    threshold = closing_threshold(c, n)
-    k = threshold + 1
+    k = closing_threshold(c, n) + 1
     if k % 2 != c.target[index] % 2:
         k += 1
     return close_orbit(c, n, k, oracle)
-
-
-def _base_point_ok(
-    b: int,
-    bound: int,
-    chosen: set[int],
-    support: frozenset[int],
-    handles,
-    oracle,
-    back: frozenset[int] = frozenset(),
-) -> bool:
-    """Clauses for a fresh cycle point: above the bound, no collisions.
-
-    `back` exempts the intended group edge: a point forced as g(a) is mapped
-    back onto a by g^-1, and above the pairwise bound no other handle can
-    reach a, so allowing exactly that image loses nothing.
-    """
-    if b <= bound or b in support or b in chosen:
-        return False
-    for h in handles:
-        image = oracle.eval(h, b)
-        if image == b:
-            return False
-        if (image in chosen or image in support) and image not in back:
-            return False
-    return True
 
 
 def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCertificate:
@@ -496,20 +493,18 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
         return letters[m - 1 - i]
 
     def pick_fresh(chosen: set[int], next_letter: W.Letter | None) -> int:
-        b = bound + 1
-        while True:
-            if _base_point_ok(b, bound, chosen, support, handles, oracle):
-                if next_letter is None or next_letter.kind is not W.LetterKind.GROUP:
-                    return b
-                forced = oracle.eval(next_letter.handle, b)
-                if _base_point_ok(
-                    forced, bound, chosen | {b}, support, handles, oracle,
-                    back=frozenset((b,)),
-                ):
-                    return b
-            b += 1
-            if b > _SCAN_CAP:
-                raise InternalCheckFailed("fresh-point scan exhausted")
+        def ok(b: int) -> bool:
+            if not _fresh_point_ok(b, bound, chosen, support, handles, oracle):
+                return False
+            if next_letter is None or next_letter.kind is not W.LetterKind.GROUP:
+                return True
+            forced = oracle.eval(next_letter.handle, b)
+            return _fresh_point_ok(
+                forced, bound, chosen | {b}, support, handles, oracle,
+                back=frozenset((b,)),
+            )
+
+        return _least_fresh(bound + 1, ok)
 
     if m == 1:
         a = pick_fresh(set(), None)
@@ -529,7 +524,7 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
             letter = letter_at(i)
             if letter.kind is W.LetterKind.GROUP:
                 forced = oracle.eval(letter.handle, points[i])
-                if not _base_point_ok(
+                if not _fresh_point_ok(
                     forced, bound, chosen, support, handles, oracle,
                     back=frozenset((points[i],)),
                 ):
@@ -603,18 +598,6 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
     return chain(cert, step)
 
 
-def obligated_primes(c: Condition, oracle) -> set[int]:
-    """Primes p_n for which some tracked power v^{p_n} constrains bit n."""
-    out: set[int] = set()
-    for w in c.words:
-        _, k = W.indecomposable_root(w, oracle)
-        n = 0
-        while I.nth_prime(n) <= k:
-            out.add(I.nth_prime(n))
-            n += 1
-    return out
-
-
 def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     """Close every open orbit, respecting the flavor's coding discipline.
 
@@ -629,7 +612,10 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
             cert = chain(cert, code_next_orbit(c, oracle))
             c = cert.upper
         return cert or leq(c, c, oracle)
-    avoid = obligated_primes(c, oracle) if c.flavor is Flavor.DAGGER else set()
+    avoid: set[int] = set()
+    if c.flavor is Flavor.DAGGER:
+        for w in c.words:
+            avoid.update(I.primes_up_to(W.indecomposable_root(w, oracle)[1]))
     while True:
         open_now = I.open_orbits(c.s)
         if not open_now:

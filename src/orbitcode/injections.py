@@ -5,6 +5,8 @@ its inverse.  Orbits contained in dom ∩ ran are cycles ("closed"); the rest
 are paths with a unique entry point (not in the range) and exit point (not in
 the domain).  Two bit-coding maps live here: one reads parities of closed
 orbit sizes in min-order, the other counts closed orbits of prime sizes.
+The orbit-order rule lives in closed_and_gap, one decomposition read by
+o_partial, is_nice_injection and forcing.code_next_orbit.
 """
 
 from __future__ import annotations
@@ -181,27 +183,32 @@ def mex(values: Iterable[int]) -> int:
     return n
 
 
-def is_nice_injection(s: PartialInjection) -> bool:
-    """Every closed orbit's minimum lies below the first gap in their union.
-
-    This pins down the enumeration order of closed orbits: new closed orbits
-    must keep covering an initial segment's worth of minima.
-    """
+def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
+    """The closed orbits in min-order, and the least natural none of them covers."""
     closed = closed_orbits(s)
-    if not closed:
-        return True
-    covered = set()
-    for o in closed:
-        covered |= o.elements
-    gap = mex(covered)
-    return all(o.minimum < gap for o in closed)
+    return closed, mex(n for o in closed for n in o.ordered)
+
+
+def is_nice_injection(s: PartialInjection) -> bool:
+    """Whether s has an orbit-order code, i.e. o_partial(s) is defined."""
+    try:
+        o_partial(s)
+    except NotNiceInjection:
+        return False
+    return True
 
 
 def o_partial(s: PartialInjection) -> tuple[int, ...]:
-    """Size parities of closed orbits in min-order; the orbit-order code."""
-    if not is_nice_injection(s):
+    """Size parities of closed orbits in min-order; the orbit-order code.
+
+    Defined only for nice s, where every closed orbit's minimum lies below the
+    first gap in their union, so new closed orbits keep covering an initial
+    segment's worth of minima; raises NotNiceInjection otherwise.
+    """
+    closed, gap = closed_and_gap(s)
+    if any(o.minimum >= gap for o in closed):
         raise NotNiceInjection(f"closed-orbit minima not initial in {s!r}")
-    return tuple(o.size % 2 for o in closed_orbits(s))
+    return tuple(o.size % 2 for o in closed)
 
 
 _PRIMES: list[int] = [2, 3, 5, 7]
@@ -217,14 +224,18 @@ def nth_prime(n: int) -> int:
     return _PRIMES[n]
 
 
+def primes_up_to(k: int) -> list[int]:
+    """p_0, p_1, ... up to k; a power v^k obligates bit n of v's code iff p_n <= k."""
+    primes: list[int] = []
+    while nth_prime(len(primes)) <= k:
+        primes.append(nth_prime(len(primes)))
+    return primes
+
+
 def prime_index(k: int) -> int | None:
     """n with p_n = k, or None if k is not prime."""
-    if k < 2:
-        return None
-    n = 0
-    while nth_prime(n) < k:
-        n += 1
-    return n if nth_prime(n) == k else None
+    primes = primes_up_to(k)
+    return len(primes) - 1 if primes and primes[-1] == k else None
 
 
 def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:

@@ -119,9 +119,6 @@ class ExplicitTree(InjectiveTree):
     def nodes(self) -> frozenset[Node]:
         return self._nodes
 
-    def sorted_nodes(self) -> list[Node]:
-        return sorted(self._nodes)
-
     def contains(self, node: Node) -> bool:
         return tuple(node) in self._nodes
 
@@ -147,7 +144,7 @@ class ExplicitTree(InjectiveTree):
         )
 
     def descriptor(self) -> dict:
-        return {"kind": "explicit", "nodes": [list(n) for n in self.sorted_nodes()]}
+        return {"kind": "explicit", "nodes": [list(n) for n in sorted(self._nodes)]}
 
     def __repr__(self) -> str:
         return f"ExplicitTree({len(self._nodes)} nodes)"
@@ -194,17 +191,21 @@ def diagonalization_witness(
     return None
 
 
+def undiagonalized_node(g: Mapping[int, int], tree: ExplicitTree) -> Node | None:
+    """The least non-maximal node, by length then value, with no witness for g."""
+    for node in sorted(tree.nodes, key=lambda t: (len(t), t)):
+        if not tree.is_maximal(node) and diagonalization_witness(g, tree, node) is None:
+            return node
+    return None
+
+
 def densely_diagonalizes(g: Mapping[int, int], tree: ExplicitTree) -> bool:
     """Above every extendable node, some extension agrees with g at a new index.
 
     Maximal nodes are exempt: they admit no strict extension inside a finite
     truncation, so the quantifier runs over non-maximal nodes only.
     """
-    return all(
-        diagonalization_witness(g, tree, node) is not None
-        for node in tree.nodes
-        if not tree.is_maximal(node)
-    )
+    return undiagonalized_node(g, tree) is None
 
 
 def is_positive_explicit(tree: ExplicitTree, family: Iterable[Mapping[int, int]]) -> bool:

@@ -205,7 +205,7 @@ def occurrence_class(w: Word) -> int:
 def cyclic_conjugates_and_inverses(w: Word, oracle) -> frozenset[Word]:
     """All admissible words among cyclic rotations of w and their inverses."""
     if nice_blocks(w) is None:
-        raise NotNiceWord(f"not an admissible word: {w.letters!r}")
+        raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
     out = set()
     n = len(w.letters)
     for i in range(n):
@@ -233,7 +233,7 @@ def indecomposable_root(w: Word, oracle) -> tuple[Word, int]:
     """
     blocks = nice_blocks(w)
     if blocks is None:
-        raise NotNiceWord(f"not an admissible word: {w.letters!r}")
+        raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
     if blocks[0][0] is None:
         return Word((X,)), blocks[0][1]
     total = len(blocks)

@@ -95,6 +95,27 @@ def test_inadmissible_word_fails_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--flavor", "dagger", "--bits", "101", "--words", "x^-1"],
+            "error: step 0: not an admissible word: 'x^-1'",
+        ),
+        (
+            ["--flavor", "coding", "--bits", "1", "--schedule", "auto:3"],
+            "error: step 5: target has only 1 bits",
+        ),
+    ],
+    ids=["inadmissible-dagger-word", "coding-target-too-short"],
+)
+def test_a_failed_run_names_its_step(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.json"
+    assert run_cli("run", *argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plain_run_over_translations_with_trees(tmp_path, capsys):
     out = tmp_path / "plain.json"
     code = run_cli(
@@ -127,6 +148,18 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert run_cli("verify", str(bad)) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("schedule, steps", [(3, 5), ([], 5), (3, [])])
+def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
+    tmp_path, capsys, schedule, steps
+):
+    bad = tmp_path / "bad.json"
+    trace = {"oracle": {"kind": "trivial"}, "flavor": "plain", "schedule": schedule}
+    trace["steps"] = steps
+    bad.write_text(json.dumps(trace), encoding="utf-8")
+    assert run_cli("verify", str(bad)) == 1
+    assert "error: verification failed: malformed trace: " in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):

@@ -264,6 +264,48 @@ def test_rewritten_decoded_bits_fail_replay():
     assert not verify_trace_data(data)
 
 
+def _wire(trace, oracle):
+    return json.loads(json.dumps(trace_to_data(trace, oracle)))
+
+
+@pytest.fixture(scope="module")
+def three_stages():
+    return staged_run([(1,), (1,), (1,)])
+
+
+def test_every_stage_trace_replays_its_growth_events(three_stages):
+    assert three_stages[1].trace.growth_events
+    assert three_stages[2].trace.growth_events
+    for i, stage in enumerate(three_stages):
+        assert verify_trace_data(_wire(stage.trace, staged_oracle(three_stages[:i]))), i
+
+
+def test_a_stage_trace_without_its_growth_events_fails_replay(three_stages):
+    data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
+    data["growth_events"] = []
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("step 1:")
+
+
+def test_a_dagger_run_over_translations_replays_its_word_requirement():
+    oracle = translation_oracle()
+    trace = run(Flavor.DAGGER, (1, 0), [WordAdded(Word((group(1), X)))], oracle)
+    assert verify_trace_data(_wire(trace, oracle))
+
+
+@pytest.mark.parametrize("key, forged", [("witness_index", 99), ("witness_node", [5, 5, 5])])
+def test_a_forged_tree_witness_fails_replay(key, forged):
+    oracle = trivial_oracle()
+    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
+    data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
+    assert verify_trace_data(data)
+    data["steps"][1]["extra"][key] = forged
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 1: requirement not satisfied"
+
+
 def test_identical_runs_serialize_identically():
     def one():
         oracle = trivial_oracle()

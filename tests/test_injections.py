@@ -27,6 +27,7 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+from orbitcode.injections import closed_and_gap, primes_up_to
 
 import helpers
 
@@ -120,6 +121,19 @@ def test_prime_table_starts_at_two():
     assert prime_index(2) == 0
     assert prime_index(7) == 3
     assert prime_index(6) is None
+
+
+def test_primes_up_to_lists_every_prime_at_most_k():
+    for k in range(-1, 40):
+        expect = [p for p in range(2, k + 1) if all(p % d for d in range(2, p))]
+        assert primes_up_to(k) == expect, k
+
+
+def test_closed_and_gap_reads_closed_orbits_and_their_first_gap():
+    closed, gap = closed_and_gap(inj({5: 6, 3: 3, 0: 1, 1: 0}))
+    assert [o.ordered for o in closed] == [(0, 1), (3,)]
+    assert gap == 2
+    assert closed_and_gap(inj({0: 1})) == ((), 0)
 
 
 def test_prime_parity_bits_of_mixed_cycle_type():

@@ -16,6 +16,7 @@ from orbitcode import (
     tree_from_descriptor,
     truncate_to_explicit,
 )
+from orbitcode.trees import undiagonalized_node
 
 
 def test_full_tree_extends_by_the_least_free_value():
@@ -100,6 +101,13 @@ def test_branch_disjoint_from_g_does_not_diagonalize():
     tree = ExplicitTree.from_branch((1, 2, 4))
     assert not densely_diagonalizes(g, tree)
     assert diagonalization_witness(g, tree, ()) is None
+
+
+def test_the_least_node_without_a_witness_is_the_counterexample():
+    g = {0: 3, 1: 5, 2: 0}
+    tree = ExplicitTree([(3, 5, 0), (1, 2, 4), (3, 5), (1, 2), (3,), (1,), ()])
+    assert undiagonalized_node(g, tree) == (1,)
+    assert undiagonalized_node(g, ExplicitTree.from_branch((3, 5, 0))) is None
 
 
 def test_witness_points_at_the_agreeing_index():
