@@ -118,9 +118,10 @@ def cmd_run(args) -> int:
     data = E.trace_to_data(trace, oracle)
     out = Path(args.out)
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    for step in data["steps"]:
-        print(f"step {step['index']}: {_describe(step['requirement'])} {step['op']} ok")
-    for event in data["growth_events"]:
+    for step in trace.steps:
+        req = E.requirement_to_data(step.requirement, oracle)
+        print(f"step {step.index}: {_describe(req)} {step.op} ok")
+    for event in trace.growth_events:
         print(
             f"growth at step {event['step']}: window {event['window']}"
             f" (needed {event['required']})"

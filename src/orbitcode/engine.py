@@ -5,10 +5,11 @@ hit a domain or range point, adjoin a word, diagonalize against an injective
 tree, or close the next coded orbit.  Every step is certified once, by the
 forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
-condition unchanged records the reflexive certificate leq(c, c).  The full
-trace (schedule, steps, certificates, growth events, final condition,
-decoded bits) serializes to JSON that an independent verifier can replay
-without trusting the run.
+condition unchanged records the reflexive certificate leq(c, c).  A trace
+serializes to JSON that an independent verifier replays without trusting
+the run.  Format version 2 writes each fact once: a step holds its upper
+condition and fixed-point snapshots, plus a tree step's witness; its lower
+condition is the previous upper and its requirement the schedule's entry.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -34,7 +35,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 1,
+    "format_version": 2,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -127,56 +128,43 @@ class RunTrace:
 
 
 def _apply_requirement(req: Requirement, c: F.Condition, oracle):
-    """Meet one requirement; returns (op name, the step's certificate, extra data)."""
+    """Meet one requirement; returns (op name, certificate, a tree step's witness or {})."""
     if isinstance(req, DomainHits):
         if c.s.apply(req.n) is not None:
-            return "already_present", F.leq(c, c, oracle), {"n": req.n}
-        cert = F.extend_domain(c, req.n, oracle)
-        return "extend_domain", cert, {"n": req.n, "value": cert.upper.s.apply(req.n)}
+            return "already_present", F.leq(c, c, oracle), {}
+        return "extend_domain", F.extend_domain(c, req.n, oracle), {}
     if isinstance(req, RangeHits):
         if c.s.apply_inverse(req.m) is not None:
-            return "already_present", F.leq(c, c, oracle), {"m": req.m}
-        cert = F.extend_range(c, req.m, oracle)
-        preimage = cert.upper.s.apply_inverse(req.m)
-        return "extend_range", cert, {"m": req.m, "preimage": preimage}
+            return "already_present", F.leq(c, c, oracle), {}
+        return "extend_range", F.extend_range(c, req.m, oracle), {}
     if isinstance(req, WordAdded):
         w = W.reduce(req.word.letters, oracle)
-        extra = {"word": W.format_word(w, oracle)}
         if w in c.words:
-            return "already_present", F.leq(c, c, oracle), extra
+            return "already_present", F.leq(c, c, oracle), {}
         op = "add_word" if c.flavor is F.Flavor.DAGGER else "adjoin_word"
-        return op, F.add_word(c, w, oracle), extra
+        return op, F.add_word(c, w, oracle), {}
     if isinstance(req, TreeDiagonalized):
         cert, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
-        extra = {
-            "node": list(req.node),
-            "witness_node": list(witness),
-            "witness_index": k,
-            "witness_value": cert.upper.s.apply(k),
-        }
-        return "tree_extend", cert, extra
+        return "tree_extend", cert, {"witness_node": list(witness), "witness_index": k}
     if isinstance(req, OrbitCoded):
         cert = None
-        closed = I.closed_orbits(c.s)
-        closed_before = len(closed)
-        while len(closed) <= req.index:
+        while len(I.closed_orbits(c.s)) <= req.index:
             cert = F.chain(cert, F.code_next_orbit(c, oracle))
             c = cert.upper
-            closed = I.closed_orbits(c.s)
-        extra = {
-            "index": req.index,
-            "orbits_closed": len(closed) - closed_before,
-            "sizes": [o.size for o in closed],
-        }
-        return "code_next_orbit", cert or F.leq(c, c, oracle), extra
+        return "code_next_orbit", cert or F.leq(c, c, oracle), {}
     raise TypeError(f"not a requirement: {req!r}")
+
+
+def _growth_target(required: int, window: int) -> int:
+    """The growth rule: at least double the window, past the miss, with headroom."""
+    return max(required, 2 * window) + 16
 
 
 def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> None:
     current = oracle.window()
     if current >= O.UNBOUNDED:
         raise InternalCheckFailed("an unwindowed oracle reported a window miss")
-    goal = max(needed, 2 * current) + 16
+    goal = _growth_target(needed, current)
     reached = oracle.grow_window(goal)
     growth_events.append(
         {"step": step, "required": needed, "target": goal, "window": reached}
@@ -398,13 +386,8 @@ def trace_to_data(trace: RunTrace, oracle) -> dict:
         "oracle": trace.oracle_spec,
         "schedule": [requirement_to_data(req, oracle) for req in trace.schedule],
         "steps": [
-            {
-                "index": step.index,
-                "requirement": requirement_to_data(step.requirement, oracle),
-                "op": step.op,
-                "certificate": F.certificate_to_data(step.certificate, oracle),
-                "extra": step.extra,
-            }
+            {"certificate": F.certificate_to_data(step.certificate, oracle)}
+            | ({"extra": step.extra} if step.extra else {})
             for step in trace.steps
         ],
         "final": F.condition_to_data(trace.final, oracle),
@@ -423,80 +406,79 @@ def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle)
     if isinstance(req, OrbitCoded):
         return len(I.closed_orbits(c.s)) > req.index
     if isinstance(req, TreeDiagonalized):
-        try:
-            witness = tuple(int(v) for v in extra["witness_node"])
-            k = int(extra["witness_index"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        if not req.tree.contains(witness):
-            return False
-        if witness[: len(req.node)] != tuple(req.node):
-            return False
-        if not (len(req.node) <= k < len(witness)):
-            return False
-        return c.s.apply(k) == witness[k]
+        witness = tuple(int(v) for v in extra["witness_node"])
+        k = int(extra["witness_index"])
+        return (
+            req.tree.contains(witness)
+            and witness[: len(req.node)] == tuple(req.node)
+            and len(req.node) <= k < len(witness)
+            and c.s.apply(k) == witness[k]
+        )
     return False
 
 
-def _empty_condition_data(flavor: F.Flavor, target, oracle) -> dict:
-    empty = F.Condition(I.PartialInjection(), frozenset(), flavor, target)
-    return F.condition_to_data(empty, oracle)
+def _replay_growth(events, oracle, length: int) -> None:
+    """Replay growth events, raising ValueError at one the engine would not record.
+
+    Steps never decrease and stay at most `length` (the seal's); each target is
+    the growth rule's for the window so far, and reaches the recorded window.
+    """
+    last = 0
+    for j, event in enumerate(events):
+        step = int(event["step"])
+        if not last <= step <= length:
+            raise ValueError(f"growth event {j}: step {step} out of order")
+        goal = _growth_target(int(event["required"]), oracle.window())
+        if int(event["target"]) != goal:
+            raise ValueError(f"growth event {j}: target {event['target']}, rule gives {goal}")
+        if oracle.grow_window(goal) != int(event["window"]):
+            raise ValueError(f"growth event {j} misses window {event['window']}")
+        last = step
 
 
 def verify_trace_data(data: Mapping) -> F.CheckResult:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
-    Rebuilds the oracle from its recorded descriptor, applies the recorded
-    window growths, then walks the steps: each certificate must recheck, each
-    step's lower condition must equal the previous upper, each requirement
-    must hold in its step's upper condition, and the final condition and
-    decoded bits must match a recomputation.
+    Rejects other conventions (a v1 trace, say) and growth events off the
+    engine's rule.  Each step's upper condition is parsed once; it must extend
+    the condition before it with the stored snapshots, validate, and meet its
+    schedule entry.  The final condition and decoded bits must recompute.
     """
     try:
         oracle = O.oracle_from_descriptor(data["oracle"])
-        flavor = F.Flavor(data["flavor"])
         raw_target = data.get("target")
         target = None if raw_target is None else tuple(int(b) for b in raw_target)
-        for event in data.get("growth_events", ()):
-            oracle.grow_window(int(event["target"]))
+        c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
         schedule = data["schedule"]
         steps = data["steps"]
         if not (isinstance(schedule, list) and isinstance(steps, list)):
             raise TypeError("schedule and steps must be lists")
+        if data.get("conventions") != CONVENTIONS:
+            version = CONVENTIONS["format_version"]
+            raise ValueError(f"conventions are not those of format version {version}")
+        if len(schedule) != len(steps):
+            raise ValueError("schedule and steps disagree in length")
+        _replay_growth(data.get("growth_events", ()), oracle, len(schedule))
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")
-    if len(schedule) != len(steps):
-        return F.CheckResult(False, "schedule and steps disagree in length")
-    previous_upper = _empty_condition_data(flavor, target, oracle)
-    for i, step in enumerate(steps):
+    for i, (entry, step) in enumerate(zip(schedule, steps)):
         try:
-            cert = step["certificate"]
-            if step["requirement"] != schedule[i]:
-                return F.CheckResult(False, f"step {i}: requirement drifted from schedule")
-            if cert["lower"] != previous_upper:
-                return F.CheckResult(
-                    False, f"step {i}: does not start at the previous condition"
-                )
-            check = F.verify_certificate_data(cert, oracle)
-            if not check:
-                return F.CheckResult(False, f"step {i}: {check.reason}")
-            upper = F.condition_from_data(cert["upper"], oracle)
-            if upper.flavor is not flavor or upper.target != target:
-                return F.CheckResult(False, f"step {i}: flavor or target drifted")
-            valid = F.validate(upper, oracle)
+            cert = F.verify_certificate_data(step["certificate"], c, oracle)
+            if not cert:
+                return F.CheckResult(False, f"step {i}: {cert.reason}")
+            c = cert.upper
+            valid = F.validate(c, oracle)
             if not valid:
                 return F.CheckResult(False, f"step {i}: invalid condition: {valid.reason}")
-            req = requirement_from_data(step["requirement"], oracle)
-            if not _requirement_holds(req, step.get("extra", {}), upper, oracle):
+            req = requirement_from_data(entry, oracle)
+            if not _requirement_holds(req, step.get("extra", {}), c, oracle):
                 return F.CheckResult(False, f"step {i}: requirement not satisfied")
-            previous_upper = cert["upper"]
         except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
             return F.CheckResult(False, f"step {i}: malformed: {exc}")
     try:
-        if data["final"] != previous_upper:
+        if F.condition_from_data(data["final"], oracle) != c:
             return F.CheckResult(False, "final condition does not match the last step")
-        final = F.condition_from_data(data["final"], oracle)
-        if list(_decode_final(final)) != [int(b) for b in data["decoded"]]:
+        if list(_decode_final(c)) != [int(b) for b in data["decoded"]]:
             return F.CheckResult(False, "decoded bits do not match the final condition")
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")

@@ -17,9 +17,10 @@ ExtensionCertificate from its input to its result, and `.upper` is the new
 condition.  A single step's certificate comes from one validate + leq check
 of the result against the input; an operation made of several steps chains
 their certificates by transitivity instead of checking again.  Callers store
-the certificate as it is, and it can be re-verified later from serialized
-data alone.  A refusal is a falsy CheckResult with a reason.  All
-tie-breaking picks the least value, so runs are reproducible bit for bit.
+the certificate as it is.  Serialized, it keeps only its upper condition and
+snapshots, and re-verifies against a lower condition the reader already
+holds.  A refusal is a falsy CheckResult with a reason.  All tie-breaking
+picks the least value, so runs are reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap.  The fresh-point
 clause is _fresh_point_ok, searched by _least_fresh for both close_orbit's
@@ -649,33 +650,34 @@ def condition_from_data(data: dict, oracle) -> Condition:
     )
 
 
+def _snapshots_to_data(snapshots, oracle) -> list[dict]:
+    return [
+        {"word": W.format_word(w, oracle), "fixed_points": sorted(points)}
+        for w, points in sorted(snapshots, key=lambda item: W.sort_key(item[0], oracle))
+    ]
+
+
 def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
+    """The certificate on the wire, without its lower condition (the reader's)."""
     return {
-        "lower": condition_to_data(cert.lower, oracle),
         "upper": condition_to_data(cert.upper, oracle),
-        "fixpoint_snapshots": [
-            {"word": W.format_word(w, oracle), "fixed_points": sorted(points)}
-            for w, points in sorted(
-                cert.snapshots, key=lambda item: W.sort_key(item[0], oracle)
-            )
-        ],
+        "fixpoint_snapshots": _snapshots_to_data(cert.snapshots, oracle),
     }
 
 
-def verify_certificate_data(data: dict, oracle) -> CheckResult:
-    """Recheck a serialized certificate from scratch: order and snapshots."""
-    lower = condition_from_data(data["lower"], oracle)
+def verify_certificate_data(
+    data: dict, lower: Condition, oracle
+) -> ExtensionCertificate | CheckResult:
+    """Parse the upper condition once and recheck it against lower: order and snapshots.
+
+    The stored snapshots must be exactly those certificate_to_data writes for
+    the recomputed certificate.  Returns that certificate, or a falsy
+    CheckResult naming the failed clause.
+    """
     upper = condition_from_data(data["upper"], oracle)
     result = leq(upper, lower, oracle)
     if not result:
         return CheckResult(False, f"order recheck failed: {result.reason}")
-    recomputed = {
-        W.format_word(w, oracle): sorted(points) for w, points in result.snapshots
-    }
-    stored = {
-        item["word"]: sorted(item["fixed_points"])
-        for item in data["fixpoint_snapshots"]
-    }
-    if recomputed != stored:
+    if _snapshots_to_data(result.snapshots, oracle) != data["fixpoint_snapshots"]:
         return CheckResult(False, "fixed-point snapshots do not match")
-    return CheckResult(True)
+    return result

@@ -162,6 +162,21 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
     assert "error: verification failed: malformed trace: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("format_version", 1), ("format_version", 99), ("prime_indexing", "p1=2")]
+)
+def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
+    out = tmp_path / "trace.json"
+    args = ["run", "--flavor", "coding", "--bits", "10", "--schedule", "auto:2"]
+    assert run_cli(*args, "--out", str(out)) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data["conventions"][key] = value
+    out.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("verify", str(out)) == 1
+    assert "format version 2" in capsys.readouterr().err
+
+
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert (

@@ -21,6 +21,7 @@ from orbitcode import (
     X,
     X_INV,
     auto_schedule,
+    closed_orbits,
     decode,
     group,
     leq,
@@ -93,7 +94,8 @@ def test_a_multi_orbit_coding_step_stores_the_chained_certificate():
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, (1, 0, 1), [WordAdded(x_power(1)), OrbitCoded(2)], oracle)
     step = trace.steps[1]
-    assert step.extra["orbits_closed"] == 3
+    cert = step.certificate
+    assert len(closed_orbits(cert.upper.s)) - len(closed_orbits(cert.lower.s)) == 3
     assert step.certificate == leq(step.certificate.upper, step.certificate.lower, oracle)
 
 
@@ -286,6 +288,37 @@ def test_a_stage_trace_without_its_growth_events_fails_replay(three_stages):
     result = verify_trace_data(data)
     assert not result
     assert result.reason.startswith("step 1:")
+
+
+def test_a_growth_target_off_the_engine_rule_fails_replay(three_stages):
+    data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
+    for event in data["growth_events"]:
+        event["target"] = event["required"]
+    result = verify_trace_data(data)
+    assert not result
+    assert "growth event 0" in result.reason
+
+
+def test_a_stage_trace_missing_its_first_growth_event_fails_replay(three_stages):
+    data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
+    assert [event["step"] for event in data["growth_events"]] == [1, 11]
+    data["growth_events"].pop(0)
+    result = verify_trace_data(data)
+    assert not result
+    assert "growth event 0" in result.reason
+
+
+def test_a_forged_fixed_point_snapshot_fails_replay():
+    oracle = trivial_oracle()
+    schedule = [WordAdded(x_power(1)), DomainHits(0), RangeHits(0), DomainHits(1)]
+    data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
+    assert verify_trace_data(data)
+    entry = data["steps"][2]["certificate"]["fixpoint_snapshots"][0]
+    assert entry["word"] == "x"
+    entry["fixed_points"].append(max(entry["fixed_points"], default=0) + 1)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 2: fixed-point snapshots do not match"
 
 
 def test_a_dagger_run_over_translations_replays_its_word_requirement():

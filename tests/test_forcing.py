@@ -379,9 +379,9 @@ def test_certificate_serialization_and_replay():
     upper = extend_domain(lower, 0, TRIV).upper
     cert = leq(upper, lower, TRIV)
     data = certificate_to_data(cert, TRIV)
-    assert verify_certificate_data(data, TRIV)
+    assert verify_certificate_data(data, lower, TRIV)
     data["upper"]["injection"] = [[0, 0]]
-    assert not verify_certificate_data(data, TRIV)
+    assert not verify_certificate_data(data, lower, TRIV)
 
 
 words_pool = [x_power(1), x_power(2), x_power(3), GX, Word((group(-1), X))]
@@ -425,7 +425,7 @@ def test_extension_certificates_replay_from_their_wire_form(c, n):
         return
     t = extend_domain(c, n, TRANS).upper
     cert = leq(t, c, TRANS)
-    assert verify_certificate_data(certificate_to_data(cert, TRANS), TRANS)
+    assert verify_certificate_data(certificate_to_data(cert, TRANS), c, TRANS)
 
 
 @given(small_conditions(), st.integers(1, 4))

@@ -3,14 +3,17 @@
 Each digest is the sha256 of `json.dumps(trace_to_data(trace, oracle), indent=2)`,
 the text `orbitcode run --out` writes.  A refactor of the forcing operations or
 of the engine must leave these bytes alone; a deliberate format change updates
-the digests together with `CONVENTIONS["format_version"]`.  The same builds
-check that every stored certificate is exactly what `leq` recomputes.
+the digests together with `CONVENTIONS["format_version"]`, which is pinned here
+beside them, so a change to one without the other fails in this file.  The
+same builds check that every stored certificate is exactly what `leq`
+recomputes.
 """
 
 import hashlib
 import json
 
 from orbitcode import (
+    CONVENTIONS,
     DomainHits,
     Flavor,
     FullInjectiveTree,
@@ -35,32 +38,34 @@ from orbitcode import (
     x_power,
 )
 
+FORMAT_VERSION = 2
+
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "74ca5970d4c724c46064458706e4e80d"
-        "98b115b4cb0a54701f24857aad45e7fe"
+        "5b98e779ea4d2228804224e268725571"
+        "fbe977958c3497b8b8df28094d41c1fa"
     ),
     "dagger-3-translation": (
-        "cc1c60b4f71f0760f032e8325c6a5c40"
-        "ad082581dbbece4da4e3a7d7083aff9f"
+        "bc1694bcd0ee0cbc2823e34f653c4882"
+        "a3fc1475c878afc6978a2c5083095fbf"
     ),
     "plain-trees": (
-        "b0abb181171e3216208081f333b90e4d"
-        "b196369458ac06fdf4b9fb114ef062f6"
+        "a6b3be6d8663c0088b2cbc576c0e8bab"
+        "2ed77e61f307275472b69150c3a35519"
     ),
     "plain-trees-sealed": (
         "fcb92eb0bbbd49600319733e6f66964e"
         "7cdd6a16b8f3bef9a82bba09023a9739"
     ),
     "staged-0": (
-        "0dcc5c82affc2f7696d55954753a2105"
-        "a3246fc0450efb223f98c610632bb7d6"
+        "2fdd7645432dd2081fa5201e6070ca36"
+        "9eae9e60fc889bdd11804d3f56534622"
     ),
     "staged-1": (
-        "6cfe7236a33f255fd43127d9e59f880b"
-        "9917db83d3f95aa38f5f8ed246bfe1b1"
+        "2e7ed42c9b565dbd7ee7331974c12df0"
+        "9206d1a7b1e683a541eb43fc05cf345c"
     ),
 }
 
@@ -114,6 +119,10 @@ def _check(builds):
     for name, (trace, oracle) in builds.items():
         _assert_certificates_recompute(trace, oracle)
         assert _digest(trace_to_data(trace, oracle)) == DIGESTS[name], name
+
+
+def test_digests_are_pinned_at_their_format_version():
+    assert CONVENTIONS["format_version"] == FORMAT_VERSION
 
 
 def test_coding_trace_digest():
