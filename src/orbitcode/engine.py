@@ -417,14 +417,38 @@ def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle)
     return False
 
 
+_TRACE_KEYS = frozenset(
+    ("conventions", "flavor", "target", "oracle", "schedule", "steps", "final", "decoded",
+     "growth_events")
+)
+_STEP_KEYS = frozenset(("certificate",))
+_TREE_STEP_KEYS = frozenset(("certificate", "extra"))
+_CERTIFICATE_KEYS = frozenset(("upper", "fixpoint_snapshots"))
+_WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
+_GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
+
+
+def _closed(data, keys: frozenset, what: str):
+    """data itself, if it is an object with exactly `keys`; ValueError otherwise."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} is not an object")
+    if data.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(data)}, format gives {sorted(keys)}")
+    return data
+
+
 def _replay_growth(events, oracle, length: int) -> None:
     """Replay growth events, raising ValueError at one the engine would not record.
 
-    Steps never decrease and stay at most `length` (the seal's); each target is
-    the growth rule's for the window so far, and reaches the recorded window.
+    An unwindowed oracle never grows, so it admits no event.  Steps never
+    decrease and stay at most `length` (the seal's); each target is the
+    growth rule's for the window so far, and reaches the recorded window.
     """
     last = 0
     for j, event in enumerate(events):
+        _closed(event, _GROWTH_KEYS, f"growth event {j}")
+        if oracle.window() >= O.UNBOUNDED:
+            raise ValueError(f"growth event {j}: the oracle has no window to grow")
         step = int(event["step"])
         if not last <= step <= length:
             raise ValueError(f"growth event {j}: step {step} out of order")
@@ -439,39 +463,48 @@ def _replay_growth(events, oracle, length: int) -> None:
 def verify_trace_data(data: Mapping) -> F.CheckResult:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
-    Rejects other conventions (a v1 trace, say) and growth events off the
-    engine's rule.  Each step's upper condition is parsed once; it must extend
-    the condition before it with the stored snapshots, validate, and meet its
-    schedule entry.  The final condition and decoded bits must recompute.
+    Every object read has a closed key set (the top level, each step, its
+    certificate, a tree step's witness, each growth event): a key this
+    format does not write, or one it does write that is missing, makes the
+    trace malformed.  Rejects other conventions (a v1 trace, say) and growth
+    events off the engine's rule.  Each step's upper condition is parsed
+    once; it must extend the condition before it with the stored snapshots,
+    validate, and meet its schedule entry.  The final condition and decoded
+    bits must recompute.
     """
     try:
+        _closed(data, _TRACE_KEYS, "trace")
         oracle = O.oracle_from_descriptor(data["oracle"])
-        raw_target = data.get("target")
+        raw_target = data["target"]
         target = None if raw_target is None else tuple(int(b) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
         schedule = data["schedule"]
         steps = data["steps"]
         if not (isinstance(schedule, list) and isinstance(steps, list)):
             raise TypeError("schedule and steps must be lists")
-        if data.get("conventions") != CONVENTIONS:
+        if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
-        _replay_growth(data.get("growth_events", ()), oracle, len(schedule))
+        _replay_growth(data["growth_events"], oracle, len(schedule))
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")
     for i, (entry, step) in enumerate(zip(schedule, steps)):
         try:
-            cert = F.verify_certificate_data(step["certificate"], c, oracle)
+            req = requirement_from_data(entry, oracle)
+            tree = isinstance(req, TreeDiagonalized)
+            _closed(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
+            extra = _closed(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
+            data_cert = _closed(step["certificate"], _CERTIFICATE_KEYS, "certificate")
+            cert = F.verify_certificate_data(data_cert, c, oracle)
             if not cert:
                 return F.CheckResult(False, f"step {i}: {cert.reason}")
             c = cert.upper
             valid = F.validate(c, oracle)
             if not valid:
                 return F.CheckResult(False, f"step {i}: invalid condition: {valid.reason}")
-            req = requirement_from_data(entry, oracle)
-            if not _requirement_holds(req, step.get("extra", {}), c, oracle):
+            if not _requirement_holds(req, extra, c, oracle):
                 return F.CheckResult(False, f"step {i}: requirement not satisfied")
         except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
             return F.CheckResult(False, f"step {i}: malformed: {exc}")

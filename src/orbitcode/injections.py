@@ -156,14 +156,19 @@ def orbit_of(s: PartialInjection, n: int) -> Orbit:
 
 
 def orbit_decomposition(s: PartialInjection) -> tuple[Orbit, ...]:
-    """All orbits meeting dom ∪ ran, sorted by minimum element."""
-    remaining = set(s.support)
+    """All orbits meeting dom ∪ ran, sorted by minimum element.
+
+    One pass over the support in increasing order, skipping points already
+    seen: each orbit is first met at its minimum, so it comes out in order.
+    """
+    seen: set[int] = set()
     out = []
-    while remaining:
-        orbit = orbit_of(s, min(remaining))
-        out.append(orbit)
-        remaining -= orbit.elements
-    return tuple(sorted(out, key=lambda o: o.minimum))
+    for n in sorted(s.support):
+        if n not in seen:
+            orbit = orbit_of(s, n)
+            out.append(orbit)
+            seen.update(orbit.ordered)
+    return tuple(out)
 
 
 def closed_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
@@ -253,39 +258,57 @@ def codes_up_to(s: PartialInjection, r: tuple[int, ...], n: int) -> bool:
     return tuple(r[: n + 1]) == o_dagger(s, n)
 
 
-def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozenset[int]:
-    """Points n with w[s](n) = n, scanning dom(s) ∪ ran(s) ∪ [0, bound).
+def _start_points(w: W.Word, s: PartialInjection):
+    """Where w[s] can be defined: dom(s) or ran(s) by w's rightmost letter, else None.
 
-    Exact for any word whose rightmost or leftmost letter is x or x^-1 (a
-    fixed point's evaluation then starts or ends inside the support), hence
-    for every admissible word.  Pure group words defer to the oracle; the
+    Evaluation applies the rightmost letter first, so when it is x (x^-1)
+    every point w[s] maps, fixed points included, lies in dom(s) (ran(s)).
+    None when the rightmost letter is a group letter or w is the identity.
+    """
+    if w.letters:
+        kind = w.letters[-1].kind
+        if kind is W.LetterKind.X:
+            return s.domain
+        if kind is W.LetterKind.X_INV:
+            return s.range
+    return None
+
+
+def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozenset[int]:
+    """Points n with w[s](n) = n, for n in dom(s) ∪ ran(s) ∪ [0, bound).
+
+    A reduced word whose rightmost letter is x (x^-1) is scanned over dom(s)
+    (ran(s)) alone, where all its fixed points lie; every admissible word
+    ends in x, so for those the cost follows |dom(s)| and not `bound`.  Any
+    other word scans dom(s) ∪ ran(s) ∪ [0, bound), which is exact when its
+    leftmost letter is x or x^-1.  Pure group words defer to the oracle; the
     identity word fixes everything, so the scanned set itself is returned.
     """
     reduced = W.reduce(w.letters, oracle)
-    scan = set(s.support) | set(range(bound))
-    if reduced.is_identity:
-        return frozenset(scan)
-    if reduced.x_count() == 0:
-        # a single group letter after reduction
-        report = oracle.fixed_points(reduced.letters[0].handle)
-        if report.all_naturals:
+    scan = _start_points(reduced, s)
+    if scan is None:
+        scan = set(s.support) | set(range(bound))
+        if reduced.is_identity:
             return frozenset(scan)
-        return frozenset(report.points)
-    out = set()
-    for n in scan:
-        if W.evaluate(reduced, s, oracle, n) == n:
-            out.add(n)
-    return frozenset(out)
+        if reduced.x_count() == 0:
+            # a single group letter after reduction
+            report = oracle.fixed_points(reduced.letters[0].handle)
+            if report.all_naturals:
+                return frozenset(scan)
+            return frozenset(report.points)
+    return frozenset(n for n in scan if W.evaluate(reduced, s, oracle, n) == n)
 
 
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
     """The graph of w[s] as a finite partial injection.
 
-    Scans dom(s) ∪ ran(s); complete whenever w's rightmost letter is x or
-    x^-1, which holds for every admissible word and their inverses.
+    Scans dom(s) or ran(s) by w's rightmost letter, as fixed_points does, and
+    dom(s) ∪ ran(s) otherwise; complete whenever w's rightmost letter is x
+    or x^-1, which holds for every admissible word and their inverses.
     """
+    scan = _start_points(w, s)
     pairs = []
-    for n in sorted(s.support):
+    for n in sorted(s.support if scan is None else scan):
         value = W.evaluate(w, s, oracle, n)
         if value is not None:
             pairs.append((n, value))

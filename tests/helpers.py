@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch against the documented
 behavior, without importing the package, so expected values come from a
-second code path.
+second code path.  The scan references read package objects only through
+their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
+injection's `.apply`, `.apply_inverse` and `.support`, a condition's `.s`
+and `.words`, and an oracle's `.eval` and `.fixed_points`.
 """
 
 from __future__ import annotations
@@ -90,3 +93,80 @@ def random_injection(rng: random.Random, size: int, span: int) -> dict[int, int]
         if points:
             out[n] = points.pop()
     return out
+
+
+def orbits_by_minimum(graph: dict[int, int]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every orbit of a partial injection as (walk, closed), sorted by minimum.
+
+    A closed orbit's walk starts at its minimum and an open one's at its
+    entry, the point without a preimage; either walk follows the map.
+    """
+    inverse = {m: n for n, m in graph.items()}
+    remaining = set(graph) | set(inverse)
+    out = []
+    while remaining:
+        entry = start = remaining.pop()
+        while entry in inverse and inverse[entry] != start:
+            entry = inverse[entry]
+        closed = entry in inverse
+        if closed:
+            entry = min(_walk(graph, start, stop=start))
+        walk = _walk(graph, entry, stop=entry if closed else None)
+        remaining -= set(walk)
+        out.append((walk, closed))
+    return sorted(out, key=lambda orbit: min(orbit[0]))
+
+
+def _walk(graph: dict[int, int], start: int, stop: int | None) -> tuple[int, ...]:
+    """start, graph[start], ... until the map is undefined or returns to `stop`."""
+    walk = [start]
+    while walk[-1] in graph and graph[walk[-1]] != stop:
+        walk.append(graph[walk[-1]])
+    return tuple(walk)
+
+
+def evaluate_letters(letters, s, oracle, n: int) -> int | None:
+    """w[s](n), rightmost letter first; None once a step is undefined."""
+    for letter in reversed(letters):
+        kind = letter.kind.value
+        if kind == "x":
+            n = s.apply(n)
+        elif kind == "x^-1":
+            n = s.apply_inverse(n)
+        else:
+            n = oracle.eval(letter.handle, n)
+        if n is None:
+            return None
+    return n
+
+
+def full_range_fixed_points(w, s, oracle, bound: int) -> frozenset[int]:
+    """Fixed points of a reduced word scanned over all of dom(s) ∪ ran(s) ∪ [0, bound).
+
+    The identity word fixes the whole scan; a lone group letter defers to
+    the oracle's report.
+    """
+    scan = set(s.support) | set(range(bound))
+    if not w.letters:
+        return frozenset(scan)
+    if all(letter.kind.value == "g" for letter in w.letters):
+        report = oracle.fixed_points(w.letters[0].handle)
+        return frozenset(scan) if report.all_naturals else frozenset(report.points)
+    return frozenset(n for n in scan if evaluate_letters(w.letters, s, oracle, n) == n)
+
+
+def two_sided_leq(upper, lower, oracle) -> dict:
+    """The word clause of the order check with both sides scanned in full.
+
+    Maps each word of lower to (its fixed points under lower.s, under
+    upper.s), both scanned up to upper's support bound; upper extends lower
+    on the words exactly when every pair agrees.  Words must be reduced.
+    """
+    bound = max(upper.s.support, default=-1) + 1
+    return {
+        w: (
+            full_range_fixed_points(w, lower.s, oracle, bound),
+            full_range_fixed_points(w, upper.s, oracle, bound),
+        )
+        for w in lower.words
+    }

@@ -42,6 +42,7 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+from orbitcode import words as W
 from orbitcode.engine import requirement_from_data, requirement_to_data
 
 
@@ -337,6 +338,102 @@ def test_a_forged_tree_witness_fails_replay(key, forged):
     result = verify_trace_data(data)
     assert not result
     assert result.reason == "step 1: requirement not satisfied"
+
+
+def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
+    data["growth_events"].append({"step": 0, "required": 5, "target": 2**63 + 16, "window": 2**62})
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "malformed trace: growth event 0: the oracle has no window to grow"
+
+
+def _forge_op(data):
+    data["steps"][1]["op"] = "forged"
+
+
+def _forge_lower(data):
+    lower = {"flavor": "coding", "injection": [[9, 9]], "words": [], "r_prefix": [1, 0]}
+    data["steps"][1]["certificate"]["lower"] = lower
+
+
+def _drop_snapshots(data):
+    del data["steps"][1]["certificate"]["fixpoint_snapshots"]
+
+
+def _extra_on_a_hit(data):
+    data["steps"][1]["extra"] = {"witness_node": [], "witness_index": 0}
+
+
+@pytest.mark.parametrize("forge", [_forge_op, _forge_lower, _drop_snapshots, _extra_on_a_hit])
+def test_a_step_with_a_key_outside_the_format_fails_replay(forge):
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
+    assert verify_trace_data(data)
+    forge(data)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("step 1: malformed: ")
+
+
+@pytest.mark.parametrize("key, forged", [("witness_index", None), ("origin", "forged")])
+def test_a_tree_witness_with_a_key_outside_the_format_fails_replay(key, forged):
+    oracle = trivial_oracle()
+    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
+    data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
+    if forged is None:
+        del data["steps"][1]["extra"][key]
+    else:
+        data["steps"][1]["extra"][key] = forged
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("step 1: malformed: extra has keys")
+
+
+@pytest.mark.parametrize("key", ["growth_events", "target", "note"])
+def test_a_trace_with_a_top_level_key_outside_the_format_fails_replay(key):
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
+    if key in data:
+        del data[key]
+    else:
+        data[key] = "forged"
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("malformed trace: trace has keys")
+
+
+def test_a_growth_event_with_a_key_outside_the_format_fails_replay(three_stages):
+    data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
+    data["growth_events"][0]["note"] = "forged"
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("malformed trace: growth event 0 has keys")
+
+
+def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.PLAIN, None, [WordAdded(x_power(1)), DomainHits(0)], oracle), oracle)
+    assert data["final"]["injection"] == [[0, 1]]
+    calls = []
+    evaluate = W.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 10:
+            raise AssertionError("more than 10 word evaluations")
+        return evaluate(*args)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    # the small value first: a scan up to the pair fails there, before a big one
+    for far in (10**4, 10**9):
+        data["steps"][1]["certificate"]["upper"]["injection"] = [[0, far]]
+        data["final"]["injection"] = [[0, far]]
+        assert len(json.dumps(data)) < 1024
+        calls.clear()
+        assert verify_trace_data(data)
+        assert 0 < len(calls) <= 10
 
 
 def test_identical_runs_serialize_identically():

@@ -1,5 +1,6 @@
 """Conditions, the extension order, and the dense-set constructions."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from orbitcode import (
     PreconditionViolated,
     Word,
     X,
+    X_INV,
     add_word,
     avoidance_bound,
     certificate_to_data,
@@ -41,7 +43,9 @@ from orbitcode import (
     orbit_decomposition,
     orbit_of,
     plain_condition,
+    reduce,
     strong_close_orbit,
+    support_bound,
     translation_oracle,
     tree_extend,
     trivial_oracle,
@@ -50,6 +54,8 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+
+import helpers
 
 TRIV = trivial_oracle()
 TRANS = translation_oracle()
@@ -442,3 +448,53 @@ def test_random_orbit_closings_hit_their_size(c, bump):
     orbit = orbit_of(t.s, n)
     assert orbit.closed and orbit.size == k
     assert leq(t, c, TRANS)
+
+
+def _small_words():
+    """Every reduced word of at most four letters from x, x^-1, g1 and g1^-1."""
+    alphabet = (X, X_INV, group(1), group(-1))
+    return {
+        reduce(letters, TRANS)
+        for length in range(5)
+        for letters in itertools.product(alphabet, repeat=length)
+    }
+
+
+def _injections_on(points):
+    """Every partial injection with its domain and range inside `points`."""
+    for k in range(len(points) + 1):
+        for domain in itertools.combinations(points, k):
+            for values in itertools.permutations(points, k):
+                yield PartialInjection(zip(domain, values))
+
+
+def test_the_narrowed_scan_equals_the_full_range_scan():
+    words = _small_words()
+    for s in _injections_on(range(4)):
+        for w in words:
+            for bound in (support_bound(s), 6):
+                expected = helpers.full_range_fixed_points(w, s, TRANS, bound)
+                assert fixed_points(w, s, TRANS, bound) == expected, (w, s, bound)
+            graph = {}
+            for n in s.support:
+                value = helpers.evaluate_letters(w.letters, s, TRANS, n)
+                if value is not None:
+                    graph[n] = value
+            assert word_graph(w, s, TRANS).as_dict() == graph, (w, s)
+
+
+def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
+    words = _small_words()
+    for t in _injections_on(range(4)):
+        for pair in t.pairs():
+            s = PartialInjection(p for p in t.pairs() if p != pair)
+            for w in words:
+                lower, upper = plain_condition(s, [w]), plain_condition(t, [w])
+                [(fix_lower, fix_upper)] = helpers.two_sided_leq(upper, lower, TRANS).values()
+                got = leq(upper, lower, TRANS)
+                assert fix_lower <= fix_upper, (w, t, pair)
+                if fix_lower == fix_upper:
+                    assert got.snapshots == ((w, fix_upper),), (w, t, pair)
+                else:
+                    assert not got, (w, t, pair)
+                    assert got.reason.endswith(f"(gained {sorted(fix_upper - fix_lower)})")

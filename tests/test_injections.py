@@ -249,3 +249,11 @@ def test_extends_is_a_partial_order_on_samples():
         assert s.extends(s)
         if extra:
             assert not s.extends(t)
+
+
+def test_orbit_decomposition_matches_the_sorted_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        graph = helpers.random_injection(rng, rng.randrange(16), 12)
+        got = [(o.ordered, o.closed) for o in orbit_decomposition(inj(graph))]
+        assert got == helpers.orbits_by_minimum(graph), graph
