@@ -426,6 +426,17 @@ _TREE_STEP_KEYS = frozenset(("certificate", "extra"))
 _CERTIFICATE_KEYS = frozenset(("upper", "fixpoint_snapshots"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
 _GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
+_CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
+_ORACLE_KEYS = frozenset(("kind",))
+_STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
+_STAGE_KEYS = frozenset(("generator_index", "injection", "words", "target_bits", "window"))
+_REQUIREMENT_KEYS = {
+    DomainHits: frozenset(("kind", "n")),
+    RangeHits: frozenset(("kind", "m")),
+    WordAdded: frozenset(("kind", "word")),
+    TreeDiagonalized: frozenset(("kind", "tree", "node")),
+    OrbitCoded: frozenset(("kind", "index")),
+}
 
 
 def _closed(data, keys: frozenset, what: str):
@@ -435,6 +446,22 @@ def _closed(data, keys: frozenset, what: str):
     if data.keys() != keys:
         raise ValueError(f"{what} has keys {sorted(data)}, format gives {sorted(keys)}")
     return data
+
+
+def _oracle_from_data(data) -> O.GroupOracle:
+    """The oracle a descriptor names: `kind`, plus `stages` when staged, each stage closed."""
+    staged = isinstance(data, Mapping) and data.get("kind") == "staged"
+    _closed(data, _STAGED_ORACLE_KEYS if staged else _ORACLE_KEYS, "oracle")
+    for j, entry in enumerate(data["stages"] if staged else ()):
+        _closed(entry, _STAGE_KEYS, f"oracle stage {j}")
+    return O.oracle_from_descriptor(data)
+
+
+def _requirement_from_entry(entry, oracle) -> Requirement:
+    """A schedule entry whose keys are exactly those requirement_to_data writes for its kind."""
+    req = requirement_from_data(entry, oracle)
+    _closed(entry, _REQUIREMENT_KEYS[type(req)], "schedule entry")
+    return req
 
 
 def _replay_growth(events, oracle, length: int) -> None:
@@ -463,21 +490,25 @@ def _replay_growth(events, oracle, length: int) -> None:
 def verify_trace_data(data: Mapping) -> F.CheckResult:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
-    Every object read has a closed key set (the top level, each step, its
-    certificate, a tree step's witness, each growth event): a key this
-    format does not write, or one it does write that is missing, makes the
-    trace malformed.  Rejects other conventions (a v1 trace, say) and growth
-    events off the engine's rule.  Each step's upper condition is parsed
-    once; it must extend the condition before it with the stored snapshots,
-    validate, and meet its schedule entry.  The final condition and decoded
-    bits must recompute.
+    Every object read has a closed key set (the top level, the oracle
+    descriptor and its stages, each schedule entry, each step, its
+    certificate and upper condition, a tree step's witness, each growth
+    event, the final condition): a key this format does not write, or one
+    it does write that is missing, makes the trace malformed.  A condition
+    carries `r_prefix` exactly when the trace's flavor is not plain.
+    Rejects other conventions (a v1 trace, say) and growth events off the
+    engine's rule.  Each step's upper condition is parsed once; it must
+    extend the condition before it with the stored snapshots, validate, and
+    meet its schedule entry.  The final condition and decoded bits must
+    recompute.
     """
     try:
         _closed(data, _TRACE_KEYS, "trace")
-        oracle = O.oracle_from_descriptor(data["oracle"])
+        oracle = _oracle_from_data(data["oracle"])
         raw_target = data["target"]
         target = None if raw_target is None else tuple(int(b) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
+        condition_keys = _CONDITION_KEYS | (set() if target is None else {"r_prefix"})
         schedule = data["schedule"]
         steps = data["steps"]
         if not (isinstance(schedule, list) and isinstance(steps, list)):
@@ -492,11 +523,12 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         return F.CheckResult(False, f"malformed trace: {exc}")
     for i, (entry, step) in enumerate(zip(schedule, steps)):
         try:
-            req = requirement_from_data(entry, oracle)
+            req = _requirement_from_entry(entry, oracle)
             tree = isinstance(req, TreeDiagonalized)
             _closed(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
             extra = _closed(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
             data_cert = _closed(step["certificate"], _CERTIFICATE_KEYS, "certificate")
+            _closed(data_cert["upper"], condition_keys, "upper")
             cert = F.verify_certificate_data(data_cert, c, oracle)
             if not cert:
                 return F.CheckResult(False, f"step {i}: {cert.reason}")
@@ -509,7 +541,8 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
             return F.CheckResult(False, f"step {i}: malformed: {exc}")
     try:
-        if F.condition_from_data(data["final"], oracle) != c:
+        final = _closed(data["final"], condition_keys, "final")
+        if F.condition_from_data(final, oracle) != c:
             return F.CheckResult(False, "final condition does not match the last step")
         if list(_decode_final(c)) != [int(b) for b in data["decoded"]]:
             return F.CheckResult(False, "decoded bits do not match the final condition")

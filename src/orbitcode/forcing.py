@@ -676,13 +676,15 @@ def verify_certificate_data(
     """Parse the upper condition once and recheck it against lower: order and snapshots.
 
     The stored snapshots must be exactly those certificate_to_data writes for
-    the recomputed certificate.  Returns that certificate, or a falsy
-    CheckResult naming the failed clause.
+    the recomputed certificate.  Once upper is proven to extend lower, its
+    injection takes over lower's orbit index, if lower has one.  Returns that
+    certificate, or a falsy CheckResult naming the failed clause.
     """
     upper = condition_from_data(data["upper"], oracle)
     result = leq(upper, lower, oracle)
     if not result:
         return CheckResult(False, f"order recheck failed: {result.reason}")
+    upper.s.inherit_orbits(lower.s)
     if _snapshots_to_data(result.snapshots, oracle) != data["fixpoint_snapshots"]:
         return CheckResult(False, "fixed-point snapshots do not match")
     return result

@@ -5,12 +5,20 @@ its inverse.  Orbits contained in dom ∩ ran are cycles ("closed"); the rest
 are paths with a unique entry point (not in the range) and exit point (not in
 the domain).  Two bit-coding maps live here: one reads parities of closed
 orbit sizes in min-order, the other counts closed orbits of prime sizes.
-The orbit-order rule lives in closed_and_gap, one decomposition read by
-o_partial, is_nice_injection and forcing.code_next_orbit.
+The orbit-order rule lives in closed_and_gap, read by o_partial,
+is_nice_injection and forcing.code_next_orbit.  It reads the closed cycles
+from the injection's orbit index instead of decomposing the map: adding a
+pair (n, m), with n outside the domain and m outside the range, either joins
+the path ending at n to the path starting at m, or closes one path into a
+cycle.  So the index keeps each open path's entry ↔ exit and each cycle,
+walked from its minimum, in min-order, and one link routine updates it per
+added pair; orbit_decomposition merges the cycles with the walked paths.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -19,24 +27,52 @@ from .errors import NotNiceInjection, PrefixTooShort
 
 
 class PartialInjection:
-    """Immutable finite injective partial map ω → ω with inverse lookup."""
+    """Immutable finite injective partial map ω → ω with inverse lookup.
 
-    __slots__ = ("_fwd", "_bwd")
+    Orbit queries read a private index, built on the first one by linking
+    the pairs one at a time and then kept as pairs are added: with_pair and
+    with_pairs copy a built index and link only the new pairs, and leave the
+    child unindexed otherwise, so a map nobody asks about orbits never
+    builds one.  The index holds every orbit either as an open path, by its
+    entry ↔ exit, or as a closed cycle, whole and in min-order; a new pair
+    (n, m) runs from an exit (or fresh point) n to an entry (or fresh point)
+    m, so it joins two paths or closes one.
+    """
+
+    __slots__ = ("_fwd", "_bwd", "_index")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        fwd: dict[int, int] = {}
-        bwd: dict[int, int] = {}
+        self._fwd: dict[int, int] = {}
+        self._bwd: dict[int, int] = {}
+        self._index: _OrbitIndex | None = None
+        self._add(pairs)
+
+    def _add(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Insert pairs into a map still being built; an identical repeat is skipped."""
+        fwd, bwd, index = self._fwd, self._bwd, self._index
         for n, m in pairs:
             if n < 0 or m < 0:
                 raise ValueError(f"negative point in pair ({n}, {m})")
-            if n in fwd and fwd[n] != m:
+            if n in fwd:
+                if fwd[n] == m:
+                    continue
                 raise ValueError(f"{n} mapped twice: {fwd[n]} and {m}")
-            if m in bwd and bwd[m] != n:
+            if m in bwd:
                 raise ValueError(f"{m} hit twice: by {bwd[m]} and {n}")
             fwd[n] = m
             bwd[m] = n
-        self._fwd = fwd
-        self._bwd = bwd
+            if index is not None:
+                index.link(fwd, n, m)
+
+    def _orbits(self) -> "_OrbitIndex":
+        if self._index is None:
+            # linking against the whole map is exact: a pair that closes a
+            # cycle walks only pairs of the path it closes, all linked before
+            index = _OrbitIndex()
+            for n, m in self._fwd.items():
+                index.link(self._fwd, n, m)
+            self._index = index
+        return self._index
 
     def apply(self, n: int) -> int | None:
         return self._fwd.get(n)
@@ -67,16 +103,34 @@ class PartialInjection:
             raise ValueError(f"{n} already in domain")
         if m in self._bwd:
             raise ValueError(f"{m} already in range")
-        return PartialInjection(list(self._fwd.items()) + [(n, m)])
+        return self.with_pairs(((n, m),))
 
     def with_pairs(self, new: Iterable[tuple[int, int]]) -> "PartialInjection":
-        return PartialInjection(list(self._fwd.items()) + list(new))
+        child = PartialInjection.__new__(PartialInjection)
+        child._fwd = dict(self._fwd)
+        child._bwd = dict(self._bwd)
+        child._index = None if self._index is None else self._index.copy()
+        child._add(new)
+        return child
+
+    def inherit_orbits(self, other: "PartialInjection") -> None:
+        """Take over the index of other, which self extends, linking only self's new pairs.
+
+        Does nothing when other has no index or self already has one.
+        """
+        if other._index is None or self._index is not None:
+            return
+        index = other._index.copy()
+        for n, m in self._fwd.items():
+            if n not in other._fwd:
+                index.link(self._fwd, n, m)
+        self._index = index
 
     def inverse(self) -> "PartialInjection":
         return PartialInjection((m, n) for n, m in self._fwd.items())
 
     def extends(self, other: "PartialInjection") -> bool:
-        return all(self._fwd.get(n) == m for n, m in other._fwd.items())
+        return self._fwd.items() >= other._fwd.items()
 
     def __len__(self) -> int:
         return len(self._fwd)
@@ -155,28 +209,74 @@ def orbit_of(s: PartialInjection, n: int) -> Orbit:
     return Orbit(tuple(chain), closed=True)
 
 
-def orbit_decomposition(s: PartialInjection) -> tuple[Orbit, ...]:
-    """All orbits meeting dom ∪ ran, sorted by minimum element.
+class _OrbitIndex:
+    """The orbits of a partial injection: open paths by their ends, cycles in min-order.
 
-    One pass over the support in increasing order, skipping points already
-    seen: each orbit is first met at its minimum, so it comes out in order.
+    `exit_of` maps each path's entry to its exit and `entry_of` the exit back
+    to the entry; `cycles` holds the closed orbits as Orbits sorted by
+    minimum, each walked from its minimum.  A point outside every path end
+    and cycle is interior to a path or outside the support.
     """
-    seen: set[int] = set()
-    out = []
-    for n in sorted(s.support):
-        if n not in seen:
-            orbit = orbit_of(s, n)
-            out.append(orbit)
-            seen.update(orbit.ordered)
-    return tuple(out)
+
+    __slots__ = ("exit_of", "entry_of", "cycles")
+
+    def __init__(self):
+        self.exit_of: dict[int, int] = {}
+        self.entry_of: dict[int, int] = {}
+        self.cycles: tuple[Orbit, ...] = ()
+
+    def copy(self) -> "_OrbitIndex":
+        twin = _OrbitIndex()
+        twin.exit_of = dict(self.exit_of)
+        twin.entry_of = dict(self.entry_of)
+        twin.cycles = self.cycles
+        return twin
+
+    def link(self, fwd: Mapping[int, int], n: int, m: int) -> None:
+        """Record the pair (n, m), just added to fwd, where n had no image and m no preimage.
+
+        The pair runs from the path ending at n (or the fresh point n) to
+        the path starting at m (or the fresh point m): it joins them, or, when
+        they are one path, closes it into a cycle, walked once in fwd.
+        """
+        entry = self.entry_of.pop(n, n)
+        exit_ = self.exit_of.pop(m, m)
+        if entry != m:
+            self.exit_of[entry] = exit_
+            self.entry_of[exit_] = entry
+            return
+        walk = [m]
+        cur = fwd[m]
+        while cur != m:
+            walk.append(cur)
+            cur = fwd[cur]
+        low = walk.index(min(walk))
+        cycle = Orbit(tuple(walk[low:] + walk[:low]), closed=True)
+        at = bisect.bisect(self.cycles, cycle.ordered[0], key=lambda o: o.ordered[0])
+        self.cycles = self.cycles[:at] + (cycle,) + self.cycles[at:]
+
+    def paths(self, fwd: Mapping[int, int]) -> tuple[Orbit, ...]:
+        """The open orbits in min-order, each walked in fwd from its entry."""
+        out = []
+        for entry in self.exit_of:
+            walk = [entry]
+            while (nxt := fwd.get(walk[-1])) is not None:
+                walk.append(nxt)
+            out.append(Orbit(tuple(walk), closed=False))
+        return tuple(sorted(out, key=lambda o: o.minimum))
+
+
+def orbit_decomposition(s: PartialInjection) -> tuple[Orbit, ...]:
+    """All orbits meeting dom ∪ ran, sorted by minimum element: cycles and paths merged."""
+    return tuple(sorted(closed_orbits(s) + open_orbits(s), key=lambda o: o.minimum))
 
 
 def closed_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
-    return tuple(o for o in orbit_decomposition(s) if o.closed)
+    return s._orbits().cycles
 
 
 def open_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
-    return tuple(o for o in orbit_decomposition(s) if not o.closed)
+    return s._orbits().paths(s._fwd)
 
 
 def mex(values: Iterable[int]) -> int:
@@ -191,7 +291,7 @@ def mex(values: Iterable[int]) -> int:
 def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     """The closed orbits in min-order, and the least natural none of them covers."""
     closed = closed_orbits(s)
-    return closed, mex(n for o in closed for n in o.ordered)
+    return closed, mex(itertools.chain.from_iterable(o.ordered for o in closed))
 
 
 def is_nice_injection(s: PartialInjection) -> bool:

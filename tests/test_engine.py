@@ -22,6 +22,7 @@ from orbitcode import (
     X_INV,
     auto_schedule,
     closed_orbits,
+    coding_condition,
     decode,
     group,
     leq,
@@ -37,11 +38,13 @@ from orbitcode import (
     translation_oracle,
     trivial_oracle,
     validate,
+    verify_certificate_data,
     verify_tightness_sample,
     verify_trace_data,
     word_graph,
     x_power,
 )
+from orbitcode import injections as I
 from orbitcode import words as W
 from orbitcode.engine import requirement_from_data, requirement_to_data
 
@@ -410,6 +413,92 @@ def test_a_growth_event_with_a_key_outside_the_format_fails_replay(three_stages)
     result = verify_trace_data(data)
     assert not result
     assert result.reason.startswith("malformed trace: growth event 0 has keys")
+
+
+def _note_at(*path):
+    def forge(data):
+        for key in path:
+            data = data[key]
+        data["note"] = "forged"
+
+    return forge
+
+
+@pytest.mark.parametrize(
+    "forge, reason",
+    [
+        (_note_at("steps", 1, "certificate", "upper"), "step 1: malformed: upper has keys"),
+        (_note_at("schedule", 0), "step 0: malformed: schedule entry has keys"),
+        (_note_at("final"), "malformed trace: final has keys"),
+        (_note_at("oracle"), "malformed trace: oracle has keys"),
+    ],
+    ids=["upper", "schedule", "final", "oracle"],
+)
+def test_a_condition_schedule_entry_or_oracle_with_a_key_outside_the_format_fails_replay(
+    forge, reason
+):
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
+    assert verify_trace_data(data)
+    forge(data)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith(reason)
+
+
+def test_a_plain_condition_with_target_bits_fails_replay():
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), DomainHits(1)], oracle), oracle)
+    data["steps"][1]["certificate"]["upper"]["r_prefix"] = []
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("step 1: malformed: upper has keys")
+
+
+def test_an_embedded_stage_with_a_key_outside_the_format_fails_replay(three_stages):
+    data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
+    assert verify_trace_data(data)
+    data["oracle"]["stages"][0]["note"] = "forged"
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason.startswith("malformed trace: oracle stage 0 has keys")
+
+
+CODING_16 = tuple((7 * i + 3) % 5 % 2 for i in range(16))
+
+
+def test_neither_a_coding_run_nor_its_verify_rebuilds_the_orbit_decomposition(monkeypatch):
+    calls = []
+    decomposition = I.orbit_decomposition
+
+    def counted(s):
+        calls.append(s)
+        return decomposition(s)
+
+    monkeypatch.setattr(I, "orbit_decomposition", counted)
+    oracle = trivial_oracle()
+    trace = run(Flavor.CODING, CODING_16, auto_schedule(Flavor.CODING, 16), oracle)
+    assert verify_trace_data(_wire(trace, oracle))
+    assert len(calls) == 0
+
+
+def _index_state(s):
+    index = s._orbits()
+    return index.exit_of, index.entry_of, index.cycles
+
+
+def test_verify_inherits_an_orbit_index_equal_to_one_built_from_scratch():
+    oracle = trivial_oracle()
+    trace = run(Flavor.CODING, CODING_16, auto_schedule(Flavor.CODING, 16), oracle)
+    lower = coding_condition(CODING_16)
+    closed_orbits(lower.s)
+    for i, step in enumerate(_wire(trace, oracle)["steps"]):
+        cert = verify_certificate_data(step["certificate"], lower, oracle)
+        assert cert, i
+        assert cert.upper.s._index is not None, i
+        fresh = PartialInjection(cert.upper.s.pairs())
+        assert _index_state(cert.upper.s) == _index_state(fresh), i
+        lower = cert.upper
 
 
 def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):

@@ -1,5 +1,6 @@
 """Partial injections, orbit decomposition, and the two bit encodings."""
 
+import itertools
 import random
 
 import pytest
@@ -257,3 +258,80 @@ def test_orbit_decomposition_matches_the_sorted_reference():
         graph = helpers.random_injection(rng, rng.randrange(16), 12)
         got = [(o.ordered, o.closed) for o in orbit_decomposition(inj(graph))]
         assert got == helpers.orbits_by_minimum(graph), graph
+
+
+def _all_partial_injections(points):
+    for k in range(len(points) + 1):
+        for dom in itertools.combinations(points, k):
+            for image in itertools.permutations(points, k):
+                yield dict(zip(dom, image))
+
+
+def _assert_orbits_match_the_reference(s, graph):
+    expect = helpers.orbits_by_minimum(graph)
+    closed = [walk for walk, is_closed in expect if is_closed]
+    opened = [walk for walk, is_closed in expect if not is_closed]
+    assert [(o.ordered, o.closed) for o in orbit_decomposition(s)] == expect, graph
+    assert [o.ordered for o in closed_orbits(s)] == closed, graph
+    assert [o.ordered for o in open_orbits(s)] == opened, graph
+    covered = {n for walk in closed for n in walk}
+    gap = next(n for n in itertools.count() if n not in covered)
+    got_closed, got_gap = closed_and_gap(s)
+    assert ([o.ordered for o in got_closed], got_gap) == (closed, gap), graph
+
+
+def _grown_one_pair_at_a_time(pairs):
+    """The injection of `pairs`, added by with_pair, querying the orbits after each."""
+    s = PartialInjection()
+    closed_orbits(s)
+    for n, m in pairs:
+        s = s.with_pair(n, m)
+        closed_orbits(s)
+    return s
+
+
+def test_every_injection_on_five_points_matches_the_reference_three_ways():
+    graphs = list(_all_partial_injections(range(5)))
+    assert len(graphs) == 1546
+    for graph in graphs:
+        pairs = sorted(graph.items())
+        for s in (
+            inj(graph),
+            _grown_one_pair_at_a_time(pairs),
+            _grown_one_pair_at_a_time(pairs[::-1]),
+        ):
+            assert s == inj(graph)
+            _assert_orbits_match_the_reference(s, graph)
+
+
+def test_an_indexed_injection_grown_by_with_pair_and_with_pairs_matches_the_reference():
+    rng = random.Random(23)
+    for _ in range(300):
+        graph = helpers.random_injection(rng, rng.randrange(1, 16), 14)
+        pairs = list(graph.items())
+        rng.shuffle(pairs)
+        cut = rng.randrange(len(pairs) + 1)
+        s = PartialInjection(pairs[:cut])
+        _assert_orbits_match_the_reference(s, dict(pairs[:cut]))
+        while cut < len(pairs):
+            step = rng.randrange(1, 4)
+            new = pairs[cut : cut + step]
+            s = s.with_pair(*new[0]) if len(new) == 1 else s.with_pairs(new)
+            cut += len(new)
+            if rng.random() < 0.5:
+                _assert_orbits_match_the_reference(s, dict(pairs[:cut]))
+        _assert_orbits_match_the_reference(s, graph)
+
+
+def test_an_inherited_index_equals_one_built_from_scratch():
+    rng = random.Random(29)
+    for _ in range(200):
+        graph = helpers.random_injection(rng, rng.randrange(16), 14)
+        pairs = list(graph.items())
+        rng.shuffle(pairs)
+        lower = PartialInjection(pairs[: rng.randrange(len(pairs) + 1)])
+        closed_orbits(lower)
+        upper = inj(graph)
+        upper.inherit_orbits(lower)
+        assert upper._index is not None  # taken over, not left to a lazy rebuild
+        _assert_orbits_match_the_reference(upper, graph)
