@@ -458,9 +458,11 @@ def _oracle_from_data(data) -> O.GroupOracle:
 
 
 def _requirement_from_entry(entry, oracle) -> Requirement:
-    """A schedule entry whose keys are exactly those requirement_to_data writes for its kind."""
+    """A schedule entry as requirement_to_data writes it: its kind's keys, a tree's descriptor."""
     req = requirement_from_data(entry, oracle)
     _closed(entry, _REQUIREMENT_KEYS[type(req)], "schedule entry")
+    if isinstance(req, TreeDiagonalized) and req.tree.descriptor() != entry["tree"]:
+        raise ValueError("tree descriptor is not the one its tree writes")
     return req
 
 
@@ -494,13 +496,14 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
     descriptor and its stages, each schedule entry, each step, its
     certificate and upper condition, a tree step's witness, each growth
     event, the final condition): a key this format does not write, or one
-    it does write that is missing, makes the trace malformed.  A condition
-    carries `r_prefix` exactly when the trace's flavor is not plain.
-    Rejects other conventions (a v1 trace, say) and growth events off the
-    engine's rule.  Each step's upper condition is parsed once; it must
-    extend the condition before it with the stored snapshots, validate, and
-    meet its schedule entry.  The final condition and decoded bits must
-    recompute.
+    it does write that is missing, makes the trace malformed, as do a tree
+    descriptor its tree does not write back and an embedded stage seal did
+    not make (oracle_from_descriptor).  A condition carries `r_prefix`
+    exactly when the trace's flavor is not plain.  Rejects other
+    conventions (a v1 trace, say) and growth events off the engine's rule.
+    Each step's upper condition is parsed once; it must extend the
+    condition before it with the stored snapshots, validate, and meet its
+    schedule entry.  The final condition and decoded bits must recompute.
     """
     try:
         _closed(data, _TRACE_KEYS, "trace")

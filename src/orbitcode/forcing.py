@@ -251,26 +251,22 @@ def avoidance_bound(
 
     With pairwise=True the bound also clears every point where two distinct
     group elements of the restriction agree, which the chain constructions
-    need; fixed-point data certified only within a window bounds what the
-    oracle has seen, and any later evaluation beyond the window fails loudly
-    rather than guessing.
+    need; a windowed oracle reports the fixed points within its window,
+    which bound what it has seen, and any later evaluation beyond the window
+    fails loudly rather than guessing.
     """
     bound = support_bound(c.s)
     handles = _nonidentity_handles(list(c.words) + list(extra_words), oracle)
     for h in handles:
         for p in c.s.support:
             bound = max(bound, oracle.eval(h, p) + 1)
-        report = oracle.fixed_points(h)
-        if not report.all_naturals and report.points:
-            bound = max(bound, max(report.points) + 1)
+        bound = max(bound, max(oracle.fixed_points(h), default=-1) + 1)
     if pairwise:
         for g0, g1 in itertools.combinations(handles, 2):
             diff = oracle.compose(oracle.invert(g0), g1)
             if oracle.is_identity(diff):
                 continue
-            report = oracle.fixed_points(diff)
-            if not report.all_naturals and report.points:
-                bound = max(bound, max(report.points) + 1)
+            bound = max(bound, max(oracle.fixed_points(diff), default=-1) + 1)
     return bound
 
 

@@ -5,8 +5,8 @@ its inverse.  Orbits contained in dom ∩ ran are cycles ("closed"); the rest
 are paths with a unique entry point (not in the range) and exit point (not in
 the domain).  Two bit-coding maps live here: one reads parities of closed
 orbit sizes in min-order, the other counts closed orbits of prime sizes.
-The orbit-order rule lives in closed_and_gap, read by o_partial,
-is_nice_injection and forcing.code_next_orbit.  It reads the closed cycles
+The orbit-order rule lives in closed_and_gap, read by o_partial and
+forcing.code_next_orbit.  It reads the closed cycles
 from the injection's orbit index instead of decomposing the map: adding a
 pair (n, m), with n outside the domain and m outside the range, either joins
 the path ending at n to the path starting at m, or closes one path into a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import words as W
-from .errors import NotNiceInjection, PrefixTooShort
+from .errors import NotNiceInjection
 
 
 class PartialInjection:
@@ -125,9 +125,6 @@ class PartialInjection:
             if n not in other._fwd:
                 index.link(self._fwd, n, m)
         self._index = index
-
-    def inverse(self) -> "PartialInjection":
-        return PartialInjection((m, n) for n, m in self._fwd.items())
 
     def extends(self, other: "PartialInjection") -> bool:
         return self._fwd.items() >= other._fwd.items()
@@ -294,15 +291,6 @@ def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     return closed, mex(itertools.chain.from_iterable(o.ordered for o in closed))
 
 
-def is_nice_injection(s: PartialInjection) -> bool:
-    """Whether s has an orbit-order code, i.e. o_partial(s) is defined."""
-    try:
-        o_partial(s)
-    except NotNiceInjection:
-        return False
-    return True
-
-
 def o_partial(s: PartialInjection) -> tuple[int, ...]:
     """Size parities of closed orbits in min-order; the orbit-order code.
 
@@ -351,13 +339,6 @@ def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:
     return tuple(counts.get(nth_prime(n), 0) % 2 for n in range(upto + 1))
 
 
-def codes_up_to(s: PartialInjection, r: tuple[int, ...], n: int) -> bool:
-    """Whether the prime-parity code of s agrees with r on bits 0..n."""
-    if len(r) <= n:
-        raise PrefixTooShort(f"target has {len(r)} bits, need {n + 1}")
-    return tuple(r[: n + 1]) == o_dagger(s, n)
-
-
 def _start_points(w: W.Word, s: PartialInjection):
     """Where w[s] can be defined: dom(s) or ran(s) by w's rightmost letter, else None.
 
@@ -381,8 +362,9 @@ def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozense
     (ran(s)) alone, where all its fixed points lie; every admissible word
     ends in x, so for those the cost follows |dom(s)| and not `bound`.  Any
     other word scans dom(s) ∪ ran(s) ∪ [0, bound), which is exact when its
-    leftmost letter is x or x^-1.  Pure group words defer to the oracle; the
-    identity word fixes everything, so the scanned set itself is returned.
+    leftmost letter is x or x^-1.  A pure group word reduces to one
+    non-identity letter and defers to the oracle; the identity word fixes
+    everything, so the scanned set itself is returned.
     """
     reduced = W.reduce(w.letters, oracle)
     scan = _start_points(reduced, s)
@@ -391,11 +373,7 @@ def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozense
         if reduced.is_identity:
             return frozenset(scan)
         if reduced.x_count() == 0:
-            # a single group letter after reduction
-            report = oracle.fixed_points(reduced.letters[0].handle)
-            if report.all_naturals:
-                return frozenset(scan)
-            return frozenset(report.points)
+            return oracle.fixed_points(reduced.letters[0].handle)
     return frozenset(n for n in scan if W.evaluate(reduced, s, oracle, n) == n)
 
 

@@ -1,8 +1,8 @@
 """Ambient-group oracles: the group the word letters live in.
 
 Every oracle answers composition, inversion, identity tests, pointwise
-evaluation on naturals, and fixed-point queries with an explicit
-certification (exact, or exact only within a finite window).  Three
+evaluation on naturals, and the fixed points of a non-identity element
+(for a windowed oracle, those within its window).  Three
 implementations: the one-element group, the integers translating ℤ carried
 onto ω by the zig-zag pairing 0, -1, 1, -2, 2, …, and the staged oracle whose
 elements are reduced words in previously constructed generator injections.
@@ -29,14 +29,6 @@ from .errors import StageExtensionFailed, UnknownGroupElement, WindowTooSmall
 UNBOUNDED = 2**62
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
-    points: frozenset[int]
-    exact: bool
-    all_naturals: bool = False
-    window: int | None = None
-
-
 class GroupOracle:
     """Interface; concrete oracles fill in the group operations."""
 
@@ -55,10 +47,8 @@ class GroupOracle:
     def eval(self, a, n: int) -> int:
         raise NotImplementedError
 
-    def eval_inverse(self, a, n: int) -> int:
-        return self.eval(self.invert(a), n)
-
-    def fixed_points(self, a) -> FixedPointReport:
+    def fixed_points(self, a) -> frozenset[int]:
+        """The points a fixes, within the window; PreconditionViolated for the identity."""
         raise NotImplementedError
 
     def window(self) -> int:
@@ -100,9 +90,9 @@ class TrivialOracle(GroupOracle):
         self._check(a)
         return n
 
-    def fixed_points(self, a) -> FixedPointReport:
+    def fixed_points(self, a) -> frozenset[int]:
         self._check(a)
-        return FixedPointReport(frozenset(), exact=True, all_naturals=True)
+        raise F.PreconditionViolated("the identity fixes every natural")
 
     def format_element(self, a) -> str:
         self._check(a)
@@ -153,10 +143,10 @@ class TranslationOracle(GroupOracle):
     def eval(self, a, n: int) -> int:
         return zigzag_encode(zigzag_decode(n) + self._check(a))
 
-    def fixed_points(self, a) -> FixedPointReport:
+    def fixed_points(self, a) -> frozenset[int]:
         if self._check(a) == 0:
-            return FixedPointReport(frozenset(), exact=True, all_naturals=True)
-        return FixedPointReport(frozenset(), exact=True)
+            raise F.PreconditionViolated("the identity fixes every natural")
+        return frozenset()
 
     def format_element(self, a) -> str:
         return str(self._check(a))
@@ -248,9 +238,6 @@ class StagedOracle(GroupOracle):
     def __init__(self, stages: Sequence[CompletedStage]):
         self._stages = list(stages)
 
-    def stages(self) -> list[CompletedStage]:
-        return list(self._stages)
-
     def generator(self, index: int):
         if not 0 <= index < len(self._stages):
             raise UnknownGroupElement(f"no generator {index}")
@@ -292,12 +279,10 @@ class StagedOracle(GroupOracle):
                 value = nxt
         return value
 
-    def fixed_points(self, a) -> FixedPointReport:
+    def fixed_points(self, a) -> frozenset[int]:
         if self.is_identity(a):
-            return FixedPointReport(frozenset(), exact=True, all_naturals=True)
-        bound = self.window()
-        points = frozenset(n for n in range(bound) if self.eval(a, n) == n)
-        return FixedPointReport(points, exact=False, window=bound)
+            raise F.PreconditionViolated("the identity fixes every natural")
+        return frozenset(n for n in range(self.window()) if self.eval(a, n) == n)
 
     def window(self) -> int:
         if not self._stages:
@@ -401,7 +386,32 @@ def oracle_from_descriptor(data: dict) -> GroupOracle:
         return translation_oracle()
     if kind == "staged":
         stages: list[CompletedStage] = []
-        for entry in data["stages"]:
-            stages.append(stage_from_data(entry, StagedOracle(stages)))
+        for i, entry in enumerate(data["stages"]):
+            before = StagedOracle(stages)
+            stages.append(_proven_stage(i, stage_from_data(entry, before), before))
         return StagedOracle(stages)
     raise ValueError(f"unknown oracle kind {kind!r}")
+
+
+def _proven_stage(i: int, stage: CompletedStage, before: StagedOracle) -> CompletedStage:
+    """stage itself if it is what seal makes as stage i over `before`; ValueError otherwise.
+
+    Sealed means generator i, only closed orbits (dom = ran) and the window
+    mex(support); its condition validates over the stages before it, and
+    its injection decodes to its target bits.
+    """
+    s, bits = stage.injection, stage.target_bits
+    decoded = I.o_dagger(s, len(bits) - 1)
+    if stage.generator_index != i:
+        problem = f"generator_index is {stage.generator_index}"
+    elif s.domain != s.range:
+        problem = "has an open orbit"
+    elif stage.window != I.mex(s.support):
+        problem = f"window {stage.window} is not mex(support) = {I.mex(s.support)}"
+    elif not (valid := F.validate(stage.condition, before)):
+        problem = f"invalid condition: {valid.reason}"
+    elif decoded != bits:
+        problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
+    else:
+        return stage
+    raise ValueError(f"stage {i}: {problem}")

@@ -161,25 +161,6 @@ def tree_from_descriptor(data: Mapping) -> InjectiveTree:
     raise ValueError(f"unknown tree kind {kind!r}")
 
 
-def truncate_to_explicit(tree: InjectiveTree, depth: int, value_bound: int) -> ExplicitTree:
-    """All members of the tree with length ≤ depth and values < value_bound.
-
-    Exponential in depth for dense trees; meant for small verification runs.
-    """
-    nodes = [()]
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for node in frontier:
-            for v in range(value_bound):
-                child = node + (v,)
-                if tree.contains(child):
-                    nxt.append(child)
-        nodes.extend(nxt)
-        frontier = nxt
-    return ExplicitTree(nodes)
-
-
 def diagonalization_witness(
     g: Mapping[int, int], tree: ExplicitTree, node: Node
 ) -> tuple[Node, int] | None:
@@ -192,40 +173,14 @@ def diagonalization_witness(
 
 
 def undiagonalized_node(g: Mapping[int, int], tree: ExplicitTree) -> Node | None:
-    """The least non-maximal node, by length then value, with no witness for g."""
+    """The least non-maximal node, by length then value, with no witness for g.
+
+    None exactly when g densely diagonalizes the tree: above every
+    extendable node some extension agrees with g at a new index.  Maximal
+    nodes are exempt: they admit no strict extension inside a finite
+    truncation, so the quantifier runs over non-maximal nodes only.
+    """
     for node in sorted(tree.nodes, key=lambda t: (len(t), t)):
         if not tree.is_maximal(node) and diagonalization_witness(g, tree, node) is None:
             return node
     return None
-
-
-def densely_diagonalizes(g: Mapping[int, int], tree: ExplicitTree) -> bool:
-    """Above every extendable node, some extension agrees with g at a new index.
-
-    Maximal nodes are exempt: they admit no strict extension inside a finite
-    truncation, so the quantifier runs over non-maximal nodes only.
-    """
-    return undiagonalized_node(g, tree) is None
-
-
-def is_positive_explicit(tree: ExplicitTree, family: Iterable[Mapping[int, int]]) -> bool:
-    """No finite truncation evidence that the family graphs cover the tree.
-
-    True iff every non-maximal node has an extension stepping outside every
-    family member's graph at some new index.
-    """
-    graphs = list(family)
-    for node in tree.nodes:
-        if tree.is_maximal(node):
-            continue
-        found = False
-        for t in tree.strict_extensions(node):
-            for k in range(len(node), len(t)):
-                if all(f.get(k) != t[k] for f in graphs):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True

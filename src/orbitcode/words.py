@@ -70,11 +70,6 @@ class Word:
         """Number of x or x^-1 letters."""
         return sum(1 for l in self.letters if l.kind is not LetterKind.GROUP)
 
-    def x_balance(self) -> int:
-        """Number of x letters minus number of x^-1 letters."""
-        pos = sum(1 for l in self.letters if l.kind is LetterKind.X)
-        return 2 * pos - self.x_count()
-
 
 IDENTITY_WORD = Word()
 
@@ -110,10 +105,6 @@ def reduce(raw: Iterable[Letter], oracle) -> Word:
             stack.append(letter)
             break
     return Word(tuple(stack))
-
-
-def concat(u: Word, v: Word, oracle) -> Word:
-    return reduce(u.letters + v.letters, oracle)
 
 
 def inverse_word(w: Word, oracle) -> Word:
@@ -192,24 +183,23 @@ def is_nice(w: Word) -> bool:
     return nice_blocks(w) is not None
 
 
-def occurrence_class(w: Word) -> int:
-    """Total count of x/x^-1 letters; 1 marks the single-occurrence class.
+def cyclic_conjugates_and_inverses(w: Word, oracle) -> frozenset[Word]:
+    """All admissible words among cyclic rotations of w and their inverses.
 
-    Raises NotNiceWord outside the admissible shape.
+    w is reduced and admissible: it starts with a group letter and ends in
+    x, so its rotations are reduced too.  An admissible rotation starts with
+    a group letter (a pure power has only itself), and one whose inverse is
+    admissible ends with one, so only the cuts at and just after a group
+    letter are tried: linear work for x^k, not quadratic.
     """
     if nice_blocks(w) is None:
-        raise NotNiceWord(f"not an admissible word: {w.letters!r}")
-    return w.x_count()
-
-
-def cyclic_conjugates_and_inverses(w: Word, oracle) -> frozenset[Word]:
-    """All admissible words among cyclic rotations of w and their inverses."""
-    if nice_blocks(w) is None:
         raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
+    letters = w.letters
+    groups = [i for i, letter in enumerate(letters) if letter.kind is LetterKind.GROUP]
+    cuts = {0, *groups, *((i + 1) % len(letters) for i in groups)}
     out = set()
-    n = len(w.letters)
-    for i in range(n):
-        rotated = reduce(w.letters[i:] + w.letters[:i], oracle)
+    for i in cuts:
+        rotated = Word(letters[i:] + letters[:i])
         for candidate in (rotated, inverse_word(rotated, oracle)):
             if is_nice(candidate):
                 out.add(candidate)

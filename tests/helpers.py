@@ -5,7 +5,8 @@ behavior, without importing the package, so expected values come from a
 second code path.  The scan references read package objects only through
 their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
 injection's `.apply`, `.apply_inverse` and `.support`, a condition's `.s`
-and `.words`, and an oracle's `.eval` and `.fixed_points`.
+and `.words`, an oracle's `.eval`, `.fixed_points`, `.compose`, `.invert`
+and `.is_identity`, and a tree's `.contains`.
 """
 
 from __future__ import annotations
@@ -143,15 +144,14 @@ def evaluate_letters(letters, s, oracle, n: int) -> int | None:
 def full_range_fixed_points(w, s, oracle, bound: int) -> frozenset[int]:
     """Fixed points of a reduced word scanned over all of dom(s) ∪ ran(s) ∪ [0, bound).
 
-    The identity word fixes the whole scan; a lone group letter defers to
-    the oracle's report.
+    The identity word fixes the whole scan; a lone group letter, never the
+    identity in a reduced word, defers to the oracle.
     """
     scan = set(s.support) | set(range(bound))
     if not w.letters:
         return frozenset(scan)
     if all(letter.kind.value == "g" for letter in w.letters):
-        report = oracle.fixed_points(w.letters[0].handle)
-        return frozenset(scan) if report.all_naturals else frozenset(report.points)
+        return frozenset(oracle.fixed_points(w.letters[0].handle))
     return frozenset(n for n in scan if evaluate_letters(w.letters, s, oracle, n) == n)
 
 
@@ -170,3 +170,79 @@ def two_sided_leq(upper, lower, oracle) -> dict:
         )
         for w in lower.words
     }
+
+
+def x_balance(word) -> int:
+    """Number of x letters minus number of x^-1 letters."""
+    kinds = [letter.kind.value for letter in word.letters]
+    return kinds.count("x") - kinds.count("x^-1")
+
+
+def truncated_nodes(tree, depth: int, value_bound: int) -> list[tuple[int, ...]]:
+    """Every node of the tree of length ≤ depth with values < value_bound.
+
+    Reads only `tree.contains`; exponential in depth for dense trees.
+    """
+    nodes = [()]
+    frontier = [()]
+    for _ in range(depth):
+        frontier = [
+            node + (v,)
+            for node in frontier
+            for v in range(value_bound)
+            if tree.contains(node + (v,))
+        ]
+        nodes.extend(frontier)
+    return nodes
+
+
+def reduce_tokens(tokens, oracle) -> list[tuple[str, object]]:
+    """Free reduction of (kind, handle) tokens: x/x^-1 cancel, group letters compose."""
+    stack: list[tuple[str, object]] = []
+    for kind, handle in tokens:
+        if kind == "g":
+            if stack and stack[-1][0] == "g":
+                handle = oracle.compose(stack.pop()[1], handle)
+            if not oracle.is_identity(handle):
+                stack.append(("g", handle))
+        elif stack and {stack[-1][0], kind} == {"x", "x^-1"}:
+            stack.pop()
+        else:
+            stack.append((kind, None))
+    return stack
+
+
+def admissible_tokens(tokens) -> bool:
+    """Reduced tokens of x^k, k > 0, or g_l x^{k_l} ... g_0 x^{k_0}, each k_i ≠ 0 and k_0 > 0."""
+    if not tokens:
+        return False
+    if tokens[0][0] != "g":
+        return all(kind == "x" for kind, _ in tokens)
+    runs: list[list[str]] = []
+    for kind, _ in tokens:
+        if kind == "g":
+            runs.append([])
+        else:
+            runs[-1].append(kind)
+    return all(len(set(run)) == 1 for run in runs) and runs[-1][0] == "x"
+
+
+def rotation_class_by_every_cut(word, oracle) -> frozenset[tuple[tuple[str, object], ...]]:
+    """Admissible words among all letter rotations of a word and their inverses, as tokens.
+
+    Every rotation is reduced before it and its inverse are tested, as the
+    definition reads; quadratic in the word's length.
+    """
+    tokens = [(letter.kind.value, letter.handle) for letter in word.letters]
+    swap = {"x": "x^-1", "x^-1": "x"}
+    out = set()
+    for i in range(len(tokens)):
+        rotated = reduce_tokens(tokens[i:] + tokens[:i], oracle)
+        inverse = [
+            ("g", oracle.invert(handle)) if kind == "g" else (swap[kind], None)
+            for kind, handle in reversed(rotated)
+        ]
+        for candidate in (rotated, reduce_tokens(inverse, oracle)):
+            if admissible_tokens(candidate):
+                out.add(tuple(candidate))
+    return frozenset(out)

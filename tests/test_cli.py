@@ -313,6 +313,22 @@ def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
     )
 
 
+def test_an_unsealed_stage_file_is_a_usage_error(tmp_path, capsys):
+    stage = {
+        "generator_index": 0,
+        "injection": [[0, 1]],
+        "words": [],
+        "target_bits": [],
+        "window": 2,
+    }
+    stages = tmp_path / "stages.json"
+    stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
+    argv = ("run", "--flavor", "plain", "--oracle", f"staged:{stages}", "--schedule", "auto:2")
+    assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: cannot load oracle: stage 0: has an open orbit"
+
+
 def test_usage_errors_from_argparse_exit_two(capsys):
     assert run_cli("run", "--flavor", "nonsense") == 2
     assert run_cli() == 2

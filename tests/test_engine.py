@@ -446,6 +446,22 @@ def test_a_condition_schedule_entry_or_oracle_with_a_key_outside_the_format_fail
     assert result.reason.startswith(reason)
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [FullInjectiveTree(), SparseCongruenceTree(seed=3), ExplicitTree.from_branch((3, 4, 5))],
+    ids=["full", "sparse", "explicit"],
+)
+def test_a_tree_descriptor_with_a_key_outside_the_format_fails_replay(tree):
+    oracle = trivial_oracle()
+    schedule = [DomainHits(0), TreeDiagonalized(tree)]
+    data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
+    assert verify_trace_data(data)
+    data["schedule"][1]["tree"]["note"] = "forged"
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 1: malformed: tree descriptor is not the one its tree writes"
+
+
 def test_a_plain_condition_with_target_bits_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), DomainHits(1)], oracle), oracle)
@@ -462,6 +478,54 @@ def test_an_embedded_stage_with_a_key_outside_the_format_fails_replay(three_stag
     result = verify_trace_data(data)
     assert not result
     assert result.reason.startswith("malformed trace: oracle stage 0 has keys")
+
+
+@pytest.fixture(scope="module")
+def second_stage_wire():
+    """The stage-1 trace of two one-bit stages, as text; its oracle embeds stage 0."""
+    stages = staged_run([(1,), (1,)])
+    return json.dumps(trace_to_data(stages[1].trace, staged_oracle(stages[:1])))
+
+
+def _pop_a_pair(stage):
+    stage["injection"].pop()
+
+
+def _renumber(stage):
+    stage["generator_index"] = 5
+
+
+def _widen(stage):
+    stage["window"] += 1
+
+
+def _flip_bits(stage):
+    stage["target_bits"] = [1 - b for b in stage["target_bits"]]
+
+
+def _flip_bits_and_drop_words(stage):
+    _flip_bits(stage)
+    stage["words"] = []
+
+
+@pytest.mark.parametrize(
+    "forge, clause",
+    [
+        (_pop_a_pair, "has an open orbit"),
+        (_renumber, "generator_index is 5"),
+        (_widen, "window 6 is not mex(support) = 5"),
+        (_flip_bits, "invalid condition: evaluation of 'x' miscodes bit 0"),
+        (_flip_bits_and_drop_words, "decodes to [1], not its target bits [0]"),
+    ],
+    ids=["popped-pair", "generator-index", "window", "target-bits", "target-bits-no-words"],
+)
+def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire, forge, clause):
+    data = json.loads(second_stage_wire)
+    assert verify_trace_data(data)
+    forge(data["oracle"]["stages"][0])
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == f"malformed trace: stage 0: {clause}"
 
 
 CODING_16 = tuple((7 * i + 3) % 5 % 2 for i in range(16))
@@ -523,6 +587,27 @@ def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
         calls.clear()
         assert verify_trace_data(data)
         assert 0 < len(calls) <= 10
+
+
+def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
+    """x^2000 is six characters; rejecting it reduces a few copies, not one per rotation."""
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
+    data["steps"][0]["certificate"]["upper"]["words"] = ["x^2000"]
+    reduced = []
+    reduce = W.reduce
+
+    def counted(raw, oracle):
+        raw = tuple(raw)
+        reduced.append(len(raw))
+        if sum(reduced) > 3 * 2000:
+            raise AssertionError("more than 6000 letters reduced")
+        return reduce(raw, oracle)
+
+    monkeypatch.setattr(W, "reduce", counted)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 0: invalid condition: missing power 1 of root of 'x^2000'"
 
 
 def test_identical_runs_serialize_identically():

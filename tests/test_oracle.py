@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orbitcode import (
     CompletedStage,
     PartialInjection,
+    PreconditionViolated,
     UnknownGroupElement,
     WindowTooSmall,
     Word,
@@ -43,16 +44,16 @@ def test_one_element_group_rejects_foreign_elements(trivial):
         trivial.eval(1, 0)
 
 
-def test_identity_fixed_points_are_everything(trivial):
-    report = trivial.fixed_points(trivial.identity())
-    assert report.all_naturals
+def test_identity_fixed_points_are_everything(trivial, translation):
+    """The identity fixes every natural, which no finite set reports: it is refused."""
+    with pytest.raises(PreconditionViolated):
+        trivial.fixed_points(trivial.identity())
+    with pytest.raises(PreconditionViolated):
+        translation.fixed_points(0)
 
 
 def test_translations_are_fixed_point_free(translation):
-    report = translation.fixed_points(3)
-    assert report.exact
-    assert not report.all_naturals
-    assert report.points == frozenset()
+    assert translation.fixed_points(3) == frozenset()
 
 
 def test_translation_composition_cancels(translation):
@@ -100,7 +101,7 @@ def test_staged_lookup_inside_the_window():
     g = oracle.generator(0)
     assert oracle.eval(g, 0) == 1
     assert oracle.eval(g, 3) == 2
-    assert oracle.eval_inverse(g, 1) == 0
+    assert oracle.eval(oracle.invert(g), 1) == 0
 
 
 def test_staged_free_reduction_gives_identity():
@@ -126,14 +127,14 @@ def test_staged_query_past_the_window_fails_loudly():
 
 
 def test_growing_the_window_preserves_the_old_graph():
-    oracle = staged_oracle([sealed_stage()])
+    stage = sealed_stage()
+    oracle = staged_oracle([stage])
     g = oracle.generator(0)
     before = {n: oracle.eval(g, n) for n in range(4)}
     oracle.grow_window(9)
     assert oracle.window() >= 9
     for n, value in before.items():
         assert oracle.eval(g, n) == value
-    stage = oracle.stages()[0]
     assert not open_orbits(stage.injection)
     for n in range(9):
         assert oracle.eval(g, n) is not None
@@ -142,7 +143,6 @@ def test_growing_the_window_preserves_the_old_graph():
 def test_grown_stage_respects_the_word_constraints():
     oracle = staged_oracle([sealed_stage()])
     oracle.grow_window(9)
-    stage = oracle.stages()[0]
     g = oracle.generator(0)
     for n in range(oracle.window()):
         assert oracle.eval(g, n) != n
@@ -151,10 +151,11 @@ def test_grown_stage_respects_the_word_constraints():
 def test_staged_fixed_points_are_certified_within_window():
     oracle = staged_oracle([sealed_stage()])
     g = oracle.generator(0)
-    report = oracle.fixed_points(g)
-    assert not report.exact
-    assert report.window == 4
-    assert report.points == frozenset()
+    assert oracle.window() == 4
+    assert oracle.fixed_points(g) == frozenset()
+    assert oracle.fixed_points(oracle.compose(g, g)) == frozenset(range(4))
+    with pytest.raises(PreconditionViolated):
+        oracle.fixed_points(oracle.identity())
 
 
 def test_staged_powers_stay_off_the_identity():

@@ -10,13 +10,12 @@ from orbitcode import (
     ExplicitTree,
     FullInjectiveTree,
     SparseCongruenceTree,
-    densely_diagonalizes,
     diagonalization_witness,
-    is_positive_explicit,
     tree_from_descriptor,
-    truncate_to_explicit,
 )
 from orbitcode.trees import undiagonalized_node
+
+import helpers
 
 
 def test_full_tree_extends_by_the_least_free_value():
@@ -82,24 +81,16 @@ def test_descriptor_round_trip():
         assert back.descriptor() == tree.descriptor()
 
 
-def test_truncation_of_the_full_tree_is_every_injective_tuple():
-    got = truncate_to_explicit(FullInjectiveTree(), 3, 4)
-    expect = {()}
-    for length in (1, 2, 3):
-        expect.update(itertools.permutations(range(4), length))
-    assert got.nodes == frozenset(expect)
-
-
 def test_branch_equal_to_g_diagonalizes():
     g = {0: 3, 1: 5, 2: 0}
     tree = ExplicitTree.from_branch((3, 5, 0))
-    assert densely_diagonalizes(g, tree)
+    assert undiagonalized_node(g, tree) is None
 
 
 def test_branch_disjoint_from_g_does_not_diagonalize():
     g = {0: 3, 1: 5, 2: 0}
     tree = ExplicitTree.from_branch((1, 2, 4))
-    assert not densely_diagonalizes(g, tree)
+    assert undiagonalized_node(g, tree) is not None
     assert diagonalization_witness(g, tree, ()) is None
 
 
@@ -128,8 +119,8 @@ def test_depth_saturated_truncations_hit_an_injectivity_wall():
     saturated truncations even though every run-scheduled witness passes.
     """
     g = {0: 0, 1: 1, 2: 2}
-    tree = truncate_to_explicit(FullInjectiveTree(), 3, 10)
-    assert not densely_diagonalizes(g, tree)
+    tree = ExplicitTree(helpers.truncated_nodes(FullInjectiveTree(), 3, 10))
+    assert undiagonalized_node(g, tree) is not None
     # the blocked node: starts with g(2), one step below the depth cutoff
     assert diagonalization_witness(g, tree, (2, 0)) is None
     # away from the wall the same tree witnesses g just fine
@@ -137,42 +128,8 @@ def test_depth_saturated_truncations_hit_an_injectivity_wall():
     assert diagonalization_witness(g, tree, (1,)) is not None
 
 
-def test_positivity_with_empty_family_is_trivial():
-    tree = truncate_to_explicit(FullInjectiveTree(), 3, 10)
-    assert is_positive_explicit(tree, [])
-
-
-def test_single_branch_is_covered_by_its_own_graph():
-    g = {0: 4, 1: 2, 2: 8}
-    tree = ExplicitTree.from_branch((4, 2, 8))
-    assert not is_positive_explicit(tree, [g])
-
-
-def test_two_branches_escape_one_graph_but_not_both():
-    g = {0: 4, 1: 2, 2: 8}
-    h = {0: 4, 1: 2, 2: 3}
-    tree = ExplicitTree([(), (4,), (4, 2), (4, 2, 8), (4, 2, 3)])
-    assert not is_positive_explicit(tree, [g, h])
-    assert is_positive_explicit(tree, [h])
-    assert is_positive_explicit(tree, [g])
-
-
 branches = st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)
 graphs = st.dictionaries(st.integers(0, 4), st.integers(0, 9), max_size=5)
-
-
-@given(st.lists(branches, min_size=1, max_size=4), st.lists(graphs, max_size=3))
-@settings(max_examples=150)
-def test_positivity_is_antitone_in_the_family(branch_list, family):
-    nodes = set()
-    for branch in branch_list:
-        for i in range(len(branch) + 1):
-            nodes.add(tuple(branch[:i]))
-    tree = ExplicitTree(nodes)
-    if is_positive_explicit(tree, family):
-        for dropped in range(len(family)):
-            smaller = family[:dropped] + family[dropped + 1 :]
-            assert is_positive_explicit(tree, smaller)
 
 
 @given(st.lists(branches, min_size=1, max_size=4), graphs)

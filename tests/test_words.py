@@ -1,17 +1,14 @@
 """Word normal forms, admissibility, rotation classes, and evaluation."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcode import (
     IDENTITY_WORD,
-    NotNiceWord,
     PartialInjection,
     Word,
     X,
     X_INV,
-    concat,
     cyclic_conjugates_and_inverses,
     evaluate,
     format_word,
@@ -21,7 +18,6 @@ from orbitcode import (
     inverse_word,
     is_nice,
     nice_blocks,
-    occurrence_class,
     parse_word,
     power,
     reduce,
@@ -29,6 +25,8 @@ from orbitcode import (
     trivial_oracle,
     x_power,
 )
+
+import helpers
 
 TRIV = trivial_oracle()
 TRANS = translation_oracle()
@@ -66,19 +64,6 @@ def test_word_starting_in_x_inverse_is_not_admissible():
     assert not is_nice(w(G1, X, X_INV))  # reduces to g alone
 
 
-def test_occurrence_count_single():
-    assert occurrence_class(w(G1, X)) == 1
-
-
-def test_occurrence_count_multiple():
-    assert occurrence_class(x_power(2)) == 2
-
-
-def test_occurrence_count_rejects_bad_shape():
-    with pytest.raises(NotNiceWord):
-        occurrence_class(w(G1, X, G2, X_INV))
-
-
 def test_rotation_class_of_pure_power_is_singleton():
     assert cyclic_conjugates_and_inverses(x_power(2), TRIV) == frozenset({x_power(2)})
 
@@ -92,6 +77,33 @@ def test_rotation_class_contains_the_swapped_word():
 def test_rotation_class_members_are_all_admissible():
     for member in cyclic_conjugates_and_inverses(w(G1, X, X, G2, X), TRANS):
         assert is_nice(member)
+
+
+LETTERS = (X, X_INV, G1, group(-1), G2)
+
+
+def _reduced_sequences(prefix, depth):
+    """prefix and every reduced extension of it by at most depth letters of LETTERS."""
+    yield prefix
+    if depth == 0:
+        return
+    for letter in LETTERS:
+        if prefix and (
+            {prefix[-1], letter} == {X, X_INV}
+            or (prefix[-1].handle is not None and letter.handle is not None)
+        ):
+            continue
+        yield from _reduced_sequences(prefix + (letter,), depth - 1)
+
+
+def test_rotation_class_matches_the_reduce_every_rotation_reference():
+    """Exhaustive over the admissible words of length at most 8 over x, x^-1, g1, g-1, g2."""
+    admissible = [w(*seq) for seq in _reduced_sequences((), 8) if is_nice(w(*seq))]
+    assert len(admissible) == 2027
+    for word in admissible:
+        got = cyclic_conjugates_and_inverses(word, TRANS)
+        tokens = {tuple((l.kind.value, l.handle) for l in u.letters) for u in got}
+        assert tokens == helpers.rotation_class_by_every_cut(word, TRANS), word
 
 
 def test_rotation_class_is_stable_under_recomputation():
@@ -201,14 +213,14 @@ def test_inverse_is_involutive(raw):
 @settings(max_examples=100)
 def test_word_times_inverse_reduces_to_identity(raw):
     word = reduce(raw, TRANS)
-    assert concat(word, inverse_word(word, TRANS), TRANS) == IDENTITY_WORD
+    assert reduce(word.letters + inverse_word(word, TRANS).letters, TRANS) == IDENTITY_WORD
 
 
 @given(raw_words(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=100)
 def test_power_balance_is_linear(raw, k):
     word = reduce(raw, TRANS)
-    assert power(word, k, TRANS).x_balance() == k * word.x_balance()
+    assert helpers.x_balance(power(word, k, TRANS)) == k * helpers.x_balance(word)
 
 
 @given(raw_words(), raw_words(), st.integers(min_value=0, max_value=6))
@@ -222,7 +234,7 @@ def test_split_evaluation_extends_to_the_reduced_word(u_raw, v_raw, n):
     s = PartialInjection([(0, 1), (1, 2), (2, 3), (3, 0), (5, 6)])
     u = reduce(u_raw, TRANS)
     v = reduce(v_raw, TRANS)
-    both = concat(u, v, TRANS)
+    both = reduce(u.letters + v.letters, TRANS)
     inner = evaluate(v, s, TRANS, n)
     if inner is None:
         return
