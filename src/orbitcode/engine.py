@@ -46,10 +46,18 @@ CONVENTIONS = {
 class DomainHits:
     n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative point {self.n}")
+
 
 @dataclass(frozen=True)
 class RangeHits:
     m: int
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"negative point {self.m}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +87,7 @@ def requirement_to_data(req: Requirement, oracle) -> dict:
     if isinstance(req, WordAdded):
         return {"kind": "word_added", "word": W.format_word(req.word, oracle)}
     if isinstance(req, TreeDiagonalized):
-        return {
-            "kind": "tree_diagonalized",
-            "tree": req.tree.descriptor(),
-            "node": list(req.node),
-        }
+        return {"kind": "tree_diagonalized", "tree": req.tree.descriptor(), "node": list(req.node)}
     if isinstance(req, OrbitCoded):
         return {"kind": "orbit_coded", "index": req.index}
     raise TypeError(f"not a requirement: {req!r}")
@@ -430,13 +434,6 @@ _CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
 _ORACLE_KEYS = frozenset(("kind",))
 _STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
 _STAGE_KEYS = frozenset(("generator_index", "injection", "words", "target_bits", "window"))
-_REQUIREMENT_KEYS = {
-    DomainHits: frozenset(("kind", "n")),
-    RangeHits: frozenset(("kind", "m")),
-    WordAdded: frozenset(("kind", "word")),
-    TreeDiagonalized: frozenset(("kind", "tree", "node")),
-    OrbitCoded: frozenset(("kind", "index")),
-}
 
 
 def _closed(data, keys: frozenset, what: str):
@@ -458,11 +455,13 @@ def _oracle_from_data(data) -> O.GroupOracle:
 
 
 def _requirement_from_entry(entry, oracle) -> Requirement:
-    """A schedule entry as requirement_to_data writes it: its kind's keys, a tree's descriptor."""
+    """A schedule entry exactly as requirement_to_data writes it: keys, tree, word text."""
     req = requirement_from_data(entry, oracle)
-    _closed(entry, _REQUIREMENT_KEYS[type(req)], "schedule entry")
-    if isinstance(req, TreeDiagonalized) and req.tree.descriptor() != entry["tree"]:
-        raise ValueError("tree descriptor is not the one its tree writes")
+    written = requirement_to_data(req, oracle)
+    _closed(entry, written.keys(), "schedule entry")
+    for key, value in written.items():
+        if entry[key] != value:
+            raise ValueError(f"schedule entry's {key} is not the one its requirement writes")
     return req
 
 
@@ -492,18 +491,15 @@ def _replay_growth(events, oracle, length: int) -> None:
 def verify_trace_data(data: Mapping) -> F.CheckResult:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
-    Every object read has a closed key set (the top level, the oracle
-    descriptor and its stages, each schedule entry, each step, its
-    certificate and upper condition, a tree step's witness, each growth
-    event, the final condition): a key this format does not write, or one
-    it does write that is missing, makes the trace malformed, as do a tree
-    descriptor its tree does not write back and an embedded stage seal did
-    not make (oracle_from_descriptor).  A condition carries `r_prefix`
-    exactly when the trace's flavor is not plain.  Rejects other
-    conventions (a v1 trace, say) and growth events off the engine's rule.
-    Each step's upper condition is parsed once; it must extend the
-    condition before it with the stored snapshots, validate, and meet its
-    schedule entry.  The final condition and decoded bits must recompute.
+    Anything trace_to_data would not write is malformed: a key missing from
+    an object's closed key set or outside it, a schedule entry other than
+    its requirement writes, a condition's pairs or word texts out of order
+    or form (`r_prefix` exactly when the flavor is not plain), an embedded
+    stage seal did not make, other conventions, and growth events off the
+    engine's rule.  Each step's upper condition, each word text parsed once,
+    must extend the condition before it with the stored snapshots, validate,
+    and meet its schedule entry; the final condition and decoded bits must
+    recompute.
     """
     try:
         _closed(data, _TRACE_KEYS, "trace")
@@ -524,6 +520,7 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         _replay_growth(data["growth_events"], oracle, len(schedule))
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")
+    parsed: dict = {}
     for i, (entry, step) in enumerate(zip(schedule, steps)):
         try:
             req = _requirement_from_entry(entry, oracle)
@@ -532,7 +529,7 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
             extra = _closed(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
             data_cert = _closed(step["certificate"], _CERTIFICATE_KEYS, "certificate")
             _closed(data_cert["upper"], condition_keys, "upper")
-            cert = F.verify_certificate_data(data_cert, c, oracle)
+            cert = F.verify_certificate_data(data_cert, c, oracle, parsed)
             if not cert:
                 return F.CheckResult(False, f"step {i}: {cert.reason}")
             c = cert.upper
@@ -545,7 +542,7 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
             return F.CheckResult(False, f"step {i}: malformed: {exc}")
     try:
         final = _closed(data["final"], condition_keys, "final")
-        if F.condition_from_data(final, oracle) != c:
+        if F.condition_from_data(final, oracle, parsed) != c:
             return F.CheckResult(False, "final condition does not match the last step")
         if list(_decode_final(c)) != [int(b) for b in data["decoded"]]:
             return F.CheckResult(False, "decoded bits do not match the final condition")

@@ -22,9 +22,10 @@ snapshots, and re-verifies against a lower condition the reader already
 holds.  A refusal is a falsy CheckResult with a reason.  All tie-breaking
 picks the least value, so runs are reproducible bit for bit.
 
-The orbit-order rule lives in injections.closed_and_gap.  The fresh-point
-clause is _fresh_point_ok, searched by _least_fresh for both close_orbit's
-chain and strong_close_orbit's cycle.
+The orbit-order rule lives in injections.closed_and_gap, and the dagger
+closure rule in words.closure, which add_word builds E from and validate
+checks once per root.  The fresh-point clause is _fresh_point_ok, searched
+by _least_fresh for both close_orbit's chain and strong_close_orbit's cycle.
 """
 
 from __future__ import annotations
@@ -143,35 +144,34 @@ def validate(c: Condition, oracle) -> CheckResult:
                 False, f"orbit code {list(bits)} is not a prefix of target {list(c.target)}"
             )
         return CheckResult(True)
-    # dagger
-    for w in c.sorted_words(oracle):
-        conjugates = W.cyclic_conjugates_and_inverses(w, oracle)
-        if not conjugates <= c.words:
-            missing = sorted(W.format_word(u, oracle) for u in conjugates - c.words)
-            return CheckResult(
-                False,
-                f"word set not closed under rotation/inverse: missing {missing}",
-            )
-        v, k = W.indecomposable_root(w, oracle)
-        for power in range(1, k):
-            if W.power(v, power, oracle) not in c.words:
-                return CheckResult(
-                    False,
-                    f"missing power {power} of root of {W.format_word(w, oracle)!r}",
-                )
-        top = len(I.primes_up_to(k)) - 1
-        if top < 0:
+    # dagger: per indecomposable root v, the closure of its top power and v[s]'s code
+    tops: dict[W.Word, W.Word] = {}
+    for w in c.words:
+        v = W.indecomposable_root(w, oracle)[0]
+        if len(w) > len(tops.get(v, ())):
+            tops[v] = w
+    covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
+    for v in sorted(tops, key=lambda v: W.sort_key(v, oracle)):
+        top, k = tops[v], len(tops[v]) // len(v)
+        for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
+            if u not in c.words:
+                if u.letters[: len(v)] != v.letters:
+                    text = W.format_word(u, oracle)
+                    return CheckResult(False, f"rotation class not closed: missing {text!r}")
+                text, power = W.format_word(top, oracle), len(u) // len(v)
+                return CheckResult(False, f"missing power {power} of root of {text!r}")
+            if len(u) == len(v):
+                covered[u] = k
+        last = len(I.primes_up_to(k)) - 1
+        if last < 0:
             continue
-        for n, bit in enumerate(I.o_dagger(I.word_graph(v, c.s, oracle), top)):
+        for n, bit in enumerate(I.o_dagger(I.word_graph(v, c.s, oracle), last)):
             if len(c.target) <= n:
-                return CheckResult(
-                    False, f"target too short for power-{k} obligation at bit {n}"
-                )
+                reason = f"target too short for power-{k} obligation at bit {n}"
+                return CheckResult(False, reason)
             if bit != c.target[n]:
-                return CheckResult(
-                    False,
-                    f"evaluation of {W.format_word(v, oracle)!r} miscodes bit {n}",
-                )
+                text = W.format_word(v, oracle)
+                return CheckResult(False, f"evaluation of {text!r} miscodes bit {n}")
     return CheckResult(True)
 
 
@@ -333,6 +333,8 @@ def tree_extend(
     the option search, then takes any option whose value clears the avoidance
     bound N; more than N options with pairwise distinct values guarantee one.
     """
+    if not tree.contains(node):
+        raise PreconditionViolated(f"node {list(node)} is not in the tree")
     single = set()
     for w in c.words:
         if w.x_count() == 1:
@@ -591,10 +593,8 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
             graph = I.word_graph(v, current.s, oracle)
             if I.o_dagger(graph, n)[n] != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
-    closure = set(current.words)
-    for power in range(1, k + 1):
-        closure |= W.cyclic_conjugates_and_inverses(W.power(v, power, oracle), oracle)
-    step = _admissible(current, replace(current, words=frozenset(closure)), oracle)
+    closed = current.words.union(W.closure(v, k, oracle))
+    step = _admissible(current, replace(current, words=closed), oracle)
     if not step:
         raise InternalCheckFailed(f"word addition refused: {step.reason}")
     return chain(cert, step)
@@ -641,11 +641,28 @@ def condition_to_data(c: Condition, oracle) -> dict:
     return data
 
 
-def condition_from_data(data: dict, oracle) -> Condition:
-    target = data.get("r_prefix")
+def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condition:
+    """The condition condition_to_data wrote; ValueError for data not in its form.
+
+    Pairs strictly increase by domain point, word texts strictly increase
+    and are each their parse's text, parsed once per `parsed` cache.
+    """
+    parsed = {} if parsed is None else parsed
+    pairs, texts, target = data["injection"], data["words"], data.get("r_prefix")
+    s = I.injection_from_pairs(pairs)
+    if len(s) != len(pairs) or sorted(pairs) != pairs:
+        raise ValueError("injection pairs do not strictly increase by domain point")
+    if sorted(set(texts)) != texts:
+        raise ValueError("word texts do not strictly increase")
+    for text in texts:
+        if text not in parsed:
+            word = W.parse_word(text, oracle)
+            if W.format_word(word, oracle) != text:
+                raise ValueError(f"word {text!r} is not written as its parse")
+            parsed[text] = word
     return Condition(
-        I.injection_from_pairs(data["injection"]),
-        frozenset(W.parse_word(text, oracle) for text in data["words"]),
+        s,
+        frozenset(map(parsed.__getitem__, texts)),
         Flavor(data["flavor"]),
         None if target is None else tuple(int(b) for b in target),
     )
@@ -667,7 +684,7 @@ def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
 
 
 def verify_certificate_data(
-    data: dict, lower: Condition, oracle
+    data: dict, lower: Condition, oracle, parsed: dict | None = None
 ) -> ExtensionCertificate | CheckResult:
     """Parse the upper condition once and recheck it against lower: order and snapshots.
 
@@ -676,7 +693,7 @@ def verify_certificate_data(
     injection takes over lower's orbit index, if lower has one.  Returns that
     certificate, or a falsy CheckResult naming the failed clause.
     """
-    upper = condition_from_data(data["upper"], oracle)
+    upper = condition_from_data(data["upper"], oracle, parsed)
     result = leq(upper, lower, oracle)
     if not result:
         return CheckResult(False, f"order recheck failed: {result.reason}")

@@ -17,9 +17,9 @@ Blocks are indexed from the right, matching that display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import NotNiceWord
 
@@ -116,7 +116,8 @@ def inverse_word(w: Word, oracle) -> Word:
             inverted.append(X)
         else:
             inverted.append(group(oracle.invert(letter.handle)))
-    return reduce(inverted, oracle)
+    # the inverse of a reduced word is reduced
+    return Word(tuple(inverted))
 
 
 def power(w: Word, k: int, oracle) -> Word:
@@ -154,25 +155,14 @@ def nice_blocks(w: Word) -> tuple[tuple[object, int], ...] | None:
     power x^k yields the single block (None, k).
     """
     runs = _runs(w)
-    if not runs:
-        return None
-    if all(kind == "x" for kind, _, _ in runs):
-        # a single uniform run; positive exponent required
-        exp = runs[0][2]
-        return ((None, exp),) if exp > 0 else None
-    # alternation read right to left: x-run, then group, ..., ending in a group
-    if runs[-1][0] != "x" or runs[-1][2] <= 0:
-        return None
-    if runs[0][0] != "g":
+    if len(runs) == 1 and runs[0][0] == "x":
+        return ((None, runs[0][2]),) if runs[0][2] > 0 else None
+    # an alternation read right to left: a positive x-run, then a group letter, ...
+    items = runs[::-1]
+    if not items or len(items) % 2 or items[0][2] <= 0:
         return None
     blocks: list[tuple[object, int]] = []
-    # runs alternate by construction of _runs only between x and g when reduced
-    items = list(reversed(runs))
-    if len(items) % 2 != 0:
-        return None
-    for i in range(0, len(items), 2):
-        xkind, _, exp = items[i]
-        gkind, handle, _ = items[i + 1]
+    for (xkind, _, exp), (gkind, handle, _) in zip(items[::2], items[1::2]):
         if xkind != "x" or gkind != "g":
             return None
         blocks.append((handle, exp))
@@ -183,56 +173,47 @@ def is_nice(w: Word) -> bool:
     return nice_blocks(w) is not None
 
 
-def cyclic_conjugates_and_inverses(w: Word, oracle) -> frozenset[Word]:
-    """All admissible words among cyclic rotations of w and their inverses.
+def closure(v: Word, k: int, oracle) -> Iterator[Word]:
+    """What a dagger E holding v^k must hold: v^p's admissible rotations and inverses, p ≤ k.
 
-    w is reduced and admissible: it starts with a group letter and ends in
-    x, so its rotations are reduced too.  An admissible rotation starts with
-    a group letter (a pure power has only itself), and one whose inverse is
-    admissible ends with one, so only the cuts at and just after a group
-    letter are tried: linear work for x^k, not quadratic.
+    v is an indecomposable root, so these are the p-th powers of v's own.
+    v starts with a group letter and ends in x (or is x), so its rotations
+    are reduced: the one at a group letter is admissible when an x precedes
+    it, the inverse of the one just after it when an x^-1 follows.  Each
+    such u starts with a group letter, so u^p is u's letters repeated.
+    Yields v first, then v's other members, then their powers by p: work is
+    linear in the letters yielded, and a caller may stop at any member.
     """
-    if nice_blocks(w) is None:
-        raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
-    letters = w.letters
-    groups = [i for i, letter in enumerate(letters) if letter.kind is LetterKind.GROUP]
-    cuts = {0, *groups, *((i + 1) % len(letters) for i in groups)}
-    out = set()
-    for i in cuts:
-        rotated = Word(letters[i:] + letters[:i])
-        for candidate in (rotated, inverse_word(rotated, oracle)):
-            if is_nice(candidate):
-                out.add(candidate)
-    return frozenset(out)
-
-
-def _word_from_blocks(blocks: Sequence[tuple[object, int]]) -> Word:
-    letters: list[Letter] = []
-    for handle, exp in reversed(blocks):
-        if handle is not None:
-            letters.append(group(handle))
-        letters.extend(x_power(exp).letters)
-    return Word(tuple(letters))
+    letters, size = v.letters, len(v.letters)
+    rotations = [] if letters[0].kind is LetterKind.GROUP else [v]
+    yield from rotations
+    for i, letter in enumerate(letters):
+        if letter.kind is not LetterKind.GROUP:
+            continue
+        if letters[i - 1].kind is LetterKind.X:
+            rotations.append(Word(letters[i:] + letters[:i]))
+            yield rotations[-1]
+        if letters[(i + 1) % size].kind is LetterKind.X_INV:
+            rotations.append(inverse_word(Word(letters[i + 1 :] + letters[: i + 1]), oracle))
+            yield rotations[-1]
+    for p in range(2, k + 1):
+        for u in rotations:
+            yield Word(u.letters * p)
 
 
 def indecomposable_root(w: Word, oracle) -> tuple[Word, int]:
     """The unique admissible v and maximal k >= 1 with v^k equal to w.
 
-    Powers concatenate block sequences without reduction, so the check is an
-    exact periodicity scan over block-count divisors.
+    Powers of an admissible word concatenate its letters without reduction,
+    so v is w's shortest letter period.
     """
-    blocks = nice_blocks(w)
-    if blocks is None:
+    if nice_blocks(w) is None:
         raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
-    if blocks[0][0] is None:
-        return Word((X,)), blocks[0][1]
-    total = len(blocks)
-    for period in range(1, total + 1):
-        if total % period != 0:
-            continue
-        if all(blocks[i] == blocks[i % period] for i in range(total)):
-            return _word_from_blocks(blocks[:period]), total // period
-    raise AssertionError("period 'total' always matches")
+    letters, size = w.letters, len(w.letters)
+    for period in range(1, size + 1):
+        if size % period == 0 and letters[:period] * (size // period) == letters:
+            return Word(letters[:period]), size // period
+    raise AssertionError("period 'size' always matches")
 
 
 def evaluate(w: Word, s, oracle, n: int) -> int | None:
@@ -281,6 +262,8 @@ def format_word(w: Word, oracle) -> str:
 
 def parse_word(text: str, oracle) -> Word:
     """Inverse of format_word. The result is reduced."""
+    if not isinstance(text, str):
+        raise TypeError(f"a word is text, not {text!r}")
     letters: list[Letter] = []
     text = text.strip()
     if not text:

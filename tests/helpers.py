@@ -231,13 +231,14 @@ def rotation_class_by_every_cut(word, oracle) -> frozenset[tuple[tuple[str, obje
     """Admissible words among all letter rotations of a word and their inverses, as tokens.
 
     Every rotation is reduced before it and its inverse are tested, as the
-    definition reads; quadratic in the word's length.
+    definition reads; quadratic in the word's length.  A rotation that
+    repeats, as those of a power do, is reduced once.
     """
-    tokens = [(letter.kind.value, letter.handle) for letter in word.letters]
+    tokens = tuple((letter.kind.value, letter.handle) for letter in word.letters)
     swap = {"x": "x^-1", "x^-1": "x"}
     out = set()
-    for i in range(len(tokens)):
-        rotated = reduce_tokens(tokens[i:] + tokens[:i], oracle)
+    for rotation in {tokens[i:] + tokens[:i] for i in range(len(tokens))}:
+        rotated = reduce_tokens(rotation, oracle)
         inverse = [
             ("g", oracle.invert(handle)) if kind == "g" else (swap[kind], None)
             for kind, handle in reversed(rotated)
@@ -246,3 +247,38 @@ def rotation_class_by_every_cut(word, oracle) -> frozenset[tuple[tuple[str, obje
             if admissible_tokens(candidate):
                 out.add(tuple(candidate))
     return frozenset(out)
+
+
+def word_by_word_dagger_clauses(c, oracle) -> bool:
+    """The dagger clauses checked one word at a time, as the definition reads.
+
+    Every word of E is admissible; E holds its rotation class, taken at
+    every cut, and each lower power of its indecomposable root v; and for
+    w = v^k, v[s] has an odd count of closed orbits of size PRIMES[n]
+    exactly when target bit n is 1, for every PRIMES[n] ≤ k.
+    """
+    words = {tuple((l.kind.value, l.handle) for l in w.letters) for w in c.words}
+    for w in c.words:
+        tokens = tuple((l.kind.value, l.handle) for l in w.letters)
+        if not admissible_tokens(tokens):
+            return False
+        if not rotation_class_by_every_cut(w, oracle) <= words:
+            return False
+        period = next(
+            d for d in range(1, len(tokens) + 1)
+            if len(tokens) % d == 0 and tokens == tokens[:d] * (len(tokens) // d)
+        )
+        k = len(tokens) // period
+        if any(tokens[:period] * p not in words for p in range(1, k)):
+            return False
+        root = w.letters[:period]
+        graph = {}
+        for n in c.s.support:
+            image = evaluate_letters(root, c.s, oracle, n)
+            if image is not None:
+                graph[n] = image
+        sizes = closed_cycle_sizes_of_mapping(graph)
+        for n, prime in enumerate(p for p in PRIMES if p <= k):
+            if n >= len(c.target) or sizes.count(prime) % 2 != c.target[n]:
+                return False
+    return True

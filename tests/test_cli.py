@@ -297,6 +297,35 @@ def test_malformed_schedule_inputs_are_usage_errors(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "entry, point",
+    [({"kind": "domain_hits", "n": -1}, -1), ({"kind": "range_hits", "m": -3}, -3)],
+    ids=["domain", "range"],
+)
+def test_a_negative_requirement_point_is_a_usage_error(tmp_path, capsys, entry, point):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([entry]), encoding="utf-8")
+    out = tmp_path / "t.json"
+    assert run_cli("run", "--flavor", "plain", "--schedule", str(schedule), "--out", str(out)) == 2
+    assert f"error: cannot build schedule: negative point {point}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tree, node",
+    [({"kind": "full"}, [1, 1]), ({"kind": "sparse", "seed": 1, "modulus": 7}, [0])],
+    ids=["full", "sparse"],
+)
+def test_a_tree_step_that_starts_off_its_tree_fails_the_run(tmp_path, capsys, tree, node):
+    schedule = tmp_path / "schedule.json"
+    entry = {"kind": "tree_diagonalized", "tree": tree, "node": node}
+    schedule.write_text(json.dumps([entry]), encoding="utf-8")
+    out = tmp_path / "t.json"
+    assert run_cli("run", "--flavor", "plain", "--schedule", str(schedule), "--out", str(out)) == 1
+    assert f"error: step 0: node {node} is not in the tree" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
     stage = {
         "generator_index": 0,

@@ -24,6 +24,7 @@ from orbitcode import (
     closed_orbits,
     coding_condition,
     decode,
+    format_word,
     group,
     leq,
     mex,
@@ -459,7 +460,8 @@ def test_a_tree_descriptor_with_a_key_outside_the_format_fails_replay(tree):
     data["schedule"][1]["tree"]["note"] = "forged"
     result = verify_trace_data(data)
     assert not result
-    assert result.reason == "step 1: malformed: tree descriptor is not the one its tree writes"
+    reason = "step 1: malformed: schedule entry's tree is not the one its requirement writes"
+    assert result.reason == reason
 
 
 def test_a_plain_condition_with_target_bits_fails_replay():
@@ -565,6 +567,80 @@ def test_verify_inherits_an_orbit_index_equal_to_one_built_from_scratch():
         lower = cert.upper
 
 
+def test_a_negative_requirement_point_fails_replay():
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), RangeHits(0)], oracle), oracle)
+    data["schedule"][1]["m"] = -3
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 1: malformed: negative point -3"
+
+
+def _repeat_last(items):
+    items.append(json.loads(json.dumps(items[-1])))
+
+
+def _last_upper(data):
+    return data["steps"][-1]["certificate"]["upper"]
+
+
+@pytest.mark.parametrize(
+    "flavor, forge, reason",
+    [
+        (
+            Flavor.CODING,
+            lambda data: _repeat_last(_last_upper(data)["injection"]),
+            "step 5: malformed: injection pairs do not strictly increase by domain point",
+        ),
+        (
+            Flavor.CODING,
+            lambda data: _repeat_last(data["final"]["injection"]),
+            "malformed trace: injection pairs do not strictly increase by domain point",
+        ),
+        (
+            Flavor.CODING,
+            lambda data: _last_upper(data)["injection"].reverse(),
+            "step 5: malformed: injection pairs do not strictly increase by domain point",
+        ),
+        (
+            Flavor.DAGGER,
+            lambda data: _repeat_last(_last_upper(data)["words"]),
+            "step 6: malformed: word texts do not strictly increase",
+        ),
+        (
+            Flavor.DAGGER,
+            lambda data: _last_upper(data)["words"].reverse(),
+            "step 6: malformed: word texts do not strictly increase",
+        ),
+        (
+            Flavor.DAGGER,
+            lambda data: _last_upper(data)["words"].__setitem__(1, "x.x"),
+            "step 6: malformed: word 'x.x' is not written as its parse",
+        ),
+    ],
+    ids=["repeated-pair", "repeated-final-pair", "reversed-pairs", "repeated-word",
+         "reversed-words", "unreduced-word-text"],
+)
+def test_a_condition_not_in_the_writers_form_fails_replay(flavor, forge, reason):
+    oracle = translation_oracle()
+    trace = run(flavor, (1, 0), auto_schedule(flavor, 2), oracle)
+    data = _wire(trace, oracle)
+    assert verify_trace_data(data)
+    forge(data)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == reason
+
+
+def test_a_word_that_is_not_text_fails_replay():
+    oracle = translation_oracle()
+    data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
+    _last_upper(data)["words"] = [3]
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "step 6: malformed: a word is text, not 3"
+
+
 def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
     oracle = trivial_oracle()
     data = _wire(run(Flavor.PLAIN, None, [WordAdded(x_power(1)), DomainHits(0)], oracle), oracle)
@@ -608,6 +684,64 @@ def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
     result = verify_trace_data(data)
     assert not result
     assert result.reason == "step 0: invalid condition: missing power 1 of root of 'x^2000'"
+
+
+def _bound_word_work(monkeypatch, limit):
+    """Count letters reduced, yielded by closure or evaluated; raise once past `limit`."""
+    work = []
+
+    def spend(letters):
+        work.append(letters)
+        if sum(work) > limit:
+            raise AssertionError(f"more than {limit} letters of word work")
+
+    reduce, evaluate, closure = W.reduce, W.evaluate, getattr(W, "closure", None)
+
+    def counted_reduce(raw, oracle):
+        raw = tuple(raw)
+        spend(len(raw))
+        return reduce(raw, oracle)
+
+    def counted_evaluate(w, s, oracle, n):
+        spend(len(w))
+        return evaluate(w, s, oracle, n)
+
+    def counted_closure(v, k, oracle):
+        for u in closure(v, k, oracle):
+            spend(len(u))
+            yield u
+
+    monkeypatch.setattr(W, "reduce", counted_reduce)
+    monkeypatch.setattr(W, "evaluate", counted_evaluate)
+    monkeypatch.setattr(W, "closure", counted_closure, raising=False)
+    return work
+
+
+def test_verify_work_on_claimed_powers_follows_their_letters(monkeypatch):
+    """x, x^2, ..., x^200: one closure of 20,100 letters, not a rebuilt power per power."""
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.DAGGER, (0,) * 46, [DomainHits(0)], oracle), oracle)
+    texts = sorted(format_word(x_power(p), oracle) for p in range(1, 201))
+    data["steps"][0]["certificate"]["upper"]["words"] = texts
+    letters = 200 * 201 // 2
+    work = _bound_word_work(monkeypatch, 3 * letters)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == "final condition does not match the last step"
+    assert sum(work) >= 2 * letters
+
+
+def test_verify_work_on_a_written_out_power_follows_its_length(monkeypatch):
+    """(g1.x)^1000 written out, 5.5 KB: its root's closure fails at once, cut by cut it did not."""
+    oracle = translation_oracle()
+    data = _wire(run(Flavor.DAGGER, (1, 0), [DomainHits(0)], oracle), oracle)
+    text = format_word(Word((group(1), X) * 1000), oracle)
+    assert len(text) == 4 * 1000 + 999
+    data["steps"][0]["certificate"]["upper"]["words"] = [text]
+    _bound_word_work(monkeypatch, 3 * 2000)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == f"step 0: invalid condition: missing power 1 of root of {text!r}"
 
 
 def test_identical_runs_serialize_identically():

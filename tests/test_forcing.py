@@ -33,7 +33,10 @@ from orbitcode import (
     extend_domain,
     extend_range,
     fixed_points,
+    format_word,
     group,
+    indecomposable_root,
+    is_nice,
     leq,
     many_extensions,
     o_dagger,
@@ -496,3 +499,40 @@ def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
                 else:
                     assert not got, (w, t, pair)
                     assert got.reason.endswith(f"(gained {sorted(fix_upper - fix_lower)})")
+
+
+def _word_of_tokens(tokens):
+    kinds = {"x": X, "x^-1": X_INV}
+    return Word(tuple(kinds[kind] if kind in kinds else group(h) for kind, h in tokens))
+
+
+def test_the_per_root_dagger_check_agrees_with_the_word_by_word_reference():
+    """Random word sets, closed or with a member dropped or a stray word added."""
+    rng = random.Random(9)
+    roots = sorted(
+        {
+            w
+            for w in _small_words()
+            if is_nice(w) and indecomposable_root(w, TRANS) == (w, 1)
+        },
+        key=lambda w: format_word(w, TRANS),
+    )
+    verdicts = []
+    for _ in range(400):
+        tokens = set()
+        for v in rng.sample(roots, rng.randint(1, 3)):
+            for p in range(1, rng.randint(1, 4) + 1):
+                tokens |= helpers.rotation_class_by_every_cut(Word(v.letters * p), TRANS)
+        words = {_word_of_tokens(t) for t in tokens}
+        if rng.random() < 0.4:
+            words.discard(rng.choice(sorted(words, key=lambda w: format_word(w, TRANS))))
+        if rng.random() < 0.2:
+            words.add(rng.choice(roots))
+        s = PartialInjection(helpers.random_injection(rng, rng.randint(0, 5), 7).items())
+        ones = rng.random() < 0.3
+        target = tuple(rng.randrange(2) if ones else 0 for _ in range(rng.randint(0, 3)))
+        c = dagger_condition(target, s, words)
+        expected = helpers.word_by_word_dagger_clauses(c, TRANS)
+        assert bool(validate(c, TRANS)) == expected, (sorted(map(repr, words)), s, target)
+        verdicts.append(expected)
+    assert 50 < sum(verdicts) < 350

@@ -9,7 +9,7 @@ from orbitcode import (
     Word,
     X,
     X_INV,
-    cyclic_conjugates_and_inverses,
+    closure,
     evaluate,
     format_word,
     graph_restriction,
@@ -64,18 +64,24 @@ def test_word_starting_in_x_inverse_is_not_admissible():
     assert not is_nice(w(G1, X, X_INV))  # reduces to g alone
 
 
+def rotation_class(word, oracle):
+    """The admissible rotations of word and their inverses: closure's members of its length."""
+    v, k = indecomposable_root(word, oracle)
+    return frozenset(u for u in closure(v, k, oracle) if len(u) == len(word))
+
+
 def test_rotation_class_of_pure_power_is_singleton():
-    assert cyclic_conjugates_and_inverses(x_power(2), TRIV) == frozenset({x_power(2)})
+    assert rotation_class(x_power(2), TRIV) == frozenset({x_power(2)})
 
 
 def test_rotation_class_contains_the_swapped_word():
     word = w(G1, X, G2, X)  # g x h x
     swapped = w(G2, X, G1, X)  # h x g x
-    assert swapped in cyclic_conjugates_and_inverses(word, TRANS)
+    assert swapped in rotation_class(word, TRANS)
 
 
 def test_rotation_class_members_are_all_admissible():
-    for member in cyclic_conjugates_and_inverses(w(G1, X, X, G2, X), TRANS):
+    for member in rotation_class(w(G1, X, X, G2, X), TRANS):
         assert is_nice(member)
 
 
@@ -96,20 +102,40 @@ def _reduced_sequences(prefix, depth):
         yield from _reduced_sequences(prefix + (letter,), depth - 1)
 
 
+def _tokens(word):
+    return tuple((l.kind.value, l.handle) for l in word.letters)
+
+
 def test_rotation_class_matches_the_reduce_every_rotation_reference():
     """Exhaustive over the admissible words of length at most 8 over x, x^-1, g1, g-1, g2."""
     admissible = [w(*seq) for seq in _reduced_sequences((), 8) if is_nice(w(*seq))]
     assert len(admissible) == 2027
     for word in admissible:
-        got = cyclic_conjugates_and_inverses(word, TRANS)
-        tokens = {tuple((l.kind.value, l.handle) for l in u.letters) for u in got}
+        got = rotation_class(word, TRANS)
+        tokens = {_tokens(u) for u in got}
         assert tokens == helpers.rotation_class_by_every_cut(word, TRANS), word
 
 
+def test_closure_matches_the_every_cut_reference_over_powers():
+    """closure(v, k) is the union of v^p's classes, p <= k, for each root v of up to 8 letters."""
+    roots = {
+        indecomposable_root(w(*seq), TRANS)[0]
+        for seq in _reduced_sequences((), 8)
+        if is_nice(w(*seq))
+    }
+    assert len(roots) == 1990
+    for v in roots:
+        expected = set()
+        for k in range(1, 5):
+            expected |= helpers.rotation_class_by_every_cut(Word(v.letters * k), TRANS)
+            got = [_tokens(u) for u in closure(v, k, TRANS)]
+            assert set(got) == expected, (v, k)
+
+
 def test_rotation_class_is_stable_under_recomputation():
-    cls = cyclic_conjugates_and_inverses(w(G1, X, G2, X), TRANS)
+    cls = rotation_class(w(G1, X, G2, X), TRANS)
     for member in cls:
-        assert cyclic_conjugates_and_inverses(member, TRANS) == cls
+        assert rotation_class(member, TRANS) == cls
 
 
 def test_root_of_pure_power():
