@@ -178,11 +178,11 @@ def validate(c: Condition, oracle) -> CheckResult:
 def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | CheckResult:
     """Certificate that upper extends lower: graphs and words grow, fixed points don't.
 
-    Only upper's fixed points are scanned.  Once upper.s extends lower.s, a
-    point a word fixes under lower.s it fixes under upper.s too, so fixed
-    points can be gained but never lost: each word's fixed points under
-    lower.s are those of upper.s that evaluation under lower.s still fixes.
-    That evaluation retraces a prefix of the one under upper.s.
+    Once upper.s extends lower.s, a point a word fixes under lower.s it
+    fixes under upper.s too, so fixed points can be gained but never lost,
+    and only where an evaluation under lower.s stopped, or at a new domain
+    point, can one be gained.  injections.gained_fixed_points evaluates
+    there alone; an empty E needs no look at the pairs at all.
     """
     if upper.flavor is not lower.flavor or upper.target != lower.target:
         return CheckResult(False, "flavor or target mismatch")
@@ -190,18 +190,13 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Ch
         return CheckResult(False, "injection does not extend")
     if not lower.words <= upper.words:
         return CheckResult(False, "word set does not extend")
-    bound = support_bound(upper.s)
+    if not lower.words:
+        return ExtensionCertificate(lower, upper, ())
     snapshots = []
-    for w in lower.sorted_words(oracle):
-        fix_upper = I.fixed_points(w, upper.s, oracle, bound)
-        reduced = W.reduce(w.letters, oracle)
-        gained = sorted(n for n in fix_upper if W.evaluate(reduced, lower.s, oracle, n) != n)
+    for text, w, fixed, gained in I.gained_fixed_points(lower.words, upper.s, lower.s, oracle):
         if gained:
-            return CheckResult(
-                False,
-                f"word {W.format_word(w, oracle)!r} changed fixed points (gained {gained})",
-            )
-        snapshots.append((w, fix_upper))
+            return CheckResult(False, f"word {text!r} changed fixed points (gained {gained})")
+        snapshots.append((w, fixed))
     return ExtensionCertificate(lower, upper, tuple(snapshots))
 
 
@@ -641,28 +636,36 @@ def condition_to_data(c: Condition, oracle) -> dict:
     return data
 
 
-def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condition:
-    """The condition condition_to_data wrote; ValueError for data not in its form.
+def map_and_words_from_data(
+    pairs, texts, oracle, parsed: dict | None = None
+) -> tuple[I.PartialInjection, frozenset[W.Word]]:
+    """The injection and words as the writer lists them; ValueError for data not in its form.
 
     Pairs strictly increase by domain point, word texts strictly increase
     and are each their parse's text, parsed once per `parsed` cache.
     """
     parsed = {} if parsed is None else parsed
-    pairs, texts, target = data["injection"], data["words"], data.get("r_prefix")
     s = I.injection_from_pairs(pairs)
     if len(s) != len(pairs) or sorted(pairs) != pairs:
         raise ValueError("injection pairs do not strictly increase by domain point")
-    if sorted(set(texts)) != texts:
-        raise ValueError("word texts do not strictly increase")
     for text in texts:
         if text not in parsed:
             word = W.parse_word(text, oracle)
             if W.format_word(word, oracle) != text:
                 raise ValueError(f"word {text!r} is not written as its parse")
             parsed[text] = word
+    if sorted(set(texts)) != texts:
+        raise ValueError("word texts do not strictly increase")
+    return s, frozenset(map(parsed.__getitem__, texts))
+
+
+def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condition:
+    """The condition condition_to_data wrote; ValueError for data not in its form."""
+    s, words = map_and_words_from_data(data["injection"], data["words"], oracle, parsed)
+    target = data.get("r_prefix")
     return Condition(
         s,
-        frozenset(map(parsed.__getitem__, texts)),
+        words,
         Flavor(data["flavor"]),
         None if target is None else tuple(int(b) for b in target),
     )

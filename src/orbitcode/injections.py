@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import words as W
-from .errors import NotNiceInjection
+from .errors import NotNiceInjection, WindowTooSmall
 
 
 class PartialInjection:
@@ -37,14 +37,22 @@ class PartialInjection:
     entry ↔ exit, or as a closed cycle, whole and in min-order; a new pair
     (n, m) runs from an exit (or fresh point) n to an entry (or fresh point)
     m, so it joins two paths or closes one.
+
+    Order checks read a second private memo, `_fixes`: per word and
+    oracle, the word's fixed points and where its other evaluations stopped
+    (see _Fixes).  Once this map is certified to extend another, `_source`
+    holds that map, the new pairs, and where the points they reach stopped
+    under this map, so each memo is carried forward on first use.
     """
 
-    __slots__ = ("_fwd", "_bwd", "_index")
+    __slots__ = ("_fwd", "_bwd", "_index", "_fixes", "_source")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         self._fwd: dict[int, int] = {}
         self._bwd: dict[int, int] = {}
         self._index: _OrbitIndex | None = None
+        self._fixes: dict | None = None
+        self._source: tuple | None = None
         self._add(pairs)
 
     def _add(self, pairs: Iterable[tuple[int, int]]) -> None:
@@ -110,6 +118,7 @@ class PartialInjection:
         child._fwd = dict(self._fwd)
         child._bwd = dict(self._bwd)
         child._index = None if self._index is None else self._index.copy()
+        child._fixes = child._source = None
         child._add(new)
         return child
 
@@ -375,6 +384,128 @@ def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozense
         if reduced.x_count() == 0:
             return oracle.fixed_points(reduced.letters[0].handle)
     return frozenset(n for n in scan if W.evaluate(reduced, s, oracle, n) == n)
+
+
+class _Fixes:
+    """A reduced word ending in x, evaluated at every point of dom(s).
+
+    `fixed` holds the points it fixes; `stuck` files each point where the
+    evaluation stopped, as words.evaluate files it: under ("x", a) when it
+    waits for a pair (a, ·), under ("x^-1", b) when it waits for (·, b).
+    If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p), so only the points
+    filed under t's new pairs, and t's new domain points, can become fixed.
+    `text` is the word's sort key.
+    """
+
+    __slots__ = ("text", "fixed", "stuck")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.fixed: frozenset[int] = frozenset()
+        self.stuck: dict[tuple[str, int], list[int]] = {}
+
+
+def _fixed_among(w: W.Word, s: PartialInjection, oracle, points, stuck: dict, misses: dict):
+    """The points w[s] fixes; the others that stop are filed in `stuck`, window misses in `misses`."""
+    fixed = []
+    for n in points:
+        try:
+            if W.evaluate(w, s, oracle, n, stuck) == n:
+                fixed.append(n)
+        except WindowTooSmall as miss:
+            misses[n] = miss
+    return fixed
+
+
+def _carried(s: PartialInjection, key) -> _Fixes | None:
+    """The memo at key, moved from s's source and refiled at the points its new pairs reach.
+
+    A memo moves along a run instead of being copied, and s lets go of its
+    source once every memo it can carry has moved.
+    """
+    if s._source is None:
+        return None
+    source, new, found = s._source
+    fixes = None if source._fixes is None else source._fixes.get(key)
+    if fixes not in found:
+        return None
+    del source._fixes[key]
+    for n, m in new:
+        fixes.stuck.pop(("x", n), None)
+        fixes.stuck.pop(("x^-1", m), None)
+    for where, points in found.pop(fixes).items():
+        fixes.stuck.setdefault(where, []).extend(points)
+    if not found:
+        s._source = None
+    return fixes
+
+
+def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _Fixes | None:
+    """s's memo for w: kept, carried forward, or built in one pass over dom(s).
+
+    None unless w is reduced and ends in x.  A pass that misses the oracle's
+    window records the misses by point and keeps nothing.
+    """
+    key = (w, oracle)
+    if s._fixes is None:
+        s._fixes = {}
+    fixes = s._fixes.get(key)
+    if fixes is not None:
+        return fixes
+    fixes = _carried(s, key)
+    if fixes is None:
+        if not w.letters or w.letters[-1] != W.X or W.reduce(w.letters, oracle) != w:
+            return None
+        fixes = _Fixes(W.sort_key(w, oracle))
+        fixes.fixed = frozenset(_fixed_among(w, s, oracle, s._fwd, fixes.stuck, misses))
+        if misses:
+            return fixes
+    s._fixes[key] = fixes
+    return fixes
+
+
+def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection, oracle):
+    """(text, word, fixed points under lower, sorted points gained under upper), per word.
+
+    Words come in sort_key order, up to the first that gains a point.  A
+    reduced word ending in x is evaluated under upper only at the points
+    upper's new pairs can reach (see _Fixes); any other word is scanned by
+    fixed_points.  A window miss is raised as a scan of dom(upper) would
+    meet it first.  When no word gains, upper notes where those points
+    stopped, so that lower's memos move to it on first use.
+    """
+    fwd = upper._fwd
+    new = [(n, fwd[n]) for n in fwd.keys() - lower._fwd.keys()]
+    checks = []
+    for w in words:
+        misses: dict = {}
+        fixes = _memo(w, lower, oracle, misses)
+        checks.append((W.sort_key(w, oracle) if fixes is None else fixes.text, w, fixes, misses))
+    checks.sort(key=lambda check: check[0])
+    out = []
+    found: dict = {}
+    for text, w, fixes, misses in checks:
+        if fixes is None:
+            fixed = fixed_points(w, upper, oracle, max(upper.support, default=-1) + 1)
+            reduced = W.reduce(w.letters, oracle)
+            gained = sorted(n for n in fixed if W.evaluate(reduced, lower, oracle, n) != n)
+        else:
+            reached = [n for n, _ in new]
+            for n, m in new:
+                reached += fixes.stuck.get(("x", n), ())
+                reached += fixes.stuck.get(("x^-1", m), ())
+            stuck = found[fixes] = {}
+            gained = sorted(_fixed_among(w, upper, oracle, reached, stuck, misses))
+            for n in upper.domain if misses else ():
+                if n in misses:
+                    raise misses[n]
+            fixed = fixes.fixed
+        out.append((text, w, fixed, gained))
+        if gained:
+            return out
+    if upper is not lower and found:
+        upper._source = (lower, new, found)
+    return out
 
 
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:

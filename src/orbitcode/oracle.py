@@ -364,13 +364,12 @@ def stage_to_data(stage: CompletedStage, oracle: StagedOracle) -> dict:
 
 
 def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
-    """Inverse of stage_to_data; a word naming this stage or a later one is rejected."""
-    condition = F.Condition(
-        I.injection_from_pairs(data["injection"]),
-        frozenset(W.parse_word(text, oracle) for text in data["words"]),
-        F.Flavor.DAGGER,
-        tuple(int(b) for b in data["target_bits"]),
-    )
+    """Inverse of stage_to_data; ValueError for pairs or word texts not in its form.
+
+    A word naming this stage or a later one is rejected.
+    """
+    s, words = F.map_and_words_from_data(data["injection"], data["words"], oracle)
+    condition = F.Condition(s, words, F.Flavor.DAGGER, tuple(int(b) for b in data["target_bits"]))
     return CompletedStage(
         generator_index=int(data["generator_index"]),
         condition=condition,
@@ -388,7 +387,11 @@ def oracle_from_descriptor(data: dict) -> GroupOracle:
         stages: list[CompletedStage] = []
         for i, entry in enumerate(data["stages"]):
             before = StagedOracle(stages)
-            stages.append(_proven_stage(i, stage_from_data(entry, before), before))
+            try:
+                stage = stage_from_data(entry, before)
+            except ValueError as exc:
+                raise ValueError(f"stage {i}: {exc}") from exc
+            stages.append(_proven_stage(i, stage, before))
         return StagedOracle(stages)
     raise ValueError(f"unknown oracle kind {kind!r}")
 

@@ -216,21 +216,27 @@ def indecomposable_root(w: Word, oracle) -> tuple[Word, int]:
     raise AssertionError("period 'size' always matches")
 
 
-def evaluate(w: Word, s, oracle, n: int) -> int | None:
+def evaluate(w: Word, s, oracle, n: int, stuck: dict | None = None) -> int | None:
     """Apply the word to n, rightmost letter first. None once any step is.
 
-    `s` answers .apply(k) and .apply_inverse(k) with an int or None.
+    `s` answers .apply(k) and .apply_inverse(k) with an int or None.  Given
+    a `stuck` index, an evaluation that stops files n there under the text
+    of the x or x^-1 letter it stopped at and the value it met: under
+    ("x", a) it waits for a pair (a, ·), under ("x^-1", b) for a pair (·, b).
     """
-    value: int | None = n
+    value = n
     for letter in reversed(w.letters):
         if letter.kind is LetterKind.X:
-            value = s.apply(value)
+            image = s.apply(value)
         elif letter.kind is LetterKind.X_INV:
-            value = s.apply_inverse(value)
+            image = s.apply_inverse(value)
         else:
-            value = oracle.eval(letter.handle, value)
-        if value is None:
+            image = oracle.eval(letter.handle, value)
+        if image is None:
+            if stuck is not None:
+                stuck.setdefault((letter.kind.value, value), []).append(n)
             return None
+        value = image
     return value
 
 

@@ -45,6 +45,7 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+from orbitcode import forcing as F
 from orbitcode import injections as I
 from orbitcode import words as W
 from orbitcode.engine import requirement_from_data, requirement_to_data
@@ -530,6 +531,41 @@ def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire
     assert result.reason == f"malformed trace: stage 0: {clause}"
 
 
+def _reverse_pairs(stage):
+    stage["injection"].reverse()
+
+
+def _repeat_a_pair(stage):
+    stage["injection"].insert(1, list(stage["injection"][0]))
+
+
+def _reverse_words(stage):
+    stage["words"].reverse()
+
+
+def _spell_out_a_power(stage):
+    stage["words"] = ["x.x" if text == "x^2" else text for text in stage["words"]]
+
+
+@pytest.mark.parametrize(
+    "forge, clause",
+    [
+        (_reverse_pairs, "injection pairs do not strictly increase by domain point"),
+        (_repeat_a_pair, "injection pairs do not strictly increase by domain point"),
+        (_reverse_words, "word texts do not strictly increase"),
+        (_spell_out_a_power, "word 'x.x' is not written as its parse"),
+    ],
+    ids=["reversed-pairs", "repeated-pair", "reversed-words", "spelled-out-power"],
+)
+def test_an_embedded_stage_not_in_the_writers_form_fails_replay(second_stage_wire, forge, clause):
+    data = json.loads(second_stage_wire)
+    assert data["oracle"]["stages"][0]["words"] == ["x", "x^2"]
+    forge(data["oracle"]["stages"][0])
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == f"malformed trace: stage 0: {clause}"
+
+
 CODING_16 = tuple((7 * i + 3) % 5 % 2 for i in range(16))
 
 
@@ -546,6 +582,66 @@ def test_neither_a_coding_run_nor_its_verify_rebuilds_the_orbit_decomposition(mo
     trace = run(Flavor.CODING, CODING_16, auto_schedule(Flavor.CODING, 16), oracle)
     assert verify_trace_data(_wire(trace, oracle))
     assert len(calls) == 0
+
+
+def _plain_trees_schedule():
+    """The schedule of the plain-trees digest build (tests/test_trace_digests.py)."""
+    schedule = [WordAdded(x_power(1))]
+    schedule += [TreeDiagonalized(FullInjectiveTree()) for _ in range(2)]
+    schedule += [TreeDiagonalized(SparseCongruenceTree(seed)) for seed in (3, 4)]
+    for i in range(8):
+        schedule += [DomainHits(i), RangeHits(i)]
+    return schedule
+
+
+def _count_evaluations(monkeypatch) -> list:
+    calls = []
+    evaluate = W.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    return calls
+
+
+def test_each_tree_option_check_costs_one_evaluation_per_scratch_word(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    checks = []
+    scanning = []
+    leq, many_extensions = F.leq, F.many_extensions
+
+    def counted_leq(upper, lower, oracle):
+        before = len(calls)
+        result = leq(upper, lower, oracle)
+        if scanning:
+            checks.append((len(calls) - before, len(lower.words), len(upper.s)))
+        return result
+
+    def flagged(*args):
+        scanning.append(True)
+        try:
+            return many_extensions(*args)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(F, "leq", counted_leq)
+    monkeypatch.setattr(F, "many_extensions", flagged)
+    run(Flavor.PLAIN, None, _plain_trees_schedule(), trivial_oracle())
+    assert len(checks) > 20 and max(size for *_, size in checks) >= 3
+    assert all(spent <= words for spent, words, _ in checks), checks
+
+
+def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):
+    """One evaluation per pair a step adds, not one per pair the step holds."""
+    oracle = trivial_oracle()
+    trace = run(Flavor.PLAIN, None, _plain_trees_schedule(), oracle)
+    data = _wire(trace, oracle)
+    calls = _count_evaluations(monkeypatch)
+    assert verify_trace_data(data)
+    assert len(trace.final.s) == 10 and len(trace.final.words) == 1
+    assert 0 < len(calls) <= len(trace.final.s)
 
 
 def _index_state(s):

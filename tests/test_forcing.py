@@ -12,9 +12,12 @@ from orbitcode import (
     ExtensionCertificate,
     Flavor,
     FullInjectiveTree,
+    InternalCheckFailed,
     KTooSmall,
     PartialInjection,
     PreconditionViolated,
+    TranslationOracle,
+    WindowTooSmall,
     Word,
     X,
     X_INV,
@@ -56,6 +59,8 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+
+from orbitcode import words as W
 
 import helpers
 
@@ -499,6 +504,167 @@ def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
                 else:
                     assert not got, (w, t, pair)
                     assert got.reason.endswith(f"(gained {sorted(fix_upper - fix_lower)})")
+
+
+def _full_scan_leq(upper, lower, oracle):
+    """The word clause by full scans: snapshots, or the refusal reason for the first word.
+
+    Each word's fixed points under upper come from the package's full scan,
+    and both sides from the two-sided reference, which must agree with it.
+    """
+    sides = helpers.two_sided_leq(upper, lower, oracle)
+    bound = support_bound(upper.s)
+    snapshots = []
+    for w in sorted(sides, key=lambda w: format_word(w, oracle)):
+        fix_lower, fix_upper = sides[w]
+        assert fixed_points(w, upper.s, oracle, bound) == fix_upper, w
+        assert fix_lower <= fix_upper, w
+        if fix_upper != fix_lower:
+            gained = sorted(fix_upper - fix_lower)
+            return f"word {format_word(w, oracle)!r} changed fixed points (gained {gained})"
+        snapshots.append((w, fix_upper))
+    return tuple(snapshots)
+
+
+def _fresh(c):
+    """c over a new injection with the same pairs: nothing remembered, nothing carried."""
+    return plain_condition(PartialInjection(c.s.pairs()), c.words)
+
+
+def _assert_leq_matches_the_full_scan(upper, lower, oracle):
+    got = leq(upper, lower, oracle)
+    expected = _full_scan_leq(upper, lower, oracle)
+    if isinstance(expected, str):
+        assert not got and got.reason == expected, (got, expected)
+    else:
+        assert got and got.snapshots == expected, (got, expected)
+    again = leq(_fresh(upper), _fresh(lower), oracle)
+    assert bool(again) == bool(got)
+    assert (again.snapshots if again else again.reason) == (got.snapshots if got else got.reason)
+    return got
+
+
+def _random_word(rng, alphabet, oracle):
+    letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.6:
+        letters.append(X)  # most tracked words end in x, the memoized shape
+    return reduce(letters, oracle)
+
+
+def _random_extension(rng, s, span):
+    """s plus one to three pairs: fresh points, or a chain closing one of s's open orbits."""
+    orbits = open_orbits(s)
+    if orbits and rng.random() < 0.4:
+        orbit = rng.choice(orbits)
+        fresh = [p for p in range(span) if p not in s.support]
+        chain = rng.sample(fresh, min(len(fresh), rng.randint(0, 2)))
+        route = [orbit.exit, *chain, orbit.entry]
+        return s.with_pairs(zip(route, route[1:]))
+    pairs = []
+    dom, ran = set(s.domain), set(s.range)
+    for _ in range(rng.randint(1, 3)):
+        free_dom = [p for p in range(span) if p not in dom]
+        free_ran = [p for p in range(span) if p not in ran]
+        if not free_dom:
+            break
+        n, m = rng.choice(free_dom), rng.choice(free_ran)
+        pairs.append((n, m))
+        dom.add(n)
+        ran.add(m)
+    return s.with_pairs(pairs)
+
+
+@pytest.mark.parametrize("oracle", [TRIV, TRANS], ids=["trivial", "translation"])
+def test_the_incremental_order_check_agrees_with_the_full_scans(oracle):
+    """Chains of three random extensions, each checked on the carried memo and on fresh copies.
+
+    Words mix x^-1 and group letters; a step may add one pair, several, or
+    close an orbit through a chain, and a refused step starts the next one
+    from scratch.  Reflexive checks read the memo a step leaves behind.
+    """
+    rng = random.Random(11 if oracle is TRIV else 12)
+    alphabet = (X, X_INV) if oracle is TRIV else (X, X_INV, group(1), group(-1), group(2))
+    span = 9
+    verdicts = []
+    for _ in range(250):
+        words = {_random_word(rng, alphabet, oracle) for _ in range(rng.randint(1, 3))}
+        s = PartialInjection(helpers.random_injection(rng, rng.randint(0, 4), 6).items())
+        c = plain_condition(s, words)
+        for _ in range(3):
+            if len(c.s) >= span - 1:
+                break
+            upper = plain_condition(_random_extension(rng, c.s, span), c.words)
+            got = _assert_leq_matches_the_full_scan(upper, c, oracle)
+            verdicts.append(bool(got))
+            reflexive = leq(upper, upper, oracle)
+            assert reflexive.snapshots == _full_scan_leq(upper, upper, oracle)
+            c = upper
+    assert sum(verdicts) > 300 and len(verdicts) - sum(verdicts) > 100
+
+
+def test_a_chain_of_certified_steps_reads_the_carried_memo(monkeypatch):
+    """Close an orbit in three certified steps; the last check evaluates only where its pair reaches."""
+    oracle = TRANS
+    words = {x_power(2), reduce((X_INV, group(2), X, X), oracle), reduce((group(2), X), oracle)}
+    c0 = plain_condition(PartialInjection([(0, 1), (1, 2), (5, 6)]), words)
+    c1 = plain_condition(c0.s.with_pair(2, 3), words)
+    c2 = plain_condition(c1.s.with_pair(6, 4), words)
+    c3 = plain_condition(c2.s.with_pair(3, 0), words)
+    calls = []
+    evaluate = W.evaluate
+
+    def counted(w, s, oracle, n, stuck=None):
+        calls.append((w, n))
+        return evaluate(w, s, oracle, n, stuck)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    for upper, lower in ((c1, c0), (c2, c1), (c3, c2)):
+        assert _assert_leq_matches_the_full_scan(upper, lower, oracle)
+    # a copy of c2 certified over it takes c2's memo, so the last step alone
+    # evaluates only where its pair reaches
+    lower = plain_condition(c2.s.with_pairs(()), words)
+    assert leq(lower, c2, oracle)
+    upper = plain_condition(lower.s.with_pair(3, 0), words)
+    expected = _full_scan_leq(c3, c2, oracle)
+    calls.clear()
+    assert leq(upper, lower, oracle).snapshots == expected
+    # (3, 0) reaches 3 itself and the points stopped before an x at 3 or an x^-1 at 0
+    assert 0 < len(calls) <= 3 * len(words) < len(upper.s) * len(words)
+
+
+class _WindowedTranslation(TranslationOracle):
+    """Translations that refuse to evaluate at or past a window, as a staged oracle does."""
+
+    def __init__(self, window):
+        self.limit = window
+
+    def eval(self, a, n):
+        if n >= self.limit:
+            raise WindowTooSmall(n + 1)
+        return super().eval(a, n)
+
+
+def test_the_order_check_misses_the_window_where_a_full_scan_would_first():
+    """Misses in lower's own points and at upper's new ones: the first in dom(upper)'s order wins."""
+    oracle = _WindowedTranslation(50)
+    w = Word((group(1), X))
+    lower = plain_condition(PartialInjection([(1, 2), (40, 60), (9, 10)]), [w])
+    upper = plain_condition(lower.s.with_pairs([(70, 80), (3, 90), (33, 55)]), [w])
+    with pytest.raises(WindowTooSmall) as scan:
+        fixed_points(w, upper.s, oracle, support_bound(upper.s))
+    with pytest.raises(WindowTooSmall) as check:
+        leq(upper, lower, oracle)
+    assert check.value.required == scan.value.required
+    misses = {n: upper.s.apply(n) + 1 for n in upper.s.domain if upper.s.apply(n) >= 50}
+    assert len(set(misses.values())) == 4 and scan.value.required in misses.values()
+
+
+def test_many_extensions_still_checks_each_option(monkeypatch):
+    """Without the group clause, (0, 1) makes 0 a fixed point of g1·x, and the check says so."""
+    c = plain_condition(None, [Word((group(1), X))])
+    monkeypatch.setattr(W, "graph_restriction", lambda words, oracle: frozenset({0}))
+    with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(0, 1\)"):
+        many_extensions(c, FullInjectiveTree(), (), 3, TRANS)
 
 
 def _word_of_tokens(tokens):
