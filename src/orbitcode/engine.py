@@ -96,17 +96,17 @@ def requirement_to_data(req: Requirement, oracle) -> dict:
 def requirement_from_data(data: Mapping, oracle) -> Requirement:
     kind = data["kind"]
     if kind == "domain_hits":
-        return DomainHits(int(data["n"]))
+        return DomainHits(I.wire_int(data["n"]))
     if kind == "range_hits":
-        return RangeHits(int(data["m"]))
+        return RangeHits(I.wire_int(data["m"]))
     if kind == "word_added":
         return WordAdded(W.parse_word(data["word"], oracle))
     if kind == "tree_diagonalized":
         return TreeDiagonalized(
-            T.tree_from_descriptor(data["tree"]), tuple(int(v) for v in data["node"])
+            T.tree_from_descriptor(data["tree"]), tuple(map(I.wire_int, data["node"]))
         )
     if kind == "orbit_coded":
-        return OrbitCoded(int(data["index"]))
+        return OrbitCoded(I.wire_int(data["index"]))
     raise ValueError(f"unknown requirement kind {kind!r}")
 
 
@@ -211,6 +211,8 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
         target = None
     else:
         target = tuple(int(b) for b in (r or ()))
+        if not set(target) <= {0, 1}:
+            raise ValueError(f"target bits must be 0 or 1, got {list(target)}")
     c = F.Condition(I.PartialInjection(), frozenset(), flavor, target)
     oracle_spec = oracle.descriptor()
     schedule = tuple(schedule)
@@ -410,8 +412,8 @@ def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle)
     if isinstance(req, OrbitCoded):
         return len(I.closed_orbits(c.s)) > req.index
     if isinstance(req, TreeDiagonalized):
-        witness = tuple(int(v) for v in extra["witness_node"])
-        k = int(extra["witness_index"])
+        witness = tuple(map(I.wire_int, extra["witness_node"]))
+        k = I.wire_int(extra["witness_index"])
         return (
             req.tree.contains(witness)
             and witness[: len(req.node)] == tuple(req.node)
@@ -477,13 +479,13 @@ def _replay_growth(events, oracle, length: int) -> None:
         _closed(event, _GROWTH_KEYS, f"growth event {j}")
         if oracle.window() >= O.UNBOUNDED:
             raise ValueError(f"growth event {j}: the oracle has no window to grow")
-        step = int(event["step"])
+        step = I.wire_int(event["step"])
         if not last <= step <= length:
             raise ValueError(f"growth event {j}: step {step} out of order")
-        goal = _growth_target(int(event["required"]), oracle.window())
-        if int(event["target"]) != goal:
+        goal = _growth_target(I.wire_int(event["required"]), oracle.window())
+        if I.wire_int(event["target"]) != goal:
             raise ValueError(f"growth event {j}: target {event['target']}, rule gives {goal}")
-        if oracle.grow_window(goal) != int(event["window"]):
+        if oracle.grow_window(goal) != I.wire_int(event["window"]):
             raise ValueError(f"growth event {j} misses window {event['window']}")
         last = step
 
@@ -492,7 +494,8 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
     Anything trace_to_data would not write is malformed: a key missing from
-    an object's closed key set or outside it, a schedule entry other than
+    an object's closed key set or outside it, a number that is not a JSON
+    integer (or a bit other than 0 or 1), a schedule entry other than
     its requirement writes, a condition's pairs or word texts out of order
     or form (`r_prefix` exactly when the flavor is not plain), an embedded
     stage seal did not make, other conventions, and growth events off the
@@ -505,7 +508,7 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         _closed(data, _TRACE_KEYS, "trace")
         oracle = _oracle_from_data(data["oracle"])
         raw_target = data["target"]
-        target = None if raw_target is None else tuple(int(b) for b in raw_target)
+        target = None if raw_target is None else tuple(I.wire_int(b, bit=True) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
         condition_keys = _CONDITION_KEYS | (set() if target is None else {"r_prefix"})
         schedule = data["schedule"]
@@ -544,7 +547,7 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         final = _closed(data["final"], condition_keys, "final")
         if F.condition_from_data(final, oracle, parsed) != c:
             return F.CheckResult(False, "final condition does not match the last step")
-        if list(_decode_final(c)) != [int(b) for b in data["decoded"]]:
+        if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):
             return F.CheckResult(False, "decoded bits do not match the final condition")
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
         return F.CheckResult(False, f"malformed trace: {exc}")

@@ -75,7 +75,7 @@ class Condition:
         return max((len(w) for w in self.words), default=0)
 
     def sorted_words(self, oracle) -> list[W.Word]:
-        return sorted(self.words, key=lambda w: W.sort_key(w, oracle))
+        return sorted(self.words, key=lambda w: W.format_word(w, oracle))
 
 
 def plain_condition(s=None, words: Iterable[W.Word] = ()) -> Condition:
@@ -123,14 +123,10 @@ def chain(
     return ExtensionCertificate(first.lower, then.upper, kept)
 
 
-def support_bound(s: I.PartialInjection) -> int:
-    return max(s.support, default=-1) + 1
-
-
 def validate(c: Condition, oracle) -> CheckResult:
     """Check every flavor invariant; the reason names the first violated clause."""
     for w in c.sorted_words(oracle):
-        if not W.is_nice(w):
+        if not W.is_admissible(w, oracle):
             return CheckResult(False, f"word {W.format_word(w, oracle)!r} is not admissible")
     if c.flavor is Flavor.PLAIN:
         return CheckResult(True)
@@ -151,7 +147,7 @@ def validate(c: Condition, oracle) -> CheckResult:
         if len(w) > len(tops.get(v, ())):
             tops[v] = w
     covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
-    for v in sorted(tops, key=lambda v: W.sort_key(v, oracle)):
+    for v in sorted(tops, key=lambda v: W.format_word(v, oracle)):
         top, k = tops[v], len(tops[v]) // len(v)
         for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
             if u not in c.words:
@@ -182,7 +178,9 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Ch
     fixes under upper.s too, so fixed points can be gained but never lost,
     and only where an evaluation under lower.s stopped, or at a new domain
     point, can one be gained.  injections.gained_fixed_points evaluates
-    there alone; an empty E needs no look at the pairs at all.
+    there alone; an empty E needs no look at the pairs at all.  lower must
+    be valid, so that its words are reduced and end in x; a word of any
+    other shape raises PreconditionViolated.
     """
     if upper.flavor is not lower.flavor or upper.target != lower.target:
         return CheckResult(False, "flavor or target mismatch")
@@ -250,7 +248,7 @@ def avoidance_bound(
     which bound what it has seen, and any later evaluation beyond the window
     fails loudly rather than guessing.
     """
-    bound = support_bound(c.s)
+    bound = max(c.s.support, default=-1) + 1
     handles = _nonidentity_handles(list(c.words) + list(extra_words), oracle)
     for h in handles:
         for p in c.s.support:
@@ -565,6 +563,8 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
     """
     if w in c.words:
         return leq(c, c, oracle)
+    if not W.is_admissible(w, oracle):
+        raise PreconditionViolated(f"not an admissible word: {W.format_word(w, oracle)!r}")
     if c.flavor is not Flavor.DAGGER:
         cert = _admissible(c, replace(c, words=c.words | {w}), oracle)
         if not cert:
@@ -667,14 +667,14 @@ def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condi
         s,
         words,
         Flavor(data["flavor"]),
-        None if target is None else tuple(int(b) for b in target),
+        None if target is None else tuple(I.wire_int(b, bit=True) for b in target),
     )
 
 
 def _snapshots_to_data(snapshots, oracle) -> list[dict]:
     return [
         {"word": W.format_word(w, oracle), "fixed_points": sorted(points)}
-        for w, points in sorted(snapshots, key=lambda item: W.sort_key(item[0], oracle))
+        for w, points in sorted(snapshots, key=lambda item: W.format_word(item[0], oracle))
     ]
 
 

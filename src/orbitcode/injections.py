@@ -13,6 +13,11 @@ the path ending at n to the path starting at m, or closes one path into a
 cycle.  So the index keeps each open path's entry ↔ exit and each cycle,
 walked from its minimum, in min-order, and one link routine updates it per
 added pair; orbit_decomposition merges the cycles with the walked paths.
+
+The fixed-point layer (fixed_points, word_graph and the order check's
+gained_fixed_points) takes only reduced words ending in x, as admissible
+words are, and raises PreconditionViolated for any other; x applies first,
+so a scan of dom(s) sees every point such a word maps.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import words as W
-from .errors import NotNiceInjection, WindowTooSmall
+from .errors import NotNiceInjection, PreconditionViolated, WindowTooSmall
 
 
 class PartialInjection:
@@ -348,42 +353,17 @@ def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:
     return tuple(counts.get(nth_prime(n), 0) % 2 for n in range(upto + 1))
 
 
-def _start_points(w: W.Word, s: PartialInjection):
-    """Where w[s] can be defined: dom(s) or ran(s) by w's rightmost letter, else None.
-
-    Evaluation applies the rightmost letter first, so when it is x (x^-1)
-    every point w[s] maps, fixed points included, lies in dom(s) (ran(s)).
-    None when the rightmost letter is a group letter or w is the identity.
-    """
-    if w.letters:
-        kind = w.letters[-1].kind
-        if kind is W.LetterKind.X:
-            return s.domain
-        if kind is W.LetterKind.X_INV:
-            return s.range
-    return None
+def _require_shape(w: W.Word, oracle) -> None:
+    """PreconditionViolated unless w is reduced and ends in x; then w[s] maps only dom(s)."""
+    if not w.letters or w.letters[-1] != W.X or W.reduce(w.letters, oracle) != w:
+        text = W.format_word(w, oracle)
+        raise PreconditionViolated(f"word {text!r} is not reduced or does not end in x")
 
 
-def fixed_points(w: W.Word, s: PartialInjection, oracle, bound: int) -> frozenset[int]:
-    """Points n with w[s](n) = n, for n in dom(s) ∪ ran(s) ∪ [0, bound).
-
-    A reduced word whose rightmost letter is x (x^-1) is scanned over dom(s)
-    (ran(s)) alone, where all its fixed points lie; every admissible word
-    ends in x, so for those the cost follows |dom(s)| and not `bound`.  Any
-    other word scans dom(s) ∪ ran(s) ∪ [0, bound), which is exact when its
-    leftmost letter is x or x^-1.  A pure group word reduces to one
-    non-identity letter and defers to the oracle; the identity word fixes
-    everything, so the scanned set itself is returned.
-    """
-    reduced = W.reduce(w.letters, oracle)
-    scan = _start_points(reduced, s)
-    if scan is None:
-        scan = set(s.support) | set(range(bound))
-        if reduced.is_identity:
-            return frozenset(scan)
-        if reduced.x_count() == 0:
-            return oracle.fixed_points(reduced.letters[0].handle)
-    return frozenset(n for n in scan if W.evaluate(reduced, s, oracle, n) == n)
+def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
+    """Points n with w[s](n) = n, for a reduced word w ending in x: the reflexive check's."""
+    [(_, _, fixed, _)] = gained_fixed_points((w,), s, s, oracle)
+    return fixed
 
 
 class _Fixes:
@@ -394,7 +374,7 @@ class _Fixes:
     waits for a pair (a, ·), under ("x^-1", b) when it waits for (·, b).
     If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p), so only the points
     filed under t's new pairs, and t's new domain points, can become fixed.
-    `text` is the word's sort key.
+    `text` is the word's text, which orders the words of a check.
     """
 
     __slots__ = ("text", "fixed", "stuck")
@@ -440,23 +420,19 @@ def _carried(s: PartialInjection, key) -> _Fixes | None:
     return fixes
 
 
-def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _Fixes | None:
+def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _Fixes:
     """s's memo for w: kept, carried forward, or built in one pass over dom(s).
 
-    None unless w is reduced and ends in x.  A pass that misses the oracle's
-    window records the misses by point and keeps nothing.
+    PreconditionViolated unless w is reduced and ends in x.  A pass that
+    misses the oracle's window records the misses by point and keeps nothing.
     """
     key = (w, oracle)
     if s._fixes is None:
         s._fixes = {}
-    fixes = s._fixes.get(key)
-    if fixes is not None:
-        return fixes
-    fixes = _carried(s, key)
+    fixes = s._fixes.get(key) or _carried(s, key)
     if fixes is None:
-        if not w.letters or w.letters[-1] != W.X or W.reduce(w.letters, oracle) != w:
-            return None
-        fixes = _Fixes(W.sort_key(w, oracle))
+        _require_shape(w, oracle)
+        fixes = _Fixes(W.format_word(w, oracle))
         fixes.fixed = frozenset(_fixed_among(w, s, oracle, s._fwd, fixes.stuck, misses))
         if misses:
             return fixes
@@ -467,40 +443,34 @@ def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _Fixes | None
 def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection, oracle):
     """(text, word, fixed points under lower, sorted points gained under upper), per word.
 
-    Words come in sort_key order, up to the first that gains a point.  A
-    reduced word ending in x is evaluated under upper only at the points
-    upper's new pairs can reach (see _Fixes); any other word is scanned by
-    fixed_points.  A window miss is raised as a scan of dom(upper) would
-    meet it first.  When no word gains, upper notes where those points
-    stopped, so that lower's memos move to it on first use.
+    Every word must be reduced and end in x (PreconditionViolated otherwise),
+    as every word of a validated condition does.  Words come in text
+    order, up to the first that gains a point; each is evaluated under upper
+    only at the points upper's new pairs can reach (see _Fixes).  A window
+    miss is raised as a scan of dom(upper) would meet it first.  When no
+    word gains, upper notes where those points stopped, so that lower's
+    memos move to it on first use.
     """
     fwd = upper._fwd
     new = [(n, fwd[n]) for n in fwd.keys() - lower._fwd.keys()]
     checks = []
     for w in words:
         misses: dict = {}
-        fixes = _memo(w, lower, oracle, misses)
-        checks.append((W.sort_key(w, oracle) if fixes is None else fixes.text, w, fixes, misses))
-    checks.sort(key=lambda check: check[0])
+        checks.append((_memo(w, lower, oracle, misses), w, misses))
+    checks.sort(key=lambda check: check[0].text)
     out = []
     found: dict = {}
-    for text, w, fixes, misses in checks:
-        if fixes is None:
-            fixed = fixed_points(w, upper, oracle, max(upper.support, default=-1) + 1)
-            reduced = W.reduce(w.letters, oracle)
-            gained = sorted(n for n in fixed if W.evaluate(reduced, lower, oracle, n) != n)
-        else:
-            reached = [n for n, _ in new]
-            for n, m in new:
-                reached += fixes.stuck.get(("x", n), ())
-                reached += fixes.stuck.get(("x^-1", m), ())
-            stuck = found[fixes] = {}
-            gained = sorted(_fixed_among(w, upper, oracle, reached, stuck, misses))
-            for n in upper.domain if misses else ():
-                if n in misses:
-                    raise misses[n]
-            fixed = fixes.fixed
-        out.append((text, w, fixed, gained))
+    for fixes, w, misses in checks:
+        reached = [n for n, _ in new]
+        for n, m in new:
+            reached += fixes.stuck.get(("x", n), ())
+            reached += fixes.stuck.get(("x^-1", m), ())
+        stuck = found[fixes] = {}
+        gained = sorted(_fixed_among(w, upper, oracle, reached, stuck, misses))
+        for n in upper.domain if misses else ():
+            if n in misses:
+                raise misses[n]
+        out.append((fixes.text, w, fixes.fixed, gained))
         if gained:
             return out
     if upper is not lower and found:
@@ -509,21 +479,26 @@ def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection,
 
 
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
-    """The graph of w[s] as a finite partial injection.
+    """The graph of w[s] as a finite partial injection, for a reduced word w ending in x.
 
-    Scans dom(s) or ran(s) by w's rightmost letter, as fixed_points does, and
-    dom(s) ∪ ran(s) otherwise; complete whenever w's rightmost letter is x
-    or x^-1, which holds for every admissible word and their inverses.
+    Scans dom(s) in increasing order: w[s] is defined nowhere else.
     """
-    scan = _start_points(w, s)
+    _require_shape(w, oracle)
     pairs = []
-    for n in sorted(s.support if scan is None else scan):
+    for n in sorted(s._fwd):
         value = W.evaluate(w, s, oracle, n)
         if value is not None:
             pairs.append((n, value))
     return PartialInjection(pairs)
 
 
+def wire_int(value, bit: bool = False) -> int:
+    """value itself if it is an int, not a bool (which Python counts as one), and 0 or 1 for a bit."""
+    if type(value) is not int or (bit and value not in (0, 1)):
+        raise ValueError(f"{value!r} is not {'a bit' if bit else 'an integer'}")
+    return value
+
+
 def injection_from_pairs(pairs: Iterable[Iterable[int]]) -> PartialInjection:
-    """Build from serialized [[n, m], …] data."""
-    return PartialInjection((int(n), int(m)) for n, m in pairs)
+    """Build from serialized [[n, m], …] data; every point a JSON integer."""
+    return PartialInjection((wire_int(n), wire_int(m)) for n, m in pairs)

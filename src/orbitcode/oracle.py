@@ -369,11 +369,11 @@ def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
     A word naming this stage or a later one is rejected.
     """
     s, words = F.map_and_words_from_data(data["injection"], data["words"], oracle)
-    condition = F.Condition(s, words, F.Flavor.DAGGER, tuple(int(b) for b in data["target_bits"]))
+    bits = tuple(I.wire_int(b, bit=True) for b in data["target_bits"])
     return CompletedStage(
-        generator_index=int(data["generator_index"]),
-        condition=condition,
-        window=int(data["window"]),
+        generator_index=I.wire_int(data["generator_index"]),
+        condition=F.Condition(s, words, F.Flavor.DAGGER, bits),
+        window=I.wire_int(data["window"]),
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Mapping
 
 from .errors import TreeRefusedExtension
+from .injections import wire_int
 
 Node = tuple[int, ...]
 
@@ -155,9 +156,9 @@ def tree_from_descriptor(data: Mapping) -> InjectiveTree:
     if kind == "full":
         return FullInjectiveTree()
     if kind == "sparse":
-        return SparseCongruenceTree(int(data["seed"]), int(data["modulus"]))
+        return SparseCongruenceTree(wire_int(data["seed"]), wire_int(data["modulus"]))
     if kind == "explicit":
-        return ExplicitTree(data["nodes"])
+        return ExplicitTree(map(wire_int, node) for node in data["nodes"])
     raise ValueError(f"unknown tree kind {kind!r}")
 
 

@@ -173,6 +173,12 @@ def is_nice(w: Word) -> bool:
     return nice_blocks(w) is not None
 
 
+def is_admissible(w: Word, oracle) -> bool:
+    """Nice with no identity group letter, as the module docstring defines: reduced, ends in x."""
+    blocks = nice_blocks(w)
+    return blocks is not None and not any(oracle.is_identity(h) for h, _ in blocks if h is not None)
+
+
 def closure(v: Word, k: int, oracle) -> Iterator[Word]:
     """What a dagger E holding v^k must hold: v^p's admissible rotations and inverses, p ≤ k.
 
@@ -207,7 +213,7 @@ def indecomposable_root(w: Word, oracle) -> tuple[Word, int]:
     Powers of an admissible word concatenate its letters without reduction,
     so v is w's shortest letter period.
     """
-    if nice_blocks(w) is None:
+    if not is_nice(w):
         raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
     letters, size = w.letters, len(w.letters)
     for period in range(1, size + 1):
@@ -286,8 +292,3 @@ def parse_word(text: str, oracle) -> Word:
         else:
             raise ValueError(f"unrecognized word token: {token!r}")
     return reduce(letters, oracle)
-
-
-def sort_key(w: Word, oracle) -> str:
-    """A deterministic ordering key for serialization."""
-    return format_word(w, oracle)

@@ -4,9 +4,9 @@ Everything here is deliberately written from scratch against the documented
 behavior, without importing the package, so expected values come from a
 second code path.  The scan references read package objects only through
 their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
-injection's `.apply`, `.apply_inverse` and `.support`, a condition's `.s`
-and `.words`, an oracle's `.eval`, `.fixed_points`, `.compose`, `.invert`
-and `.is_identity`, and a tree's `.contains`.
+injection's `.apply`, `.apply_inverse`, `.domain` and `.support`, a
+condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
+`.compose`, `.invert` and `.is_identity`, and a tree's `.contains`.
 """
 
 from __future__ import annotations
@@ -153,6 +153,15 @@ def full_range_fixed_points(w, s, oracle, bound: int) -> frozenset[int]:
     if all(letter.kind.value == "g" for letter in w.letters):
         return frozenset(oracle.fixed_points(w.letters[0].handle))
     return frozenset(n for n in scan if evaluate_letters(w.letters, s, oracle, n) == n)
+
+
+def domain_scan_fixed_points(w, s, oracle) -> frozenset[int]:
+    """Fixed points of w over dom(s), scanned in the order s.domain iterates.
+
+    An error the oracle raises, such as a window miss, propagates from the
+    first point of that order that meets it.
+    """
+    return frozenset(n for n in s.domain if evaluate_letters(w.letters, s, oracle, n) == n)
 
 
 def two_sided_leq(upper, lower, oracle) -> dict:

@@ -223,15 +223,14 @@ def test_criterion_05_orbit_closing():
         else:
             n = max(c.s.support, default=0) + 1 + rng.randrange(4)
         threshold = closing_threshold(c, n)
-        bound = max(c.s.support, default=0) + threshold + 40
-        before = {w: fixed_points(w, c.s, TRANS, bound) for w in c.words}
+        before = {w: fixed_points(w, c.s, TRANS) for w in c.words}
         for k in range(threshold + 1, threshold + 7):
             t = close_orbit(c, n, k, TRANS).upper
             orbit = next(o for o in closed_orbits(t.s) if n in o.elements)
             assert orbit.size == k
             assert isinstance(leq(t, c, TRANS), ExtensionCertificate)
             for w, points in before.items():
-                assert fixed_points(w, t.s, TRANS, bound) == points
+                assert fixed_points(w, t.s, TRANS) == points
         with pytest.raises(KTooSmall):
             close_orbit(c, n, threshold, TRANS)
     print("criterion 5 (orbit closing, 200 conditions x 6 lengths): PASS")

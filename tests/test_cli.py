@@ -210,6 +210,13 @@ def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_decode_refuses_a_point_that_is_not_a_json_integer(tmp_path, capsys):
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"injection": [[0.0, 1], [1, 0]]}), encoding="utf-8")
+    assert run_cli("decode", str(stage), "--mode", "prime_parity", "--upto", "0") == 2
+    assert capsys.readouterr().err == "error: malformed injection: 0.0 is not an integer\n"
+
+
 def _assert_usage_error(capsys, *argv):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err

@@ -66,6 +66,13 @@ def test_plain_runs_reject_target_bits():
         run(Flavor.PLAIN, (1, 0), [DomainHits(0)], trivial_oracle())
 
 
+@pytest.mark.parametrize("flavor", [Flavor.CODING, Flavor.DAGGER])
+def test_runs_reject_target_bits_other_than_0_and_1(flavor):
+    """verify reads only bits, so a run with a target of 2 would write a trace it refuses."""
+    with pytest.raises(ValueError, match=r"target bits must be 0 or 1, got \[1, 2\]"):
+        run(flavor, (1, 2), [DomainHits(0)], trivial_oracle())
+
+
 def test_coding_run_round_trips_its_bits():
     oracle = trivial_oracle()
     r = (1, 0, 1, 1)
@@ -564,6 +571,115 @@ def test_an_embedded_stage_not_in_the_writers_form_fails_replay(second_stage_wir
     result = verify_trace_data(data)
     assert not result
     assert result.reason == f"malformed trace: stage 0: {clause}"
+
+
+def _bits_as_booleans(stage):
+    stage["target_bits"] = [bool(b) for b in stage["target_bits"]]
+
+
+def _window_as_float(stage):
+    stage["window"] = float(stage["window"])
+
+
+@pytest.mark.parametrize(
+    "forge, clause",
+    [
+        (_bits_as_booleans, "True is not a bit"),
+        (_window_as_float, "5.0 is not an integer"),
+    ],
+    ids=["boolean-target-bits", "float-window"],
+)
+def test_an_embedded_stage_number_not_written_as_an_integer_fails_replay(
+    second_stage_wire, forge, clause
+):
+    data = json.loads(second_stage_wire)
+    forge(data["oracle"]["stages"][0])
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == f"malformed trace: stage 0: {clause}"
+
+
+def _coding_trace():
+    oracle = trivial_oracle()
+    return _wire(run(Flavor.CODING, (1, 0, 1, 1), auto_schedule(Flavor.CODING, 4), oracle), oracle)
+
+
+def _sparse_tree_trace():
+    oracle = trivial_oracle()
+    schedule = [DomainHits(0), TreeDiagonalized(SparseCongruenceTree(seed=1))]
+    return _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
+
+
+def _rewrite_zero(side, value):
+    """Write the point 0 of the last condition's pairs, on the domain (0) or range (1) side."""
+
+    def forge(data):
+        [pair] = [pair for pair in _last_upper(data)["injection"] if pair[side] == 0]
+        pair[side] = value
+
+    return forge
+
+
+def _set_witness(key, cast):
+    def forge(data):
+        extra = data["steps"][1]["extra"]
+        extra[key] = cast(extra[key])
+
+    return forge
+
+
+@pytest.mark.parametrize(
+    "trace, forge, reason",
+    [
+        (_coding_trace, _rewrite_zero(0, 0.0), "step 11: malformed: 0.0 is not an integer"),
+        (_coding_trace, _rewrite_zero(1, "0"), "step 11: malformed: '0' is not an integer"),
+        (
+            _coding_trace,
+            lambda data: _last_upper(data)["r_prefix"].__setitem__(0, 1.5),
+            "step 11: malformed: 1.5 is not a bit",
+        ),
+        (
+            _coding_trace,
+            lambda data: data.__setitem__("decoded", [str(b) for b in data["decoded"]]),
+            "malformed trace: '1' is not a bit",
+        ),
+        (
+            _coding_trace,
+            lambda data: data.__setitem__("target", [bool(b) for b in data["target"]]),
+            "malformed trace: True is not a bit",
+        ),
+        (
+            _coding_trace,
+            lambda data: data["schedule"][3].__setitem__("n", True),
+            "step 3: malformed: True is not an integer",
+        ),
+        (
+            _sparse_tree_trace,
+            lambda data: data["schedule"][1]["tree"].__setitem__("seed", 1.0),
+            "step 1: malformed: 1.0 is not an integer",
+        ),
+        (
+            _sparse_tree_trace,
+            _set_witness("witness_index", float),
+            "step 1: malformed: 1.0 is not an integer",
+        ),
+        (
+            _sparse_tree_trace,
+            _set_witness("witness_node", lambda node: [float(v) for v in node]),
+            "step 1: malformed: 1.0 is not an integer",
+        ),
+    ],
+    ids=["float-point", "string-point", "float-r-prefix-bit", "string-decoded-bits",
+         "boolean-target-bits", "boolean-schedule-point", "float-tree-seed",
+         "float-witness-index", "float-witness-node"],
+)
+def test_a_number_not_written_as_a_json_integer_fails_replay(trace, forge, reason):
+    data = trace()
+    assert verify_trace_data(data)
+    forge(data)
+    result = verify_trace_data(data)
+    assert not result
+    assert result.reason == reason
 
 
 CODING_16 = tuple((7 * i + 3) % 5 % 2 for i in range(16))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,6 @@ from orbitcode import (
     plain_condition,
     reduce,
     strong_close_orbit,
-    support_bound,
     translation_oracle,
     tree_extend,
     trivial_oracle,
@@ -202,7 +202,7 @@ def test_tree_extension_adds_one_fresh_pair():
     assert t.s.apply(k) == node[k]
     assert t.words == c.words
     assert leq(t, c, TRIV)
-    assert fixed_points(x_power(2), t.s, TRIV, 20) == frozenset()
+    assert fixed_points(x_power(2), t.s, TRIV) == frozenset()
 
 
 def test_tree_extension_of_the_empty_condition():
@@ -230,7 +230,7 @@ def test_close_orbit_produces_the_requested_cycle():
     assert t.s.pairs() == ((0, 1), (1, 2), (2, 0))
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == 3
-    assert fixed_points(x_power(1), t.s, TRIV, 20) == frozenset()
+    assert fixed_points(x_power(1), t.s, TRIV) == frozenset()
 
 
 def test_close_orbit_refuses_at_the_threshold():
@@ -245,7 +245,7 @@ def test_close_orbit_against_a_longer_word():
     c = plain_condition(None, [x_power(3)])
     t = close_orbit(c, 0, 5, TRIV).upper
     assert orbit_of(t.s, 0).size == 5
-    assert fixed_points(x_power(3), t.s, TRIV, 40) == frozenset()
+    assert fixed_points(x_power(3), t.s, TRIV) == frozenset()
 
 
 def test_close_orbit_grows_an_existing_chain():
@@ -307,12 +307,10 @@ def test_strong_closure_through_a_group_letter():
 
 def test_strong_closure_preserves_scheduled_fixed_points():
     base = add_word(dagger_condition((1, 1), None, []), x_power(2), TRIV).upper
-    before = {
-        w: fixed_points(w, base.s, TRIV, 60) for w in base.words
-    }
+    before = {w: fixed_points(w, base.s, TRIV) for w in base.words}
     t = strong_close_orbit(base, x_power(1), 5, TRIV).upper
     for w, points in before.items():
-        assert fixed_points(w, t.s, TRIV, 60) == points
+        assert fixed_points(w, t.s, TRIV) == points
 
 
 def test_word_addition_flips_the_first_parity():
@@ -466,6 +464,11 @@ def _small_words():
     }
 
 
+def _ends_in_x(w):
+    """The shape the fixed-point layer accepts: reduced (as every word here is) and ending in x."""
+    return bool(w.letters) and w.letters[-1] == X
+
+
 def _injections_on(points):
     """Every partial injection with its domain and range inside `points`."""
     for k in range(len(points) + 1):
@@ -475,12 +478,12 @@ def _injections_on(points):
 
 
 def test_the_narrowed_scan_equals_the_full_range_scan():
-    words = _small_words()
+    words = [w for w in _small_words() if _ends_in_x(w)]
     for s in _injections_on(range(4)):
         for w in words:
-            for bound in (support_bound(s), 6):
+            for bound in (max(s.support, default=-1) + 1, 6):
                 expected = helpers.full_range_fixed_points(w, s, TRANS, bound)
-                assert fixed_points(w, s, TRANS, bound) == expected, (w, s, bound)
+                assert fixed_points(w, s, TRANS) == expected, (w, s, bound)
             graph = {}
             for n in s.support:
                 value = helpers.evaluate_letters(w.letters, s, TRANS, n)
@@ -490,7 +493,7 @@ def test_the_narrowed_scan_equals_the_full_range_scan():
 
 
 def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
-    words = _small_words()
+    words = [w for w in _small_words() if _ends_in_x(w)]
     for t in _injections_on(range(4)):
         for pair in t.pairs():
             s = PartialInjection(p for p in t.pairs() if p != pair)
@@ -513,11 +516,10 @@ def _full_scan_leq(upper, lower, oracle):
     and both sides from the two-sided reference, which must agree with it.
     """
     sides = helpers.two_sided_leq(upper, lower, oracle)
-    bound = support_bound(upper.s)
     snapshots = []
     for w in sorted(sides, key=lambda w: format_word(w, oracle)):
         fix_lower, fix_upper = sides[w]
-        assert fixed_points(w, upper.s, oracle, bound) == fix_upper, w
+        assert fixed_points(w, upper.s, oracle) == fix_upper, w
         assert fix_lower <= fix_upper, w
         if fix_upper != fix_lower:
             gained = sorted(fix_upper - fix_lower)
@@ -547,7 +549,7 @@ def _assert_leq_matches_the_full_scan(upper, lower, oracle):
 def _random_word(rng, alphabet, oracle):
     letters = [rng.choice(alphabet) for _ in range(rng.randint(1, 5))]
     if rng.random() < 0.6:
-        letters.append(X)  # most tracked words end in x, the memoized shape
+        letters.append(X)  # most draws end in x, the only shape tracked
     return reduce(letters, oracle)
 
 
@@ -578,9 +580,10 @@ def _random_extension(rng, s, span):
 def test_the_incremental_order_check_agrees_with_the_full_scans(oracle):
     """Chains of three random extensions, each checked on the carried memo and on fresh copies.
 
-    Words mix x^-1 and group letters; a step may add one pair, several, or
-    close an orbit through a chain, and a refused step starts the next one
-    from scratch.  Reflexive checks read the memo a step leaves behind.
+    Words mix x^-1 and group letters, and those that end in x are tracked;
+    a step may add one pair, several, or close an orbit through a chain, and
+    a refused step starts the next one from scratch.  Reflexive checks read
+    the memo a step leaves behind.
     """
     rng = random.Random(11 if oracle is TRIV else 12)
     alphabet = (X, X_INV) if oracle is TRIV else (X, X_INV, group(1), group(-1), group(2))
@@ -588,6 +591,7 @@ def test_the_incremental_order_check_agrees_with_the_full_scans(oracle):
     verdicts = []
     for _ in range(250):
         words = {_random_word(rng, alphabet, oracle) for _ in range(rng.randint(1, 3))}
+        words = {w for w in words if _ends_in_x(w)}
         s = PartialInjection(helpers.random_injection(rng, rng.randint(0, 4), 6).items())
         c = plain_condition(s, words)
         for _ in range(3):
@@ -644,6 +648,37 @@ class _WindowedTranslation(TranslationOracle):
         return super().eval(a, n)
 
 
+@pytest.mark.parametrize(
+    "letters",
+    [(X_INV,), (group(1),), (), (group(1), X_INV), (group(0), X)],
+    ids=["x^-1", "g1", "identity", "g1.x^-1", "unreduced-g0.x"],
+)
+def test_the_fixed_point_layer_refuses_a_word_not_reduced_or_not_ending_in_x(letters):
+    w = Word(letters)
+    s = PartialInjection([(0, 1), (1, 0), (2, 5)])
+    c = plain_condition(s, [w])
+    for check in (
+        lambda: leq(c, c, TRANS),
+        lambda: leq(plain_condition(s.with_pair(5, 2), [w]), c, TRANS),
+        lambda: fixed_points(w, s, TRANS),
+        lambda: word_graph(w, s, TRANS),
+    ):
+        with pytest.raises(PreconditionViolated, match="is not reduced or does not end in x"):
+            check()
+
+
+@pytest.mark.parametrize("oracle", [TRIV, TRANS], ids=["trivial", "translation"])
+def test_a_word_with_an_identity_group_letter_is_not_admissible(oracle):
+    """g0.x reduces to x, so it is not admissible: validate refuses it and add_word will not adjoin it."""
+    w = Word((group(oracle.identity()), X))
+    for c in (plain_condition(), coding_condition((1,)), dagger_condition((1,))):
+        assert validate(replace(c, words=frozenset({w})), oracle).reason == (
+            f"word {format_word(w, oracle)!r} is not admissible"
+        )
+        with pytest.raises(PreconditionViolated, match="not an admissible word"):
+            add_word(c, w, oracle)
+
+
 def test_the_order_check_misses_the_window_where_a_full_scan_would_first():
     """Misses in lower's own points and at upper's new ones: the first in dom(upper)'s order wins."""
     oracle = _WindowedTranslation(50)
@@ -651,7 +686,7 @@ def test_the_order_check_misses_the_window_where_a_full_scan_would_first():
     lower = plain_condition(PartialInjection([(1, 2), (40, 60), (9, 10)]), [w])
     upper = plain_condition(lower.s.with_pairs([(70, 80), (3, 90), (33, 55)]), [w])
     with pytest.raises(WindowTooSmall) as scan:
-        fixed_points(w, upper.s, oracle, support_bound(upper.s))
+        helpers.domain_scan_fixed_points(w, upper.s, oracle)
     with pytest.raises(WindowTooSmall) as check:
         leq(upper, lower, oracle)
     assert check.value.required == scan.value.required
