@@ -124,10 +124,15 @@ def chain(
 
 
 def validate(c: Condition, oracle) -> CheckResult:
-    """Check every flavor invariant; the reason names the first violated clause."""
-    for w in c.sorted_words(oracle):
-        if not W.is_admissible(w, oracle):
-            return CheckResult(False, f"word {W.format_word(w, oracle)!r} is not admissible")
+    """Check every flavor invariant; the reason names the first violated clause.
+
+    Words are checked for admissibility unsorted, and a refusal names the
+    least inadmissible word in text order, so only a refusal formats them.
+    """
+    inadmissible = [w for w in c.words if not W.is_admissible(w, oracle)]
+    if inadmissible:
+        text = min(W.format_word(w, oracle) for w in inadmissible)
+        return CheckResult(False, f"word {text!r} is not admissible")
     if c.flavor is Flavor.PLAIN:
         return CheckResult(True)
     if c.flavor is Flavor.CODING:
@@ -272,7 +277,9 @@ def many_extensions(
     the range, and v ≠ g(k) for each g in the word set's group restriction;
     each such pair extends c on its own.  Words must all have a single x
     occurrence: those are the only shapes whose fixed points a single fresh
-    pair provably cannot touch.
+    pair provably cannot touch.  One barred set serves the whole walk: the
+    node's values and the range, each grown value added once, and at depth
+    j the images g(j) for that depth only.
     """
     for w in c.words:
         if w.x_count() != 1:
@@ -282,20 +289,21 @@ def many_extensions(
     handles = W.graph_restriction(c.words, oracle)
     dom, ran = c.s.domain, c.s.range
     current = tuple(node)
+    barred = T.Barred(itertools.chain(current, ran))
     options: list[tuple[int, int]] = []
     stall_budget = count + len(dom) + 64
     while len(options) <= count:
         j = len(current)
-        forbidden = {(j, v) for v in ran}
-        forbidden.update((j, oracle.eval(h, j)) for h in handles)
-        grown = tree.extend_avoiding(current, forbidden)
-        for k in range(len(current), len(grown)):
+        barred.once = frozenset([oracle.eval(h, j) for h in handles])
+        grown = tree.extend_avoiding(current, barred)
+        barred.update(grown[j:])
+        for k in range(j, len(grown)):
             v = grown[k]
             if k in dom or v in ran:
                 continue
             if any(oracle.eval(h, k) == v for h in handles):
                 continue
-            candidate = replace(c, s=c.s.with_pair(k, v))
+            candidate = Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target)
             if not leq(candidate, c, oracle):
                 raise InternalCheckFailed(
                     f"avoidance clauses missed a fixed point at ({k}, {v})"

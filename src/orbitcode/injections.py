@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -48,9 +49,14 @@ class PartialInjection:
     (see _Fixes).  Once this map is certified to extend another, `_source`
     holds that map, the new pairs, and where the points they reach stopped
     under this map, so each memo is carried forward on first use.
+
+    A map made by with_pair or with_pairs keeps a weak link to the map it
+    was made from, `_parent`, and the pairs it inserted beyond it, `_new`,
+    so that extends and pairs_beyond cost O(new pairs) against that map.
+    The link is weak, so a map keeps none of its ancestors alive.
     """
 
-    __slots__ = ("_fwd", "_bwd", "_index", "_fixes", "_source")
+    __slots__ = ("_fwd", "_bwd", "_index", "_fixes", "_source", "_parent", "_new", "__weakref__")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         self._fwd: dict[int, int] = {}
@@ -58,11 +64,17 @@ class PartialInjection:
         self._index: _OrbitIndex | None = None
         self._fixes: dict | None = None
         self._source: tuple | None = None
+        self._parent: weakref.ref | None = None
+        self._new: tuple[tuple[int, int], ...] = ()
         self._add(pairs)
 
-    def _add(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Insert pairs into a map still being built; an identical repeat is skipped."""
+    def _add(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Insert pairs into a map still being built; an identical repeat is skipped.
+
+        Returns the pairs inserted, in order.
+        """
         fwd, bwd, index = self._fwd, self._bwd, self._index
+        inserted = []
         for n, m in pairs:
             if n < 0 or m < 0:
                 raise ValueError(f"negative point in pair ({n}, {m})")
@@ -74,8 +86,10 @@ class PartialInjection:
                 raise ValueError(f"{m} hit twice: by {bwd[m]} and {n}")
             fwd[n] = m
             bwd[m] = n
+            inserted.append((n, m))
             if index is not None:
                 index.link(fwd, n, m)
+        return inserted
 
     def _orbits(self) -> "_OrbitIndex":
         if self._index is None:
@@ -124,7 +138,8 @@ class PartialInjection:
         child._bwd = dict(self._bwd)
         child._index = None if self._index is None else self._index.copy()
         child._fixes = child._source = None
-        child._add(new)
+        child._parent = weakref.ref(self)
+        child._new = tuple(child._add(new))
         return child
 
     def inherit_orbits(self, other: "PartialInjection") -> None:
@@ -140,8 +155,22 @@ class PartialInjection:
                 index.link(self._fwd, n, m)
         self._index = index
 
+    def _made_from(self, other: "PartialInjection") -> bool:
+        return self._parent is not None and self._parent() is other
+
     def extends(self, other: "PartialInjection") -> bool:
-        return self._fwd.items() >= other._fwd.items()
+        return self._made_from(other) or self._fwd.items() >= other._fwd.items()
+
+    def pairs_beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...]:
+        """The pairs of self outside other, for self extending other.
+
+        For the map self was made from, the pairs with_pairs inserted, in
+        order; otherwise a set difference over the whole domain.
+        """
+        if self._made_from(other):
+            return self._new
+        fwd = self._fwd
+        return tuple((n, fwd[n]) for n in fwd.keys() - other._fwd.keys())
 
     def __len__(self) -> int:
         return len(self._fwd)
@@ -451,8 +480,7 @@ def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection,
     word gains, upper notes where those points stopped, so that lower's
     memos move to it on first use.
     """
-    fwd = upper._fwd
-    new = [(n, fwd[n]) for n in fwd.keys() - lower._fwd.keys()]
+    new = upper.pairs_beyond(lower)
     checks = []
     for w in words:
         misses: dict = {}

@@ -1,16 +1,22 @@
 """Injective trees: prefix-closed sets of injective finite sequences.
 
 Explicit trees are finite node sets used for exact predicate checks.
-Generated trees expose an extension oracle instead: given a node and a finite
-forbidden set of (index, value) pairs, produce a strictly longer node avoiding
-them.  Positivity (no finite family of function graphs covers the tree) is
+Generated trees expose an extension oracle instead: given a node and the
+values barred at its next index, produce a strictly longer node whose value
+there is not barred.  A walk keeps one Barred set from node to node: the
+set holds the node's values and whatever the walk keeps out all along, and
+only grows, while `once` holds the values barred at the next index alone.
+A generated tree takes the least unbarred value of one class (every
+natural, or one residue class) and resumes from the set's cursor for that
+class, so a walk of length L over a set of R values makes O(L + R) probes.
+Positivity (no finite family of function graphs covers the tree) is
 undecidable from finite data in general, so generated trees promise it
-through the oracle contract: they never refuse a finite forbidden set.
+through the oracle contract: they never refuse a finite barred set.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import TreeRefusedExtension
 from .injections import wire_int
@@ -22,12 +28,48 @@ def _is_injective(node: Node) -> bool:
     return len(set(node)) == len(node)
 
 
+class Barred(set):
+    """The values a walk may not place at a tree node's next index.
+
+    The set holds those barred for the whole walk, every value of the
+    current node among them, and may only grow while the walk lasts; `once`
+    holds those barred at the next index alone.  Per value class, the
+    naturals start + i·step, a cursor marks a point below which every value
+    of the class is in the set, so a scan of the class resumes there.
+    """
+
+    __slots__ = ("once", "_cursors")
+
+    def __init__(self, values: Iterable[int] = ()):
+        super().__init__(values)
+        self.once: frozenset[int] = frozenset()
+        self._cursors: dict[tuple[int, int], int] = {}
+
+    def bars(self, value: int) -> bool:
+        return value in self or value in self.once
+
+    def least(self, start: int, step: int) -> int:
+        """The least start + i·step, i >= 0, that is not barred."""
+        value = self._cursors.get((start, step), start)
+        while value in self:
+            value += step
+        self._cursors[(start, step)] = value
+        while self.bars(value):
+            value += step
+        return value
+
+
 class InjectiveTree:
     def contains(self, node: Node) -> bool:
         raise NotImplementedError
 
-    def extend_avoiding(self, node: Node, forbidden: Collection[tuple[int, int]]) -> Node:
-        """A strictly longer node avoiding every (index, value) constraint."""
+    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
+        """A strictly longer node whose value at index len(node) is not barred.
+
+        `barred` holds every value of node, so a tree that adds one value
+        stays injective by avoiding it; the caller adds the new values to it
+        before it asks for the next extension.
+        """
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -40,12 +82,8 @@ class FullInjectiveTree(InjectiveTree):
     def contains(self, node: Node) -> bool:
         return all(v >= 0 for v in node) and _is_injective(node)
 
-    def extend_avoiding(self, node: Node, forbidden: Collection[tuple[int, int]]) -> Node:
-        blocked = set(node) | {v for i, v in forbidden if i == len(node)}
-        value = 0
-        while value in blocked:
-            value += 1
-        return node + (value,)
+    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
+        return node + (barred.least(0, 1),)
 
     def descriptor(self) -> dict:
         return {"kind": "full"}
@@ -64,7 +102,7 @@ def _mix(seed: int, depth: int) -> int:
 class SparseCongruenceTree(InjectiveTree):
     """Depth d admits only values in one residue class mod `modulus`.
 
-    Each class is infinite, so every finite forbidden set can be avoided and
+    Each class is infinite, so every finite barred set can be avoided and
     the tree is positive; membership stays decidable from the node alone.
     """
 
@@ -82,13 +120,8 @@ class SparseCongruenceTree(InjectiveTree):
             return False
         return all(v % self.modulus == self.residue_at(i) for i, v in enumerate(node))
 
-    def extend_avoiding(self, node: Node, forbidden: Collection[tuple[int, int]]) -> Node:
-        depth = len(node)
-        blocked = set(node) | {v for i, v in forbidden if i == depth}
-        value = self.residue_at(depth)
-        while value in blocked:
-            value += self.modulus
-        return node + (value,)
+    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
+        return node + (barred.least(self.residue_at(len(node)), self.modulus),)
 
     def descriptor(self) -> dict:
         return {"kind": "sparse", "seed": self.seed, "modulus": self.modulus}
@@ -133,15 +166,15 @@ class ExplicitTree(InjectiveTree):
     def is_maximal(self, node: Node) -> bool:
         return not self.strict_extensions(node)
 
-    def extend_avoiding(self, node: Node, forbidden: Collection[tuple[int, int]]) -> Node:
+    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
+        """The least strict extension, by length then values, not barred at index len(node)."""
         node = tuple(node)
-        banned = set(map(tuple, forbidden))
         candidates = sorted(self.strict_extensions(node), key=lambda t: (len(t), t))
         for t in candidates:
-            if all((i, t[i]) not in banned for i in range(len(node), len(t))):
+            if not barred.bars(t[len(node)]):
                 return t
         raise TreeRefusedExtension(
-            f"no extension of {node} avoids {sorted(banned)}"
+            f"no extension of {node} avoids {sorted(barred | barred.once)}"
         )
 
     def descriptor(self) -> dict:

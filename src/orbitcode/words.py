@@ -17,7 +17,7 @@ Blocks are indexed from the right, matching that display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -52,9 +52,20 @@ def group(handle) -> Letter:
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word. Construct through `reduce`, not directly."""
+    """A reduced word. Construct through `reduce`, not directly.
+
+    Equal exactly when the letters are; the hash of the letters is taken
+    once, at construction, since words key sets and memos.
+    """
 
     letters: tuple[Letter, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch against the documented
 behavior, without importing the package, so expected values come from a
 second code path.  The scan references read package objects only through
 their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
-injection's `.apply`, `.apply_inverse`, `.domain` and `.support`, a
+injection's `.apply`, `.apply_inverse`, `.domain`, `.range` and `.support`, a
 condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
-`.compose`, `.invert` and `.is_identity`, and a tree's `.contains`.
+`.compose`, `.invert`, `.identity` and `.is_identity`, and a tree's
+`.contains`.
 """
 
 from __future__ import annotations
@@ -179,6 +180,37 @@ def two_sided_leq(upper, lower, oracle) -> dict:
         )
         for w in lower.words
     }
+
+
+def per_call_walk(c, tree, node, count: int, oracle):
+    """(node, options) of a tree walk that rebuilds its blocked values at every step.
+
+    The group restriction is the identity, every group letter of c's words
+    and their inverses.  At depth j the walk takes the least v with
+    tree.contains(node + (v,)) outside c's range and the images g(j), and
+    (j, v) is an option when j is outside c's domain and v ≠ g(j) for each g;
+    it stops once it holds more than `count` options.  For trees that add
+    one value per step; reads the tree only through `contains`.
+    """
+    handles = {oracle.identity()}
+    for w in c.words:
+        for letter in w.letters:
+            if letter.kind.value == "g":
+                handles.add(letter.handle)
+                handles.add(oracle.invert(letter.handle))
+    dom, ran = set(c.s.domain), set(c.s.range)
+    node = tuple(node)
+    options = []
+    while len(options) <= count:
+        j = len(node)
+        blocked = ran | {oracle.eval(h, j) for h in handles}
+        v = 0
+        while v in blocked or not tree.contains(node + (v,)):
+            v += 1
+        node += (v,)
+        if j not in dom and all(oracle.eval(h, j) != v for h in handles):
+            options.append((j, v))
+    return node, tuple(options)
 
 
 def x_balance(word) -> int:

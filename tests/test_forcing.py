@@ -17,6 +17,7 @@ from orbitcode import (
     KTooSmall,
     PartialInjection,
     PreconditionViolated,
+    SparseCongruenceTree,
     TranslationOracle,
     WindowTooSmall,
     Word,
@@ -48,6 +49,7 @@ from orbitcode import (
     open_orbits,
     orbit_decomposition,
     orbit_of,
+    parse_word,
     plain_condition,
     reduce,
     strong_close_orbit,
@@ -166,6 +168,28 @@ def test_extension_results_stay_below_the_input():
     assert validate(u, TRIV)
 
 
+def test_validate_names_the_least_inadmissible_word_in_text_order():
+    words = [parse_word(text, TRANS) for text in ("x^-1", "x", "g1", "g2.x^-1")]
+    check = validate(plain_condition(None, words), TRANS)
+    assert not check
+    assert check.reason == "word 'g1' is not admissible"
+
+
+def test_validate_formats_no_word_of_a_valid_condition(monkeypatch):
+    calls = []
+    real = W.format_word
+
+    def counted(w, oracle):
+        calls.append(w)
+        return real(w, oracle)
+
+    monkeypatch.setattr(W, "format_word", counted)
+    words = [parse_word(text, TRANS) for text in ("x", "x^2", "g1.x", "g-3.x^2.g1.x")]
+    assert validate(plain_condition(inj({0: 2, 2: 5}), words), TRANS)
+    assert validate(coding_condition((0, 1), inj({0: 1, 1: 0}), words), TRANS)
+    assert calls == []
+
+
 def test_many_extensions_with_nothing_forbidden():
     c = plain_condition()
     node, options = many_extensions(c, FullInjectiveTree(), (), 2, TRIV)
@@ -192,6 +216,30 @@ def test_many_extensions_rejects_repeated_x_words():
     c = plain_condition(None, [x_power(2)])
     with pytest.raises(PreconditionViolated):
         many_extensions(c, FullInjectiveTree(), (), 1, TRIV)
+
+
+def test_the_walk_returns_what_the_per_call_walk_returns():
+    """Full and sparse trees (moduli 2, 5, 7) over random maps, nodes and single-x words."""
+    rng = random.Random(12)
+    trees = [FullInjectiveTree()]
+    trees += [SparseCongruenceTree(seed, m) for m in (2, 5, 7) for seed in (1, 6)]
+    word_sets = {
+        TRIV: [[], [x_power(1)]],
+        TRANS: [
+            [x_power(1), GX],
+            [Word((group(-2), X)), Word((group(3), X))],
+            [Word((group(1), X)), Word((group(-1), X)), Word((group(5), X))],
+        ],
+    }
+    for tree, (oracle, sets) in itertools.product(trees, word_sets.items()):
+        for words in sets:
+            for _ in range(4):
+                s = inj(helpers.random_injection(rng, rng.randrange(12), 30))
+                c = plain_condition(s, words)
+                start, _ = helpers.per_call_walk(plain_condition(), tree, (), rng.randrange(4), TRIV)
+                count = rng.randrange(12)
+                expected = helpers.per_call_walk(c, tree, start, count, oracle)
+                assert many_extensions(c, tree, start, count, oracle) == expected
 
 
 def test_tree_extension_adds_one_fresh_pair():

@@ -221,6 +221,33 @@ def test_prime_parity_matches_the_reference_count(perm):
     assert o_dagger(s, 3) == helpers.parity_bits(tuple(perm), 3)
 
 
+@given(
+    small_injections,
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=6),
+    st.randoms(),
+)
+@settings(max_examples=100)
+def test_a_child_reads_its_extension_and_new_pairs_off_its_parent(s, extra, rng):
+    """with_pairs children, repeats of the parent's pairs and of their own included."""
+    fresh, dom, ran = [], set(s.domain), set(s.range)
+    for n, m in extra:
+        if n not in dom and m not in ran:
+            fresh.append((n, m))
+            dom.add(n)
+            ran.add(m)
+    pairs = fresh + rng.sample(s.pairs(), k=min(len(s), 3)) + fresh[:2]
+    rng.shuffle(pairs)
+    child = s.with_pairs(pairs)
+    grandchild = child.with_pairs(s.pairs()[:1])
+    for upper, lower in ((child, s), (grandchild, child), (grandchild, s), (s, child)):
+        by_sets = set(upper.pairs()) - set(lower.pairs())
+        assert upper.extends(lower) == (set(upper.pairs()) >= set(lower.pairs()))
+        if upper.extends(lower):
+            new = upper.pairs_beyond(lower)
+            assert len(new) == len(by_sets) and set(new) == by_sets
+    assert child.pairs_beyond(s) == tuple(dict.fromkeys(p for p in pairs if p in fresh))
+
+
 def test_extends_is_a_partial_order_on_samples():
     rng = random.Random(7)
     for _ in range(50):

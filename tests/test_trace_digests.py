@@ -67,6 +67,22 @@ DIGESTS = {
         "2e7ed42c9b565dbd7ee7331974c12df0"
         "9206d1a7b1e683a541eb43fc05cf345c"
     ),
+    "translation-trees": (
+        "c36054dcdbc26f92032cb70c37a95145"
+        "705edbb37cedcb84ad5c85fa1df80f22"
+    ),
+    "staged-trees-full": (
+        "08b2d8c182ee0dbfe8d6ee0f067963f2"
+        "be989dfc41736b20a688cd81d3ad62e0"
+    ),
+    "staged-trees-sparse-1": (
+        "20ea5a873fa976b6440730fed520c2b6"
+        "1d575505e6149c43beb39ceb947921fe"
+    ),
+    "staged-trees-sparse-2-5": (
+        "fdabcf56064e985299c0b5e2937cafbc"
+        "09fd7f64fff6fd24d5a62157d5901163"
+    ),
 }
 
 
@@ -107,6 +123,36 @@ def _plain_trees():
     return {"plain-trees": (trace, oracle)}, condition_to_data(stage.condition, oracle)
 
 
+def _translation_trees():
+    """Tree steps that bar the images of g1 and g-1 at every depth."""
+    oracle = translation_oracle()
+    schedule = [WordAdded(x_power(1)), WordAdded(Word((group(1), X)))]
+    trees = [FullInjectiveTree(), SparseCongruenceTree(3)]
+    schedule += [TreeDiagonalized(tree) for tree in trees * 2]
+    for i in range(8):
+        schedule += [DomainHits(i), RangeHits(i)]
+    return {"translation-trees": (run(Flavor.PLAIN, None, schedule, oracle), oracle)}
+
+
+def _staged_trees():
+    """Three plain tree runs, in order, over one staged oracle; sparse(1) grows its window."""
+    oracle = StagedOracle(staged_run(((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0))))
+    words = [x_power(1)] + [Word((group(oracle.generator(i)), X)) for i in (0, 1)]
+    builds = {}
+    for name, tree in (
+        ("staged-trees-full", FullInjectiveTree()),
+        ("staged-trees-sparse-1", SparseCongruenceTree(1)),
+        ("staged-trees-sparse-2-5", SparseCongruenceTree(2, 5)),
+    ):
+        schedule = [WordAdded(w) for w in words] + [TreeDiagonalized(tree)] * 3
+        for i in range(6):
+            schedule += [DomainHits(i), RangeHits(i)]
+        trace = run(Flavor.PLAIN, None, schedule, oracle)
+        builds[name] = (trace, oracle)
+        assert len(trace.growth_events) == (1 if name == "staged-trees-sparse-1" else 0)
+    return builds
+
+
 def _staged():
     stages = staged_run([(1, 0), (0, 1)])
     return {
@@ -141,3 +187,8 @@ def test_plain_tree_trace_and_seal_digests():
 
 def test_staged_trace_digests():
     _check(_staged())
+
+
+def test_tree_trace_digests_off_the_trivial_oracle():
+    _check(_translation_trees())
+    _check(_staged_trees())

@@ -10,19 +10,85 @@ from orbitcode import (
     ExplicitTree,
     FullInjectiveTree,
     SparseCongruenceTree,
+    TreeRefusedExtension,
     diagonalization_witness,
     tree_from_descriptor,
 )
-from orbitcode.trees import undiagonalized_node
+from orbitcode.trees import Barred, undiagonalized_node
 
 import helpers
 
 
+def _barred(values=(), once=()):
+    barred = Barred(values)
+    barred.once = frozenset(once)
+    return barred
+
+
 def test_full_tree_extends_by_the_least_free_value():
     tree = FullInjectiveTree()
-    assert tree.extend_avoiding((), {(0, 0)}) == (1,)
-    assert tree.extend_avoiding((5,), ()) == (5, 0)
-    assert tree.extend_avoiding((0, 1), {(2, 2), (2, 3)}) == (0, 1, 4)
+    assert tree.extend_avoiding((), _barred({0})) == (1,)
+    assert tree.extend_avoiding((5,), _barred({5})) == (5, 0)
+    assert tree.extend_avoiding((0, 1), _barred({0, 1}, once={2, 3})) == (0, 1, 4)
+
+
+def test_a_value_barred_once_is_free_at_the_next_index():
+    """The cursor stops at a value barred for one index only, so the next extension takes it."""
+    trees = (SparseCongruenceTree(seed, 2) for seed in itertools.count())
+    sparse = next(tree for tree in trees if tree.residue_at(0) == tree.residue_at(1))
+    for tree, want, step in ((FullInjectiveTree(), 0, 1), (sparse, sparse.residue_at(0), 2)):
+        barred = _barred(once={want})
+        node = tree.extend_avoiding((), barred)
+        assert node == (want + step,)
+        barred.add(node[-1])
+        barred.once = frozenset()
+        assert tree.extend_avoiding(node, barred) == node + (want,)
+
+
+def test_explicit_tree_takes_the_least_extension_unbarred_at_the_next_index():
+    tree = ExplicitTree([(), (1,), (1, 2), (2,), (3,), (3, 1), (3, 1, 0)])
+    assert tree.extend_avoiding((), _barred({1})) == (2,)
+    assert tree.extend_avoiding((), _barred({1}, once={2})) == (3,)
+    assert tree.extend_avoiding((3,), _barred({3})) == (3, 1)
+    with pytest.raises(TreeRefusedExtension):
+        tree.extend_avoiding((), _barred({1, 2}, once={3}))
+
+
+def _probes_of_a_walk(tree, resume: bool) -> int:
+    """Probes of a 300-step walk over 2,000 barred values, each step barring two more once.
+
+    Without `resume`, every step gets a fresh copy of the set, so it scans
+    its class from the least value again, as a walk without cursors does.
+    """
+    probes = [0]
+
+    class Counting(Barred):
+        __slots__ = ()
+
+        def __contains__(self, value):
+            probes[0] += 1
+            return super().__contains__(value)
+
+    barred = Counting(range(2000))
+    node = ()
+    for depth in range(300):
+        if not resume:
+            barred = Counting(barred)
+        barred.once = frozenset({2000 + depth, 2001 + 3 * depth})
+        node = tree.extend_avoiding(node, barred)
+        barred.add(node[-1])
+    assert tree.contains(node)
+    return probes[0]
+
+
+@pytest.mark.parametrize(
+    "tree", [FullInjectiveTree(), SparseCongruenceTree(5, 2), SparseCongruenceTree(5, 7)]
+)
+def test_a_walk_probes_its_barred_set_linearly(tree):
+    """Probes grow with the walk plus the barred set, not with their product."""
+    bound = 2 * (2000 + 300) + 6 * 300
+    assert _probes_of_a_walk(tree, resume=True) <= bound
+    assert _probes_of_a_walk(tree, resume=False) > 10 * bound
 
 
 def test_full_tree_contains_exactly_the_injective_nodes():
@@ -35,8 +101,10 @@ def test_full_tree_contains_exactly_the_injective_nodes():
 def test_sparse_tree_respects_its_residues():
     tree = SparseCongruenceTree(seed=3)
     node = ()
+    barred = _barred()
     for _ in range(5):
-        node = tree.extend_avoiding(node, ())
+        node = tree.extend_avoiding(node, barred)
+        barred.add(node[-1])
         assert tree.contains(node)
         depth = len(node) - 1
         assert node[depth] % 7 == tree.residue_at(depth)
@@ -45,10 +113,10 @@ def test_sparse_tree_respects_its_residues():
 def test_sparse_tree_extension_avoids_the_forbidden_pairs():
     tree = SparseCongruenceTree(seed=11)
     want = tree.residue_at(0)
-    forbidden = {(0, want), (0, want + 7)}
-    node = tree.extend_avoiding((), forbidden)
-    assert (0, node[0]) not in forbidden
-    assert node[0] % 7 == want
+    barred = _barred(once={want, want + 7})
+    node = tree.extend_avoiding((), barred)
+    assert node[0] not in barred.once
+    assert node[0] == want + 14
 
 
 def test_explicit_tree_is_prefix_closed():

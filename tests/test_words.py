@@ -198,6 +198,16 @@ def test_format_and_parse_round_trip():
     assert parse_word(text, TRANS) == word
 
 
+def test_equal_words_from_parse_and_reduce_hash_and_compare_equal():
+    raw = (group(3), group(-2), X, X_INV, X, X, group(-3), X_INV, X, X)
+    reduced = reduce(raw, TRANS)
+    parsed = parse_word("g1.x^2.g-3.x", TRANS)
+    assert parsed == reduced and hash(parsed) == hash(reduced)
+    assert {parsed: 1}[reduced] == 1 and len({parsed, reduced, w(*parsed.letters)}) == 1
+    assert repr(parsed) == repr(reduced) == f"Word(letters={parsed.letters!r})"
+    assert parsed != parse_word("g1.x^2.g-2.x", TRANS)
+
+
 def test_format_of_pure_power():
     assert format_word(x_power(3), TRIV) == "x^3"
     assert format_word(x_power(1), TRIV) == "x"
