@@ -17,7 +17,7 @@ from . import injections as I
 from . import oracle as O
 from . import trees as T
 from . import words as W
-from .errors import OrbitCodeError
+from .errors import OrbitCodeError, Refused
 
 
 def _fail(message: str, code: int) -> int:
@@ -139,9 +139,10 @@ def cmd_verify(args) -> int:
         return _fail(f"cannot read trace: {exc}", 2)
     except json.JSONDecodeError as exc:
         return _fail(f"not JSON: {exc}", 2)
-    result = E.verify_trace_data(data)
-    if not result:
-        return _fail(f"verification failed: {result.reason}", 1)
+    try:
+        E.verify_trace_data(data)
+    except Refused as exc:
+        return _fail(f"verification failed: {exc}", 1)
     print(f"ok: {len(data.get('steps', []))} steps verified")
     return 0
 

@@ -13,7 +13,8 @@ condition is the previous upper and its requirement the schedule's entry.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
-still fails aborts the run with an EngineError naming the step.
+still fails aborts the run with an EngineError naming the step, a refusal
+raised by a forcing check included.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     InternalCheckFailed,
     OrbitCodeError,
     PrefixTooShort,
+    Refused,
     WindowTooSmall,
 )
 
@@ -210,8 +212,8 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
             raise ValueError("plain runs take no target bits")
         target = None
     else:
-        target = tuple(int(b) for b in (r or ()))
-        if not set(target) <= {0, 1}:
+        target = tuple(r or ())
+        if any(type(b) is not int or b not in (0, 1) for b in target):
             raise ValueError(f"target bits must be 0 or 1, got {list(target)}")
     c = F.Condition(I.PartialInjection(), frozenset(), flavor, target)
     oracle_spec = oracle.descriptor()
@@ -295,7 +297,7 @@ def staged_run(targets: Sequence[Sequence[int]]) -> list[O.CompletedStage]:
     """
     stages: list[O.CompletedStage] = []
     for index, target in enumerate(targets):
-        bits = tuple(int(b) for b in target)
+        bits = tuple(target)
         oracle = O.StagedOracle(stages)
         schedule = default_stage_schedule(index, bits, oracle)
         trace = run(F.Flavor.DAGGER, bits, schedule, oracle)
@@ -490,7 +492,7 @@ def _replay_growth(events, oracle, length: int) -> None:
         last = step
 
 
-def verify_trace_data(data: Mapping) -> F.CheckResult:
+def verify_trace_data(data: Mapping) -> None:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
     Anything trace_to_data would not write is malformed: a key missing from
@@ -502,8 +504,10 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
     engine's rule.  Each step's upper condition, each word text parsed once,
     must extend the condition before it with the stored snapshots, validate,
     and meet its schedule entry; the final condition and decoded bits must
-    recompute.
+    recompute.  Refused names the first claim that fails, and the step it
+    fails at.
     """
+    i = None  # the step being replayed; None before and after the steps
     try:
         _closed(data, _TRACE_KEYS, "trace")
         oracle = _oracle_from_data(data["oracle"])
@@ -521,34 +525,29 @@ def verify_trace_data(data: Mapping) -> F.CheckResult:
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _replay_growth(data["growth_events"], oracle, len(schedule))
-    except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
-        return F.CheckResult(False, f"malformed trace: {exc}")
-    parsed: dict = {}
-    for i, (entry, step) in enumerate(zip(schedule, steps)):
-        try:
+        parsed: dict = {}
+        for i, (entry, step) in enumerate(zip(schedule, steps)):
             req = _requirement_from_entry(entry, oracle)
             tree = isinstance(req, TreeDiagonalized)
             _closed(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
             extra = _closed(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
             data_cert = _closed(step["certificate"], _CERTIFICATE_KEYS, "certificate")
             _closed(data_cert["upper"], condition_keys, "upper")
-            cert = F.verify_certificate_data(data_cert, c, oracle, parsed)
-            if not cert:
-                return F.CheckResult(False, f"step {i}: {cert.reason}")
-            c = cert.upper
-            valid = F.validate(c, oracle)
-            if not valid:
-                return F.CheckResult(False, f"step {i}: invalid condition: {valid.reason}")
+            c = F.verify_certificate_data(data_cert, c, oracle, parsed).upper
+            try:
+                F.validate(c, oracle)
+            except Refused as exc:
+                raise Refused(f"invalid condition: {exc}") from None
             if not _requirement_holds(req, extra, c, oracle):
-                return F.CheckResult(False, f"step {i}: requirement not satisfied")
-        except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
-            return F.CheckResult(False, f"step {i}: malformed: {exc}")
-    try:
+                raise Refused("requirement not satisfied")
+        i = None
         final = _closed(data["final"], condition_keys, "final")
         if F.condition_from_data(final, oracle, parsed) != c:
-            return F.CheckResult(False, "final condition does not match the last step")
+            raise Refused("final condition does not match the last step")
         if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):
-            return F.CheckResult(False, "decoded bits do not match the final condition")
+            raise Refused("decoded bits do not match the final condition")
+    except Refused as exc:
+        raise Refused(str(exc) if i is None else f"step {i}: {exc}") from None
     except (KeyError, TypeError, ValueError, OrbitCodeError) as exc:
-        return F.CheckResult(False, f"malformed trace: {exc}")
-    return F.CheckResult(True)
+        where = "malformed trace" if i is None else f"step {i}: malformed"
+        raise Refused(f"{where}: {exc}") from None

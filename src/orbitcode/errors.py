@@ -5,6 +5,10 @@ class OrbitCodeError(Exception):
     """Base class for package errors."""
 
 
+class Refused(OrbitCodeError):
+    """A check (validate, leq, a verifier) said no; the message names the clause."""
+
+
 class UnknownGroupElement(OrbitCodeError):
     """A handle was passed to an oracle that does not recognize it."""
 

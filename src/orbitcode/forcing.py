@@ -19,8 +19,9 @@ of the result against the input; an operation made of several steps chains
 their certificates by transitivity instead of checking again.  Callers store
 the certificate as it is.  Serialized, it keeps only its upper condition and
 snapshots, and re-verifies against a lower condition the reader already
-holds.  A refusal is a falsy CheckResult with a reason.  All tie-breaking
-picks the least value, so runs are reproducible bit for bit.
+holds.  A check that says no raises Refused naming the clause, and an
+operation lets it propagate.  All tie-breaking picks the least value, so
+runs are reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
@@ -44,6 +45,7 @@ from .errors import (
     NotNiceInjection,
     PreconditionViolated,
     PrefixTooShort,
+    Refused,
 )
 
 _SCAN_CAP = 1_000_000
@@ -91,15 +93,6 @@ def dagger_condition(r: Sequence[int], s=None, words: Iterable[W.Word] = ()) -> 
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class ExtensionCertificate:
     """A verified instance of upper ≤ lower with fixed-point snapshots."""
 
@@ -123,8 +116,8 @@ def chain(
     return ExtensionCertificate(first.lower, then.upper, kept)
 
 
-def validate(c: Condition, oracle) -> CheckResult:
-    """Check every flavor invariant; the reason names the first violated clause.
+def validate(c: Condition, oracle) -> None:
+    """Check every flavor invariant; Refused names the first violated clause.
 
     Words are checked for admissibility unsorted, and a refusal names the
     least inadmissible word in text order, so only a refusal formats them.
@@ -132,19 +125,17 @@ def validate(c: Condition, oracle) -> CheckResult:
     inadmissible = [w for w in c.words if not W.is_admissible(w, oracle)]
     if inadmissible:
         text = min(W.format_word(w, oracle) for w in inadmissible)
-        return CheckResult(False, f"word {text!r} is not admissible")
+        raise Refused(f"word {text!r} is not admissible")
     if c.flavor is Flavor.PLAIN:
-        return CheckResult(True)
+        return
     if c.flavor is Flavor.CODING:
         try:
             bits = I.o_partial(c.s)
         except NotNiceInjection:
-            return CheckResult(False, "injection is not nice")
+            raise Refused("injection is not nice") from None
         if len(bits) > len(c.target) or tuple(c.target[: len(bits)]) != bits:
-            return CheckResult(
-                False, f"orbit code {list(bits)} is not a prefix of target {list(c.target)}"
-            )
-        return CheckResult(True)
+            raise Refused(f"orbit code {list(bits)} is not a prefix of target {list(c.target)}")
+        return
     # dagger: per indecomposable root v, the closure of its top power and v[s]'s code
     tops: dict[W.Word, W.Word] = {}
     for w in c.words:
@@ -158,9 +149,9 @@ def validate(c: Condition, oracle) -> CheckResult:
             if u not in c.words:
                 if u.letters[: len(v)] != v.letters:
                     text = W.format_word(u, oracle)
-                    return CheckResult(False, f"rotation class not closed: missing {text!r}")
+                    raise Refused(f"rotation class not closed: missing {text!r}")
                 text, power = W.format_word(top, oracle), len(u) // len(v)
-                return CheckResult(False, f"missing power {power} of root of {text!r}")
+                raise Refused(f"missing power {power} of root of {text!r}")
             if len(u) == len(v):
                 covered[u] = k
         last = len(I.primes_up_to(k)) - 1
@@ -168,15 +159,12 @@ def validate(c: Condition, oracle) -> CheckResult:
             continue
         for n, bit in enumerate(I.o_dagger(I.word_graph(v, c.s, oracle), last)):
             if len(c.target) <= n:
-                reason = f"target too short for power-{k} obligation at bit {n}"
-                return CheckResult(False, reason)
+                raise Refused(f"target too short for power-{k} obligation at bit {n}")
             if bit != c.target[n]:
-                text = W.format_word(v, oracle)
-                return CheckResult(False, f"evaluation of {text!r} miscodes bit {n}")
-    return CheckResult(True)
+                raise Refused(f"evaluation of {W.format_word(v, oracle)!r} miscodes bit {n}")
 
 
-def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | CheckResult:
+def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
     """Certificate that upper extends lower: graphs and words grow, fixed points don't.
 
     Once upper.s extends lower.s, a point a word fixes under lower.s it
@@ -185,29 +173,27 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate | Ch
     point, can one be gained.  injections.gained_fixed_points evaluates
     there alone; an empty E needs no look at the pairs at all.  lower must
     be valid, so that its words are reduced and end in x; a word of any
-    other shape raises PreconditionViolated.
+    other shape raises PreconditionViolated.  A refusal raises Refused.
     """
     if upper.flavor is not lower.flavor or upper.target != lower.target:
-        return CheckResult(False, "flavor or target mismatch")
+        raise Refused("flavor or target mismatch")
     if not upper.s.extends(lower.s):
-        return CheckResult(False, "injection does not extend")
+        raise Refused("injection does not extend")
     if not lower.words <= upper.words:
-        return CheckResult(False, "word set does not extend")
+        raise Refused("word set does not extend")
     if not lower.words:
         return ExtensionCertificate(lower, upper, ())
     snapshots = []
     for text, w, fixed, gained in I.gained_fixed_points(lower.words, upper.s, lower.s, oracle):
         if gained:
-            return CheckResult(False, f"word {text!r} changed fixed points (gained {gained})")
+            raise Refused(f"word {text!r} changed fixed points (gained {gained})")
         snapshots.append((w, fixed))
     return ExtensionCertificate(lower, upper, tuple(snapshots))
 
 
-def _admissible(c: Condition, candidate: Condition, oracle):
-    """validate + leq in one step: the certificate candidate ≤ c, or a falsy refusal."""
-    check = validate(candidate, oracle)
-    if not check:
-        return check
+def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
+    """validate + leq in one step: the certificate candidate ≤ c, or Refused."""
+    validate(candidate, oracle)
     return leq(candidate, c, oracle)
 
 
@@ -218,9 +204,10 @@ def _least_admissible(
     for v in range(_SCAN_CAP + 1):
         if v in taken:
             continue
-        cert = _admissible(c, replace(c, s=c.s.with_pair(*pair_at(v))), oracle)
-        if cert:
-            return cert
+        try:
+            return _admissible(c, replace(c, s=c.s.with_pair(*pair_at(v))), oracle)
+        except Refused:
+            pass
     raise InternalCheckFailed(f"no admissible {what} up to {_SCAN_CAP}")
 
 
@@ -279,7 +266,8 @@ def many_extensions(
     occurrence: those are the only shapes whose fixed points a single fresh
     pair provably cannot touch.  One barred set serves the whole walk: the
     node's values and the range, each grown value added once, and at depth
-    j the images g(j) for that depth only.
+    j the images g(j) for that depth only, so only the values a tree adds
+    past depth j are checked against group images here.
     """
     for w in c.words:
         if w.x_count() != 1:
@@ -301,13 +289,14 @@ def many_extensions(
             v = grown[k]
             if k in dom or v in ran:
                 continue
-            if any(oracle.eval(h, k) == v for h in handles):
+            if k > j and any(oracle.eval(h, k) == v for h in handles):
                 continue
-            candidate = Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target)
-            if not leq(candidate, c, oracle):
+            try:
+                leq(Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target), c, oracle)
+            except Refused as exc:
                 raise InternalCheckFailed(
                     f"avoidance clauses missed a fixed point at ({k}, {v})"
-                )
+                ) from exc
             options.append((k, v))
         current = grown
         stall_budget -= 1
@@ -351,10 +340,7 @@ def tree_extend(
             f"{len(options)} options but none reaches bound {bound}"
         )
     k0, v0 = min(viable)
-    cert = _admissible(c, replace(c, s=c.s.with_pair(k0, v0)), oracle)
-    if not cert:
-        raise InternalCheckFailed(f"fresh pair ({k0}, {v0}) refused: {cert.reason}")
-    return cert, grown, k0
+    return _admissible(c, replace(c, s=c.s.with_pair(k0, v0)), oracle), grown, k0
 
 
 def closing_threshold(c: Condition, n: int) -> int:
@@ -445,12 +431,7 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
         raise InternalCheckFailed(
             f"closed orbit came out {final_orbit.size}, wanted {k}"
         )
-    cert = _admissible(c, closed, oracle)
-    if not cert:
-        raise PreconditionViolated(
-            f"closing through {n} at size {k} breaks the flavor: {cert.reason}"
-        )
-    return cert
+    return _admissible(c, closed, oracle)
 
 
 def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
@@ -554,10 +535,7 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
             f"expected one new size-{k} orbit of the evaluation,"
             f" got {sorted(o.size for o in after)} from {sorted(o.size for o in before)}"
         )
-    cert = _admissible(c, closed, oracle)
-    if not cert:
-        raise InternalCheckFailed(f"strong closure refused: {cert.reason}")
-    return cert
+    return _admissible(c, closed, oracle)
 
 
 def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
@@ -574,10 +552,7 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
     if not W.is_admissible(w, oracle):
         raise PreconditionViolated(f"not an admissible word: {W.format_word(w, oracle)!r}")
     if c.flavor is not Flavor.DAGGER:
-        cert = _admissible(c, replace(c, words=c.words | {w}), oracle)
-        if not cert:
-            raise PreconditionViolated(f"cannot adjoin the word: {cert.reason}")
-        return cert
+        return _admissible(c, replace(c, words=c.words | {w}), oracle)
     v, k = W.indecomposable_root(w, oracle)
     cert = None
     if k > 1 and W.power(v, k - 1, oracle) not in c.words:
@@ -597,10 +572,7 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
             if I.o_dagger(graph, n)[n] != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
     closed = current.words.union(W.closure(v, k, oracle))
-    step = _admissible(current, replace(current, words=closed), oracle)
-    if not step:
-        raise InternalCheckFailed(f"word addition refused: {step.reason}")
-    return chain(cert, step)
+    return chain(cert, _admissible(current, replace(current, words=closed), oracle))
 
 
 def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
@@ -696,19 +668,20 @@ def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
 
 def verify_certificate_data(
     data: dict, lower: Condition, oracle, parsed: dict | None = None
-) -> ExtensionCertificate | CheckResult:
+) -> ExtensionCertificate:
     """Parse the upper condition once and recheck it against lower: order and snapshots.
 
     The stored snapshots must be exactly those certificate_to_data writes for
     the recomputed certificate.  Once upper is proven to extend lower, its
     injection takes over lower's orbit index, if lower has one.  Returns that
-    certificate, or a falsy CheckResult naming the failed clause.
+    certificate; Refused names the failed clause.
     """
     upper = condition_from_data(data["upper"], oracle, parsed)
-    result = leq(upper, lower, oracle)
-    if not result:
-        return CheckResult(False, f"order recheck failed: {result.reason}")
+    try:
+        cert = leq(upper, lower, oracle)
+    except Refused as exc:
+        raise Refused(f"order recheck failed: {exc}") from None
     upper.s.inherit_orbits(lower.s)
-    if _snapshots_to_data(result.snapshots, oracle) != data["fixpoint_snapshots"]:
-        return CheckResult(False, "fixed-point snapshots do not match")
-    return result
+    if _snapshots_to_data(cert.snapshots, oracle) != data["fixpoint_snapshots"]:
+        raise Refused("fixed-point snapshots do not match")
+    return cert

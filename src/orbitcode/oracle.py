@@ -24,7 +24,7 @@ from typing import Sequence
 from . import forcing as F
 from . import injections as I
 from . import words as W
-from .errors import StageExtensionFailed, UnknownGroupElement, WindowTooSmall
+from .errors import Refused, StageExtensionFailed, UnknownGroupElement, WindowTooSmall
 
 UNBOUNDED = 2**62
 
@@ -314,7 +314,7 @@ class StagedOracle(GroupOracle):
                             f"stage {index} growth kept hitting window limits"
                         ) from e
                     sub.grow_window(max(e.required, 2 * sub.window()))
-                except (F.PreconditionViolated, F.InternalCheckFailed) as exc:
+                except (F.PreconditionViolated, F.InternalCheckFailed, Refused) as exc:
                     raise StageExtensionFailed(
                         f"stage {index} growth broke its stored order: {exc}"
                     ) from exc
@@ -411,10 +411,12 @@ def _proven_stage(i: int, stage: CompletedStage, before: StagedOracle) -> Comple
         problem = "has an open orbit"
     elif stage.window != I.mex(s.support):
         problem = f"window {stage.window} is not mex(support) = {I.mex(s.support)}"
-    elif not (valid := F.validate(stage.condition, before)):
-        problem = f"invalid condition: {valid.reason}"
-    elif decoded != bits:
-        problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
     else:
-        return stage
+        try:
+            F.validate(stage.condition, before)
+        except Refused as exc:
+            raise ValueError(f"stage {i}: invalid condition: {exc}") from None
+        if decoded == bits:
+            return stage
+        problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
     raise ValueError(f"stage {i}: {problem}")

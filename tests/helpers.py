@@ -7,12 +7,17 @@ their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
 injection's `.apply`, `.apply_inverse`, `.domain`, `.range` and `.support`, a
 condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
 `.compose`, `.invert`, `.identity` and `.is_identity`, and a tree's
-`.contains`.
+`.contains`.  Only `refusal` and `holds` import from the package: its one
+refusal type, to read a check's text or verdict.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
+
+from orbitcode import Refused
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -322,4 +327,20 @@ def word_by_word_dagger_clauses(c, oracle) -> bool:
         for n, prime in enumerate(p for p in PRIMES if p <= k):
             if n >= len(c.target) or sizes.count(prime) % 2 != c.target[n]:
                 return False
+    return True
+
+
+def refusal(call, *args) -> str:
+    """The text of the Refused that call(*args) raises; fails the test if it returns."""
+    with pytest.raises(Refused) as refused:
+        call(*args)
+    return str(refused.value)
+
+
+def holds(call, *args) -> bool:
+    """True if call(*args) returns, False if it raises Refused."""
+    try:
+        call(*args)
+    except Refused:
+        return False
     return True

@@ -50,6 +50,8 @@ from orbitcode import injections as I
 from orbitcode import words as W
 from orbitcode.engine import requirement_from_data, requirement_to_data
 
+import helpers
+
 
 def test_plain_run_covers_the_requested_points():
     oracle = trivial_oracle()
@@ -68,9 +70,17 @@ def test_plain_runs_reject_target_bits():
 
 @pytest.mark.parametrize("flavor", [Flavor.CODING, Flavor.DAGGER])
 def test_runs_reject_target_bits_other_than_0_and_1(flavor):
-    """verify reads only bits, so a run with a target of 2 would write a trace it refuses."""
-    with pytest.raises(ValueError, match=r"target bits must be 0 or 1, got \[1, 2\]"):
-        run(flavor, (1, 2), [DomainHits(0)], trivial_oracle())
+    """Only the integers 0 and 1 are bits; staged runs are dagger runs.
+
+    verify reads nothing else as a bit, so a run given a 2, a float, a
+    string or a boolean would write a trace it refuses.
+    """
+    for bits, shown in (((1, 2), r"\[1, 2\]"), ((1.7, "0", True), r"\[1.7, '0', True\]")):
+        with pytest.raises(ValueError, match=rf"target bits must be 0 or 1, got {shown}"):
+            run(flavor, bits, [DomainHits(0)], trivial_oracle())
+        if flavor is Flavor.DAGGER:
+            with pytest.raises(ValueError, match=rf"target bits must be 0 or 1, got {shown}"):
+                staged_run([bits])
 
 
 def test_coding_run_round_trips_its_bits():
@@ -137,7 +147,7 @@ def test_seal_closes_every_orbit():
     assert open_orbits(trace.final.s)
     stage = seal(trace, oracle)
     assert not open_orbits(stage.injection)
-    assert validate(stage.condition, oracle)
+    validate(stage.condition, oracle)
     assert stage.window == mex(stage.injection.support)
 
 
@@ -258,7 +268,7 @@ def test_trace_serialization_replays_cleanly():
     data = trace_to_data(trace, oracle)
     assert data["conventions"]["prime_indexing"]
     wire = json.loads(json.dumps(data))
-    assert verify_trace_data(wire)
+    verify_trace_data(wire)
 
 
 def test_tampered_traces_fail_replay():
@@ -266,9 +276,8 @@ def test_tampered_traces_fail_replay():
     trace = run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle)
     data = json.loads(json.dumps(trace_to_data(trace, oracle)))
     data["steps"][2]["certificate"]["upper"]["injection"][0][1] += 1
-    result = verify_trace_data(data)
-    assert not result
-    assert "step" in (result.reason or "")
+    result = helpers.refusal(verify_trace_data, data)
+    assert "step" in result
 
 
 def test_rewritten_decoded_bits_fail_replay():
@@ -276,7 +285,7 @@ def test_rewritten_decoded_bits_fail_replay():
     trace = run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle)
     data = json.loads(json.dumps(trace_to_data(trace, oracle)))
     data["decoded"] = [0, 0]
-    assert not verify_trace_data(data)
+    helpers.refusal(verify_trace_data, data)
 
 
 def _wire(trace, oracle):
@@ -292,52 +301,48 @@ def test_every_stage_trace_replays_its_growth_events(three_stages):
     assert three_stages[1].trace.growth_events
     assert three_stages[2].trace.growth_events
     for i, stage in enumerate(three_stages):
-        assert verify_trace_data(_wire(stage.trace, staged_oracle(three_stages[:i]))), i
+        verify_trace_data(_wire(stage.trace, staged_oracle(three_stages[:i])))
 
 
 def test_a_stage_trace_without_its_growth_events_fails_replay(three_stages):
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
     data["growth_events"] = []
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("step 1:")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("step 1:")
 
 
 def test_a_growth_target_off_the_engine_rule_fails_replay(three_stages):
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
     for event in data["growth_events"]:
         event["target"] = event["required"]
-    result = verify_trace_data(data)
-    assert not result
-    assert "growth event 0" in result.reason
+    result = helpers.refusal(verify_trace_data, data)
+    assert "growth event 0" in result
 
 
 def test_a_stage_trace_missing_its_first_growth_event_fails_replay(three_stages):
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
     assert [event["step"] for event in data["growth_events"]] == [1, 11]
     data["growth_events"].pop(0)
-    result = verify_trace_data(data)
-    assert not result
-    assert "growth event 0" in result.reason
+    result = helpers.refusal(verify_trace_data, data)
+    assert "growth event 0" in result
 
 
 def test_a_forged_fixed_point_snapshot_fails_replay():
     oracle = trivial_oracle()
     schedule = [WordAdded(x_power(1)), DomainHits(0), RangeHits(0), DomainHits(1)]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     entry = data["steps"][2]["certificate"]["fixpoint_snapshots"][0]
     assert entry["word"] == "x"
     entry["fixed_points"].append(max(entry["fixed_points"], default=0) + 1)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "step 2: fixed-point snapshots do not match"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 2: fixed-point snapshots do not match"
 
 
 def test_a_dagger_run_over_translations_replays_its_word_requirement():
     oracle = translation_oracle()
     trace = run(Flavor.DAGGER, (1, 0), [WordAdded(Word((group(1), X)))], oracle)
-    assert verify_trace_data(_wire(trace, oracle))
+    verify_trace_data(_wire(trace, oracle))
 
 
 @pytest.mark.parametrize("key, forged", [("witness_index", 99), ("witness_node", [5, 5, 5])])
@@ -345,20 +350,18 @@ def test_a_forged_tree_witness_fails_replay(key, forged):
     oracle = trivial_oracle()
     schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     data["steps"][1]["extra"][key] = forged
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "step 1: requirement not satisfied"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 1: requirement not satisfied"
 
 
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
     data["growth_events"].append({"step": 0, "required": 5, "target": 2**63 + 16, "window": 2**62})
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "malformed trace: growth event 0: the oracle has no window to grow"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "malformed trace: growth event 0: the oracle has no window to grow"
 
 
 def _forge_op(data):
@@ -382,11 +385,10 @@ def _extra_on_a_hit(data):
 def test_a_step_with_a_key_outside_the_format_fails_replay(forge):
     oracle = trivial_oracle()
     data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     forge(data)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("step 1: malformed: ")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("step 1: malformed: ")
 
 
 @pytest.mark.parametrize("key, forged", [("witness_index", None), ("origin", "forged")])
@@ -398,9 +400,8 @@ def test_a_tree_witness_with_a_key_outside_the_format_fails_replay(key, forged):
         del data["steps"][1]["extra"][key]
     else:
         data["steps"][1]["extra"][key] = forged
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("step 1: malformed: extra has keys")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("step 1: malformed: extra has keys")
 
 
 @pytest.mark.parametrize("key", ["growth_events", "target", "note"])
@@ -411,17 +412,15 @@ def test_a_trace_with_a_top_level_key_outside_the_format_fails_replay(key):
         del data[key]
     else:
         data[key] = "forged"
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("malformed trace: trace has keys")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("malformed trace: trace has keys")
 
 
 def test_a_growth_event_with_a_key_outside_the_format_fails_replay(three_stages):
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
     data["growth_events"][0]["note"] = "forged"
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("malformed trace: growth event 0 has keys")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("malformed trace: growth event 0 has keys")
 
 
 def _note_at(*path):
@@ -448,11 +447,10 @@ def test_a_condition_schedule_entry_or_oracle_with_a_key_outside_the_format_fail
 ):
     oracle = trivial_oracle()
     data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     forge(data)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith(reason)
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith(reason)
 
 
 @pytest.mark.parametrize(
@@ -464,30 +462,27 @@ def test_a_tree_descriptor_with_a_key_outside_the_format_fails_replay(tree):
     oracle = trivial_oracle()
     schedule = [DomainHits(0), TreeDiagonalized(tree)]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     data["schedule"][1]["tree"]["note"] = "forged"
-    result = verify_trace_data(data)
-    assert not result
+    result = helpers.refusal(verify_trace_data, data)
     reason = "step 1: malformed: schedule entry's tree is not the one its requirement writes"
-    assert result.reason == reason
+    assert result == reason
 
 
 def test_a_plain_condition_with_target_bits_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), DomainHits(1)], oracle), oracle)
     data["steps"][1]["certificate"]["upper"]["r_prefix"] = []
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("step 1: malformed: upper has keys")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("step 1: malformed: upper has keys")
 
 
 def test_an_embedded_stage_with_a_key_outside_the_format_fails_replay(three_stages):
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     data["oracle"]["stages"][0]["note"] = "forged"
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason.startswith("malformed trace: oracle stage 0 has keys")
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("malformed trace: oracle stage 0 has keys")
 
 
 @pytest.fixture(scope="module")
@@ -531,11 +526,10 @@ def _flip_bits_and_drop_words(stage):
 )
 def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire, forge, clause):
     data = json.loads(second_stage_wire)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     forge(data["oracle"]["stages"][0])
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == f"malformed trace: stage 0: {clause}"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"malformed trace: stage 0: {clause}"
 
 
 def _reverse_pairs(stage):
@@ -568,9 +562,8 @@ def test_an_embedded_stage_not_in_the_writers_form_fails_replay(second_stage_wir
     data = json.loads(second_stage_wire)
     assert data["oracle"]["stages"][0]["words"] == ["x", "x^2"]
     forge(data["oracle"]["stages"][0])
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == f"malformed trace: stage 0: {clause}"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"malformed trace: stage 0: {clause}"
 
 
 def _bits_as_booleans(stage):
@@ -594,9 +587,8 @@ def test_an_embedded_stage_number_not_written_as_an_integer_fails_replay(
 ):
     data = json.loads(second_stage_wire)
     forge(data["oracle"]["stages"][0])
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == f"malformed trace: stage 0: {clause}"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"malformed trace: stage 0: {clause}"
 
 
 def _coding_trace():
@@ -675,11 +667,10 @@ def _set_witness(key, cast):
 )
 def test_a_number_not_written_as_a_json_integer_fails_replay(trace, forge, reason):
     data = trace()
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     forge(data)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == reason
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == reason
 
 
 CODING_16 = tuple((7 * i + 3) % 5 % 2 for i in range(16))
@@ -696,7 +687,7 @@ def test_neither_a_coding_run_nor_its_verify_rebuilds_the_orbit_decomposition(mo
     monkeypatch.setattr(I, "orbit_decomposition", counted)
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, CODING_16, auto_schedule(Flavor.CODING, 16), oracle)
-    assert verify_trace_data(_wire(trace, oracle))
+    verify_trace_data(_wire(trace, oracle))
     assert len(calls) == 0
 
 
@@ -755,7 +746,7 @@ def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):
     trace = run(Flavor.PLAIN, None, _plain_trees_schedule(), oracle)
     data = _wire(trace, oracle)
     calls = _count_evaluations(monkeypatch)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     assert len(trace.final.s) == 10 and len(trace.final.words) == 1
     assert 0 < len(calls) <= len(trace.final.s)
 
@@ -783,9 +774,8 @@ def test_a_negative_requirement_point_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), RangeHits(0)], oracle), oracle)
     data["schedule"][1]["m"] = -3
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "step 1: malformed: negative point -3"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 1: malformed: negative point -3"
 
 
 def _repeat_last(items):
@@ -837,20 +827,18 @@ def test_a_condition_not_in_the_writers_form_fails_replay(flavor, forge, reason)
     oracle = translation_oracle()
     trace = run(flavor, (1, 0), auto_schedule(flavor, 2), oracle)
     data = _wire(trace, oracle)
-    assert verify_trace_data(data)
+    verify_trace_data(data)
     forge(data)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == reason
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == reason
 
 
 def test_a_word_that_is_not_text_fails_replay():
     oracle = translation_oracle()
     data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
     _last_upper(data)["words"] = [3]
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "step 6: malformed: a word is text, not 3"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 6: malformed: a word is text, not 3"
 
 
 def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
@@ -873,7 +861,7 @@ def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
         data["final"]["injection"] = [[0, far]]
         assert len(json.dumps(data)) < 1024
         calls.clear()
-        assert verify_trace_data(data)
+        verify_trace_data(data)
         assert 0 < len(calls) <= 10
 
 
@@ -893,9 +881,8 @@ def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
         return reduce(raw, oracle)
 
     monkeypatch.setattr(W, "reduce", counted)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "step 0: invalid condition: missing power 1 of root of 'x^2000'"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 0: invalid condition: missing power 1 of root of 'x^2000'"
 
 
 def _bound_word_work(monkeypatch, limit):
@@ -937,9 +924,8 @@ def test_verify_work_on_claimed_powers_follows_their_letters(monkeypatch):
     data["steps"][0]["certificate"]["upper"]["words"] = texts
     letters = 200 * 201 // 2
     work = _bound_word_work(monkeypatch, 3 * letters)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == "final condition does not match the last step"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "final condition does not match the last step"
     assert sum(work) >= 2 * letters
 
 
@@ -951,9 +937,8 @@ def test_verify_work_on_a_written_out_power_follows_its_length(monkeypatch):
     assert len(text) == 4 * 1000 + 999
     data["steps"][0]["certificate"]["upper"]["words"] = [text]
     _bound_word_work(monkeypatch, 3 * 2000)
-    result = verify_trace_data(data)
-    assert not result
-    assert result.reason == f"step 0: invalid condition: missing power 1 of root of {text!r}"
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"step 0: invalid condition: missing power 1 of root of {text!r}"
 
 
 def test_identical_runs_serialize_identically():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcode import (
-    CheckResult,
+    ExplicitTree,
     ExtensionCertificate,
     Flavor,
     FullInjectiveTree,
@@ -17,6 +17,7 @@ from orbitcode import (
     KTooSmall,
     PartialInjection,
     PreconditionViolated,
+    Refused,
     SparseCongruenceTree,
     TranslationOracle,
     WindowTooSmall,
@@ -77,22 +78,22 @@ def inj(mapping):
 
 
 def test_empty_condition_is_valid():
-    assert validate(plain_condition(None, [x_power(1)]), TRIV)
+    validate(plain_condition(None, [x_power(1)]), TRIV)
 
 
 def test_a_fixed_point_in_the_injection_is_allowed():
     # the order freezes fixed points, the condition itself does not forbid them
-    assert validate(plain_condition(inj({3: 3}), [x_power(1)]), TRIV)
+    validate(plain_condition(inj({3: 3}), [x_power(1)]), TRIV)
 
 
 def test_unanchored_cycle_fails_coding_validation():
     c = coding_condition((0,), inj({1: 2, 2: 1}))
-    assert not validate(c, TRIV)
+    helpers.refusal(validate, c, TRIV)
 
 
 def test_coding_validation_checks_the_target_parity():
-    assert validate(coding_condition((0,), inj({0: 1, 1: 0})), TRIV)
-    assert not validate(coding_condition((1,), inj({0: 1, 1: 0})), TRIV)
+    validate(coding_condition((0,), inj({0: 1, 1: 0})), TRIV)
+    helpers.refusal(validate, coding_condition((1,), inj({0: 1, 1: 0})), TRIV)
 
 
 def test_order_is_reflexive_with_a_certificate():
@@ -105,22 +106,19 @@ def test_order_is_reflexive_with_a_certificate():
 def test_new_fixed_point_is_refused():
     lower = plain_condition(None, [x_power(1)])
     upper = plain_condition(inj({3: 3}), [x_power(1)])
-    got = leq(upper, lower, TRIV)
-    assert isinstance(got, CheckResult) and not got
+    helpers.refusal(leq, upper, lower, TRIV)
 
 
 def test_transposition_square_is_refused():
     lower = plain_condition(None, [x_power(2)])
     upper = plain_condition(inj({0: 1, 1: 0}), [x_power(2)])
-    got = leq(upper, lower, TRIV)
-    assert isinstance(got, CheckResult) and not got
+    helpers.refusal(leq, upper, lower, TRIV)
 
 
 def test_dropping_pairs_is_refused():
     lower = plain_condition(inj({0: 2}))
     upper = plain_condition(None)
-    got = leq(upper, lower, TRIV)
-    assert isinstance(got, CheckResult) and not got
+    helpers.refusal(leq, upper, lower, TRIV)
 
 
 def test_domain_extension_skips_the_fixed_point():
@@ -162,17 +160,16 @@ def test_extension_results_stay_below_the_input():
     c = coding_condition((1, 0), inj({0: 1, 1: 2, 2: 0}), [x_power(1)])
     t = extend_domain(c, 5, TRIV).upper
     assert leq(t, c, TRIV)
-    assert validate(t, TRIV)
+    validate(t, TRIV)
     u = extend_range(t, 7, TRIV).upper
     assert leq(u, c, TRIV)
-    assert validate(u, TRIV)
+    validate(u, TRIV)
 
 
 def test_validate_names_the_least_inadmissible_word_in_text_order():
     words = [parse_word(text, TRANS) for text in ("x^-1", "x", "g1", "g2.x^-1")]
-    check = validate(plain_condition(None, words), TRANS)
-    assert not check
-    assert check.reason == "word 'g1' is not admissible"
+    check = helpers.refusal(validate, plain_condition(None, words), TRANS)
+    assert check == "word 'g1' is not admissible"
 
 
 def test_validate_formats_no_word_of_a_valid_condition(monkeypatch):
@@ -185,8 +182,8 @@ def test_validate_formats_no_word_of_a_valid_condition(monkeypatch):
 
     monkeypatch.setattr(W, "format_word", counted)
     words = [parse_word(text, TRANS) for text in ("x", "x^2", "g1.x", "g-3.x^2.g1.x")]
-    assert validate(plain_condition(inj({0: 2, 2: 5}), words), TRANS)
-    assert validate(coding_condition((0, 1), inj({0: 1, 1: 0}), words), TRANS)
+    validate(plain_condition(inj({0: 2, 2: 5}), words), TRANS)
+    validate(coding_condition((0, 1), inj({0: 1, 1: 0}), words), TRANS)
     assert calls == []
 
 
@@ -210,6 +207,26 @@ def test_many_extensions_base_case():
     c = plain_condition(None, [x_power(1)])
     _, options = many_extensions(c, FullInjectiveTree(), (), 0, TRIV)
     assert len(options) >= 1
+
+
+class _LeapingTree(ExplicitTree):
+    """An explicit tree whose extension runs on to the end of the branch it picks.
+
+    The tree contract lets an extension add several values at once; the walk
+    bars group images at the first new index only, and checks the rest.
+    """
+
+    def extend_avoiding(self, node, barred):
+        first = super().extend_avoiding(node, barred)
+        return max((t for t in self.nodes if t[: len(first)] == first), key=len)
+
+
+def test_many_extensions_checks_the_later_values_of_a_longer_extension():
+    """One extension adds 5, 1, 2, 7, 8: 1 and 2 sit at their own index, fixed points of x."""
+    c = plain_condition(None, [x_power(1)])
+    node, options = many_extensions(c, _LeapingTree.from_branch((5, 1, 2, 7, 8)), (), 2, TRIV)
+    assert node == (5, 1, 2, 7, 8)
+    assert options == ((0, 5), (3, 7), (4, 8))
 
 
 def test_many_extensions_rejects_repeated_x_words():
@@ -261,9 +278,9 @@ def test_tree_extension_of_the_empty_condition():
 
 def test_tree_extension_keeps_dagger_validity():
     c = dagger_condition((0,), None, [x_power(1), x_power(2)])
-    assert validate(c, TRIV)
+    validate(c, TRIV)
     t = tree_extend(c, FullInjectiveTree(), (), TRIV)[0].upper
-    assert validate(t, TRIV)
+    validate(t, TRIV)
     assert not closed_orbits(t.s)
 
 
@@ -323,7 +340,7 @@ def test_two_coding_steps_commit_two_bits():
     c = coding_condition((1, 0), None, [x_power(1)])
     t = code_next_orbit(code_next_orbit(c, TRIV).upper, TRIV).upper
     assert o_partial(t.s) == (1, 0)
-    assert validate(t, TRIV)
+    validate(t, TRIV)
 
 
 def test_strong_closure_adds_one_small_cycle():
@@ -366,7 +383,7 @@ def test_word_addition_flips_the_first_parity():
     t = add_word(c, x_power(2), TRIV).upper
     assert x_power(1) in t.words and x_power(2) in t.words
     assert o_dagger(t.s, 0) == (1,)
-    assert validate(t, TRIV)
+    validate(t, TRIV)
 
 
 def test_word_addition_is_idempotent():
@@ -388,7 +405,7 @@ def test_word_addition_closes_an_odd_count_when_needed():
     c = dagger_condition((1, 1), None, [])
     t = add_word(c, x_power(3), TRIV).upper
     assert o_dagger(t.s, 1) == (1, 1)
-    assert validate(t, TRIV)
+    validate(t, TRIV)
 
 
 def test_close_all_orbits_leaves_nothing_open():
@@ -439,7 +456,7 @@ def test_certificate_serialization_and_replay():
     data = certificate_to_data(cert, TRIV)
     assert verify_certificate_data(data, lower, TRIV)
     data["upper"]["injection"] = [[0, 0]]
-    assert not verify_certificate_data(data, lower, TRIV)
+    helpers.refusal(verify_certificate_data, data, lower, TRIV)
 
 
 words_pool = [x_power(1), x_power(2), x_power(3), GX, Word((group(-1), X))]
@@ -466,7 +483,7 @@ def small_conditions(draw):
 @given(small_conditions())
 @settings(max_examples=100, deadline=None)
 def test_order_is_transitive_along_extensions(c):
-    if not validate(c, TRANS):
+    if not helpers.holds(validate, c, TRANS):
         return
     n = max(c.s.domain, default=-1) + 1
     mid = extend_domain(c, n, TRANS).upper
@@ -479,7 +496,7 @@ def test_order_is_transitive_along_extensions(c):
 @given(small_conditions(), st.integers(0, 9))
 @settings(max_examples=100, deadline=None)
 def test_extension_certificates_replay_from_their_wire_form(c, n):
-    if not validate(c, TRANS) or n in c.s.domain:
+    if not helpers.holds(validate, c, TRANS) or n in c.s.domain:
         return
     t = extend_domain(c, n, TRANS).upper
     cert = leq(t, c, TRANS)
@@ -489,7 +506,7 @@ def test_extension_certificates_replay_from_their_wire_form(c, n):
 @given(small_conditions(), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_random_orbit_closings_hit_their_size(c, bump):
-    if not validate(c, TRANS):
+    if not helpers.holds(validate, c, TRANS):
         return
     closed_cover = set()
     for o in closed_orbits(c.s):
@@ -548,13 +565,12 @@ def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
             for w in words:
                 lower, upper = plain_condition(s, [w]), plain_condition(t, [w])
                 [(fix_lower, fix_upper)] = helpers.two_sided_leq(upper, lower, TRANS).values()
-                got = leq(upper, lower, TRANS)
                 assert fix_lower <= fix_upper, (w, t, pair)
                 if fix_lower == fix_upper:
-                    assert got.snapshots == ((w, fix_upper),), (w, t, pair)
+                    assert leq(upper, lower, TRANS).snapshots == ((w, fix_upper),), (w, t, pair)
                 else:
-                    assert not got, (w, t, pair)
-                    assert got.reason.endswith(f"(gained {sorted(fix_upper - fix_lower)})")
+                    got = helpers.refusal(leq, upper, lower, TRANS)
+                    assert got.endswith(f"(gained {sorted(fix_upper - fix_lower)})")
 
 
 def _full_scan_leq(upper, lower, oracle):
@@ -581,17 +597,21 @@ def _fresh(c):
     return plain_condition(PartialInjection(c.s.pairs()), c.words)
 
 
-def _assert_leq_matches_the_full_scan(upper, lower, oracle):
-    got = leq(upper, lower, oracle)
+def _leq_outcome(upper, lower, oracle):
+    """leq's snapshots, or the text of its refusal."""
+    try:
+        return leq(upper, lower, oracle).snapshots
+    except Refused as exc:
+        return str(exc)
+
+
+def _assert_leq_matches_the_full_scan(upper, lower, oracle) -> bool:
+    """True if leq certifies upper over lower, once it agrees with the full scans."""
+    got = _leq_outcome(upper, lower, oracle)
     expected = _full_scan_leq(upper, lower, oracle)
-    if isinstance(expected, str):
-        assert not got and got.reason == expected, (got, expected)
-    else:
-        assert got and got.snapshots == expected, (got, expected)
-    again = leq(_fresh(upper), _fresh(lower), oracle)
-    assert bool(again) == bool(got)
-    assert (again.snapshots if again else again.reason) == (got.snapshots if got else got.reason)
-    return got
+    assert got == expected, (got, expected)
+    assert _leq_outcome(_fresh(upper), _fresh(lower), oracle) == got
+    return not isinstance(got, str)
 
 
 def _random_word(rng, alphabet, oracle):
@@ -646,8 +666,7 @@ def test_the_incremental_order_check_agrees_with_the_full_scans(oracle):
             if len(c.s) >= span - 1:
                 break
             upper = plain_condition(_random_extension(rng, c.s, span), c.words)
-            got = _assert_leq_matches_the_full_scan(upper, c, oracle)
-            verdicts.append(bool(got))
+            verdicts.append(_assert_leq_matches_the_full_scan(upper, c, oracle))
             reflexive = leq(upper, upper, oracle)
             assert reflexive.snapshots == _full_scan_leq(upper, upper, oracle)
             c = upper
@@ -720,7 +739,7 @@ def test_a_word_with_an_identity_group_letter_is_not_admissible(oracle):
     """g0.x reduces to x, so it is not admissible: validate refuses it and add_word will not adjoin it."""
     w = Word((group(oracle.identity()), X))
     for c in (plain_condition(), coding_condition((1,)), dagger_condition((1,))):
-        assert validate(replace(c, words=frozenset({w})), oracle).reason == (
+        assert helpers.refusal(validate, replace(c, words=frozenset({w})), oracle) == (
             f"word {format_word(w, oracle)!r} is not admissible"
         )
         with pytest.raises(PreconditionViolated, match="not an admissible word"):
@@ -782,6 +801,6 @@ def test_the_per_root_dagger_check_agrees_with_the_word_by_word_reference():
         target = tuple(rng.randrange(2) if ones else 0 for _ in range(rng.randint(0, 3)))
         c = dagger_condition(target, s, words)
         expected = helpers.word_by_word_dagger_clauses(c, TRANS)
-        assert bool(validate(c, TRANS)) == expected, (sorted(map(repr, words)), s, target)
+        assert helpers.holds(validate, c, TRANS) == expected, (sorted(map(repr, words)), s, target)
         verdicts.append(expected)
     assert 50 < sum(verdicts) < 350
