@@ -25,13 +25,18 @@ runs are reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
-checks once per root.  The fresh-point clause is _fresh_point_ok, searched
-by _least_fresh for both close_orbit's chain and strong_close_orbit's cycle.
+checks once per root and word set (_word_facts).  The dagger code of a root
+v is read off v[s]'s cycle counts, injections.word_cycle_counts, which
+validate, add_word and strong_close_orbit share: a memo carried along the
+run, so a step costs O(its new pairs).  The fresh-point clause is
+_fresh_point_ok, searched by _least_fresh for both close_orbit's chain and
+strong_close_orbit's cycle.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -116,16 +121,86 @@ def chain(
     return ExtensionCertificate(first.lower, then.upper, kept)
 
 
+class _WordFacts:
+    """What validate reads of E alone: admissibility, and per root its top power and closure.
+
+    _word_facts holds one per oracle, under a weak key, so it keeps no
+    reference to the oracle: one would keep the oracle alive.
+    """
+
+    __slots__ = ("words", "inadmissible", "_roots")
+
+    def __init__(self, words: frozenset[W.Word], oracle):
+        self.words = words
+        inadmissible = [w for w in words if not W.is_admissible(w, oracle)]
+        # the least inadmissible word in text order, formatted only on a refusal
+        self.inadmissible = (
+            min(W.format_word(w, oracle) for w in inadmissible) if inadmissible else None
+        )
+        self._roots: tuple | None = None
+
+    def roots(self, oracle) -> tuple[tuple[W.Word, str, int, int, str | None], ...]:
+        """(v, text, k, last, refusal) per indecomposable root v of E in text order.
+
+        v^k is v's top power in E, `last` the highest bit it obligates (-1
+        for none), and `refusal` the clause its closure fails, if any; the
+        roots stop at the first that fails.
+        """
+        if self._roots is not None:
+            return self._roots
+        tops: dict[W.Word, W.Word] = {}
+        for w in self.words:
+            v = W.indecomposable_root(w, oracle)[0]
+            if len(w) > len(tops.get(v, ())):
+                tops[v] = w
+        covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
+        roots = []
+        for text, v in sorted((W.format_word(v, oracle), v) for v in tops):
+            top, k = tops[v], len(tops[v]) // len(v)
+            refusal = None
+            for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
+                if u not in self.words:
+                    if u.letters[: len(v)] != v.letters:
+                        refusal = f"rotation class not closed: missing {W.format_word(u, oracle)!r}"
+                    else:
+                        power = len(u) // len(v)
+                        refusal = f"missing power {power} of root of {W.format_word(top, oracle)!r}"
+                    break
+                if len(u) == len(v):
+                    covered[u] = k
+            roots.append((v, text, k, len(I.primes_up_to(k)) - 1, refusal))
+            if refusal is not None:
+                break
+        self._roots = tuple(roots)
+        return self._roots
+
+
+_FACTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _word_facts(words: frozenset[W.Word], oracle) -> _WordFacts:
+    """E's facts, derived once per word set: every candidate of a scan shares its E.
+
+    One entry per oracle, for the last word set asked about, held weakly so
+    that no oracle outlives its run.
+    """
+    facts = _FACTS.get(oracle)
+    if facts is None or (facts.words is not words and facts.words != words):
+        facts = _FACTS[oracle] = _WordFacts(words, oracle)
+    return facts
+
+
 def validate(c: Condition, oracle) -> None:
     """Check every flavor invariant; Refused names the first violated clause.
 
-    Words are checked for admissibility unsorted, and a refusal names the
-    least inadmissible word in text order, so only a refusal formats them.
+    The clauses on E alone come from _word_facts, once per word set.  The
+    dagger clause reads each root's closed cycles off the memo of
+    injections.word_cycle_counts, so a candidate one pair past a validated
+    condition costs O(new pairs), not O(|s|).
     """
-    inadmissible = [w for w in c.words if not W.is_admissible(w, oracle)]
-    if inadmissible:
-        text = min(W.format_word(w, oracle) for w in inadmissible)
-        raise Refused(f"word {text!r} is not admissible")
+    facts = _word_facts(c.words, oracle)
+    if facts.inadmissible is not None:
+        raise Refused(f"word {facts.inadmissible!r} is not admissible")
     if c.flavor is Flavor.PLAIN:
         return
     if c.flavor is Flavor.CODING:
@@ -137,31 +212,17 @@ def validate(c: Condition, oracle) -> None:
             raise Refused(f"orbit code {list(bits)} is not a prefix of target {list(c.target)}")
         return
     # dagger: per indecomposable root v, the closure of its top power and v[s]'s code
-    tops: dict[W.Word, W.Word] = {}
-    for w in c.words:
-        v = W.indecomposable_root(w, oracle)[0]
-        if len(w) > len(tops.get(v, ())):
-            tops[v] = w
-    covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
-    for v in sorted(tops, key=lambda v: W.format_word(v, oracle)):
-        top, k = tops[v], len(tops[v]) // len(v)
-        for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
-            if u not in c.words:
-                if u.letters[: len(v)] != v.letters:
-                    text = W.format_word(u, oracle)
-                    raise Refused(f"rotation class not closed: missing {text!r}")
-                text, power = W.format_word(top, oracle), len(u) // len(v)
-                raise Refused(f"missing power {power} of root of {text!r}")
-            if len(u) == len(v):
-                covered[u] = k
-        last = len(I.primes_up_to(k)) - 1
+    for v, text, k, last, refusal in facts.roots(oracle):
+        if refusal is not None:
+            raise Refused(refusal)
         if last < 0:
             continue
-        for n, bit in enumerate(I.o_dagger(I.word_graph(v, c.s, oracle), last)):
+        bits = I.prime_parities(I.word_cycle_counts(v, c.s, oracle), last)
+        for n, bit in enumerate(bits):
             if len(c.target) <= n:
                 raise Refused(f"target too short for power-{k} obligation at bit {n}")
             if bit != c.target[n]:
-                raise Refused(f"evaluation of {W.format_word(v, oracle)!r} miscodes bit {n}")
+                raise Refused(f"evaluation of {text!r} miscodes bit {n}")
 
 
 def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
@@ -467,7 +528,7 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
     if W.power(v, k, oracle) in c.words:
         raise PreconditionViolated("that power is already tracked in E")
 
-    before = I.closed_orbits(I.word_graph(v, c.s, oracle))
+    before = I.word_cycle_counts(v, c.s, oracle)
     handles = _nonidentity_handles(list(c.words) + [v], oracle)
     bound = avoidance_bound(c, oracle, extra_words=[v], pairwise=True)
     support = c.s.support
@@ -527,15 +588,19 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
         pairs.append((points[0], points[1]))
         closed = replace(c, s=c.s.with_pairs(pairs))
 
-    after = I.closed_orbits(I.word_graph(v, closed.s, oracle))
-    old_sets = {o.elements for o in before}
-    new_orbits = [o for o in after if o.elements not in old_sets]
-    if len(after) != len(before) + 1 or len(new_orbits) != 1 or new_orbits[0].size != k:
+    # v[s] only grows, so its cycles before are cycles after: compare the counts
+    after = I.word_cycle_counts(v, closed.s, oracle)
+    grown = {size: n - before.get(size, 0) for size, n in after.items()}
+    if {size: n for size, n in grown.items() if n} != {k: 1}:
         raise InternalCheckFailed(
             f"expected one new size-{k} orbit of the evaluation,"
-            f" got {sorted(o.size for o in after)} from {sorted(o.size for o in before)}"
+            f" got {_sizes(after)} from {_sizes(before)}"
         )
     return _admissible(c, closed, oracle)
+
+
+def _sizes(counts: dict[int, int]) -> list[int]:
+    return sorted(size for size, n in counts.items() for _ in range(n))
 
 
 def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
@@ -564,12 +629,11 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
             raise PrefixTooShort(
                 f"target has {len(current.target)} bits, power {k} obligates bit {n}"
             )
-        graph = I.word_graph(v, current.s, oracle)
-        if I.o_dagger(graph, n)[n] != current.target[n]:
+        # p_n = k: bit n counts v[s]'s k-cycles
+        if I.word_cycle_counts(v, current.s, oracle).get(k, 0) % 2 != current.target[n]:
             cert = chain(cert, strong_close_orbit(current, v, k, oracle))
             current = cert.upper
-            graph = I.word_graph(v, current.s, oracle)
-            if I.o_dagger(graph, n)[n] != current.target[n]:
+            if I.word_cycle_counts(v, current.s, oracle).get(k, 0) % 2 != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
     closed = current.words.union(W.closure(v, k, oracle))
     return chain(cert, _admissible(current, replace(current, words=closed), oracle))

@@ -12,18 +12,22 @@ pair (n, m), with n outside the domain and m outside the range, either joins
 the path ending at n to the path starting at m, or closes one path into a
 cycle.  So the index keeps each open path's entry ↔ exit and each cycle,
 walked from its minimum, in min-order, and one link routine updates it per
-added pair; orbit_decomposition merges the cycles with the walked paths.
+added pair, along with the orbit-order code, the gap, the largest minimum
+and the cycle count per size that the two codes read; orbit_decomposition
+merges the cycles with the walked paths.
 
-The fixed-point layer (fixed_points, word_graph and the order check's
-gained_fixed_points) takes only reduced words ending in x, as admissible
-words are, and raises PreconditionViolated for any other; x applies first,
-so a scan of dom(s) sees every point such a word maps.
+The word layer (fixed_points, word_graph, word_cycle_counts and the order
+check's gained_fixed_points) takes only reduced words ending in x, as
+admissible words are, and raises PreconditionViolated for any other; x
+applies first, so a scan of dom(s) sees every point such a word maps.  The
+checks read one memo per word and map, w[s]'s graph with its own orbit
+index (see _WordGraph), and carry it along a run so that each step
+evaluates w only where its new pairs reach; word_graph is the full scan.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -44,11 +48,12 @@ class PartialInjection:
     (n, m) runs from an exit (or fresh point) n to an entry (or fresh point)
     m, so it joins two paths or closes one.
 
-    Order checks read a second private memo, `_fixes`: per word and
-    oracle, the word's fixed points and where its other evaluations stopped
-    (see _Fixes).  Once this map is certified to extend another, `_source`
-    holds that map, the new pairs, and where the points they reach stopped
-    under this map, so each memo is carried forward on first use.
+    Checks on words read a second private memo, `_fixes`: per word and
+    oracle, the word's graph on this map and where its other evaluations
+    stopped (see _WordGraph).  Once this map is certified to extend another,
+    `_source` holds that map, the new pairs, and what the points they reach
+    evaluate to under this map, so each memo is carried forward on first
+    use.
 
     A map made by with_pair or with_pairs keeps a weak link to the map it
     was made from, `_parent`, and the pairs it inserted beyond it, `_new`,
@@ -255,21 +260,33 @@ class _OrbitIndex:
     `exit_of` maps each path's entry to its exit and `entry_of` the exit back
     to the entry; `cycles` holds the closed orbits as Orbits sorted by
     minimum, each walked from its minimum.  A point outside every path end
-    and cycle is interior to a path or outside the support.
+    and cycle is interior to a path or outside the support.  Each cycle a
+    pair closes also updates what the codes read: `code`, the cycles' size
+    parities in min-order; `counts`, the cycles by size; `gap`, the least
+    natural no cycle covers, with `above` the covered points past it; and
+    `top`, the largest minimum (-1 with no cycle), so the minima are
+    initial exactly when top < gap.
     """
 
-    __slots__ = ("exit_of", "entry_of", "cycles")
+    __slots__ = ("exit_of", "entry_of", "cycles", "code", "counts", "gap", "above", "top")
 
     def __init__(self):
         self.exit_of: dict[int, int] = {}
         self.entry_of: dict[int, int] = {}
         self.cycles: tuple[Orbit, ...] = ()
+        self.code: tuple[int, ...] = ()
+        self.counts: dict[int, int] = {}
+        self.gap = 0
+        self.above: frozenset[int] = frozenset()
+        self.top = -1
 
     def copy(self) -> "_OrbitIndex":
         twin = _OrbitIndex()
         twin.exit_of = dict(self.exit_of)
         twin.entry_of = dict(self.entry_of)
-        twin.cycles = self.cycles
+        twin.counts = dict(self.counts)
+        twin.cycles, twin.code = self.cycles, self.code
+        twin.gap, twin.above, twin.top = self.gap, self.above, self.top
         return twin
 
     def link(self, fwd: Mapping[int, int], n: int, m: int) -> None:
@@ -294,6 +311,16 @@ class _OrbitIndex:
         cycle = Orbit(tuple(walk[low:] + walk[:low]), closed=True)
         at = bisect.bisect(self.cycles, cycle.ordered[0], key=lambda o: o.ordered[0])
         self.cycles = self.cycles[:at] + (cycle,) + self.cycles[at:]
+        self.code = self.code[:at] + (len(walk) % 2,) + self.code[at:]
+        self.counts[len(walk)] = self.counts.get(len(walk), 0) + 1
+        self.top = max(self.top, walk[low])
+        # the new points are uncovered so far: the gap moves only if one is it
+        covered = self.above | cycle.elements
+        gap = self.gap
+        while gap in covered:
+            gap += 1
+        self.above = covered if gap == self.gap else frozenset(p for p in covered if p > gap)
+        self.gap = gap
 
     def paths(self, fwd: Mapping[int, int]) -> tuple[Orbit, ...]:
         """The open orbits in min-order, each walked in fwd from its entry."""
@@ -330,8 +357,8 @@ def mex(values: Iterable[int]) -> int:
 
 def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     """The closed orbits in min-order, and the least natural none of them covers."""
-    closed = closed_orbits(s)
-    return closed, mex(itertools.chain.from_iterable(o.ordered for o in closed))
+    index = s._orbits()
+    return index.cycles, index.gap
 
 
 def o_partial(s: PartialInjection) -> tuple[int, ...]:
@@ -339,12 +366,14 @@ def o_partial(s: PartialInjection) -> tuple[int, ...]:
 
     Defined only for nice s, where every closed orbit's minimum lies below the
     first gap in their union, so new closed orbits keep covering an initial
-    segment's worth of minima; raises NotNiceInjection otherwise.
+    segment's worth of minima; raises NotNiceInjection otherwise.  The orbit
+    index keeps the code, the gap and the largest minimum as pairs close
+    cycles, so this reads them without a pass over the cycles.
     """
-    closed, gap = closed_and_gap(s)
-    if any(o.minimum >= gap for o in closed):
+    index = s._orbits()
+    if index.top >= index.gap:
         raise NotNiceInjection(f"closed-orbit minima not initial in {s!r}")
-    return tuple(o.size % 2 for o in closed)
+    return index.code
 
 
 _PRIMES: list[int] = [2, 3, 5, 7]
@@ -374,12 +403,14 @@ def prime_index(k: int) -> int | None:
     return len(primes) - 1 if primes and primes[-1] == k else None
 
 
+def prime_parities(counts: Mapping[int, int], upto: int) -> tuple[int, ...]:
+    """Bit n is the parity of counts[p_n], n ≤ upto, for closed cycles counted by size."""
+    return tuple(counts.get(nth_prime(n), 0) % 2 for n in range(upto + 1))
+
+
 def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:
     """Bit n is the parity of the count of closed orbits of size p_n, n ≤ upto."""
-    counts: dict[int, int] = {}
-    for o in closed_orbits(s):
-        counts[o.size] = counts.get(o.size, 0) + 1
-    return tuple(counts.get(nth_prime(n), 0) % 2 for n in range(upto + 1))
+    return prime_parities(s._orbits().counts, upto)
 
 
 def _require_shape(w: W.Word, oracle) -> None:
@@ -395,39 +426,53 @@ def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
     return fixed
 
 
-class _Fixes:
-    """A reduced word ending in x, evaluated at every point of dom(s).
+class _WordGraph:
+    """A reduced word ending in x evaluated at every point of dom(s): its graph, and where it stopped.
 
-    `fixed` holds the points it fixes; `stuck` files each point where the
+    `graph` holds w[s] as a PartialInjection, whose orbit index, built on
+    the first count, tallies its closed cycles by size; `fixed`, the points
+    w[s] fixes, is its diagonal.  `stuck` files each point where the
     evaluation stopped, as words.evaluate files it: under ("x", a) when it
     waits for a pair (a, ·), under ("x^-1", b) when it waits for (·, b).
-    If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p), so only the points
-    filed under t's new pairs, and t's new domain points, can become fixed.
-    `text` is the word's text, which orders the words of a check.
+    If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p), so w[t] ⊇ w[s]:
+    only t's new domain points and the points filed under t's new pairs can
+    gain a value, or become fixed.  `text` is the word's text, which orders
+    the words of a check.
     """
 
-    __slots__ = ("text", "fixed", "stuck")
+    __slots__ = ("text", "graph", "fixed", "stuck")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, graph: PartialInjection, stuck: dict):
         self.text = text
-        self.fixed: frozenset[int] = frozenset()
-        self.stuck: dict[tuple[str, int], list[int]] = {}
+        self.graph = graph
+        self.fixed = frozenset(n for n, m in graph._fwd.items() if n == m)
+        self.stuck = stuck
+
+    def reached(self, new: Iterable[tuple[int, int]]) -> list[int]:
+        """The points where w[t], for t = s plus the pairs `new`, can differ from w[s]."""
+        reached = [n for n, _ in new]
+        for n, m in new:
+            reached += self.stuck.get(("x", n), ())
+            reached += self.stuck.get(("x^-1", m), ())
+        return reached
 
 
-def _fixed_among(w: W.Word, s: PartialInjection, oracle, points, stuck: dict, misses: dict):
-    """The points w[s] fixes; the others that stop are filed in `stuck`, window misses in `misses`."""
-    fixed = []
+def _evaluate_at(w: W.Word, s: PartialInjection, oracle, points, stuck: dict, misses: dict):
+    """w[s] at `points`, where defined; points that stop are filed in `stuck`, misses in `misses`."""
+    values = {}
     for n in points:
         try:
-            if W.evaluate(w, s, oracle, n, stuck) == n:
-                fixed.append(n)
+            value = W.evaluate(w, s, oracle, n, stuck)
         except WindowTooSmall as miss:
             misses[n] = miss
-    return fixed
+            continue
+        if value is not None:
+            values[n] = value
+    return values
 
 
-def _carried(s: PartialInjection, key) -> _Fixes | None:
-    """The memo at key, moved from s's source and refiled at the points its new pairs reach.
+def _carried(s: PartialInjection, key) -> _WordGraph | None:
+    """The memo at key, moved from s's source, grown and refiled at the points its new pairs reach.
 
     A memo moves along a run instead of being copied, and s lets go of its
     source once every memo it can carry has moved.
@@ -435,38 +480,51 @@ def _carried(s: PartialInjection, key) -> _Fixes | None:
     if s._source is None:
         return None
     source, new, found = s._source
-    fixes = None if source._fixes is None else source._fixes.get(key)
-    if fixes not in found:
+    memo = None if source._fixes is None else source._fixes.get(key)
+    if memo not in found:
         return None
     del source._fixes[key]
+    values, stuck = found.pop(memo)
     for n, m in new:
-        fixes.stuck.pop(("x", n), None)
-        fixes.stuck.pop(("x^-1", m), None)
-    for where, points in found.pop(fixes).items():
-        fixes.stuck.setdefault(where, []).extend(points)
+        memo.stuck.pop(("x", n), None)
+        memo.stuck.pop(("x^-1", m), None)
+    for where, points in stuck.items():
+        memo.stuck.setdefault(where, []).extend(points)
+    memo.graph._add(values.items())
     if not found:
         s._source = None
-    return fixes
+    return memo
 
 
-def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _Fixes:
+def _held(s: PartialInjection, key) -> _WordGraph | None:
+    """s's memo at key, kept or carried forward; None when s has none."""
+    if s._fixes is None:
+        s._fixes = {}
+    memo = s._fixes.get(key) or _carried(s, key)
+    if memo is not None:
+        s._fixes[key] = memo
+    return memo
+
+
+def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     """s's memo for w: kept, carried forward, or built in one pass over dom(s).
 
     PreconditionViolated unless w is reduced and ends in x.  A pass that
     misses the oracle's window records the misses by point and keeps nothing.
     """
     key = (w, oracle)
-    if s._fixes is None:
-        s._fixes = {}
-    fixes = s._fixes.get(key) or _carried(s, key)
-    if fixes is None:
+    # read a kept memo directly: every option of a tree walk comes through here
+    memo = s._fixes.get(key) if s._fixes else None
+    if memo is None:
+        memo = _held(s, key)
+    if memo is None:
         _require_shape(w, oracle)
-        fixes = _Fixes(W.format_word(w, oracle))
-        fixes.fixed = frozenset(_fixed_among(w, s, oracle, s._fwd, fixes.stuck, misses))
-        if misses:
-            return fixes
-    s._fixes[key] = fixes
-    return fixes
+        stuck: dict = {}
+        values = _evaluate_at(w, s, oracle, s._fwd, stuck, misses)
+        memo = _WordGraph(W.format_word(w, oracle), PartialInjection(values.items()), stuck)
+        if not misses:
+            s._fixes[key] = memo
+    return memo
 
 
 def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection, oracle):
@@ -475,30 +533,31 @@ def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection,
     Every word must be reduced and end in x (PreconditionViolated otherwise),
     as every word of a validated condition does.  Words come in text
     order, up to the first that gains a point; each is evaluated under upper
-    only at the points upper's new pairs can reach (see _Fixes).  A window
-    miss is raised as a scan of dom(upper) would meet it first.  When no
-    word gains, upper notes where those points stopped, so that lower's
-    memos move to it on first use.
+    only at the points upper's new pairs can reach (see _WordGraph).  A
+    window miss is raised as a scan of dom(upper) would meet it first.  When
+    no word gains, upper notes what those points evaluate to, so that
+    lower's memos move to it on first use.
     """
     new = upper.pairs_beyond(lower)
     checks = []
     for w in words:
         misses: dict = {}
         checks.append((_memo(w, lower, oracle, misses), w, misses))
-    checks.sort(key=lambda check: check[0].text)
+    if len(checks) > 1:
+        checks.sort(key=lambda check: check[0].text)
     out = []
     found: dict = {}
-    for fixes, w, misses in checks:
-        reached = [n for n, _ in new]
-        for n, m in new:
-            reached += fixes.stuck.get(("x", n), ())
-            reached += fixes.stuck.get(("x^-1", m), ())
-        stuck = found[fixes] = {}
-        gained = sorted(_fixed_among(w, upper, oracle, reached, stuck, misses))
+    for memo, w, misses in checks:
+        stuck: dict = {}
+        values = _evaluate_at(w, upper, oracle, memo.reached(new), stuck, misses)
         for n in upper.domain if misses else ():
             if n in misses:
                 raise misses[n]
-        out.append((fixes.text, w, fixes.fixed, gained))
+        found[memo] = (values, stuck)
+        gained = [n for n, m in values.items() if n == m]
+        if gained:
+            gained.sort()
+        out.append((memo.text, w, memo.fixed, gained))
         if gained:
             return out
     if upper is not lower and found:
@@ -506,10 +565,65 @@ def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection,
     return out
 
 
+def _closed_sizes(graph: PartialInjection, values: Mapping[int, int]) -> list[int]:
+    """The sizes of the cycles that adding the pairs `values` would close in graph, left as it is.
+
+    Links each pair as _OrbitIndex.link does, with the path ends it changes
+    kept aside: a key that link pops is never asked for again, since no two
+    pairs share a point on the same side.
+    """
+    index, fwd = graph._orbits(), graph._fwd
+    entry_of: dict[int, int] = {}
+    exit_of: dict[int, int] = {}
+    sizes = []
+    for n, m in values.items():
+        entry = entry_of.pop(n) if n in entry_of else index.entry_of.get(n, n)
+        exit_ = exit_of.pop(m) if m in exit_of else index.exit_of.get(m, m)
+        if entry != m:
+            exit_of[entry] = exit_
+            entry_of[exit_] = entry
+            continue
+        size, cur = 1, values[n]
+        while cur != n:
+            size += 1
+            cur = values[cur] if cur in values else fwd[cur]
+        sizes.append(size)
+    return sizes
+
+
+def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
+    """The closed cycles of w[s] by size, for a reduced word w ending in x.
+
+    Read off s's memo for w.  A map without one, made by with_pair or
+    with_pairs from a map still alive, reads that map's memo instead and
+    evaluates only the points its new pairs reach, leaving the memo as it
+    is: a candidate checked before it is certified, and maybe refused,
+    costs O(new pairs) and leaves its parent's memo to the next one.  A
+    window miss is raised as a scan of sorted dom(s) would meet it first.
+    """
+    misses: dict = {}
+    parent = None if s._parent is None else s._parent()
+    if parent is not None and _held(s, (w, oracle)) is None:
+        base = _memo(w, parent, oracle, misses)
+        values = _evaluate_at(w, s, oracle, base.reached(s._new), {}, misses)
+        if misses:
+            raise misses[min(misses)]
+        counts = dict(base.graph._orbits().counts)
+        for size in _closed_sizes(base.graph, values):
+            counts[size] = counts.get(size, 0) + 1
+        return counts
+    memo = _memo(w, s, oracle, misses)
+    if misses:
+        raise misses[min(misses)]
+    return dict(memo.graph._orbits().counts)
+
+
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
     """The graph of w[s] as a finite partial injection, for a reduced word w ending in x.
 
-    Scans dom(s) in increasing order: w[s] is defined nowhere else.
+    Scans dom(s) in increasing order: w[s] is defined nowhere else.  This is
+    the full scan; the checks read the same graph incrementally, through
+    word_cycle_counts and the memo behind it.
     """
     _require_shape(w, oracle)
     pairs = []

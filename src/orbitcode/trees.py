@@ -28,6 +28,14 @@ def _is_injective(node: Node) -> bool:
     return len(set(node)) == len(node)
 
 
+def _natural_node(values: Iterable[int]) -> Node:
+    """values as a node: each an int, not a bool, and not negative; ValueError otherwise."""
+    node = tuple(map(wire_int, values))
+    if any(v < 0 for v in node):
+        raise ValueError(f"negative value in node {list(node)}")
+    return node
+
+
 class Barred(set):
     """The values a walk may not place at a tree node's next index.
 
@@ -131,10 +139,10 @@ class SparseCongruenceTree(InjectiveTree):
 
 
 class ExplicitTree(InjectiveTree):
-    """A finite, prefix-closed set of injective nodes, kept sorted for output."""
+    """A finite, prefix-closed set of injective nodes of naturals, kept sorted for output."""
 
     def __init__(self, nodes: Iterable[Iterable[int]]):
-        node_set = {tuple(int(v) for v in node) for node in nodes}
+        node_set = {_natural_node(node) for node in nodes}
         for node in node_set:
             if not _is_injective(node):
                 raise ValueError(f"non-injective node {node}")
@@ -191,7 +199,7 @@ def tree_from_descriptor(data: Mapping) -> InjectiveTree:
     if kind == "sparse":
         return SparseCongruenceTree(wire_int(data["seed"]), wire_int(data["modulus"]))
     if kind == "explicit":
-        return ExplicitTree(map(wire_int, node) for node in data["nodes"])
+        return ExplicitTree(data["nodes"])
     raise ValueError(f"unknown tree kind {kind!r}")
 
 

@@ -319,6 +319,21 @@ def test_a_negative_requirement_point_is_a_usage_error(tmp_path, capsys, entry, 
 
 
 @pytest.mark.parametrize(
+    "nodes, reason",
+    [([[], [-1]], "negative value in node [-1]"), ([[], [1.5]], "1.5 is not an integer")],
+    ids=["negative", "float"],
+)
+def test_an_explicit_tree_off_the_naturals_is_a_usage_error(tmp_path, capsys, nodes, reason):
+    schedule = tmp_path / "schedule.json"
+    entry = {"kind": "tree_diagonalized", "tree": {"kind": "explicit", "nodes": nodes}, "node": []}
+    schedule.write_text(json.dumps([entry]), encoding="utf-8")
+    out = tmp_path / "t.json"
+    assert run_cli("run", "--flavor", "plain", "--schedule", str(schedule), "--out", str(out)) == 2
+    assert f"error: cannot build schedule: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "tree, node",
     [({"kind": "full"}, [1, 1]), ({"kind": "sparse", "seed": 1, "modulus": 7}, [0])],
     ids=["full", "sparse"],

@@ -901,9 +901,9 @@ def _bound_word_work(monkeypatch, limit):
         spend(len(raw))
         return reduce(raw, oracle)
 
-    def counted_evaluate(w, s, oracle, n):
+    def counted_evaluate(w, s, oracle, n, stuck=None):
         spend(len(w))
-        return evaluate(w, s, oracle, n)
+        return evaluate(w, s, oracle, n, stuck)
 
     def counted_closure(v, k, oracle):
         for u in closure(v, k, oracle):

@@ -1,7 +1,9 @@
 """Conditions, the extension order, and the dense-set constructions."""
 
 import itertools
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -63,7 +65,10 @@ from orbitcode import (
     x_power,
 )
 
+from orbitcode import engine as E
+from orbitcode import forcing as F
 from orbitcode import words as W
+from orbitcode.injections import word_cycle_counts
 
 import helpers
 
@@ -804,3 +809,113 @@ def test_the_per_root_dagger_check_agrees_with_the_word_by_word_reference():
         assert helpers.holds(validate, c, TRANS) == expected, (sorted(map(repr, words)), s, target)
         verdicts.append(expected)
     assert 50 < sum(verdicts) < 350
+
+
+def _scanned_root_counts(c, oracle):
+    """v[s]'s closed cycles by size, per root v of E whose full scan stays in the window."""
+    out = {}
+    for v in {indecomposable_root(w, oracle)[0] for w in c.words}:
+        try:
+            graph = word_graph(v, c.s, oracle)
+        except WindowTooSmall:
+            continue
+        orbits = helpers.orbits_by_minimum(graph.as_dict())
+        out[v] = dict(Counter(len(walk) for walk, closed in orbits if closed))
+    return out
+
+
+def _check_every_dagger_validate(monkeypatch) -> list:
+    """Wrap validate: each dagger condition that passes must read its roots' counts as a scan does."""
+    checked = []
+    real = F.validate
+
+    def checking(c, oracle):
+        real(c, oracle)
+        if c.flavor is Flavor.DAGGER:
+            for v, expected in _scanned_root_counts(c, oracle).items():
+                assert word_cycle_counts(v, c.s, oracle) == expected, (v, c.s)
+                checked.append(v)
+
+    monkeypatch.setattr(F, "validate", checking)
+    return checked
+
+
+def test_the_memo_agrees_with_a_fresh_scan_along_a_certified_translation_chain(monkeypatch):
+    """Candidates read their parent's memo, certified steps carry it; verify carries it again."""
+    checked = _check_every_dagger_validate(monkeypatch)
+    gx = parse_word("g1.x", TRANS)
+    schedule = [E.WordAdded(gx), E.WordAdded(W.power(gx, 3, TRANS))]
+    schedule += E.auto_schedule(Flavor.DAGGER, 4)
+    trace = E.run(Flavor.DAGGER, (1, 0, 1, 1), schedule, TRANS)
+    during_run = len(checked)
+    E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
+    assert during_run >= 25 and len(checked) >= during_run + 25
+
+
+def test_the_memo_agrees_with_a_fresh_scan_along_a_staged_run(monkeypatch):
+    """Stage 1 and 2 words name earlier generators, and window growth re-extends stages in place."""
+    checked = _check_every_dagger_validate(monkeypatch)
+    stages = E.staged_run([(0, 1, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)])  # triple 052
+    later = [w for stage in stages[1:] for w in stage.condition.words]
+    staged_words = {w for w in later if w.x_count() < len(w)}
+    assert staged_words and len(checked) >= 150
+
+
+def _validated_translation_condition():
+    """A dagger condition over the translations with roots x and g1.x, each with an obligation."""
+    gx = parse_word("g1.x", TRANS)
+    schedule = [E.WordAdded(W.power(gx, 2, TRANS)), E.WordAdded(x_power(3))]
+    schedule += [E.DomainHits(i) for i in range(10)] + [E.RangeHits(i) for i in range(8)]
+    c = E.run(Flavor.DAGGER, (1, 0), schedule, TRANS).final
+    validate(c, TRANS)
+    return c
+
+
+def _root_memos(c, oracle):
+    roots = {indecomposable_root(w, oracle)[0] for w in c.words}
+    out = {}
+    for v in roots:
+        memo = c.s._fixes[(v, oracle)]
+        out[v] = (memo.graph.pairs(), {k: list(p) for k, p in memo.stuck.items()}, memo.fixed)
+    return out
+
+
+def test_a_refused_candidate_leaves_the_next_one_the_verdict_a_fresh_validate_gives():
+    """Every one-pair candidate in a range, refused or not, against a fresh copy of its map."""
+    c = _validated_translation_condition()
+    memos = _root_memos(c, TRANS)
+    verdicts = []
+    for n in sorted(set(range(16)) - c.s.domain):
+        for m in sorted(set(range(16)) - c.s.range):
+            candidate = replace(c, s=c.s.with_pair(n, m))
+            fresh = replace(c, s=PartialInjection(candidate.s.pairs()))
+            verdict = helpers.refusal(validate, candidate, TRANS) if not helpers.holds(
+                validate, candidate, TRANS
+            ) else None
+            expected = helpers.refusal(validate, fresh, TRANS) if not helpers.holds(
+                validate, fresh, TRANS
+            ) else None
+            assert verdict == expected, (n, m)
+            assert _root_memos(c, TRANS) == memos
+            verdicts.append(verdict)
+    refused = [v for v in verdicts if v is not None]
+    assert any("miscodes" in v for v in refused) and len(refused) < len(verdicts)
+
+
+def test_validating_a_one_pair_child_evaluates_only_where_its_pair_reaches(monkeypatch):
+    """E unchanged and the parent validated: one evaluation per root, not one per point of s."""
+    c = _validated_translation_condition()
+    calls = []
+    evaluate = W.evaluate
+
+    def counted(w, s, oracle, n, stuck=None):
+        calls.append((w, n))
+        return evaluate(w, s, oracle, n, stuck)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    far = 10 * (max(c.s.support) + 10)
+    child = replace(c, s=c.s.with_pair(far, far + 2))
+    validate(child, TRANS)
+    roots = {indecomposable_root(w, TRANS)[0] for w in c.words}
+    assert len(c.s) >= 10 and len(roots) == 2
+    assert sorted(n for _, n in calls) == [far, far]

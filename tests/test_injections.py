@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,20 @@ from orbitcode import (
     open_orbits,
     orbit_decomposition,
     orbit_of,
+    parse_word,
     prime_index,
     translation_oracle,
     trivial_oracle,
     word_graph,
     x_power,
 )
-from orbitcode.injections import closed_and_gap, primes_up_to
+from orbitcode.injections import (
+    closed_and_gap,
+    gained_fixed_points,
+    prime_parities,
+    primes_up_to,
+    word_cycle_counts,
+)
 
 import helpers
 
@@ -349,3 +357,99 @@ def test_an_inherited_index_equals_one_built_from_scratch():
         upper.inherit_orbits(lower)
         assert upper._index is not None  # taken over, not left to a lazy rebuild
         _assert_orbits_match_the_reference(upper, graph)
+
+
+def _reference_codes(graph):
+    """(orbit-order code, None if not nice; gap; closed cycles by size), read off the reference."""
+    closed = [walk for walk, is_closed in helpers.orbits_by_minimum(graph) if is_closed]
+    covered = {n for walk in closed for n in walk}
+    gap = next(n for n in itertools.count() if n not in covered)
+    nice = all(min(walk) < gap for walk in closed)
+    code = tuple(len(walk) % 2 for walk in closed) if nice else None
+    return code, gap, Counter(len(walk) for walk in closed)
+
+
+def _assert_codes_match_the_reference(s, graph):
+    code, gap, counts = _reference_codes(graph)
+    if code is None:
+        with pytest.raises(NotNiceInjection):
+            o_partial(s)
+    else:
+        assert o_partial(s) == code, graph
+    assert closed_and_gap(s)[1] == gap, graph
+    assert s._orbits().counts == dict(counts), graph
+    assert o_dagger(s, 4) == tuple(counts[nth_prime(n)] % 2 for n in range(5)), graph
+
+
+def test_the_index_keeps_the_code_the_gap_and_niceness_as_the_reference_reads_them():
+    """Every injection on five points, three ways, then random ones grown a few pairs at a time."""
+    nice = 0
+    for graph in _all_partial_injections(range(5)):
+        pairs = sorted(graph.items())
+        for s in (
+            inj(graph),
+            _grown_one_pair_at_a_time(pairs),
+            _grown_one_pair_at_a_time(pairs[::-1]),
+        ):
+            _assert_codes_match_the_reference(s, graph)
+        nice += _reference_codes(graph)[0] is not None
+    assert 0 < nice < 1546
+    rng = random.Random(31)
+    for _ in range(200):
+        graph = helpers.random_injection(rng, rng.randrange(1, 16), 14)
+        pairs = list(graph.items())
+        rng.shuffle(pairs)
+        s = PartialInjection()
+        closed_orbits(s)
+        for cut in range(0, len(pairs), 3):
+            s = s.with_pairs(pairs[cut : cut + 3])
+            _assert_codes_match_the_reference(s, dict(pairs[: cut + 3]))
+
+
+MEMO_WORDS = ("x", "x^2", "g1.x", "g-1.x^2", "g2.x^-1.g-1.x")
+
+
+def _scanned_counts(w, s, oracle):
+    """The closed cycles of w[s] by size, from a fresh scan and the reference walk."""
+    orbits = helpers.orbits_by_minimum(word_graph(w, s, oracle).as_dict())
+    return dict(Counter(len(walk) for walk, closed in orbits if closed))
+
+
+def _memo_state(s, w, oracle):
+    memo = s._fixes[(w, oracle)]
+    stuck = {where: sorted(points) for where, points in memo.stuck.items()}
+    return memo.graph.pairs(), stuck, memo.fixed
+
+
+def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five_points():
+    """Built on s, read by each one-pair child before it is certified, carried once it is.
+
+    Reading the child leaves s's memo as it was.
+    """
+    words = [parse_word(text, TRANS) for text in MEMO_WORDS]
+    children = carried = 0
+    for graph in _all_partial_injections(range(5)):
+        s = inj(graph)
+        for w in words:
+            counts = word_cycle_counts(w, s, TRANS)
+            assert counts == _scanned_counts(w, s, TRANS), (w, graph)
+            scan = word_graph(w, s, TRANS)
+            assert prime_parities(counts, 2) == o_dagger(scan, 2)
+            assert s._fixes[(w, TRANS)].graph == scan
+            assert s._fixes[(w, TRANS)].fixed == frozenset(n for n, m in scan.pairs() if n == m)
+        n = min(set(range(6)) - set(graph))
+        for m in sorted(set(range(6)) - set(graph.values())):
+            child = s.with_pair(n, m)
+            for w in words:
+                before = _memo_state(s, w, TRANS)
+                assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)
+                assert _memo_state(s, w, TRANS) == before
+            children += 1
+        # certified (no word gains a fixed point), the child takes s's memos on first use
+        if not gained_fixed_points(words, child, s, TRANS)[-1][3]:
+            for w in words:
+                assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)
+                assert child._fixes[(w, TRANS)].graph == word_graph(w, child, TRANS)
+                assert (w, TRANS) not in s._fixes
+            carried += 1
+    assert (children, carried) == (4051, 1121)

@@ -131,6 +131,28 @@ def test_explicit_tree_rejects_non_injective_nodes():
         ExplicitTree([(), (3,), (3, 3)])
 
 
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([(), (1.9,)], "1.9 is not an integer"),
+        ([(), (True,)], "True is not an integer"),
+        ([(), ("2",)], "'2' is not an integer"),
+        ([(), (-1,)], r"negative value in node \[-1\]"),
+        ([(), (0,), (0, -3)], r"negative value in node \[0, -3\]"),
+    ],
+    ids=["float", "bool", "text", "negative", "negative-deeper"],
+)
+def test_explicit_tree_nodes_hold_naturals_only(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        ExplicitTree(nodes)
+
+
+def test_a_branch_of_a_float_and_a_bool_is_refused_by_type_not_as_a_repeat():
+    """int() made [1.9, True] the repeated node (1, 1); each value must be an int itself."""
+    with pytest.raises(ValueError, match="1.9 is not an integer"):
+        ExplicitTree.from_branch([1.9, True])
+
+
 def test_strict_extensions_and_maximality():
     tree = ExplicitTree([(), (1,), (1, 0), (2,)])
     assert set(tree.strict_extensions((1,))) == {(1, 0)}
