@@ -243,8 +243,9 @@ def seal(trace: RunTrace, oracle, generator_index: int = 0) -> O.CompletedStage:
 
     The sealed injection has only cycles, so it induces a permutation of its
     support; the stage window is the first natural outside that settled
-    initial segment.  Growth events recorded here carry the step index one
-    past the schedule.
+    initial segment.  The stage keeps the run's oracle, which its words are
+    written in, and the trace.  Growth events recorded here carry the step
+    index one past the schedule.
     """
     sealed = _attempt(
         len(trace.schedule),
@@ -252,13 +253,7 @@ def seal(trace: RunTrace, oracle, generator_index: int = 0) -> O.CompletedStage:
         oracle,
         trace.growth_events,
     ).upper
-    stage = O.CompletedStage(
-        generator_index=generator_index,
-        condition=sealed,
-        window=I.mex(sealed.s.support),
-    )
-    stage.trace = trace
-    return stage
+    return O.CompletedStage(generator_index, sealed, oracle, trace)
 
 
 STAGE_DEPTH = 4
@@ -435,34 +430,13 @@ _CERTIFICATE_KEYS = frozenset(("upper", "fixpoint_snapshots"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
 _GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
 _CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
-_ORACLE_KEYS = frozenset(("kind",))
-_STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
-_STAGE_KEYS = frozenset(("generator_index", "injection", "words", "target_bits", "window"))
-
-
-def _closed(data, keys: frozenset, what: str):
-    """data itself, if it is an object with exactly `keys`; ValueError otherwise."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} is not an object")
-    if data.keys() != keys:
-        raise ValueError(f"{what} has keys {sorted(data)}, format gives {sorted(keys)}")
-    return data
-
-
-def _oracle_from_data(data) -> O.GroupOracle:
-    """The oracle a descriptor names: `kind`, plus `stages` when staged, each stage closed."""
-    staged = isinstance(data, Mapping) and data.get("kind") == "staged"
-    _closed(data, _STAGED_ORACLE_KEYS if staged else _ORACLE_KEYS, "oracle")
-    for j, entry in enumerate(data["stages"] if staged else ()):
-        _closed(entry, _STAGE_KEYS, f"oracle stage {j}")
-    return O.oracle_from_descriptor(data)
 
 
 def _requirement_from_entry(entry, oracle) -> Requirement:
     """A schedule entry exactly as requirement_to_data writes it: keys, tree, word text."""
     req = requirement_from_data(entry, oracle)
     written = requirement_to_data(req, oracle)
-    _closed(entry, written.keys(), "schedule entry")
+    I.wire_object(entry, written.keys(), "schedule entry")
     for key, value in written.items():
         if entry[key] != value:
             raise ValueError(f"schedule entry's {key} is not the one its requirement writes")
@@ -478,7 +452,7 @@ def _replay_growth(events, oracle, length: int) -> None:
     """
     last = 0
     for j, event in enumerate(events):
-        _closed(event, _GROWTH_KEYS, f"growth event {j}")
+        I.wire_object(event, _GROWTH_KEYS, f"growth event {j}")
         if oracle.window() >= O.UNBOUNDED:
             raise ValueError(f"growth event {j}: the oracle has no window to grow")
         step = I.wire_int(event["step"])
@@ -509,8 +483,8 @@ def verify_trace_data(data: Mapping) -> None:
     """
     i = None  # the step being replayed; None before and after the steps
     try:
-        _closed(data, _TRACE_KEYS, "trace")
-        oracle = _oracle_from_data(data["oracle"])
+        I.wire_object(data, _TRACE_KEYS, "trace")
+        oracle = O.oracle_from_descriptor(data["oracle"])
         raw_target = data["target"]
         target = None if raw_target is None else tuple(I.wire_int(b, bit=True) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
@@ -522,6 +496,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 2.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _replay_growth(data["growth_events"], oracle, len(schedule))
@@ -529,10 +504,10 @@ def verify_trace_data(data: Mapping) -> None:
         for i, (entry, step) in enumerate(zip(schedule, steps)):
             req = _requirement_from_entry(entry, oracle)
             tree = isinstance(req, TreeDiagonalized)
-            _closed(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
-            extra = _closed(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
-            data_cert = _closed(step["certificate"], _CERTIFICATE_KEYS, "certificate")
-            _closed(data_cert["upper"], condition_keys, "upper")
+            I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
+            extra = I.wire_object(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
+            data_cert = I.wire_object(step["certificate"], _CERTIFICATE_KEYS, "certificate")
+            I.wire_object(data_cert["upper"], condition_keys, "upper")
             c = F.verify_certificate_data(data_cert, c, oracle, parsed).upper
             try:
                 F.validate(c, oracle)
@@ -541,7 +516,7 @@ def verify_trace_data(data: Mapping) -> None:
             if not _requirement_holds(req, extra, c, oracle):
                 raise Refused("requirement not satisfied")
         i = None
-        final = _closed(data["final"], condition_keys, "final")
+        final = I.wire_object(data["final"], condition_keys, "final")
         if F.condition_from_data(final, oracle, parsed) != c:
             raise Refused("final condition does not match the last step")
         if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):

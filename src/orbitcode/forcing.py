@@ -748,4 +748,8 @@ def verify_certificate_data(
     upper.s.inherit_orbits(lower.s)
     if _snapshots_to_data(cert.snapshots, oracle) != data["fixpoint_snapshots"]:
         raise Refused("fixed-point snapshots do not match")
+    for snapshot in data["fixpoint_snapshots"]:
+        # equal as numbers is not enough: 2.0 and true compare equal to 2 and 1
+        for n in snapshot["fixed_points"]:
+            I.wire_int(n)
     return cert

@@ -346,15 +346,6 @@ def open_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
     return s._orbits().paths(s._fwd)
 
 
-def mex(values: Iterable[int]) -> int:
-    """Least natural number not in `values`."""
-    taken = set(values)
-    n = 0
-    while n in taken:
-        n += 1
-    return n
-
-
 def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     """The closed orbits in min-order, and the least natural none of them covers."""
     index = s._orbits()
@@ -639,6 +630,15 @@ def wire_int(value, bit: bool = False) -> int:
     if type(value) is not int or (bit and value not in (0, 1)):
         raise ValueError(f"{value!r} is not {'a bit' if bit else 'an integer'}")
     return value
+
+
+def wire_object(data, keys: frozenset, what: str):
+    """data itself, if it is an object with exactly `keys`; ValueError otherwise."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} is not an object")
+    if data.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(data)}, format gives {sorted(keys)}")
+    return data
 
 
 def injection_from_pairs(pairs: Iterable[Iterable[int]]) -> PartialInjection:

@@ -19,7 +19,7 @@ nothing again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import forcing as F
 from . import injections as I
@@ -177,16 +177,26 @@ def translation_oracle() -> TranslationOracle:
 
 @dataclass
 class CompletedStage:
-    """A sealed construction stage: its injection has only closed orbits."""
+    """A sealed construction stage: its injection has only closed orbits.
+
+    `oracle` is the group its words are written in (in a staged run, the
+    stages before it), so growing the stage and writing it out reuse that
+    oracle's word memos.
+    """
 
     generator_index: int
     condition: F.Condition
-    window: int
+    oracle: GroupOracle = field(repr=False, compare=False)
     trace: object = field(default=None, repr=False, compare=False)
 
     @property
     def injection(self) -> I.PartialInjection:
         return self.condition.s
+
+    @property
+    def window(self) -> int:
+        """The least natural no cycle covers; with only closed orbits, mex(support)."""
+        return I.closed_and_gap(self.condition.s)[1]
 
     @property
     def target_bits(self) -> tuple[int, ...]:
@@ -232,7 +242,7 @@ class StagedOracle(GroupOracle):
     """Reduced words in the stage generators, evaluated through their injections.
 
     Stage states are shared: an oracle built over a prefix of the stage list
-    (as the growth machinery does) sees and contributes the same growth.
+    (as each stage's own oracle is) sees and contributes the same growth.
     """
 
     def __init__(self, stages: Sequence[CompletedStage]):
@@ -298,7 +308,7 @@ class StagedOracle(GroupOracle):
         state = self._stages[index]
         if state.window >= n:
             return
-        sub = StagedOracle(self._stages[:index])
+        sub = state.oracle
         cond = state.condition
         attempts = 0
 
@@ -324,14 +334,11 @@ class StagedOracle(GroupOracle):
                 cond = retrying(lambda: F.extend_domain(cond, point, sub)).upper
             if cond.s.apply_inverse(point) is None:
                 cond = retrying(lambda: F.extend_range(cond, point, sub)).upper
-        cond = retrying(lambda: F.close_all_orbits(cond, sub)).upper
-        new_window = I.mex(cond.s.support)
-        if new_window < n:
+        state.condition = retrying(lambda: F.close_all_orbits(cond, sub)).upper
+        if state.window < n:
             raise StageExtensionFailed(
-                f"stage {index} growth reached window {new_window} < {n}"
+                f"stage {index} growth reached window {state.window} < {n}"
             )
-        state.condition = cond
-        state.window = new_window
 
     def format_element(self, a) -> str:
         return _format_staged(self._check(a))
@@ -340,24 +347,20 @@ class StagedOracle(GroupOracle):
         return self._check(_parse_staged(text))
 
     def descriptor(self) -> dict:
-        stages = [
-            stage_to_data(stage, StagedOracle(self._stages[:i]))
-            for i, stage in enumerate(self._stages)
-        ]
-        return {"kind": "staged", "stages": stages}
+        return {"kind": "staged", "stages": [stage_to_data(stage) for stage in self._stages]}
 
 
 def staged_oracle(stages: Sequence[CompletedStage]) -> StagedOracle:
     return StagedOracle(stages)
 
 
-def stage_to_data(stage: CompletedStage, oracle: StagedOracle) -> dict:
-    """A stage's wire form; its words are written in `oracle`, the stages before it."""
+def stage_to_data(stage: CompletedStage) -> dict:
+    """A stage's wire form; its words are written in the stage's oracle, the stages before it."""
     cond = stage.condition
     return {
         "generator_index": stage.generator_index,
         "injection": [list(p) for p in cond.s.pairs()],
-        "words": sorted(W.format_word(w, oracle) for w in cond.words),
+        "words": sorted(W.format_word(w, stage.oracle) for w in cond.words),
         "target_bits": list(cond.target or ()),
         "window": stage.window,
     }
@@ -366,42 +369,57 @@ def stage_to_data(stage: CompletedStage, oracle: StagedOracle) -> dict:
 def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
     """Inverse of stage_to_data; ValueError for pairs or word texts not in its form.
 
-    A word naming this stage or a later one is rejected.
+    `oracle` is the stages before it, so a word naming this stage or a later
+    one is rejected.  The written window is left to oracle_from_descriptor,
+    since a stage's window follows from its injection.
     """
     s, words = F.map_and_words_from_data(data["injection"], data["words"], oracle)
     bits = tuple(I.wire_int(b, bit=True) for b in data["target_bits"])
     return CompletedStage(
         generator_index=I.wire_int(data["generator_index"]),
         condition=F.Condition(s, words, F.Flavor.DAGGER, bits),
-        window=I.wire_int(data["window"]),
+        oracle=oracle,
     )
 
 
+_ORACLE_KEYS = frozenset(("kind",))
+_STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
+_STAGE_KEYS = frozenset(("generator_index", "injection", "words", "target_bits", "window"))
+
+
 def oracle_from_descriptor(data: dict) -> GroupOracle:
+    """The oracle a descriptor names; ValueError for one descriptor() would not write.
+
+    The descriptor holds exactly `kind`, plus `stages` when staged, and each
+    stage exactly stage_to_data's keys (TypeError for a non-object); each
+    stage must be what seal makes over the stages before it.
+    """
+    staged = isinstance(data, Mapping) and data.get("kind") == "staged"
+    I.wire_object(data, _STAGED_ORACLE_KEYS if staged else _ORACLE_KEYS, "oracle")
     kind = data["kind"]
     if kind == "trivial":
         return trivial_oracle()
     if kind == "translation":
         return translation_oracle()
-    if kind == "staged":
-        stages: list[CompletedStage] = []
-        for i, entry in enumerate(data["stages"]):
-            before = StagedOracle(stages)
-            try:
-                stage = stage_from_data(entry, before)
-            except ValueError as exc:
-                raise ValueError(f"stage {i}: {exc}") from exc
-            stages.append(_proven_stage(i, stage, before))
-        return StagedOracle(stages)
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    if not staged:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    stages: list[CompletedStage] = []
+    for i, entry in enumerate(data["stages"]):
+        I.wire_object(entry, _STAGE_KEYS, f"oracle stage {i}")
+        try:
+            stage = stage_from_data(entry, StagedOracle(stages))
+            stages.append(_proven_stage(i, stage, I.wire_int(entry["window"])))
+        except ValueError as exc:
+            raise ValueError(f"stage {i}: {exc}") from exc
+    return StagedOracle(stages)
 
 
-def _proven_stage(i: int, stage: CompletedStage, before: StagedOracle) -> CompletedStage:
-    """stage itself if it is what seal makes as stage i over `before`; ValueError otherwise.
+def _proven_stage(i: int, stage: CompletedStage, window: int) -> CompletedStage:
+    """stage itself if seal made it as stage i, written with `window`; ValueError otherwise.
 
-    Sealed means generator i, only closed orbits (dom = ran) and the window
-    mex(support); its condition validates over the stages before it, and
-    its injection decodes to its target bits.
+    Sealed means generator i, only closed orbits (dom = ran), so that the
+    window is mex(support); its condition validates over the stages before
+    it, and its injection decodes to its target bits.
     """
     s, bits = stage.injection, stage.target_bits
     decoded = I.o_dagger(s, len(bits) - 1)
@@ -409,14 +427,14 @@ def _proven_stage(i: int, stage: CompletedStage, before: StagedOracle) -> Comple
         problem = f"generator_index is {stage.generator_index}"
     elif s.domain != s.range:
         problem = "has an open orbit"
-    elif stage.window != I.mex(s.support):
-        problem = f"window {stage.window} is not mex(support) = {I.mex(s.support)}"
+    elif window != stage.window:
+        problem = f"window {window} is not mex(support) = {stage.window}"
     else:
         try:
-            F.validate(stage.condition, before)
+            F.validate(stage.condition, stage.oracle)
         except Refused as exc:
-            raise ValueError(f"stage {i}: invalid condition: {exc}") from None
+            raise ValueError(f"invalid condition: {exc}") from None
         if decoded == bits:
             return stage
         problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
-    raise ValueError(f"stage {i}: {problem}")
+    raise ValueError(problem)

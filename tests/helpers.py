@@ -81,6 +81,15 @@ def closed_cycle_sizes_of_mapping(graph: dict[int, int]) -> list[int]:
     return sizes
 
 
+def mex(values) -> int:
+    """The least natural number not in `values`, found by counting up from 0."""
+    taken = set(values)
+    n = 0
+    while n in taken:
+        n += 1
+    return n
+
+
 def zig(n: int) -> int:
     """The n-th integer in the order 0, -1, 1, -2, 2, ..."""
     return n // 2 if n % 2 == 0 else -(n + 1) // 2

@@ -380,6 +380,26 @@ def test_an_unsealed_stage_file_is_a_usage_error(tmp_path, capsys):
     assert err == "error: cannot load oracle: stage 0: has an open orbit"
 
 
+def test_a_stage_file_with_a_key_outside_the_format_is_a_usage_error(tmp_path, capsys):
+    stage = {
+        "generator_index": 0,
+        "injection": [[0, 1], [1, 0]],
+        "words": ["x"],
+        "target_bits": [1],
+        "window": 2,
+    }
+    stages = tmp_path / "stages.json"
+    argv = ("run", "--flavor", "plain", "--oracle", f"staged:{stages}", "--schedule", "auto:2")
+    stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
+    assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 0
+    capsys.readouterr()
+    stage["note"] = "forged"
+    stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
+    assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: cannot load oracle: oracle stage 0 has keys")
+
+
 def test_usage_errors_from_argparse_exit_two(capsys):
     assert run_cli("run", "--flavor", "nonsense") == 2
     assert run_cli() == 2

@@ -27,7 +27,6 @@ from orbitcode import (
     format_word,
     group,
     leq,
-    mex,
     o_dagger,
     open_orbits,
     orbit_decomposition,
@@ -148,7 +147,7 @@ def test_seal_closes_every_orbit():
     stage = seal(trace, oracle)
     assert not open_orbits(stage.injection)
     validate(stage.condition, oracle)
-    assert stage.window == mex(stage.injection.support)
+    assert stage.window == helpers.mex(stage.injection.support)
 
 
 def test_seal_of_a_fully_closed_run_keeps_the_condition():
@@ -602,6 +601,22 @@ def _sparse_tree_trace():
     return _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
 
 
+def _dagger_trace():
+    """Its step-2 snapshot of x^2 has the fixed points [1, 2]."""
+    oracle = trivial_oracle()
+    schedule = [WordAdded(x_power(1)), WordAdded(x_power(2)), DomainHits(0)]
+    return _wire(run(Flavor.DAGGER, (1,), schedule, oracle), oracle)
+
+
+def _set_fixed_point(index, value):
+    def forge(data):
+        [snapshot] = data["steps"][2]["certificate"]["fixpoint_snapshots"][1:]
+        assert snapshot == {"word": "x^2", "fixed_points": [1, 2]}
+        snapshot["fixed_points"][index] = value
+
+    return forge
+
+
 def _rewrite_zero(side, value):
     """Write the point 0 of the last condition's pairs, on the domain (0) or range (1) side."""
 
@@ -660,10 +675,18 @@ def _set_witness(key, cast):
             _set_witness("witness_node", lambda node: [float(v) for v in node]),
             "step 1: malformed: 1.0 is not an integer",
         ),
+        (
+            _coding_trace,
+            lambda data: data["conventions"].__setitem__("format_version", 2.0),
+            "malformed trace: 2.0 is not an integer",
+        ),
+        (_dagger_trace, _set_fixed_point(1, 2.0), "step 2: malformed: 2.0 is not an integer"),
+        (_dagger_trace, _set_fixed_point(0, True), "step 2: malformed: True is not an integer"),
     ],
     ids=["float-point", "string-point", "float-r-prefix-bit", "string-decoded-bits",
          "boolean-target-bits", "boolean-schedule-point", "float-tree-seed",
-         "float-witness-index", "float-witness-node"],
+         "float-witness-index", "float-witness-node", "float-format-version",
+         "float-fixed-point", "boolean-fixed-point"],
 )
 def test_a_number_not_written_as_a_json_integer_fails_replay(trace, forge, reason):
     data = trace()

@@ -14,7 +14,6 @@ from orbitcode import (
     closed_orbits,
     fixed_points,
     injection_from_pairs,
-    mex,
     nth_prime,
     o_dagger,
     o_partial,
@@ -86,10 +85,10 @@ def test_fresh_point_is_an_open_singleton():
 
 
 def test_mex_examples():
-    assert mex(()) == 0
-    assert mex((0, 1, 2)) == 3
-    assert mex((1, 2)) == 0
-    assert mex((0, 2, 3)) == 1
+    assert helpers.mex(()) == 0
+    assert helpers.mex((0, 1, 2)) == 3
+    assert helpers.mex((1, 2)) == 0
+    assert helpers.mex((0, 2, 3)) == 1
 
 
 def test_min_order_niceness_holds_for_anchored_orbits():

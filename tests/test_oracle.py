@@ -1,5 +1,6 @@
 """The three group backends: one-element, integer translations, staged."""
 
+import itertools
 import json
 
 import pytest
@@ -93,7 +94,7 @@ def sealed_stage():
     """A hand-built stage: two 2-cycles, window 4."""
     s = PartialInjection([(0, 1), (1, 0), (2, 3), (3, 2)])
     cond = dagger_condition((0,), s, [x_power(1)])
-    return CompletedStage(generator_index=0, condition=cond, window=4)
+    return CompletedStage(generator_index=0, condition=cond, oracle=staged_oracle([]))
 
 
 def test_staged_lookup_inside_the_window():
@@ -182,7 +183,7 @@ def test_element_text_round_trip():
 def sealed_stage_one():
     s = PartialInjection([(0, 2), (2, 0), (1, 3), (3, 1)])
     cond = dagger_condition((0,), s, [x_power(1)])
-    return CompletedStage(generator_index=1, condition=cond, window=4)
+    return CompletedStage(generator_index=1, condition=cond, oracle=staged_oracle([sealed_stage()]))
 
 
 def test_staged_rejects_malformed_elements():
@@ -213,7 +214,7 @@ def test_staged_group_laws_on_random_elements():
 
 def test_stage_serialization_round_trip():
     stage = sealed_stage()
-    data = stage_to_data(stage, staged_oracle([]))
+    data = stage_to_data(stage)
     assert set(data) == {"generator_index", "injection", "words", "target_bits", "window"}
     back = stage_from_data(data, staged_oracle([]))
     assert back.generator_index == stage.generator_index
@@ -221,6 +222,16 @@ def test_stage_serialization_round_trip():
     assert back.injection == stage.injection
     assert back.condition.words == stage.condition.words
     assert back.target_bits == stage.target_bits
+
+
+def test_a_stage_window_is_the_least_natural_outside_its_support():
+    # every injection on {0..5} with only closed orbits: each permutation of each subset
+    for size in range(7):
+        for support in itertools.combinations(range(6), size):
+            for image in itertools.permutations(support):
+                s = PartialInjection(zip(support, image))
+                stage = CompletedStage(0, dagger_condition((), s), staged_oracle([]))
+                assert stage.window == helpers.mex(support), s
 
 
 def test_descriptor_round_trip_for_all_backends():
@@ -236,7 +247,7 @@ def test_stage_words_live_in_the_stages_before_them():
     second = CompletedStage(
         generator_index=1,
         condition=dagger_condition((0,), first.injection, [x_power(1), gx]),
-        window=4,
+        oracle=staged_oracle([first]),
     )
     data = staged_oracle([first, second]).descriptor()
     assert "g0.x" in data["stages"][1]["words"]
@@ -258,7 +269,7 @@ def test_empty_staged_oracle_is_the_one_element_group():
 def test_growth_from_a_minimal_stage():
     s = PartialInjection([(0, 1), (1, 0)])
     cond = dagger_condition((), s, [x_power(1)])
-    stage = CompletedStage(generator_index=0, condition=cond, window=2)
+    stage = CompletedStage(generator_index=0, condition=cond, oracle=staged_oracle([]))
     oracle = staged_oracle([stage])
     oracle.grow_window(6)
     assert oracle.window() >= 6

@@ -18,8 +18,9 @@ combined one over all of them:
     python3 tools/trace_digests.py --check    # compare with tools/trace_digests.txt
 
 Run from the root of a checkout; the library is imported from `src/`.  It
-takes minutes, so it is not part of CI.  `--check` exits 1 and names the
-runs whose digest differs from the pinned file.
+takes about 25 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
+in the tier-1 job.  `--check` exits 1 and names the runs whose digest
+differs from the pinned file.
 """
 
 from __future__ import annotations
