@@ -77,6 +77,10 @@ class TreeDiagonalized:
 class OrbitCoded:
     index: int
 
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError(f"negative orbit index {self.index}")
+
 
 Requirement = DomainHits | RangeHits | WordAdded | TreeDiagonalized | OrbitCoded
 
@@ -134,30 +138,29 @@ class RunTrace:
 
 
 def _apply_requirement(req: Requirement, c: F.Condition, oracle):
-    """Meet one requirement; returns (op name, certificate, a tree step's witness or {})."""
-    if isinstance(req, DomainHits):
-        if c.s.apply(req.n) is not None:
-            return "already_present", F.leq(c, c, oracle), {}
-        return "extend_domain", F.extend_domain(c, req.n, oracle), {}
-    if isinstance(req, RangeHits):
-        if c.s.apply_inverse(req.m) is not None:
-            return "already_present", F.leq(c, c, oracle), {}
-        return "extend_range", F.extend_range(c, req.m, oracle), {}
-    if isinstance(req, WordAdded):
-        w = W.reduce(req.word.letters, oracle)
-        if w in c.words:
-            return "already_present", F.leq(c, c, oracle), {}
-        op = "add_word" if c.flavor is F.Flavor.DAGGER else "adjoin_word"
-        return op, F.add_word(c, w, oracle), {}
+    """Meet one requirement; returns (op name, certificate, a tree step's witness or {}).
+
+    A requirement c already meets, by the verifier's _requirement_holds,
+    leaves c unchanged.
+    """
     if isinstance(req, TreeDiagonalized):
         cert, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
         return "tree_extend", cert, {"witness_node": list(witness), "witness_index": k}
     if isinstance(req, OrbitCoded):
         cert = None
-        while len(I.closed_orbits(c.s)) <= req.index:
+        while not _requirement_holds(req, {}, c, oracle):
             cert = F.chain(cert, F.code_next_orbit(c, oracle))
             c = cert.upper
         return "code_next_orbit", cert or F.leq(c, c, oracle), {}
+    if _requirement_holds(req, {}, c, oracle):
+        return "already_present", F.leq(c, c, oracle), {}
+    if isinstance(req, DomainHits):
+        return "extend_domain", F.extend_domain(c, req.n, oracle), {}
+    if isinstance(req, RangeHits):
+        return "extend_range", F.extend_range(c, req.m, oracle), {}
+    if isinstance(req, WordAdded):
+        op = "add_word" if c.flavor is F.Flavor.DAGGER else "adjoin_word"
+        return op, F.add_word(c, W.reduce(req.word.letters, oracle), oracle), {}
     raise TypeError(f"not a requirement: {req!r}")
 
 
@@ -450,6 +453,8 @@ def _replay_growth(events, oracle, length: int) -> None:
     decrease and stay at most `length` (the seal's); each target is the
     growth rule's for the window so far, and reaches the recorded window.
     """
+    if not isinstance(events, list):
+        raise TypeError("growth_events must be a list")
     last = 0
     for j, event in enumerate(events):
         I.wire_object(event, _GROWTH_KEYS, f"growth event {j}")
@@ -477,7 +482,9 @@ def verify_trace_data(data: Mapping) -> None:
     stage seal did not make, other conventions, and growth events off the
     engine's rule.  Each step's upper condition, each word text parsed once,
     must extend the condition before it with the stored snapshots, validate,
-    and meet its schedule entry; the final condition and decoded bits must
+    and meet its schedule entry; a step other than a tree step whose entry
+    the condition before it already met must leave that condition as it is,
+    as the engine does.  The final condition and decoded bits must
     recompute.  Refused names the first claim that fails, and the step it
     fails at.
     """
@@ -508,13 +515,17 @@ def verify_trace_data(data: Mapping) -> None:
             extra = I.wire_object(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
             data_cert = I.wire_object(step["certificate"], _CERTIFICATE_KEYS, "certificate")
             I.wire_object(data_cert["upper"], condition_keys, "upper")
-            c = F.verify_certificate_data(data_cert, c, oracle, parsed).upper
+            lower = c
+            met = not tree and _requirement_holds(req, extra, lower, oracle)
+            c = F.verify_certificate_data(data_cert, lower, oracle, parsed).upper
             try:
                 F.validate(c, oracle)
             except Refused as exc:
                 raise Refused(f"invalid condition: {exc}") from None
             if not _requirement_holds(req, extra, c, oracle):
                 raise Refused("requirement not satisfied")
+            if met and c != lower:
+                raise Refused("requirement already met, but the step changes the condition")
         i = None
         final = I.wire_object(data["final"], condition_keys, "final")
         if F.condition_from_data(final, oracle, parsed) != c:

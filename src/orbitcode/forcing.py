@@ -29,7 +29,8 @@ checks once per root and word set (_word_facts).  The dagger code of a root
 v is read off v[s]'s cycle counts, injections.word_cycle_counts, which
 validate, add_word and strong_close_orbit share: a memo carried along the
 run, so a step costs O(its new pairs).  The fresh-point clause is
-_fresh_point_ok, searched by _least_fresh for both close_orbit's chain and
+_fresh_point_ok, checked against one set of used points per closure and
+searched by _least_fresh for both close_orbit's chain, from the gap, and
 strong_close_orbit's cycle.
 """
 
@@ -39,7 +40,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from . import injections as I
 from . import trees as T
@@ -259,7 +260,7 @@ def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertific
 
 
 def _least_admissible(
-    c: Condition, pair_at, taken: frozenset[int], oracle, what: str
+    c: Condition, pair_at, taken: Container[int], oracle, what: str
 ) -> ExtensionCertificate:
     """Certificate of the least v outside `taken` whose pair pair_at(v) extends c."""
     for v in range(_SCAN_CAP + 1):
@@ -410,27 +411,21 @@ def closing_threshold(c: Condition, n: int) -> int:
 
 
 def _fresh_point_ok(
-    b: int,
-    bound: int,
-    chosen: set[int],
-    support: frozenset[int],
-    handles,
-    oracle,
-    back: frozenset[int] = frozenset(),
+    b: int, bound: int, used: set[int], handles, oracle, back: tuple[int, ...] = ()
 ) -> bool:
     """The fresh-point clause: above the bound (-1 for chain points), no collisions.
 
-    `back` exempts the intended group edge: a point forced as g(a) is mapped
-    back onto a by g^-1, and above the pairwise bound no other handle can
-    reach a, so allowing exactly that image loses nothing.
+    `used` is one set per closure: the condition's support, grown in place
+    by every point the closure picks.  `back` exempts the intended group
+    edge: a point forced as g(a) is mapped back onto a by g^-1, and above
+    the pairwise bound no other handle can reach a, so allowing exactly
+    that image loses nothing.
     """
-    if b <= bound or b in support or b in chosen:
+    if b <= bound or b in used:
         return False
     for h in handles:
         image = oracle.eval(h, b)
-        if image == b:
-            return False
-        if (image in chosen or image in support) and image not in back:
+        if image == b or (image in used and image not in back):
             return False
     return True
 
@@ -450,39 +445,37 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     first anchored in the domain if n is isolated, then a fresh chain of
     k − |orbit| points is routed from the orbit's exit back to its entry.
     Chain points and their group images avoid everything already present, so
-    no word of E gains a fixed point.
+    no word of E gains a fixed point.  The orbit is walked once, and the
+    chain scan starts at the gap: every point below it lies in a cycle.
     """
     orbit = I.orbit_of(c.s, n)
     if orbit.closed:
         raise PreconditionViolated(f"{n} lies in a closed orbit")
-    threshold = closing_threshold(c, n)
+    threshold = orbit.size + c.max_word_length
     if k <= threshold:
         raise KTooSmall(f"need k > {threshold}, got {k}")
 
-    base = c
-    if n not in c.s.support:
+    used = set(c.s.support)
+    base, size, exit_ = c, orbit.size, orbit.exit
+    if n not in used:
         # anchor the isolated point with a fresh image so the size arithmetic
         # stays exact: the orbit becomes {n, m} and only then grows a chain
-        base = _least_admissible(
-            c, lambda m: (n, m), c.s.support | {n}, oracle, f"anchor image for {n}"
-        ).upper
-
-    orbit = I.orbit_of(base.s, n)
-    chain_length = k - orbit.size
+        used.add(n)
+        base = _least_admissible(c, lambda m: (n, m), used, oracle, f"anchor image for {n}").upper
+        exit_ = base.s.apply(n)
+        used.add(exit_)
+        size += 1
+    chain_length = k - size
     if chain_length < 0:
         raise InternalCheckFailed("orbit outgrew the requested size")
     handles = _nonidentity_handles(base.words, oracle)
-    support = base.s.support
-    chain: list[int] = []
-    while len(chain) < chain_length:
-        chosen = set(chain)
-        chain.append(
-            _least_fresh(
-                chain[-1] + 1 if chain else 0,
-                lambda a: _fresh_point_ok(a, -1, chosen, support, handles, oracle),
-            )
-        )
-    route = [orbit.exit, *chain, orbit.entry]
+    route = [exit_]
+    start = I.closed_and_gap(base.s)[1]
+    while len(route) <= chain_length:
+        route.append(_least_fresh(start, lambda a: _fresh_point_ok(a, -1, used, handles, oracle)))
+        used.add(route[-1])
+        start = route[-1] + 1
+    route.append(orbit.entry)
     closed = replace(
         base, s=base.s.with_pairs((route[i], route[i + 1]) for i in range(len(route) - 1))
     )
@@ -531,62 +524,52 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
     before = I.word_cycle_counts(v, c.s, oracle)
     handles = _nonidentity_handles(list(c.words) + [v], oracle)
     bound = avoidance_bound(c, oracle, extra_words=[v], pairwise=True)
-    support = c.s.support
+    used = set(c.s.support)
     letters = v.letters * k
     m = len(letters)
 
     def letter_at(i: int) -> W.Letter:
-        # the walk applies the word's letters rightmost-first around the cycle
+        # the walk applies the word's letters rightmost-first around the cycle;
+        # letter 0, the rightmost, is x, as word_cycle_counts above required
         return letters[m - 1 - i]
 
-    def pick_fresh(chosen: set[int], next_letter: W.Letter | None) -> int:
+    def pick_fresh(next_letter: W.Letter) -> int:
         def ok(b: int) -> bool:
-            if not _fresh_point_ok(b, bound, chosen, support, handles, oracle):
+            if not _fresh_point_ok(b, bound, used, handles, oracle):
                 return False
-            if next_letter is None or next_letter.kind is not W.LetterKind.GROUP:
+            if next_letter.kind is not W.LetterKind.GROUP:
                 return True
             forced = oracle.eval(next_letter.handle, b)
-            return _fresh_point_ok(
-                forced, bound, chosen | {b}, support, handles, oracle,
-                back=frozenset((b,)),
-            )
+            return _fresh_point_ok(forced, bound, used, handles, oracle, back=(b,))
 
         return _least_fresh(bound + 1, ok)
 
-    if m == 1:
-        a = pick_fresh(set(), None)
-        closed = replace(c, s=c.s.with_pair(a, a))
-    else:
-        points: list[int | None] = [None] * m
-        chosen: set[int] = set()
-        pairs: list[tuple[int, int]] = []
+    points: list[int | None] = [None] * m
+    pairs: list[tuple[int, int]] = []
 
-        def assign(i: int, value: int):
-            points[i] = value
-            chosen.add(value)
+    def assign(i: int, value: int):
+        points[i] = value
+        used.add(value)
 
-        assign(1, pick_fresh(chosen, letter_at(1)))
-        for i in range(1, m):
-            target = (i + 1) % m
-            letter = letter_at(i)
-            if letter.kind is W.LetterKind.GROUP:
-                forced = oracle.eval(letter.handle, points[i])
-                if not _fresh_point_ok(
-                    forced, bound, chosen, support, handles, oracle,
-                    back=frozenset((points[i],)),
-                ):
-                    raise InternalCheckFailed(f"forced point {forced} violates clauses")
-                assign(target, forced)
-                continue
-            if points[target] is None:
-                assign(target, pick_fresh(chosen, letter_at(target) if target else None))
-            if letter.kind is W.LetterKind.X:
-                pairs.append((points[i], points[target]))
-            else:
-                pairs.append((points[target], points[i]))
-        # the rightmost letter of an admissible word is always x
-        pairs.append((points[0], points[1]))
-        closed = replace(c, s=c.s.with_pairs(pairs))
+    first = 1 % m  # the point letter 0 maps to: point 0 itself when v^k is x
+    assign(first, pick_fresh(letter_at(first)))
+    for i in range(1, m):
+        target = (i + 1) % m
+        letter = letter_at(i)
+        if letter.kind is W.LetterKind.GROUP:
+            forced = oracle.eval(letter.handle, points[i])
+            if not _fresh_point_ok(forced, bound, used, handles, oracle, back=(points[i],)):
+                raise InternalCheckFailed(f"forced point {forced} violates clauses")
+            assign(target, forced)
+            continue
+        if points[target] is None:
+            assign(target, pick_fresh(letter_at(target)))
+        if letter.kind is W.LetterKind.X:
+            pairs.append((points[i], points[target]))
+        else:
+            pairs.append((points[target], points[i]))
+    pairs.append((points[0], points[first]))
+    closed = replace(c, s=c.s.with_pairs(pairs))
 
     # v[s] only grows, so its cycles before are cycles after: compare the counts
     after = I.word_cycle_counts(v, closed.s, oracle)

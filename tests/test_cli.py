@@ -305,16 +305,20 @@ def test_malformed_schedule_inputs_are_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "entry, point",
-    [({"kind": "domain_hits", "n": -1}, -1), ({"kind": "range_hits", "m": -3}, -3)],
-    ids=["domain", "range"],
+    "entry, reason",
+    [
+        ({"kind": "domain_hits", "n": -1}, "negative point -1"),
+        ({"kind": "range_hits", "m": -3}, "negative point -3"),
+        ({"kind": "orbit_coded", "index": -1}, "negative orbit index -1"),
+    ],
+    ids=["domain", "range", "orbit-index"],
 )
-def test_a_negative_requirement_point_is_a_usage_error(tmp_path, capsys, entry, point):
+def test_a_negative_requirement_point_is_a_usage_error(tmp_path, capsys, entry, reason):
     schedule = tmp_path / "schedule.json"
     schedule.write_text(json.dumps([entry]), encoding="utf-8")
     out = tmp_path / "t.json"
     assert run_cli("run", "--flavor", "plain", "--schedule", str(schedule), "--out", str(out)) == 2
-    assert f"error: cannot build schedule: negative point {point}" in capsys.readouterr().err
+    assert f"error: cannot build schedule: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

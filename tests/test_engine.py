@@ -801,6 +801,36 @@ def test_a_negative_requirement_point_fails_replay():
     assert result == "step 1: malformed: negative point -3"
 
 
+def test_an_orbit_coded_requirement_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="negative orbit index -1"):
+        OrbitCoded(-1)
+
+
+def test_a_negative_orbit_index_fails_replay():
+    data = _coding_trace()
+    data["schedule"][2]["index"] = -1
+    assert helpers.refusal(verify_trace_data, data) == "step 2: malformed: negative orbit index -1"
+
+
+@pytest.mark.parametrize("events", [{}, ""], ids=["object", "string"])
+def test_growth_events_that_are_not_a_list_fail_replay(events):
+    data = _coding_trace()
+    data["growth_events"] = events
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "malformed trace: growth_events must be a list"
+
+
+@pytest.mark.parametrize(
+    "entry, key, value", [(4, "m", 0), (8, "index", 1)], ids=["range-hits", "orbit-coded"]
+)
+def test_a_step_whose_entry_was_already_met_must_leave_the_condition(entry, key, value):
+    """Lowered to an entry an earlier step met, the entry still holds, but the step adds pairs."""
+    data = _coding_trace()
+    data["schedule"][entry][key] = value
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"step {entry}: requirement already met, but the step changes the condition"
+
+
 def _repeat_last(items):
     items.append(json.loads(json.dumps(items[-1])))
 

@@ -327,6 +327,21 @@ def test_close_orbit_grows_an_existing_chain():
     assert t.s.extends(c.s)
 
 
+def test_the_chain_scan_starts_at_the_gap(monkeypatch):
+    """Points below the gap lie in cycles, so a coding run checks fewer points than it pairs."""
+    checks = []
+    fresh_point_ok = F._fresh_point_ok
+
+    def counted(b, *args, **kwargs):
+        checks.append(b)
+        return fresh_point_ok(b, *args, **kwargs)
+
+    monkeypatch.setattr(F, "_fresh_point_ok", counted)
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
+    trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, 64), TRIV)
+    assert 0 < len(checks) <= len(trace.final.s)
+
+
 def test_coding_step_picks_the_parity_matched_length():
     c = coding_condition((1,), None, [x_power(1)])
     t = code_next_orbit(c, TRIV).upper
@@ -353,6 +368,14 @@ def test_strong_closure_adds_one_small_cycle():
     t = strong_close_orbit(c, x_power(1), 2, TRIV).upper
     assert t.s.pairs() == ((1, 2), (2, 1))
     assert o_dagger(t.s, 0) == (1,)
+
+
+def test_strong_closure_of_x_once_adds_one_fixed_point():
+    """v^k = x: the walk's one point maps to itself, the least point past the bound."""
+    c = dagger_condition((1,), inj({0: 1, 1: 0, 3: 5}), [])
+    for oracle in (TRIV, TRANS):
+        t = strong_close_orbit(c, x_power(1), 1, oracle).upper
+        assert t.s.pairs() == ((0, 1), (1, 0), (3, 5), (7, 7))
 
 
 def test_strong_closure_refuses_an_obligated_power():

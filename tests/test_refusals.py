@@ -1,8 +1,9 @@
 """Every clause the checks refuse with, by its exact text.
 
-One case per clause of `validate`, `leq`, `verify_certificate_data` and the
-closing clauses of `verify_trace_data`; each case builds the call and its
-arguments, and the refusal it raises must read exactly as listed.
+One case per clause of `validate`, `leq`, `verify_certificate_data`, the
+closing clauses of `verify_trace_data` and its clause on a step whose entry
+was already met; each case builds the call and its arguments, and the
+refusal it raises must read exactly as listed.
 """
 
 import json
@@ -118,6 +119,10 @@ CASES = {
     "certificate-snapshots": (
         lambda: _forged_certificate(lambda data: data.__setitem__("fixpoint_snapshots", [])),
         "fixed-point snapshots do not match",
+    ),
+    "trace-already-met": (
+        lambda: _forged_trace(lambda data: data["schedule"][4].__setitem__("m", 0)),
+        "step 4: requirement already met, but the step changes the condition",
     ),
     "trace-final": (
         lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),
