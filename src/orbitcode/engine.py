@@ -7,9 +7,11 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 2 writes each fact once: a step holds its upper
-condition and fixed-point snapshots, plus a tree step's witness; its lower
-condition is the previous upper and its requirement the schedule's entry.
+the run.  Format version 3 writes each step as its delta: the pairs and
+words its upper condition adds to the previous one, its lower condition,
+with the fixed-point snapshots, a tree step's witness and `upper_sum`, a
+checksum of the whole upper condition kept in O(delta).  Its requirement is
+the schedule's entry; only the final condition is written whole.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -19,6 +21,7 @@ raised by a forcing check included.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,7 +40,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 2,
+    "format_version": 3,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -384,6 +387,27 @@ def auto_schedule(flavor, n: int) -> list[Requirement]:
     return reqs
 
 
+def _upper_sum(total: int, pairs, texts) -> int:
+    """total plus the 8-byte blake2b digest of "n m" per pair and "w " + text per word, mod 2^64.
+
+    Summed from 0 over the deltas up to a step, it commits that step to its
+    whole upper condition at O(delta) cost, and a step writes it in hex.
+    """
+    for item in [f"{n} {m}" for n, m in pairs] + ["w " + text for text in texts]:
+        total += int.from_bytes(hashlib.blake2b(item.encode(), digest_size=8).digest(), "big")
+    return total % 2**64
+
+
+def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
+    steps, total = [], 0
+    for step in trace.steps:
+        cert = F.certificate_to_data(step.certificate, oracle)
+        total = _upper_sum(total, cert["pairs"], cert["words"])
+        extra = {"extra": step.extra} if step.extra else {}
+        steps.append({"certificate": cert, "upper_sum": f"{total:016x}"} | extra)
+    return steps
+
+
 def trace_to_data(trace: RunTrace, oracle) -> dict:
     return {
         "conventions": dict(CONVENTIONS),
@@ -391,11 +415,7 @@ def trace_to_data(trace: RunTrace, oracle) -> dict:
         "target": None if trace.target is None else list(trace.target),
         "oracle": trace.oracle_spec,
         "schedule": [requirement_to_data(req, oracle) for req in trace.schedule],
-        "steps": [
-            {"certificate": F.certificate_to_data(step.certificate, oracle)}
-            | ({"extra": step.extra} if step.extra else {})
-            for step in trace.steps
-        ],
+        "steps": _steps_to_data(trace, oracle),
         "final": F.condition_to_data(trace.final, oracle),
         "decoded": list(trace.decoded),
         "growth_events": [dict(ev) for ev in trace.growth_events],
@@ -427,9 +447,9 @@ _TRACE_KEYS = frozenset(
     ("conventions", "flavor", "target", "oracle", "schedule", "steps", "final", "decoded",
      "growth_events")
 )
-_STEP_KEYS = frozenset(("certificate",))
-_TREE_STEP_KEYS = frozenset(("certificate", "extra"))
-_CERTIFICATE_KEYS = frozenset(("upper", "fixpoint_snapshots"))
+_STEP_KEYS = frozenset(("certificate", "upper_sum"))
+_TREE_STEP_KEYS = _STEP_KEYS | {"extra"}
+_CERTIFICATE_KEYS = frozenset(("pairs", "words", "fixpoint_snapshots"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
 _GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
 _CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
@@ -477,16 +497,19 @@ def verify_trace_data(data: Mapping) -> None:
     Anything trace_to_data would not write is malformed: a key missing from
     an object's closed key set or outside it, a number that is not a JSON
     integer (or a bit other than 0 or 1), a schedule entry other than
-    its requirement writes, a condition's pairs or word texts out of order
-    or form (`r_prefix` exactly when the flavor is not plain), an embedded
-    stage seal did not make, other conventions, and growth events off the
-    engine's rule.  Each step's upper condition, each word text parsed once,
-    must extend the condition before it with the stored snapshots, validate,
-    and meet its schedule entry; a step other than a tree step whose entry
-    the condition before it already met must leave that condition as it is,
-    as the engine does.  The final condition and decoded bits must
-    recompute.  Refused names the first claim that fails, and the step it
-    fails at.
+    its requirement writes, a delta (see forcing.verify_certificate_data)
+    or the final condition with pairs or word texts out of order or form
+    (the final's `r_prefix` exactly when the flavor is not plain), an
+    embedded stage seal did not make, other conventions, and growth events
+    off the engine's rule.  Each step's upper condition, the one before it
+    plus its delta, each word text parsed once, must extend the condition
+    before it with the stored snapshots, validate, and meet its schedule
+    entry; a step other than a tree step whose entry the condition before it
+    already met must add nothing, as the engine does; and last, its
+    `upper_sum` must be the running sum.  So a step parses and inserts only
+    its delta, though with_pairs copies lower's maps.  The final condition
+    and decoded bits must recompute; Refused names the first claim that
+    fails, and the step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:
@@ -495,7 +518,7 @@ def verify_trace_data(data: Mapping) -> None:
         raw_target = data["target"]
         target = None if raw_target is None else tuple(I.wire_int(b, bit=True) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
-        condition_keys = _CONDITION_KEYS | (set() if target is None else {"r_prefix"})
+        final_keys = _CONDITION_KEYS | (set() if target is None else {"r_prefix"})
         schedule = data["schedule"]
         steps = data["steps"]
         if not (isinstance(schedule, list) and isinstance(steps, list)):
@@ -503,18 +526,18 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 2.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 3.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _replay_growth(data["growth_events"], oracle, len(schedule))
         parsed: dict = {}
+        total = 0
         for i, (entry, step) in enumerate(zip(schedule, steps)):
             req = _requirement_from_entry(entry, oracle)
             tree = isinstance(req, TreeDiagonalized)
             I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
             extra = I.wire_object(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
             data_cert = I.wire_object(step["certificate"], _CERTIFICATE_KEYS, "certificate")
-            I.wire_object(data_cert["upper"], condition_keys, "upper")
             lower = c
             met = not tree and _requirement_holds(req, extra, lower, oracle)
             c = F.verify_certificate_data(data_cert, lower, oracle, parsed).upper
@@ -524,10 +547,13 @@ def verify_trace_data(data: Mapping) -> None:
                 raise Refused(f"invalid condition: {exc}") from None
             if not _requirement_holds(req, extra, c, oracle):
                 raise Refused("requirement not satisfied")
-            if met and c != lower:
+            if met and (data_cert["pairs"] or data_cert["words"]):
                 raise Refused("requirement already met, but the step changes the condition")
+            total = _upper_sum(total, data_cert["pairs"], data_cert["words"])
+            if step["upper_sum"] != f"{total:016x}":
+                raise Refused(f"upper_sum {step['upper_sum']!r}, but deltas sum to {total:016x}")
         i = None
-        final = I.wire_object(data["final"], condition_keys, "final")
+        final = I.wire_object(data["final"], final_keys, "final")
         if F.condition_from_data(final, oracle, parsed) != c:
             raise Refused("final condition does not match the last step")
         if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):

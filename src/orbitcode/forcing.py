@@ -17,11 +17,11 @@ ExtensionCertificate from its input to its result, and `.upper` is the new
 condition.  A single step's certificate comes from one validate + leq check
 of the result against the input; an operation made of several steps chains
 their certificates by transitivity instead of checking again.  Callers store
-the certificate as it is.  Serialized, it keeps only its upper condition and
-snapshots, and re-verifies against a lower condition the reader already
-holds.  A check that says no raises Refused naming the clause, and an
-operation lets it propagate.  All tie-breaking picks the least value, so
-runs are reproducible bit for bit.
+the certificate as it is.  Serialized, it keeps only what its upper
+condition adds to its lower one, and the snapshots, and re-verifies against
+a lower condition the reader already holds.  A check that says no raises
+Refused naming the clause, and an operation lets it propagate.  All
+tie-breaking picks the least value, so runs are reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
@@ -706,9 +706,10 @@ def _snapshots_to_data(snapshots, oracle) -> list[dict]:
 
 
 def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
-    """The certificate on the wire, without its lower condition (the reader's)."""
+    """The certificate on the wire: what upper adds to lower (the reader's), and the snapshots."""
     return {
-        "upper": condition_to_data(cert.upper, oracle),
+        "pairs": [list(p) for p in sorted(cert.upper.s.pairs_beyond(cert.lower.s))],
+        "words": sorted(W.format_word(w, oracle) for w in cert.upper.words - cert.lower.words),
         "fixpoint_snapshots": _snapshots_to_data(cert.snapshots, oracle),
     }
 
@@ -716,19 +717,33 @@ def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
 def verify_certificate_data(
     data: dict, lower: Condition, oracle, parsed: dict | None = None
 ) -> ExtensionCertificate:
-    """Parse the upper condition once and recheck it against lower: order and snapshots.
+    """Build upper from lower and the delta, then recheck it against lower: order and snapshots.
 
-    The stored snapshots must be exactly those certificate_to_data writes for
-    the recomputed certificate.  Once upper is proven to extend lower, its
-    injection takes over lower's orbit index, if lower has one.  Returns that
-    certificate; Refused names the failed clause.
+    The delta is in the writer's form or raises ValueError: its pairs
+    strictly increase by domain point, each with a domain point and an image
+    lower lacks, and its word texts strictly increase, are each their
+    parse's text and name no word of lower.  upper's injection is lower's
+    with_pairs the delta, or lower's own for no pairs, so it keeps lower's
+    orbit index and leq reads only the new pairs.  The stored snapshots must
+    be exactly those certificate_to_data writes for the recomputed
+    certificate.  Returns that certificate; Refused names the failed clause.
     """
-    upper = condition_from_data(data["upper"], oracle, parsed)
+    pairs = [(I.wire_int(n), I.wire_int(m)) for n, m in data["pairs"]]
+    if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("delta pairs do not strictly increase by domain point")
+    for n, m in pairs:
+        if lower.s.apply(n) is not None or lower.s.apply_inverse(m) is not None:
+            raise ValueError(f"delta pair {[n, m]} meets the lower condition's domain or range")
+    _, words = map_and_words_from_data([], data["words"], oracle, parsed)
+    if not words.isdisjoint(lower.words):
+        text = min(W.format_word(w, oracle) for w in words & lower.words)
+        raise ValueError(f"delta word {text!r} is already in the lower condition")
+    s = lower.s.with_pairs(pairs) if pairs else lower.s
+    upper = replace(lower, s=s, words=lower.words | words)
     try:
         cert = leq(upper, lower, oracle)
     except Refused as exc:
         raise Refused(f"order recheck failed: {exc}") from None
-    upper.s.inherit_orbits(lower.s)
     if _snapshots_to_data(cert.snapshots, oracle) != data["fixpoint_snapshots"]:
         raise Refused("fixed-point snapshots do not match")
     for snapshot in data["fixpoint_snapshots"]:

@@ -147,31 +147,20 @@ class PartialInjection:
         child._new = tuple(child._add(new))
         return child
 
-    def inherit_orbits(self, other: "PartialInjection") -> None:
-        """Take over the index of other, which self extends, linking only self's new pairs.
-
-        Does nothing when other has no index or self already has one.
-        """
-        if other._index is None or self._index is not None:
-            return
-        index = other._index.copy()
-        for n, m in self._fwd.items():
-            if n not in other._fwd:
-                index.link(self._fwd, n, m)
-        self._index = index
-
     def _made_from(self, other: "PartialInjection") -> bool:
         return self._parent is not None and self._parent() is other
 
     def extends(self, other: "PartialInjection") -> bool:
-        return self._made_from(other) or self._fwd.items() >= other._fwd.items()
+        return self is other or self._made_from(other) or self._fwd.items() >= other._fwd.items()
 
     def pairs_beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...]:
         """The pairs of self outside other, for self extending other.
 
         For the map self was made from, the pairs with_pairs inserted, in
-        order; otherwise a set difference over the whole domain.
+        order (none for other itself); otherwise a set difference over the domain.
         """
+        if self is other:
+            return ()
         if self._made_from(other):
             return self._new
         fwd = self._fwd

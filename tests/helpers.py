@@ -8,11 +8,13 @@ injection's `.apply`, `.apply_inverse`, `.domain`, `.range` and `.support`, a
 condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
 `.compose`, `.invert`, `.identity` and `.is_identity`, and a tree's
 `.contains`.  Only `refusal` and `holds` import from the package: its one
-refusal type, to read a check's text or verdict.
+refusal type, to read a check's text or verdict.  The trace helpers read a
+serialized trace, plain JSON data, as the format describes it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -337,6 +339,39 @@ def word_by_word_dagger_clauses(c, oracle) -> bool:
             if n >= len(c.target) or sizes.count(prime) % 2 != c.target[n]:
                 return False
     return True
+
+
+def delta_unions(data) -> list[tuple[list[list[int]], list[str]]]:
+    """Per step, the union of the deltas up to it, its upper condition: sorted pairs and texts."""
+    pairs: dict[int, int] = {}
+    texts: set[str] = set()
+    out = []
+    for step in data["steps"]:
+        for n, m in step["certificate"]["pairs"]:
+            pairs[n] = m
+        texts.update(step["certificate"]["words"])
+        out.append(([[n, pairs[n]] for n in sorted(pairs)], sorted(texts)))
+    return out
+
+
+def upper_sum(pairs, texts) -> str:
+    """The checksum of a whole condition, summed from scratch: 16 hex digits.
+
+    The sum, mod 2^64, of the 8-byte blake2b digest of "n m" for each pair
+    and of "w " + text for each word text, each read as a big-endian number.
+    """
+    items = [f"{n} {m}" for n, m in pairs] + ["w " + text for text in texts]
+    total = sum(
+        int.from_bytes(hashlib.blake2b(item.encode(), digest_size=8).digest(), "big")
+        for item in items
+    )
+    return format(total % 2**64, "016x")
+
+
+def reseal(data) -> None:
+    """Rewrite each step's upper_sum for the union of its deltas, after a forger edits a delta."""
+    for step, (pairs, texts) in zip(data["steps"], delta_unions(data)):
+        step["upper_sum"] = upper_sum(pairs, texts)
 
 
 def refusal(call, *args) -> str:

@@ -383,35 +383,53 @@ def test_criterion_10_replay_integrity(tmp_path, capsys):
     clean.write_text(json.dumps(data), encoding="utf-8")
     assert cli_main(["verify", str(clean)]) == 0
     capsys.readouterr()
+    last = len(data["steps"]) - 1
+
+    def assert_fails(broken, step_index):
+        """verify refuses, at a step at most one past step_index, or at final."""
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert cli_main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "verification failed" in err
+        numbered = re.search(r"step (\d+)", err)
+        if numbered:
+            assert step_index is not None and int(numbered.group(1)) <= step_index + 1
+        else:
+            # a drift in the last delta can surface only at the final-condition
+            # comparison, and a forged final pair at its parse
+            assert step_index is None or (step_index == last and "final" in err)
+
+    fresh = 1 + max(n for pair in data["final"]["injection"] for n in pair)
+
+    def forgeries(step_index):
+        """Each delta pair shifted on either side or dropped, a fresh pair added, the sum moved."""
+        for pair_index in range(len(data["steps"][step_index]["certificate"]["pairs"])):
+            for side in (0, 1):
+                broken = copy.deepcopy(data)
+                broken["steps"][step_index]["certificate"]["pairs"][pair_index][side] += 1
+                yield broken
+            broken = copy.deepcopy(data)
+            del broken["steps"][step_index]["certificate"]["pairs"][pair_index]
+            yield broken
+        broken = copy.deepcopy(data)
+        # above every point, so the pairs stay in order
+        broken["steps"][step_index]["certificate"]["pairs"].append([fresh, fresh + 1])
+        yield broken
+        broken = copy.deepcopy(data)
+        written = int(broken["steps"][step_index]["upper_sum"], 16)
+        broken["steps"][step_index]["upper_sum"] = f"{(written + 1) % 2**64:016x}"
+        yield broken
 
     mutations = 0
-    for step_index, step in enumerate(data["steps"]):
-        pairs = step["certificate"]["upper"]["injection"]
-        for pair_index in range(len(pairs)):
-            broken = copy.deepcopy(data)
-            broken["steps"][step_index]["certificate"]["upper"]["injection"][
-                pair_index
-            ][1] += 1
-            path = tmp_path / "broken.json"
-            path.write_text(json.dumps(broken), encoding="utf-8")
-            assert cli_main(["verify", str(path)]) == 1
-            err = capsys.readouterr().err
-            assert "verification failed" in err
-            numbered = re.search(r"step (\d+)", err)
-            if numbered:
-                assert int(numbered.group(1)) <= step_index + 1
-            else:
-                # a drift in the last certificate can surface only at the
-                # final-condition comparison
-                assert step_index == len(data["steps"]) - 1 and "final" in err
+    for step_index in range(len(data["steps"])):
+        for broken in forgeries(step_index):
+            assert_fails(broken, step_index)
             mutations += 1
     for pair_index in range(len(data["final"]["injection"])):
         broken = copy.deepcopy(data)
         broken["final"]["injection"][pair_index][0] += 1
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(broken), encoding="utf-8")
-        assert cli_main(["verify", str(path)]) == 1
-        capsys.readouterr()
+        assert_fails(broken, None)
         mutations += 1
     assert mutations > 50
     print(f"criterion 10 (replay integrity, {mutations} mutations): PASS")

@@ -163,7 +163,9 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
 
 
 @pytest.mark.parametrize(
-    "key, value", [("format_version", 1), ("format_version", 99), ("prime_indexing", "p1=2")]
+    "key, value",
+    [("format_version", 1), ("format_version", 2), ("format_version", 99),
+     ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
     out = tmp_path / "trace.json"
@@ -174,7 +176,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 2" in capsys.readouterr().err
+    assert "format version 3" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
@@ -199,6 +201,21 @@ def test_verify_flags_a_tampered_pair(tmp_path, capsys):
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_flags_a_changed_delta_pair(tmp_path, capsys):
+    """As the installed console script's smoke test does: one delta pair changed, exit 1."""
+    out = tmp_path / "t.json"
+    args = ["run", "--flavor", "coding", "--bits", "1011", "--schedule", "auto:4"]
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert run_cli("verify", str(out)) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text(encoding="utf-8"))
+    step = next(step for step in data["steps"] if step["certificate"]["pairs"])
+    step["certificate"]["pairs"][0][1] += 1
+    out.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("verify", str(out)) == 1
+    assert "step 0: upper_sum" in capsys.readouterr().err
 
 
 def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):

@@ -274,7 +274,8 @@ def test_tampered_traces_fail_replay():
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle)
     data = json.loads(json.dumps(trace_to_data(trace, oracle)))
-    data["steps"][2]["certificate"]["upper"]["injection"][0][1] += 1
+    data["steps"][3]["certificate"]["pairs"][0][1] += 1
+    helpers.reseal(data)  # so only the pair itself is forged
     result = helpers.refusal(verify_trace_data, data)
     assert "step" in result
 
@@ -434,7 +435,7 @@ def _note_at(*path):
 @pytest.mark.parametrize(
     "forge, reason",
     [
-        (_note_at("steps", 1, "certificate", "upper"), "step 1: malformed: upper has keys"),
+        (_note_at("steps", 1, "certificate"), "step 1: malformed: certificate has keys"),
         (_note_at("schedule", 0), "step 0: malformed: schedule entry has keys"),
         (_note_at("final"), "malformed trace: final has keys"),
         (_note_at("oracle"), "malformed trace: oracle has keys"),
@@ -471,9 +472,9 @@ def test_a_tree_descriptor_with_a_key_outside_the_format_fails_replay(tree):
 def test_a_plain_condition_with_target_bits_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.PLAIN, None, [DomainHits(0), DomainHits(1)], oracle), oracle)
-    data["steps"][1]["certificate"]["upper"]["r_prefix"] = []
+    data["final"]["r_prefix"] = []
     result = helpers.refusal(verify_trace_data, data)
-    assert result.startswith("step 1: malformed: upper has keys")
+    assert result.startswith("malformed trace: final has keys")
 
 
 def test_an_embedded_stage_with_a_key_outside_the_format_fails_replay(three_stages):
@@ -618,10 +619,10 @@ def _set_fixed_point(index, value):
 
 
 def _rewrite_zero(side, value):
-    """Write the point 0 of the last condition's pairs, on the domain (0) or range (1) side."""
+    """Write the point 0 of step 0's delta, on the domain (0) or range (1) side."""
 
     def forge(data):
-        [pair] = [pair for pair in _last_upper(data)["injection"] if pair[side] == 0]
+        [pair] = [pair for pair in data["steps"][0]["certificate"]["pairs"] if pair[side] == 0]
         pair[side] = value
 
     return forge
@@ -638,12 +639,12 @@ def _set_witness(key, cast):
 @pytest.mark.parametrize(
     "trace, forge, reason",
     [
-        (_coding_trace, _rewrite_zero(0, 0.0), "step 11: malformed: 0.0 is not an integer"),
-        (_coding_trace, _rewrite_zero(1, "0"), "step 11: malformed: '0' is not an integer"),
+        (_coding_trace, _rewrite_zero(0, 0.0), "step 0: malformed: 0.0 is not an integer"),
+        (_coding_trace, _rewrite_zero(1, "0"), "step 0: malformed: '0' is not an integer"),
         (
             _coding_trace,
-            lambda data: _last_upper(data)["r_prefix"].__setitem__(0, 1.5),
-            "step 11: malformed: 1.5 is not a bit",
+            lambda data: data["final"]["r_prefix"].__setitem__(0, 1.5),
+            "malformed trace: 1.5 is not a bit",
         ),
         (
             _coding_trace,
@@ -677,8 +678,8 @@ def _set_witness(key, cast):
         ),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 2.0),
-            "malformed trace: 2.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 3.0),
+            "malformed trace: 3.0 is not an integer",
         ),
         (_dagger_trace, _set_fixed_point(1, 2.0), "step 2: malformed: 2.0 is not an integer"),
         (_dagger_trace, _set_fixed_point(0, True), "step 2: malformed: True is not an integer"),
@@ -835,51 +836,55 @@ def _repeat_last(items):
     items.append(json.loads(json.dumps(items[-1])))
 
 
-def _last_upper(data):
-    return data["steps"][-1]["certificate"]["upper"]
+def _delta(data, step):
+    return data["steps"][step]["certificate"]
+
+
+def _words_first_trace():
+    """Step 0 adds x, x^2 and x^3 at once, the powers below x^3 first."""
+    oracle = translation_oracle()
+    return _wire(run(Flavor.DAGGER, (1, 0), [WordAdded(x_power(3)), DomainHits(0)], oracle), oracle)
 
 
 @pytest.mark.parametrize(
-    "flavor, forge, reason",
+    "trace, forge, reason",
     [
         (
-            Flavor.CODING,
-            lambda data: _repeat_last(_last_upper(data)["injection"]),
-            "step 5: malformed: injection pairs do not strictly increase by domain point",
+            _coding_trace,
+            lambda data: _repeat_last(_delta(data, 8)["pairs"]),
+            "step 8: malformed: delta pairs do not strictly increase by domain point",
         ),
         (
-            Flavor.CODING,
+            _coding_trace,
             lambda data: _repeat_last(data["final"]["injection"]),
             "malformed trace: injection pairs do not strictly increase by domain point",
         ),
         (
-            Flavor.CODING,
-            lambda data: _last_upper(data)["injection"].reverse(),
-            "step 5: malformed: injection pairs do not strictly increase by domain point",
+            _coding_trace,
+            lambda data: _delta(data, 8)["pairs"].reverse(),
+            "step 8: malformed: delta pairs do not strictly increase by domain point",
         ),
         (
-            Flavor.DAGGER,
-            lambda data: _repeat_last(_last_upper(data)["words"]),
-            "step 6: malformed: word texts do not strictly increase",
+            _words_first_trace,
+            lambda data: _repeat_last(_delta(data, 0)["words"]),
+            "step 0: malformed: word texts do not strictly increase",
         ),
         (
-            Flavor.DAGGER,
-            lambda data: _last_upper(data)["words"].reverse(),
-            "step 6: malformed: word texts do not strictly increase",
+            _words_first_trace,
+            lambda data: _delta(data, 0)["words"].reverse(),
+            "step 0: malformed: word texts do not strictly increase",
         ),
         (
-            Flavor.DAGGER,
-            lambda data: _last_upper(data)["words"].__setitem__(1, "x.x"),
-            "step 6: malformed: word 'x.x' is not written as its parse",
+            _words_first_trace,
+            lambda data: _delta(data, 0)["words"].__setitem__(1, "x.x"),
+            "step 0: malformed: word 'x.x' is not written as its parse",
         ),
     ],
     ids=["repeated-pair", "repeated-final-pair", "reversed-pairs", "repeated-word",
          "reversed-words", "unreduced-word-text"],
 )
-def test_a_condition_not_in_the_writers_form_fails_replay(flavor, forge, reason):
-    oracle = translation_oracle()
-    trace = run(flavor, (1, 0), auto_schedule(flavor, 2), oracle)
-    data = _wire(trace, oracle)
+def test_a_condition_not_in_the_writers_form_fails_replay(trace, forge, reason):
+    data = trace()
     verify_trace_data(data)
     forge(data)
     result = helpers.refusal(verify_trace_data, data)
@@ -889,7 +894,7 @@ def test_a_condition_not_in_the_writers_form_fails_replay(flavor, forge, reason)
 def test_a_word_that_is_not_text_fails_replay():
     oracle = translation_oracle()
     data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
-    _last_upper(data)["words"] = [3]
+    _delta(data, 6)["words"] = [3]
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 6: malformed: a word is text, not 3"
 
@@ -910,8 +915,9 @@ def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
     monkeypatch.setattr(W, "evaluate", counted)
     # the small value first: a scan up to the pair fails there, before a big one
     for far in (10**4, 10**9):
-        data["steps"][1]["certificate"]["upper"]["injection"] = [[0, far]]
+        data["steps"][1]["certificate"]["pairs"] = [[0, far]]
         data["final"]["injection"] = [[0, far]]
+        helpers.reseal(data)
         assert len(json.dumps(data)) < 1024
         calls.clear()
         verify_trace_data(data)
@@ -922,7 +928,7 @@ def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
     """x^2000 is six characters; rejecting it reduces a few copies, not one per rotation."""
     oracle = trivial_oracle()
     data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
-    data["steps"][0]["certificate"]["upper"]["words"] = ["x^2000"]
+    data["steps"][0]["certificate"]["words"] = ["x^2000"]
     reduced = []
     reduce = W.reduce
 
@@ -974,7 +980,8 @@ def test_verify_work_on_claimed_powers_follows_their_letters(monkeypatch):
     oracle = trivial_oracle()
     data = _wire(run(Flavor.DAGGER, (0,) * 46, [DomainHits(0)], oracle), oracle)
     texts = sorted(format_word(x_power(p), oracle) for p in range(1, 201))
-    data["steps"][0]["certificate"]["upper"]["words"] = texts
+    data["steps"][0]["certificate"]["words"] = texts
+    helpers.reseal(data)  # so the step passes, and the final comparison refuses
     letters = 200 * 201 // 2
     work = _bound_word_work(monkeypatch, 3 * letters)
     result = helpers.refusal(verify_trace_data, data)
@@ -988,7 +995,7 @@ def test_verify_work_on_a_written_out_power_follows_its_length(monkeypatch):
     data = _wire(run(Flavor.DAGGER, (1, 0), [DomainHits(0)], oracle), oracle)
     text = format_word(Word((group(1), X) * 1000), oracle)
     assert len(text) == 4 * 1000 + 999
-    data["steps"][0]["certificate"]["upper"]["words"] = [text]
+    data["steps"][0]["certificate"]["words"] = [text]
     _bound_word_work(monkeypatch, 3 * 2000)
     result = helpers.refusal(verify_trace_data, data)
     assert result == f"step 0: invalid condition: missing power 1 of root of {text!r}"

@@ -482,8 +482,13 @@ def test_certificate_serialization_and_replay():
     upper = extend_domain(lower, 0, TRIV).upper
     cert = leq(upper, lower, TRIV)
     data = certificate_to_data(cert, TRIV)
+    assert data == {
+        "pairs": [[0, 1]],
+        "words": [],
+        "fixpoint_snapshots": [{"word": "x", "fixed_points": []}],
+    }
     assert verify_certificate_data(data, lower, TRIV)
-    data["upper"]["injection"] = [[0, 0]]
+    data["pairs"] = [[0, 0]]
     helpers.refusal(verify_certificate_data, data, lower, TRIV)
 
 

@@ -344,20 +344,6 @@ def test_an_indexed_injection_grown_by_with_pair_and_with_pairs_matches_the_refe
         _assert_orbits_match_the_reference(s, graph)
 
 
-def test_an_inherited_index_equals_one_built_from_scratch():
-    rng = random.Random(29)
-    for _ in range(200):
-        graph = helpers.random_injection(rng, rng.randrange(16), 14)
-        pairs = list(graph.items())
-        rng.shuffle(pairs)
-        lower = PartialInjection(pairs[: rng.randrange(len(pairs) + 1)])
-        closed_orbits(lower)
-        upper = inj(graph)
-        upper.inherit_orbits(lower)
-        assert upper._index is not None  # taken over, not left to a lazy rebuild
-        _assert_orbits_match_the_reference(upper, graph)
-
-
 def _reference_codes(graph):
     """(orbit-order code, None if not nice; gap; closed cycles by size), read off the reference."""
     closed = [walk for walk, is_closed in helpers.orbits_by_minimum(graph) if is_closed]

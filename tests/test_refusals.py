@@ -1,9 +1,10 @@
 """Every clause the checks refuse with, by its exact text.
 
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
-closing clauses of `verify_trace_data` and its clause on a step whose entry
-was already met; each case builds the call and its arguments, and the
-refusal it raises must read exactly as listed.
+closing clauses of `verify_trace_data`, its clause on a step whose entry
+was already met and on a step's `upper_sum`, and the clauses on a delta in
+a form the writer never writes; each case builds the call and its
+arguments, and the refusal it raises must read exactly as listed.
 """
 
 import json
@@ -54,12 +55,23 @@ def _forged_certificate(forge):
     return verify_certificate_data, data, lower, TRIV
 
 
-def _forged_trace(forge):
-    """verify_trace_data on a two-bit coding trace, forged by `forge`."""
-    trace = run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), TRIV)
+def _forged_trace(forge, flavor=Flavor.CODING):
+    """verify_trace_data on a two-bit trace, forged by `forge`.
+
+    Coding: step 0 adds [0, 0], step 3 [1, 2] and step 4 [2, 1].  Dagger:
+    the same pairs, and steps 2, 5 and 6 add the words x, x^2 and x^3.
+    """
+    trace = run(flavor, (1, 0), auto_schedule(flavor, 2), TRIV)
     data = json.loads(json.dumps(trace_to_data(trace, TRIV)))
     forge(data)
     return verify_trace_data, data
+
+
+def _set_delta(step, key, value, flavor=Flavor.CODING):
+    """_forged_trace with step `step`'s delta `key` set to `value`."""
+    return _forged_trace(
+        lambda data: data["steps"][step]["certificate"].__setitem__(key, value), flavor
+    )
 
 
 CASES = {
@@ -113,7 +125,7 @@ CASES = {
         "word 'x' changed fixed points (gained [3])",
     ),
     "certificate-order": (
-        lambda: _forged_certificate(lambda data: data["upper"].__setitem__("injection", [[0, 0]])),
+        lambda: _forged_certificate(lambda data: data.__setitem__("pairs", [[0, 0]])),
         "order recheck failed: word 'x' changed fixed points (gained [0])",
     ),
     "certificate-snapshots": (
@@ -123,6 +135,52 @@ CASES = {
     "trace-already-met": (
         lambda: _forged_trace(lambda data: data["schedule"][4].__setitem__("m", 0)),
         "step 4: requirement already met, but the step changes the condition",
+    ),
+    "trace-already-met-delta": (
+        lambda: _set_delta(1, "words", ["x"], Flavor.DAGGER),
+        "step 1: requirement already met, but the step changes the condition",
+    ),
+    "trace-upper-sum": (
+        lambda: _forged_trace(lambda data: data["steps"][3].__setitem__("upper_sum", "0" * 16)),
+        "step 3: upper_sum '0000000000000000', but deltas sum to de0805d239259f0d",
+    ),
+    "trace-delta-repeats-a-pair": (
+        lambda: _set_delta(4, "pairs", [[1, 2], [2, 1]]),
+        "step 4: malformed: delta pair [1, 2] meets the lower condition's domain or range",
+    ),
+    "trace-delta-domain": (
+        lambda: _set_delta(4, "pairs", [[1, 3]]),
+        "step 4: malformed: delta pair [1, 3] meets the lower condition's domain or range",
+    ),
+    "trace-delta-range": (
+        lambda: _set_delta(4, "pairs", [[3, 2]]),
+        "step 4: malformed: delta pair [3, 2] meets the lower condition's domain or range",
+    ),
+    "trace-delta-word": (
+        lambda: _set_delta(6, "words", ["x^2", "x^3"], Flavor.DAGGER),
+        "step 6: malformed: delta word 'x^2' is already in the lower condition",
+    ),
+    "trace-delta-pair-order": (
+        lambda: _set_delta(4, "pairs", [[3, 4], [2, 1]]),
+        "step 4: malformed: delta pairs do not strictly increase by domain point",
+    ),
+    "trace-delta-word-order": (
+        lambda: _set_delta(6, "words", ["x^4", "x^3"], Flavor.DAGGER),
+        "step 6: malformed: word texts do not strictly increase",
+    ),
+    "trace-certificate-missing-key": (
+        lambda: _forged_trace(lambda data: data["steps"][1]["certificate"].pop("words")),
+        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs'],"
+        " format gives ['fixpoint_snapshots', 'pairs', 'words']",
+    ),
+    "trace-certificate-extra-key": (
+        lambda: _set_delta(1, "upper", {}),
+        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs', 'upper',"
+        " 'words'], format gives ['fixpoint_snapshots', 'pairs', 'words']",
+    ),
+    "trace-version-2": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
+        "malformed trace: conventions are not those of format version 3",
     ),
     "trace-final": (
         lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),

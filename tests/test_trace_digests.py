@@ -6,7 +6,10 @@ of the engine must leave these bytes alone; a deliberate format change updates
 the digests together with `CONVENTIONS["format_version"]`, which is pinned here
 beside them, so a change to one without the other fails in this file.  The
 same builds check that every stored certificate is exactly what `leq`
-recomputes.
+recomputes, and that the deltas a trace writes encode the chain the run
+built: the union of the deltas up to each step is that step's upper
+condition, its `upper_sum` that union's checksum, and the last union the
+final condition.
 """
 
 import hashlib
@@ -38,50 +41,52 @@ from orbitcode import (
     x_power,
 )
 
-FORMAT_VERSION = 2
+import helpers
+
+FORMAT_VERSION = 3
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "5b98e779ea4d2228804224e268725571"
-        "fbe977958c3497b8b8df28094d41c1fa"
+        "388fbf7e231725fd89460f4b78072247"
+        "1277d2fd4aa8ec9a11ffd738be6420d9"
     ),
     "dagger-3-translation": (
-        "bc1694bcd0ee0cbc2823e34f653c4882"
-        "a3fc1475c878afc6978a2c5083095fbf"
+        "c57f3ac8ba2df499c8330103426cc479"
+        "65987f89c35e48d8923d7b97a81944f0"
     ),
     "plain-trees": (
-        "a6b3be6d8663c0088b2cbc576c0e8bab"
-        "2ed77e61f307275472b69150c3a35519"
+        "a404b5a332436e6c3dd70919d62770ce"
+        "f49e6ca7197a8ef86af15ea063cbd1ba"
     ),
     "plain-trees-sealed": (
         "fcb92eb0bbbd49600319733e6f66964e"
         "7cdd6a16b8f3bef9a82bba09023a9739"
     ),
     "staged-0": (
-        "2fdd7645432dd2081fa5201e6070ca36"
-        "9eae9e60fc889bdd11804d3f56534622"
+        "52be84bdc5c07b40a92d78c8028ef5e2"
+        "ceb2070095cb9966dfa013ecb0236669"
     ),
     "staged-1": (
-        "2e7ed42c9b565dbd7ee7331974c12df0"
-        "9206d1a7b1e683a541eb43fc05cf345c"
+        "ca5689beb438f81ee136b2edec9335ff"
+        "b39343bc9b261b99e22f351f40346ad6"
     ),
     "translation-trees": (
-        "c36054dcdbc26f92032cb70c37a95145"
-        "705edbb37cedcb84ad5c85fa1df80f22"
+        "d961947a4bfcbe29c06c6c4ce68ce0f2"
+        "41df10a0a38aee4ad2bcba00d06fb62b"
     ),
     "staged-trees-full": (
-        "08b2d8c182ee0dbfe8d6ee0f067963f2"
-        "be989dfc41736b20a688cd81d3ad62e0"
+        "d7f83be86e84f76f2b32bda834625942"
+        "8afc4c0d01e0316cb124f7e6ce560210"
     ),
     "staged-trees-sparse-1": (
-        "20ea5a873fa976b6440730fed520c2b6"
-        "1d575505e6149c43beb39ceb947921fe"
+        "9b8c13dd25332b16bb12b4ef461b1fc8"
+        "204b8f6541db93f22077d0259fb0a1aa"
     ),
     "staged-trees-sparse-2-5": (
-        "fdabcf56064e985299c0b5e2937cafbc"
-        "09fd7f64fff6fd24d5a62157d5901163"
+        "8d35d224c164046b4c075c1569b13caf"
+        "1fc384e8a1b983a7637a529873acad24"
     ),
 }
 
@@ -161,10 +166,22 @@ def _staged():
     }
 
 
+def _assert_deltas_encode_the_chain(trace, data, oracle):
+    unions = helpers.delta_unions(data)
+    assert len(unions) == len(trace.steps) > 0
+    for step, written, (pairs, texts) in zip(trace.steps, data["steps"], unions):
+        upper = condition_to_data(step.certificate.upper, oracle)
+        assert (pairs, texts) == (upper["injection"], upper["words"]), f"step {step.index}"
+        assert written["upper_sum"] == helpers.upper_sum(pairs, texts), f"step {step.index}"
+    assert (data["final"]["injection"], data["final"]["words"]) == unions[-1]
+
+
 def _check(builds):
     for name, (trace, oracle) in builds.items():
         _assert_certificates_recompute(trace, oracle)
-        assert _digest(trace_to_data(trace, oracle)) == DIGESTS[name], name
+        data = trace_to_data(trace, oracle)
+        _assert_deltas_encode_the_chain(trace, data, oracle)
+        assert _digest(data) == DIGESTS[name], name
 
 
 def test_digests_are_pinned_at_their_format_version():

@@ -1,0 +1,93 @@
+"""Print how coding traces, and the work of verifying them, grow with n.
+
+For each n, builds the coding `auto:n` run on the trivial oracle, bit i
+being (7i + 3) mod 5 mod 2, and prints:
+
+- `bytes`, the length of its trace as compact JSON (`separators=(",", ":")`);
+- `inserted`, the pairs `PartialInjection._add` inserts while
+  `verify_trace_data` replays that trace, against `final`, the pair count
+  of the final condition;
+- `verify_ms`, the median over REPEATS runs of `json.loads` plus
+  `verify_trace_data` on that text.
+
+Each of the three is followed by its ratio to the previous n, so a linear
+column reads about 2.0 per doubling and a quadratic one about 4.0.
+
+    python3 tools/growth_curve.py                     # n = 32, 64, ..., 512
+
+Run from the root of a checkout; the library is imported from `src/`.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from orbitcode import engine as E  # noqa: E402
+from orbitcode.forcing import Flavor  # noqa: E402
+from orbitcode.injections import PartialInjection  # noqa: E402
+from orbitcode.oracle import trivial_oracle  # noqa: E402
+
+SIZES = (32, 64, 128, 256, 512)
+REPEATS = 7
+
+
+def coding_text(n: int) -> tuple[str, int]:
+    """The compact JSON of the coding auto:n trace, and its final pair count."""
+    oracle = trivial_oracle()
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
+    trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), oracle)
+    return json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":")), len(trace.final.s)
+
+
+def verify_insertions(text: str) -> int:
+    """The pairs PartialInjection._add inserts while verify_trace_data replays text."""
+    add = PartialInjection._add
+    inserted = 0
+
+    def counting(self, pairs):
+        nonlocal inserted
+        new = add(self, pairs)
+        inserted += len(new)
+        return new
+
+    PartialInjection._add = counting
+    try:
+        E.verify_trace_data(json.loads(text))
+    finally:
+        PartialInjection._add = add
+    return inserted
+
+
+def verify_seconds(text: str) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        E.verify_trace_data(json.loads(text))
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> int:
+    print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
+          f" {'verify_ms':>10} {'x':>5}")
+    previous = None
+    for n in SIZES:
+        text, final = coding_text(n)
+        row = (len(text), verify_insertions(text), verify_seconds(text) * 1000)
+        ratios = [f"{now / before:5.2f}" for now, before in zip(row, previous or row)]
+        if previous is None:
+            ratios = ["    -"] * 3
+        print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
+              f" {row[2]:>10.2f} {ratios[2]}", flush=True)
+        previous = row
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
