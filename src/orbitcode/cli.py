@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from pathlib import Path
 
@@ -31,8 +32,9 @@ def parse_bits(text: str) -> tuple[int, ...]:
         digits = text[2:]
         if not digits:
             raise ValueError("empty hex bit string")
-        value = int(digits, 16)
-        return tuple(int(b) for b in bin(value)[2:].zfill(4 * len(digits)))
+        if any(ch not in string.hexdigits for ch in digits):
+            raise ValueError(f"bits must be binary or 0x-hex, got {text!r}")
+        return tuple(int(b) for b in bin(int(digits, 16))[2:].zfill(4 * len(digits)))
     if not text or any(ch not in "01" for ch in text):
         raise ValueError(f"bits must be binary or 0x-hex, got {text!r}")
     return tuple(int(ch) for ch in text)

@@ -7,11 +7,13 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 3 writes each step as its delta: the pairs and
+the run.  Format version 4 writes each step as its delta: the pairs and
 words its upper condition adds to the previous one, its lower condition,
-with the fixed-point snapshots, a tree step's witness and `upper_sum`, a
-checksum of the whole upper condition kept in O(delta).  Its requirement is
-the schedule's entry; only the final condition is written whole.
+a tree step's witness and `upper_sum`, a checksum of the whole upper
+condition kept in O(delta).  No fixed-point set is written: a word's set is
+frozen from the step it enters E, and the verifier recomputes what it
+checks.  Its requirement is the schedule's entry; only the final condition
+is written whole.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -40,7 +42,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 3,
+    "format_version": 4,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -449,7 +451,7 @@ _TRACE_KEYS = frozenset(
 )
 _STEP_KEYS = frozenset(("certificate", "upper_sum"))
 _TREE_STEP_KEYS = _STEP_KEYS | {"extra"}
-_CERTIFICATE_KEYS = frozenset(("pairs", "words", "fixpoint_snapshots"))
+_CERTIFICATE_KEYS = frozenset(("pairs", "words"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
 _GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
 _CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
@@ -503,11 +505,12 @@ def verify_trace_data(data: Mapping) -> None:
     embedded stage seal did not make, other conventions, and growth events
     off the engine's rule.  Each step's upper condition, the one before it
     plus its delta, each word text parsed once, must extend the condition
-    before it with the stored snapshots, validate, and meet its schedule
-    entry; a step other than a tree step whose entry the condition before it
-    already met must add nothing, as the engine does; and last, its
-    `upper_sum` must be the running sum.  So a step parses and inserts only
-    its delta, though with_pairs copies lower's maps.  The final condition
+    before it, no word of that condition gaining a fixed point, validate,
+    and meet its schedule entry; a step other than a tree step whose entry
+    the condition before it already met must add nothing, as the engine
+    does; and last, its `upper_sum` must be the running sum.  So a step
+    parses and inserts only its delta, though with_pairs copies lower's
+    maps, and no fixed-point set is read off the wire.  The final condition
     and decoded bits must recompute; Refused names the first claim that
     fails, and the step it fails at.
     """
@@ -526,7 +529,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 3.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 4.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _replay_growth(data["growth_events"], oracle, len(schedule))

@@ -18,10 +18,11 @@ condition.  A single step's certificate comes from one validate + leq check
 of the result against the input; an operation made of several steps chains
 their certificates by transitivity instead of checking again.  Callers store
 the certificate as it is.  Serialized, it keeps only what its upper
-condition adds to its lower one, and the snapshots, and re-verifies against
-a lower condition the reader already holds.  A check that says no raises
-Refused naming the clause, and an operation lets it propagate.  All
-tie-breaking picks the least value, so runs are reproducible bit for bit.
+condition adds to its lower one, and re-verifies against a lower condition
+the reader already holds: no fixed-point set is written, since the recheck
+recomputes each one it needs.  A check that says no raises Refused naming
+the clause, and an operation lets it propagate.  All tie-breaking picks the
+least value, so runs are reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
@@ -100,11 +101,14 @@ def dagger_condition(r: Sequence[int], s=None, words: Iterable[W.Word] = ()) -> 
 
 @dataclass(frozen=True)
 class ExtensionCertificate:
-    """A verified instance of upper ≤ lower with fixed-point snapshots."""
+    """A verified instance of upper ≤ lower; the words' fixed points are not kept.
+
+    Each word's set is frozen from the step it enters E, so a reader that
+    needs one recomputes it, as injections.fixed_points(w, upper.s, oracle).
+    """
 
     lower: Condition
     upper: Condition
-    snapshots: tuple[tuple[W.Word, frozenset[int]], ...]
 
 
 def chain(
@@ -112,14 +116,11 @@ def chain(
 ) -> ExtensionCertificate:
     """first (c → m) followed by then (m → u): the certificate c → u, by transitivity.
 
-    Fixed points of the words of c agree at c, m and u, so the snapshots of
-    `then` restricted to c's words are exactly the ones leq(u, c) records.
     No first certificate means `then` starts the chain.
     """
     if first is None:
         return then
-    kept = tuple(item for item in then.snapshots if item[0] in first.lower.words)
-    return ExtensionCertificate(first.lower, then.upper, kept)
+    return ExtensionCertificate(first.lower, then.upper)
 
 
 class _WordFacts:
@@ -243,14 +244,11 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
         raise Refused("injection does not extend")
     if not lower.words <= upper.words:
         raise Refused("word set does not extend")
-    if not lower.words:
-        return ExtensionCertificate(lower, upper, ())
-    snapshots = []
-    for text, w, fixed, gained in I.gained_fixed_points(lower.words, upper.s, lower.s, oracle):
-        if gained:
-            raise Refused(f"word {text!r} changed fixed points (gained {gained})")
-        snapshots.append((w, fixed))
-    return ExtensionCertificate(lower, upper, tuple(snapshots))
+    if lower.words:
+        for text, _, _, gained in I.gained_fixed_points(lower.words, upper.s, lower.s, oracle):
+            if gained:
+                raise Refused(f"word {text!r} changed fixed points (gained {gained})")
+    return ExtensionCertificate(lower, upper)
 
 
 def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
@@ -302,10 +300,11 @@ def avoidance_bound(
     which bound what it has seen, and any later evaluation beyond the window
     fails loudly rather than guessing.
     """
-    bound = max(c.s.support, default=-1) + 1
+    support = c.s.support
+    bound = max(support, default=-1) + 1
     handles = _nonidentity_handles(list(c.words) + list(extra_words), oracle)
     for h in handles:
-        for p in c.s.support:
+        for p in support:
             bound = max(bound, oracle.eval(h, p) + 1)
         bound = max(bound, max(oracle.fixed_points(h), default=-1) + 1)
     if pairwise:
@@ -698,35 +697,26 @@ def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condi
     )
 
 
-def _snapshots_to_data(snapshots, oracle) -> list[dict]:
-    return [
-        {"word": W.format_word(w, oracle), "fixed_points": sorted(points)}
-        for w, points in sorted(snapshots, key=lambda item: W.format_word(item[0], oracle))
-    ]
-
-
 def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
-    """The certificate on the wire: what upper adds to lower (the reader's), and the snapshots."""
+    """The certificate on the wire: what upper adds to lower, which the reader holds."""
     return {
         "pairs": [list(p) for p in sorted(cert.upper.s.pairs_beyond(cert.lower.s))],
         "words": sorted(W.format_word(w, oracle) for w in cert.upper.words - cert.lower.words),
-        "fixpoint_snapshots": _snapshots_to_data(cert.snapshots, oracle),
     }
 
 
 def verify_certificate_data(
     data: dict, lower: Condition, oracle, parsed: dict | None = None
 ) -> ExtensionCertificate:
-    """Build upper from lower and the delta, then recheck it against lower: order and snapshots.
+    """Build upper from lower and the delta, then recheck that it extends lower.
 
     The delta is in the writer's form or raises ValueError: its pairs
     strictly increase by domain point, each with a domain point and an image
     lower lacks, and its word texts strictly increase, are each their
     parse's text and name no word of lower.  upper's injection is lower's
     with_pairs the delta, or lower's own for no pairs, so it keeps lower's
-    orbit index and leq reads only the new pairs.  The stored snapshots must
-    be exactly those certificate_to_data writes for the recomputed
-    certificate.  Returns that certificate; Refused names the failed clause.
+    orbit index and leq reads only the new pairs.  Returns the recomputed
+    certificate; Refused names the failed clause.
     """
     pairs = [(I.wire_int(n), I.wire_int(m)) for n, m in data["pairs"]]
     if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
@@ -741,13 +731,6 @@ def verify_certificate_data(
     s = lower.s.with_pairs(pairs) if pairs else lower.s
     upper = replace(lower, s=s, words=lower.words | words)
     try:
-        cert = leq(upper, lower, oracle)
+        return leq(upper, lower, oracle)
     except Refused as exc:
         raise Refused(f"order recheck failed: {exc}") from None
-    if _snapshots_to_data(cert.snapshots, oracle) != data["fixpoint_snapshots"]:
-        raise Refused("fixed-point snapshots do not match")
-    for snapshot in data["fixpoint_snapshots"]:
-        # equal as numbers is not enough: 2.0 and true compare equal to 2 and 1
-        for n in snapshot["fixed_points"]:
-            I.wire_int(n)
-    return cert

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import bisect
 import weakref
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from . import words as W
 from .errors import NotNiceInjection, PreconditionViolated, WindowTooSmall

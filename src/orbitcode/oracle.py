@@ -18,8 +18,8 @@ nothing again.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 from . import forcing as F
 from . import injections as I

@@ -22,6 +22,10 @@ def test_bit_parsing_binary_and_hex():
         parse_bits("")
     with pytest.raises(ValueError):
         parse_bits("0x")
+    # not hex digits alone, though int(..., 16) reads "1_0", " 1" and "+f"
+    for text in ("0x1_0", "0x 1", "0x+f", "0x-1"):
+        with pytest.raises(ValueError, match="bits must be binary or 0x-hex"):
+            parse_bits(text)
 
 
 def test_coding_run_verify_decode_round_trip(tmp_path, capsys):
@@ -164,8 +168,8 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
 
 @pytest.mark.parametrize(
     "key, value",
-    [("format_version", 1), ("format_version", 2), ("format_version", 99),
-     ("prime_indexing", "p1=2")],
+    [("format_version", 1), ("format_version", 2), ("format_version", 3),
+     ("format_version", 99), ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
     out = tmp_path / "trace.json"
@@ -176,7 +180,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 3" in capsys.readouterr().err
+    assert "format version 4" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):

@@ -482,11 +482,7 @@ def test_certificate_serialization_and_replay():
     upper = extend_domain(lower, 0, TRIV).upper
     cert = leq(upper, lower, TRIV)
     data = certificate_to_data(cert, TRIV)
-    assert data == {
-        "pairs": [[0, 1]],
-        "words": [],
-        "fixpoint_snapshots": [{"word": "x", "fixed_points": []}],
-    }
+    assert data == {"pairs": [[0, 1]], "words": []}
     assert verify_certificate_data(data, lower, TRIV)
     data["pairs"] = [[0, 0]]
     helpers.refusal(verify_certificate_data, data, lower, TRIV)
@@ -600,20 +596,21 @@ def test_the_one_sided_order_check_agrees_with_the_two_sided_reference():
                 [(fix_lower, fix_upper)] = helpers.two_sided_leq(upper, lower, TRANS).values()
                 assert fix_lower <= fix_upper, (w, t, pair)
                 if fix_lower == fix_upper:
-                    assert leq(upper, lower, TRANS).snapshots == ((w, fix_upper),), (w, t, pair)
+                    leq(upper, lower, TRANS)
+                    assert fixed_points(w, t, TRANS) == fix_upper, (w, t, pair)
                 else:
                     got = helpers.refusal(leq, upper, lower, TRANS)
                     assert got.endswith(f"(gained {sorted(fix_upper - fix_lower)})")
 
 
 def _full_scan_leq(upper, lower, oracle):
-    """The word clause by full scans: snapshots, or the refusal reason for the first word.
+    """The word clause by full scans: the fixed sets, or the refusal reason for the first word.
 
     Each word's fixed points under upper come from the package's full scan,
     and both sides from the two-sided reference, which must agree with it.
     """
     sides = helpers.two_sided_leq(upper, lower, oracle)
-    snapshots = []
+    fixed_sets = []
     for w in sorted(sides, key=lambda w: format_word(w, oracle)):
         fix_lower, fix_upper = sides[w]
         assert fixed_points(w, upper.s, oracle) == fix_upper, w
@@ -621,8 +618,8 @@ def _full_scan_leq(upper, lower, oracle):
         if fix_upper != fix_lower:
             gained = sorted(fix_upper - fix_lower)
             return f"word {format_word(w, oracle)!r} changed fixed points (gained {gained})"
-        snapshots.append((w, fix_upper))
-    return tuple(snapshots)
+        fixed_sets.append((w, fix_upper))
+    return tuple(fixed_sets)
 
 
 def _fresh(c):
@@ -630,12 +627,19 @@ def _fresh(c):
     return plain_condition(PartialInjection(c.s.pairs()), c.words)
 
 
+def _fixed_sets(words, s, oracle):
+    """(w, fixed points of w under s) per word in text order; after leq, s's memos are carried."""
+    ordered = sorted(words, key=lambda w: format_word(w, oracle))
+    return tuple((w, fixed_points(w, s, oracle)) for w in ordered)
+
+
 def _leq_outcome(upper, lower, oracle):
-    """leq's snapshots, or the text of its refusal."""
+    """The fixed sets of lower's words under upper once leq certifies it, or leq's refusal."""
     try:
-        return leq(upper, lower, oracle).snapshots
+        leq(upper, lower, oracle)
     except Refused as exc:
         return str(exc)
+    return _fixed_sets(lower.words, upper.s, oracle)
 
 
 def _assert_leq_matches_the_full_scan(upper, lower, oracle) -> bool:
@@ -700,8 +704,7 @@ def test_the_incremental_order_check_agrees_with_the_full_scans(oracle):
                 break
             upper = plain_condition(_random_extension(rng, c.s, span), c.words)
             verdicts.append(_assert_leq_matches_the_full_scan(upper, c, oracle))
-            reflexive = leq(upper, upper, oracle)
-            assert reflexive.snapshots == _full_scan_leq(upper, upper, oracle)
+            assert _leq_outcome(upper, upper, oracle) == _full_scan_leq(upper, upper, oracle)
             c = upper
     assert sum(verdicts) > 300 and len(verdicts) - sum(verdicts) > 100
 
@@ -731,9 +734,12 @@ def test_a_chain_of_certified_steps_reads_the_carried_memo(monkeypatch):
     upper = plain_condition(lower.s.with_pair(3, 0), words)
     expected = _full_scan_leq(c3, c2, oracle)
     calls.clear()
-    assert leq(upper, lower, oracle).snapshots == expected
+    leq(upper, lower, oracle)
     # (3, 0) reaches 3 itself and the points stopped before an x at 3 or an x^-1 at 0
     assert 0 < len(calls) <= 3 * len(words) < len(upper.s) * len(words)
+    calls.clear()
+    assert _fixed_sets(words, upper.s, oracle) == expected
+    assert not calls  # the fixed sets are read off the carried memos
 
 
 class _WindowedTranslation(TranslationOracle):

@@ -1,7 +1,8 @@
-"""Coding traces, and the work of verifying them, grow linearly in n: counted, never timed.
+"""Traces, and the work of verifying them, grow linearly in n: counted, never timed.
 
-tools/growth_curve.py prints the same two columns, with verify's wall time,
-for n = 32 to 512.
+tools/growth_curve.py prints the coding columns, with verify's wall time,
+for n = 32 to 512.  A dagger step writes its delta alone, so its bytes do
+not grow with the word set E a run has built up.
 """
 
 import json
@@ -17,11 +18,16 @@ from orbitcode import (
 )
 
 
-def _coding_text(n):
+def _auto_trace(flavor, n):
     oracle = trivial_oracle()
     bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
-    trace = run(Flavor.CODING, bits, auto_schedule(Flavor.CODING, n), oracle)
-    return json.dumps(trace_to_data(trace, oracle), separators=(",", ":")), len(trace.final.s)
+    trace = run(flavor, bits, auto_schedule(flavor, n), oracle)
+    return json.dumps(trace_to_data(trace, oracle), separators=(",", ":")), trace
+
+
+def _coding_text(n):
+    text, trace = _auto_trace(Flavor.CODING, n)
+    return text, len(trace.final.s)
 
 
 def test_coding_trace_bytes_and_verify_insertions_grow_linearly(monkeypatch):
@@ -45,3 +51,12 @@ def test_coding_trace_bytes_and_verify_insertions_grow_linearly(monkeypatch):
         assert final <= sum(inserted) <= 3 * final, n
     for smaller, larger in zip(sizes, sizes[1:]):
         assert larger <= 2.3 * smaller, sizes
+
+
+def test_dagger_trace_bytes_per_step_do_not_grow_with_the_word_set():
+    per_step = {}
+    for n in (4, 8):
+        text, trace = _auto_trace(Flavor.DAGGER, n)
+        per_step[n] = len(text) / len(trace.steps)
+    # E holds x .. x^7 at n = 4 and x .. x^19 at n = 8
+    assert per_step[8] <= 1.2 * per_step[4], per_step

@@ -128,10 +128,6 @@ CASES = {
         lambda: _forged_certificate(lambda data: data.__setitem__("pairs", [[0, 0]])),
         "order recheck failed: word 'x' changed fixed points (gained [0])",
     ),
-    "certificate-snapshots": (
-        lambda: _forged_certificate(lambda data: data.__setitem__("fixpoint_snapshots", [])),
-        "fixed-point snapshots do not match",
-    ),
     "trace-already-met": (
         lambda: _forged_trace(lambda data: data["schedule"][4].__setitem__("m", 0)),
         "step 4: requirement already met, but the step changes the condition",
@@ -170,17 +166,25 @@ CASES = {
     ),
     "trace-certificate-missing-key": (
         lambda: _forged_trace(lambda data: data["steps"][1]["certificate"].pop("words")),
-        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs'],"
-        " format gives ['fixpoint_snapshots', 'pairs', 'words']",
+        "step 1: malformed: certificate has keys ['pairs'], format gives ['pairs', 'words']",
     ),
     "trace-certificate-extra-key": (
         lambda: _set_delta(1, "upper", {}),
-        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs', 'upper',"
-        " 'words'], format gives ['fixpoint_snapshots', 'pairs', 'words']",
+        "step 1: malformed: certificate has keys ['pairs', 'upper', 'words'],"
+        " format gives ['pairs', 'words']",
+    ),
+    "trace-certificate-snapshots": (
+        lambda: _set_delta(1, "fixpoint_snapshots", []),
+        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs', 'words'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 3",
+        "malformed trace: conventions are not those of format version 4",
+    ),
+    "trace-version-3": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
+        "malformed trace: conventions are not those of format version 4",
     ),
     "trace-final": (
         lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),

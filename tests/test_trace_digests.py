@@ -43,50 +43,50 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "388fbf7e231725fd89460f4b78072247"
-        "1277d2fd4aa8ec9a11ffd738be6420d9"
+        "cab091281414dc7b876509362a8872aa"
+        "8093e6a96bb195566e8e0221a87f4640"
     ),
     "dagger-3-translation": (
-        "c57f3ac8ba2df499c8330103426cc479"
-        "65987f89c35e48d8923d7b97a81944f0"
+        "33aa6185902b11bf910f453895744d95"
+        "7591541e243bc5ee9f427022d9454bc3"
     ),
     "plain-trees": (
-        "a404b5a332436e6c3dd70919d62770ce"
-        "f49e6ca7197a8ef86af15ea063cbd1ba"
+        "fc9bb238cf9c3fef9ea8c39f671fd96a"
+        "34cb9b42c1a2e3eae904a7e923135f4d"
     ),
     "plain-trees-sealed": (
         "fcb92eb0bbbd49600319733e6f66964e"
         "7cdd6a16b8f3bef9a82bba09023a9739"
     ),
     "staged-0": (
-        "52be84bdc5c07b40a92d78c8028ef5e2"
-        "ceb2070095cb9966dfa013ecb0236669"
+        "8af48acc13eb334040b023a9f10a968e"
+        "5148d792bfef314c28b4583a12f33116"
     ),
     "staged-1": (
-        "ca5689beb438f81ee136b2edec9335ff"
-        "b39343bc9b261b99e22f351f40346ad6"
+        "7c2f9b068b9601391297f98b5449b5bc"
+        "d07cf7c9baec3c92a0bd62aac8aebb80"
     ),
     "translation-trees": (
-        "d961947a4bfcbe29c06c6c4ce68ce0f2"
-        "41df10a0a38aee4ad2bcba00d06fb62b"
+        "337f094a6dc2028760de86fa962f78d0"
+        "af1bbf30f0b75ea24cfee34c44599a87"
     ),
     "staged-trees-full": (
-        "d7f83be86e84f76f2b32bda834625942"
-        "8afc4c0d01e0316cb124f7e6ce560210"
+        "14627960c7dd88c7790b8e64debf3817"
+        "2ec69f6a75fb7baabb9d2f3a90e440ab"
     ),
     "staged-trees-sparse-1": (
-        "9b8c13dd25332b16bb12b4ef461b1fc8"
-        "204b8f6541db93f22077d0259fb0a1aa"
+        "6a1ca095cd8ab728d05f25a97f18249c"
+        "24f7cc96bfda366b7b143f81966aea4d"
     ),
     "staged-trees-sparse-2-5": (
-        "8d35d224c164046b4c075c1569b13caf"
-        "1fc384e8a1b983a7637a529873acad24"
+        "f662b0df690ec9c498d19ff8ea704948"
+        "642647794a9deae8ff5a2557544355e0"
     ),
 }
 
