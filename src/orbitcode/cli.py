@@ -156,11 +156,13 @@ def cmd_decode(args) -> int:
         return _fail(f"cannot read input: {exc}", 2)
     except json.JSONDecodeError as exc:
         return _fail(f"not JSON: {exc}", 2)
-    if not (isinstance(data, dict) and ("final" in data or "injection" in data)):
+    if not (isinstance(data, dict) and ("final" in data or "cycles" in data)):
         return _fail("input holds neither a trace nor a stage", 2)
     try:
-        pairs = data["final"]["injection"] if "final" in data else data["injection"]
-        s = I.injection_from_pairs(pairs)
+        if "final" in data:
+            s = I.injection_from_pairs(data["final"]["injection"])
+        else:
+            s = I.PartialInjection(I.pairs_from_cycles(data["cycles"]))
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"malformed injection: {exc}", 2)
     try:

@@ -7,7 +7,7 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 4 writes each step as its delta: the pairs and
+the run.  Format version 5 writes each step as its delta: the pairs and
 words its upper condition adds to the previous one, its lower condition,
 a tree step's witness and `upper_sum`, a checksum of the whole upper
 condition kept in O(delta).  No fixed-point set is written: a word's set is
@@ -18,7 +18,9 @@ is written whole.
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
 still fails aborts the run with an EngineError naming the step, a refusal
-raised by a forcing check included.
+raised by a forcing check included.  Each growth is recorded as an event
+with the new cycles every stage of the oracle gained, which the verifier
+checks in place of growing the stages again.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 4,
+    "format_version": 5,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -175,13 +177,19 @@ def _growth_target(required: int, window: int) -> int:
 
 
 def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> None:
+    """Grow the window by the rule, recording the new cycles of each stage, in index order.
+
+    A stage's list includes what growing a later stage grew it by.
+    """
     current = oracle.window()
     if current >= O.UNBOUNDED:
         raise InternalCheckFailed("an unwindowed oracle reported a window miss")
     goal = _growth_target(needed, current)
+    before = [stage.injection for stage in oracle.stages]
     reached = oracle.grow_window(goal)
+    cycles = [I.cycles_to_data(stage.injection, old) for stage, old in zip(oracle.stages, before)]
     growth_events.append(
-        {"step": step, "required": needed, "target": goal, "window": reached}
+        {"step": step, "required": needed, "target": goal, "window": reached, "cycles": cycles}
     )
 
 
@@ -453,7 +461,7 @@ _STEP_KEYS = frozenset(("certificate", "upper_sum"))
 _TREE_STEP_KEYS = _STEP_KEYS | {"extra"}
 _CERTIFICATE_KEYS = frozenset(("pairs", "words"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
-_GROWTH_KEYS = frozenset(("step", "required", "target", "window"))
+_GROWTH_KEYS = frozenset(("step", "required", "target", "window", "cycles"))
 _CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
 
 
@@ -468,12 +476,38 @@ def _requirement_from_entry(entry, oracle) -> Requirement:
     return req
 
 
-def _replay_growth(events, oracle, length: int) -> None:
-    """Replay growth events, raising ValueError at one the engine would not record.
+def _grow_stage_by(stage: O.CompletedStage, cycles) -> None:
+    """Grow a sealed stage by the new cycles an event writes for it, rechecking the result.
+
+    The cycles must be in their wire form (injections.pairs_from_cycles);
+    the grown stage must extend the old one with no word gaining a fixed
+    point, checked as a delta of pairs alone (forcing.verify_certificate_data),
+    and validate over the stage's oracle.
+    """
+    pairs = sorted(I.pairs_from_cycles(cycles))
+    if not pairs:
+        return
+    delta = {"pairs": pairs, "words": []}
+    grown = F.verify_certificate_data(delta, stage.condition, stage.oracle).upper
+    try:
+        F.validate(grown, stage.oracle)
+    except Refused as exc:
+        raise Refused(f"invalid condition: {exc}") from None
+    stage.condition = grown
+
+
+def _check_growth(events, oracle, length: int) -> None:
+    """Check growth events in order, growing each stage by the cycles an event writes for it.
 
     An unwindowed oracle never grows, so it admits no event.  Steps never
     decrease and stay at most `length` (the seal's); each target is the
-    growth rule's for the window so far, and reaches the recorded window.
+    growth rule's for the window so far.  An event writes one list of new
+    cycles per stage of the oracle, and the stages grow in index order
+    (_grow_stage_by), so each is checked over stages this event has grown
+    already.  Then the window must be the recorded one and reach the
+    target.  Nothing is searched, so the work follows the cycles written,
+    not `required`: growth is checked to be sound, not to be the engine's
+    least choice.  A form error raises ValueError, a failed claim Refused.
     """
     if not isinstance(events, list):
         raise TypeError("growth_events must be a list")
@@ -488,8 +522,21 @@ def _replay_growth(events, oracle, length: int) -> None:
         goal = _growth_target(I.wire_int(event["required"]), oracle.window())
         if I.wire_int(event["target"]) != goal:
             raise ValueError(f"growth event {j}: target {event['target']}, rule gives {goal}")
-        if oracle.grow_window(goal) != I.wire_int(event["window"]):
-            raise ValueError(f"growth event {j} misses window {event['window']}")
+        stages, grown = oracle.stages, event["cycles"]
+        if not (isinstance(grown, list) and len(grown) == len(stages)):
+            raise ValueError(f"growth event {j}: cycles must be {len(stages)} lists, one per stage")
+        for k, (stage, cycles) in enumerate(zip(stages, grown)):
+            try:
+                _grow_stage_by(stage, cycles)
+            except Refused as exc:
+                raise Refused(f"growth event {j}: stage {k}: {exc}") from None
+            except (ValueError, OrbitCodeError) as exc:
+                raise ValueError(f"growth event {j}: stage {k}: {exc}") from None
+        window, written = oracle.window(), I.wire_int(event["window"])
+        if window != written:
+            raise Refused(f"growth event {j}: the stages reach window {window}, not {written}")
+        if window < goal:
+            raise Refused(f"growth event {j}: window {window} is short of target {goal}")
         last = step
 
 
@@ -529,10 +576,10 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 4.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 5.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
-        _replay_growth(data["growth_events"], oracle, len(schedule))
+        _check_growth(data["growth_events"], oracle, len(schedule))
         parsed: dict = {}
         total = 0
         for i, (entry, step) in enumerate(zip(schedule, steps)):

@@ -633,3 +633,49 @@ def wire_object(data, keys: frozenset, what: str):
 def injection_from_pairs(pairs: Iterable[Iterable[int]]) -> PartialInjection:
     """Build from serialized [[n, m], …] data; every point a JSON integer."""
     return PartialInjection((wire_int(n), wire_int(m)) for n, m in pairs)
+
+
+def cycles_to_data(s: PartialInjection, old: PartialInjection | None = None) -> list[list[int]]:
+    """s's cycles on the wire, each walked from its minimum, in min-order.
+
+    With old, a map with only cycles that s extends, just the cycles old
+    has no point of: what a growth of a sealed map added.
+    """
+    return [
+        list(o.ordered)
+        for o in closed_orbits(s)
+        if old is None or old.apply(o.ordered[0]) is None
+    ]
+
+
+def pairs_from_cycles(cycles) -> list[tuple[int, int]]:
+    """The pairs of cycles as cycles_to_data writes them; ValueError for any other form.
+
+    Each cycle is a non-empty list of JSON integers that starts at its
+    minimum, the minima strictly increase, and no point is written twice,
+    within a cycle or across cycles.  The pairs map each point to the next,
+    and the last to the first.
+    """
+    if not isinstance(cycles, list):
+        raise ValueError(f"cycles must be a list, not {cycles!r}")
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    last = None
+    for cycle in cycles:
+        if not (isinstance(cycle, list) and cycle):
+            raise ValueError(f"a cycle is a non-empty list, not {cycle!r}")
+        points = [wire_int(p) for p in cycle]
+        low = points[0]
+        if min(points) != low:
+            raise ValueError(f"cycle {points} does not start at its minimum")
+        if low < 0:
+            raise ValueError(f"negative point {low}")
+        if last is not None and low <= last:
+            raise ValueError(f"cycle minima do not increase: {low} after {last}")
+        for p in points:
+            if p in seen:
+                raise ValueError(f"point {p} is written twice")
+            seen.add(p)
+        last = low
+        pairs += zip(points, points[1:] + points[:1])
+    return pairs

@@ -12,8 +12,11 @@ evaluation beyond the settled region raises WindowTooSmall with the needed
 bound, and grow_window extends every stage's injection (re-running domain and
 range extensions plus orbit closing against the stage's own stored condition)
 without ever changing settled values: each of those operations certifies
-that its result extends its input, so growth takes their `.upper` and checks
-nothing again.
+that its result extends its input, so the build takes their `.upper` and
+checks nothing again.  A sealed stage has only cycles, so it is written as
+its cycles (injections.cycles_to_data), and a growth adds whole new cycles
+that meet none of the old ones; a trace's growth events write those, and
+the verifier checks them (engine._check_growth) instead of growing again.
 """
 
 from __future__ import annotations
@@ -248,6 +251,10 @@ class StagedOracle(GroupOracle):
     def __init__(self, stages: Sequence[CompletedStage]):
         self._stages = list(stages)
 
+    @property
+    def stages(self) -> tuple[CompletedStage, ...]:
+        return tuple(self._stages)
+
     def generator(self, index: int):
         if not 0 <= index < len(self._stages):
             raise UnknownGroupElement(f"no generator {index}")
@@ -359,7 +366,7 @@ def stage_to_data(stage: CompletedStage) -> dict:
     cond = stage.condition
     return {
         "generator_index": stage.generator_index,
-        "injection": [list(p) for p in cond.s.pairs()],
+        "cycles": I.cycles_to_data(cond.s),
         "words": sorted(W.format_word(w, stage.oracle) for w in cond.words),
         "target_bits": list(cond.target or ()),
         "window": stage.window,
@@ -367,13 +374,14 @@ def stage_to_data(stage: CompletedStage) -> dict:
 
 
 def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
-    """Inverse of stage_to_data; ValueError for pairs or word texts not in its form.
+    """Inverse of stage_to_data; ValueError for cycles or word texts not in its form.
 
     `oracle` is the stages before it, so a word naming this stage or a later
     one is rejected.  The written window is left to oracle_from_descriptor,
     since a stage's window follows from its injection.
     """
-    s, words = F.map_and_words_from_data(data["injection"], data["words"], oracle)
+    s = I.PartialInjection(I.pairs_from_cycles(data["cycles"]))
+    _, words = F.map_and_words_from_data([], data["words"], oracle)
     bits = tuple(I.wire_int(b, bit=True) for b in data["target_bits"])
     return CompletedStage(
         generator_index=I.wire_int(data["generator_index"]),
@@ -384,7 +392,7 @@ def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
 
 _ORACLE_KEYS = frozenset(("kind",))
 _STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
-_STAGE_KEYS = frozenset(("generator_index", "injection", "words", "target_bits", "window"))
+_STAGE_KEYS = frozenset(("generator_index", "cycles", "words", "target_bits", "window"))
 
 
 def oracle_from_descriptor(data: dict) -> GroupOracle:
@@ -417,16 +425,14 @@ def oracle_from_descriptor(data: dict) -> GroupOracle:
 def _proven_stage(i: int, stage: CompletedStage, window: int) -> CompletedStage:
     """stage itself if seal made it as stage i, written with `window`; ValueError otherwise.
 
-    Sealed means generator i, only closed orbits (dom = ran), so that the
-    window is mex(support); its condition validates over the stages before
-    it, and its injection decodes to its target bits.
+    Sealed means generator i and only closed orbits, which the cycle form
+    ensures, so that `window` must be mex(support); its condition validates
+    over the stages before it, and its injection decodes to its target bits.
     """
     s, bits = stage.injection, stage.target_bits
     decoded = I.o_dagger(s, len(bits) - 1)
     if stage.generator_index != i:
         problem = f"generator_index is {stage.generator_index}"
-    elif s.domain != s.range:
-        problem = "has an open orbit"
     elif window != stage.window:
         problem = f"window {window} is not mex(support) = {stage.window}"
     else:

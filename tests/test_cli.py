@@ -5,6 +5,7 @@ import json
 import pytest
 
 from orbitcode.cli import main, parse_bits
+from orbitcode.injections import cycles_to_data, injection_from_pairs
 
 
 def run_cli(*argv):
@@ -169,7 +170,7 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
 @pytest.mark.parametrize(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
-     ("format_version", 99), ("prime_indexing", "p1=2")],
+     ("format_version", 4), ("format_version", 99), ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
     out = tmp_path / "trace.json"
@@ -180,7 +181,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 4" in capsys.readouterr().err
+    assert "format version 5" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
@@ -224,7 +225,7 @@ def test_verify_flags_a_changed_delta_pair(tmp_path, capsys):
 
 def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):
     stage = tmp_path / "stage.json"
-    stage.write_text(json.dumps({"injection": [[0, 1], [1, 0]]}), encoding="utf-8")
+    stage.write_text(json.dumps({"cycles": [[0, 1]]}), encoding="utf-8")
     assert run_cli("decode", str(stage), "--mode", "prime_parity") == 2
     capsys.readouterr()
     assert run_cli("decode", str(stage), "--mode", "prime_parity", "--upto", "0") == 0
@@ -233,9 +234,17 @@ def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):
 
 def test_decode_refuses_a_point_that_is_not_a_json_integer(tmp_path, capsys):
     stage = tmp_path / "stage.json"
-    stage.write_text(json.dumps({"injection": [[0.0, 1], [1, 0]]}), encoding="utf-8")
+    stage.write_text(json.dumps({"cycles": [[0.0, 1]]}), encoding="utf-8")
     assert run_cli("decode", str(stage), "--mode", "prime_parity", "--upto", "0") == 2
     assert capsys.readouterr().err == "error: malformed injection: 0.0 is not an integer\n"
+
+
+def test_decode_refuses_a_stage_cycle_not_in_the_writers_form(tmp_path, capsys):
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"cycles": [[1, 0]]}), encoding="utf-8")
+    assert run_cli("decode", str(stage), "--mode", "prime_parity", "--upto", "0") == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed injection: cycle [1, 0] does not start at its minimum\n"
 
 
 def _assert_usage_error(capsys, *argv):
@@ -257,13 +266,13 @@ def test_decode_rejects_a_negative_orbit_order_bound(tmp_path, capsys):
 
 def test_decode_rejects_a_negative_prime_parity_bound(tmp_path, capsys):
     stage = tmp_path / "stage.json"
-    stage.write_text(json.dumps({"injection": [[0, 1], [1, 0]]}), encoding="utf-8")
+    stage.write_text(json.dumps({"cycles": [[0, 1]]}), encoding="utf-8")
     _assert_usage_error(capsys, "decode", str(stage), "--mode", "prime_parity", "--upto", "-1")
 
 
 def test_decode_rejects_an_injection_that_is_not_a_pair_list(tmp_path, capsys):
     stage = tmp_path / "stage.json"
-    stage.write_text(json.dumps({"injection": 5}), encoding="utf-8")
+    stage.write_text(json.dumps({"cycles": 5}), encoding="utf-8")
     _assert_usage_error(capsys, "decode", str(stage), "--mode", "orbit_order")
 
 
@@ -275,7 +284,7 @@ def test_decode_rejects_a_final_condition_that_is_not_an_object(tmp_path, capsys
 
 def test_decode_rejects_unanchored_injections(tmp_path, capsys):
     stage = tmp_path / "stage.json"
-    stage.write_text(json.dumps({"injection": [[5, 6], [6, 5]]}), encoding="utf-8")
+    stage.write_text(json.dumps({"cycles": [[5, 6]]}), encoding="utf-8")
     assert run_cli("decode", str(stage), "--mode", "orbit_order") == 1
     capsys.readouterr()
 
@@ -376,7 +385,7 @@ def test_a_tree_step_that_starts_off_its_tree_fails_the_run(tmp_path, capsys, tr
 def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
     stage = {
         "generator_index": 0,
-        "injection": [[0, 1], [1, 0]],
+        "cycles": [[0, 1]],
         "words": ["g0.x", "x"],
         "target_bits": [1],
         "window": 2,
@@ -389,10 +398,10 @@ def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
     )
 
 
-def test_an_unsealed_stage_file_is_a_usage_error(tmp_path, capsys):
+def test_a_stage_file_with_a_malformed_cycle_is_a_usage_error(tmp_path, capsys):
     stage = {
         "generator_index": 0,
-        "injection": [[0, 1]],
+        "cycles": [[1, 0]],
         "words": [],
         "target_bits": [],
         "window": 2,
@@ -402,13 +411,13 @@ def test_an_unsealed_stage_file_is_a_usage_error(tmp_path, capsys):
     argv = ("run", "--flavor", "plain", "--oracle", f"staged:{stages}", "--schedule", "auto:2")
     assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 2
     err = capsys.readouterr().err.strip()
-    assert err == "error: cannot load oracle: stage 0: has an open orbit"
+    assert err == "error: cannot load oracle: stage 0: cycle [1, 0] does not start at its minimum"
 
 
 def test_a_stage_file_with_a_key_outside_the_format_is_a_usage_error(tmp_path, capsys):
     stage = {
         "generator_index": 0,
-        "injection": [[0, 1], [1, 0]],
+        "cycles": [[0, 1]],
         "words": ["x"],
         "target_bits": [1],
         "window": 2,
@@ -449,12 +458,12 @@ def test_staged_oracle_file_round_trip(tmp_path, capsys):
     trace = json.loads(first.read_text(encoding="utf-8"))
     stage = {
         "generator_index": 0,
-        "injection": trace["final"]["injection"],
+        "cycles": cycles_to_data(injection_from_pairs(trace["final"]["injection"])),
         "words": trace["final"]["words"],
         "target_bits": trace["target"],
         "window": 0,
     }
-    support = [n for pair in stage["injection"] for n in pair]
+    support = [n for cycle in stage["cycles"] for n in cycle]
     stage["window"] = next(i for i in range(len(support) + 2) if i not in support)
     stages = tmp_path / "stages.json"
     stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")

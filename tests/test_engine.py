@@ -46,7 +46,9 @@ from orbitcode import (
 )
 from orbitcode import forcing as F
 from orbitcode import injections as I
+from orbitcode import oracle as O
 from orbitcode import words as W
+from orbitcode.errors import Refused
 from orbitcode.engine import requirement_from_data, requirement_to_data
 
 import helpers
@@ -327,6 +329,83 @@ def test_a_stage_trace_missing_its_first_growth_event_fails_replay(three_stages)
     assert "growth event 0" in result
 
 
+POOL_052 = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0))  # the benchmark pool's triple 052
+
+
+@pytest.fixture(scope="module")
+def pool_stages():
+    return staged_run(POOL_052)
+
+
+def test_a_hostile_required_buys_no_work(pool_stages, monkeypatch):
+    """required = 2^62 with the rule's target is refused at its event, searching nothing.
+
+    Replaying growth by the rule would grow the window to 2^62 + 16; checking
+    the written cycles costs no more than verifying the unedited trace.
+    """
+    text = json.dumps(_wire(pool_stages[1].trace, staged_oracle(pool_stages[:1])))
+    evaluations, oracle_evals = _count_evaluations(monkeypatch), []
+    oracle_eval = O.StagedOracle.eval
+
+    def counted(self, a, n):
+        oracle_evals.append(n)
+        return oracle_eval(self, a, n)
+
+    monkeypatch.setattr(O.StagedOracle, "eval", counted)
+    verify_trace_data(json.loads(text))
+    honest = (len(evaluations), len(oracle_evals))
+    assert min(honest) > 0
+    data = json.loads(text)
+    [event] = data["growth_events"]
+    event["required"] = 2**62
+    event["target"] = max(2**62, 2 * data["oracle"]["stages"][0]["window"]) + 16
+    evaluations.clear()
+    oracle_evals.clear()
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"growth event 0: window {event['window']} is short of target {2**62 + 16}"
+    assert len(evaluations) <= honest[0] and len(oracle_evals) <= honest[1]
+
+
+def _point_edits(p):
+    """One point p rewritten: its neighbours, a far point, 0, a negative, non-integers, or dropped."""
+    return (p - 1, p + 1, p + 1000, 0, -1, float(p), str(p), None)
+
+
+def test_a_single_point_edit_of_a_growth_cycle_is_refused_unless_past_its_target(pool_stages):
+    """Every edit of every growth cycle of 052's stage-2 trace; only Refused escapes.
+
+    An edit at or to a point below its event's target leaves a hole below
+    the target, or writes a point twice, or meets the old stage, so it is
+    refused.  Past the target, a point that closed an orbit may move or go
+    and the grown stage still extends, validates and reaches the window:
+    verify checks that growth is sound, not that it is the engine's least.
+    """
+    text = json.dumps(_wire(pool_stages[2].trace, staged_oracle(pool_stages[:2])))
+    events = json.loads(text)["growth_events"]
+    assert all(len(event["cycles"]) == 2 for event in events)
+    edits = refused = 0
+    for e, event in enumerate(events):
+        for k, cycles in enumerate(event["cycles"]):
+            for c, cycle in enumerate(cycles):
+                for i, p in enumerate(cycle):
+                    for new in _point_edits(p):
+                        data = json.loads(text)
+                        edited = data["growth_events"][e]["cycles"][k][c]
+                        if new is None:
+                            del edited[i]
+                        else:
+                            edited[i] = new
+                        edits += 1
+                        try:
+                            verify_trace_data(data)
+                        except Refused:
+                            refused += 1
+                            continue
+                        past = p >= event["target"] and (new is None or new >= event["target"])
+                        assert past, (e, k, c, i, p, new)
+    assert edits > 100 and refused > edits * 3 // 4
+
+
 def test_a_dagger_run_over_translations_replays_its_word_requirement():
     oracle = translation_oracle()
     trace = run(Flavor.DAGGER, (1, 0), [WordAdded(Word((group(1), X)))], oracle)
@@ -347,7 +426,8 @@ def test_a_forged_tree_witness_fails_replay(key, forged):
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
-    data["growth_events"].append({"step": 0, "required": 5, "target": 2**63 + 16, "window": 2**62})
+    event = {"step": 0, "required": 5, "target": 2**63 + 16, "window": 2**62, "cycles": []}
+    data["growth_events"].append(event)
     result = helpers.refusal(verify_trace_data, data)
     assert result == "malformed trace: growth event 0: the oracle has no window to grow"
 
@@ -480,10 +560,6 @@ def second_stage_wire():
     return json.dumps(trace_to_data(stages[1].trace, staged_oracle(stages[:1])))
 
 
-def _pop_a_pair(stage):
-    stage["injection"].pop()
-
-
 def _renumber(stage):
     stage["generator_index"] = 5
 
@@ -504,13 +580,12 @@ def _flip_bits_and_drop_words(stage):
 @pytest.mark.parametrize(
     "forge, clause",
     [
-        (_pop_a_pair, "has an open orbit"),
         (_renumber, "generator_index is 5"),
         (_widen, "window 6 is not mex(support) = 5"),
         (_flip_bits, "invalid condition: evaluation of 'x' miscodes bit 0"),
         (_flip_bits_and_drop_words, "decodes to [1], not its target bits [0]"),
     ],
-    ids=["popped-pair", "generator-index", "window", "target-bits", "target-bits-no-words"],
+    ids=["generator-index", "window", "target-bits", "target-bits-no-words"],
 )
 def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire, forge, clause):
     data = json.loads(second_stage_wire)
@@ -520,12 +595,17 @@ def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire
     assert result == f"malformed trace: stage 0: {clause}"
 
 
-def _reverse_pairs(stage):
-    stage["injection"].reverse()
+def _rotate_a_cycle(stage):
+    first = stage["cycles"][0]
+    first.append(first.pop(0))
 
 
-def _repeat_a_pair(stage):
-    stage["injection"].insert(1, list(stage["injection"][0]))
+def _reverse_cycles(stage):
+    stage["cycles"].reverse()
+
+
+def _repeat_a_point(stage):
+    stage["cycles"][1].append(stage["cycles"][0][1])
 
 
 def _reverse_words(stage):
@@ -539,15 +619,18 @@ def _spell_out_a_power(stage):
 @pytest.mark.parametrize(
     "forge, clause",
     [
-        (_reverse_pairs, "injection pairs do not strictly increase by domain point"),
-        (_repeat_a_pair, "injection pairs do not strictly increase by domain point"),
+        (_rotate_a_cycle, "cycle [3, 4, 0] does not start at its minimum"),
+        (_reverse_cycles, "cycle minima do not increase: 0 after 1"),
+        (_repeat_a_point, "point 3 is written twice"),
         (_reverse_words, "word texts do not strictly increase"),
         (_spell_out_a_power, "word 'x.x' is not written as its parse"),
     ],
-    ids=["reversed-pairs", "repeated-pair", "reversed-words", "spelled-out-power"],
+    ids=["rotated-cycle", "reversed-cycles", "repeated-point", "reversed-words",
+         "spelled-out-power"],
 )
 def test_an_embedded_stage_not_in_the_writers_form_fails_replay(second_stage_wire, forge, clause):
     data = json.loads(second_stage_wire)
+    assert data["oracle"]["stages"][0]["cycles"] == [[0, 3, 4], [1, 2]]
     assert data["oracle"]["stages"][0]["words"] == ["x", "x^2"]
     forge(data["oracle"]["stages"][0])
     result = helpers.refusal(verify_trace_data, data)
@@ -650,8 +733,8 @@ def _set_witness(key, cast):
         ),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 4.0),
-            "malformed trace: 4.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 5.0),
+            "malformed trace: 5.0 is not an integer",
         ),
     ],
     ids=["float-point", "string-point", "float-r-prefix-bit", "string-decoded-bits",

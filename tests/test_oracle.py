@@ -215,7 +215,8 @@ def test_staged_group_laws_on_random_elements():
 def test_stage_serialization_round_trip():
     stage = sealed_stage()
     data = stage_to_data(stage)
-    assert set(data) == {"generator_index", "injection", "words", "target_bits", "window"}
+    assert set(data) == {"generator_index", "cycles", "words", "target_bits", "window"}
+    assert data["cycles"] == [[0, 1], [2, 3]]
     back = stage_from_data(data, staged_oracle([]))
     assert back.generator_index == stage.generator_index
     assert back.window == stage.window

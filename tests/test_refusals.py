@@ -2,16 +2,19 @@
 
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
-was already met and on a step's `upper_sum`, and the clauses on a delta in
-a form the writer never writes; each case builds the call and its
-arguments, and the refusal it raises must read exactly as listed.
+was already met and on a step's `upper_sum`, the clauses on a delta in
+a form the writer never writes, and those on a growth event's cycles and
+the stages they grow; each case builds the call and its arguments, and the
+refusal it raises must read exactly as listed.
 """
 
+import functools
 import json
 
 import pytest
 
 from orbitcode import (
+    CompletedStage,
     Flavor,
     PartialInjection,
     auto_schedule,
@@ -23,6 +26,8 @@ from orbitcode import (
     parse_word,
     plain_condition,
     run,
+    staged_oracle,
+    staged_run,
     trace_to_data,
     translation_oracle,
     trivial_oracle,
@@ -31,6 +36,8 @@ from orbitcode import (
     verify_trace_data,
     x_power,
 )
+
+from orbitcode.engine import _grow_stage_by
 
 import helpers
 
@@ -65,6 +72,44 @@ def _forged_trace(forge, flavor=Flavor.CODING):
     data = json.loads(json.dumps(trace_to_data(trace, TRIV)))
     forge(data)
     return verify_trace_data, data
+
+
+@functools.cache
+def _second_stage_wire() -> str:
+    stages = staged_run([(1,), (1,)])
+    return json.dumps(trace_to_data(stages[1].trace, staged_oracle(stages[:1])))
+
+
+def _forged_growth(forge):
+    """verify_trace_data on the stage-1 trace of two one-bit stages, its growth forged by `forge`.
+
+    Its oracle embeds stage 0, cycles [[0, 3, 4], [1, 2]] and words x and
+    x^2; growth event 0 (required 6, target 26, window 26) grows it by the
+    3-cycles [5, 6, 7], [8, 9, 10], ..., [23, 24, 25].
+    """
+    data = json.loads(_second_stage_wire())
+    forge(data["growth_events"][0])
+    return verify_trace_data, data
+
+
+def _set_first_cycles(*cycles):
+    """_forged_growth with the first cycles of event 0's stage-0 list replaced by `cycles`."""
+
+    def forge(event):
+        event["cycles"][0][: len(cycles)] = [list(c) for c in cycles]
+
+    return _forged_growth(forge)
+
+
+def _grown_invalid_stage():
+    """A stage that does not validate (no 2-cycle, target bit 1) grown by a 3-cycle.
+
+    A stage read from a trace validates before it grows, and for a closed
+    word set the order recheck refuses first, so only a direct call reaches
+    this clause.
+    """
+    stage = CompletedStage(0, dagger_condition((1,), None, [x_power(1), x_power(2)]), TRIV)
+    return _grow_stage_by, stage, [[5, 6, 7]]
 
 
 def _set_delta(step, key, value, flavor=Flavor.CODING):
@@ -180,11 +225,57 @@ CASES = {
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 4",
+        "malformed trace: conventions are not those of format version 5",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 4",
+        "malformed trace: conventions are not those of format version 5",
+    ),
+    "trace-version-4": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
+        "malformed trace: conventions are not those of format version 5",
+    ),
+    "growth-cycle-minimum": (
+        lambda: _set_first_cycles([6, 7, 5]),
+        "malformed trace: growth event 0: stage 0: cycle [6, 7, 5] does not start at its minimum",
+    ),
+    "growth-cycle-order": (
+        lambda: _set_first_cycles([8, 9, 10], [5, 6, 7]),
+        "malformed trace: growth event 0: stage 0: cycle minima do not increase: 5 after 8",
+    ),
+    "growth-point-within": (
+        lambda: _set_first_cycles([5, 6, 7, 6]),
+        "malformed trace: growth event 0: stage 0: point 6 is written twice",
+    ),
+    "growth-point-across": (
+        lambda: _set_first_cycles([5, 6, 9], [8, 9, 10]),
+        "malformed trace: growth event 0: stage 0: point 9 is written twice",
+    ),
+    "growth-meets-old-stage": (
+        lambda: _set_first_cycles([4, 6, 7]),
+        "malformed trace: growth event 0: stage 0:"
+        " delta pair [4, 6] meets the lower condition's domain or range",
+    ),
+    "growth-fixed-point": (
+        lambda: _set_first_cycles([5, 6]),
+        "growth event 0: stage 0:"
+        " order recheck failed: word 'x^2' changed fixed points (gained [5, 6])",
+    ),
+    "growth-invalid": (
+        _grown_invalid_stage,
+        "invalid condition: evaluation of 'x' miscodes bit 0",
+    ),
+    "growth-window-short": (
+        lambda: _forged_growth(lambda event: event.update(required=100, target=116)),
+        "growth event 0: window 26 is short of target 116",
+    ),
+    "growth-window-recorded": (
+        lambda: _forged_growth(lambda event: event.update(window=27)),
+        "growth event 0: the stages reach window 26, not 27",
+    ),
+    "growth-list-count": (
+        lambda: _forged_growth(lambda event: event["cycles"].append([])),
+        "malformed trace: growth event 0: cycles must be 1 lists, one per stage",
     ),
     "trace-final": (
         lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),

@@ -43,50 +43,50 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "cab091281414dc7b876509362a8872aa"
-        "8093e6a96bb195566e8e0221a87f4640"
+        "a17a6109d39274e96c7c25ef7507dcef"
+        "657c4322f6c6e5cea2bd51f217645fe1"
     ),
     "dagger-3-translation": (
-        "33aa6185902b11bf910f453895744d95"
-        "7591541e243bc5ee9f427022d9454bc3"
+        "e97a28c00637dc0c5d9eca289f47a2dd"
+        "e13fddd0b485ff559b1ffd9bab9d4417"
     ),
     "plain-trees": (
-        "fc9bb238cf9c3fef9ea8c39f671fd96a"
-        "34cb9b42c1a2e3eae904a7e923135f4d"
+        "72301454e43fda386b34d8cee1fee2f3"
+        "272ad9d73f0d046a0dc390d0da214c66"
     ),
     "plain-trees-sealed": (
         "fcb92eb0bbbd49600319733e6f66964e"
         "7cdd6a16b8f3bef9a82bba09023a9739"
     ),
     "staged-0": (
-        "8af48acc13eb334040b023a9f10a968e"
-        "5148d792bfef314c28b4583a12f33116"
+        "47eee824653189b186017c4789f4e02b"
+        "1f12730e78504e068b94f85816c3af52"
     ),
     "staged-1": (
-        "7c2f9b068b9601391297f98b5449b5bc"
-        "d07cf7c9baec3c92a0bd62aac8aebb80"
+        "9545c68e3c9b01b15bb1bcf10d9688df"
+        "2b3584066322edb1b4e8c720367e30c6"
     ),
     "translation-trees": (
-        "337f094a6dc2028760de86fa962f78d0"
-        "af1bbf30f0b75ea24cfee34c44599a87"
+        "84c0a44745c717a512710ca06a1ba16b"
+        "7722f275aefe2e6c8baeec38078f6789"
     ),
     "staged-trees-full": (
-        "14627960c7dd88c7790b8e64debf3817"
-        "2ec69f6a75fb7baabb9d2f3a90e440ab"
+        "30201ea2fa70f67db73c86b018525db7"
+        "554bef7f000fdee9f8fd91347e1bc05c"
     ),
     "staged-trees-sparse-1": (
-        "6a1ca095cd8ab728d05f25a97f18249c"
-        "24f7cc96bfda366b7b143f81966aea4d"
+        "aab95a939881161c812017e22c6b1e05"
+        "4df13c012abb6aac97da985864846fb3"
     ),
     "staged-trees-sparse-2-5": (
-        "f662b0df690ec9c498d19ff8ea704948"
-        "642647794a9deae8ff5a2557544355e0"
+        "f7f71ef15f9a774b660145fb08eea10a"
+        "6ed1c5e0442e301c6763b8f98c60d372"
     ),
 }
 
