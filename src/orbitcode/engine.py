@@ -7,13 +7,13 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 5 writes each step as its delta: the pairs and
+the run.  Format version 6 writes each step as its delta: the pairs and
 words its upper condition adds to the previous one, its lower condition,
-a tree step's witness and `upper_sum`, a checksum of the whole upper
-condition kept in O(delta).  No fixed-point set is written: a word's set is
-frozen from the step it enters E, and the verifier recomputes what it
-checks.  Its requirement is the schedule's entry; only the final condition
-is written whole.
+a tree step's witness (a node ending at its index) and `upper_sum`, a
+checksum of the upper condition kept in O(delta).  No fixed-point set is
+written: a word's set is frozen from the step it enters E, and the
+verifier recomputes what it checks.  Its requirement is the schedule's
+entry; only the final condition is written whole.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -44,7 +44,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 5,
+    "format_version": 6,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -152,7 +152,7 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
     """
     if isinstance(req, TreeDiagonalized):
         cert, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
-        return "tree_extend", cert, {"witness_node": list(witness), "witness_index": k}
+        return "tree_extend", cert, {"witness_node": list(witness[: k + 1]), "witness_index": k}
     if isinstance(req, OrbitCoded):
         cert = None
         while not _requirement_holds(req, {}, c, oracle):
@@ -444,10 +444,12 @@ def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle)
     if isinstance(req, TreeDiagonalized):
         witness = tuple(map(I.wire_int, extra["witness_node"]))
         k = I.wire_int(extra["witness_index"])
+        if len(witness) != k + 1:
+            raise ValueError(f"witness_node has {len(witness)} values, not witness_index + 1")
         return (
             req.tree.contains(witness)
             and witness[: len(req.node)] == tuple(req.node)
-            and len(req.node) <= k < len(witness)
+            and len(req.node) <= k
             and c.s.apply(k) == witness[k]
         )
     return False
@@ -545,21 +547,21 @@ def verify_trace_data(data: Mapping) -> None:
 
     Anything trace_to_data would not write is malformed: a key missing from
     an object's closed key set or outside it, a number that is not a JSON
-    integer (or a bit other than 0 or 1), a schedule entry other than
-    its requirement writes, a delta (see forcing.verify_certificate_data)
-    or the final condition with pairs or word texts out of order or form
-    (the final's `r_prefix` exactly when the flavor is not plain), an
-    embedded stage seal did not make, other conventions, and growth events
-    off the engine's rule.  Each step's upper condition, the one before it
-    plus its delta, each word text parsed once, must extend the condition
-    before it, no word of that condition gaining a fixed point, validate,
-    and meet its schedule entry; a step other than a tree step whose entry
-    the condition before it already met must add nothing, as the engine
-    does; and last, its `upper_sum` must be the running sum.  So a step
-    parses and inserts only its delta, though with_pairs copies lower's
-    maps, and no fixed-point set is read off the wire.  The final condition
-    and decoded bits must recompute; Refused names the first claim that
-    fails, and the step it fails at.
+    integer (or a bit other than 0 or 1), a schedule entry other than its
+    requirement writes, a tree witness not ending at its index, a delta (see
+    forcing.verify_certificate_data) or the final condition with pairs or
+    word texts out of order or form (the final's `r_prefix` exactly when the
+    flavor is not plain), an embedded stage seal did not make, other
+    conventions, and growth events off the engine's rule.  Each step's upper
+    condition, the one before it plus its delta, each word text parsed once,
+    must extend the condition before it, no word of that condition gaining
+    a fixed point, validate, and meet its schedule entry; a step other than
+    a tree step whose entry the condition before it already met must add
+    nothing, as the engine does; and last, its `upper_sum` must be the
+    running sum.  So a step parses and inserts only its delta, though
+    with_pairs copies lower's maps, and no fixed-point set is read off the
+    wire.  The final condition and decoded bits must recompute; Refused
+    names the first claim that fails, and the step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:
@@ -576,7 +578,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 5.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 6.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _check_growth(data["growth_events"], oracle, len(schedule))

@@ -319,11 +319,13 @@ def avoidance_bound(
 def many_extensions(
     c: Condition, tree: T.InjectiveTree, node: T.Node, count: int, oracle
 ) -> tuple[T.Node, tuple[tuple[int, int], ...]]:
-    """Walk the tree collecting more than `count` one-point extensions of c.
+    """Walk the tree yielding one-point extensions of c up to the first with value ≥ `count`.
 
     Every option (k, v) has k fresh for the node and the domain, v outside
     the range, and v ≠ g(k) for each g in the word set's group restriction;
-    each such pair extends c on its own.  Words must all have a single x
+    each such pair extends c on its own, and leq checks it.  Options come in
+    increasing k with distinct values, so at most count + 1 come; the node
+    returned may run on past the last.  Words must all have a single x
     occurrence: those are the only shapes whose fixed points a single fresh
     pair provably cannot touch.  One barred set serves the whole walk: the
     node's values and the range, each grown value added once, and at depth
@@ -341,7 +343,7 @@ def many_extensions(
     barred = T.Barred(itertools.chain(current, ran))
     options: list[tuple[int, int]] = []
     stall_budget = count + len(dom) + 64
-    while len(options) <= count:
+    while True:
         j = len(current)
         barred.once = frozenset([oracle.eval(h, j) for h in handles])
         grown = tree.extend_avoiding(current, barred)
@@ -359,11 +361,12 @@ def many_extensions(
                     f"avoidance clauses missed a fixed point at ({k}, {v})"
                 ) from exc
             options.append((k, v))
+            if v >= count:
+                return grown, tuple(options)
         current = grown
         stall_budget -= 1
-        if stall_budget < 0 and len(options) <= count:
+        if stall_budget < 0:
             raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
-    return current, tuple(options)
 
 
 def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
@@ -381,8 +384,8 @@ def tree_extend(
     """One new pair (k, t'(k)) read off a positive tree, below c.
 
     Splits E into single-x words (plus the single-x subwords of the rest) for
-    the option search, then takes any option whose value clears the avoidance
-    bound N; more than N options with pairwise distinct values guarantee one.
+    the option search, which stops at the first option clearing the avoidance
+    bound N: more than N options with pairwise distinct values guarantee one.
     """
     if not tree.contains(node):
         raise PreconditionViolated(f"node {list(node)} is not in the tree")
@@ -395,12 +398,7 @@ def tree_extend(
     scratch = plain_condition(c.s, single)
     bound = avoidance_bound(c, oracle)
     grown, options = many_extensions(scratch, tree, node, bound, oracle)
-    viable = [(k, v) for k, v in options if v >= bound]
-    if not viable:
-        raise InternalCheckFailed(
-            f"{len(options)} options but none reaches bound {bound}"
-        )
-    k0, v0 = min(viable)
+    k0, v0 = options[-1]
     return _admissible(c, replace(c, s=c.s.with_pair(k0, v0)), oracle), grown, k0
 
 

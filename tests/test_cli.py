@@ -170,7 +170,8 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
 @pytest.mark.parametrize(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
-     ("format_version", 4), ("format_version", 99), ("prime_indexing", "p1=2")],
+     ("format_version", 4), ("format_version", 5), ("format_version", 99),
+     ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
     out = tmp_path / "trace.json"
@@ -181,7 +182,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 5" in capsys.readouterr().err
+    assert "format version 6" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):

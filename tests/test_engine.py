@@ -412,15 +412,42 @@ def test_a_dagger_run_over_translations_replays_its_word_requirement():
     verify_trace_data(_wire(trace, oracle))
 
 
-@pytest.mark.parametrize("key, forged", [("witness_index", 99), ("witness_node", [5, 5, 5])])
-def test_a_forged_tree_witness_fails_replay(key, forged):
+def _tree_step_wire():
     oracle = trivial_oracle()
     schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
     verify_trace_data(data)
-    data["steps"][1]["extra"][key] = forged
+    return data
+
+
+def _index_99(extra):
+    """Index 99, the node run on by fresh values so that it still ends there."""
+    node = extra["witness_node"]
+    return {"witness_index": 99, "witness_node": node + list(range(1000, 1100 - len(node)))}
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_index_99, lambda extra: {"witness_node": [5] * len(extra["witness_node"])}],
+    ids=["witness_index", "witness_node"],
+)
+def test_a_forged_tree_witness_fails_replay(forge):
+    data = _tree_step_wire()
+    extra = data["steps"][1]["extra"]
+    extra.update(forge(extra))
+    assert len(extra["witness_node"]) == extra["witness_index"] + 1
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 1: requirement not satisfied"
+
+
+def test_a_tree_witness_past_its_index_is_malformed():
+    """The node a step walked may run on past its index, but the witness a trace writes may not."""
+    data = _tree_step_wire()
+    extra = data["steps"][1]["extra"]
+    assert len(extra["witness_node"]) == extra["witness_index"] + 1
+    extra["witness_node"].append(1000)
+    result = helpers.refusal(verify_trace_data, data)
+    assert result.startswith("step 1: malformed: witness_node has ")
 
 
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
@@ -733,8 +760,8 @@ def _set_witness(key, cast):
         ),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 5.0),
-            "malformed trace: 5.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 6.0),
+            "malformed trace: 6.0 is not an integer",
         ),
     ],
     ids=["float-point", "string-point", "float-r-prefix-bit", "string-decoded-bits",
@@ -767,11 +794,15 @@ def test_neither_a_coding_run_nor_its_verify_rebuilds_the_orbit_decomposition(mo
     assert len(calls) == 0
 
 
-def _plain_trees_schedule():
-    """The schedule of the plain-trees digest build (tests/test_trace_digests.py)."""
+def _plain_trees_schedule(per_kind=2):
+    """The schedule of the plain-trees digest build (tests/test_trace_digests.py).
+
+    With `per_kind` above 2 it takes that many full trees, and sparse trees
+    of seeds 3, 4, 5, ..., in place of two of each.
+    """
     schedule = [WordAdded(x_power(1))]
-    schedule += [TreeDiagonalized(FullInjectiveTree()) for _ in range(2)]
-    schedule += [TreeDiagonalized(SparseCongruenceTree(seed)) for seed in (3, 4)]
+    schedule += [TreeDiagonalized(FullInjectiveTree()) for _ in range(per_kind)]
+    schedule += [TreeDiagonalized(SparseCongruenceTree(seed)) for seed in range(3, 3 + per_kind)]
     for i in range(8):
         schedule += [DomainHits(i), RangeHits(i)]
     return schedule
@@ -811,7 +842,8 @@ def test_each_tree_option_check_costs_one_evaluation_per_scratch_word(monkeypatc
 
     monkeypatch.setattr(F, "leq", counted_leq)
     monkeypatch.setattr(F, "many_extensions", flagged)
-    run(Flavor.PLAIN, None, _plain_trees_schedule(), trivial_oracle())
+    # the walks stop at the first option past the bound: 11 checks on two trees of each kind
+    run(Flavor.PLAIN, None, _plain_trees_schedule(4), trivial_oracle())
     assert len(checks) > 20 and max(size for *_, size in checks) >= 3
     assert all(spent <= words for spent, words, _ in checks), checks
 

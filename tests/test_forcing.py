@@ -227,11 +227,17 @@ class _LeapingTree(ExplicitTree):
 
 
 def test_many_extensions_checks_the_later_values_of_a_longer_extension():
-    """One extension adds 5, 1, 2, 7, 8: 1 and 2 sit at their own index, fixed points of x."""
+    """One extension adds 5, 1, 2, 7, 8: 1 and 2 sit at their own index, fixed points of x.
+
+    The walk stops inside the extension at the first value past the bound,
+    and returns the whole extension as its node.
+    """
     c = plain_condition(None, [x_power(1)])
-    node, options = many_extensions(c, _LeapingTree.from_branch((5, 1, 2, 7, 8)), (), 2, TRIV)
+    tree = _LeapingTree.from_branch((5, 1, 2, 7, 8))
+    node, options = many_extensions(c, tree, (), 8, TRIV)
     assert node == (5, 1, 2, 7, 8)
     assert options == ((0, 5), (3, 7), (4, 8))
+    assert many_extensions(c, tree, (), 7, TRIV) == (node, ((0, 5), (3, 7)))
 
 
 def test_many_extensions_rejects_repeated_x_words():
@@ -240,8 +246,9 @@ def test_many_extensions_rejects_repeated_x_words():
         many_extensions(c, FullInjectiveTree(), (), 1, TRIV)
 
 
-def test_the_walk_returns_what_the_per_call_walk_returns():
-    """Full and sparse trees (moduli 2, 5, 7) over random maps, nodes and single-x words."""
+def _random_walks():
+    """(c, tree, start node, count, oracle): full and sparse trees (moduli 2, 5, 7)
+    over random maps, nodes and single-x words."""
     rng = random.Random(12)
     trees = [FullInjectiveTree()]
     trees += [SparseCongruenceTree(seed, m) for m in (2, 5, 7) for seed in (1, 6)]
@@ -259,9 +266,30 @@ def test_the_walk_returns_what_the_per_call_walk_returns():
                 s = inj(helpers.random_injection(rng, rng.randrange(12), 30))
                 c = plain_condition(s, words)
                 start, _ = helpers.per_call_walk(plain_condition(), tree, (), rng.randrange(4), TRIV)
-                count = rng.randrange(12)
-                expected = helpers.per_call_walk(c, tree, start, count, oracle)
-                assert many_extensions(c, tree, start, count, oracle) == expected
+                yield c, tree, start, rng.randrange(12), oracle
+
+
+def _least_viable(c, tree, start, count, oracle):
+    """The per-call walk's node and options, and the least of them with value ≥ `count`."""
+    node, options = helpers.per_call_walk(c, tree, start, count, oracle)
+    return node, options, min((k, v) for k, v in options if v >= count)
+
+
+def test_the_walk_returns_what_the_per_call_walk_returns():
+    """The per-call walk collects more than `count` options; this one stops at the first past it."""
+    for c, tree, start, count, oracle in _random_walks():
+        node, options, (k0, v0) = _least_viable(c, tree, start, count, oracle)
+        expected = (node[: k0 + 1], options[: options.index((k0, v0)) + 1])
+        assert many_extensions(c, tree, start, count, oracle) == expected
+
+
+def test_a_tree_step_takes_the_least_viable_option_of_the_per_call_walk():
+    """The pair and index the per-call walk past the bound N gives, and its node cut there."""
+    for c, tree, start, _, oracle in _random_walks():
+        node, _, (k0, v0) = _least_viable(c, tree, start, avoidance_bound(c, oracle), oracle)
+        cert, witness, k = tree_extend(c, tree, start, oracle)
+        assert cert.upper.s.pairs() == c.s.with_pair(k0, v0).pairs()
+        assert (k, witness) == (k0, node[: k0 + 1])
 
 
 def test_tree_extension_adds_one_fresh_pair():

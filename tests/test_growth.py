@@ -2,20 +2,29 @@
 
 tools/growth_curve.py prints the coding columns, with verify's wall time,
 for n = 32 to 512.  A dagger step writes its delta alone, so its bytes do
-not grow with the word set E a run has built up.
+not grow with the word set E a run has built up.  A tree step's walk stops
+at the first option past its bound, so it checks no option it does not use.
 """
 
 import json
 
 from orbitcode import (
+    DomainHits,
     Flavor,
+    FullInjectiveTree,
     PartialInjection,
+    RangeHits,
+    SparseCongruenceTree,
+    TreeDiagonalized,
+    WordAdded,
     auto_schedule,
     run,
     trace_to_data,
     trivial_oracle,
     verify_trace_data,
+    x_power,
 )
+from orbitcode import forcing as F
 
 
 def _auto_trace(flavor, n):
@@ -60,3 +69,28 @@ def test_dagger_trace_bytes_per_step_do_not_grow_with_the_word_set():
         per_step[n] = len(text) / len(trace.steps)
     # E holds x .. x^7 at n = 4 and x .. x^19 at n = 8
     assert per_step[8] <= 1.2 * per_step[4], per_step
+
+
+def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monkeypatch):
+    """x, ten full trees each followed by a sparse tree of seed 0..9, then hits 0..7.
+
+    A walk that collected more than the bound's worth of options, keeping
+    the least one past it, yielded 728 options on this schedule.
+    """
+    yielded = []
+    walk = F.many_extensions
+
+    def counted(*args):
+        node, options = walk(*args)
+        yielded.append(len(options))
+        return node, options
+
+    monkeypatch.setattr(F, "many_extensions", counted)
+    schedule = [WordAdded(x_power(1))]
+    for seed in range(10):
+        trees = (FullInjectiveTree(), SparseCongruenceTree(seed))
+        schedule += [TreeDiagonalized(tree) for tree in trees]
+    for i in range(8):
+        schedule += [DomainHits(i), RangeHits(i)]
+    run(Flavor.PLAIN, None, schedule, trivial_oracle())
+    assert len(yielded) == 20 and sum(yielded) <= 728 // 2, yielded

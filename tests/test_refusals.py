@@ -2,10 +2,10 @@
 
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
-was already met and on a step's `upper_sum`, the clauses on a delta in
-a form the writer never writes, and those on a growth event's cycles and
-the stages they grow; each case builds the call and its arguments, and the
-refusal it raises must read exactly as listed.
+was already met and on a step's `upper_sum`, the clauses on a delta or a
+tree witness in a form the writer never writes, and those on a growth
+event's cycles and the stages they grow; each case builds the call and its
+arguments, and the refusal it raises must read exactly as listed.
 """
 
 import functools
@@ -15,8 +15,11 @@ import pytest
 
 from orbitcode import (
     CompletedStage,
+    DomainHits,
     Flavor,
+    FullInjectiveTree,
     PartialInjection,
+    TreeDiagonalized,
     auto_schedule,
     certificate_to_data,
     coding_condition,
@@ -71,6 +74,14 @@ def _forged_trace(forge, flavor=Flavor.CODING):
     trace = run(flavor, (1, 0), auto_schedule(flavor, 2), TRIV)
     data = json.loads(json.dumps(trace_to_data(trace, TRIV)))
     forge(data)
+    return verify_trace_data, data
+
+
+def _forged_witness(forge):
+    """verify_trace_data on a domain hit at 0 then a full-tree step, its witness forged."""
+    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
+    data = json.loads(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, TRIV), TRIV)))
+    forge(data["steps"][1]["extra"])
     return verify_trace_data, data
 
 
@@ -225,15 +236,23 @@ CASES = {
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 5",
+        "malformed trace: conventions are not those of format version 6",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 5",
+        "malformed trace: conventions are not those of format version 6",
     ),
     "trace-version-4": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
-        "malformed trace: conventions are not those of format version 5",
+        "malformed trace: conventions are not those of format version 6",
+    ),
+    "trace-version-5": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 5)),
+        "malformed trace: conventions are not those of format version 6",
+    ),
+    "trace-witness-length": (
+        lambda: _forged_witness(lambda extra: extra["witness_node"].append(99)),
+        "step 1: malformed: witness_node has 3 values, not witness_index + 1",
     ),
     "growth-cycle-minimum": (
         lambda: _set_first_cycles([6, 7, 5]),

@@ -43,50 +43,50 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "a17a6109d39274e96c7c25ef7507dcef"
-        "657c4322f6c6e5cea2bd51f217645fe1"
+        "ae7662efbddaafcfd6a2f1ae4fac79f9"
+        "8022546621b0e4d1edee9d715c462cc3"
     ),
     "dagger-3-translation": (
-        "e97a28c00637dc0c5d9eca289f47a2dd"
-        "e13fddd0b485ff559b1ffd9bab9d4417"
+        "da4478588af03483d28c1ba76e93a892"
+        "8e14f4b6e250bfe6ed376b532e413b17"
     ),
     "plain-trees": (
-        "72301454e43fda386b34d8cee1fee2f3"
-        "272ad9d73f0d046a0dc390d0da214c66"
+        "af67bfed711daf0df8d26ddbbc97c07d"
+        "cc7959155fbfd4bf2e49cddb4230b760"
     ),
     "plain-trees-sealed": (
         "fcb92eb0bbbd49600319733e6f66964e"
         "7cdd6a16b8f3bef9a82bba09023a9739"
     ),
     "staged-0": (
-        "47eee824653189b186017c4789f4e02b"
-        "1f12730e78504e068b94f85816c3af52"
+        "78644ec8e97fe66633e5eda696e05703"
+        "d3cb85b64b12101e1d7efd6d5a52267e"
     ),
     "staged-1": (
-        "9545c68e3c9b01b15bb1bcf10d9688df"
-        "2b3584066322edb1b4e8c720367e30c6"
+        "11ff2ad39b7d926ac7f351365bdc62d3"
+        "dc91509f6794f8f37837ebb76aee0f48"
     ),
     "translation-trees": (
-        "84c0a44745c717a512710ca06a1ba16b"
-        "7722f275aefe2e6c8baeec38078f6789"
+        "daf8781bb399258f64fe63388fb1139b"
+        "14a1438591b4013d17bb04566025574d"
     ),
     "staged-trees-full": (
-        "30201ea2fa70f67db73c86b018525db7"
-        "554bef7f000fdee9f8fd91347e1bc05c"
+        "60524f6b52f3e58ef970dfcf8111b6be"
+        "0a68ba0deb2b194774550570c643f8e8"
     ),
     "staged-trees-sparse-1": (
-        "aab95a939881161c812017e22c6b1e05"
-        "4df13c012abb6aac97da985864846fb3"
+        "98dee5ed3320820bc4c4936809c2bf4a"
+        "8aeb1298d8a5821beeb7afe9bb555a45"
     ),
     "staged-trees-sparse-2-5": (
-        "f7f71ef15f9a774b660145fb08eea10a"
-        "6ed1c5e0442e301c6763b8f98c60d372"
+        "461a5da07aff3070967fbaf2b9b9cd72"
+        "324d791aa1127020699dab0fcc9bee87"
     ),
 }
 

@@ -11,8 +11,9 @@ group ends with a sha256 over its lines, `combined` for the staged group:
 - 27 plain tree runs over the staged oracle of triples 052, 488 and 512:
   three word sets with group letters, each with two steps on a full, a
   sparse(1) or a sparse(2, 5) tree, then domain and range hits 0..3, on
-  fresh stages per run.  Five of them stop at a window the engine's one
-  growth per step does not settle, and are digested by their error.
+  fresh stages per run.  One of them, tree-488-words2-full, stops at a
+  window the engine's one growth per step does not settle, and is digested
+  by its error.
 
 and `combined-closure` for the closure group, which pins the orbit closures
 on single oracles.  Each of its digests covers the compact JSON of the
