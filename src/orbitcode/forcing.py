@@ -83,9 +83,6 @@ class Condition:
         """L: the longest expanded word in E, 0 when E is empty."""
         return max((len(w) for w in self.words), default=0)
 
-    def sorted_words(self, oracle) -> list[W.Word]:
-        return sorted(self.words, key=lambda w: W.format_word(w, oracle))
-
 
 def plain_condition(s=None, words: Iterable[W.Word] = ()) -> Condition:
     return Condition(s or I.PartialInjection(), frozenset(words), Flavor.PLAIN)
@@ -124,21 +121,22 @@ def chain(
 
 
 class _WordFacts:
-    """What validate reads of E alone: admissibility, and per root its top power and closure.
+    """What validate and leq read of E alone: admissibility, and per root its powers and closure.
 
-    _word_facts holds one per oracle, under a weak key, so it keeps no
-    reference to the oracle: one would keep the oracle alive.
+    _word_facts holds the last two per oracle, under a weak key: a reference
+    to the oracle would keep it alive.
     """
 
-    __slots__ = ("words", "inadmissible", "_roots")
+    __slots__ = ("words", "inadmissible", "powers", "_roots")
 
     def __init__(self, words: frozenset[W.Word], oracle):
         self.words = words
-        inadmissible = [w for w in words if not W.is_admissible(w, oracle)]
         # the least inadmissible word in text order, formatted only on a refusal
-        self.inadmissible = (
-            min(W.format_word(w, oracle) for w in inadmissible) if inadmissible else None
-        )
+        inadmissible = (W.format_word(w, oracle) for w in words if not W.is_admissible(w, oracle))
+        self.inadmissible = min(inadmissible, default=None)
+        self.powers: dict[W.Word, tuple[int, ...]] = {}  # E by root v: the j with v^j in E
+        for v, j in sorted(map(W.period, words), key=lambda period: period[1]):
+            self.powers[v] = self.powers.get(v, ()) + (j,)
         self._roots: tuple | None = None
 
     def roots(self, oracle) -> tuple[tuple[W.Word, str, int, int, str | None], ...]:
@@ -146,31 +144,26 @@ class _WordFacts:
 
         v^k is v's top power in E, `last` the highest bit it obligates (-1
         for none), and `refusal` the clause its closure fails, if any; the
-        roots stop at the first that fails.
+        roots stop at the first that fails, whose `last` is not computed.
         """
         if self._roots is not None:
             return self._roots
-        tops: dict[W.Word, W.Word] = {}
-        for w in self.words:
-            v = W.indecomposable_root(w, oracle)[0]
-            if len(w) > len(tops.get(v, ())):
-                tops[v] = w
+        tops = sorted((W.format_word(v, oracle), v, js[-1]) for v, js in self.powers.items())
         covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
         roots = []
-        for text, v in sorted((W.format_word(v, oracle), v) for v in tops):
-            top, k = tops[v], len(tops[v]) // len(v)
+        for text, v, k in tops:
             refusal = None
             for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
                 if u not in self.words:
                     if u.letters[: len(v)] != v.letters:
                         refusal = f"rotation class not closed: missing {W.format_word(u, oracle)!r}"
                     else:
-                        power = len(u) // len(v)
-                        refusal = f"missing power {power} of root of {W.format_word(top, oracle)!r}"
+                        top = W.format_word(W.Word(v.letters * k), oracle)
+                        refusal = f"missing power {len(u) // len(v)} of root of {top!r}"
                     break
                 if len(u) == len(v):
                     covered[u] = k
-            roots.append((v, text, k, len(I.primes_up_to(k)) - 1, refusal))
+            roots.append((v, text, k, -1 if refusal else len(I.primes_up_to(k)) - 1, refusal))
             if refusal is not None:
                 break
         self._roots = tuple(roots)
@@ -183,13 +176,14 @@ _FACTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _word_facts(words: frozenset[W.Word], oracle) -> _WordFacts:
     """E's facts, derived once per word set: every candidate of a scan shares its E.
 
-    One entry per oracle, for the last word set asked about, held weakly so
-    that no oracle outlives its run.
+    Two per oracle, the old and new sets a step adjoining words checks by turns, held weakly.
     """
-    facts = _FACTS.get(oracle)
-    if facts is None or (facts.words is not words and facts.words != words):
-        facts = _FACTS[oracle] = _WordFacts(words, oracle)
-    return facts
+    kept = _FACTS.get(oracle, ())
+    for facts in kept:
+        if facts.words is words or facts.words == words:
+            return facts
+    _FACTS[oracle] = (_WordFacts(words, oracle),) + kept[:1]
+    return _FACTS[oracle][0]
 
 
 def validate(c: Condition, oracle) -> None:
@@ -233,10 +227,10 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
     Once upper.s extends lower.s, a point a word fixes under lower.s it
     fixes under upper.s too, so fixed points can be gained but never lost,
     and only where an evaluation under lower.s stopped, or at a new domain
-    point, can one be gained.  injections.gained_fixed_points evaluates
-    there alone; an empty E needs no look at the pairs at all.  lower must
-    be valid, so that its words are reduced and end in x; a word of any
-    other shape raises PreconditionViolated.  A refusal raises Refused.
+    point, can one be gained.  injections.gained_fixed_points evaluates E's
+    roots there alone; an empty E needs no look at the pairs at all.  lower
+    must be valid, so that its words are reduced and end in x; a word of
+    any other shape raises PreconditionViolated.  A refusal raises Refused.
     """
     if upper.flavor is not lower.flavor or upper.target != lower.target:
         raise Refused("flavor or target mismatch")
@@ -245,9 +239,14 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
     if not lower.words <= upper.words:
         raise Refused("word set does not extend")
     if lower.words:
-        for text, _, _, gained in I.gained_fixed_points(lower.words, upper.s, lower.s, oracle):
-            if gained:
-                raise Refused(f"word {text!r} changed fixed points (gained {gained})")
+        facts = _word_facts(lower.words, oracle)
+        for w in lower.words if facts.inadmissible is not None else ():
+            I.require_shape(w, oracle)
+        gains = I.gained_fixed_points(facts.powers, upper.s, lower.s, oracle)
+        if gains:
+            text, gained = min((W.format_word(W.Word(v.letters * j), oracle), sorted(p))
+                               for (v, j), p in gains.items())
+            raise Refused(f"word {text!r} changed fixed points (gained {gained})")
     return ExtensionCertificate(lower, upper)
 
 
@@ -653,7 +652,7 @@ def condition_to_data(c: Condition, oracle) -> dict:
     data: dict = {
         "flavor": c.flavor.value,
         "injection": [list(p) for p in c.s.pairs()],
-        "words": [W.format_word(w, oracle) for w in c.sorted_words(oracle)],
+        "words": sorted(W.format_word(w, oracle) for w in c.words),
     }
     if c.target is not None:
         data["r_prefix"] = list(c.target)

@@ -20,15 +20,17 @@ The word layer (fixed_points, word_graph, word_cycle_counts and the order
 check's gained_fixed_points) takes only reduced words ending in x, as
 admissible words are, and raises PreconditionViolated for any other; x
 applies first, so a scan of dom(s) sees every point such a word maps.  The
-checks read one memo per word and map, w[s]'s graph with its own orbit
+checks read one memo per root and map, v[s]'s graph with its own orbit
 index (see _WordGraph), and carry it along a run so that each step
-evaluates w only where its new pairs reach; word_graph is the full scan.
+evaluates v only where its new pairs reach, and no power v^j of it;
+word_graph is the full scan.
 """
 
 from __future__ import annotations
 
 import bisect
 import weakref
+from itertools import takewhile
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -48,8 +50,8 @@ class PartialInjection:
     (n, m) runs from an exit (or fresh point) n to an entry (or fresh point)
     m, so it joins two paths or closes one.
 
-    Checks on words read a second private memo, `_fixes`: per word and
-    oracle, the word's graph on this map and where its other evaluations
+    Checks on words read a second private memo, `_fixes`: per root and
+    oracle, the root's graph on this map and where its other evaluations
     stopped (see _WordGraph).  Once this map is certified to extend another,
     `_source` holds that map, the new pairs, and what the points they reach
     evaluate to under this map, so each memo is carried forward on first
@@ -360,10 +362,10 @@ _PRIMES: list[int] = [2, 3, 5, 7]
 
 
 def nth_prime(n: int) -> int:
-    """p_n with p_0 = 2."""
+    """p_n with p_0 = 2; trial division stops at the first prime past the candidate's root."""
     while len(_PRIMES) <= n:
         candidate = _PRIMES[-1] + 2
-        while any(candidate % p == 0 for p in _PRIMES if p * p <= candidate):
+        while any(candidate % p == 0 for p in takewhile(lambda p: p * p <= candidate, _PRIMES)):
             candidate += 2
         _PRIMES.append(candidate)
     return _PRIMES[n]
@@ -393,7 +395,7 @@ def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:
     return prime_parities(s._orbits().counts, upto)
 
 
-def _require_shape(w: W.Word, oracle) -> None:
+def require_shape(w: W.Word, oracle) -> None:
     """PreconditionViolated unless w is reduced and ends in x; then w[s] maps only dom(s)."""
     if not w.letters or w.letters[-1] != W.X or W.reduce(w.letters, oracle) != w:
         text = W.format_word(w, oracle)
@@ -401,32 +403,33 @@ def _require_shape(w: W.Word, oracle) -> None:
 
 
 def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
-    """Points n with w[s](n) = n, for a reduced word w ending in x: the reflexive check's."""
-    [(_, _, fixed, _)] = gained_fixed_points((w,), s, s, oracle)
-    return fixed
+    """Points n with w[s](n) = n, for a reduced word w ending in x: the reflexive check's.
+
+    w = v^j fixes the points on the cycles of v[s], read off v's memo, whose size divides j.
+    """
+    require_shape(w, oracle)
+    v, j = W.period(w)
+    misses: dict = {}
+    memo = _memo(v, s, oracle, misses)
+    if misses:
+        return frozenset(n for n, m in word_graph(w, s, oracle).pairs() if n == m)
+    return frozenset(p for c in memo.graph._orbits().cycles if j % c.size == 0 for p in c.ordered)
 
 
+@dataclass(slots=True, eq=False)
 class _WordGraph:
     """A reduced word ending in x evaluated at every point of dom(s): its graph, and where it stopped.
 
-    `graph` holds w[s] as a PartialInjection, whose orbit index, built on
-    the first count, tallies its closed cycles by size; `fixed`, the points
-    w[s] fixes, is its diagonal.  `stuck` files each point where the
-    evaluation stopped, as words.evaluate files it: under ("x", a) when it
-    waits for a pair (a, ·), under ("x^-1", b) when it waits for (·, b).
-    If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p), so w[t] ⊇ w[s]:
+    `graph` holds w[s], whose orbit index holds its cycles.  `stuck` files
+    each point where the evaluation stopped, as words.evaluate files it:
+    under ("x", a) when it waits for a pair (a, ·), under ("x^-1", b) when
+    it waits for (·, b).  If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p):
     only t's new domain points and the points filed under t's new pairs can
-    gain a value, or become fixed.  `text` is the word's text, which orders
-    the words of a check.
+    gain a value.  The checks keep one per root (see gained_fixed_points).
     """
 
-    __slots__ = ("text", "graph", "fixed", "stuck")
-
-    def __init__(self, text: str, graph: PartialInjection, stuck: dict):
-        self.text = text
-        self.graph = graph
-        self.fixed = frozenset(n for n, m in graph._fwd.items() if n == m)
-        self.stuck = stuck
+    graph: PartialInjection
+    stuck: dict
 
     def reached(self, new: Iterable[tuple[int, int]]) -> list[int]:
         """The points where w[t], for t = s plus the pairs `new`, can differ from w[s]."""
@@ -494,59 +497,55 @@ def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     """
     key = (w, oracle)
     # read a kept memo directly: every option of a tree walk comes through here
-    memo = s._fixes.get(key) if s._fixes else None
+    memo = (s._fixes.get(key) if s._fixes else None) or _held(s, key)
     if memo is None:
-        memo = _held(s, key)
-    if memo is None:
-        _require_shape(w, oracle)
+        require_shape(w, oracle)
         stuck: dict = {}
         values = _evaluate_at(w, s, oracle, s._fwd, stuck, misses)
-        memo = _WordGraph(W.format_word(w, oracle), PartialInjection(values.items()), stuck)
+        memo = _WordGraph(PartialInjection(values.items()), stuck)
         if not misses:
             s._fixes[key] = memo
     return memo
 
 
-def gained_fixed_points(words, upper: PartialInjection, lower: PartialInjection, oracle):
-    """(text, word, fixed points under lower, sorted points gained under upper), per word.
+def gained_fixed_points(powers, upper: PartialInjection, lower: PartialInjection, oracle) -> dict:
+    """The words v^j that gain a fixed point, as (v, j): points, for `powers` mapping v to the j.
 
-    Every word must be reduced and end in x (PreconditionViolated otherwise),
-    as every word of a validated condition does.  Words come in text
-    order, up to the first that gains a point; each is evaluated under upper
-    only at the points upper's new pairs can reach (see _WordGraph).  A
-    window miss is raised as a scan of dom(upper) would meet it first.  When
-    no word gains, upper notes what those points evaluate to, so that
-    lower's memos move to it on first use.
+    v^j gains the points of the cycles v[upper] adds to v[lower] whose size
+    divides j, so only roots are evaluated, where upper's new pairs reach.  A
+    window miss gives a per-word scan's outcome instead (_scanned_gain).
+    With no gain, lower's memos move to upper on first use.
     """
-    new = upper.pairs_beyond(lower)
-    checks = []
-    for w in words:
+    new, found, gains = upper.pairs_beyond(lower), {}, {}
+    for v, exponents in powers.items():
         misses: dict = {}
-        checks.append((_memo(w, lower, oracle, misses), w, misses))
-    if len(checks) > 1:
-        checks.sort(key=lambda check: check[0].text)
-    out = []
-    found: dict = {}
-    for memo, w, misses in checks:
         stuck: dict = {}
-        values = _evaluate_at(w, upper, oracle, memo.reached(new), stuck, misses)
-        for n in upper.domain if misses else ():
-            if n in misses:
-                raise misses[n]
+        memo = _memo(v, lower, oracle, misses)
+        values = _evaluate_at(v, upper, oracle, memo.reached(new), stuck, misses)
+        if misses:
+            return _scanned_gain(powers, upper, lower, oracle)
         found[memo] = (values, stuck)
-        gained = [n for n, m in values.items() if n == m]
-        if gained:
-            gained.sort()
-        out.append((memo.text, w, memo.fixed, gained))
-        if gained:
-            return out
-    if upper is not lower and found:
+        loops = [[n] for n, m in values.items() if n == m]  # all that J = (1,) can gain
+        for cycle in _closed_cycles(memo.graph, values) if exponents[-1] > 1 and values else loops:
+            for j in [j for j in exponents if j % len(cycle) == 0]:
+                gains.setdefault((v, j), []).extend(cycle)
+    if upper is not lower and found and not gains:
         upper._source = (lower, new, found)
-    return out
+    return gains
 
 
-def _closed_sizes(graph: PartialInjection, values: Mapping[int, int]) -> list[int]:
-    """The sizes of the cycles that adding the pairs `values` would close in graph, left as it is.
+def _scanned_gain(powers, upper: PartialInjection, lower: PartialInjection, oracle) -> dict:
+    """Words in text order, each scanned whole: the first's miss, or the first that gains."""
+    words = [(W.Word(v.letters * j), v, j) for v, exponents in powers.items() for j in exponents]
+    for _, w, v, j in sorted((W.format_word(w, oracle), w, v, j) for w, v, j in words):
+        fixed = [n for n, m in word_graph(w, upper, oracle).pairs() if n == m]
+        if gained := [n for n in fixed if W.evaluate(w, lower, oracle, n) != n]:
+            return {(v, j): gained}
+    return {}
+
+
+def _closed_cycles(graph: PartialInjection, values: Mapping[int, int]) -> list[list[int]]:
+    """The cycles that adding the pairs `values` would close in graph, left as it is.
 
     Links each pair as _OrbitIndex.link does, with the path ends it changes
     kept aside: a key that link pops is never asked for again, since no two
@@ -555,7 +554,7 @@ def _closed_sizes(graph: PartialInjection, values: Mapping[int, int]) -> list[in
     index, fwd = graph._orbits(), graph._fwd
     entry_of: dict[int, int] = {}
     exit_of: dict[int, int] = {}
-    sizes = []
+    cycles: list[list[int]] = []
     for n, m in values.items():
         entry = entry_of.pop(n) if n in entry_of else index.entry_of.get(n, n)
         exit_ = exit_of.pop(m) if m in exit_of else index.exit_of.get(m, m)
@@ -563,12 +562,12 @@ def _closed_sizes(graph: PartialInjection, values: Mapping[int, int]) -> list[in
             exit_of[entry] = exit_
             entry_of[exit_] = entry
             continue
-        size, cur = 1, values[n]
+        cycle, cur = [n], values[n]
         while cur != n:
-            size += 1
+            cycle.append(cur)
             cur = values[cur] if cur in values else fwd[cur]
-        sizes.append(size)
-    return sizes
+        cycles.append(cycle)
+    return cycles
 
 
 def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
@@ -589,8 +588,8 @@ def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
         if misses:
             raise misses[min(misses)]
         counts = dict(base.graph._orbits().counts)
-        for size in _closed_sizes(base.graph, values):
-            counts[size] = counts.get(size, 0) + 1
+        for cycle in _closed_cycles(base.graph, values):
+            counts[len(cycle)] = counts.get(len(cycle), 0) + 1
         return counts
     memo = _memo(w, s, oracle, misses)
     if misses:
@@ -601,13 +600,14 @@ def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
     """The graph of w[s] as a finite partial injection, for a reduced word w ending in x.
 
-    Scans dom(s) in increasing order: w[s] is defined nowhere else.  This is
+    Scans dom(s), where alone w[s] is defined, in its set order, so a window
+    miss is raised at the first point of that order that meets one.  This is
     the full scan; the checks read the same graph incrementally, through
     word_cycle_counts and the memo behind it.
     """
-    _require_shape(w, oracle)
+    require_shape(w, oracle)
     pairs = []
-    for n in sorted(s._fwd):
+    for n in s.domain:
         value = W.evaluate(w, s, oracle, n)
         if value is not None:
             pairs.append((n, value))

@@ -219,18 +219,23 @@ def closure(v: Word, k: int, oracle) -> Iterator[Word]:
 
 
 def indecomposable_root(w: Word, oracle) -> tuple[Word, int]:
-    """The unique admissible v and maximal k >= 1 with v^k equal to w.
+    """The unique admissible v and maximal k >= 1 with v^k equal to w: w's letter period.
 
     Powers of an admissible word concatenate its letters without reduction,
     so v is w's shortest letter period.
     """
     if not is_nice(w):
         raise NotNiceWord(f"not an admissible word: {format_word(w, oracle)!r}")
+    return period(w)
+
+
+def period(w: Word) -> tuple[Word, int]:
+    """The shortest v and largest k with w's letters v's repeated k times; w^1 for the identity."""
     letters, size = w.letters, len(w.letters)
-    for period in range(1, size + 1):
-        if size % period == 0 and letters[:period] * (size // period) == letters:
-            return Word(letters[:period]), size // period
-    raise AssertionError("period 'size' always matches")
+    for p in range(1, size):
+        if size % p == 0 and letters[:p] * (size // p) == letters:
+            return Word(letters[:p]), size // p
+    return w, 1
 
 
 def evaluate(w: Word, s, oracle, n: int, stuck: dict | None = None) -> int | None:

@@ -1,5 +1,6 @@
 """Scheduler runs, sealing, decoding, staged construction, trace replay."""
 
+import itertools
 import json
 
 import pytest
@@ -49,7 +50,7 @@ from orbitcode import injections as I
 from orbitcode import oracle as O
 from orbitcode import words as W
 from orbitcode.errors import Refused
-from orbitcode.engine import requirement_from_data, requirement_to_data
+from orbitcode.engine import _grow_stage_by, requirement_from_data, requirement_to_data
 
 import helpers
 
@@ -440,6 +441,19 @@ def test_a_forged_tree_witness_fails_replay(forge):
     assert result == "step 1: requirement not satisfied"
 
 
+def test_the_wire_form_shares_no_mutable_object_with_its_trace():
+    """Editing the witness or oracle trace_to_data wrote leaves the trace and its next writing."""
+    oracle = trivial_oracle()
+    trace = run(Flavor.PLAIN, None, [DomainHits(0), TreeDiagonalized(FullInjectiveTree())], oracle)
+    extra = json.loads(json.dumps(trace.steps[1].extra))
+    fresh = json.dumps(trace_to_data(trace, oracle))
+    data = trace_to_data(trace, oracle)
+    data["steps"][1]["extra"]["witness_node"].append(99)
+    data["oracle"]["kind"] = "forged"
+    assert trace.steps[1].extra == extra
+    assert json.dumps(trace_to_data(trace, oracle)) == fresh
+
+
 def test_a_tree_witness_past_its_index_is_malformed():
     """The node a step walked may run on past its index, but the witness a trace writes may not."""
     data = _tree_step_wire()
@@ -457,6 +471,54 @@ def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
     data["growth_events"].append(event)
     result = helpers.refusal(verify_trace_data, data)
     assert result == "malformed trace: growth event 0: the oracle has no window to grow"
+
+
+def _cycle_maps(points):
+    """Every injection with only cycles on a subset of `points`, as its cycles on the wire."""
+    for size in range(len(points) + 1):
+        for subset in itertools.combinations(points, size):
+            for image in itertools.permutations(subset):
+                graph, cycles = dict(zip(subset, image)), []
+                for p in subset:  # ascending, so each cycle starts at its minimum
+                    if all(p not in cycle for cycle in cycles):
+                        cycles.append([p])
+                        while graph[cycles[-1][-1]] != p:
+                            cycles[-1].append(graph[cycles[-1][-1]])
+                yield cycles
+
+
+def test_a_grown_stage_the_order_recheck_passes_still_validates():
+    """Every stage on {0..5} with E = closure(x, k), k <= 3, grown by one or two new cycles.
+
+    A new cycle of a prime size p <= k would make x^p gain its points, so
+    the order recheck refuses it before the dagger code could change: a
+    stage that validated before an accepted growth validates after it, and
+    growing checks no more than the order.
+    """
+    oracle = trivial_oracle()
+    points = tuple(range(6))
+    growths = {}  # the one- and two-cycle growths on each set of free points
+    accepted = refused = 0
+    for k in (1, 2, 3):
+        words = frozenset(W.closure(x_power(1), k, oracle))
+        last = len(I.primes_up_to(k)) - 1
+        for cycles in _cycle_maps(points):
+            s = PartialInjection(I.pairs_from_cycles(cycles))
+            condition = F.dagger_condition(I.o_dagger(s, last), s, words)
+            validate(condition, oracle)
+            free = tuple(p for p in points if s.apply(p) is None)
+            if free not in growths:
+                growths[free] = [new for new in _cycle_maps(free) if len(new) in (1, 2)]
+            for new in growths[free]:
+                stage = O.CompletedStage(0, condition, oracle)
+                try:
+                    _grow_stage_by(stage, new)
+                except Refused:
+                    refused += 1
+                    continue
+                validate(stage.condition, oracle)
+                accepted += 1
+    assert (accepted, refused) == (5464, 18725)
 
 
 def _forge_op(data):
@@ -1026,6 +1088,24 @@ def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
     monkeypatch.setattr(W, "reduce", counted)
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 0: invalid condition: missing power 1 of root of 'x^2000'"
+
+
+def test_a_refused_root_asks_for_no_primes(monkeypatch):
+    """x^20000 alone misses its root x: the refusal is the closure's, and no prime is sought."""
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
+    data["steps"][0]["certificate"]["words"] = ["x^20000"]
+    asked = []
+    primes_up_to = I.primes_up_to
+
+    def counted(k):
+        asked.append(k)
+        return primes_up_to(k)
+
+    monkeypatch.setattr(I, "primes_up_to", counted)
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == "step 0: invalid condition: missing power 1 of root of 'x^20000'"
+    assert max(asked, default=0) < 20000
 
 
 def _bound_word_work(monkeypatch, limit):

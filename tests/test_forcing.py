@@ -938,7 +938,7 @@ def _root_memos(c, oracle):
     out = {}
     for v in roots:
         memo = c.s._fixes[(v, oracle)]
-        out[v] = (memo.graph.pairs(), {k: list(p) for k, p in memo.stuck.items()}, memo.fixed)
+        out[v] = (memo.graph.pairs(), {k: list(p) for k, p in memo.stuck.items()})
     return out
 
 

@@ -1,9 +1,11 @@
 """Traces, and the work of verifying them, grow linearly in n: counted, never timed.
 
 tools/growth_curve.py prints the coding columns, with verify's wall time,
-for n = 32 to 512.  A dagger step writes its delta alone, so its bytes do
-not grow with the word set E a run has built up.  A tree step's walk stops
-at the first option past its bound, so it checks no option it does not use.
+for n = 32 to 512, and the letters a staged verify evaluates.  A dagger
+step writes its delta alone, so its bytes do not grow with the word set E
+a run has built up.  A tree step's walk stops at the first option past its
+bound, so it checks no option it does not use.  The order check evaluates
+E's roots alone, never their powers.
 """
 
 import json
@@ -15,16 +17,25 @@ from orbitcode import (
     PartialInjection,
     RangeHits,
     SparseCongruenceTree,
+    StagedOracle,
     TreeDiagonalized,
     WordAdded,
     auto_schedule,
     run,
+    staged_run,
     trace_to_data,
     trivial_oracle,
     verify_trace_data,
     x_power,
 )
 from orbitcode import forcing as F
+from orbitcode import words as W
+
+# one triple from each stratum of the staged-3 workload (bench/workloads.py)
+STRATA_TRIPLES = ("052", "cc4", "a14", "b56", "e02")
+# the letters of the words handed to words.evaluate while verifying their
+# stage traces, when the order check evaluated every word of E
+PER_WORD_LETTERS = 23160
 
 
 def _auto_trace(flavor, n):
@@ -94,3 +105,29 @@ def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monk
         schedule += [DomainHits(i), RangeHits(i)]
     run(Flavor.PLAIN, None, schedule, trivial_oracle())
     assert len(yielded) == 20 and sum(yielded) <= 728 // 2, yielded
+
+
+def _stage_texts(code):
+    value = int(code, 16)
+    targets = [[(value >> (4 * (2 - k) + 3 - j)) & 1 for j in range(4)] for k in range(3)]
+    stages = staged_run(targets)
+    return [
+        json.dumps(trace_to_data(stage.trace, StagedOracle(stages[:i])))
+        for i, stage in enumerate(stages)
+    ]
+
+
+def test_staged_verify_evaluates_a_fifth_of_the_letters_a_per_word_check_did(monkeypatch):
+    """Each power v^j of E is read off its root v's cycles, so only roots are evaluated."""
+    texts = [text for code in STRATA_TRIPLES for text in _stage_texts(code)]
+    letters = []
+    evaluate = W.evaluate
+
+    def counted(w, s, oracle, n, stuck=None):
+        letters.append(len(w))
+        return evaluate(w, s, oracle, n, stuck)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    for text in texts:
+        verify_trace_data(json.loads(text))
+    assert 0 < sum(letters) <= PER_WORD_LETTERS // 5, sum(letters)

@@ -12,8 +12,12 @@ from orbitcode import (
     NotNiceInjection,
     PartialInjection,
     closed_orbits,
+    closure,
     fixed_points,
+    format_word,
+    indecomposable_root,
     injection_from_pairs,
+    leq,
     nth_prime,
     o_dagger,
     o_partial,
@@ -21,6 +25,7 @@ from orbitcode import (
     orbit_decomposition,
     orbit_of,
     parse_word,
+    plain_condition,
     prime_index,
     translation_oracle,
     trivial_oracle,
@@ -34,6 +39,8 @@ from orbitcode.injections import (
     primes_up_to,
     word_cycle_counts,
 )
+
+from orbitcode.forcing import _WordFacts
 
 import helpers
 
@@ -134,6 +141,17 @@ def test_primes_up_to_lists_every_prime_at_most_k():
     for k in range(-1, 40):
         expect = [p for p in range(2, k + 1) if all(p % d for d in range(2, p))]
         assert primes_up_to(k) == expect, k
+
+
+def test_nth_prime_agrees_with_a_sieve_for_the_first_5000_primes():
+    bound = 48612  # p_4999 = 48611
+    composite = bytearray(bound)
+    for p in range(2, int(bound**0.5) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, bound, p))
+    sieve = [p for p in range(2, bound) if not composite[p]]
+    assert len(sieve) == 5000
+    assert [nth_prime(n) for n in range(5000)] == sieve
 
 
 def test_closed_and_gap_reads_closed_orbits_and_their_first_gap():
@@ -400,10 +418,15 @@ def _scanned_counts(w, s, oracle):
     return dict(Counter(len(walk) for walk, closed in orbits if closed))
 
 
+def _powers(words):
+    """E by root, as the order check reads it."""
+    return _WordFacts(frozenset(words), TRANS).powers
+
+
 def _memo_state(s, w, oracle):
     memo = s._fixes[(w, oracle)]
     stuck = {where: sorted(points) for where, points in memo.stuck.items()}
-    return memo.graph.pairs(), stuck, memo.fixed
+    return memo.graph.pairs(), stuck
 
 
 def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five_points():
@@ -421,7 +444,7 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
             scan = word_graph(w, s, TRANS)
             assert prime_parities(counts, 2) == o_dagger(scan, 2)
             assert s._fixes[(w, TRANS)].graph == scan
-            assert s._fixes[(w, TRANS)].fixed == frozenset(n for n, m in scan.pairs() if n == m)
+            assert fixed_points(w, s, TRANS) == frozenset(n for n, m in scan.pairs() if n == m)
         n = min(set(range(6)) - set(graph))
         for m in sorted(set(range(6)) - set(graph.values())):
             child = s.with_pair(n, m)
@@ -430,11 +453,79 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
                 assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)
                 assert _memo_state(s, w, TRANS) == before
             children += 1
-        # certified (no word gains a fixed point), the child takes s's memos on first use
-        if not gained_fixed_points(words, child, s, TRANS)[-1][3]:
-            for w in words:
+        # certified (no word gains a fixed point), the child takes s's memos on
+        # first use: the order check keeps memos of roots only, and x^2's is x's
+        if not gained_fixed_points(_powers(words), child, s, TRANS):
+            for w in (w for w in words if w != x_power(2)):
                 assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)
                 assert child._fixes[(w, TRANS)].graph == word_graph(w, child, TRANS)
                 assert (w, TRANS) not in s._fixes
             carried += 1
     assert (children, carried) == (4051, 1121)
+
+
+ROOT_TEXTS = ("x", "g1.x", "g1.x^2", "g2.x^-1.g1.x")
+# a plain word set holding powers without their roots: one or two powers of each
+POWERS = (
+    "x^3",
+    "g1.x.g1.x",
+    "g1.x.g1.x.g1.x",
+    "g1.x^2.g1.x^2.g1.x^2",
+    "g-2.x^-1.g-1.x.g-2.x^-1.g-1.x",
+    "g2.x^-1.g1.x.g2.x^-1.g1.x.g2.x^-1.g1.x",
+)
+
+
+def _one_or_two_new_pairs(graph, points):
+    free_domain = [n for n in points if n not in graph]
+    free_range = [m for m in points if m not in graph.values()]
+    for count in (1, 2):
+        for domain in itertools.combinations(free_domain, count):
+            for image in itertools.permutations(free_range, count):
+                yield tuple(zip(domain, image))
+
+
+def test_the_root_rule_agrees_with_the_per_word_scan_on_every_small_extension():
+    """Every s ⊆ t on {0..4} with one or two new pairs: each root's closure(v, 3), and power sets.
+
+    E is first every word of the four closures, then POWERS.  The
+    reference scans each word's graph in full (word_graph) under s and
+    under t.  gained_fixed_points, which evaluates roots alone, must name
+    exactly the words whose fixed points grow, each with the points it
+    gains, and leq must refuse naming the least of them in text order.
+    fixed_points must read each word's set off its root's memo.
+    """
+    closures = [closure(parse_word(text, TRANS), 3, TRANS) for text in ROOT_TEXTS]
+    sets = [frozenset(w for words in closures for w in words)]
+    sets.append(frozenset(parse_word(text, TRANS) for text in POWERS))
+    words = sorted(sets[0] | sets[1], key=lambda w: format_word(w, TRANS))
+    assert len(words) == len(sets[0]) == 15
+    power_of = [indecomposable_root(w, TRANS) for w in words]
+    maps = [(graph, inj(graph)) for graph in _all_partial_injections(range(5))]
+    fixed = {}  # per map's pairs, each word's fixed points, the words in text order
+    for _, s in maps:
+        fixed[s.pairs()] = [
+            frozenset(n for n, m in word_graph(w, s, TRANS).pairs() if n == m) for w in words
+        ]
+        assert [fixed_points(w, s, TRANS) for w in words] == fixed[s.pairs()]
+    members = [[i for i, w in enumerate(words) if w in E] for E in sets]
+    powers = [_powers(E) for E in sets]
+    checks = refusals = 0
+    for graph, s in maps:
+        before = fixed[s.pairs()]
+        for new in _one_or_two_new_pairs(graph, range(5)):
+            t = s.with_pairs(new)
+            gains = [sorted(a - b) for a, b in zip(fixed[t.pairs()], before)]
+            for indices, roots in zip(members, powers):
+                expected = {power_of[i]: gains[i] for i in indices if gains[i]}
+                got = gained_fixed_points(roots, t, s, TRANS)
+                assert {power: sorted(points) for power, points in got.items()} == expected
+                checks += 1
+            least = min((i for i in members[0] if gains[i]), default=None)
+            if least is not None:
+                E = sets[0]
+                refusal = helpers.refusal(leq, plain_condition(t, E), plain_condition(s, E), TRANS)
+                text = format_word(words[least], TRANS)
+                assert refusal == f"word {text!r} changed fixed points (gained {gains[least]})"
+                refusals += 1
+    assert (checks, refusals) == (24050, 10119)

@@ -14,7 +14,6 @@ import json
 import pytest
 
 from orbitcode import (
-    CompletedStage,
     DomainHits,
     Flavor,
     FullInjectiveTree,
@@ -39,8 +38,6 @@ from orbitcode import (
     verify_trace_data,
     x_power,
 )
-
-from orbitcode.engine import _grow_stage_by
 
 import helpers
 
@@ -110,17 +107,6 @@ def _set_first_cycles(*cycles):
         event["cycles"][0][: len(cycles)] = [list(c) for c in cycles]
 
     return _forged_growth(forge)
-
-
-def _grown_invalid_stage():
-    """A stage that does not validate (no 2-cycle, target bit 1) grown by a 3-cycle.
-
-    A stage read from a trace validates before it grows, and for a closed
-    word set the order recheck refuses first, so only a direct call reaches
-    this clause.
-    """
-    stage = CompletedStage(0, dagger_condition((1,), None, [x_power(1), x_power(2)]), TRIV)
-    return _grow_stage_by, stage, [[5, 6, 7]]
 
 
 def _set_delta(step, key, value, flavor=Flavor.CODING):
@@ -279,10 +265,6 @@ CASES = {
         lambda: _set_first_cycles([5, 6]),
         "growth event 0: stage 0:"
         " order recheck failed: word 'x^2' changed fixed points (gained [5, 6])",
-    ),
-    "growth-invalid": (
-        _grown_invalid_stage,
-        "invalid condition: evaluation of 'x' miscodes bit 0",
     ),
     "growth-window-short": (
         lambda: _forged_growth(lambda event: event.update(required=100, target=116)),

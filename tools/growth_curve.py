@@ -13,6 +13,13 @@ being (7i + 3) mod 5 mod 2, and prints:
 Each of the three is followed by its ratio to the previous n, so a linear
 column reads about 2.0 per doubling and a quadratic one about 4.0.
 
+Then, over the 40 triples of the staged-3 benchmark pool (`STAGED_STRATA` in
+`bench/workloads.py`, built as that workload builds them), it prints
+`letters`, the letters of the words handed to `words.evaluate` while
+`verify_trace_data` replays their 120 stage traces, beside PARENT_LETTERS,
+the figure when the order check evaluated every word of E and not only its
+roots; and `verify_s`, the median over REPEATS runs of verifying them all.
+
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 512
 
 Run from the root of a checkout; the library is imported from `src/`.
@@ -26,15 +33,19 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from orbitcode import engine as E  # noqa: E402
+from orbitcode import words as W  # noqa: E402
 from orbitcode.forcing import Flavor  # noqa: E402
 from orbitcode.injections import PartialInjection  # noqa: E402
 from orbitcode.oracle import trivial_oracle  # noqa: E402
+from workloads import STAGED_STRATA, WORKLOADS, _triple  # noqa: E402
 
 SIZES = (32, 64, 128, 256, 512)
 REPEATS = 7
+PARENT_LETTERS = 191_623
 
 
 def coding_text(n: int) -> tuple[str, int]:
@@ -64,13 +75,46 @@ def verify_insertions(text: str) -> int:
     return inserted
 
 
-def verify_seconds(text: str) -> float:
+def verify_seconds(*texts: str) -> float:
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        E.verify_trace_data(json.loads(text))
+        for text in texts:
+            E.verify_trace_data(json.loads(text))
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def staged_texts() -> list[str]:
+    """The compact JSON of every stage trace of the staged-3 pool's triples."""
+    workload = WORKLOADS["staged-3"]
+    texts = []
+    for code in " ".join(STAGED_STRATA).split():
+        built = workload.build({"targets": _triple(code)})
+        texts += [
+            json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":"))
+            for trace, oracle in built.traces
+        ]
+    return texts
+
+
+def evaluated_letters(texts: list[str]) -> int:
+    """The letters of the words handed to words.evaluate while verify_trace_data replays texts."""
+    evaluate = W.evaluate
+    letters = 0
+
+    def counting(w, s, oracle, n, stuck=None):
+        nonlocal letters
+        letters += len(w)
+        return evaluate(w, s, oracle, n, stuck)
+
+    W.evaluate = counting
+    try:
+        for text in texts:
+            E.verify_trace_data(json.loads(text))
+    finally:
+        W.evaluate = evaluate
+    return letters
 
 
 def main() -> int:
@@ -86,6 +130,11 @@ def main() -> int:
         print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
               f" {row[2]:>10.2f} {ratios[2]}", flush=True)
         previous = row
+    texts = staged_texts()
+    letters = evaluated_letters(texts)
+    print(f"\nstaged-3 pool, {len(texts)} stage traces: letters {letters}"
+          f" (parent {PARENT_LETTERS}, {letters / PARENT_LETTERS:.3f}x),"
+          f" verify_s {verify_seconds(*texts):.3f}")
     return 0
 
 
