@@ -14,25 +14,26 @@ flavors refine the base poset:
 
 Every operation here certifies its own step, once: it returns the
 ExtensionCertificate from its input to its result, and `.upper` is the new
-condition.  A single step's certificate comes from one validate + leq check
-of the result against the input; an operation made of several steps chains
-their certificates by transitivity instead of checking again.  Callers store
-the certificate as it is.  Serialized, it keeps only what its upper
-condition adds to its lower one, and re-verifies against a lower condition
-the reader already holds: no fixed-point set is written, since the recheck
-recomputes each one it needs.  A check that says no raises Refused naming
-the clause, and an operation lets it propagate.  All tie-breaking picks the
-least value, so runs are reproducible bit for bit.
+condition.  A single step's certificate comes from one leq + validate check
+of the result against the input, in the order verify checks a step; an
+operation made of several steps chains their certificates by transitivity
+instead of checking again.  Callers store the certificate as it is.
+Serialized, it keeps only what its upper condition adds to its lower one,
+and re-verifies against a lower condition the reader already holds: no
+fixed-point set is written, since the recheck recomputes each one it needs.
+A check that says no raises Refused naming the clause, and an operation
+lets it propagate.  All tie-breaking picks the least value, so runs are
+reproducible bit for bit.
 
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
 checks once per root and word set (_word_facts).  The dagger code of a root
 v is read off v[s]'s cycle counts, injections.word_cycle_counts, which
-validate, add_word and strong_close_orbit share: a memo carried along the
-run, so a step costs O(its new pairs).  The fresh-point clause is
-_fresh_point_ok, checked against one set of used points per closure and
-searched by _least_fresh for both close_orbit's chain, from the gap, and
-strong_close_orbit's cycle.
+validate, add_word and strong_close_orbit share: a memo that leq carries
+to each certified candidate, so a step costs O(its new pairs).  The
+fresh-point clause is _fresh_point_ok, checked against one set of used
+points per closure and searched by _least_fresh for both close_orbit's
+chain, from the gap, and strong_close_orbit's cycle.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def validate(c: Condition, oracle) -> None:
 
     The clauses on E alone come from _word_facts, once per word set.  The
     dagger clause reads each root's closed cycles off the memo of
-    injections.word_cycle_counts, so a candidate one pair past a validated
-    condition costs O(new pairs), not O(|s|).
+    injections.word_cycle_counts.  A candidate leq has certified over a
+    validated condition holds its memos, carried, so its check costs
+    O(new pairs), not O(|s|); a map nothing certified builds them in a pass.
     """
     facts = _word_facts(c.words, oracle)
     if facts.inadmissible is not None:
@@ -251,9 +253,10 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
 
 
 def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
-    """validate + leq in one step: the certificate candidate ≤ c, or Refused."""
+    """leq, then validate on the memos leq carried, as verify checks: candidate ≤ c, or Refused."""
+    cert = leq(candidate, c, oracle)
     validate(candidate, oracle)
-    return leq(candidate, c, oracle)
+    return cert
 
 
 def _least_admissible(
@@ -565,17 +568,18 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
         else:
             pairs.append((points[target], points[i]))
     pairs.append((points[0], points[first]))
-    closed = replace(c, s=c.s.with_pairs(pairs))
+    # certified first, the closure carries v's memo when v^(k-1) is in E
+    cert = _admissible(c, replace(c, s=c.s.with_pairs(pairs)), oracle)
 
     # v[s] only grows, so its cycles before are cycles after: compare the counts
-    after = I.word_cycle_counts(v, closed.s, oracle)
+    after = I.word_cycle_counts(v, cert.upper.s, oracle)
     grown = {size: n - before.get(size, 0) for size, n in after.items()}
     if {size: n for size, n in grown.items() if n} != {k: 1}:
         raise InternalCheckFailed(
             f"expected one new size-{k} orbit of the evaluation,"
             f" got {_sizes(after)} from {_sizes(before)}"
         )
-    return _admissible(c, closed, oracle)
+    return cert
 
 
 def _sizes(counts: dict[int, int]) -> list[int]:

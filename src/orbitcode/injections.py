@@ -21,7 +21,9 @@ check's gained_fixed_points) takes only reduced words ending in x, as
 admissible words are, and raises PreconditionViolated for any other; x
 applies first, so a scan of dom(s) sees every point such a word maps.  The
 checks read one memo per root and map, v[s]'s graph with its own orbit
-index (see _WordGraph), and carry it along a run so that each step
+index (see _WordGraph).  A map reads only its own memo: kept, carried from
+the map the order check certified it over, or built in one pass.  The
+order check runs first and carries the memo, so along a run each step
 evaluates v only where its new pairs reach, and no power v^j of it;
 word_graph is the full scan.
 """
@@ -479,16 +481,6 @@ def _carried(s: PartialInjection, key) -> _WordGraph | None:
     return memo
 
 
-def _held(s: PartialInjection, key) -> _WordGraph | None:
-    """s's memo at key, kept or carried forward; None when s has none."""
-    if s._fixes is None:
-        s._fixes = {}
-    memo = s._fixes.get(key) or _carried(s, key)
-    if memo is not None:
-        s._fixes[key] = memo
-    return memo
-
-
 def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     """s's memo for w: kept, carried forward, or built in one pass over dom(s).
 
@@ -496,15 +488,17 @@ def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     misses the oracle's window records the misses by point and keeps nothing.
     """
     key = (w, oracle)
-    # read a kept memo directly: every option of a tree walk comes through here
-    memo = (s._fixes.get(key) if s._fixes else None) or _held(s, key)
+    if s._fixes is None:
+        s._fixes = {}
+    memo = s._fixes.get(key) or _carried(s, key)
     if memo is None:
         require_shape(w, oracle)
         stuck: dict = {}
         values = _evaluate_at(w, s, oracle, s._fwd, stuck, misses)
         memo = _WordGraph(PartialInjection(values.items()), stuck)
-        if not misses:
-            s._fixes[key] = memo
+        if misses:
+            return memo
+    s._fixes[key] = memo
     return memo
 
 
@@ -573,24 +567,13 @@ def _closed_cycles(graph: PartialInjection, values: Mapping[int, int]) -> list[l
 def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
     """The closed cycles of w[s] by size, for a reduced word w ending in x.
 
-    Read off s's memo for w.  A map without one, made by with_pair or
-    with_pairs from a map still alive, reads that map's memo instead and
-    evaluates only the points its new pairs reach, leaving the memo as it
-    is: a candidate checked before it is certified, and maybe refused,
-    costs O(new pairs) and leaves its parent's memo to the next one.  A
-    window miss is raised as a scan of sorted dom(s) would meet it first.
+    Read off s's memo for w: kept, carried forward from the map s was
+    certified over, or built in one pass over dom(s).  A candidate the
+    order check has certified has its memo carried, so it evaluates only
+    where its new pairs reach.  A window miss is raised as a scan of sorted
+    dom(s) would meet it first.
     """
     misses: dict = {}
-    parent = None if s._parent is None else s._parent()
-    if parent is not None and _held(s, (w, oracle)) is None:
-        base = _memo(w, parent, oracle, misses)
-        values = _evaluate_at(w, s, oracle, base.reached(s._new), {}, misses)
-        if misses:
-            raise misses[min(misses)]
-        counts = dict(base.graph._orbits().counts)
-        for cycle in _closed_cycles(base.graph, values):
-            counts[len(cycle)] = counts.get(len(cycle), 0) + 1
-        return counts
     memo = _memo(w, s, oracle, misses)
     if misses:
         raise misses[min(misses)]

@@ -21,6 +21,7 @@ from orbitcode import (
     PreconditionViolated,
     Refused,
     SparseCongruenceTree,
+    StagedOracle,
     TranslationOracle,
     WindowTooSmall,
     Word,
@@ -903,7 +904,7 @@ def _check_every_dagger_validate(monkeypatch) -> list:
 
 
 def test_the_memo_agrees_with_a_fresh_scan_along_a_certified_translation_chain(monkeypatch):
-    """Candidates read their parent's memo, certified steps carry it; verify carries it again."""
+    """Candidates are certified, then validated on the memo they carry; verify carries it again."""
     checked = _check_every_dagger_validate(monkeypatch)
     gx = parse_word("g1.x", TRANS)
     schedule = [E.WordAdded(gx), E.WordAdded(W.power(gx, 3, TRANS))]
@@ -915,12 +916,20 @@ def test_the_memo_agrees_with_a_fresh_scan_along_a_certified_translation_chain(m
 
 
 def test_the_memo_agrees_with_a_fresh_scan_along_a_staged_run(monkeypatch):
-    """Stage 1 and 2 words name earlier generators, and window growth re-extends stages in place."""
+    """Stage 1 and 2 words name earlier generators, and window growth re-extends stages in place.
+
+    The build validates only the candidates the order check certifies, and
+    verify replays each stage trace under the same wrapper.
+    """
     checked = _check_every_dagger_validate(monkeypatch)
     stages = E.staged_run([(0, 1, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)])  # triple 052
     later = [w for stage in stages[1:] for w in stage.condition.words]
     staged_words = {w for w in later if w.x_count() < len(w)}
-    assert staged_words and len(checked) >= 150
+    during_run = len(checked)
+    for i, stage in enumerate(stages):
+        data = E.trace_to_data(stage.trace, StagedOracle(stages[:i]))
+        E.verify_trace_data(json.loads(json.dumps(data)))
+    assert staged_words and during_run >= 100 and len(checked) >= 150
 
 
 def _validated_translation_condition():
@@ -964,8 +973,12 @@ def test_a_refused_candidate_leaves_the_next_one_the_verdict_a_fresh_validate_gi
     assert any("miscodes" in v for v in refused) and len(refused) < len(verdicts)
 
 
-def test_validating_a_one_pair_child_evaluates_only_where_its_pair_reaches(monkeypatch):
-    """E unchanged and the parent validated: one evaluation per root, not one per point of s."""
+def test_certifying_a_one_pair_child_evaluates_each_root_once_at_its_new_point(monkeypatch):
+    """E unchanged and the parent validated: leq then validate, one evaluation per root in all.
+
+    The order check evaluates each root where the pair reaches and carries
+    the parent's memo to the child, so validate evaluates nothing more.
+    """
     c = _validated_translation_condition()
     calls = []
     evaluate = W.evaluate
@@ -977,7 +990,8 @@ def test_validating_a_one_pair_child_evaluates_only_where_its_pair_reaches(monke
     monkeypatch.setattr(W, "evaluate", counted)
     far = 10 * (max(c.s.support) + 10)
     child = replace(c, s=c.s.with_pair(far, far + 2))
-    validate(child, TRANS)
+    assert F._admissible(c, child, TRANS).upper is child
     roots = {indecomposable_root(w, TRANS)[0] for w in c.words}
     assert len(c.s) >= 10 and len(roots) == 2
     assert sorted(n for _, n in calls) == [far, far]
+    assert {w for w, _ in calls} == roots

@@ -5,7 +5,8 @@ for n = 32 to 512, and the letters a staged verify evaluates.  A dagger
 step writes its delta alone, so its bytes do not grow with the word set E
 a run has built up.  A tree step's walk stops at the first option past its
 bound, so it checks no option it does not use.  The order check evaluates
-E's roots alone, never their powers.
+E's roots alone, never their powers, and a build validates a candidate only
+after the order check has carried its memos, so it evaluates no root twice.
 """
 
 import json
@@ -36,6 +37,9 @@ STRATA_TRIPLES = ("052", "cc4", "a14", "b56", "e02")
 # the letters of the words handed to words.evaluate while verifying their
 # stage traces, when the order check evaluated every word of E
 PER_WORD_LETTERS = 23160
+# the letters handed to words.evaluate while building them, when the build
+# validated each candidate before the order check, on its parent's memo
+VALIDATE_FIRST_LETTERS = 3168
 
 
 def _auto_trace(flavor, n):
@@ -107,10 +111,13 @@ def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monk
     assert len(yielded) == 20 and sum(yielded) <= 728 // 2, yielded
 
 
-def _stage_texts(code):
+def _targets(code):
     value = int(code, 16)
-    targets = [[(value >> (4 * (2 - k) + 3 - j)) & 1 for j in range(4)] for k in range(3)]
-    stages = staged_run(targets)
+    return [[(value >> (4 * (2 - k) + 3 - j)) & 1 for j in range(4)] for k in range(3)]
+
+
+def _stage_texts(code):
+    stages = staged_run(_targets(code))
     return [
         json.dumps(trace_to_data(stage.trace, StagedOracle(stages[:i])))
         for i, stage in enumerate(stages)
@@ -131,3 +138,20 @@ def test_staged_verify_evaluates_a_fifth_of_the_letters_a_per_word_check_did(mon
     for text in texts:
         verify_trace_data(json.loads(text))
     assert 0 < sum(letters) <= PER_WORD_LETTERS // 5, sum(letters)
+
+
+def test_staged_builds_evaluate_at_most_three_fifths_of_the_letters_of_a_validate_first_build(
+    monkeypatch,
+):
+    """Each candidate is certified, then validated: validate reads the memo leq carried."""
+    letters = []
+    evaluate = W.evaluate
+
+    def counted(w, s, oracle, n, stuck=None):
+        letters.append(len(w))
+        return evaluate(w, s, oracle, n, stuck)
+
+    monkeypatch.setattr(W, "evaluate", counted)
+    for code in STRATA_TRIPLES:
+        staged_run(_targets(code))
+    assert 0 < sum(letters) <= VALIDATE_FIRST_LETTERS * 6 // 10, sum(letters)

@@ -430,9 +430,11 @@ def _memo_state(s, w, oracle):
 
 
 def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five_points():
-    """Built on s, read by each one-pair child before it is certified, carried once it is.
+    """Built on s, built again by a one-pair child read before it is certified, carried once it is.
 
-    Reading the child leaves s's memo as it was.
+    Reading an uncertified child leaves s's memo as it was.  The carry
+    check takes a fresh child, one nothing read before the order check
+    certified it.
     """
     words = [parse_word(text, TRANS) for text in MEMO_WORDS]
     children = carried = 0
@@ -455,6 +457,7 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
             children += 1
         # certified (no word gains a fixed point), the child takes s's memos on
         # first use: the order check keeps memos of roots only, and x^2's is x's
+        child = s.with_pair(n, m)
         if not gained_fixed_points(_powers(words), child, s, TRANS):
             for w in (w for w in words if w != x_power(2)):
                 assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)

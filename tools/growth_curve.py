@@ -14,11 +14,17 @@ Each of the three is followed by its ratio to the previous n, so a linear
 column reads about 2.0 per doubling and a quadratic one about 4.0.
 
 Then, over the 40 triples of the staged-3 benchmark pool (`STAGED_STRATA` in
-`bench/workloads.py`, built as that workload builds them), it prints
-`letters`, the letters of the words handed to `words.evaluate` while
-`verify_trace_data` replays their 120 stage traces, beside PARENT_LETTERS,
-the figure when the order check evaluated every word of E and not only its
-roots; and `verify_s`, the median over REPEATS runs of verifying them all.
+`bench/workloads.py`, built as that workload builds them), it prints the
+letters of the words handed to `words.evaluate`:
+
+- `build letters`, while the pool is built, beside VALIDATE_FIRST_LETTERS,
+  the figure when the build validated each candidate before the order check
+  and so evaluated its roots twice;
+- `verify letters`, while `verify_trace_data` replays their 120 stage
+  traces, beside PER_WORD_LETTERS, the figure when the order check
+  evaluated every word of E and not only its roots;
+
+and `verify_s`, the median over REPEATS runs of verifying them all.
 
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 512
 
@@ -45,7 +51,8 @@ from workloads import STAGED_STRATA, WORKLOADS, _triple  # noqa: E402
 
 SIZES = (32, 64, 128, 256, 512)
 REPEATS = 7
-PARENT_LETTERS = 191_623
+VALIDATE_FIRST_LETTERS = 26_260
+PER_WORD_LETTERS = 191_623
 
 
 def coding_text(n: int) -> tuple[str, int]:
@@ -98,8 +105,8 @@ def staged_texts() -> list[str]:
     return texts
 
 
-def evaluated_letters(texts: list[str]) -> int:
-    """The letters of the words handed to words.evaluate while verify_trace_data replays texts."""
+def evaluated_letters(action):
+    """What action() returns, and the letters of the words handed to words.evaluate as it runs."""
     evaluate = W.evaluate
     letters = 0
 
@@ -110,11 +117,10 @@ def evaluated_letters(texts: list[str]) -> int:
 
     W.evaluate = counting
     try:
-        for text in texts:
-            E.verify_trace_data(json.loads(text))
+        result = action()
     finally:
         W.evaluate = evaluate
-    return letters
+    return result, letters
 
 
 def main() -> int:
@@ -130,11 +136,13 @@ def main() -> int:
         print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
               f" {row[2]:>10.2f} {ratios[2]}", flush=True)
         previous = row
-    texts = staged_texts()
-    letters = evaluated_letters(texts)
-    print(f"\nstaged-3 pool, {len(texts)} stage traces: letters {letters}"
-          f" (parent {PARENT_LETTERS}, {letters / PARENT_LETTERS:.3f}x),"
-          f" verify_s {verify_seconds(*texts):.3f}")
+    texts, built = evaluated_letters(staged_texts)
+    _, verified = evaluated_letters(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
+    print(f"\nstaged-3 pool, {len(texts)} stage traces:")
+    print(f"  build letters {built:>7} (validate first {VALIDATE_FIRST_LETTERS},"
+          f" {built / VALIDATE_FIRST_LETTERS:.3f}x)")
+    print(f"  verify letters {verified:>6} (per word {PER_WORD_LETTERS},"
+          f" {verified / PER_WORD_LETTERS:.3f}x), verify_s {verify_seconds(*texts):.3f}")
     return 0
 
 
