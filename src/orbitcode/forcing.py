@@ -124,21 +124,37 @@ def chain(
 class _WordFacts:
     """What validate and leq read of E alone: admissibility, and per root its powers and closure.
 
-    _word_facts holds the last two per oracle, under a weak key: a reference
-    to the oracle would keep it alive.
+    Derived from the facts of a subset of E, `base`, when one is kept: only
+    the words E adds are examined, and roots() walks the closure only of
+    roots that are new or whose top power grew.  _word_facts holds the last
+    two per oracle, under a weak key: a reference to the oracle would keep it alive.
     """
 
-    __slots__ = ("words", "inadmissible", "powers", "_roots")
+    __slots__ = ("words", "inadmissible", "_exponents", "_texts", "_powers", "_covered", "_roots")
 
-    def __init__(self, words: frozenset[W.Word], oracle):
+    def __init__(self, words: frozenset[W.Word], oracle, base: "_WordFacts | None" = None):
         self.words = words
+        added = words - base.words if base else words
         # the least inadmissible word in text order, formatted only on a refusal
-        inadmissible = (W.format_word(w, oracle) for w in words if not W.is_admissible(w, oracle))
-        self.inadmissible = min(inadmissible, default=None)
-        self.powers: dict[W.Word, tuple[int, ...]] = {}  # E by root v: the j with v^j in E
-        for v, j in sorted(map(W.period, words), key=lambda period: period[1]):
-            self.powers[v] = self.powers.get(v, ()) + (j,)
-        self._roots: tuple | None = None
+        texts = [W.format_word(w, oracle) for w in added if not W.is_admissible(w, oracle)]
+        texts += [base.inadmissible] if base and base.inadmissible is not None else []
+        self.inadmissible = min(texts, default=None)
+        self._exponents = dict(base._exponents) if base else {}  # E by root v: the j with v^j in E
+        for v, j in map(W.period, added):
+            self._exponents[v] = tuple(sorted(self._exponents.get(v, ()) + (j,)))
+        self._texts = dict(base._texts) if base else {}  # per root, formatted by powers()
+        # rotation class members of the roots whose closure passed, by the top
+        # power checked: they hold in every superset of E
+        self._covered = dict(base._covered) if base else {}
+        self._powers = self._roots = None  # derived on first use
+
+    def powers(self, oracle) -> dict[W.Word, tuple[int, ...]]:
+        """E by root v, in the roots' text order: the j with v^j in E, ascending."""
+        if self._powers is None:
+            for v in self._exponents.keys() - self._texts.keys():
+                self._texts[v] = W.format_word(v, oracle)
+            self._powers = dict(sorted(self._exponents.items(), key=lambda vj: self._texts[vj[0]]))
+        return self._powers
 
     def roots(self, oracle) -> tuple[tuple[W.Word, str, int, int, str | None], ...]:
         """(v, text, k, last, refusal) per indecomposable root v of E in text order.
@@ -149,12 +165,10 @@ class _WordFacts:
         """
         if self._roots is not None:
             return self._roots
-        tops = sorted((W.format_word(v, oracle), v, js[-1]) for v, js in self.powers.items())
-        covered: dict[W.Word, int] = {}  # rotation class members, by the top power checked
         roots = []
-        for text, v, k in tops:
-            refusal = None
-            for u in W.closure(v, k, oracle) if covered.get(v, 0) < k else ():
+        for v, js in self.powers(oracle).items():
+            k, refusal, members = js[-1], None, []
+            for u in W.closure(v, k, oracle) if self._covered.get(v, 0) < k else ():
                 if u not in self.words:
                     if u.letters[: len(v)] != v.letters:
                         refusal = f"rotation class not closed: missing {W.format_word(u, oracle)!r}"
@@ -163,10 +177,12 @@ class _WordFacts:
                         refusal = f"missing power {len(u) // len(v)} of root of {top!r}"
                     break
                 if len(u) == len(v):
-                    covered[u] = k
-            roots.append((v, text, k, -1 if refusal else len(I.primes_up_to(k)) - 1, refusal))
+                    members.append(u)
+            last = -1 if refusal else len(I.primes_up_to(k)) - 1
+            roots.append((v, self._texts[v], k, last, refusal))
             if refusal is not None:
                 break
+            self._covered.update(dict.fromkeys(members, k))
         self._roots = tuple(roots)
         return self._roots
 
@@ -177,13 +193,15 @@ _FACTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _word_facts(words: frozenset[W.Word], oracle) -> _WordFacts:
     """E's facts, derived once per word set: every candidate of a scan shares its E.
 
-    Two per oracle, the old and new sets a step adjoining words checks by turns, held weakly.
+    Two per oracle, the old and new sets a step adjoining words checks by turns, held weakly;
+    a new set's are derived from a kept subset's, normally the step's lower set.
     """
     kept = _FACTS.get(oracle, ())
     for facts in kept:
         if facts.words is words or facts.words == words:
             return facts
-    _FACTS[oracle] = (_WordFacts(words, oracle),) + kept[:1]
+    base = next((facts for facts in kept if facts.words <= words), None)
+    _FACTS[oracle] = (_WordFacts(words, oracle, base),) + kept[:1]
     return _FACTS[oracle][0]
 
 
@@ -244,7 +262,7 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
         facts = _word_facts(lower.words, oracle)
         for w in lower.words if facts.inadmissible is not None else ():
             I.require_shape(w, oracle)
-        gains = I.gained_fixed_points(facts.powers, upper.s, lower.s, oracle)
+        gains = I.gained_fixed_points(facts.powers(oracle), upper.s, lower.s, oracle)
         if gains:
             text, gained = min((W.format_word(W.Word(v.letters * j), oracle), sorted(p))
                                for (v, j), p in gains.items())
@@ -262,8 +280,11 @@ def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertific
 def _least_admissible(
     c: Condition, pair_at, taken: Container[int], oracle, what: str
 ) -> ExtensionCertificate:
-    """Certificate of the least v outside `taken` whose pair pair_at(v) extends c."""
-    for v in range(_SCAN_CAP + 1):
+    """Certificate of the least v outside `taken` whose pair pair_at(v) extends c.
+
+    `taken` holds every cycle point of c.s, so the scan starts at its index's gap.
+    """
+    for v in range(I.indexed_gap(c.s), _SCAN_CAP + 1):
         if v in taken:
             continue
         try:

@@ -345,6 +345,11 @@ def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     return index.cycles, index.gap
 
 
+def indexed_gap(s: PartialInjection) -> int:
+    """The gap of s's orbit index, 0 if none is built yet: every point below it lies in a cycle."""
+    return 0 if s._index is None else s._index.gap
+
+
 def o_partial(s: PartialInjection) -> tuple[int, ...]:
     """Size parities of closed orbits in min-order; the orbit-order code.
 
@@ -375,10 +380,9 @@ def nth_prime(n: int) -> int:
 
 def primes_up_to(k: int) -> list[int]:
     """p_0, p_1, ... up to k; a power v^k obligates bit n of v's code iff p_n <= k."""
-    primes: list[int] = []
-    while nth_prime(len(primes)) <= k:
-        primes.append(nth_prime(len(primes)))
-    return primes
+    while _PRIMES[-1] <= k:
+        nth_prime(len(_PRIMES))
+    return _PRIMES[: bisect.bisect_right(_PRIMES, k)]
 
 
 def prime_index(k: int) -> int | None:

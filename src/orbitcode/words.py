@@ -19,19 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotNiceWord
 
 
-class LetterKind(Enum):
+class LetterKind(str, Enum):
     X = "x"
     X_INV = "x^-1"
     GROUP = "g"
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):  # a tuple of a str and a handle: hashing one runs no Python code
     kind: LetterKind
     handle: object = None
 

@@ -1,9 +1,14 @@
 """Command-line round trips and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from orbitcode import cli
 from orbitcode.cli import main, parse_bits
 from orbitcode.injections import cycles_to_data, injection_from_pairs
 
@@ -485,3 +490,58 @@ def test_staged_oracle_file_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", str(out)) == 0
     capsys.readouterr()
+
+
+def _fresh_process(argv, cwd):
+    """Exit code, stdout and stderr of `python -m orbitcode.cli argv` in a new interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitcode.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process_as_a_fresh_process_would(
+    tmp_path, capsys, monkeypatch
+):
+    """A usage error, a good trace, a refused one, then --help, all in one process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert run_cli("run", "--flavor", "coding", "--bits", "1011", "--schedule", "auto:4",
+                   "--out", str(good)) == 0
+    data = json.loads(good.read_text(encoding="utf-8"))
+    step = next(step for step in data["steps"] if step["certificate"]["pairs"])
+    step["certificate"]["pairs"][0][1] += 1
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    calls = [(("run", "--flavor", "nonsense"), 2), (("verify", "good.json"), 0),
+             (("verify", "bad.json"), 1), (("--help",), 0)]
+    try:
+        for argv, expected in calls:
+            code = run_cli(*argv)
+            out, err = capsys.readouterr()
+            assert code == expected, argv
+            assert (code, out, err) == _fresh_process(argv, tmp_path), argv
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_a_replaced_command_is_run_by_the_parser_built_before_it(monkeypatch, capsys):
+    assert run_cli("decode", "missing.json", "--mode", "orbit_order") == 2
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_decode", lambda args: 7)
+    assert run_cli("decode", "missing.json", "--mode", "orbit_order") == 7

@@ -10,6 +10,7 @@ after the order check has carried its memos, so it evaluates no root twice.
 """
 
 import json
+import random
 
 from orbitcode import (
     DomainHits,
@@ -25,6 +26,7 @@ from orbitcode import (
     run,
     staged_run,
     trace_to_data,
+    translation_oracle,
     trivial_oracle,
     verify_trace_data,
     x_power,
@@ -40,6 +42,16 @@ PER_WORD_LETTERS = 23160
 # the letters handed to words.evaluate while building them, when the build
 # validated each candidate before the order check, on its parent's memo
 VALIDATE_FIRST_LETTERS = 3168
+# what the build hands it today, under every string hash seed: the order
+# check walks E's roots in their text order
+STRATA_BUILD_LETTERS = 1716
+# the words whose facts verifying their stage traces examined when each
+# word set's facts were derived from scratch
+FRESH_FACTS_WORDS = 480
+# the values the least-value scans of a coding auto:256 build looked at, when
+# each scan started at 0, and since it starts at the orbit index's gap
+FROM_ZERO_SCANNED = 78340
+FROM_GAP_SCANNED = 513
 
 
 def _auto_trace(flavor, n):
@@ -155,3 +167,80 @@ def test_staged_builds_evaluate_at_most_three_fifths_of_the_letters_of_a_validat
     for code in STRATA_TRIPLES:
         staged_run(_targets(code))
     assert 0 < sum(letters) <= VALIDATE_FIRST_LETTERS * 6 // 10, sum(letters)
+    assert sum(letters) == STRATA_BUILD_LETTERS
+
+
+def test_staged_verify_examines_half_the_words_of_facts_derived_from_scratch(monkeypatch):
+    """A word set's facts are derived from a kept subset's, examining only the words it adds."""
+    texts = [text for code in STRATA_TRIPLES for text in _stage_texts(code)]
+    examined = []
+    derive = F._WordFacts.__init__
+
+    def counted(self, words, oracle, base=None):
+        examined.append(len(words) - (len(base.words) if base else 0))
+        derive(self, words, oracle, base)
+
+    monkeypatch.setattr(F._WordFacts, "__init__", counted)
+    for text in texts:
+        verify_trace_data(json.loads(text))
+    assert 0 < sum(examined) <= FRESH_FACTS_WORDS // 2, sum(examined)
+
+
+def test_incremental_word_facts_agree_with_facts_derived_from_scratch():
+    """400 seeded chains of word sets, adjoining 1-3 words at a time, over the translation oracle.
+
+    Each set mixes the closures of one or two roots, with members left out
+    so that closures fail and later pass, and now and then an inadmissible
+    word; the facts of a set are derived from the last set's, whose roots
+    were read first or not.
+    """
+    oracle = translation_oracle()
+    roots = [W.parse_word(text, oracle) for text in
+             ("x", "g1.x", "g1.x^2", "g2.x^-1.g1.x", "g-1.x.g2.x", "g1.x.g-1.x^2")]
+    strays = [W.parse_word(text, oracle) for text in ("x^-1", "g1", "x.g1", "")]
+    compared = {"passed": 0, "refused": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        pool = set()
+        for v in rng.sample(roots, rng.randint(1, 2)):
+            pool.update(W.closure(v, rng.randint(1, 3), oracle))
+        pool = sorted(pool, key=lambda w: W.format_word(w, oracle))
+        rng.shuffle(pool)
+        pool = pool[: len(pool) - rng.randint(0, 2)]
+        if rng.random() < 0.2:
+            pool.insert(rng.randrange(len(pool) + 1), rng.choice(strays))
+        words, facts = frozenset(), F._WordFacts(frozenset(), oracle)
+        while pool:
+            cut = rng.randint(1, 3)
+            words, pool = words | frozenset(pool[:cut]), pool[cut:]
+            if facts.inadmissible is None and rng.random() < 0.5:
+                facts.roots(oracle)
+            facts = F._WordFacts(words, oracle, facts)
+            fresh = F._WordFacts(words, oracle)
+            assert facts.inadmissible == fresh.inadmissible, seed
+            assert list(facts.powers(oracle).items()) == list(fresh.powers(oracle).items()), seed
+            if fresh.inadmissible is None:
+                assert facts.roots(oracle) == fresh.roots(oracle), seed
+                compared["refused" if fresh.roots(oracle)[-1][4] else "passed"] += 1
+    assert min(compared.values()) >= 150, compared
+
+
+def test_least_value_scans_start_at_the_gap_of_an_indexed_map(monkeypatch):
+    """Every point below the gap lies in a cycle, so no scan looks at one."""
+    scanned = []
+    scan = F._least_admissible
+
+    class Counted:
+        def __init__(self, taken):
+            self.taken = taken
+
+        def __contains__(self, v):
+            scanned.append(v)
+            return v in self.taken
+
+    def counted(c, pair_at, taken, oracle, what):
+        return scan(c, pair_at, Counted(taken), oracle, what)
+
+    monkeypatch.setattr(F, "_least_admissible", counted)
+    _auto_trace(Flavor.CODING, 256)
+    assert len(scanned) == FROM_GAP_SCANNED <= FROM_ZERO_SCANNED // 100

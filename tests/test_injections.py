@@ -420,7 +420,7 @@ def _scanned_counts(w, s, oracle):
 
 def _powers(words):
     """E by root, as the order check reads it."""
-    return _WordFacts(frozenset(words), TRANS).powers
+    return _WordFacts(frozenset(words), TRANS).powers(TRANS)
 
 
 def _memo_state(s, w, oracle):

@@ -23,6 +23,9 @@ letters of the words handed to `words.evaluate`:
 - `verify letters`, while `verify_trace_data` replays their 120 stage
   traces, beside PER_WORD_LETTERS, the figure when the order check
   evaluated every word of E and not only its roots;
+- `verify facts words`, the words whose facts (`forcing._WordFacts`) that
+  replay examines, beside FRESH_FACTS_WORDS, the figure when each word set's
+  facts were derived from scratch and not from a kept subset's;
 
 and `verify_s`, the median over REPEATS runs of verifying them all.
 
@@ -43,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from orbitcode import engine as E  # noqa: E402
+from orbitcode import forcing as F  # noqa: E402
 from orbitcode import words as W  # noqa: E402
 from orbitcode.forcing import Flavor  # noqa: E402
 from orbitcode.injections import PartialInjection  # noqa: E402
@@ -53,6 +57,7 @@ SIZES = (32, 64, 128, 256, 512)
 REPEATS = 7
 VALIDATE_FIRST_LETTERS = 26_260
 PER_WORD_LETTERS = 191_623
+FRESH_FACTS_WORDS = 3_840
 
 
 def coding_text(n: int) -> tuple[str, int]:
@@ -123,6 +128,24 @@ def evaluated_letters(action):
     return result, letters
 
 
+def examined_words(action) -> int:
+    """The words forcing._WordFacts examines as action() runs: those a word set adds to its base."""
+    derive = F._WordFacts.__init__
+    examined = 0
+
+    def counting(self, words, oracle, base=None):
+        nonlocal examined
+        examined += len(words) - (len(base.words) if base else 0)
+        derive(self, words, oracle, base)
+
+    F._WordFacts.__init__ = counting
+    try:
+        action()
+    finally:
+        F._WordFacts.__init__ = derive
+    return examined
+
+
 def main() -> int:
     print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
           f" {'verify_ms':>10} {'x':>5}")
@@ -143,6 +166,9 @@ def main() -> int:
           f" {built / VALIDATE_FIRST_LETTERS:.3f}x)")
     print(f"  verify letters {verified:>6} (per word {PER_WORD_LETTERS},"
           f" {verified / PER_WORD_LETTERS:.3f}x), verify_s {verify_seconds(*texts):.3f}")
+    examined = examined_words(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
+    print(f"  verify facts words {examined:>5} (from scratch {FRESH_FACTS_WORDS},"
+          f" {examined / FRESH_FACTS_WORDS:.3f}x)")
     return 0
 
 
