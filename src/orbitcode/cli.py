@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 failed run or failed verification, 2 usage errors
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import string
 import sys
@@ -199,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--sparse-trees", type=int, default=0, dest="sparse_trees")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--out", default="trace.json")
-    runp.set_defaults(handler=lambda args: cmd_run(args))
+    runp.set_defaults(handler=cmd_run)
 
     verifyp = sub.add_parser("verify", help="replay and recheck a trace file")
     verifyp.add_argument("trace")
-    verifyp.set_defaults(handler=lambda args: cmd_verify(args))
+    verifyp.set_defaults(handler=cmd_verify)
 
     decodep = sub.add_parser("decode", help="read bits out of a trace or stage file")
     decodep.add_argument("source")
@@ -211,19 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", required=True, choices=["orbit_order", "prime_parity"]
     )
     decodep.add_argument("--upto", type=int, default=None)
-    decodep.set_defaults(handler=lambda args: cmd_decode(args))
+    decodep.set_defaults(handler=cmd_decode)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """This process's one parser, built on first use; each handler looks its cmd_ up when called."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.handler(args)

@@ -582,6 +582,8 @@ def verify_trace_data(data: Mapping) -> None:
         total = 0
         for i, (entry, step) in enumerate(zip(schedule, steps)):
             req = _requirement_from_entry(entry, oracle)
+            if isinstance(req, WordAdded):  # the entry's text is its parse's, so the delta's reads it
+                parsed.setdefault(entry["word"], req.word)
             tree = isinstance(req, TreeDiagonalized)
             I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
             extra = I.wire_object(step["extra"], _WITNESS_KEYS, "extra") if tree else {}

@@ -17,22 +17,35 @@ Blocks are indexed from the right, matching that display.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import NotNiceWord
 
 
-class LetterKind(str, Enum):
+class LetterKind(Enum):
     X = "x"
     X_INV = "x^-1"
     GROUP = "g"
 
 
-class Letter(NamedTuple):  # a tuple of a str and a handle: hashing one runs no Python code
+@dataclass(frozen=True, eq=False)
+class Letter:
+    """Interned: equal letters are one object, so a word hashes and compares its letters in C."""
+
     kind: LetterKind
     handle: object = None
+
+    def __new__(cls, kind: LetterKind, handle=None):
+        letter = _LETTERS.get((kind, handle))
+        if letter is None:
+            letter = _LETTERS[kind, handle] = super().__new__(cls)
+        return letter
+
+    def __reduce__(self):  # a copy is the interned letter
+        return Letter, (self.kind, self.handle)
 
     def __repr__(self) -> str:
         if self.kind is LetterKind.GROUP:
@@ -40,6 +53,7 @@ class Letter(NamedTuple):  # a tuple of a str and a handle: hashing one runs no 
         return self.kind.value
 
 
+_LETTERS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 X = Letter(LetterKind.X)
 X_INV = Letter(LetterKind.X_INV)
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from orbitcode import cli
 from orbitcode.cli import main, parse_bits
 from orbitcode.injections import cycles_to_data, injection_from_pairs
 
@@ -503,9 +502,7 @@ def _fresh_process(argv, cwd):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_one_parser_serves_every_call_of_a_process_as_a_fresh_process_would(
-    tmp_path, capsys, monkeypatch
-):
+def test_calls_in_one_process_answer_as_fresh_processes_would(tmp_path, capsys, monkeypatch):
     """A usage error, a good trace, a refused one, then --help, all in one process."""
     monkeypatch.setenv("COLUMNS", "80")
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -517,31 +514,11 @@ def test_one_parser_serves_every_call_of_a_process_as_a_fresh_process_would(
     bad.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
 
-    built = []
-    build = cli.build_parser
-
-    def counted():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
     monkeypatch.chdir(tmp_path)
     calls = [(("run", "--flavor", "nonsense"), 2), (("verify", "good.json"), 0),
              (("verify", "bad.json"), 1), (("--help",), 0)]
-    try:
-        for argv, expected in calls:
-            code = run_cli(*argv)
-            out, err = capsys.readouterr()
-            assert code == expected, argv
-            assert (code, out, err) == _fresh_process(argv, tmp_path), argv
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
-
-
-def test_a_replaced_command_is_run_by_the_parser_built_before_it(monkeypatch, capsys):
-    assert run_cli("decode", "missing.json", "--mode", "orbit_order") == 2
-    capsys.readouterr()
-    monkeypatch.setattr(cli, "cmd_decode", lambda args: 7)
-    assert run_cli("decode", "missing.json", "--mode", "orbit_order") == 7
+    for argv, expected in calls:
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert code == expected, argv
+        assert (code, out, err) == _fresh_process(argv, tmp_path), argv

@@ -48,6 +48,9 @@ STRATA_BUILD_LETTERS = 1716
 # the words whose facts verifying their stage traces examined when each
 # word set's facts were derived from scratch
 FRESH_FACTS_WORDS = 480
+# the word texts verifying them parsed when a step's delta parsed again the
+# word its word_added schedule entry had parsed
+ENTRY_REPARSED_TEXTS = 320
 # the values the least-value scans of a coding auto:256 build looked at, when
 # each scan started at 0, and since it starts at the orbit index's gap
 FROM_ZERO_SCANNED = 78340
@@ -184,6 +187,19 @@ def test_staged_verify_examines_half_the_words_of_facts_derived_from_scratch(mon
     for text in texts:
         verify_trace_data(json.loads(text))
     assert 0 < sum(examined) <= FRESH_FACTS_WORDS // 2, sum(examined)
+
+
+def test_staged_verify_parses_a_word_added_entry_once(monkeypatch):
+    """The step's delta reads the word its schedule entry parsed."""
+    texts = [text for code in STRATA_TRIPLES for text in _stage_texts(code)]
+    entries = sum(entry["kind"] == "word_added"
+                  for text in texts for entry in json.loads(text)["schedule"])
+    parsed = []
+    parse = W.parse_word
+    monkeypatch.setattr(W, "parse_word", lambda text, oracle: parsed.append(text) or parse(text, oracle))
+    for text in texts:
+        verify_trace_data(json.loads(text))
+    assert entries > 0 and len(parsed) == ENTRY_REPARSED_TEXTS - entries, (len(parsed), entries)
 
 
 def test_incremental_word_facts_agree_with_facts_derived_from_scratch():

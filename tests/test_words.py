@@ -1,10 +1,15 @@
 """Word normal forms, admissibility, rotation classes, and evaluation."""
 
+import copy
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcode import (
     IDENTITY_WORD,
+    Letter,
+    LetterKind,
     PartialInjection,
     Word,
     X,
@@ -287,3 +292,13 @@ def test_admissible_words_round_trip_through_text(raw):
     if word.is_identity:
         return
     assert parse_word(format_word(word, TRANS), TRANS) == word
+
+
+def test_equal_letters_are_one_object_through_construction_and_copies(translation):
+    """Letters are interned, so equality is identity: a copy must be the interned letter."""
+    assert Letter(LetterKind.GROUP, 3) is group(3) and Letter(LetterKind.X) is X
+    assert group(3) != group(4) and X != X_INV
+    w = parse_word("g1.x^2.g-1.x^-1", translation)
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert twin == w and hash(twin) == hash(w)
+        assert all(a is b for a, b in zip(twin.letters, w.letters))
