@@ -124,10 +124,7 @@ def cmd_run(args) -> int:
         req = E.requirement_to_data(step.requirement, oracle)
         print(f"step {step.index}: {_describe(req)} {step.op} ok")
     for event in trace.growth_events:
-        print(
-            f"growth at step {event['step']}: window {event['window']}"
-            f" (needed {event['required']})"
-        )
+        print(f"growth at step {event['step']} (needed {event['required']})")
     if trace.decoded:
         print("decoded: " + "".join(str(b) for b in trace.decoded))
     print(f"trace written to {out}")

@@ -7,13 +7,15 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 6 writes each step as its delta: the pairs and
+the run.  Format version 7 writes each step as its delta: the pairs and
 words its upper condition adds to the previous one, its lower condition,
 a tree step's witness (a node ending at its index) and `upper_sum`, a
 checksum of the upper condition kept in O(delta).  No fixed-point set is
 written: a word's set is frozen from the step it enters E, and the
 verifier recomputes what it checks.  Its requirement is the schedule's
-entry; only the final condition is written whole.
+entry; only the final condition's map and words are written whole, and
+no number the reader derives: a stage's index or window, a growth event's
+target or the window it reaches.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -45,7 +47,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 6,
+    "format_version": 7,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -187,11 +189,9 @@ def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> Non
         raise InternalCheckFailed("an unwindowed oracle reported a window miss")
     goal = _growth_target(needed, current)
     before = [stage.injection for stage in oracle.stages]
-    reached = oracle.grow_window(goal)
+    oracle.grow_window(goal)
     cycles = [I.cycles_to_data(stage.injection, old) for stage, old in zip(oracle.stages, before)]
-    growth_events.append(
-        {"step": step, "required": needed, "target": goal, "window": reached, "cycles": cycles}
-    )
+    growth_events.append({"step": step, "required": needed, "cycles": cycles})
 
 
 def _attempt(step: int, operation, oracle, growth_events: list[dict]):
@@ -255,7 +255,7 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
     )
 
 
-def seal(trace: RunTrace, oracle, generator_index: int = 0) -> O.CompletedStage:
+def seal(trace: RunTrace, oracle) -> O.CompletedStage:
     """Close every remaining open orbit of the run's final condition.
 
     The sealed injection has only cycles, so it induces a permutation of its
@@ -270,7 +270,7 @@ def seal(trace: RunTrace, oracle, generator_index: int = 0) -> O.CompletedStage:
         oracle,
         trace.growth_events,
     ).upper
-    return O.CompletedStage(generator_index, sealed, oracle, trace)
+    return O.CompletedStage(sealed, oracle, trace)
 
 
 STAGE_DEPTH = 4
@@ -313,7 +313,7 @@ def staged_run(targets: Sequence[Sequence[int]]) -> list[O.CompletedStage]:
         oracle = O.StagedOracle(stages)
         schedule = default_stage_schedule(index, bits, oracle)
         trace = run(F.Flavor.DAGGER, bits, schedule, oracle)
-        stages.append(seal(trace, oracle, generator_index=index))
+        stages.append(seal(trace, oracle))
     return stages
 
 
@@ -465,8 +465,8 @@ _STEP_KEYS = frozenset(("certificate", "upper_sum"))
 _TREE_STEP_KEYS = _STEP_KEYS | {"extra"}
 _CERTIFICATE_KEYS = frozenset(("pairs", "words"))
 _WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
-_GROWTH_KEYS = frozenset(("step", "required", "target", "window", "cycles"))
-_CONDITION_KEYS = frozenset(("flavor", "injection", "words"))
+_GROWTH_KEYS = frozenset(("step", "required", "cycles"))
+_CONDITION_KEYS = frozenset(("injection", "words"))
 
 
 def _requirement_from_entry(entry, oracle) -> Requirement:
@@ -498,14 +498,14 @@ def _check_growth(events, oracle, length: int) -> None:
     """Check growth events in order, growing each stage by the cycles an event writes for it.
 
     An unwindowed oracle never grows, so it admits no event.  Steps never
-    decrease and stay at most `length` (the seal's); each target is the
-    growth rule's for the window so far.  An event writes one list of new
-    cycles per stage of the oracle, and the stages grow in index order
-    (_grow_stage_by), so each is checked over stages this event has grown
-    already.  Then the window must be the recorded one and reach the
-    target.  Nothing is searched, so the work follows the cycles written,
-    not `required`: growth is checked to be sound, not to be the engine's
-    least choice.  A form error raises ValueError, a failed claim Refused.
+    decrease and stay at most `length` (the seal's).  An event writes one
+    list of new cycles per stage of the oracle, and the stages grow in index
+    order (_grow_stage_by), so each is checked over stages this event has
+    grown already.  Then the window must reach the growth rule's target for
+    `required` and the window before the event.  Nothing is searched, so
+    the work follows the cycles written, not `required`: growth is checked
+    to be sound, not to be the engine's least choice.  A form error raises
+    ValueError, a failed claim Refused.
     """
     if not isinstance(events, list):
         raise TypeError("growth_events must be a list")
@@ -518,8 +518,6 @@ def _check_growth(events, oracle, length: int) -> None:
         if not last <= step <= length:
             raise ValueError(f"growth event {j}: step {step} out of order")
         goal = _growth_target(I.wire_int(event["required"]), oracle.window())
-        if I.wire_int(event["target"]) != goal:
-            raise ValueError(f"growth event {j}: target {event['target']}, rule gives {goal}")
         stages, grown = oracle.stages, event["cycles"]
         if not (isinstance(grown, list) and len(grown) == len(stages)):
             raise ValueError(f"growth event {j}: cycles must be {len(stages)} lists, one per stage")
@@ -530,10 +528,7 @@ def _check_growth(events, oracle, length: int) -> None:
                 raise Refused(f"growth event {j}: stage {k}: {exc}") from None
             except (ValueError, OrbitCodeError) as exc:
                 raise ValueError(f"growth event {j}: stage {k}: {exc}") from None
-        window, written = oracle.window(), I.wire_int(event["window"])
-        if window != written:
-            raise Refused(f"growth event {j}: the stages reach window {window}, not {written}")
-        if window < goal:
+        if (window := oracle.window()) < goal:
             raise Refused(f"growth event {j}: window {window} is short of target {goal}")
         last = step
 
@@ -546,9 +541,8 @@ def verify_trace_data(data: Mapping) -> None:
     integer (or a bit other than 0 or 1), a schedule entry other than its
     requirement writes, a tree witness not ending at its index, a delta (see
     forcing.verify_certificate_data) or the final condition with pairs or
-    word texts out of order or form (the final's `r_prefix` exactly when the
-    flavor is not plain), an embedded stage seal did not make, other
-    conventions, and growth events off the engine's rule.  Each step's upper
+    word texts out of order or form, an embedded stage seal did not make,
+    other conventions, and growth events off the engine's rule.  Each step's upper
     condition, the one before it plus its delta, each word text parsed once,
     must extend the condition before it, no word of that condition gaining
     a fixed point, validate, and meet its schedule entry; a step other than
@@ -566,7 +560,6 @@ def verify_trace_data(data: Mapping) -> None:
         raw_target = data["target"]
         target = None if raw_target is None else tuple(I.wire_int(b, bit=True) for b in raw_target)
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
-        final_keys = _CONDITION_KEYS | (set() if target is None else {"r_prefix"})
         schedule = data["schedule"]
         steps = data["steps"]
         if not (isinstance(schedule, list) and isinstance(steps, list)):
@@ -574,7 +567,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 6.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 7.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _check_growth(data["growth_events"], oracle, len(schedule))
@@ -603,8 +596,8 @@ def verify_trace_data(data: Mapping) -> None:
             if step["upper_sum"] != f"{total:016x}":
                 raise Refused(f"upper_sum {step['upper_sum']!r}, but deltas sum to {total:016x}")
         i = None
-        final = I.wire_object(data["final"], final_keys, "final")
-        if F.condition_from_data(final, oracle, parsed) != c:
+        final = I.wire_object(data["final"], _CONDITION_KEYS, "final")
+        if F.condition_from_data(final, c.flavor, c.target, oracle, parsed) != c:
             raise Refused("final condition does not match the last step")
         if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):
             raise Refused("decoded bits do not match the final condition")

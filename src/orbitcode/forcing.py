@@ -674,14 +674,11 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
 
 
 def condition_to_data(c: Condition, oracle) -> dict:
-    data: dict = {
-        "flavor": c.flavor.value,
+    """The map and words of c; its flavor and target are the reader's to supply."""
+    return {
         "injection": [list(p) for p in c.s.pairs()],
         "words": sorted(W.format_word(w, oracle) for w in c.words),
     }
-    if c.target is not None:
-        data["r_prefix"] = list(c.target)
-    return data
 
 
 def map_and_words_from_data(
@@ -707,16 +704,12 @@ def map_and_words_from_data(
     return s, frozenset(map(parsed.__getitem__, texts))
 
 
-def condition_from_data(data: dict, oracle, parsed: dict | None = None) -> Condition:
-    """The condition condition_to_data wrote; ValueError for data not in its form."""
+def condition_from_data(
+    data: dict, flavor: Flavor, target: tuple[int, ...] | None, oracle, parsed: dict | None = None
+) -> Condition:
+    """The condition of this flavor and target that condition_to_data wrote, else ValueError."""
     s, words = map_and_words_from_data(data["injection"], data["words"], oracle, parsed)
-    target = data.get("r_prefix")
-    return Condition(
-        s,
-        words,
-        Flavor(data["flavor"]),
-        None if target is None else tuple(I.wire_int(b, bit=True) for b in target),
-    )
+    return Condition(s, words, flavor, target)
 
 
 def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:

@@ -392,8 +392,13 @@ def prime_index(k: int) -> int | None:
 
 
 def prime_parities(counts: Mapping[int, int], upto: int) -> tuple[int, ...]:
-    """Bit n is the parity of counts[p_n], n ≤ upto, for closed cycles counted by size."""
-    return tuple(counts.get(nth_prime(n), 0) % 2 for n in range(upto + 1))
+    """Bit n is the parity of counts[p_n], n ≤ upto, for closed cycles counted by size.
+
+    A prime past the largest size counts no cycle, so its bit is 0, and
+    primes are computed only up to that size.
+    """
+    bits = [counts.get(p, 0) % 2 for p in primes_up_to(max(counts, default=0))[: upto + 1]]
+    return tuple(bits + [0] * (upto + 1 - len(bits)))
 
 
 def o_dagger(s: PartialInjection, upto: int) -> tuple[int, ...]:

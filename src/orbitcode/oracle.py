@@ -187,7 +187,6 @@ class CompletedStage:
     oracle's word memos.
     """
 
-    generator_index: int
     condition: F.Condition
     oracle: GroupOracle = field(repr=False, compare=False)
     trace: object = field(default=None, repr=False, compare=False)
@@ -206,7 +205,7 @@ class CompletedStage:
         return self.condition.target
 
 
-# staged elements: reduced words ((generator_index, exponent), ...) with
+# staged elements: reduced words ((stage index, exponent), ...) with
 # nonzero exponents and distinct adjacent indices
 
 
@@ -362,14 +361,16 @@ def staged_oracle(stages: Sequence[CompletedStage]) -> StagedOracle:
 
 
 def stage_to_data(stage: CompletedStage) -> dict:
-    """A stage's wire form; its words are written in the stage's oracle, the stages before it."""
+    """A stage's wire form; its words are written in the stage's oracle, the stages before it.
+
+    A stage's index is its place in the stage list, and its window follows
+    from its cycles, so neither is written.
+    """
     cond = stage.condition
     return {
-        "generator_index": stage.generator_index,
         "cycles": I.cycles_to_data(cond.s),
         "words": sorted(W.format_word(w, stage.oracle) for w in cond.words),
         "target_bits": list(cond.target or ()),
-        "window": stage.window,
     }
 
 
@@ -377,30 +378,27 @@ def stage_from_data(data: dict, oracle: StagedOracle) -> CompletedStage:
     """Inverse of stage_to_data; ValueError for cycles or word texts not in its form.
 
     `oracle` is the stages before it, so a word naming this stage or a later
-    one is rejected.  The written window is left to oracle_from_descriptor,
-    since a stage's window follows from its injection.
+    one is rejected.
     """
     s = I.PartialInjection(I.pairs_from_cycles(data["cycles"]))
     _, words = F.map_and_words_from_data([], data["words"], oracle)
     bits = tuple(I.wire_int(b, bit=True) for b in data["target_bits"])
-    return CompletedStage(
-        generator_index=I.wire_int(data["generator_index"]),
-        condition=F.Condition(s, words, F.Flavor.DAGGER, bits),
-        oracle=oracle,
-    )
+    return CompletedStage(F.Condition(s, words, F.Flavor.DAGGER, bits), oracle)
 
 
 _ORACLE_KEYS = frozenset(("kind",))
 _STAGED_ORACLE_KEYS = frozenset(("kind", "stages"))
-_STAGE_KEYS = frozenset(("generator_index", "cycles", "words", "target_bits", "window"))
+_STAGE_KEYS = frozenset(("cycles", "words", "target_bits"))
 
 
 def oracle_from_descriptor(data: dict) -> GroupOracle:
     """The oracle a descriptor names; ValueError for one descriptor() would not write.
 
     The descriptor holds exactly `kind`, plus `stages` when staged, and each
-    stage exactly stage_to_data's keys (TypeError for a non-object); each
-    stage must be what seal makes over the stages before it.
+    stage exactly stage_to_data's keys (TypeError for a non-object).  Each
+    stage must be one seal makes over the stages before it: the cycle form
+    ensures only closed orbits, and its condition must validate over the
+    stages before it and its injection decode to its target bits.
     """
     staged = isinstance(data, Mapping) and data.get("kind") == "staged"
     I.wire_object(data, _STAGED_ORACLE_KEYS if staged else _ORACLE_KEYS, "oracle")
@@ -416,31 +414,14 @@ def oracle_from_descriptor(data: dict) -> GroupOracle:
         I.wire_object(entry, _STAGE_KEYS, f"oracle stage {i}")
         try:
             stage = stage_from_data(entry, StagedOracle(stages))
-            stages.append(_proven_stage(i, stage, I.wire_int(entry["window"])))
-        except ValueError as exc:
-            raise ValueError(f"stage {i}: {exc}") from exc
-    return StagedOracle(stages)
-
-
-def _proven_stage(i: int, stage: CompletedStage, window: int) -> CompletedStage:
-    """stage itself if seal made it as stage i, written with `window`; ValueError otherwise.
-
-    Sealed means generator i and only closed orbits, which the cycle form
-    ensures, so that `window` must be mex(support); its condition validates
-    over the stages before it, and its injection decodes to its target bits.
-    """
-    s, bits = stage.injection, stage.target_bits
-    decoded = I.o_dagger(s, len(bits) - 1)
-    if stage.generator_index != i:
-        problem = f"generator_index is {stage.generator_index}"
-    elif window != stage.window:
-        problem = f"window {window} is not mex(support) = {stage.window}"
-    else:
-        try:
             F.validate(stage.condition, stage.oracle)
         except Refused as exc:
-            raise ValueError(f"invalid condition: {exc}") from None
-        if decoded == bits:
-            return stage
-        problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
-    raise ValueError(problem)
+            raise ValueError(f"stage {i}: invalid condition: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"stage {i}: {exc}") from exc
+        bits = stage.target_bits
+        if (decoded := I.o_dagger(stage.injection, len(bits) - 1)) != bits:
+            problem = f"decodes to {list(decoded)}, not its target bits {list(bits)}"
+            raise ValueError(f"stage {i}: {problem}")
+        stages.append(stage)
+    return StagedOracle(stages)

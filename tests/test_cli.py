@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitcode import stage_to_data, staged_run
 from orbitcode.cli import main, parse_bits
 from orbitcode.injections import cycles_to_data, injection_from_pairs
 
@@ -174,7 +175,8 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
 @pytest.mark.parametrize(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
-     ("format_version", 4), ("format_version", 5), ("format_version", 99),
+     ("format_version", 4), ("format_version", 5), ("format_version", 6),
+     ("format_version", 99),
      ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
@@ -186,7 +188,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 6" in capsys.readouterr().err
+    assert "format version 7" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
@@ -388,13 +390,7 @@ def test_a_tree_step_that_starts_off_its_tree_fails_the_run(tmp_path, capsys, tr
 
 
 def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
-    stage = {
-        "generator_index": 0,
-        "cycles": [[0, 1]],
-        "words": ["g0.x", "x"],
-        "target_bits": [1],
-        "window": 2,
-    }
+    stage = {"cycles": [[0, 1]], "words": ["g0.x", "x"], "target_bits": [1]}
     stages = tmp_path / "stages.json"
     stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
     _assert_usage_error(
@@ -404,13 +400,7 @@ def test_stage_word_naming_its_own_generator_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_stage_file_with_a_malformed_cycle_is_a_usage_error(tmp_path, capsys):
-    stage = {
-        "generator_index": 0,
-        "cycles": [[1, 0]],
-        "words": [],
-        "target_bits": [],
-        "window": 2,
-    }
+    stage = {"cycles": [[1, 0]], "words": [], "target_bits": []}
     stages = tmp_path / "stages.json"
     stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
     argv = ("run", "--flavor", "plain", "--oracle", f"staged:{stages}", "--schedule", "auto:2")
@@ -420,13 +410,7 @@ def test_a_stage_file_with_a_malformed_cycle_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_stage_file_with_a_key_outside_the_format_is_a_usage_error(tmp_path, capsys):
-    stage = {
-        "generator_index": 0,
-        "cycles": [[0, 1]],
-        "words": ["x"],
-        "target_bits": [1],
-        "window": 2,
-    }
+    stage = {"cycles": [[0, 1]], "words": ["x"], "target_bits": [1]}
     stages = tmp_path / "stages.json"
     argv = ("run", "--flavor", "plain", "--oracle", f"staged:{stages}", "--schedule", "auto:2")
     stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
@@ -462,14 +446,10 @@ def test_staged_oracle_file_round_trip(tmp_path, capsys):
     capsys.readouterr()
     trace = json.loads(first.read_text(encoding="utf-8"))
     stage = {
-        "generator_index": 0,
         "cycles": cycles_to_data(injection_from_pairs(trace["final"]["injection"])),
         "words": trace["final"]["words"],
         "target_bits": trace["target"],
-        "window": 0,
     }
-    support = [n for cycle in stage["cycles"] for n in cycle]
-    stage["window"] = next(i for i in range(len(support) + 2) if i not in support)
     stages = tmp_path / "stages.json"
     stages.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
 
@@ -488,6 +468,18 @@ def test_staged_oracle_file_round_trip(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert run_cli("verify", str(out)) == 0
+    capsys.readouterr()
+
+
+def test_run_prints_each_growth_by_its_step_and_need(tmp_path, capsys):
+    stages = tmp_path / "stages.json"
+    data = [stage_to_data(stage) for stage in staged_run([(1,), (0,)])]
+    stages.write_text(json.dumps(data), encoding="utf-8")
+    argv = ("run", "--flavor", "plain", "--words", "g0.x", "--full-trees", "2",
+            "--schedule", "auto:4", "--oracle", f"staged:{stages}")
+    assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 0
+    assert "\ngrowth at step 9 (needed 9)\n" in capsys.readouterr().out
+    assert run_cli("verify", str(tmp_path / "t.json")) == 0
     capsys.readouterr()
 
 

@@ -175,6 +175,29 @@ def test_decode_prime_parity_of_the_empty_injection():
     assert decode(PartialInjection(), "prime_parity", 3) == (0, 0, 0, 0)
 
 
+def test_a_long_dagger_target_buys_no_prime_search(monkeypatch):
+    """Bits past the largest cycle size are 0, so a long target computes no prime past it.
+
+    A dagger run with 10,000 target bits and no step, its verify, its seal
+    embedded as a stage and decode each read all the bits.
+    """
+    nth_prime = I.nth_prime
+
+    def bounded(n):
+        assert n <= 100, f"nth_prime({n}) searched"
+        return nth_prime(n)
+
+    monkeypatch.setattr(I, "nth_prime", bounded)
+    bits = (0,) * 10_000
+    oracle = trivial_oracle()
+    trace = run(Flavor.DAGGER, bits, [], oracle)
+    assert trace.decoded == bits
+    verify_trace_data(_wire(trace, oracle))
+    stages = staged_oracle([seal(trace, oracle)])
+    verify_trace_data(_wire(run(Flavor.PLAIN, None, [DomainHits(0)], stages), stages))
+    assert decode(PartialInjection([(0, 1), (1, 0)]), "prime_parity", 9_999) == (1,) + bits[1:]
+
+
 def test_decode_orbit_order_counts_by_minimum():
     s = PartialInjection([(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)])
     assert decode(s, "orbit_order") == (1, 0)
@@ -260,8 +283,9 @@ def test_later_stages_grow_the_earlier_windows():
     stages = staged_run([(1,), (1,), (1,)])
     assert stages[0].trace.growth_events == []
     assert stages[1].trace.growth_events or stages[2].trace.growth_events
-    for event in stages[1].trace.growth_events + stages[2].trace.growth_events:
-        assert event["target"] >= event["required"]
+    events = stages[1].trace.growth_events + stages[2].trace.growth_events
+    assert all(set(event) == {"step", "required", "cycles"} for event in events)
+    assert any(event["cycles"][0] for event in events), "stage 0 gains cycles"
 
 
 def test_trace_serialization_replays_cleanly():
@@ -315,11 +339,12 @@ def test_a_stage_trace_without_its_growth_events_fails_replay(three_stages):
 
 
 def test_a_growth_target_off_the_engine_rule_fails_replay(three_stages):
+    """A forged `required` moves the rule's target past the window the written cycles reach."""
     data = _wire(three_stages[1].trace, staged_oracle(three_stages[:1]))
-    for event in data["growth_events"]:
-        event["target"] = event["required"]
+    [(_, reached)] = _growth_windows(data)[:1]
+    data["growth_events"][0]["required"] = reached
     result = helpers.refusal(verify_trace_data, data)
-    assert "growth event 0" in result
+    assert result == f"growth event 0: window {reached} is short of target {reached + 16}"
 
 
 def test_a_stage_trace_missing_its_first_growth_event_fails_replay(three_stages):
@@ -328,6 +353,22 @@ def test_a_stage_trace_missing_its_first_growth_event_fails_replay(three_stages)
     data["growth_events"].pop(0)
     result = helpers.refusal(verify_trace_data, data)
     assert "growth event 0" in result
+
+
+def _growth_windows(data):
+    """(the rule's target, the window reached) per growth event, from the cycles written.
+
+    A stage's window is the least natural outside its cycles, the oracle's
+    the least of its stages'.
+    """
+    points = [{p for c in stage["cycles"] for p in c} for stage in data["oracle"]["stages"]]
+    windows = []
+    for event in data["growth_events"]:
+        target = max(event["required"], 2 * min(map(helpers.mex, points))) + 16
+        for s, cycles in zip(points, event["cycles"]):
+            s.update(p for c in cycles for p in c)
+        windows.append((target, min(map(helpers.mex, points))))
+    return windows
 
 
 POOL_052 = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0))  # the benchmark pool's triple 052
@@ -357,13 +398,13 @@ def test_a_hostile_required_buys_no_work(pool_stages, monkeypatch):
     honest = (len(evaluations), len(oracle_evals))
     assert min(honest) > 0
     data = json.loads(text)
+    [(_, window)] = _growth_windows(data)
     [event] = data["growth_events"]
     event["required"] = 2**62
-    event["target"] = max(2**62, 2 * data["oracle"]["stages"][0]["window"]) + 16
     evaluations.clear()
     oracle_evals.clear()
     result = helpers.refusal(verify_trace_data, data)
-    assert result == f"growth event 0: window {event['window']} is short of target {2**62 + 16}"
+    assert result == f"growth event 0: window {window} is short of target {2**62 + 16}"
     assert len(evaluations) <= honest[0] and len(oracle_evals) <= honest[1]
 
 
@@ -382,10 +423,11 @@ def test_a_single_point_edit_of_a_growth_cycle_is_refused_unless_past_its_target
     verify checks that growth is sound, not that it is the engine's least.
     """
     text = json.dumps(_wire(pool_stages[2].trace, staged_oracle(pool_stages[:2])))
-    events = json.loads(text)["growth_events"]
+    initial = json.loads(text)
+    events, windows = initial["growth_events"], _growth_windows(initial)
     assert all(len(event["cycles"]) == 2 for event in events)
     edits = refused = 0
-    for e, event in enumerate(events):
+    for e, (event, (target, _)) in enumerate(zip(events, windows)):
         for k, cycles in enumerate(event["cycles"]):
             for c, cycle in enumerate(cycles):
                 for i, p in enumerate(cycle):
@@ -402,7 +444,7 @@ def test_a_single_point_edit_of_a_growth_cycle_is_refused_unless_past_its_target
                         except Refused:
                             refused += 1
                             continue
-                        past = p >= event["target"] and (new is None or new >= event["target"])
+                        past = p >= target and (new is None or new >= target)
                         assert past, (e, k, c, i, p, new)
     assert edits > 100 and refused > edits * 3 // 4
 
@@ -467,7 +509,7 @@ def test_a_tree_witness_past_its_index_is_malformed():
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
     oracle = trivial_oracle()
     data = _wire(run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle), oracle)
-    event = {"step": 0, "required": 5, "target": 2**63 + 16, "window": 2**62, "cycles": []}
+    event = {"step": 0, "required": 5, "cycles": []}
     data["growth_events"].append(event)
     result = helpers.refusal(verify_trace_data, data)
     assert result == "malformed trace: growth event 0: the oracle has no window to grow"
@@ -510,7 +552,7 @@ def test_a_grown_stage_the_order_recheck_passes_still_validates():
             if free not in growths:
                 growths[free] = [new for new in _cycle_maps(free) if len(new) in (1, 2)]
             for new in growths[free]:
-                stage = O.CompletedStage(0, condition, oracle)
+                stage = O.CompletedStage(condition, oracle)
                 try:
                     _grow_stage_by(stage, new)
                 except Refused:
@@ -526,7 +568,7 @@ def _forge_op(data):
 
 
 def _forge_lower(data):
-    lower = {"flavor": "coding", "injection": [[9, 9]], "words": [], "r_prefix": [1, 0]}
+    lower = {"injection": [[9, 9]], "words": []}
     data["steps"][1]["certificate"]["lower"] = lower
 
 
@@ -649,14 +691,6 @@ def second_stage_wire():
     return json.dumps(trace_to_data(stages[1].trace, staged_oracle(stages[:1])))
 
 
-def _renumber(stage):
-    stage["generator_index"] = 5
-
-
-def _widen(stage):
-    stage["window"] += 1
-
-
 def _flip_bits(stage):
     stage["target_bits"] = [1 - b for b in stage["target_bits"]]
 
@@ -669,12 +703,10 @@ def _flip_bits_and_drop_words(stage):
 @pytest.mark.parametrize(
     "forge, clause",
     [
-        (_renumber, "generator_index is 5"),
-        (_widen, "window 6 is not mex(support) = 5"),
         (_flip_bits, "invalid condition: evaluation of 'x' miscodes bit 0"),
         (_flip_bits_and_drop_words, "decodes to [1], not its target bits [0]"),
     ],
-    ids=["generator-index", "window", "target-bits", "target-bits-no-words"],
+    ids=["target-bits", "target-bits-no-words"],
 )
 def test_an_embedded_stage_that_seal_did_not_make_fails_replay(second_stage_wire, forge, clause):
     data = json.loads(second_stage_wire)
@@ -730,17 +762,10 @@ def _bits_as_booleans(stage):
     stage["target_bits"] = [bool(b) for b in stage["target_bits"]]
 
 
-def _window_as_float(stage):
-    stage["window"] = float(stage["window"])
-
-
 @pytest.mark.parametrize(
     "forge, clause",
-    [
-        (_bits_as_booleans, "True is not a bit"),
-        (_window_as_float, "5.0 is not an integer"),
-    ],
-    ids=["boolean-target-bits", "float-window"],
+    [(_bits_as_booleans, "True is not a bit")],
+    ids=["boolean-target-bits"],
 )
 def test_an_embedded_stage_number_not_written_as_an_integer_fails_replay(
     second_stage_wire, forge, clause
@@ -787,7 +812,7 @@ def _set_witness(key, cast):
         (_coding_trace, _rewrite_zero(1, "0"), "step 0: malformed: '0' is not an integer"),
         (
             _coding_trace,
-            lambda data: data["final"]["r_prefix"].__setitem__(0, 1.5),
+            lambda data: data["target"].__setitem__(0, 1.5),
             "malformed trace: 1.5 is not a bit",
         ),
         (
@@ -822,11 +847,11 @@ def _set_witness(key, cast):
         ),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 6.0),
-            "malformed trace: 6.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 7.0),
+            "malformed trace: 7.0 is not an integer",
         ),
     ],
-    ids=["float-point", "string-point", "float-r-prefix-bit", "string-decoded-bits",
+    ids=["float-point", "string-point", "float-target-bit", "string-decoded-bits",
          "boolean-target-bits", "boolean-schedule-point", "float-tree-seed",
          "float-witness-index", "float-witness-node", "float-format-version"],
 )

@@ -501,8 +501,8 @@ def test_avoidance_bound_clears_supports_and_images():
 def test_condition_serialization_round_trip():
     c = dagger_condition((1, 0), inj({0: 1, 1: 0}), [x_power(1), x_power(2)])
     data = condition_to_data(c, TRIV)
-    assert set(data) == {"flavor", "injection", "words", "r_prefix"}
-    back = condition_from_data(data, TRIV)
+    assert set(data) == {"injection", "words"}
+    back = condition_from_data(data, Flavor.DAGGER, (1, 0), TRIV)
     assert back == c
 
 

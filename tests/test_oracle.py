@@ -94,7 +94,7 @@ def sealed_stage():
     """A hand-built stage: two 2-cycles, window 4."""
     s = PartialInjection([(0, 1), (1, 0), (2, 3), (3, 2)])
     cond = dagger_condition((0,), s, [x_power(1)])
-    return CompletedStage(generator_index=0, condition=cond, oracle=staged_oracle([]))
+    return CompletedStage(condition=cond, oracle=staged_oracle([]))
 
 
 def test_staged_lookup_inside_the_window():
@@ -183,7 +183,7 @@ def test_element_text_round_trip():
 def sealed_stage_one():
     s = PartialInjection([(0, 2), (2, 0), (1, 3), (3, 1)])
     cond = dagger_condition((0,), s, [x_power(1)])
-    return CompletedStage(generator_index=1, condition=cond, oracle=staged_oracle([sealed_stage()]))
+    return CompletedStage(condition=cond, oracle=staged_oracle([sealed_stage()]))
 
 
 def test_staged_rejects_malformed_elements():
@@ -215,10 +215,9 @@ def test_staged_group_laws_on_random_elements():
 def test_stage_serialization_round_trip():
     stage = sealed_stage()
     data = stage_to_data(stage)
-    assert set(data) == {"generator_index", "cycles", "words", "target_bits", "window"}
+    assert set(data) == {"cycles", "words", "target_bits"}
     assert data["cycles"] == [[0, 1], [2, 3]]
     back = stage_from_data(data, staged_oracle([]))
-    assert back.generator_index == stage.generator_index
     assert back.window == stage.window
     assert back.injection == stage.injection
     assert back.condition.words == stage.condition.words
@@ -231,7 +230,7 @@ def test_a_stage_window_is_the_least_natural_outside_its_support():
         for support in itertools.combinations(range(6), size):
             for image in itertools.permutations(support):
                 s = PartialInjection(zip(support, image))
-                stage = CompletedStage(0, dagger_condition((), s), staged_oracle([]))
+                stage = CompletedStage(dagger_condition((), s), staged_oracle([]))
                 assert stage.window == helpers.mex(support), s
 
 
@@ -246,7 +245,6 @@ def test_stage_words_live_in_the_stages_before_them():
     first = sealed_stage()
     gx = Word((group(((0, 1),)), X))
     second = CompletedStage(
-        generator_index=1,
         condition=dagger_condition((0,), first.injection, [x_power(1), gx]),
         oracle=staged_oracle([first]),
     )
@@ -270,7 +268,7 @@ def test_empty_staged_oracle_is_the_one_element_group():
 def test_growth_from_a_minimal_stage():
     s = PartialInjection([(0, 1), (1, 0)])
     cond = dagger_condition((), s, [x_power(1)])
-    stage = CompletedStage(generator_index=0, condition=cond, oracle=staged_oracle([]))
+    stage = CompletedStage(condition=cond, oracle=staged_oracle([]))
     oracle = staged_oracle([stage])
     oracle.grow_window(6)
     assert oracle.window() >= 6

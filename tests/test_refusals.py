@@ -3,9 +3,11 @@
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
 was already met and on a step's `upper_sum`, the clauses on a delta or a
-tree witness in a form the writer never writes, and those on a growth
-event's cycles and the stages they grow; each case builds the call and its
-arguments, and the refusal it raises must read exactly as listed.
+tree witness in a form the writer never writes, those on a growth event's
+cycles and the stages they grow, and the closed key sets of an embedded
+stage, a growth event and `final`, which hold none of the numbers their
+reader derives; each case builds the call and its arguments, and the
+refusal it raises must read exactly as listed.
 """
 
 import functools
@@ -88,16 +90,21 @@ def _second_stage_wire() -> str:
     return json.dumps(trace_to_data(stages[1].trace, staged_oracle(stages[:1])))
 
 
-def _forged_growth(forge):
-    """verify_trace_data on the stage-1 trace of two one-bit stages, its growth forged by `forge`.
+def _forged_stage_trace(forge):
+    """verify_trace_data on the stage-1 trace of two one-bit stages, forged by `forge`.
 
     Its oracle embeds stage 0, cycles [[0, 3, 4], [1, 2]] and words x and
-    x^2; growth event 0 (required 6, target 26, window 26) grows it by the
-    3-cycles [5, 6, 7], [8, 9, 10], ..., [23, 24, 25].
+    x^2; growth event 0 (required 6, so the rule's target is 26) grows it
+    by the 3-cycles [5, 6, 7], [8, 9, 10], ..., [23, 24, 25], to window 26.
     """
     data = json.loads(_second_stage_wire())
-    forge(data["growth_events"][0])
+    forge(data)
     return verify_trace_data, data
+
+
+def _forged_growth(forge):
+    """_forged_stage_trace with its growth event 0 forged by `forge`."""
+    return _forged_stage_trace(lambda data: forge(data["growth_events"][0]))
 
 
 def _set_first_cycles(*cycles):
@@ -222,19 +229,23 @@ CASES = {
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 6",
+        "malformed trace: conventions are not those of format version 7",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 6",
+        "malformed trace: conventions are not those of format version 7",
     ),
     "trace-version-4": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
-        "malformed trace: conventions are not those of format version 6",
+        "malformed trace: conventions are not those of format version 7",
     ),
     "trace-version-5": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 5)),
-        "malformed trace: conventions are not those of format version 6",
+        "malformed trace: conventions are not those of format version 7",
+    ),
+    "trace-version-6": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 6)),
+        "malformed trace: conventions are not those of format version 7",
     ),
     "trace-witness-length": (
         lambda: _forged_witness(lambda extra: extra["witness_node"].append(99)),
@@ -267,12 +278,23 @@ CASES = {
         " order recheck failed: word 'x^2' changed fixed points (gained [5, 6])",
     ),
     "growth-window-short": (
-        lambda: _forged_growth(lambda event: event.update(required=100, target=116)),
+        lambda: _forged_growth(lambda event: event.update(required=100)),
         "growth event 0: window 26 is short of target 116",
     ),
-    "growth-window-recorded": (
-        lambda: _forged_growth(lambda event: event.update(window=27)),
-        "growth event 0: the stages reach window 26, not 27",
+    "growth-target-written": (
+        lambda: _forged_growth(lambda event: event.update(target=26)),
+        "malformed trace: growth event 0 has keys ['cycles', 'required', 'step', 'target'],"
+        " format gives ['cycles', 'required', 'step']",
+    ),
+    "stage-window-written": (
+        lambda: _forged_stage_trace(lambda data: data["oracle"]["stages"][0].update(window=5)),
+        "malformed trace: oracle stage 0 has keys ['cycles', 'target_bits', 'window', 'words'],"
+        " format gives ['cycles', 'target_bits', 'words']",
+    ),
+    "final-r-prefix-written": (
+        lambda: _forged_trace(lambda data: data["final"].update(r_prefix=[1, 0])),
+        "malformed trace: final has keys ['injection', 'r_prefix', 'words'],"
+        " format gives ['injection', 'words']",
     ),
     "growth-list-count": (
         lambda: _forged_growth(lambda event: event["cycles"].append([])),

@@ -43,50 +43,50 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "ae7662efbddaafcfd6a2f1ae4fac79f9"
-        "8022546621b0e4d1edee9d715c462cc3"
+        "19d5a23ac0778a19e7421770e116dfef"
+        "feb45754d8df775434da1a53772c6479"
     ),
     "dagger-3-translation": (
-        "da4478588af03483d28c1ba76e93a892"
-        "8e14f4b6e250bfe6ed376b532e413b17"
+        "aaae1dc1373f79e1380f8d07a7526345"
+        "e6563d3129c793909c78fd8c63313508"
     ),
     "plain-trees": (
-        "af67bfed711daf0df8d26ddbbc97c07d"
-        "cc7959155fbfd4bf2e49cddb4230b760"
+        "e9133ea7ee9bdba8d293113a966e2d98"
+        "69310e02c46d1ebb7e5a7ac483f446f3"
     ),
     "plain-trees-sealed": (
-        "fcb92eb0bbbd49600319733e6f66964e"
-        "7cdd6a16b8f3bef9a82bba09023a9739"
+        "7f4afa3fa9a4b038d33f3c3a8d919cc8"
+        "8e6c64edaef52eced315c54bd3056a26"
     ),
     "staged-0": (
-        "78644ec8e97fe66633e5eda696e05703"
-        "d3cb85b64b12101e1d7efd6d5a52267e"
+        "1b67ff03d9bc63203f566fae02c4b8fb"
+        "9457781736750c3482c8b085ae8c4cf3"
     ),
     "staged-1": (
-        "11ff2ad39b7d926ac7f351365bdc62d3"
-        "dc91509f6794f8f37837ebb76aee0f48"
+        "eacc388fb18ad11123555c6348c5701e"
+        "e26722bc6d5046f01c8e683c71302a5c"
     ),
     "translation-trees": (
-        "daf8781bb399258f64fe63388fb1139b"
-        "14a1438591b4013d17bb04566025574d"
+        "0003fa83604584657bf66ef9df6ce38d"
+        "bd4ae73931d5c80790fb2ba50e44f12e"
     ),
     "staged-trees-full": (
-        "60524f6b52f3e58ef970dfcf8111b6be"
-        "0a68ba0deb2b194774550570c643f8e8"
+        "3907332cc84ed05e3c7cb129ad1d4a1f"
+        "dbf7bd880fe72fa2dcacb8d54be40a01"
     ),
     "staged-trees-sparse-1": (
-        "98dee5ed3320820bc4c4936809c2bf4a"
-        "8aeb1298d8a5821beeb7afe9bb555a45"
+        "bd9d8fc6db42642ebb9db733fe0b5a2b"
+        "4235a85ca8745f82dac8732896562498"
     ),
     "staged-trees-sparse-2-5": (
-        "461a5da07aff3070967fbaf2b9b9cd72"
-        "324d791aa1127020699dab0fcc9bee87"
+        "b39ce163c73cb5db163e4659d8339721"
+        "d4b59549cf137e67a80ccc7ca3f244d7"
     ),
 }
 
