@@ -51,6 +51,7 @@ from .errors import (
     InternalCheckFailed,
     KTooSmall,
     NotNiceInjection,
+    OrbitCodeError,
     PreconditionViolated,
     PrefixTooShort,
     Refused,
@@ -346,14 +347,19 @@ def many_extensions(
 
     Every option (k, v) has k fresh for the node and the domain, v outside
     the range, and v ≠ g(k) for each g in the word set's group restriction;
-    each such pair extends c on its own, and leq checks it.  Options come in
-    increasing k with distinct values, so at most count + 1 come; the node
-    returned may run on past the last.  Words must all have a single x
-    occurrence: those are the only shapes whose fixed points a single fresh
-    pair provably cannot touch.  One barred set serves the whole walk: the
-    node's values and the range, each grown value added once, and at depth
-    j the images g(j) for that depth only, so only the values a tree adds
-    past depth j are checked against group images here.
+    each such pair extends c on its own.  Options come in increasing k with
+    distinct values, so at most count + 1 come; the node returned may run on
+    past the last.  Words must all have a single x occurrence, so each is
+    g·x: under s plus fresh pairs it gains a fixed point only at a new k,
+    and only when g(v) = k for that k's pair.  What the options gain
+    together is thus what each gains alone, and one leq of c plus all of
+    them certifies the walk.  A walk that raises instead, the joint check
+    included, first checks the options it holds one at a time in walk order,
+    so it raises what checking each as it came would have raised first.
+    One barred set serves the whole walk: the node's values and the range,
+    each grown value added once, and at depth j the images g(j) for that
+    depth only, so only the values a tree adds past depth j are checked
+    against group images here.
     """
     for w in c.words:
         if w.x_count() != 1:
@@ -366,30 +372,35 @@ def many_extensions(
     barred = T.Barred(itertools.chain(current, ran))
     options: list[tuple[int, int]] = []
     stall_budget = count + len(dom) + 64
-    while True:
-        j = len(current)
-        barred.once = frozenset([oracle.eval(h, j) for h in handles])
-        grown = tree.extend_avoiding(current, barred)
-        barred.update(grown[j:])
-        for k in range(j, len(grown)):
-            v = grown[k]
-            if k in dom or v in ran:
-                continue
-            if k > j and any(oracle.eval(h, k) == v for h in handles):
-                continue
+    try:
+        while True:
+            j = len(current)
+            barred.once = frozenset([oracle.eval(h, j) for h in handles])
+            grown = tree.extend_avoiding(current, barred)
+            barred.update(grown[j:])
+            for k in range(j, len(grown)):
+                v = grown[k]
+                if k in dom or v in ran:
+                    continue
+                if k > j and any(oracle.eval(h, k) == v for h in handles):
+                    continue
+                options.append((k, v))
+                if v >= count:
+                    leq(replace(c, s=c.s.with_pairs(options)), c, oracle)
+                    return grown, tuple(options)
+            current = grown
+            stall_budget -= 1
+            if stall_budget < 0:
+                raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
+    except OrbitCodeError:
+        for k, v in options:
             try:
-                leq(Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target), c, oracle)
+                leq(replace(c, s=c.s.with_pair(k, v)), c, oracle)
             except Refused as exc:
                 raise InternalCheckFailed(
                     f"avoidance clauses missed a fixed point at ({k}, {v})"
                 ) from exc
-            options.append((k, v))
-            if v >= count:
-                return grown, tuple(options)
-        current = grown
-        stall_budget -= 1
-        if stall_budget < 0:
-            raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
+        raise
 
 
 def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
@@ -409,6 +420,9 @@ def tree_extend(
     Splits E into single-x words (plus the single-x subwords of the rest) for
     the option search, which stops at the first option clearing the avoidance
     bound N: more than N options with pairwise distinct values guarantee one.
+    A single-x word g·x gains a fixed point under fresh pairs only at a pair
+    (k, v) with g(v) = k, so many_extensions checks its options with one leq
+    together, and one at a time, in walk order, only when the walk raises.
     """
     if not tree.contains(node):
         raise PreconditionViolated(f"node {list(node)} is not in the tree")

@@ -8,7 +8,9 @@ injection's `.apply`, `.apply_inverse`, `.domain`, `.range` and `.support`, a
 condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
 `.compose`, `.invert`, `.identity` and `.is_identity`, and a tree's
 `.contains`.  Only `refusal` and `holds` import from the package: its one
-refusal type, to read a check's text or verdict.  The trace helpers read a
+refusal type, to read a check's text or verdict.  `per_option_walk` is the
+exception: a copy of the tree walk that checks each option with the
+package's own leq, to compare the walk that checks them together against.  The trace helpers read a
 serialized trace, plain JSON data, as the format describes it.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -388,3 +391,47 @@ def holds(call, *args) -> bool:
     except Refused:
         return False
     return True
+
+
+def per_option_walk(c, tree, node, count: int, oracle):
+    """many_extensions as it was when the walk called leq on each option as it came.
+
+    Same walk, same barred set; the pair (k, v) is checked alone, the moment
+    it is found, and a refusal raises InternalCheckFailed naming it.  Reads
+    the package's leq through its module, so a test can count the calls.
+    """
+    from orbitcode import InternalCheckFailed
+    from orbitcode import forcing as F
+    from orbitcode import trees as T
+    from orbitcode import words as W
+
+    handles = W.graph_restriction(c.words, oracle)
+    dom, ran = c.s.domain, c.s.range
+    current = tuple(node)
+    barred = T.Barred([*current, *ran])
+    options = []
+    stall_budget = count + len(dom) + 64
+    while True:
+        j = len(current)
+        barred.once = frozenset([oracle.eval(h, j) for h in handles])
+        grown = tree.extend_avoiding(current, barred)
+        barred.update(grown[j:])
+        for k in range(j, len(grown)):
+            v = grown[k]
+            if k in dom or v in ran:
+                continue
+            if k > j and any(oracle.eval(h, k) == v for h in handles):
+                continue
+            try:
+                F.leq(replace(c, s=c.s.with_pair(k, v)), c, oracle)
+            except Refused as exc:
+                raise InternalCheckFailed(
+                    f"avoidance clauses missed a fixed point at ({k}, {v})"
+                ) from exc
+            options.append((k, v))
+            if v >= count:
+                return grown, tuple(options)
+        current = grown
+        stall_budget -= 1
+        if stall_budget < 0:
+            raise InternalCheckFailed("tree extensions stopped yielding fresh indices")

@@ -908,31 +908,35 @@ def _count_evaluations(monkeypatch) -> list:
 
 
 def test_each_tree_option_check_costs_one_evaluation_per_scratch_word(monkeypatch):
+    """A walk checks its options together, with one leq over all of them.
+
+    That check evaluates each scratch word once per option at most.
+    """
     calls = _count_evaluations(monkeypatch)
     checks = []
-    scanning = []
+    walks = []
     leq, many_extensions = F.leq, F.many_extensions
 
     def counted_leq(upper, lower, oracle):
         before = len(calls)
         result = leq(upper, lower, oracle)
-        if scanning:
-            checks.append((len(calls) - before, len(lower.words), len(upper.s)))
+        if walks and walks[-1] is None:
+            checks.append((len(calls) - before, len(lower.words), len(upper.s) - len(lower.s)))
         return result
 
     def flagged(*args):
-        scanning.append(True)
-        try:
-            return many_extensions(*args)
-        finally:
-            scanning.pop()
+        walks.append(None)
+        node, options = many_extensions(*args)
+        walks[-1] = len(options)
+        return node, options
 
     monkeypatch.setattr(F, "leq", counted_leq)
     monkeypatch.setattr(F, "many_extensions", flagged)
-    # the walks stop at the first option past the bound: 11 checks on two trees of each kind
+    # eight walks, two trees of each kind four times over, and one check each
     run(Flavor.PLAIN, None, _plain_trees_schedule(4), trivial_oracle())
-    assert len(checks) > 20 and max(size for *_, size in checks) >= 3
-    assert all(spent <= words for spent, words, _ in checks), checks
+    assert len(walks) == len(checks) == 8 and max(walks) >= 3
+    assert [options for *_, options in checks] == walks
+    assert all(spent <= options * words for spent, words, options in checks), checks
 
 
 def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):

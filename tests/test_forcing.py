@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitcode import (
+    CompletedStage,
     ExplicitTree,
     ExtensionCertificate,
     Flavor,
     FullInjectiveTree,
     InternalCheckFailed,
     KTooSmall,
+    OrbitCodeError,
     PartialInjection,
     PreconditionViolated,
     Refused,
@@ -56,6 +58,7 @@ from orbitcode import (
     parse_word,
     plain_condition,
     reduce,
+    staged_oracle,
     strong_close_orbit,
     translation_oracle,
     tree_extend,
@@ -830,11 +833,90 @@ def test_the_order_check_misses_the_window_where_a_full_scan_would_first():
 
 
 def test_many_extensions_still_checks_each_option(monkeypatch):
-    """Without the group clause, (0, 1) makes 0 a fixed point of g1·x, and the check says so."""
+    """Without the group clause, (0, 1) makes 0 a fixed point of g1·x, and the check says so.
+
+    Under g-5·x the options (0, 1) .. (4, 5) are clean and (5, 4) is the
+    first to gain: the walk checks its options together, and names the
+    first that gains in walk order, as checking each as it came would.
+    """
     c = plain_condition(None, [Word((group(1), X))])
     monkeypatch.setattr(W, "graph_restriction", lambda words, oracle: frozenset({0}))
     with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(0, 1\)"):
         many_extensions(c, FullInjectiveTree(), (), 3, TRANS)
+    c = plain_condition(None, [Word((group(-5), X))])
+    clean = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5)]
+    for k, v in clean:
+        leq(plain_condition(c.s.with_pair(k, v), c.words), c, TRANS)
+    with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(5, 4\)$"):
+        many_extensions(c, FullInjectiveTree(), (), 12, TRANS)
+
+
+def _staged_walks():
+    """(c, tree, start node, count, oracle) over one sealed stage of window 6 to 19.
+
+    Full and sparse trees, maps with values up to a few past the window, and
+    g·x words for g = g0, its inverse and its square: a walk that runs past
+    the window misses there, in its own evaluation or in an option's check.
+    """
+    rng = random.Random(25)
+    trees = [FullInjectiveTree(), SparseCongruenceTree(1, 2), SparseCongruenceTree(6, 5)]
+    for _ in range(40):
+        window = rng.randrange(6, 20)
+        perm = list(range(window))
+        rng.shuffle(perm)
+        stage = CompletedStage(dagger_condition((), PartialInjection(enumerate(perm))),
+                               staged_oracle([]))
+        oracle = staged_oracle([stage])
+        g = oracle.generator(0)
+        handles = rng.choice([[g], [g, oracle.invert(g)], [oracle.compose(g, g)]])
+        words = [Word((group(h), X)) for h in handles] + [x_power(1)] * rng.randrange(2)
+        s = inj(helpers.random_injection(rng, rng.randrange(window // 2), window + 3))
+        tree = rng.choice(trees)
+        start, _ = helpers.per_call_walk(plain_condition(), tree, (), rng.randrange(3), TRIV)
+        yield plain_condition(s, words), tree, start, rng.randrange(2 * window), oracle
+
+
+def _same_outcome_as_the_per_option_walk(walk, checks):
+    """None when both walks return the same, else the type both raise, with the same text;
+    and the checks of the per-option walk that passed, read off the certificates `checks` holds."""
+    before = len(checks)
+    try:
+        expected = helpers.per_option_walk(*walk)
+    except OrbitCodeError as exc:
+        checked = len(checks) - before
+        with pytest.raises(OrbitCodeError) as raised:
+            many_extensions(*walk)
+        assert type(raised.value) is type(exc), (raised.value, exc)
+        assert str(raised.value) == str(exc)
+        assert getattr(raised.value, "required", None) == getattr(exc, "required", None)
+        return type(exc), checked
+    checked = len(checks) - before
+    assert many_extensions(*walk) == expected
+    return None, checked
+
+
+def test_the_walk_agrees_with_the_per_option_walk(monkeypatch):
+    """Same node and options, or the same failure, first in walk order, with the same `required`.
+
+    Among the staged walks, some return, some miss before any check of the
+    per-option walk passes, and some miss after one or several have.
+    """
+    checks = []
+
+    def counted(*args):
+        cert = leq(*args)
+        checks.append(cert)
+        return cert
+
+    monkeypatch.setattr(F, "leq", counted)
+    assert {_same_outcome_as_the_per_option_walk(walk, checks)[0]
+            for walk in _random_walks()} == {None}
+    outcomes = Counter()
+    for walk in _staged_walks():
+        outcome, checked = _same_outcome_as_the_per_option_walk(walk, checks)
+        outcomes[outcome, min(checked, 2)] += 1
+    assert set(outcomes) == {(None, 1), (None, 2), (WindowTooSmall, 0),
+                             (WindowTooSmall, 1), (WindowTooSmall, 2)}, outcomes
 
 
 def _word_of_tokens(tokens):

@@ -4,9 +4,10 @@ tools/growth_curve.py prints the coding columns, with verify's wall time,
 for n = 32 to 512, and the letters a staged verify evaluates.  A dagger
 step writes its delta alone, so its bytes do not grow with the word set E
 a run has built up.  A tree step's walk stops at the first option past its
-bound, so it checks no option it does not use.  The order check evaluates
-E's roots alone, never their powers, and a build validates a candidate only
-after the order check has carried its memos, so it evaluates no root twice.
+bound, so it yields no option it does not use, and checks those it yields
+with one leq.  The order check evaluates E's roots alone, never their
+powers, and a build validates a candidate only after the order check has
+carried its memos, so it evaluates no root twice.
 """
 
 import json
@@ -101,8 +102,19 @@ def test_dagger_trace_bytes_per_step_do_not_grow_with_the_word_set():
     assert per_step[8] <= 1.2 * per_step[4], per_step
 
 
+def _ten_tree_pairs_schedule():
+    """x, ten full trees each followed by a sparse tree of seed 0..9, then hits 0..7."""
+    schedule = [WordAdded(x_power(1))]
+    for seed in range(10):
+        trees = (FullInjectiveTree(), SparseCongruenceTree(seed))
+        schedule += [TreeDiagonalized(tree) for tree in trees]
+    for i in range(8):
+        schedule += [DomainHits(i), RangeHits(i)]
+    return schedule
+
+
 def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monkeypatch):
-    """x, ten full trees each followed by a sparse tree of seed 0..9, then hits 0..7.
+    """The twenty walks of _ten_tree_pairs_schedule.
 
     A walk that collected more than the bound's worth of options, keeping
     the least one past it, yielded 728 options on this schedule.
@@ -116,14 +128,34 @@ def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monk
         return node, options
 
     monkeypatch.setattr(F, "many_extensions", counted)
-    schedule = [WordAdded(x_power(1))]
-    for seed in range(10):
-        trees = (FullInjectiveTree(), SparseCongruenceTree(seed))
-        schedule += [TreeDiagonalized(tree) for tree in trees]
-    for i in range(8):
-        schedule += [DomainHits(i), RangeHits(i)]
-    run(Flavor.PLAIN, None, schedule, trivial_oracle())
+    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
     assert len(yielded) == 20 and sum(yielded) <= 728 // 2, yielded
+
+
+def test_each_tree_walk_runs_one_leq(monkeypatch):
+    """The twenty walks of _ten_tree_pairs_schedule run leq twenty times: one per walk.
+
+    A walk that checked each option as it came ran leq once per option.
+    """
+    inside = []
+    checks = []
+    leq, walk = F.leq, F.many_extensions
+
+    def counted_leq(*args):
+        checks.append(bool(inside))
+        return leq(*args)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return walk(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(F, "leq", counted_leq)
+    monkeypatch.setattr(F, "many_extensions", flagged)
+    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
+    assert checks.count(True) == 20
 
 
 def _targets(code):

@@ -532,3 +532,43 @@ def test_the_root_rule_agrees_with_the_per_word_scan_on_every_small_extension():
                 assert refusal == f"word {text!r} changed fixed points (gained {gains[least]})"
                 refusals += 1
     assert (checks, refusals) == (24050, 10119)
+
+
+def _together_and_merged(powers, graph, s):
+    """Per set of one or two fresh pairs with k, v ≤ 5: the gains over s = graph plus
+    all of them, and the merge of the gains over s plus each alone."""
+    alone = {}
+    for new in _one_or_two_new_pairs(graph, range(6)):  # every single pair first
+        got = gained_fixed_points(powers, s.with_pairs(new), s, TRANS)
+        together = {power: set(points) for power, points in got.items()}
+        if len(new) == 1:
+            alone[new[0]] = together
+        merged = {}
+        for pair in new:
+            for power, points in alone[pair].items():
+                merged[power] = merged.get(power, set()) | points
+        yield together, merged
+
+
+def test_single_x_words_gain_under_fresh_pairs_what_each_pair_gains_alone():
+    """Every s on {0..3}; one or two of x, g1.x, g-1.x, g2.x; one or two fresh pairs, k, v ≤ 5.
+
+    A single-x word is g·x, so under s plus fresh pairs it gains a fixed
+    point only at a new k, and only when g(v) = k for k's pair: the gains
+    over all the pairs are the merge of each pair's gains alone, which is
+    why forcing.many_extensions checks its options with one leq.  x^2 has
+    two x's, and for it the two differ.
+    """
+    singles = [parse_word(text, TRANS) for text in ("x", "g1.x", "g-1.x", "g2.x")]
+    sets = [words for count in (1, 2) for words in itertools.combinations(singles, count)]
+    maps = [(graph, inj(graph)) for graph in _all_partial_injections(range(4))]
+    cases = 0
+    for graph, s in maps:
+        for words in sets:
+            for together, merged in _together_and_merged(_powers(words), graph, s):
+                assert together == merged, (graph, words)
+                cases += 1
+    assert cases == 10 * 13158
+    square = _powers([x_power(2)])
+    assert any(together != merged for graph, s in maps
+               for together, merged in _together_and_merged(square, graph, s))

@@ -29,6 +29,16 @@ letters of the words handed to `words.evaluate`:
 
 and `verify_s`, the median over REPEATS runs of verifying them all.
 
+Last, over TREE_INPUTS trees-40 inputs (`bench/workloads.py`, drawn from
+`random.Random(TREE_SEED)` as that workload draws them), it prints what the
+tree walks (`forcing.many_extensions`) do while those inputs are built:
+
+- `walk options`, the options they yield, beside PER_OPTION_OPTIONS, the
+  figure when a walk checked each option with its own `leq` as it came: the
+  walk itself is the same, so the two agree;
+- `walk leq calls`, the `leq` calls made inside them, beside
+  PER_OPTION_LEQ_CALLS, one per option then, one per walk now.
+
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 512
 
 Run from the root of a checkout; the library is imported from `src/`.
@@ -37,6 +47,7 @@ Run from the root of a checkout; the library is imported from `src/`.
 from __future__ import annotations
 
 import json
+import random
 import statistics
 import sys
 import time
@@ -58,6 +69,10 @@ REPEATS = 7
 VALIDATE_FIRST_LETTERS = 26_260
 PER_WORD_LETTERS = 191_623
 FRESH_FACTS_WORDS = 3_840
+TREE_INPUTS = 4
+TREE_SEED = 7
+PER_OPTION_OPTIONS = 4_308
+PER_OPTION_LEQ_CALLS = 4_308
 
 
 def coding_text(n: int) -> tuple[str, int]:
@@ -146,6 +161,36 @@ def examined_words(action) -> int:
     return examined
 
 
+def walk_counts() -> tuple[int, int]:
+    """Options the tree walks yield, and leq calls inside them, as the trees-40 inputs build."""
+    workload = WORKLOADS["trees-40"]
+    leq, walk = F.leq, F.many_extensions
+    inside = options = calls = 0
+
+    def counting_leq(*args):
+        nonlocal calls
+        calls += inside
+        return leq(*args)
+
+    def counting_walk(*args):
+        nonlocal inside, options
+        inside += 1
+        try:
+            node, found = walk(*args)
+        finally:
+            inside -= 1
+        options += len(found)
+        return node, found
+
+    F.leq, F.many_extensions = counting_leq, counting_walk
+    try:
+        for inp in workload.inputs(random.Random(TREE_SEED), TREE_INPUTS):
+            workload.build(inp)
+    finally:
+        F.leq, F.many_extensions = leq, walk
+    return options, calls
+
+
 def main() -> int:
     print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
           f" {'verify_ms':>10} {'x':>5}")
@@ -169,6 +214,12 @@ def main() -> int:
     examined = examined_words(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
     print(f"  verify facts words {examined:>5} (from scratch {FRESH_FACTS_WORDS},"
           f" {examined / FRESH_FACTS_WORDS:.3f}x)")
+    options, calls = walk_counts()
+    print(f"\ntrees-40, {TREE_INPUTS} inputs of seed {TREE_SEED}:")
+    print(f"  walk options {options:>7} (per-option walk {PER_OPTION_OPTIONS},"
+          f" {options / PER_OPTION_OPTIONS:.3f}x)")
+    print(f"  walk leq calls {calls:>5} (per-option walk {PER_OPTION_LEQ_CALLS},"
+          f" {calls / PER_OPTION_LEQ_CALLS:.3f}x)")
     return 0
 
 
