@@ -548,10 +548,11 @@ def verify_trace_data(data: Mapping) -> None:
     a fixed point, validate, and meet its schedule entry; a step other than
     a tree step whose entry the condition before it already met must add
     nothing, as the engine does; and last, its `upper_sum` must be the
-    running sum.  So a step parses and inserts only its delta, though
-    with_pairs copies lower's maps, and no fixed-point set is read off the
-    wire.  The final condition and decoded bits must recompute; Refused
-    names the first claim that fails, and the step it fails at.
+    running sum.  So a step parses and inserts only its delta, with_pairs
+    makes its map a new version of lower's without copying it, and no
+    fixed-point set is read off the wire.  The final condition and decoded
+    bits must recompute; Refused names the first claim that fails, and the
+    step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:

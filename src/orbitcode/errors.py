@@ -1,12 +1,35 @@
 """Exception types shared across the package."""
 
+from collections.abc import Callable
+
 
 class OrbitCodeError(Exception):
     """Base class for package errors."""
 
 
 class Refused(OrbitCodeError):
-    """A check (validate, leq, a verifier) said no; the message names the clause."""
+    """A check (validate, leq, a verifier) said no; the message names the clause.
+
+    Most clauses give their message as `clause`.  A clause whose message
+    costs work to write, as leq's gain clause formats the words that gain,
+    gives instead the key of the clause as `clause`, a `render` function and
+    the `fields` it reads: the message is render(**fields), written the
+    first time it is read, so a caller that catches the refusal and moves on,
+    as a least-value scan does with each candidate it refuses, never pays
+    for it.  `fields` hold what the check found and stay on the refusal.
+    """
+
+    def __init__(self, clause: str, render: Callable[..., str] | None = None, **fields):
+        super().__init__(clause)
+        self.clause = clause
+        self.fields = fields
+        self._render = render
+
+    def __str__(self) -> str:
+        if self._render is not None:
+            self.args = (self._render(**self.fields),)
+            self._render = None
+        return super().__str__()
 
 
 class UnknownGroupElement(OrbitCodeError):

@@ -25,22 +25,28 @@ A check that says no raises Refused naming the clause, and an operation
 lets it propagate.  All tie-breaking picks the least value, so runs are
 reproducible bit for bit.
 
+A least-value scan (_least_admissible) tries candidates until one passes,
+so a refused candidate costs only its check: its map is a new version of
+the condition's (injections.PartialInjection), made in O(its new pairs) and
+undone as cheaply when the scan moves on; its Condition is built directly;
+and leq's refusal formats the words that gain only if its message is read.
+
 The orbit-order rule lives in injections.closed_and_gap, and the dagger
 closure rule in words.closure, which add_word builds E from and validate
 checks once per root and word set (_word_facts).  The dagger code of a root
 v is read off v[s]'s cycle counts, injections.word_cycle_counts, which
 validate, add_word and strong_close_orbit share: a memo that leq carries
 to each certified candidate, so a step costs O(its new pairs).  The
-fresh-point clause is _fresh_point_ok, checked against one set of used
-points per closure and searched by _least_fresh for both close_orbit's
-chain, from the gap, and strong_close_orbit's cycle.
+fresh-point clause is _fresh_point_ok, checked against one _Used view of
+the used points per closure and searched by _least_fresh for both
+close_orbit's chain, from the gap, and strong_close_orbit's cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Iterable, Sequence
 
@@ -251,9 +257,14 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
     point, can one be gained.  injections.gained_fixed_points evaluates E's
     roots there alone; an empty E needs no look at the pairs at all.  lower
     must be valid, so that its words are reduced and end in x; a word of
-    any other shape raises PreconditionViolated.  A refusal raises Refused.
+    any other shape raises PreconditionViolated.  A refusal raises Refused;
+    a gain raises the clause "leq-fixed-points" with the gains by (root,
+    exponent) and the oracle as its fields, and its message, the least
+    gaining word in text order with the points it gains, is formatted only
+    when read (_gain_text).
     """
-    if upper.flavor is not lower.flavor or upper.target != lower.target:
+    target = upper.target
+    if upper.flavor is not lower.flavor or (target is not lower.target and target != lower.target):
         raise Refused("flavor or target mismatch")
     if not upper.s.extends(lower.s):
         raise Refused("injection does not extend")
@@ -265,10 +276,15 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
             I.require_shape(w, oracle)
         gains = I.gained_fixed_points(facts.powers(oracle), upper.s, lower.s, oracle)
         if gains:
-            text, gained = min((W.format_word(W.Word(v.letters * j), oracle), sorted(p))
-                               for (v, j), p in gains.items())
-            raise Refused(f"word {text!r} changed fixed points (gained {gained})")
+            raise Refused("leq-fixed-points", _gain_text, gains=gains, oracle=oracle)
     return ExtensionCertificate(lower, upper)
+
+
+def _gain_text(gains: dict, oracle) -> str:
+    """leq's gain clause: the least gaining word in text order, and the points it gains."""
+    text, gained = min((W.format_word(W.Word(v.letters * j), oracle), sorted(p))
+                       for (v, j), p in gains.items())
+    return f"word {text!r} changed fixed points (gained {gained})"
 
 
 def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
@@ -289,7 +305,8 @@ def _least_admissible(
         if v in taken:
             continue
         try:
-            return _admissible(c, replace(c, s=c.s.with_pair(*pair_at(v))), oracle)
+            candidate = Condition(c.s.with_pair(*pair_at(v)), c.words, c.flavor, c.target)
+            return _admissible(c, candidate, oracle)
         except Refused:
             pass
     raise InternalCheckFailed(f"no admissible {what} up to {_SCAN_CAP}")
@@ -366,7 +383,9 @@ def many_extensions(
             raise PreconditionViolated(
                 f"word {W.format_word(w, oracle)!r} has more than one x"
             )
-    handles = W.graph_restriction(c.words, oracle)
+    # the identity maps p to p, so it is answered here and never asks the oracle;
+    # the other handles keep their order, so a window miss is the same one
+    handles = [(h, oracle.is_identity(h)) for h in W.graph_restriction(c.words, oracle)]
     dom, ran = c.s.domain, c.s.range
     current = tuple(node)
     barred = T.Barred(itertools.chain(current, ran))
@@ -375,18 +394,18 @@ def many_extensions(
     try:
         while True:
             j = len(current)
-            barred.once = frozenset([oracle.eval(h, j) for h in handles])
+            barred.once = frozenset([j if same else oracle.eval(h, j) for h, same in handles])
             grown = tree.extend_avoiding(current, barred)
             barred.update(grown[j:])
             for k in range(j, len(grown)):
                 v = grown[k]
                 if k in dom or v in ran:
                     continue
-                if k > j and any(oracle.eval(h, k) == v for h in handles):
+                if k > j and any((k if same else oracle.eval(h, k)) == v for h, same in handles):
                     continue
                 options.append((k, v))
                 if v >= count:
-                    leq(replace(c, s=c.s.with_pairs(options)), c, oracle)
+                    leq(Condition(c.s.with_pairs(options), c.words, c.flavor, c.target), c, oracle)
                     return grown, tuple(options)
             current = grown
             stall_budget -= 1
@@ -395,7 +414,7 @@ def many_extensions(
     except OrbitCodeError:
         for k, v in options:
             try:
-                leq(replace(c, s=c.s.with_pair(k, v)), c, oracle)
+                leq(Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target), c, oracle)
             except Refused as exc:
                 raise InternalCheckFailed(
                     f"avoidance clauses missed a fixed point at ({k}, {v})"
@@ -436,7 +455,8 @@ def tree_extend(
     bound = avoidance_bound(c, oracle)
     grown, options = many_extensions(scratch, tree, node, bound, oracle)
     k0, v0 = options[-1]
-    return _admissible(c, replace(c, s=c.s.with_pair(k0, v0)), oracle), grown, k0
+    upper = Condition(c.s.with_pair(k0, v0), c.words, c.flavor, c.target)
+    return _admissible(c, upper, oracle), grown, k0
 
 
 def closing_threshold(c: Condition, n: int) -> int:
@@ -444,13 +464,33 @@ def closing_threshold(c: Condition, n: int) -> int:
     return I.orbit_of(c.s, n).size + c.max_word_length
 
 
+class _Used:
+    """A closure's used points: its condition's support, read off the map, and the points it picked.
+
+    The support is not copied, so a closure costs O(the points it picks).
+    """
+
+    __slots__ = ("_s", "_picked")
+
+    def __init__(self, s: I.PartialInjection):
+        self._s = s
+        self._picked: set[int] = set()
+
+    def __contains__(self, p: int) -> bool:
+        s = self._s
+        return p in self._picked or s.apply(p) is not None or s.apply_inverse(p) is not None
+
+    def add(self, p: int) -> None:
+        self._picked.add(p)
+
+
 def _fresh_point_ok(
-    b: int, bound: int, used: set[int], handles, oracle, back: tuple[int, ...] = ()
+    b: int, bound: int, used: _Used, handles, oracle, back: tuple[int, ...] = ()
 ) -> bool:
     """The fresh-point clause: above the bound (-1 for chain points), no collisions.
 
-    `used` is one set per closure: the condition's support, grown in place
-    by every point the closure picks.  `back` exempts the intended group
+    `used` is one per closure: the condition's support, grown by every
+    point the closure picks.  `back` exempts the intended group
     edge: a point forced as g(a) is mapped back onto a by g^-1, and above
     the pairwise bound no other handle can reach a, so allowing exactly
     that image loses nothing.
@@ -489,7 +529,7 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     if k <= threshold:
         raise KTooSmall(f"need k > {threshold}, got {k}")
 
-    used = set(c.s.support)
+    used = _Used(c.s)
     base, size, exit_ = c, orbit.size, orbit.exit
     if n not in used:
         # anchor the isolated point with a fresh image so the size arithmetic
@@ -510,9 +550,8 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
         used.add(route[-1])
         start = route[-1] + 1
     route.append(orbit.entry)
-    closed = replace(
-        base, s=base.s.with_pairs((route[i], route[i + 1]) for i in range(len(route) - 1))
-    )
+    s = base.s.with_pairs(zip(route, route[1:]))
+    closed = Condition(s, base.words, base.flavor, base.target)
 
     final_orbit = I.orbit_of(closed.s, n)
     if not final_orbit.closed or final_orbit.size != k:
@@ -558,7 +597,7 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
     before = I.word_cycle_counts(v, c.s, oracle)
     handles = _nonidentity_handles(list(c.words) + [v], oracle)
     bound = avoidance_bound(c, oracle, extra_words=[v], pairwise=True)
-    used = set(c.s.support)
+    used = _Used(c.s)
     letters = v.letters * k
     m = len(letters)
 
@@ -604,7 +643,7 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
             pairs.append((points[target], points[i]))
     pairs.append((points[0], points[first]))
     # certified first, the closure carries v's memo when v^(k-1) is in E
-    cert = _admissible(c, replace(c, s=c.s.with_pairs(pairs)), oracle)
+    cert = _admissible(c, Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target), oracle)
 
     # v[s] only grows, so its cycles before are cycles after: compare the counts
     after = I.word_cycle_counts(v, cert.upper.s, oracle)
@@ -635,7 +674,7 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
     if not W.is_admissible(w, oracle):
         raise PreconditionViolated(f"not an admissible word: {W.format_word(w, oracle)!r}")
     if c.flavor is not Flavor.DAGGER:
-        return _admissible(c, replace(c, words=c.words | {w}), oracle)
+        return _admissible(c, Condition(c.s, c.words | {w}, c.flavor, c.target), oracle)
     v, k = W.indecomposable_root(w, oracle)
     cert = None
     if k > 1 and W.power(v, k - 1, oracle) not in c.words:
@@ -654,7 +693,8 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
             if I.word_cycle_counts(v, current.s, oracle).get(k, 0) % 2 != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
     closed = current.words.union(W.closure(v, k, oracle))
-    return chain(cert, _admissible(current, replace(current, words=closed), oracle))
+    upper = Condition(current.s, closed, current.flavor, current.target)
+    return chain(cert, _admissible(current, upper, oracle))
 
 
 def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
@@ -758,7 +798,7 @@ def verify_certificate_data(
         text = min(W.format_word(w, oracle) for w in words & lower.words)
         raise ValueError(f"delta word {text!r} is already in the lower condition")
     s = lower.s.with_pairs(pairs) if pairs else lower.s
-    upper = replace(lower, s=s, words=lower.words | words)
+    upper = Condition(s, lower.words | words, lower.flavor, lower.target)
     try:
         return leq(upper, lower, oracle)
     except Refused as exc:

@@ -31,7 +31,6 @@ word_graph is the full scan.
 from __future__ import annotations
 
 import bisect
-import weakref
 from itertools import takewhile
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -43,150 +42,267 @@ from .errors import NotNiceInjection, PreconditionViolated, WindowTooSmall
 class PartialInjection:
     """Immutable finite injective partial map ω → ω with inverse lookup.
 
+    The maps that with_pair and with_pairs make from one another are
+    versions of one persistent map, kept by shallow binding (Baker,
+    "Shallow binding makes functional arrays fast", 1991).  One version
+    owns the forward and backward dicts, `_fwd` and `_bwd`; every other
+    holds a link, `_toward`, to a neighbouring version, and the pairs it has
+    beyond that neighbour or lacks against it, `_diff` (`_adds` tells
+    which).  Links run toward the owner, so the owner, normally the newest
+    version, keeps no other version alive.  Reading a version that does not
+    own the dicts re-roots it first: the diffs on the links between it and
+    the owner are undone or redone in the dicts, in order, and each link is
+    turned around.  So a new version costs O(its new pairs), not O(|s|), and
+    a least-value scan moving to its next candidate undoes only the one
+    before it.  A map made by with_pairs and the map it was made from are
+    neighbours, so extends and pairs_beyond between the two read the pairs
+    on their link, and between versions a few links apart, the pairs on
+    those links (see _beyond).  Each version keeps its own size.  The dicts
+    iterate in the order the owner's pairs were inserted, as a copy would.
+
     Orbit queries read a private index, built on the first one by linking
     the pairs one at a time and then kept as pairs are added: with_pair and
-    with_pairs copy a built index and link only the new pairs, and leave the
-    child unindexed otherwise, so a map nobody asks about orbits never
-    builds one.  The index holds every orbit either as an open path, by its
-    entry ↔ exit, or as a closed cycle, whole and in min-order; a new pair
-    (n, m) runs from an exit (or fresh point) n to an entry (or fresh point)
-    m, so it joins two paths or closes one.
+    with_pairs copy a built index, O(open paths + cycle sizes), and link
+    only the new pairs, and leave the child unindexed otherwise, so a map
+    nobody asks about orbits never builds one.  The index holds every orbit
+    either as an open path, by its entry ↔ exit, or as a closed cycle, whole
+    and in min-order; a new pair (n, m) runs from an exit (or fresh point) n
+    to an entry (or fresh point) m, so it joins two paths or closes one.
 
     Checks on words read a second private memo, `_fixes`: per root and
     oracle, the root's graph on this map and where its other evaluations
     stopped (see _WordGraph).  Once this map is certified to extend another,
-    `_source` holds that map, the new pairs, and what the points they reach
-    evaluate to under this map, so each memo is carried forward on first
-    use.
-
-    A map made by with_pair or with_pairs keeps a weak link to the map it
-    was made from, `_parent`, and the pairs it inserted beyond it, `_new`,
-    so that extends and pairs_beyond cost O(new pairs) against that map.
-    The link is weak, so a map keeps none of its ancestors alive.
+    `_source` holds that map's memos, the new pairs, and what the points
+    they reach evaluate to under this map, so each memo is carried forward
+    on first use.  It holds the memos and not the map, since the map may
+    link to this one: a cycle would outlive a dropped candidate until the
+    garbage collector ran.
     """
 
-    __slots__ = ("_fwd", "_bwd", "_index", "_fixes", "_source", "_parent", "_new", "__weakref__")
+    __slots__ = ("_fwd", "_bwd", "_size", "_toward", "_diff", "_adds", "_index", "_fixes",
+                 "_source")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        self._fwd: dict[int, int] = {}
-        self._bwd: dict[int, int] = {}
+        self._fwd: dict[int, int] | None = {}
+        self._bwd: dict[int, int] | None = {}
+        self._size = 0
+        self._toward: PartialInjection | None = None
+        self._diff: tuple[tuple[int, int], ...] = ()
+        self._adds = False
         self._index: _OrbitIndex | None = None
         self._fixes: dict | None = None
         self._source: tuple | None = None
-        self._parent: weakref.ref | None = None
-        self._new: tuple[tuple[int, int], ...] = ()
         self._add(pairs)
 
     def _add(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-        """Insert pairs into a map still being built; an identical repeat is skipped.
+        """Insert pairs into a map still being built, no version made from it yet.
 
-        Returns the pairs inserted, in order.
+        An identical repeat is skipped.  Returns the pairs inserted, in order.
+        A pair that clashes raises ValueError and takes the pairs before it
+        out of the dicts again, not out of an orbit index, so a map that
+        raised here is dropped.
         """
-        fwd, bwd, index = self._fwd, self._bwd, self._index
+        fwd, bwd, index = self._live(), self._bwd, self._index
         inserted = []
-        for n, m in pairs:
-            if n < 0 or m < 0:
-                raise ValueError(f"negative point in pair ({n}, {m})")
-            if n in fwd:
-                if fwd[n] == m:
-                    continue
-                raise ValueError(f"{n} mapped twice: {fwd[n]} and {m}")
-            if m in bwd:
-                raise ValueError(f"{m} hit twice: by {bwd[m]} and {n}")
-            fwd[n] = m
-            bwd[m] = n
-            inserted.append((n, m))
-            if index is not None:
-                index.link(fwd, n, m)
+        try:
+            for n, m in pairs:
+                if n < 0 or m < 0:
+                    raise ValueError(f"negative point in pair ({n}, {m})")
+                if n in fwd:
+                    if fwd[n] == m:
+                        continue
+                    raise ValueError(f"{n} mapped twice: {fwd[n]} and {m}")
+                if m in bwd:
+                    raise ValueError(f"{m} hit twice: by {bwd[m]} and {n}")
+                fwd[n] = m
+                bwd[m] = n
+                inserted.append((n, m))
+                if index is not None:
+                    index.link(fwd, n, m)
+        except BaseException:
+            for n, m in inserted:
+                del fwd[n]
+                del bwd[m]
+            raise
+        self._size += len(inserted)
         return inserted
+
+    def _live(self) -> dict[int, int]:
+        """The forward dict, this version re-rooted to own it first if it does not."""
+        fwd = self._fwd
+        return self._reroot() if fwd is None else fwd
+
+    def _reroot(self) -> dict[int, int]:
+        """Move the dicts to this version along its links, turning each link around."""
+        path = []
+        owner = self
+        while owner._fwd is None:
+            path.append(owner)
+            owner = owner._toward
+        fwd, bwd = owner._fwd, owner._bwd
+        for version in reversed(path):
+            # version is owner plus its diff, or owner less it
+            diff = version._diff
+            if version._adds:
+                for n, m in diff:
+                    fwd[n] = m
+                    bwd[m] = n
+            else:
+                for n, m in diff:
+                    del fwd[n]
+                    del bwd[m]
+            owner._fwd = owner._bwd = None
+            owner._toward, owner._diff, owner._adds = version, diff, not version._adds
+            version._fwd, version._bwd = fwd, bwd
+            version._toward, version._diff, version._adds = None, (), False
+            owner = version
+        return fwd
+
+    def _both(self, other: "PartialInjection") -> tuple[dict[int, int], dict[int, int]]:
+        """The forward dicts of self and other at once: other's a copy if they share one."""
+        theirs = other._live()
+        mine = self._live()
+        if mine is theirs:
+            theirs = dict(other._live())
+            mine = self._live()
+        return mine, theirs
 
     def _orbits(self) -> "_OrbitIndex":
         if self._index is None:
             # linking against the whole map is exact: a pair that closes a
             # cycle walks only pairs of the path it closes, all linked before
+            fwd = self._live()
             index = _OrbitIndex()
-            for n, m in self._fwd.items():
-                index.link(self._fwd, n, m)
+            for n, m in fwd.items():
+                index.link(fwd, n, m)
             self._index = index
         return self._index
 
     def apply(self, n: int) -> int | None:
-        return self._fwd.get(n)
+        try:
+            return self._fwd.get(n)
+        except AttributeError:  # another version owns the dicts
+            return self._reroot().get(n)
 
     def apply_inverse(self, m: int) -> int | None:
-        return self._bwd.get(m)
+        try:
+            return self._bwd.get(m)
+        except AttributeError:  # another version owns the dicts
+            self._reroot()
+            return self._bwd.get(m)
 
     @property
     def domain(self) -> frozenset[int]:
-        return frozenset(self._fwd)
+        return frozenset(self._live())
 
     @property
     def range(self) -> frozenset[int]:
+        self._live()
         return frozenset(self._bwd)
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._fwd) | frozenset(self._bwd)
+        return frozenset(self._live()) | frozenset(self._bwd)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._fwd.items()))
+        return tuple(sorted(self._live().items()))
 
     def as_dict(self) -> dict[int, int]:
-        return dict(self._fwd)
+        return dict(self._live())
 
     def with_pair(self, n: int, m: int) -> "PartialInjection":
-        if n in self._fwd:
+        if n in self._live():
             raise ValueError(f"{n} already in domain")
         if m in self._bwd:
             raise ValueError(f"{m} already in range")
         return self.with_pairs(((n, m),))
 
     def with_pairs(self, new: Iterable[tuple[int, int]]) -> "PartialInjection":
+        """This map plus the pairs `new`, as the version that now owns the dicts.
+
+        A clash raises ValueError and leaves this map as it was.
+        """
         child = PartialInjection.__new__(PartialInjection)
-        child._fwd = dict(self._fwd)
-        child._bwd = dict(self._bwd)
+        child._fwd, child._bwd, child._size = self._live(), self._bwd, self._size
+        child._toward, child._diff, child._adds = None, (), False
         child._index = None if self._index is None else self._index.copy()
         child._fixes = child._source = None
-        child._parent = weakref.ref(self)
-        child._new = tuple(child._add(new))
+        inserted = tuple(child._add(new))  # a clash leaves the dicts as they were, and self's
+        self._fwd = self._bwd = None
+        self._toward, self._diff, self._adds = child, inserted, False
         return child
 
-    def _made_from(self, other: "PartialInjection") -> bool:
-        return self._parent is not None and self._parent() is other
+    def _beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...] | None:
+        """The pairs self adds to other, in insertion order, if the links between them show it.
+
+        Made from other, self is its neighbour.  Otherwise the links from
+        self that add pairs and those from other that take pairs away are
+        walked, each only while the sizes allow the two walks to meet: if
+        they meet at M, then self is M plus pairs and M is other plus pairs.
+        None if they do not meet.
+        """
+        if self._toward is other and self._adds:
+            return self._diff
+        if other._toward is self and not other._adds:
+            return other._diff
+        above = [self]  # self, then each version the one before it adds pairs to
+        while above[-1]._adds and above[-1]._toward._size >= other._size:
+            above.append(above[-1]._toward)
+        at = {id(version): i for i, version in enumerate(above)}
+        below, version = [], other  # other, then each version it takes pairs away from
+        while id(version) not in at:
+            toward = version._toward
+            if version._adds or toward is None or toward._size > self._size:
+                return None
+            below += version._diff
+            version = toward
+        return tuple(below) + tuple(p for v in reversed(above[: at[id(version)]]) for p in v._diff)
 
     def extends(self, other: "PartialInjection") -> bool:
-        return self is other or self._made_from(other) or self._fwd.items() >= other._fwd.items()
+        if self is other or self._beyond(other) is not None:
+            return True
+        mine, theirs = self._both(other)
+        return mine.items() >= theirs.items()
 
     def pairs_beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...]:
         """The pairs of self outside other, for self extending other.
 
         For the map self was made from, the pairs with_pairs inserted, in
-        order (none for other itself); otherwise a set difference over the domain.
+        order (none for other itself), and for a version a few links away
+        the pairs on those links, in the order they were inserted (see
+        _beyond); otherwise a set difference over the domain.
         """
         if self is other:
             return ()
-        if self._made_from(other):
-            return self._new
-        fwd = self._fwd
-        return tuple((n, fwd[n]) for n in fwd.keys() - other._fwd.keys())
+        new = self._beyond(other)
+        if new is not None:
+            return new
+        mine, theirs = self._both(other)
+        return tuple((n, mine[n]) for n in mine.keys() - theirs.keys())
 
     def __len__(self) -> int:
-        return len(self._fwd)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._fwd)
+        return self._size > 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialInjection):
             return NotImplemented
-        return self._fwd == other._fwd
+        if self is other:
+            return True
+        if self._size != other._size:
+            return False
+        mine, theirs = self._both(other)
+        return mine == theirs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._fwd.items()))
+        return hash(frozenset(self._live().items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}->{m}" for n, m in self.pairs())
         return f"PartialInjection({{{inner}}})"
+
 
 
 @dataclass(frozen=True)
@@ -336,7 +452,8 @@ def closed_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
 
 
 def open_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
-    return s._orbits().paths(s._fwd)
+    index = s._orbits()
+    return index.paths(s._live())
 
 
 def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
@@ -473,11 +590,11 @@ def _carried(s: PartialInjection, key) -> _WordGraph | None:
     """
     if s._source is None:
         return None
-    source, new, found = s._source
-    memo = None if source._fixes is None else source._fixes.get(key)
+    fixes, new, found = s._source
+    memo = fixes.get(key)
     if memo not in found:
         return None
-    del source._fixes[key]
+    del fixes[key]
     values, stuck = found.pop(memo)
     for n, m in new:
         memo.stuck.pop(("x", n), None)
@@ -503,7 +620,7 @@ def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     if memo is None:
         require_shape(w, oracle)
         stuck: dict = {}
-        values = _evaluate_at(w, s, oracle, s._fwd, stuck, misses)
+        values = _evaluate_at(w, s, oracle, tuple(s._live()), stuck, misses)
         memo = _WordGraph(PartialInjection(values.items()), stuck)
         if misses:
             return memo
@@ -533,7 +650,7 @@ def gained_fixed_points(powers, upper: PartialInjection, lower: PartialInjection
             for j in [j for j in exponents if j % len(cycle) == 0]:
                 gains.setdefault((v, j), []).extend(cycle)
     if upper is not lower and found and not gains:
-        upper._source = (lower, new, found)
+        upper._source = (lower._fixes, new, found)
     return gains
 
 
@@ -554,7 +671,7 @@ def _closed_cycles(graph: PartialInjection, values: Mapping[int, int]) -> list[l
     kept aside: a key that link pops is never asked for again, since no two
     pairs share a point on the same side.
     """
-    index, fwd = graph._orbits(), graph._fwd
+    index, fwd = graph._orbits(), graph._live()
     entry_of: dict[int, int] = {}
     exit_of: dict[int, int] = {}
     cycles: list[list[int]] = []

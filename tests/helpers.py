@@ -10,8 +10,11 @@ condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
 `.contains`.  Only `refusal` and `holds` import from the package: its one
 refusal type, to read a check's text or verdict.  `per_option_walk` is the
 exception: a copy of the tree walk that checks each option with the
-package's own leq, to compare the walk that checks them together against.  The trace helpers read a
-serialized trace, plain JSON data, as the format describes it.
+package's own leq, to compare the walk that checks them together against.  So is
+`eager_gain_text`, a copy of the text leq wrote for its gain clause when it
+formatted it as it raised, to compare the text it now formats when read
+against.  The trace helpers read a serialized trace, plain JSON data, as the
+format describes it.
 """
 
 from __future__ import annotations
@@ -382,6 +385,15 @@ def refusal(call, *args) -> str:
     with pytest.raises(Refused) as refused:
         call(*args)
     return str(refused.value)
+
+
+def eager_gain_text(gains, oracle) -> str:
+    """leq's gain clause as leq wrote it when it raised: the least gaining word and its points."""
+    from orbitcode import words as W
+
+    text, gained = min((W.format_word(W.Word(v.letters * j), oracle), sorted(p))
+                       for (v, j), p in gains.items())
+    return f"word {text!r} changed fixed points (gained {gained})"
 
 
 def holds(call, *args) -> bool:

@@ -1077,3 +1077,77 @@ def test_certifying_a_one_pair_child_evaluates_each_root_once_at_its_new_point(m
     assert len(c.s) >= 10 and len(roots) == 2
     assert sorted(n for _, n in calls) == [far, far]
     assert {w for w, _ in calls} == roots
+
+
+def test_a_refused_candidate_formats_no_word_until_its_message_is_read(monkeypatch):
+    """leq's gain clause, and a scan past refused candidates, never call format_word.
+
+    format_word raises while it is barred, so a refusal formats its words
+    only once str() is read, and the text is then the one the clause pins.
+    """
+    c = plain_condition(inj({1: 0}), [x_power(1), x_power(2)])
+    validate(c, TRIV)
+    leq(c, c, TRIV)  # E's facts and the roots' memos, derived before the bar
+    barred = True
+    format_word = W.format_word
+
+    def guarded(w, oracle):
+        if barred:
+            raise AssertionError(f"format_word({w!r}) called before a message was read")
+        return format_word(w, oracle)
+
+    monkeypatch.setattr(W, "format_word", guarded)
+    candidate = F.Condition(c.s.with_pair(2, 2), c.words, c.flavor, c.target)
+    with pytest.raises(Refused) as refused:
+        leq(candidate, c, TRIV)
+    assert refused.value.clause == "leq-fixed-points"
+    # the scan's first candidate, (0, 1), closes a 2-cycle that x^2 fixes
+    assert extend_domain(c, 0, TRIV).upper.s.apply(0) == 2
+    barred = False
+    assert str(refused.value) == "word 'x' changed fixed points (gained [2])"
+
+
+def test_a_refused_candidate_copies_no_dict():
+    """1,000 one-pair candidates of a 20,000-pair map, kept alive, allocate O(1) each.
+
+    Copying both dicts of the map would take about 1.2 MB per candidate.
+    """
+    import tracemalloc
+
+    c = plain_condition(PartialInjection((2 * n, 2 * n + 1) for n in range(20_000)), [x_power(1)])
+    leq(c, c, TRIV)  # x's memo on the map, built before counting
+    kept = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1_000):
+            far = 40_001 + i
+            candidate = F.Condition(c.s.with_pair(far, far), c.words, c.flavor, c.target)
+            with pytest.raises(Refused):
+                leq(candidate, c, TRIV)
+            kept.append(candidate)
+        per_candidate = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_candidate < 2_000, per_candidate
+    assert kept[0].s.apply(40_001) == 40_001 and kept[-1].s.apply(40_001) is None
+    assert len(kept[0].s) == len(c.s) + 1 == 20_001
+
+
+def test_a_tree_walk_on_the_trivial_oracle_asks_it_nothing():
+    """The identity is the only handle: its images are read off, not evaluated."""
+
+    class Counting(type(TRIV)):
+        calls = 0
+
+        def eval(self, a, n):
+            Counting.calls += 1
+            return super().eval(a, n)
+
+    oracle = Counting()
+    schedule = [E.WordAdded(x_power(1)), E.DomainHits(0)]
+    trees = (FullInjectiveTree(), SparseCongruenceTree(3))
+    schedule += [E.TreeDiagonalized(tree) for tree in trees]
+    trace = E.run(Flavor.PLAIN, None, schedule, oracle)
+    assert Counting.calls == 0
+    assert E.run(Flavor.PLAIN, None, schedule, TRIV).steps == trace.steps

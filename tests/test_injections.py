@@ -572,3 +572,92 @@ def test_single_x_words_gain_under_fresh_pairs_what_each_pair_gains_alone():
     square = _powers([x_power(2)])
     assert any(together != merged for graph, s in maps
                for together, merged in _together_and_merged(square, graph, s))
+
+
+def _check_version(version, model):
+    """Every read of a persistent map version agrees with the plain dict it should be."""
+    assert len(version) == len(model) and bool(version) == bool(model)
+    for p in range(-1, 18):
+        assert version.apply(p) == model.get(p)
+    inverse = {m: n for n, m in model.items()}
+    for p in range(-1, 18):
+        assert version.apply_inverse(p) == inverse.get(p)
+    assert version.pairs() == tuple(sorted(model.items()))
+    assert version.as_dict() == model
+    assert version.domain == frozenset(model) and version.range == frozenset(inverse)
+    assert hash(version) == hash(frozenset(model.items()))
+    orbits = helpers.orbits_by_minimum(model)
+    assert [(o.ordered, o.closed) for o in orbit_decomposition(version)] == orbits
+    assert [o.ordered for o in closed_orbits(version)] == [o for o, closed in orbits if closed]
+    assert closed_and_gap(version)[1] == helpers.mex(
+        p for o, closed in orbits if closed for p in o
+    )
+
+
+@given(
+    st.dictionaries(st.integers(0, 15), st.integers(0, 15), max_size=6).filter(
+        lambda d: len(set(d.values())) == len(d)
+    ),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_persistent_versions_read_as_their_dict_models(base, data):
+    """with_pair / with_pairs chains from random older versions, then every version read back.
+
+    Clashing pairs must raise and leave the version they were offered to as
+    it was, and reads in between re-root the versions in random orders, so
+    some versions build an orbit index that their children copy.
+    """
+    versions = [(inj(base), dict(base))]
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        version, model = versions[data.draw(st.integers(0, len(versions) - 1), label="from")]
+        count = data.draw(st.integers(0, 3), label="count")
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, 17), st.integers(0, 17)), min_size=count,
+                     max_size=count),
+            label="pairs",
+        )
+        grown, clash = dict(model), False
+        for n, m in pairs:
+            if grown.get(n) == m:
+                continue
+            if n in grown or m in grown.values():
+                clash = True
+            grown[n] = m
+        single = len(pairs) == 1 and data.draw(st.booleans(), label="with_pair")
+        if clash or (single and pairs[0] in model.items()):
+            with pytest.raises(ValueError):
+                version.with_pair(*pairs[0]) if single else version.with_pairs(pairs)
+        else:
+            child = version.with_pair(*pairs[0]) if single else version.with_pairs(pairs)
+            versions.append((child, grown))
+            assert child.pairs_beyond(version) == tuple(
+                dict.fromkeys(p for p in pairs if p not in model.items())
+            )
+        if data.draw(st.booleans(), label="read one now"):
+            _check_version(*versions[data.draw(st.integers(0, len(versions) - 1), label="read")])
+    order = data.draw(st.permutations(range(len(versions))), label="order")
+    for i in order:
+        _check_version(*versions[i])
+    for i, j in zip(order, order[1:] + order[:1]):
+        (a, model_a), (b, model_b) = versions[i], versions[j]
+        assert (a == b) == (model_a == model_b)
+        assert a.extends(b) == (model_a.items() >= model_b.items())
+        if a.extends(b):
+            assert sorted(a.pairs_beyond(b)) == sorted(model_a.items() - model_b.items())
+    for i in order:
+        _check_version(*versions[i])
+
+
+def test_pairs_beyond_a_version_two_links_away_come_in_insertion_order():
+    """s, a = s + (p1, p2) and b = a + p3: b beyond s is p1, p2, p3, whoever owns the dicts."""
+    s = inj({0: 1})
+    a = s.with_pairs([(5, 6), (2, 3)])
+    b = a.with_pair(7, 8)
+    expected = ((5, 6), (2, 3), (7, 8))
+    owners = [lambda: None, lambda: s.apply(0), lambda: a.with_pair(9, 9).apply(9),
+              lambda: a.apply(0), lambda: b.apply(0)]
+    for own in owners:
+        own()
+        assert b.extends(s) and b.pairs_beyond(s) == expected
+        assert not s.extends(b)

@@ -7,7 +7,9 @@ tree witness in a form the writer never writes, those on a growth event's
 cycles and the stages they grow, and the closed key sets of an embedded
 stage, a growth event and `final`, which hold none of the numbers their
 reader derives; each case builds the call and its arguments, and the
-refusal it raises must read exactly as listed.
+refusal it raises must read exactly as listed.  leq's gain clause formats
+its text only when it is read, so a last test holds each such refusal of a
+staged run to the text formatted at the moment it was raised.
 """
 
 import functools
@@ -20,6 +22,7 @@ from orbitcode import (
     Flavor,
     FullInjectiveTree,
     PartialInjection,
+    Refused,
     TreeDiagonalized,
     auto_schedule,
     certificate_to_data,
@@ -314,3 +317,30 @@ CASES = {
 @pytest.mark.parametrize("case, expected", CASES.values(), ids=CASES.keys())
 def test_each_refusal_names_its_clause(case, expected):
     assert helpers.refusal(*case()) == expected
+
+
+def test_a_lazy_gain_refusal_reads_as_the_eager_one(monkeypatch):
+    """Every refusal of leq's gain clause in a staged run, its text read after the run.
+
+    The text leq wrote when it raised, with the eager formatter, is taken
+    at the moment of the refusal; the refusal's own message, formatted only
+    when read, must match it once the run has moved on.
+    """
+    from orbitcode import forcing as F
+
+    leq_ = F.leq
+    refusals = []
+
+    def recording(upper, lower, oracle):
+        try:
+            return leq_(upper, lower, oracle)
+        except Refused as exc:
+            if exc.clause == "leq-fixed-points":
+                refusals.append((exc, helpers.eager_gain_text(exc.fields["gains"], oracle)))
+            raise
+
+    monkeypatch.setattr(F, "leq", recording)
+    staged_run([(1, 0, 1, 1), (1, 1, 0, 0)])
+    assert len(refusals) >= 20
+    for exc, eager in refusals:
+        assert str(exc) == eager

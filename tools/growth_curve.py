@@ -7,11 +7,13 @@ being (7i + 3) mod 5 mod 2, and prints:
 - `inserted`, the pairs `PartialInjection._add` inserts while
   `verify_trace_data` replays that trace, against `final`, the pair count
   of the final condition;
-- `verify_ms`, the median over REPEATS runs of `json.loads` plus
+- `build_ms`, the median over the runs of `engine.run` building it;
+- `verify_ms`, the median over the runs of `json.loads` plus
   `verify_trace_data` on that text.
 
-Each of the three is followed by its ratio to the previous n, so a linear
-column reads about 2.0 per doubling and a quadratic one about 4.0.
+Each n is timed REPEATS times, or LARGE_REPEATS times from n = LARGE on.
+Each of the four columns is followed by its ratio to the previous n, so a
+linear column reads about 2.0 per doubling and a quadratic one about 4.0.
 
 Then, over the 40 triples of the staged-3 benchmark pool (`STAGED_STRATA` in
 `bench/workloads.py`, built as that workload builds them), it prints the
@@ -39,9 +41,11 @@ tree walks (`forcing.many_extensions`) do while those inputs are built:
 - `walk leq calls`, the `leq` calls made inside them, beside
   PER_OPTION_LEQ_CALLS, one per option then, one per walk now.
 
-    python3 tools/growth_curve.py                     # n = 32, 64, ..., 512
+    python3 tools/growth_curve.py                     # n = 32, 64, ..., 4096
 
-Run from the root of a checkout; the library is imported from `src/`.
+Run from the root of a checkout; the library is imported from `src/`.  It
+takes about 12 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
+builds and verifies.
 """
 
 from __future__ import annotations
@@ -64,8 +68,10 @@ from orbitcode.injections import PartialInjection  # noqa: E402
 from orbitcode.oracle import trivial_oracle  # noqa: E402
 from workloads import STAGED_STRATA, WORKLOADS, _triple  # noqa: E402
 
-SIZES = (32, 64, 128, 256, 512)
+SIZES = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 REPEATS = 7
+LARGE = 2048
+LARGE_REPEATS = 3
 VALIDATE_FIRST_LETTERS = 26_260
 PER_WORD_LETTERS = 191_623
 FRESH_FACTS_WORDS = 3_840
@@ -75,12 +81,17 @@ PER_OPTION_OPTIONS = 4_308
 PER_OPTION_LEQ_CALLS = 4_308
 
 
-def coding_text(n: int) -> tuple[str, int]:
-    """The compact JSON of the coding auto:n trace, and its final pair count."""
+def coding_text(n: int, repeats: int) -> tuple[str, int, float]:
+    """The coding auto:n trace as compact JSON, its final pair count, and its median build time."""
     oracle = trivial_oracle()
     bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
-    trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), oracle)
-    return json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":")), len(trace.final.s)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), oracle)
+        times.append(time.perf_counter() - start)
+    text = json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":"))
+    return text, len(trace.final.s), statistics.median(times)
 
 
 def verify_insertions(text: str) -> int:
@@ -102,9 +113,9 @@ def verify_insertions(text: str) -> int:
     return inserted
 
 
-def verify_seconds(*texts: str) -> float:
+def verify_seconds(*texts: str, repeats: int = REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         for text in texts:
             E.verify_trace_data(json.loads(text))
@@ -193,16 +204,18 @@ def walk_counts() -> tuple[int, int]:
 
 def main() -> int:
     print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
-          f" {'verify_ms':>10} {'x':>5}")
+          f" {'build_ms':>10} {'x':>5} {'verify_ms':>10} {'x':>5}")
     previous = None
     for n in SIZES:
-        text, final = coding_text(n)
-        row = (len(text), verify_insertions(text), verify_seconds(text) * 1000)
+        repeats = LARGE_REPEATS if n >= LARGE else REPEATS
+        text, final, build = coding_text(n, repeats)
+        verify = verify_seconds(text, repeats=repeats)
+        row = (len(text), verify_insertions(text), build * 1000, verify * 1000)
         ratios = [f"{now / before:5.2f}" for now, before in zip(row, previous or row)]
         if previous is None:
-            ratios = ["    -"] * 3
+            ratios = ["    -"] * 4
         print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
-              f" {row[2]:>10.2f} {ratios[2]}", flush=True)
+              f" {row[2]:>10.2f} {ratios[2]} {row[3]:>10.2f} {ratios[3]}", flush=True)
         previous = row
     texts, built = evaluated_letters(staged_texts)
     _, verified = evaluated_letters(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])

@@ -31,7 +31,7 @@ verified trace and of `stage_to_data(seal(...))` of it:
     python3 tools/trace_digests.py --check    # compare with tools/trace_digests.txt
 
 Run from the root of a checkout; the library is imported from `src/`.  It
-takes about 27 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
+takes 6 to 9 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
 in the tier-1 job.  `--check` exits 1 and names the runs whose digest
 differs from the pinned file.
 """
