@@ -39,7 +39,11 @@ validate, add_word and strong_close_orbit share: a memo that leq carries
 to each certified candidate, so a step costs O(its new pairs).  The
 fresh-point clause is _fresh_point_ok, checked against one _Used view of
 the used points per closure and searched by _least_fresh for both
-close_orbit's chain, from the gap, and strong_close_orbit's cycle.
+strong_close_orbit's cycle and the chains of _close_path, which
+close_orbit and close_all_orbits share.  A chain scan starts at the gap
+and a seal's next one resumes past the last point picked, so a seal
+tests each point once: a point refused stays refused, since the used
+points only grow and the handles' images stay put.
 """
 
 from __future__ import annotations
@@ -384,8 +388,15 @@ def many_extensions(
                 f"word {W.format_word(w, oracle)!r} has more than one x"
             )
     # the identity maps p to p, so it is answered here and never asks the oracle;
-    # the other handles keep their order, so a window miss is the same one
-    handles = [(h, oracle.is_identity(h)) for h in W.graph_restriction(c.words, oracle)]
+    # the other handles keep their order, so a window miss is the same one:
+    # `ahead` are those the identity comes after, all a v = k test asks
+    others: list = []
+    ahead: list = []
+    for h in W.graph_restriction(c.words, oracle):
+        if oracle.is_identity(h):
+            ahead = others[:]
+        else:
+            others.append(h)
     dom, ran = c.s.domain, c.s.range
     current = tuple(node)
     barred = T.Barred(itertools.chain(current, ran))
@@ -394,14 +405,18 @@ def many_extensions(
     try:
         while True:
             j = len(current)
-            barred.once = frozenset([j if same else oracle.eval(h, j) for h, same in handles])
+            once = [j]
+            for h in others:
+                once.append(oracle.eval(h, j))
+            barred.once = frozenset(once)
             grown = tree.extend_avoiding(current, barred)
             barred.update(grown[j:])
             for k in range(j, len(grown)):
                 v = grown[k]
                 if k in dom or v in ran:
                     continue
-                if k > j and any((k if same else oracle.eval(h, k)) == v for h, same in handles):
+                if k > j and (any(oracle.eval(h, k) == v for h in (ahead if v == k else others))
+                              or v == k):
                     continue
                 options.append((k, v))
                 if v >= count:
@@ -517,10 +532,11 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
 
     Works for any k above the threshold K = |orbit(n)| + L: the orbit is
     first anchored in the domain if n is isolated, then a fresh chain of
-    k − |orbit| points is routed from the orbit's exit back to its entry.
-    Chain points and their group images avoid everything already present, so
-    no word of E gains a fixed point.  The orbit is walked once, and the
-    chain scan starts at the gap: every point below it lies in a cycle.
+    k − |orbit| points is routed from the orbit's exit back to its entry
+    (_close_path).  Chain points and their group images avoid everything
+    already present, so no word of E gains a fixed point.  The orbit is
+    walked once, and the chain scan starts at the gap: every point below it
+    lies in a cycle.
     """
     orbit = I.orbit_of(c.s, n)
     if orbit.closed:
@@ -529,36 +545,49 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     if k <= threshold:
         raise KTooSmall(f"need k > {threshold}, got {k}")
 
-    used = _Used(c.s)
-    base, size, exit_ = c, orbit.size, orbit.exit
-    if n not in used:
+    base = c
+    if orbit.size == 1:
         # anchor the isolated point with a fresh image so the size arithmetic
         # stays exact: the orbit becomes {n, m} and only then grows a chain
+        used = _Used(c.s)
         used.add(n)
         base = _least_admissible(c, lambda m: (n, m), used, oracle, f"anchor image for {n}").upper
-        exit_ = base.s.apply(n)
-        used.add(exit_)
-        size += 1
-    chain_length = k - size
+        orbit = I.Orbit((n, base.s.apply(n)), closed=False)
+    handles = _nonidentity_handles(base.words, oracle)
+    return _close_path(c, base, orbit, k, I.closed_and_gap(base.s)[1], handles, oracle)[0]
+
+
+def _close_path(
+    c: Condition, base: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle
+) -> tuple[ExtensionCertificate, int]:
+    """Close the open path `orbit` of base.s, base ≤ c, into a k-cycle; certified against c.
+
+    Routes k − |orbit| chain points from the path's exit back to its entry:
+    the least points from `start` on that _fresh_point_ok takes against
+    base.s's support and the points picked, tested in increasing order.
+    Returns the certificate and the point past the last one picked, where a
+    next chain scan over the closed condition may resume.
+    """
+    chain_length = k - orbit.size
     if chain_length < 0:
         raise InternalCheckFailed("orbit outgrew the requested size")
-    handles = _nonidentity_handles(base.words, oracle)
-    route = [exit_]
-    start = I.closed_and_gap(base.s)[1]
-    while len(route) <= chain_length:
-        route.append(_least_fresh(start, lambda a: _fresh_point_ok(a, -1, used, handles, oracle)))
-        used.add(route[-1])
-        start = route[-1] + 1
+    used = _Used(base.s)
+    route = [orbit.exit]
+    for _ in range(chain_length):
+        start = _least_fresh(start, lambda a: _fresh_point_ok(a, -1, used, handles, oracle))
+        route.append(start)
+        used.add(start)
+        start += 1
     route.append(orbit.entry)
     s = base.s.with_pairs(zip(route, route[1:]))
     closed = Condition(s, base.words, base.flavor, base.target)
 
-    final_orbit = I.orbit_of(closed.s, n)
+    final_orbit = I.orbit_of(closed.s, orbit.entry)
     if not final_orbit.closed or final_orbit.size != k:
         raise InternalCheckFailed(
             f"closed orbit came out {final_orbit.size}, wanted {k}"
         )
-    return _admissible(c, closed, oracle)
+    return _admissible(c, closed, oracle), start
 
 
 def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
@@ -700,14 +729,19 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
 def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     """Close every open orbit, respecting the flavor's coding discipline.
 
-    Coding conditions consume target bits through code_next_orbit until no
-    open orbit is left (fresh filler orbits keep minima initial); the other
-    flavors close open orbits in min-order at the least admissible size,
-    skipping sizes that would flip an obligated prime parity.
+    Coding conditions consume target bits through code_next_orbit until the
+    orbit index holds no open path (fresh filler orbits keep minima
+    initial); the other flavors close open orbits in min-order at the least
+    admissible size, skipping sizes that would flip an obligated prime
+    parity.  Those walk the open paths once, each threshold read off its
+    walked size: a closure's chain points are fresh, so it leaves the paths
+    after it as they were.  One chain scan runs through the whole seal
+    (_close_path), and each closure is certified on its own, so the first
+    window miss is the one closing the paths one at a time would raise.
     """
     cert = None
     if c.flavor is Flavor.CODING:
-        while I.open_orbits(c.s):
+        while I.has_open_orbits(c.s):
             cert = chain(cert, code_next_orbit(c, oracle))
             c = cert.upper
         return cert or leq(c, c, oracle)
@@ -715,16 +749,16 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     if c.flavor is Flavor.DAGGER:
         for w in c.words:
             avoid.update(I.primes_up_to(W.indecomposable_root(w, oracle)[1]))
-    while True:
-        open_now = I.open_orbits(c.s)
-        if not open_now:
-            return cert or leq(c, c, oracle)
-        n = open_now[0].minimum
-        k = closing_threshold(c, n) + 1
+    length, handles = c.max_word_length, _nonidentity_handles(c.words, oracle)
+    start = I.closed_and_gap(c.s)[1]
+    for orbit in I.open_orbits(c.s):
+        k = orbit.size + length + 1
         while k in avoid:
             k += 1
-        cert = chain(cert, close_orbit(c, n, k, oracle))
-        c = cert.upper
+        step, start = _close_path(c, c, orbit, k, start, handles, oracle)
+        cert = chain(cert, step)
+        c = step.upper
+    return cert or leq(c, c, oracle)
 
 
 def condition_to_data(c: Condition, oracle) -> dict:

@@ -456,6 +456,11 @@ def open_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
     return index.paths(s._live())
 
 
+def has_open_orbits(s: PartialInjection) -> bool:
+    """Whether open_orbits(s) is not empty, read off the orbit index without walking a path."""
+    return bool(s._orbits().exit_of)
+
+
 def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
     """The closed orbits in min-order, and the least natural none of them covers."""
     index = s._orbits()

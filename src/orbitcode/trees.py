@@ -57,12 +57,13 @@ class Barred(set):
         return value in self or value in self.once
 
     def least(self, start: int, step: int) -> int:
-        """The least start + i·step, i >= 0, that is not barred."""
+        """The least start + i·step, i >= 0, that is not barred; `once` is tested inline."""
         value = self._cursors.get((start, step), start)
         while value in self:
             value += step
         self._cursors[(start, step)] = value
-        while self.bars(value):
+        once = self.once
+        while value in once or value in self:
             value += step
         return value
 

@@ -13,6 +13,9 @@ exception: a copy of the tree walk that checks each option with the
 package's own leq, to compare the walk that checks them together against.  So is
 `eager_gain_text`, a copy of the text leq wrote for its gain clause when it
 formatted it as it raised, to compare the text it now formats when read
+against.  And so is `per_closure_seal`, the seal that listed the open paths
+and scanned for chain points from the gap again for every closure, through
+the package's own close_orbit, to compare the seal that walks them once
 against.  The trace helpers read a serialized trace, plain JSON data, as the
 format describes it.
 """
@@ -447,3 +450,37 @@ def per_option_walk(c, tree, node, count: int, oracle):
         stall_budget -= 1
         if stall_budget < 0:
             raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
+
+
+def per_closure_seal(c, oracle):
+    """close_all_orbits as it was when it listed the open paths again for every closure.
+
+    Each closure takes the least open path of the condition so far, reads
+    its threshold by walking its orbit, and calls the package's close_orbit,
+    whose chain scan starts at the gap.  Reads the package through its
+    modules, so a test can count the closures.
+    """
+    from orbitcode import forcing as F
+    from orbitcode import injections as I
+    from orbitcode import words as W
+
+    cert = None
+    if c.flavor is F.Flavor.CODING:
+        while I.open_orbits(c.s):
+            cert = F.chain(cert, F.code_next_orbit(c, oracle))
+            c = cert.upper
+        return cert or F.leq(c, c, oracle)
+    avoid: set[int] = set()
+    if c.flavor is F.Flavor.DAGGER:
+        for w in c.words:
+            avoid.update(I.primes_up_to(W.indecomposable_root(w, oracle)[1]))
+    while True:
+        open_now = I.open_orbits(c.s)
+        if not open_now:
+            return cert or F.leq(c, c, oracle)
+        n = open_now[0].minimum
+        k = F.closing_threshold(c, n) + 1
+        while k in avoid:
+            k += 1
+        cert = F.chain(cert, F.close_orbit(c, n, k, oracle))
+        c = cert.upper

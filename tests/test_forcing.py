@@ -71,6 +71,7 @@ from orbitcode import (
 
 from orbitcode import engine as E
 from orbitcode import forcing as F
+from orbitcode import injections as I
 from orbitcode import words as W
 from orbitcode.injections import word_cycle_counts
 
@@ -492,6 +493,101 @@ def test_chained_operations_certify_like_a_direct_order_check():
     coding = coding_condition((1, 0, 1), None, [x_power(1), x_power(2)])
     cert = close_all_orbits(extend_domain(coding, 7, TRIV).upper, TRIV)
     assert cert == leq(cert.upper, cert.lower, TRIV)
+
+
+def test_a_coding_seal_walks_no_open_path(monkeypatch):
+    """Ten closures, three of them through a path: whether one is left is read off the index.
+
+    A seal that listed the open paths to test for one walked them eleven times here.
+    """
+    walks = []
+    paths = I._OrbitIndex.paths
+    monkeypatch.setattr(I._OrbitIndex, "paths", lambda *args: walks.append(1) or paths(*args))
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
+    c = coding_condition(bits, inj({10: 11, 20: 21, 30: 31}), [x_power(1)])
+    t = close_all_orbits(c, TRIV).upper
+    assert len(closed_orbits(t.s)) == 10 and not I.has_open_orbits(t.s)
+    assert walks == []
+
+
+def _seal_inputs():
+    """(c, oracle): plain and dagger conditions with open paths over three oracles.
+
+    The trivial and translation oracles, and one sealed stage of window 10
+    to 39, with maps below a random span inside it, whose g·x words send a
+    chain point or a word's evaluation past the window: such a seal misses
+    there, at its first closure or a later one.
+    Dagger conditions adjoin their words through add_word.
+    """
+    rng = random.Random(27)
+    for i in range(150):
+        if i % 3 == 0:
+            oracle, span, pool = TRIV, 30, [x_power(1), x_power(2), x_power(3)]
+        elif i % 3 == 1:
+            oracle, span = TRANS, 30
+            pool = [x_power(1), x_power(2), GX, Word((group(-2), X))]
+        else:
+            window = rng.randrange(10, 40)
+            perm = list(range(window))
+            rng.shuffle(perm)
+            stage = CompletedStage(dagger_condition((), PartialInjection(enumerate(perm))),
+                                   staged_oracle([]))
+            oracle, span = staged_oracle([stage]), rng.randrange(6, window)
+            g = oracle.generator(0)
+            pool = [x_power(1)] + [Word((group(h), X))
+                                   for h in (g, oracle.invert(g), oracle.compose(g, g))]
+        s = inj(helpers.random_injection(rng, rng.randrange(2, 12), span))
+        words = rng.sample(pool, rng.randrange(len(pool) + 1))
+        if rng.random() < 0.5:
+            c = plain_condition(s, words)
+        else:
+            c = dagger_condition(tuple(rng.randrange(2) for _ in range(4)), s)
+            try:
+                for w in words:
+                    c = add_word(c, w, oracle).upper
+            except OrbitCodeError:
+                continue
+        if open_orbits(c.s) and helpers.holds(validate, c, oracle):
+            yield c, oracle
+
+
+def test_the_one_pass_seal_agrees_with_the_per_closure_seal(monkeypatch):
+    """The same upper condition, or the same failure with the same `required`.
+
+    Some seals return after several closures, and some miss the window at
+    their first closure or after the per-closure seal has made others.
+    """
+    closures = []
+    close = F.close_orbit
+
+    def counted(*args):
+        closures.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(F, "close_orbit", counted)
+    outcomes = Counter()
+    for c, oracle in _seal_inputs():
+        before = len(closures)
+        try:
+            expected = helpers.per_closure_seal(c, oracle)
+        except OrbitCodeError as exc:
+            made = len(closures) - before - 1
+            with pytest.raises(OrbitCodeError) as raised:
+                close_all_orbits(c, oracle)
+            assert type(raised.value) is type(exc), (raised.value, exc)
+            assert str(raised.value) == str(exc)
+            assert getattr(raised.value, "required", None) == getattr(exc, "required", None)
+            outcomes[type(exc), min(made, 1)] += 1
+            continue
+        made = len(closures) - before
+        cert = close_all_orbits(c, oracle)
+        assert len(closures) - before == made  # the one-pass seal calls no close_orbit
+        assert cert.lower == c and cert.upper == expected.upper
+        assert cert.upper.s.pairs() == expected.upper.s.pairs()
+        outcomes[c.flavor, min(made, 2)] += 1
+    assert set(outcomes) == {(Flavor.PLAIN, 1), (Flavor.PLAIN, 2), (Flavor.DAGGER, 1),
+                             (Flavor.DAGGER, 2), (WindowTooSmall, 0),
+                             (WindowTooSmall, 1)}, outcomes
 
 
 def test_avoidance_bound_clears_supports_and_images():
@@ -917,6 +1013,40 @@ def test_the_walk_agrees_with_the_per_option_walk(monkeypatch):
         outcomes[outcome, min(checked, 2)] += 1
     assert set(outcomes) == {(None, 1), (None, 2), (WindowTooSmall, 0),
                              (WindowTooSmall, 1), (WindowTooSmall, 2)}, outcomes
+
+
+def test_a_leaping_walk_on_a_sealed_stage_agrees_with_the_per_option_walk():
+    """Extensions that add several values, some at their own index, past a stage's window.
+
+    The walk answers the identity handle itself; a value past the first new
+    index that equals its index still asks, first, the handles the identity
+    comes after in the restriction, so a window miss is the same one.
+    """
+    rng = random.Random(41)
+    outcomes = Counter()
+    for _ in range(80):
+        window = rng.randrange(4, 10)
+        perm = list(range(window))
+        rng.shuffle(perm)
+        stage = CompletedStage(dagger_condition((), PartialInjection(enumerate(perm))),
+                               staged_oracle([]))
+        oracle = staged_oracle([stage])
+        g = oracle.generator(0)
+        words = [Word((group(h), X)) for h in rng.choice(
+            [[g], [g, oracle.invert(g)], [oracle.compose(g, g)]])]
+        branches = []
+        for _ in range(3):
+            # values inside the window, then at the first index past it its
+            # own index half the time, then values past it
+            tail = rng.sample(range(window + 1, 2 * window + 6), 3)
+            head = [window] if rng.random() < 0.5 else tail[:1]
+            branches.append(rng.sample(range(window), window) + head + tail[1:])
+        tree = _LeapingTree(b[:i] for b in branches for i in range(len(b) + 1))
+        # with a count past every value the walk runs on past the window
+        count = rng.choice([rng.randrange(2 * window), 2 * window + 6])
+        walk = (plain_condition(inj({}), words), tree, (), count, oracle)
+        outcomes[_same_outcome_as_the_per_option_walk(walk, [])[0]] += 1
+    assert outcomes[None] and outcomes[WindowTooSmall], outcomes
 
 
 def _word_of_tokens(tokens):

@@ -24,7 +24,9 @@ from orbitcode import (
     TreeDiagonalized,
     WordAdded,
     auto_schedule,
+    open_orbits,
     run,
+    seal,
     staged_run,
     trace_to_data,
     translation_oracle,
@@ -33,6 +35,7 @@ from orbitcode import (
     x_power,
 )
 from orbitcode import forcing as F
+from orbitcode import injections as I
 from orbitcode import words as W
 
 # one triple from each stratum of the staged-3 workload (bench/workloads.py)
@@ -56,6 +59,10 @@ ENTRY_REPARSED_TEXTS = 320
 # each scan started at 0, and since it starts at the orbit index's gap
 FROM_ZERO_SCANNED = 78340
 FROM_GAP_SCANNED = 513
+# the open-path walks and fresh-point checks of sealing _ten_tree_pairs_schedule's
+# run, when the seal listed the open paths and scanned from the gap per closure
+PER_CLOSURE_PATH_WALKS = 16
+PER_CLOSURE_FRESH_CHECKS = 338
 
 
 def _auto_trace(flavor, n):
@@ -156,6 +163,28 @@ def test_each_tree_walk_runs_one_leq(monkeypatch):
     monkeypatch.setattr(F, "many_extensions", flagged)
     run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
     assert checks.count(True) == 20
+
+
+def test_a_seal_walks_its_open_paths_once_and_tests_each_point_once(monkeypatch):
+    """Sealing _ten_tree_pairs_schedule's run closes its 15 open paths in one pass.
+
+    Each chain scan resumes past the last point picked, so no point is
+    tested twice, and every point tested lies in the sealed support.  A seal
+    that listed the open paths again for every closure, and scanned from
+    the gap again for every chain, made PER_CLOSURE_PATH_WALKS walks and
+    PER_CLOSURE_FRESH_CHECKS fresh-point checks here.
+    """
+    trace = run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
+    tested = []
+    walks = []
+    fresh_point_ok, paths = F._fresh_point_ok, I._OrbitIndex.paths
+    monkeypatch.setattr(F, "_fresh_point_ok", lambda b, *args: tested.append(b) or fresh_point_ok(b, *args))
+    monkeypatch.setattr(I._OrbitIndex, "paths", lambda *args: walks.append(1) or paths(*args))
+    sealed = seal(trace, trivial_oracle()).injection
+    assert len(walks) == 1 < PER_CLOSURE_PATH_WALKS
+    assert len(open_orbits(trace.final.s)) == 15
+    assert len(set(tested)) == len(tested) <= len(sealed.support) < PER_CLOSURE_FRESH_CHECKS
+    assert set(tested) <= sealed.support
 
 
 def _targets(code):

@@ -39,12 +39,26 @@ tree walks (`forcing.many_extensions`) do while those inputs are built:
   figure when a walk checked each option with its own `leq` as it came: the
   walk itself is the same, so the two agree;
 - `walk leq calls`, the `leq` calls made inside them, beside
-  PER_OPTION_LEQ_CALLS, one per option then, one per walk now.
+  PER_OPTION_LEQ_CALLS, one per option then, one per walk now;
+
+and what their seals (`engine.seal`) do:
+
+- `seal fresh checks`, the `forcing._fresh_point_ok` calls, beside
+  PER_CLOSURE_FRESH_CHECKS, the figure when every closure's chain scan
+  started again at the gap;
+- `seal path walks`, the `_OrbitIndex.paths` calls, beside
+  PER_CLOSURE_PATH_WALKS, the figure when the seal listed the open paths
+  again for every closure.
+
+Last, for SEAL_TREES trees (as trees-40 builds its 40, the seeds drawn from
+`random.Random(TREE_SEED)`), `seal_ms`, the median over REPEATS runs of
+sealing the run, each run built afresh and not timed, with its ratio to the
+previous count of trees.
 
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 4096
 
 Run from the root of a checkout; the library is imported from `src/`.  It
-takes about 12 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
+takes about 16 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
 builds and verifies.
 """
 
@@ -62,11 +76,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from orbitcode import engine as E  # noqa: E402
 from orbitcode import forcing as F  # noqa: E402
+from orbitcode import trees as T  # noqa: E402
 from orbitcode import words as W  # noqa: E402
 from orbitcode.forcing import Flavor  # noqa: E402
-from orbitcode.injections import PartialInjection  # noqa: E402
+from orbitcode.injections import PartialInjection, _OrbitIndex  # noqa: E402
 from orbitcode.oracle import trivial_oracle  # noqa: E402
-from workloads import STAGED_STRATA, WORKLOADS, _triple  # noqa: E402
+from workloads import STAGED_STRATA, TREE_HITS, WORKLOADS, _triple  # noqa: E402
 
 SIZES = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 REPEATS = 7
@@ -79,6 +94,9 @@ TREE_INPUTS = 4
 TREE_SEED = 7
 PER_OPTION_OPTIONS = 4_308
 PER_OPTION_LEQ_CALLS = 4_308
+PER_CLOSURE_FRESH_CHECKS = 3_975
+PER_CLOSURE_PATH_WALKS = 113
+SEAL_TREES = (40, 80, 160)
 
 
 def coding_text(n: int, repeats: int) -> tuple[str, int, float]:
@@ -172,11 +190,13 @@ def examined_words(action) -> int:
     return examined
 
 
-def walk_counts() -> tuple[int, int]:
-    """Options the tree walks yield, and leq calls inside them, as the trees-40 inputs build."""
+def walk_and_seal_counts() -> tuple[int, int, int, int]:
+    """As the trees-40 inputs build: options the tree walks yield and leq calls inside them,
+    then fresh-point checks and open-path walks inside the seals."""
     workload = WORKLOADS["trees-40"]
-    leq, walk = F.leq, F.many_extensions
-    inside = options = calls = 0
+    leq, walk, seal = F.leq, F.many_extensions, E.seal
+    fresh_point_ok, paths = F._fresh_point_ok, _OrbitIndex.paths
+    inside = options = calls = sealing = fresh = walks = 0
 
     def counting_leq(*args):
         nonlocal calls
@@ -193,13 +213,52 @@ def walk_counts() -> tuple[int, int]:
         options += len(found)
         return node, found
 
-    F.leq, F.many_extensions = counting_leq, counting_walk
+    def counting_seal(*args):
+        nonlocal sealing
+        sealing += 1
+        try:
+            return seal(*args)
+        finally:
+            sealing -= 1
+
+    def counting_fresh(*args):
+        nonlocal fresh
+        fresh += sealing
+        return fresh_point_ok(*args)
+
+    def counting_paths(*args):
+        nonlocal walks
+        walks += sealing
+        return paths(*args)
+
+    F.leq, F.many_extensions, E.seal = counting_leq, counting_walk, counting_seal
+    F._fresh_point_ok, _OrbitIndex.paths = counting_fresh, counting_paths
     try:
         for inp in workload.inputs(random.Random(TREE_SEED), TREE_INPUTS):
             workload.build(inp)
     finally:
-        F.leq, F.many_extensions = leq, walk
-    return options, calls
+        F.leq, F.many_extensions, E.seal = leq, walk, seal
+        F._fresh_point_ok, _OrbitIndex.paths = fresh_point_ok, paths
+    return options, calls, fresh, walks
+
+
+def seal_seconds(trees: int) -> float:
+    """The median time to seal the run of `trees` trees, built as trees-40 builds its 40."""
+    rng = random.Random(TREE_SEED)
+    schedule = [E.WordAdded(W.x_power(1))]
+    for seed in [rng.randrange(1 << 30) for _ in range(trees // 2)]:
+        schedule += [E.TreeDiagonalized(T.FullInjectiveTree()),
+                     E.TreeDiagonalized(T.SparseCongruenceTree(seed))]
+    schedule += [E.DomainHits(i) for i in range(TREE_HITS)]
+    schedule += [E.RangeHits(i) for i in range(TREE_HITS)]
+    times = []
+    for _ in range(REPEATS):
+        oracle = trivial_oracle()
+        trace = E.run(Flavor.PLAIN, None, schedule, oracle)
+        start = time.perf_counter()
+        E.seal(trace, oracle)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def main() -> int:
@@ -227,12 +286,23 @@ def main() -> int:
     examined = examined_words(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
     print(f"  verify facts words {examined:>5} (from scratch {FRESH_FACTS_WORDS},"
           f" {examined / FRESH_FACTS_WORDS:.3f}x)")
-    options, calls = walk_counts()
+    options, calls, fresh, walks = walk_and_seal_counts()
     print(f"\ntrees-40, {TREE_INPUTS} inputs of seed {TREE_SEED}:")
     print(f"  walk options {options:>7} (per-option walk {PER_OPTION_OPTIONS},"
           f" {options / PER_OPTION_OPTIONS:.3f}x)")
     print(f"  walk leq calls {calls:>5} (per-option walk {PER_OPTION_LEQ_CALLS},"
           f" {calls / PER_OPTION_LEQ_CALLS:.3f}x)")
+    print(f"  seal fresh checks {fresh:>4} (per-closure seal {PER_CLOSURE_FRESH_CHECKS},"
+          f" {fresh / PER_CLOSURE_FRESH_CHECKS:.3f}x)")
+    print(f"  seal path walks {walks:>6} (per-closure seal {PER_CLOSURE_PATH_WALKS},"
+          f" {walks / PER_CLOSURE_PATH_WALKS:.3f}x)")
+    print(f"\n{'trees':>5} {'seal_ms':>9} {'x':>5}")
+    previous = None
+    for trees in SEAL_TREES:
+        ms = seal_seconds(trees) * 1000
+        ratio = "    -" if previous is None else f"{ms / previous:5.2f}"
+        print(f"{trees:>5} {ms:>9.2f} {ratio}", flush=True)
+        previous = ms
     return 0
 
 
