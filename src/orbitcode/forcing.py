@@ -40,7 +40,10 @@ to each certified candidate, so a step costs O(its new pairs).  The
 fresh-point clause is _fresh_point_ok, checked against one _Used view of
 the used points per closure and searched by _least_fresh for both
 strong_close_orbit's cycle and the chains of _close_path, which
-close_orbit and close_all_orbits share.  A chain scan starts at the gap
+close_orbit and close_all_orbits share.  Each closure's map is one
+with_pairs of its input's, an anchor pair first if the orbit needs one, so
+leq, verify and the trace writer read its delta off one link; only a step
+that chains several closures compares dicts.  A chain scan starts at the gap
 and a seal's next one resumes past the last point picked, so a seal
 tests each point once: a point refused stays refused, since the used
 points only grow and the handles' images stay put.
@@ -530,13 +533,14 @@ def _least_fresh(start: int, ok) -> int:
 def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     """Close the orbit through n into a cycle of size exactly k.
 
-    Works for any k above the threshold K = |orbit(n)| + L: the orbit is
-    first anchored in the domain if n is isolated, then a fresh chain of
-    k − |orbit| points is routed from the orbit's exit back to its entry
-    (_close_path).  Chain points and their group images avoid everything
-    already present, so no word of E gains a fixed point.  The orbit is
-    walked once, and the chain scan starts at the gap: every point below it
-    lies in a cycle.
+    Works for any k above the threshold K = |orbit(n)| + L: if n is
+    isolated, the least admissible anchor pair (n, m) is found first, then a
+    fresh chain of k − |orbit| points is routed from the orbit's exit back
+    to its entry (_close_path), and the closed map is c.s with the anchor
+    and the chain, made in one with_pairs.  Chain points and their group
+    images avoid everything already present, so no word of E gains a fixed
+    point.  The orbit is walked once, and the chain scan starts at c.s's
+    gap: every point below it lies in a cycle, and an anchor closes none.
     """
     orbit = I.orbit_of(c.s, n)
     if orbit.closed:
@@ -545,33 +549,39 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
     if k <= threshold:
         raise KTooSmall(f"need k > {threshold}, got {k}")
 
-    base = c
+    anchor = None
     if orbit.size == 1:
         # anchor the isolated point with a fresh image so the size arithmetic
         # stays exact: the orbit becomes {n, m} and only then grows a chain
         used = _Used(c.s)
         used.add(n)
-        base = _least_admissible(c, lambda m: (n, m), used, oracle, f"anchor image for {n}").upper
-        orbit = I.Orbit((n, base.s.apply(n)), closed=False)
-    handles = _nonidentity_handles(base.words, oracle)
-    return _close_path(c, base, orbit, k, I.closed_and_gap(base.s)[1], handles, oracle)[0]
+        anchored = _least_admissible(c, lambda m: (n, m), used, oracle, f"anchor image for {n}")
+        anchor = (n, anchored.upper.s.apply(n))
+        orbit = I.Orbit(anchor, closed=False)
+    handles = _nonidentity_handles(c.words, oracle)
+    return _close_path(c, orbit, k, I.closed_and_gap(c.s)[1], handles, oracle, anchor)[0]
 
 
 def _close_path(
-    c: Condition, base: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle
+    c: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle, anchor=None
 ) -> tuple[ExtensionCertificate, int]:
-    """Close the open path `orbit` of base.s, base ≤ c, into a k-cycle; certified against c.
+    """Close the open path `orbit` of c.s plus the pair `anchor`, if any, into a k-cycle.
 
     Routes k − |orbit| chain points from the path's exit back to its entry:
     the least points from `start` on that _fresh_point_ok takes against
-    base.s's support and the points picked, tested in increasing order.
-    Returns the certificate and the point past the last one picked, where a
-    next chain scan over the closed condition may resume.
+    c.s's support, the anchor's points and the points picked, tested in
+    increasing order.  The closed map is one with_pairs of c.s, the anchor
+    first, so its certificate reads its delta off that one link.  Returns
+    the certificate and the point past the last one picked, where a next
+    chain scan over the closed condition may resume.
     """
     chain_length = k - orbit.size
     if chain_length < 0:
         raise InternalCheckFailed("orbit outgrew the requested size")
-    used = _Used(base.s)
+    used = _Used(c.s)
+    for p in anchor or ():
+        used.add(p)
+    pairs = [anchor] if anchor else []
     route = [orbit.exit]
     for _ in range(chain_length):
         start = _least_fresh(start, lambda a: _fresh_point_ok(a, -1, used, handles, oracle))
@@ -579,8 +589,8 @@ def _close_path(
         used.add(start)
         start += 1
     route.append(orbit.entry)
-    s = base.s.with_pairs(zip(route, route[1:]))
-    closed = Condition(s, base.words, base.flavor, base.target)
+    pairs += zip(route, route[1:])
+    closed = Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target)
 
     final_orbit = I.orbit_of(closed.s, orbit.entry)
     if not final_orbit.closed or final_orbit.size != k:
@@ -755,7 +765,7 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
         k = orbit.size + length + 1
         while k in avoid:
             k += 1
-        step, start = _close_path(c, c, orbit, k, start, handles, oracle)
+        step, start = _close_path(c, orbit, k, start, handles, oracle)
         cert = chain(cert, step)
         c = step.upper
     return cert or leq(c, c, oracle)

@@ -56,9 +56,9 @@ class PartialInjection:
     a least-value scan moving to its next candidate undoes only the one
     before it.  A map made by with_pairs and the map it was made from are
     neighbours, so extends and pairs_beyond between the two read the pairs
-    on their link, and between versions a few links apart, the pairs on
-    those links (see _beyond).  Each version keeps its own size.  The dicts
-    iterate in the order the owner's pairs were inserted, as a copy would.
+    on their link (see _beyond), and between any other two maps compare
+    their dicts.  Each version keeps its own size.  The dicts iterate in
+    the order the owner's pairs were inserted, as a copy would.
 
     Orbit queries read a private index, built on the first one by linking
     the pairs one at a time and then kept as pairs are added: with_pair and
@@ -233,32 +233,20 @@ class PartialInjection:
         return child
 
     def _beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...] | None:
-        """The pairs self adds to other, in insertion order, if the links between them show it.
+        """The pairs self adds to other, in insertion order, if the two are neighbours.
 
-        Made from other, self is its neighbour.  Otherwise the links from
-        self that add pairs and those from other that take pairs away are
-        walked, each only while the sizes allow the two walks to meet: if
-        they meet at M, then self is M plus pairs and M is other plus pairs.
-        None if they do not meet.
+        Made from other by with_pairs, self is other's neighbour: other's
+        link holds them as the pairs it lacks, or, once other is re-rooted,
+        self's as the pairs it adds.  None for any other two maps.
         """
         if self._toward is other and self._adds:
             return self._diff
         if other._toward is self and not other._adds:
             return other._diff
-        above = [self]  # self, then each version the one before it adds pairs to
-        while above[-1]._adds and above[-1]._toward._size >= other._size:
-            above.append(above[-1]._toward)
-        at = {id(version): i for i, version in enumerate(above)}
-        below, version = [], other  # other, then each version it takes pairs away from
-        while id(version) not in at:
-            toward = version._toward
-            if version._adds or toward is None or toward._size > self._size:
-                return None
-            below += version._diff
-            version = toward
-        return tuple(below) + tuple(p for v in reversed(above[: at[id(version)]]) for p in v._diff)
+        return None
 
     def extends(self, other: "PartialInjection") -> bool:
+        """Whether self holds every pair of other: read off their link if they are neighbours."""
         if self is other or self._beyond(other) is not None:
             return True
         mine, theirs = self._both(other)
@@ -267,10 +255,9 @@ class PartialInjection:
     def pairs_beyond(self, other: "PartialInjection") -> tuple[tuple[int, int], ...]:
         """The pairs of self outside other, for self extending other.
 
-        For the map self was made from, the pairs with_pairs inserted, in
-        order (none for other itself), and for a version a few links away
-        the pairs on those links, in the order they were inserted (see
-        _beyond); otherwise a set difference over the domain.
+        For a neighbour self was made from, the pairs with_pairs inserted, in
+        order (none for other itself); otherwise a set difference over the
+        domain, in set order.
         """
         if self is other:
             return ()

@@ -16,8 +16,10 @@ formatted it as it raised, to compare the text it now formats when read
 against.  And so is `per_closure_seal`, the seal that listed the open paths
 and scanned for chain points from the gap again for every closure, through
 the package's own close_orbit, to compare the seal that walks them once
-against.  The trace helpers read a serialized trace, plain JSON data, as the
-format describes it.
+against.  `one_link` reads the persistent map's private links, `_toward`
+and `_adds`, to tell whether one map was made from another in one step.
+The trace helpers read a serialized trace, plain JSON data, as the format
+describes it.
 """
 
 from __future__ import annotations
@@ -484,3 +486,14 @@ def per_closure_seal(c, oracle):
             k += 1
         cert = F.chain(cert, F.close_orbit(c, n, k, oracle))
         c = cert.upper
+
+
+def one_link(upper, lower) -> bool:
+    """Whether the map upper is lower itself, or was made from lower by one with_pairs.
+
+    Made so, the two are neighbours whichever owns the dicts: upper links to
+    lower adding the pairs, or lower to upper lacking them.
+    """
+    return upper is lower or (upper._toward is lower and upper._adds) or (
+        lower._toward is upper and not lower._adds
+    )

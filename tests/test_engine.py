@@ -124,6 +124,35 @@ def test_a_multi_orbit_coding_step_stores_the_chained_certificate():
     assert step.certificate == leq(step.certificate.upper, step.certificate.lower, oracle)
 
 
+def _workload_shaped_traces():
+    """Coding auto:64, dagger auto:6 over translations, trees-40's shape, staged triple 052."""
+    trivial = trivial_oracle()
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
+    yield run(Flavor.CODING, bits, auto_schedule(Flavor.CODING, 64), trivial)
+    yield run(Flavor.DAGGER, bits[:6], auto_schedule(Flavor.DAGGER, 6), translation_oracle())
+    schedule = [WordAdded(x_power(1))]
+    for seed in range(20):
+        schedule += [TreeDiagonalized(FullInjectiveTree())]
+        schedule += [TreeDiagonalized(SparseCongruenceTree(seed))]
+    schedule += [DomainHits(i) for i in range(16)] + [RangeHits(i) for i in range(16)]
+    yield run(Flavor.PLAIN, None, schedule, trivial)
+    targets = [[(0x052 >> (4 * (2 - k) + 3 - j)) & 1 for j in range(4)] for k in range(3)]
+    yield from (stage.trace for stage in staged_run(targets))
+
+
+def test_every_step_map_is_one_version_of_the_map_before_it():
+    """Each step certificate's upper map was made from its lower map by one with_pairs.
+
+    No step of these runs chains operations, so leq, verify and the trace
+    writer read each delta off that one link; an anchored orbit closure
+    makes its anchor pair and its chain in one.
+    """
+    for t, trace in enumerate(_workload_shaped_traces()):
+        apart = [step.index for step in trace.steps
+                 if not helpers.one_link(step.certificate.upper.s, step.certificate.lower.s)]
+        assert apart == [], f"trace {t}"
+
+
 def test_dagger_run_codes_the_prime_parities():
     oracle = trivial_oracle()
     schedule = [WordAdded(x_power(j)) for j in (1, 2, 3)]

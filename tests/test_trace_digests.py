@@ -20,6 +20,7 @@ from orbitcode import (
     DomainHits,
     Flavor,
     FullInjectiveTree,
+    OrbitCoded,
     RangeHits,
     SparseCongruenceTree,
     StagedOracle,
@@ -38,6 +39,7 @@ from orbitcode import (
     trace_to_data,
     translation_oracle,
     trivial_oracle,
+    verify_trace_data,
     x_power,
 )
 
@@ -87,6 +89,14 @@ DIGESTS = {
     "staged-trees-sparse-2-5": (
         "b39ce163c73cb5db163e4659d8339721"
         "d4b59549cf137e67a80ccc7ca3f244d7"
+    ),
+    "coding-chained": (
+        "7cbc6bd63528a3e7e66800f01acfcd72"
+        "61111dc77a17c422c280dfe7ff014d41"
+    ),
+    "dagger-chained-translation": (
+        "1835679ac6072d5123690ad5d6f8f380"
+        "ad25cfb5b51052b7304be0e324b07aa5"
     ),
 }
 
@@ -166,6 +176,18 @@ def _staged():
     }
 
 
+def _chained():
+    """One step each that chains operations: eight orbit closures, and three strong closures.
+
+    Their certificates span several versions of the map, so the writer and
+    leq read their deltas off a comparison of the two maps' dicts.
+    """
+    trivial, translation = trivial_oracle(), translation_oracle()
+    coding = run(Flavor.CODING, (1, 0, 1, 1, 0, 0, 1, 0), [OrbitCoded(7)], trivial)
+    dagger = run(Flavor.DAGGER, (1, 0, 1, 1), [WordAdded(x_power(7))], translation)
+    return {"coding-chained": (coding, trivial), "dagger-chained-translation": (dagger, translation)}
+
+
 def _assert_deltas_encode_the_chain(trace, data, oracle):
     unions = helpers.delta_unions(data)
     assert len(unions) == len(trace.steps) > 0
@@ -209,3 +231,10 @@ def test_staged_trace_digests():
 def test_tree_trace_digests_off_the_trivial_oracle():
     _check(_translation_trees())
     _check(_staged_trees())
+
+
+def test_chained_step_trace_digests_and_replays():
+    builds = _chained()
+    _check(builds)
+    for trace, oracle in builds.values():
+        verify_trace_data(json.loads(json.dumps(trace_to_data(trace, oracle))))
