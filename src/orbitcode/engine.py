@@ -7,15 +7,17 @@ forcing operation that takes it: the engine stores the certificate the
 operation returns and checks nothing again, except that a step leaving the
 condition unchanged records the reflexive certificate leq(c, c).  A trace
 serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 7 writes each step as its delta: the pairs and
-words its upper condition adds to the previous one, its lower condition,
-a tree step's witness (a node ending at its index) and `upper_sum`, a
-checksum of the upper condition kept in O(delta).  No fixed-point set is
-written: a word's set is frozen from the step it enters E, and the
-verifier recomputes what it checks.  Its requirement is the schedule's
-entry; only the final condition's map and words are written whole, and
-no number the reader derives: a stage's index or window, a growth event's
-target or the window it reaches.
+the run.  Format version 8 writes each step as one flat object, its delta:
+the `pairs` and `words` its upper condition adds to the previous one,
+which is its lower condition, and `upper_sum`, a checksum of the upper
+condition kept in O(delta); a tree step adds its `witness_node`, a node
+ending at its index, which the reader takes as its length less one.  No
+fixed-point set is written: a word's set is frozen from the step it
+enters E, and the verifier recomputes what it checks.  Its requirement is
+the schedule's entry; only the final condition's map and words are
+written whole, and no number the reader derives: a witness's index, a
+stage's index or window, a growth event's target or the window it
+reaches.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -47,7 +49,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 7,
+    "format_version": 8,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -158,11 +160,11 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
         return "tree_extend", cert, {"witness_node": list(witness[: k + 1]), "witness_index": k}
     if isinstance(req, OrbitCoded):
         cert = None
-        while not _requirement_holds(req, {}, c, oracle):
+        while not _requirement_holds(req, (), c, oracle):
             cert = F.chain(cert, F.code_next_orbit(c, oracle))
             c = cert.upper
         return "code_next_orbit", cert or F.leq(c, c, oracle), {}
-    if _requirement_holds(req, {}, c, oracle):
+    if _requirement_holds(req, (), c, oracle):
         return "already_present", F.leq(c, c, oracle), {}
     if isinstance(req, DomainHits):
         return "extend_domain", F.extend_domain(c, req.n, oracle), {}
@@ -412,10 +414,12 @@ def _upper_sum(total: int, pairs, texts) -> int:
 def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
     steps, total = [], 0
     for step in trace.steps:
-        cert = F.certificate_to_data(step.certificate, oracle)
-        total = _upper_sum(total, cert["pairs"], cert["words"])
-        extra = {"extra": {k: copy.copy(v) for k, v in step.extra.items()}} if step.extra else {}
-        steps.append({"certificate": cert, "upper_sum": f"{total:016x}"} | extra)
+        data = F.certificate_to_data(step.certificate, oracle)
+        total = _upper_sum(total, data["pairs"], data["words"])
+        data["upper_sum"] = f"{total:016x}"
+        if step.extra:
+            data["witness_node"] = list(step.extra["witness_node"])
+        steps.append(data)
     return steps
 
 
@@ -434,7 +438,8 @@ def trace_to_data(trace: RunTrace, oracle) -> dict:
     }
 
 
-def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle) -> bool:
+def _requirement_holds(req: Requirement, witness: T.Node, c: F.Condition, oracle) -> bool:
+    """Whether c meets req; a tree step's witness is the node that ends at its index."""
     if isinstance(req, DomainHits):
         return c.s.apply(req.n) is not None
     if isinstance(req, RangeHits):
@@ -444,10 +449,7 @@ def _requirement_holds(req: Requirement, extra: Mapping, c: F.Condition, oracle)
     if isinstance(req, OrbitCoded):
         return len(I.closed_orbits(c.s)) > req.index
     if isinstance(req, TreeDiagonalized):
-        witness = tuple(map(I.wire_int, extra["witness_node"]))
-        k = I.wire_int(extra["witness_index"])
-        if len(witness) != k + 1:
-            raise ValueError(f"witness_node has {len(witness)} values, not witness_index + 1")
+        k = len(witness) - 1
         return (
             req.tree.contains(witness)
             and witness[: len(req.node)] == tuple(req.node)
@@ -461,10 +463,8 @@ _TRACE_KEYS = frozenset(
     ("conventions", "flavor", "target", "oracle", "schedule", "steps", "final", "decoded",
      "growth_events")
 )
-_STEP_KEYS = frozenset(("certificate", "upper_sum"))
-_TREE_STEP_KEYS = _STEP_KEYS | {"extra"}
-_CERTIFICATE_KEYS = frozenset(("pairs", "words"))
-_WITNESS_KEYS = frozenset(("witness_node", "witness_index"))
+_STEP_KEYS = frozenset(("pairs", "words", "upper_sum"))
+_TREE_STEP_KEYS = _STEP_KEYS | {"witness_node"}
 _GROWTH_KEYS = frozenset(("step", "required", "cycles"))
 _CONDITION_KEYS = frozenset(("injection", "words"))
 
@@ -537,15 +537,18 @@ def verify_trace_data(data: Mapping) -> None:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
     Anything trace_to_data would not write is malformed: a key missing from
-    an object's closed key set or outside it, a number that is not a JSON
-    integer (or a bit other than 0 or 1), a schedule entry other than its
-    requirement writes, a tree witness not ending at its index, a delta (see
+    an object's closed key set or outside it (a step's is `pairs`, `words`
+    and `upper_sum`, plus `witness_node` for a tree step), a number that is
+    not a JSON integer (or a bit other than 0 or 1), a schedule entry other
+    than its requirement writes, a delta (the step itself, see
     forcing.verify_certificate_data) or the final condition with pairs or
     word texts out of order or form, an embedded stage seal did not make,
-    other conventions, and growth events off the engine's rule.  Each step's upper
-    condition, the one before it plus its delta, each word text parsed once,
-    must extend the condition before it, no word of that condition gaining
-    a fixed point, validate, and meet its schedule entry; a step other than
+    other conventions, and growth events off the engine's rule.  Each step's
+    upper condition, the one before it plus its delta, each word text parsed
+    once, must extend the condition before it, no word of that condition
+    gaining a fixed point, validate, and meet its schedule entry, a tree
+    step's at its witness, parsed once, whose index is its length less one,
+    so a witness running past its index is refused there; a step other than
     a tree step whose entry the condition before it already met must add
     nothing, as the engine does; and last, its `upper_sum` must be the
     running sum.  So a step parses and inserts only its delta, with_pairs
@@ -568,7 +571,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 7.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 8.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _check_growth(data["growth_events"], oracle, len(schedule))
@@ -580,20 +583,19 @@ def verify_trace_data(data: Mapping) -> None:
                 parsed.setdefault(entry["word"], req.word)
             tree = isinstance(req, TreeDiagonalized)
             I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
-            extra = I.wire_object(step["extra"], _WITNESS_KEYS, "extra") if tree else {}
-            data_cert = I.wire_object(step["certificate"], _CERTIFICATE_KEYS, "certificate")
+            witness = tuple(map(I.wire_int, step["witness_node"])) if tree else ()
             lower = c
-            met = not tree and _requirement_holds(req, extra, lower, oracle)
-            c = F.verify_certificate_data(data_cert, lower, oracle, parsed).upper
+            met = not tree and _requirement_holds(req, witness, lower, oracle)
+            c = F.verify_certificate_data(step, lower, oracle, parsed).upper
             try:
                 F.validate(c, oracle)
             except Refused as exc:
                 raise Refused(f"invalid condition: {exc}") from None
-            if not _requirement_holds(req, extra, c, oracle):
+            if not _requirement_holds(req, witness, c, oracle):
                 raise Refused("requirement not satisfied")
-            if met and (data_cert["pairs"] or data_cert["words"]):
+            if met and (step["pairs"] or step["words"]):
                 raise Refused("requirement already met, but the step changes the condition")
-            total = _upper_sum(total, data_cert["pairs"], data_cert["words"])
+            total = _upper_sum(total, step["pairs"], step["words"])
             if step["upper_sum"] != f"{total:016x}":
                 raise Refused(f"upper_sum {step['upper_sum']!r}, but deltas sum to {total:016x}")
         i = None

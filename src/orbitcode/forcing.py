@@ -741,13 +741,15 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
 
     Coding conditions consume target bits through code_next_orbit until the
     orbit index holds no open path (fresh filler orbits keep minima
-    initial); the other flavors close open orbits in min-order at the least
-    admissible size, skipping sizes that would flip an obligated prime
-    parity.  Those walk the open paths once, each threshold read off its
-    walked size: a closure's chain points are fresh, so it leaves the paths
-    after it as they were.  One chain scan runs through the whole seal
-    (_close_path), and each closure is certified on its own, so the first
-    window miss is the one closing the paths one at a time would raise.
+    initial); the other flavors close each open orbit, in min-order, at the
+    least size close_orbit allows, its walked size plus L plus one.  That
+    size exceeds L, which is at least the exponent k of every word v^k of E
+    and so every prime p <= k it obligates: no seal flips an obligated
+    prime parity.  They walk the open paths once: a closure's chain points
+    are fresh, so it leaves the paths after it as they were.  One chain
+    scan runs through the whole seal (_close_path), and each closure is
+    certified on its own, so the first window miss is the one closing the
+    paths one at a time would raise.
     """
     cert = None
     if c.flavor is Flavor.CODING:
@@ -755,17 +757,10 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
             cert = chain(cert, code_next_orbit(c, oracle))
             c = cert.upper
         return cert or leq(c, c, oracle)
-    avoid: set[int] = set()
-    if c.flavor is Flavor.DAGGER:
-        for w in c.words:
-            avoid.update(I.primes_up_to(W.indecomposable_root(w, oracle)[1]))
     length, handles = c.max_word_length, _nonidentity_handles(c.words, oracle)
     start = I.closed_and_gap(c.s)[1]
     for orbit in I.open_orbits(c.s):
-        k = orbit.size + length + 1
-        while k in avoid:
-            k += 1
-        step, start = _close_path(c, orbit, k, start, handles, oracle)
+        step, start = _close_path(c, orbit, orbit.size + length + 1, start, handles, oracle)
         cert = chain(cert, step)
         c = step.upper
     return cert or leq(c, c, oracle)

@@ -358,9 +358,9 @@ def delta_unions(data) -> list[tuple[list[list[int]], list[str]]]:
     texts: set[str] = set()
     out = []
     for step in data["steps"]:
-        for n, m in step["certificate"]["pairs"]:
+        for n, m in step["pairs"]:
             pairs[n] = m
-        texts.update(step["certificate"]["words"])
+        texts.update(step["words"])
         out.append(([[n, pairs[n]] for n in sorted(pairs)], sorted(texts)))
     return out
 

@@ -404,17 +404,17 @@ def test_criterion_10_replay_integrity(tmp_path, capsys):
 
     def forgeries(step_index):
         """Each delta pair shifted on either side or dropped, a fresh pair added, the sum moved."""
-        for pair_index in range(len(data["steps"][step_index]["certificate"]["pairs"])):
+        for pair_index in range(len(data["steps"][step_index]["pairs"])):
             for side in (0, 1):
                 broken = copy.deepcopy(data)
-                broken["steps"][step_index]["certificate"]["pairs"][pair_index][side] += 1
+                broken["steps"][step_index]["pairs"][pair_index][side] += 1
                 yield broken
             broken = copy.deepcopy(data)
-            del broken["steps"][step_index]["certificate"]["pairs"][pair_index]
+            del broken["steps"][step_index]["pairs"][pair_index]
             yield broken
         broken = copy.deepcopy(data)
         # above every point, so the pairs stay in order
-        broken["steps"][step_index]["certificate"]["pairs"].append([fresh, fresh + 1])
+        broken["steps"][step_index]["pairs"].append([fresh, fresh + 1])
         yield broken
         broken = copy.deepcopy(data)
         written = int(broken["steps"][step_index]["upper_sum"], 16)

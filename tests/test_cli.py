@@ -176,7 +176,7 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
      ("format_version", 4), ("format_version", 5), ("format_version", 6),
-     ("format_version", 99),
+     ("format_version", 7), ("format_version", 99),
      ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
@@ -188,7 +188,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 7" in capsys.readouterr().err
+    assert "format version 8" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
@@ -223,8 +223,8 @@ def test_verify_flags_a_changed_delta_pair(tmp_path, capsys):
     assert run_cli("verify", str(out)) == 0
     capsys.readouterr()
     data = json.loads(out.read_text(encoding="utf-8"))
-    step = next(step for step in data["steps"] if step["certificate"]["pairs"])
-    step["certificate"]["pairs"][0][1] += 1
+    step = next(step for step in data["steps"] if step["pairs"])
+    step["pairs"][0][1] += 1
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
     assert "step 0: upper_sum" in capsys.readouterr().err
@@ -501,8 +501,8 @@ def test_calls_in_one_process_answer_as_fresh_processes_would(tmp_path, capsys, 
     assert run_cli("run", "--flavor", "coding", "--bits", "1011", "--schedule", "auto:4",
                    "--out", str(good)) == 0
     data = json.loads(good.read_text(encoding="utf-8"))
-    step = next(step for step in data["steps"] if step["certificate"]["pairs"])
-    step["certificate"]["pairs"][0][1] += 1
+    step = next(step for step in data["steps"] if step["pairs"])
+    step["pairs"][0][1] += 1
     bad.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
 

@@ -330,7 +330,7 @@ def test_tampered_traces_fail_replay():
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, (1, 0), auto_schedule(Flavor.CODING, 2), oracle)
     data = json.loads(json.dumps(trace_to_data(trace, oracle)))
-    data["steps"][3]["certificate"]["pairs"][0][1] += 1
+    data["steps"][3]["pairs"][0][1] += 1
     helpers.reseal(data)  # so only the pair itself is forged
     result = helpers.refusal(verify_trace_data, data)
     assert "step" in result
@@ -492,22 +492,21 @@ def _tree_step_wire():
     return data
 
 
-def _index_99(extra):
-    """Index 99, the node run on by fresh values so that it still ends there."""
-    node = extra["witness_node"]
-    return {"witness_index": 99, "witness_node": node + list(range(1000, 1100 - len(node)))}
+def _index_99(step):
+    """Index 99: the node run on by fresh values so that it ends there."""
+    node = step["witness_node"]
+    return {"witness_node": node + list(range(1000, 1100 - len(node)))}
 
 
 @pytest.mark.parametrize(
     "forge",
-    [_index_99, lambda extra: {"witness_node": [5] * len(extra["witness_node"])}],
+    [_index_99, lambda step: {"witness_node": [5] * len(step["witness_node"])}],
     ids=["witness_index", "witness_node"],
 )
 def test_a_forged_tree_witness_fails_replay(forge):
     data = _tree_step_wire()
-    extra = data["steps"][1]["extra"]
-    extra.update(forge(extra))
-    assert len(extra["witness_node"]) == extra["witness_index"] + 1
+    step = data["steps"][1]
+    step.update(forge(step))
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 1: requirement not satisfied"
 
@@ -519,20 +518,26 @@ def test_the_wire_form_shares_no_mutable_object_with_its_trace():
     extra = json.loads(json.dumps(trace.steps[1].extra))
     fresh = json.dumps(trace_to_data(trace, oracle))
     data = trace_to_data(trace, oracle)
-    data["steps"][1]["extra"]["witness_node"].append(99)
+    data["steps"][1]["witness_node"].append(99)
     data["oracle"]["kind"] = "forged"
     assert trace.steps[1].extra == extra
     assert json.dumps(trace_to_data(trace, oracle)) == fresh
 
 
-def test_a_tree_witness_past_its_index_is_malformed():
-    """The node a step walked may run on past its index, but the witness a trace writes may not."""
-    data = _tree_step_wire()
-    extra = data["steps"][1]["extra"]
-    assert len(extra["witness_node"]) == extra["witness_index"] + 1
-    extra["witness_node"].append(1000)
-    result = helpers.refusal(verify_trace_data, data)
-    assert result.startswith("step 1: malformed: witness_node has ")
+def test_a_tree_witness_past_its_index_is_refused_at_its_step():
+    """The witness a trace writes ends at its index: values past it move the index the reader takes.
+
+    The step then claims s(k) = node[k] at a later k, which its map does not
+    meet, whether the node runs on by one value or by several.
+    """
+    trace = run(Flavor.PLAIN, None, [DomainHits(0), TreeDiagonalized(FullInjectiveTree())],
+                trivial_oracle())
+    assert trace.steps[1].extra["witness_index"] == len(trace.steps[1].extra["witness_node"]) - 1
+    for more in ([1000], [1000, 1001, 1002]):
+        data = _tree_step_wire()
+        data["steps"][1]["witness_node"] += more
+        result = helpers.refusal(verify_trace_data, data)
+        assert result == "step 1: requirement not satisfied"
 
 
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
@@ -598,15 +603,15 @@ def _forge_op(data):
 
 def _forge_lower(data):
     lower = {"injection": [[9, 9]], "words": []}
-    data["steps"][1]["certificate"]["lower"] = lower
+    data["steps"][1]["lower"] = lower
 
 
 def _keep_snapshots(data):
-    data["steps"][1]["certificate"]["fixpoint_snapshots"] = []
+    data["steps"][1]["fixpoint_snapshots"] = []
 
 
 def _extra_on_a_hit(data):
-    data["steps"][1]["extra"] = {"witness_node": [], "witness_index": 0}
+    data["steps"][1]["witness_node"] = []
 
 
 @pytest.mark.parametrize("forge", [_forge_op, _forge_lower, _keep_snapshots, _extra_on_a_hit])
@@ -619,17 +624,20 @@ def test_a_step_with_a_key_outside_the_format_fails_replay(forge):
     assert result.startswith("step 1: malformed: ")
 
 
-@pytest.mark.parametrize("key, forged", [("witness_index", None), ("origin", "forged")])
+@pytest.mark.parametrize(
+    "key, forged", [("witness_index", 1), ("witness_node", None), ("origin", "forged")]
+)
 def test_a_tree_witness_with_a_key_outside_the_format_fails_replay(key, forged):
+    """A tree step writes its witness node alone: no index beside it, and no other key."""
     oracle = trivial_oracle()
     schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
     if forged is None:
-        del data["steps"][1]["extra"][key]
+        del data["steps"][1][key]
     else:
-        data["steps"][1]["extra"][key] = forged
+        data["steps"][1][key] = forged
     result = helpers.refusal(verify_trace_data, data)
-    assert result.startswith("step 1: malformed: extra has keys")
+    assert result.startswith("step 1: malformed: step has keys")
 
 
 @pytest.mark.parametrize("key", ["growth_events", "target", "note"])
@@ -663,7 +671,7 @@ def _note_at(*path):
 @pytest.mark.parametrize(
     "forge, reason",
     [
-        (_note_at("steps", 1, "certificate"), "step 1: malformed: certificate has keys"),
+        (_note_at("steps", 1), "step 1: malformed: step has keys"),
         (_note_at("schedule", 0), "step 0: malformed: schedule entry has keys"),
         (_note_at("final"), "malformed trace: final has keys"),
         (_note_at("oracle"), "malformed trace: oracle has keys"),
@@ -820,18 +828,15 @@ def _rewrite_zero(side, value):
     """Write the point 0 of step 0's delta, on the domain (0) or range (1) side."""
 
     def forge(data):
-        [pair] = [pair for pair in data["steps"][0]["certificate"]["pairs"] if pair[side] == 0]
+        [pair] = [pair for pair in data["steps"][0]["pairs"] if pair[side] == 0]
         pair[side] = value
 
     return forge
 
 
-def _set_witness(key, cast):
-    def forge(data):
-        extra = data["steps"][1]["extra"]
-        extra[key] = cast(extra[key])
-
-    return forge
+def _float_witness(data):
+    step = data["steps"][1]
+    step["witness_node"] = [float(v) for v in step["witness_node"]]
 
 
 @pytest.mark.parametrize(
@@ -864,25 +869,16 @@ def _set_witness(key, cast):
             lambda data: data["schedule"][1]["tree"].__setitem__("seed", 1.0),
             "step 1: malformed: 1.0 is not an integer",
         ),
-        (
-            _sparse_tree_trace,
-            _set_witness("witness_index", float),
-            "step 1: malformed: 1.0 is not an integer",
-        ),
-        (
-            _sparse_tree_trace,
-            _set_witness("witness_node", lambda node: [float(v) for v in node]),
-            "step 1: malformed: 1.0 is not an integer",
-        ),
+        (_sparse_tree_trace, _float_witness, "step 1: malformed: 1.0 is not an integer"),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 7.0),
-            "malformed trace: 7.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 8.0),
+            "malformed trace: 8.0 is not an integer",
         ),
     ],
     ids=["float-point", "string-point", "float-target-bit", "string-decoded-bits",
          "boolean-target-bits", "boolean-schedule-point", "float-tree-seed",
-         "float-witness-index", "float-witness-node", "float-format-version"],
+         "float-witness-node", "float-format-version"],
 )
 def test_a_number_not_written_as_a_json_integer_fails_replay(trace, forge, reason):
     data = trace()
@@ -990,7 +986,7 @@ def test_verify_inherits_an_orbit_index_equal_to_one_built_from_scratch():
     lower = coding_condition(CODING_16)
     closed_orbits(lower.s)
     for i, step in enumerate(_wire(trace, oracle)["steps"]):
-        cert = verify_certificate_data(step["certificate"], lower, oracle)
+        cert = verify_certificate_data(step, lower, oracle)
         assert cert, i
         assert cert.upper.s._index is not None, i
         fresh = PartialInjection(cert.upper.s.pairs())
@@ -1041,7 +1037,7 @@ def _repeat_last(items):
 
 
 def _delta(data, step):
-    return data["steps"][step]["certificate"]
+    return data["steps"][step]
 
 
 def _words_first_trace():
@@ -1119,7 +1115,7 @@ def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
     monkeypatch.setattr(W, "evaluate", counted)
     # the small value first: a scan up to the pair fails there, before a big one
     for far in (10**4, 10**9):
-        data["steps"][1]["certificate"]["pairs"] = [[0, far]]
+        data["steps"][1]["pairs"] = [[0, far]]
         data["final"]["injection"] = [[0, far]]
         helpers.reseal(data)
         assert len(json.dumps(data)) < 1024
@@ -1132,7 +1128,7 @@ def test_verify_work_on_a_claimed_power_follows_its_length(monkeypatch):
     """x^2000 is six characters; rejecting it reduces a few copies, not one per rotation."""
     oracle = trivial_oracle()
     data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
-    data["steps"][0]["certificate"]["words"] = ["x^2000"]
+    data["steps"][0]["words"] = ["x^2000"]
     reduced = []
     reduce = W.reduce
 
@@ -1152,7 +1148,7 @@ def test_a_refused_root_asks_for_no_primes(monkeypatch):
     """x^20000 alone misses its root x: the refusal is the closure's, and no prime is sought."""
     oracle = trivial_oracle()
     data = _wire(run(Flavor.DAGGER, (1, 0), auto_schedule(Flavor.DAGGER, 2), oracle), oracle)
-    data["steps"][0]["certificate"]["words"] = ["x^20000"]
+    data["steps"][0]["words"] = ["x^20000"]
     asked = []
     primes_up_to = I.primes_up_to
 
@@ -1202,7 +1198,7 @@ def test_verify_work_on_claimed_powers_follows_their_letters(monkeypatch):
     oracle = trivial_oracle()
     data = _wire(run(Flavor.DAGGER, (0,) * 46, [DomainHits(0)], oracle), oracle)
     texts = sorted(format_word(x_power(p), oracle) for p in range(1, 201))
-    data["steps"][0]["certificate"]["words"] = texts
+    data["steps"][0]["words"] = texts
     helpers.reseal(data)  # so the step passes, and the final comparison refuses
     letters = 200 * 201 // 2
     work = _bound_word_work(monkeypatch, 3 * letters)
@@ -1217,7 +1213,7 @@ def test_verify_work_on_a_written_out_power_follows_its_length(monkeypatch):
     data = _wire(run(Flavor.DAGGER, (1, 0), [DomainHits(0)], oracle), oracle)
     text = format_word(Word((group(1), X) * 1000), oracle)
     assert len(text) == 4 * 1000 + 999
-    data["steps"][0]["certificate"]["words"] = [text]
+    data["steps"][0]["words"] = [text]
     _bound_word_work(monkeypatch, 3 * 2000)
     result = helpers.refusal(verify_trace_data, data)
     assert result == f"step 0: invalid condition: missing power 1 of root of {text!r}"

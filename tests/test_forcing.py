@@ -485,6 +485,32 @@ def test_close_all_orbits_respects_dagger_obligations():
     assert o_dagger(t.s, 0) == (1,)
 
 
+def test_a_seal_keeps_every_obligated_prime_parity():
+    """Dagger conditions whose E obligates p = 2, 3, 5 and 7, sealed with open paths of 1-3 pairs.
+
+    A seal closes a path at its size plus L plus one, past L, the longest
+    word of E, which is at least the exponent of every power in E and so
+    every prime that power obligates: each obligated bit of o_dagger stays.
+    """
+    rng = random.Random(29)
+    for bits in itertools.product((0, 1), repeat=4):
+        c = add_word(dagger_condition(bits, None, []), x_power(7), TRIV).upper
+        assert c.max_word_length == 7 and o_dagger(c.s, 3) == bits
+        for sizes in ((1,), (2,), (3,), (1, 2, 3), (3, 1)):
+            fresh = iter(rng.sample(range(max(c.s.support, default=0) + 1, 60), 16))
+            pairs = []
+            for size in sizes:
+                path = [next(fresh) for _ in range(size + 1)]
+                pairs += zip(path, path[1:])
+            opened = F.Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target)
+            validate(opened, TRIV)
+            assert len(open_orbits(opened.s)) == len(sizes)
+            t = close_all_orbits(opened, TRIV).upper
+            assert not open_orbits(t.s)
+            assert o_dagger(t.s, 3) == bits, (bits, sizes)
+            validate(t, TRIV)
+
+
 def test_chained_operations_certify_like_a_direct_order_check():
     c = dagger_condition((1, 1, 0), inj({0: 3, 5: 6, 8: 9}), [x_power(1)])
     for cert in (add_word(c, x_power(5), TRIV), close_all_orbits(c, TRIV)):
@@ -871,13 +897,16 @@ def test_a_chain_of_certified_steps_reads_the_carried_memo(monkeypatch):
 
 
 class _WindowedTranslation(TranslationOracle):
-    """Translations that refuse to evaluate at or past a window, as a staged oracle does."""
+    """Translations that refuse to evaluate at or past a window, as a staged oracle does.
 
-    def __init__(self, window):
-        self.limit = window
+    Given a handle, only the translation by that handle refuses.
+    """
+
+    def __init__(self, window, handle=None):
+        self.limit, self.handle = window, handle
 
     def eval(self, a, n):
-        if n >= self.limit:
+        if n >= self.limit and self.handle in (None, a):
             raise WindowTooSmall(n + 1)
         return super().eval(a, n)
 
@@ -926,6 +955,59 @@ def test_the_order_check_misses_the_window_where_a_full_scan_would_first():
     assert check.value.required == scan.value.required
     misses = {n: upper.s.apply(n) + 1 for n in upper.s.domain if upper.s.apply(n) >= 50}
     assert len(set(misses.values())) == 4 and scan.value.required in misses.values()
+
+
+def test_a_gain_earlier_in_text_order_outranks_a_later_roots_miss(monkeypatch):
+    """g1.x gains 0 at the new pair (0, 1) while g2.x misses at 60: the scan in text order refuses.
+
+    The miss sends the order check to the per-word scan, which reaches
+    'g1.x' before 'g2.x', so leq names the gain and raises no miss.
+    """
+    oracle = _WindowedTranslation(50, handle=2)
+    words = [Word((group(1), X)), Word((group(2), X))]
+    lower = plain_condition(PartialInjection([(5, 60), (7, 8)]), words)
+    upper = plain_condition(lower.s.with_pair(0, 1), words)
+    scanned = []
+    scan = I._scanned_gain
+    monkeypatch.setattr(I, "_scanned_gain",
+                        lambda *args: scanned.append(scan(*args)) or scanned[-1])
+    with pytest.raises(WindowTooSmall):
+        word_graph(words[1], lower.s, oracle)
+    refusal = helpers.refusal(leq, upper, lower, oracle)
+    assert refusal == "word 'g1.x' changed fixed points (gained [0])"
+    assert scanned == [{(words[0], 1): [0]}]
+
+
+def _missing_map():
+    """Points 30, 10 and 20, in that order, whose values 90, 85 and 70 lie past window 50."""
+    return PartialInjection([(30, 90), (10, 85), (20, 70), (1, 2)])
+
+
+def test_a_map_with_no_memo_raises_its_least_points_miss():
+    """validate's dagger clause evaluates g1.x at each point, and raises the least one's miss."""
+    oracle = _WindowedTranslation(50)
+    v = Word((group(1), X))
+    c = dagger_condition((0,), _missing_map(), [v, Word(v.letters * 2)])
+    assert list(c.s._live())[0] == 30 and c.s._fixes is None
+    with pytest.raises(WindowTooSmall) as miss:
+        validate(c, oracle)
+    assert miss.value.required == 86  # point 10's; point 30's is 91, the least required 71
+    with pytest.raises(WindowTooSmall) as again:
+        word_cycle_counts(v, _missing_map(), oracle)
+    assert again.value.required == 86
+
+
+def test_fixed_points_past_the_window_raises_what_the_domain_scan_raises():
+    """On a miss, fixed_points falls back to word_graph's scan in set order, and its first miss."""
+    oracle = _WindowedTranslation(50)
+    v = Word((group(1), X))
+    s = PartialInjection([(2, 60), (9, 70), (4, 3)])
+    assert list(s.domain)[0] == 9  # set order puts 9 before the least point 2
+    with pytest.raises(WindowTooSmall) as scan:
+        word_graph(v, s, oracle)
+    with pytest.raises(WindowTooSmall) as fixed:
+        fixed_points(v, s, oracle)
+    assert fixed.value.required == scan.value.required == 71
 
 
 def test_many_extensions_still_checks_each_option(monkeypatch):
@@ -1013,6 +1095,30 @@ def test_the_walk_agrees_with_the_per_option_walk(monkeypatch):
         outcomes[outcome, min(checked, 2)] += 1
     assert set(outcomes) == {(None, 1), (None, 2), (WindowTooSmall, 0),
                              (WindowTooSmall, 1), (WindowTooSmall, 2)}, outcomes
+
+
+def test_a_tree_step_walks_the_group_blocks_of_a_word_with_several_x(monkeypatch):
+    """E holds g1.x.g1.x, with two x: the walk's scratch words take its block g1.x beside x.
+
+    The option the step takes is the last the per-option walk finds over
+    the same scratch words, and the run's trace verifies.
+    """
+    walks = []
+    walk = F.many_extensions
+    monkeypatch.setattr(F, "many_extensions", lambda *args: walks.append(args) or walk(*args))
+    schedule = [E.WordAdded(parse_word("g1.x.g1.x", TRANS)), E.DomainHits(0)]
+    trees = (FullInjectiveTree(), SparseCongruenceTree(3))
+    schedule += [E.TreeDiagonalized(tree) for tree in trees]
+    trace = E.run(Flavor.PLAIN, None, schedule, TRANS)
+    assert trace.final.words == {schedule[0].word} and len(walks) == 2
+    for (scratch, *rest), step in zip(walks, trace.steps[2:]):
+        assert scratch.words == {x_power(1), GX}
+        _, options = helpers.per_option_walk(scratch, *rest)
+        assert tuple(step.certificate.upper.s.pairs_beyond(step.certificate.lower.s)) == (
+            options[-1],
+        )
+        assert step.extra["witness_index"] == options[-1][0]
+    E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
 
 
 def test_a_leaping_walk_on_a_sealed_stage_agrees_with_the_per_option_walk():

@@ -2,11 +2,12 @@
 
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
-was already met and on a step's `upper_sum`, the clauses on a delta or a
-tree witness in a form the writer never writes, those on a growth event's
-cycles and the stages they grow, and the closed key sets of an embedded
-stage, a growth event and `final`, which hold none of the numbers their
-reader derives; each case builds the call and its arguments, and the
+was already met and on a step's `upper_sum`, the clauses on a delta in a
+form the writer never writes, a tree witness running past its index, those
+on a growth event's cycles and the stages they grow, and the closed key
+sets of a step, an embedded stage, a growth event and `final`, which hold
+none of the numbers their reader derives and no object format 7 wrapped a
+step's parts in; each case builds the call and its arguments, and the
 refusal it raises must read exactly as listed.  leq's gain clause formats
 its text only when it is read, so a last test holds each such refusal of a
 staged run to the text formatted at the moment it was raised.
@@ -80,10 +81,10 @@ def _forged_trace(forge, flavor=Flavor.CODING):
 
 
 def _forged_witness(forge):
-    """verify_trace_data on a domain hit at 0 then a full-tree step, its witness forged."""
+    """verify_trace_data on a domain hit at 0 then a full-tree step, that step forged."""
     schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
     data = json.loads(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, TRIV), TRIV)))
-    forge(data["steps"][1]["extra"])
+    forge(data["steps"][1])
     return verify_trace_data, data
 
 
@@ -121,9 +122,18 @@ def _set_first_cycles(*cycles):
 
 def _set_delta(step, key, value, flavor=Flavor.CODING):
     """_forged_trace with step `step`'s delta `key` set to `value`."""
-    return _forged_trace(
-        lambda data: data["steps"][step]["certificate"].__setitem__(key, value), flavor
-    )
+    return _forged_trace(lambda data: data["steps"][step].__setitem__(key, value), flavor)
+
+
+def _format_7_step(step):
+    """The step as format 7 wrote it: its delta wrapped in `certificate`."""
+    step["certificate"] = {"pairs": step.pop("pairs"), "words": step.pop("words")}
+
+
+def _format_7_witness(step):
+    """A tree step's witness as format 7 wrote it: wrapped in `extra`, its index beside it."""
+    node = step.pop("witness_node")
+    step["extra"] = {"witness_node": node, "witness_index": len(node) - 1}
 
 
 CASES = {
@@ -217,42 +227,57 @@ CASES = {
         "step 6: malformed: word texts do not strictly increase",
     ),
     "trace-certificate-missing-key": (
-        lambda: _forged_trace(lambda data: data["steps"][1]["certificate"].pop("words")),
-        "step 1: malformed: certificate has keys ['pairs'], format gives ['pairs', 'words']",
+        lambda: _forged_trace(lambda data: data["steps"][1].pop("words")),
+        "step 1: malformed: step has keys ['pairs', 'upper_sum'],"
+        " format gives ['pairs', 'upper_sum', 'words']",
     ),
     "trace-certificate-extra-key": (
         lambda: _set_delta(1, "upper", {}),
-        "step 1: malformed: certificate has keys ['pairs', 'upper', 'words'],"
-        " format gives ['pairs', 'words']",
+        "step 1: malformed: step has keys ['pairs', 'upper', 'upper_sum', 'words'],"
+        " format gives ['pairs', 'upper_sum', 'words']",
     ),
     "trace-certificate-snapshots": (
         lambda: _set_delta(1, "fixpoint_snapshots", []),
-        "step 1: malformed: certificate has keys ['fixpoint_snapshots', 'pairs', 'words'],"
-        " format gives ['pairs', 'words']",
+        "step 1: malformed: step has keys ['fixpoint_snapshots', 'pairs', 'upper_sum', 'words'],"
+        " format gives ['pairs', 'upper_sum', 'words']",
+    ),
+    "trace-certificate-wrapped": (
+        lambda: _forged_trace(lambda data: _format_7_step(data["steps"][1])),
+        "step 1: malformed: step has keys ['certificate', 'upper_sum'],"
+        " format gives ['pairs', 'upper_sum', 'words']",
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 7",
+        "malformed trace: conventions are not those of format version 8",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 7",
+        "malformed trace: conventions are not those of format version 8",
     ),
     "trace-version-4": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
-        "malformed trace: conventions are not those of format version 7",
+        "malformed trace: conventions are not those of format version 8",
     ),
     "trace-version-5": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 5)),
-        "malformed trace: conventions are not those of format version 7",
+        "malformed trace: conventions are not those of format version 8",
     ),
     "trace-version-6": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 6)),
-        "malformed trace: conventions are not those of format version 7",
+        "malformed trace: conventions are not those of format version 8",
+    ),
+    "trace-version-7": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 7)),
+        "malformed trace: conventions are not those of format version 8",
     ),
     "trace-witness-length": (
-        lambda: _forged_witness(lambda extra: extra["witness_node"].append(99)),
-        "step 1: malformed: witness_node has 3 values, not witness_index + 1",
+        lambda: _forged_witness(lambda step: step["witness_node"].append(99)),
+        "step 1: requirement not satisfied",
+    ),
+    "trace-witness-wrapped": (
+        lambda: _forged_witness(_format_7_witness),
+        "step 1: malformed: step has keys ['extra', 'pairs', 'upper_sum', 'words'],"
+        " format gives ['pairs', 'upper_sum', 'witness_node', 'words']",
     ),
     "growth-cycle-minimum": (
         lambda: _set_first_cycles([6, 7, 5]),

@@ -45,58 +45,58 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "19d5a23ac0778a19e7421770e116dfef"
-        "feb45754d8df775434da1a53772c6479"
+        "1d593b5b545d2ac90812f1f648194a12"
+        "67b1053d24ccdcf8dca98c1a0155900e"
     ),
     "dagger-3-translation": (
-        "aaae1dc1373f79e1380f8d07a7526345"
-        "e6563d3129c793909c78fd8c63313508"
+        "915716167b75d727bc0418e753153288"
+        "b315e502e31e259bdabb838dc4728150"
     ),
     "plain-trees": (
-        "e9133ea7ee9bdba8d293113a966e2d98"
-        "69310e02c46d1ebb7e5a7ac483f446f3"
+        "ca2e0a594a0fc844ca41bc2f7028e9f2"
+        "95e2f519600a4e1911ce882aee48c5e0"
     ),
     "plain-trees-sealed": (
         "7f4afa3fa9a4b038d33f3c3a8d919cc8"
         "8e6c64edaef52eced315c54bd3056a26"
     ),
     "staged-0": (
-        "1b67ff03d9bc63203f566fae02c4b8fb"
-        "9457781736750c3482c8b085ae8c4cf3"
+        "038774ce6549f3347ba87b92bcf98ec1"
+        "cdd5650e7f62ef7e09fafcaa94e82927"
     ),
     "staged-1": (
-        "eacc388fb18ad11123555c6348c5701e"
-        "e26722bc6d5046f01c8e683c71302a5c"
+        "44fb7c35ce92cf5afedde5669b9e8a42"
+        "4d7aa8d985695a3920373fe8532347d1"
     ),
     "translation-trees": (
-        "0003fa83604584657bf66ef9df6ce38d"
-        "bd4ae73931d5c80790fb2ba50e44f12e"
+        "4b17be387c46865f8d7b1231649cefd4"
+        "0a972505a57048380db9dd3d5cfb2c53"
     ),
     "staged-trees-full": (
-        "3907332cc84ed05e3c7cb129ad1d4a1f"
-        "dbf7bd880fe72fa2dcacb8d54be40a01"
+        "ffe4d94101a54113aaa17f904b1b0423"
+        "681ff26139a8838794bae97e0262701b"
     ),
     "staged-trees-sparse-1": (
-        "bd9d8fc6db42642ebb9db733fe0b5a2b"
-        "4235a85ca8745f82dac8732896562498"
+        "693f9dfe8d949652b38fd1bb575c83f4"
+        "9412dd04d02f33eda403ddcd6c2d5f1c"
     ),
     "staged-trees-sparse-2-5": (
-        "b39ce163c73cb5db163e4659d8339721"
-        "d4b59549cf137e67a80ccc7ca3f244d7"
+        "efc921d23568b6011d82bd3416b246b3"
+        "fc502b32e9e75efb41ba2f35e54879ee"
     ),
     "coding-chained": (
-        "7cbc6bd63528a3e7e66800f01acfcd72"
-        "61111dc77a17c422c280dfe7ff014d41"
+        "7c4d48e837b1d7a3ce36e5768ff6a54c"
+        "c4cbd3c9175c0356e86d6f951d219b9d"
     ),
     "dagger-chained-translation": (
-        "1835679ac6072d5123690ad5d6f8f380"
-        "ad25cfb5b51052b7304be0e324b07aa5"
+        "ba6f0768b8cbfc1124c7160a162c672b"
+        "e5cea50e72cd1c7829d7de859d3671f3"
     ),
 }
 
