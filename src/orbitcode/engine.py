@@ -538,31 +538,40 @@ def verify_trace_data(data: Mapping) -> None:
 
     Anything trace_to_data would not write is malformed: a key missing from
     an object's closed key set or outside it (a step's is `pairs`, `words`
-    and `upper_sum`, plus `witness_node` for a tree step), a number that is
-    not a JSON integer (or a bit other than 0 or 1), a schedule entry other
-    than its requirement writes, a delta (the step itself, see
-    forcing.verify_certificate_data) or the final condition with pairs or
-    word texts out of order or form, an embedded stage seal did not make,
-    other conventions, and growth events off the engine's rule.  Each step's
-    upper condition, the one before it plus its delta, each word text parsed
-    once, must extend the condition before it, no word of that condition
-    gaining a fixed point, validate, and meet its schedule entry, a tree
-    step's at its witness, parsed once, whose index is its length less one,
-    so a witness running past its index is refused there; a step other than
-    a tree step whose entry the condition before it already met must add
-    nothing, as the engine does; and last, its `upper_sum` must be the
-    running sum.  So a step parses and inserts only its delta, with_pairs
-    makes its map a new version of lower's without copying it, and no
-    fixed-point set is read off the wire.  The final condition and decoded
-    bits must recompute; Refused names the first claim that fails, and the
-    step it fails at.
+    and `upper_sum`, plus `witness_node` for a tree step), a list written as
+    another type (a step's pairs, words or witness node, the target or the
+    decoded bits), a number that is not a JSON integer (or a bit other than
+    0 or 1), a schedule entry other than its requirement writes, a delta
+    (the step itself, see forcing.verify_certificate_data) or the final
+    condition with pairs or word texts out of order or form, an embedded
+    stage seal did not make, other conventions, and growth events off the
+    engine's rule.  Each step's upper condition, the one before it plus its
+    delta, each word text parsed once, must extend the condition before it,
+    no word of that condition gaining a fixed point, validate, and meet its
+    schedule entry, a tree step's at its witness, parsed once, whose index
+    is its length less one, so a witness running past its index is refused
+    there; a step other than a tree step whose entry the condition before
+    it already met must add nothing, as the engine does; and last, its
+    `upper_sum` must be the running sum.  A step whose pairs and words are
+    both empty has the condition before it as its upper condition, which
+    the step before validated or which is the empty condition every flavor
+    admits, so it is checked only against its entry and the sum: no delta
+    is parsed, no order rechecked and nothing validated again.  validate is
+    given the condition before a step, so its coding clause compares only
+    the code bits the step adds.  So a step parses and inserts only its
+    delta, with_pairs makes its map a new version of lower's without
+    copying it, and no fixed-point set is read off the wire.  The final
+    condition and decoded bits must recompute; Refused names the first
+    claim that fails, and the step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:
         I.wire_object(data, _TRACE_KEYS, "trace")
         oracle = O.oracle_from_descriptor(data["oracle"])
         raw_target = data["target"]
-        target = None if raw_target is None else tuple(I.wire_int(b, bit=True) for b in raw_target)
+        target = None if raw_target is None else tuple(
+            I.wire_int(b, bit=True) for b in I.wire_list(raw_target, "target")
+        )
         c = F.Condition(I.PartialInjection(), frozenset(), F.Flavor(data["flavor"]), target)
         schedule = data["schedule"]
         steps = data["steps"]
@@ -583,17 +592,21 @@ def verify_trace_data(data: Mapping) -> None:
                 parsed.setdefault(entry["word"], req.word)
             tree = isinstance(req, TreeDiagonalized)
             I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
-            witness = tuple(map(I.wire_int, step["witness_node"])) if tree else ()
-            lower = c
-            met = not tree and _requirement_holds(req, witness, lower, oracle)
-            c = F.verify_certificate_data(step, lower, oracle, parsed).upper
-            try:
-                F.validate(c, oracle)
-            except Refused as exc:
-                raise Refused(f"invalid condition: {exc}") from None
+            witness = (
+                tuple(map(I.wire_int, I.wire_list(step["witness_node"], "witness_node")))
+                if tree else ()
+            )
+            lower, met = c, False
+            if step["pairs"] != [] or step["words"] != []:  # else c is its own upper condition
+                met = not tree and _requirement_holds(req, witness, lower, oracle)
+                c = F.verify_certificate_data(step, lower, oracle, parsed).upper
+                try:
+                    F.validate(c, oracle, lower)
+                except Refused as exc:
+                    raise Refused(f"invalid condition: {exc}") from None
             if not _requirement_holds(req, witness, c, oracle):
                 raise Refused("requirement not satisfied")
-            if met and (step["pairs"] or step["words"]):
+            if met:
                 raise Refused("requirement already met, but the step changes the condition")
             total = _upper_sum(total, step["pairs"], step["words"])
             if step["upper_sum"] != f"{total:016x}":
@@ -602,7 +615,8 @@ def verify_trace_data(data: Mapping) -> None:
         final = I.wire_object(data["final"], _CONDITION_KEYS, "final")
         if F.condition_from_data(final, c.flavor, c.target, oracle, parsed) != c:
             raise Refused("final condition does not match the last step")
-        if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in data["decoded"]):
+        decoded = I.wire_list(data["decoded"], "decoded")
+        if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in decoded):
             raise Refused("decoded bits do not match the final condition")
     except Refused as exc:
         raise Refused(str(exc) if i is None else f"step {i}: {exc}") from None

@@ -219,7 +219,7 @@ def _word_facts(words: frozenset[W.Word], oracle) -> _WordFacts:
     return _FACTS[oracle][0]
 
 
-def validate(c: Condition, oracle) -> None:
+def validate(c: Condition, oracle, lower: Condition | None = None) -> None:
     """Check every flavor invariant; Refused names the first violated clause.
 
     The clauses on E alone come from _word_facts, once per word set.  The
@@ -227,6 +227,10 @@ def validate(c: Condition, oracle) -> None:
     injections.word_cycle_counts.  A candidate leq has certified over a
     validated condition holds its memos, carried, so its check costs
     O(new pairs), not O(|s|); a map nothing certified builds them in a pass.
+    Given `lower`, a validated condition leq has shown c to extend, the
+    coding clause compares only the code bits c adds: every point below
+    lower's gap lies in one of lower's cycles, so a new cycle's minimum lies
+    past every old one and c's code is lower's with the new bits appended.
     """
     facts = _word_facts(c.words, oracle)
     if facts.inadmissible is not None:
@@ -238,7 +242,8 @@ def validate(c: Condition, oracle) -> None:
             bits = I.o_partial(c.s)
         except NotNiceInjection:
             raise Refused("injection is not nice") from None
-        if len(bits) > len(c.target) or tuple(c.target[: len(bits)]) != bits:
+        known = 0 if lower is None else len(I.o_partial(lower.s))
+        if len(bits) > len(c.target) or tuple(c.target[known : len(bits)]) != bits[known:]:
             raise Refused(f"orbit code {list(bits)} is not a prefix of target {list(c.target)}")
         return
     # dagger: per indecomposable root v, the closure of its top power and v[s]'s code
@@ -295,9 +300,12 @@ def _gain_text(gains: dict, oracle) -> str:
 
 
 def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
-    """leq, then validate on the memos leq carried, as verify checks: candidate ≤ c, or Refused."""
+    """leq, then validate on the memos leq carried, as verify checks: candidate ≤ c, or Refused.
+
+    c must be valid: validate compares only the code bits candidate adds to c's.
+    """
     cert = leq(candidate, c, oracle)
-    validate(candidate, oracle)
+    validate(candidate, oracle, c)
     return cert
 
 
@@ -818,21 +826,22 @@ def verify_certificate_data(
 ) -> ExtensionCertificate:
     """Build upper from lower and the delta, then recheck that it extends lower.
 
-    The delta is in the writer's form or raises ValueError: its pairs
-    strictly increase by domain point, each with a domain point and an image
-    lower lacks, and its word texts strictly increase, are each their
-    parse's text and name no word of lower.  upper's injection is lower's
+    The delta is in the writer's form or raises ValueError (TypeError for
+    pairs or words that are not a list): its pairs strictly increase by
+    domain point, each with a domain point and an image lower lacks, and
+    its word texts strictly increase, are each their parse's text and name
+    no word of lower.  upper's injection is lower's
     with_pairs the delta, or lower's own for no pairs, so it keeps lower's
     orbit index and leq reads only the new pairs.  Returns the recomputed
     certificate; Refused names the failed clause.
     """
-    pairs = [(I.wire_int(n), I.wire_int(m)) for n, m in data["pairs"]]
+    pairs = [(I.wire_int(n), I.wire_int(m)) for n, m in I.wire_list(data["pairs"], "pairs")]
     if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
         raise ValueError("delta pairs do not strictly increase by domain point")
     for n, m in pairs:
         if lower.s.apply(n) is not None or lower.s.apply_inverse(m) is not None:
             raise ValueError(f"delta pair {[n, m]} meets the lower condition's domain or range")
-    _, words = map_and_words_from_data([], data["words"], oracle, parsed)
+    _, words = map_and_words_from_data([], I.wire_list(data["words"], "words"), oracle, parsed)
     if not words.isdisjoint(lower.words):
         text = min(W.format_word(w, oracle) for w in words & lower.words)
         raise ValueError(f"delta word {text!r} is already in the lower condition")

@@ -731,6 +731,13 @@ def wire_object(data, keys: frozenset, what: str):
     return data
 
 
+def wire_list(data, what: str) -> list:
+    """data itself, if it is a list; TypeError otherwise."""
+    if not isinstance(data, list):
+        raise TypeError(f"{what} is not a list")
+    return data
+
+
 def injection_from_pairs(pairs: Iterable[Iterable[int]]) -> PartialInjection:
     """Build from serialized [[n, m], …] data; every point a JSON integer."""
     return PartialInjection((wire_int(n), wire_int(m)) for n, m in pairs)

@@ -45,6 +45,7 @@ from orbitcode import (
     word_graph,
     x_power,
 )
+from orbitcode import engine as E
 from orbitcode import forcing as F
 from orbitcode import injections as I
 from orbitcode import oracle as O
@@ -973,6 +974,46 @@ def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):
     verify_trace_data(data)
     assert len(trace.final.s) == 10 and len(trace.final.words) == 1
     assert 0 < len(calls) <= len(trace.final.s)
+
+
+def test_verify_recertifies_only_the_steps_that_add(monkeypatch):
+    """A step whose delta is empty keeps its lower condition as its upper one.
+
+    On a coding auto:64 trace, verify runs leq, validate and with_pairs once
+    for each step that adds pairs, and none of them for a step that adds
+    nothing, whose requirement it checks once; a step that adds checks its
+    requirement against both conditions.
+    """
+    oracle = trivial_oracle()
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
+    data = _wire(run(Flavor.CODING, bits, auto_schedule(Flavor.CODING, 64), oracle), oracle)
+    step, counts = [-1], []
+    entry_of = E._requirement_from_entry
+
+    def entering(entry, oracle):
+        step[0] += 1
+        counts.append(dict.fromkeys(("leq", "validate", "with_pairs", "holds"), 0))
+        return entry_of(entry, oracle)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[step[0]][name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(E, "_requirement_from_entry", entering)
+    monkeypatch.setattr(F, "leq", counted("leq", F.leq))
+    monkeypatch.setattr(F, "validate", counted("validate", F.validate))
+    with_pairs = counted("with_pairs", I.PartialInjection.with_pairs)
+    monkeypatch.setattr(I.PartialInjection, "with_pairs", with_pairs)
+    monkeypatch.setattr(E, "_requirement_holds", counted("holds", E._requirement_holds))
+    verify_trace_data(data)
+    empty = {"leq": 0, "validate": 0, "with_pairs": 0, "holds": 1}
+    adding = {"leq": 1, "validate": 1, "with_pairs": 1, "holds": 2}
+    expected = [adding if s["pairs"] else empty for s in data["steps"]]
+    assert counts == expected
+    assert expected.count(empty) == 127 and expected.count(adding) == 65
 
 
 def _index_state(s):

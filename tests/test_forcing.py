@@ -182,6 +182,37 @@ def test_validate_names_the_least_inadmissible_word_in_text_order():
     assert check == "word 'g1' is not admissible"
 
 
+def _verdict(*args):
+    return helpers.refusal(validate, *args) if not helpers.holds(validate, *args) else None
+
+
+def test_validate_over_a_valid_lower_condition_gives_the_full_prefix_verdict():
+    """Every valid coding lower condition on the points 0..3, every map extending it, 16 targets.
+
+    Given lower, validate compares only the code bits the upper map adds;
+    its verdict, text included, must be the one a comparison of the whole
+    prefix gives, nice or not, bits appended or not.
+    """
+    maps = [
+        dict(zip(domain, image))
+        for k in range(5)
+        for domain in itertools.combinations(range(4), k)
+        for image in itertools.permutations(range(4), k)
+    ]
+    kinds, verdicts = {None: "valid", "injection is not nice": "nice"}, Counter()
+    for low, target in itertools.product(maps, itertools.product((0, 1), repeat=4)):
+        lower = coding_condition(target, inj(low))
+        if _verdict(lower, TRIV) is not None:
+            continue
+        for high in maps:
+            if len(high) > len(low) and low.items() <= high.items():
+                upper = coding_condition(target, lower.s.with_pairs(high.items() - low.items()))
+                verdict = _verdict(upper, TRIV, lower)
+                assert verdict == _verdict(upper, TRIV), (low, high, target)
+                verdicts[kinds.get(verdict, "prefix")] += 1
+    assert set(verdicts) == {"valid", "nice", "prefix"}, verdicts
+
+
 def test_validate_formats_no_word_of_a_valid_condition(monkeypatch):
     calls = []
     real = W.format_word
@@ -1205,32 +1236,44 @@ def _scanned_root_counts(c, oracle):
     return out
 
 
-def _check_every_dagger_validate(monkeypatch) -> list:
-    """Wrap validate: each dagger condition that passes must read its roots' counts as a scan does."""
-    checked = []
+def _check_every_dagger_validate(monkeypatch) -> tuple[list, list]:
+    """Wrap validate: each dagger condition that passes must read its roots' counts as a scan does.
+
+    Returns the roots checked and the conditions validated, in call order.
+    """
+    checked, calls = [], []
     real = F.validate
 
-    def checking(c, oracle):
-        real(c, oracle)
+    def checking(c, oracle, lower=None):
+        calls.append(c)
+        real(c, oracle, lower)
         if c.flavor is Flavor.DAGGER:
             for v, expected in _scanned_root_counts(c, oracle).items():
                 assert word_cycle_counts(v, c.s, oracle) == expected, (v, c.s)
                 checked.append(v)
 
     monkeypatch.setattr(F, "validate", checking)
-    return checked
+    return checked, calls
 
 
 def test_the_memo_agrees_with_a_fresh_scan_along_a_certified_translation_chain(monkeypatch):
-    """Candidates are certified, then validated on the memo they carry; verify carries it again."""
-    checked = _check_every_dagger_validate(monkeypatch)
+    """Candidates are certified, then validated on the memo they carry; verify carries it again.
+
+    verify validates once per step with a non-empty delta, and never a step
+    that adds nothing: its upper condition is the one validated before it.
+    """
+    checked, calls = _check_every_dagger_validate(monkeypatch)
     gx = parse_word("g1.x", TRANS)
     schedule = [E.WordAdded(gx), E.WordAdded(W.power(gx, 3, TRANS))]
     schedule += E.auto_schedule(Flavor.DAGGER, 4)
     trace = E.run(Flavor.DAGGER, (1, 0, 1, 1), schedule, TRANS)
+    data = json.loads(json.dumps(E.trace_to_data(trace, TRANS)))
     during_run = len(checked)
-    E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
-    assert during_run >= 25 and len(checked) >= during_run + 25
+    calls.clear()
+    E.verify_trace_data(data)
+    adding = [step for step in data["steps"] if step["pairs"] or step["words"]]
+    assert during_run >= 25 and len(checked) > during_run
+    assert 0 < len(adding) < len(data["steps"]) and len(calls) == len(adding)
 
 
 def test_the_memo_agrees_with_a_fresh_scan_along_a_staged_run(monkeypatch):
@@ -1239,7 +1282,7 @@ def test_the_memo_agrees_with_a_fresh_scan_along_a_staged_run(monkeypatch):
     The build validates only the candidates the order check certifies, and
     verify replays each stage trace under the same wrapper.
     """
-    checked = _check_every_dagger_validate(monkeypatch)
+    checked, _ = _check_every_dagger_validate(monkeypatch)
     stages = E.staged_run([(0, 1, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)])  # triple 052
     later = [w for stage in stages[1:] for w in stage.condition.words]
     staged_words = {w for w in later if w.x_count() < len(w)}

@@ -3,7 +3,9 @@
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
 was already met and on a step's `upper_sum`, the clauses on a delta in a
-form the writer never writes, a tree witness running past its index, those
+form the writer never writes, a list the writer writes written as another
+type, a step that adds nothing to a condition that does not meet its entry,
+a tree witness running past its index, those
 on a growth event's cycles and the stages they grow, and the closed key
 sets of a step, an embedded stage, a growth event and `final`, which hold
 none of the numbers their reader derives and no object format 7 wrapped a
@@ -71,10 +73,11 @@ def _forged_certificate(forge):
 def _forged_trace(forge, flavor=Flavor.CODING):
     """verify_trace_data on a two-bit trace, forged by `forge`.
 
-    Coding: step 0 adds [0, 0], step 3 [1, 2] and step 4 [2, 1].  Dagger:
-    the same pairs, and steps 2, 5 and 6 add the words x, x^2 and x^3.
+    Coding: step 0 adds [0, 0], step 3 [1, 2] and step 4 [2, 1], and steps
+    1, 2 and 5 add nothing.  Dagger: the same pairs, and steps 2, 5 and 6
+    add the words x, x^2 and x^3.  Plain: a two-point cover, no bits.
     """
-    trace = run(flavor, (1, 0), auto_schedule(flavor, 2), TRIV)
+    trace = run(flavor, None if flavor is Flavor.PLAIN else (1, 0), auto_schedule(flavor, 2), TRIV)
     data = json.loads(json.dumps(trace_to_data(trace, TRIV)))
     forge(data)
     return verify_trace_data, data
@@ -135,6 +138,8 @@ def _format_7_witness(step):
     node = step.pop("witness_node")
     step["extra"] = {"witness_node": node, "witness_index": len(node) - 1}
 
+
+_UNMET = {"kind": "domain_hits", "n": 5}  # not in the domain at step 1, which adds nothing
 
 CASES = {
     "validate-admissible": (
@@ -225,6 +230,50 @@ CASES = {
     "trace-delta-word-order": (
         lambda: _set_delta(6, "words", ["x^4", "x^3"], Flavor.DAGGER),
         "step 6: malformed: word texts do not strictly increase",
+    ),
+    "trace-empty-step-unmet-first": (
+        lambda: _set_delta(0, "pairs", []),
+        "step 0: requirement not satisfied",
+    ),
+    "trace-empty-step-unmet-later": (
+        lambda: _forged_trace(lambda data: data["schedule"].__setitem__(1, _UNMET)),
+        "step 1: requirement not satisfied",
+    ),
+    "trace-empty-tree-step": (
+        lambda: _forged_witness(lambda step: step.__setitem__("pairs", [])),
+        "step 1: requirement not satisfied",
+    ),
+    "trace-pairs-object": (
+        lambda: _set_delta(1, "pairs", {}),
+        "step 1: malformed: pairs is not a list",
+    ),
+    "trace-pairs-string": (
+        lambda: _set_delta(1, "pairs", ""),
+        "step 1: malformed: pairs is not a list",
+    ),
+    "trace-words-object": (
+        lambda: _set_delta(1, "words", {}),
+        "step 1: malformed: words is not a list",
+    ),
+    "trace-witness-object": (
+        lambda: _forged_witness(lambda step: step.__setitem__("witness_node", {})),
+        "step 1: malformed: witness_node is not a list",
+    ),
+    "trace-witness-string": (
+        lambda: _forged_witness(lambda step: step.__setitem__("witness_node", "")),
+        "step 1: malformed: witness_node is not a list",
+    ),
+    "trace-decoded-object": (
+        lambda: _forged_trace(lambda data: data.__setitem__("decoded", {}), Flavor.PLAIN),
+        "malformed trace: decoded is not a list",
+    ),
+    "trace-decoded-string": (
+        lambda: _forged_trace(lambda data: data.__setitem__("decoded", ""), Flavor.PLAIN),
+        "malformed trace: decoded is not a list",
+    ),
+    "trace-target-object": (
+        lambda: _forged_trace(lambda data: data.__setitem__("target", {})),
+        "malformed trace: target is not a list",
     ),
     "trace-certificate-missing-key": (
         lambda: _forged_trace(lambda data: data["steps"][1].pop("words")),
