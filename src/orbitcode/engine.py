@@ -184,13 +184,15 @@ def _growth_target(required: int, window: int) -> int:
 def _grow_once(oracle, needed: int, step: int, growth_events: list[dict]) -> None:
     """Grow the window by the rule, recording the new cycles of each stage, in index order.
 
-    A stage's list includes what growing a later stage grew it by.
+    A stage's list includes what growing a later stage grew it by.  The old
+    cycles are told by their minima, read before the growth, so the stage's
+    orbit index is never moved back to its map from before it.
     """
     current = oracle.window()
     if current >= O.UNBOUNDED:
         raise InternalCheckFailed("an unwindowed oracle reported a window miss")
     goal = _growth_target(needed, current)
-    before = [stage.injection for stage in oracle.stages]
+    before = [{c[0] for c in I.cycles_to_data(stage.injection)} for stage in oracle.stages]
     oracle.grow_window(goal)
     cycles = [I.cycles_to_data(stage.injection, old) for stage, old in zip(oracle.stages, before)]
     growth_events.append({"step": step, "required": needed, "cycles": cycles})
@@ -447,7 +449,7 @@ def _requirement_holds(req: Requirement, witness: T.Node, c: F.Condition, oracle
     if isinstance(req, WordAdded):
         return W.reduce(req.word.letters, oracle) in c.words
     if isinstance(req, OrbitCoded):
-        return len(I.closed_orbits(c.s)) > req.index
+        return I.closed_and_gap(c.s)[0] > req.index
     if isinstance(req, TreeDiagonalized):
         k = len(witness) - 1
         return (

@@ -55,7 +55,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import injections as I
 from . import trees as T
@@ -238,13 +238,16 @@ def validate(c: Condition, oracle, lower: Condition | None = None) -> None:
     if c.flavor is Flavor.PLAIN:
         return
     if c.flavor is Flavor.CODING:
+        # lower first: if its count is not kept, reading it finds c's new
+        # pairs only pending in the index, where after c it would unlink them
+        known = 0 if lower is None else I.closed_and_gap(lower.s)[0]
         try:
-            bits = I.o_partial(c.s)
+            bits = I.o_partial(c.s, known)
         except NotNiceInjection:
             raise Refused("injection is not nice") from None
-        known = 0 if lower is None else len(I.o_partial(lower.s))
-        if len(bits) > len(c.target) or tuple(c.target[known : len(bits)]) != bits[known:]:
-            raise Refused(f"orbit code {list(bits)} is not a prefix of target {list(c.target)}")
+        if known + len(bits) > len(c.target) or tuple(c.target[known:known + len(bits)]) != bits:
+            code = list(I.o_partial(c.s))
+            raise Refused(f"orbit code {code} is not a prefix of target {list(c.target)}")
         return
     # dagger: per indecomposable root v, the closure of its top power and v[s]'s code
     for v, text, k, last, refusal in facts.roots(oracle):
@@ -310,14 +313,14 @@ def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertific
 
 
 def _least_admissible(
-    c: Condition, pair_at, taken: Container[int], oracle, what: str
+    c: Condition, pair_at, taken: Callable[[int], bool], oracle, what: str
 ) -> ExtensionCertificate:
-    """Certificate of the least v outside `taken` whose pair pair_at(v) extends c.
+    """Certificate of the least v not `taken` whose pair pair_at(v) extends c.
 
-    `taken` holds every cycle point of c.s, so the scan starts at its index's gap.
+    Every cycle point of c.s is taken, so the scan starts at its index's gap.
     """
     for v in range(I.indexed_gap(c.s), _SCAN_CAP + 1):
-        if v in taken:
+        if taken(v):
             continue
         try:
             candidate = Condition(c.s.with_pair(*pair_at(v)), c.words, c.flavor, c.target)
@@ -331,14 +334,18 @@ def extend_domain(c: Condition, n: int, oracle) -> ExtensionCertificate:
     """Add n to the domain with the least value keeping the condition's order."""
     if c.s.apply(n) is not None:
         raise PreconditionViolated(f"{n} already in domain")
-    return _least_admissible(c, lambda m: (n, m), c.s.range, oracle, f"image for {n}")
+    return _least_admissible(
+        c, lambda m: (n, m), lambda m: c.s.apply_inverse(m) is not None, oracle, f"image for {n}"
+    )
 
 
 def extend_range(c: Condition, m: int, oracle) -> ExtensionCertificate:
     """Add m to the range with the least preimage keeping the condition's order."""
     if c.s.apply_inverse(m) is not None:
         raise PreconditionViolated(f"{m} already in range")
-    return _least_admissible(c, lambda n: (n, m), c.s.domain, oracle, f"preimage for {m}")
+    return _least_admissible(
+        c, lambda n: (n, m), lambda n: c.s.apply(n) is not None, oracle, f"preimage for {m}"
+    )
 
 
 def _nonidentity_handles(words: Iterable[W.Word], oracle) -> list:
@@ -563,7 +570,9 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
         # stays exact: the orbit becomes {n, m} and only then grows a chain
         used = _Used(c.s)
         used.add(n)
-        anchored = _least_admissible(c, lambda m: (n, m), used, oracle, f"anchor image for {n}")
+        anchored = _least_admissible(
+            c, lambda m: (n, m), used.__contains__, oracle, f"anchor image for {n}"
+        )
         anchor = (n, anchored.upper.s.apply(n))
         orbit = I.Orbit(anchor, closed=False)
     handles = _nonidentity_handles(c.words, oracle)
@@ -612,8 +621,7 @@ def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
     """Close the orbit at the least uncovered natural, parity-matched to the target."""
     if c.flavor is not Flavor.CODING:
         raise PreconditionViolated("coding flavor required")
-    closed, n = I.closed_and_gap(c.s)
-    index = len(closed)
+    index, n = I.closed_and_gap(c.s)
     if index >= len(c.target):
         raise PrefixTooShort(f"target has only {len(c.target)} bits")
     k = closing_threshold(c, n) + 1

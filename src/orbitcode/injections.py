@@ -12,9 +12,11 @@ pair (n, m), with n outside the domain and m outside the range, either joins
 the path ending at n to the path starting at m, or closes one path into a
 cycle.  So the index keeps each open path's entry ↔ exit and each cycle,
 walked from its minimum, in min-order, and one link routine updates it per
-added pair, along with the orbit-order code, the gap, the largest minimum
-and the cycle count per size that the two codes read; orbit_decomposition
-merges the cycles with the walked paths.
+added pair, along with the orbit-order code, the gap and the cycle count
+per size that the two codes read; orbit_decomposition merges the cycles
+with the walked paths.  The versions of one map share one index, which
+follows the dicts from version to version and links a version's new pairs
+only when an orbit query first reads it.
 
 The word layer (fixed_points, word_graph, word_cycle_counts and the order
 check's gained_fixed_points) takes only reduced words ending in x, as
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import takewhile
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 
 from . import words as W
@@ -60,10 +62,13 @@ class PartialInjection:
     their dicts.  Each version keeps its own size.  The dicts iterate in
     the order the owner's pairs were inserted, as a copy would.
 
-    Orbit queries read a private index, built on the first one by linking
-    the pairs one at a time and then kept as pairs are added: with_pair and
-    with_pairs copy a built index, O(open paths + cycle sizes), and link
-    only the new pairs, and leave the child unindexed otherwise, so a map
+    Orbit queries read an orbit index, `_index`, that the versions share as
+    they share the dicts: the owner holds both, and re-rooting moves the
+    index too, unlinking the pairs it undoes and keeping those it redoes,
+    like those with_pairs inserts, pending until an orbit query reads the
+    version.  So a candidate no query reads costs the index nothing.  Each
+    version keeps the cycle count and gap a query of it read, `_closed`.  The
+    first query builds the index, linking the pairs one at a time, so a map
     nobody asks about orbits never builds one.  The index holds every orbit
     either as an open path, by its entry ↔ exit, or as a closed cycle, whole
     and in min-order; a new pair (n, m) runs from an exit (or fresh point) n
@@ -79,8 +84,8 @@ class PartialInjection:
     garbage collector ran.
     """
 
-    __slots__ = ("_fwd", "_bwd", "_size", "_toward", "_diff", "_adds", "_index", "_fixes",
-                 "_source")
+    __slots__ = ("_fwd", "_bwd", "_size", "_toward", "_diff", "_adds", "_index", "_closed",
+                 "_fixes", "_source")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
         self._fwd: dict[int, int] | None = {}
@@ -90,6 +95,7 @@ class PartialInjection:
         self._diff: tuple[tuple[int, int], ...] = ()
         self._adds = False
         self._index: _OrbitIndex | None = None
+        self._closed: tuple[int, int] | None = None
         self._fixes: dict | None = None
         self._source: tuple | None = None
         self._add(pairs)
@@ -97,12 +103,12 @@ class PartialInjection:
     def _add(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """Insert pairs into a map still being built, no version made from it yet.
 
-        An identical repeat is skipped.  Returns the pairs inserted, in order.
-        A pair that clashes raises ValueError and takes the pairs before it
-        out of the dicts again, not out of an orbit index, so a map that
-        raised here is dropped.
+        An identical repeat is skipped.  Returns the pairs inserted, in order,
+        which an orbit index of the map holds as pending.  A pair that clashes
+        raises ValueError and takes the pairs before it out of the dicts
+        again, so the map is as it was.
         """
-        fwd, bwd, index = self._live(), self._bwd, self._index
+        fwd, bwd = self._live(), self._bwd
         inserted = []
         try:
             for n, m in pairs:
@@ -117,14 +123,15 @@ class PartialInjection:
                 fwd[n] = m
                 bwd[m] = n
                 inserted.append((n, m))
-                if index is not None:
-                    index.link(fwd, n, m)
         except BaseException:
             for n, m in inserted:
                 del fwd[n]
                 del bwd[m]
             raise
+        if self._index is not None:
+            self._index.pending += inserted
         self._size += len(inserted)
+        self._closed = None
         return inserted
 
     def _live(self) -> dict[int, int]:
@@ -133,13 +140,18 @@ class PartialInjection:
         return self._reroot() if fwd is None else fwd
 
     def _reroot(self) -> dict[int, int]:
-        """Move the dicts to this version along its links, turning each link around."""
+        """Move the dicts and the orbit index to this version along its links, turning each around.
+
+        Pairs redone join the index's pending ones.  Pairs undone are the
+        newest pending ones, if any pairs are pending, and otherwise linked,
+        so they are unlinked while the dicts hold exactly the index's pairs.
+        """
         path = []
         owner = self
         while owner._fwd is None:
             path.append(owner)
             owner = owner._toward
-        fwd, bwd = owner._fwd, owner._bwd
+        fwd, bwd, index = owner._fwd, owner._bwd, owner._index
         for version in reversed(path):
             # version is owner plus its diff, or owner less it
             diff = version._diff
@@ -147,13 +159,20 @@ class PartialInjection:
                 for n, m in diff:
                     fwd[n] = m
                     bwd[m] = n
+                if index is not None:
+                    index.pending += diff
             else:
+                linked = index is not None and not index.pending
+                if index is not None and index.pending:
+                    del index.pending[len(index.pending) - len(diff):]
                 for n, m in diff:
+                    if linked:
+                        index.unlink(fwd, bwd, n, m)
                     del fwd[n]
                     del bwd[m]
-            owner._fwd = owner._bwd = None
+            owner._fwd = owner._bwd = owner._index = None
             owner._toward, owner._diff, owner._adds = version, diff, not version._adds
-            version._fwd, version._bwd = fwd, bwd
+            version._fwd, version._bwd, version._index = fwd, bwd, index
             version._toward, version._diff, version._adds = None, (), False
             owner = version
         return fwd
@@ -168,15 +187,19 @@ class PartialInjection:
         return mine, theirs
 
     def _orbits(self) -> "_OrbitIndex":
-        if self._index is None:
+        index = self._index  # only the version that owns the dicts holds it
+        if index is None or index.pending:
+            fwd = self._live()
+            if self._index is None:
+                self._index = _OrbitIndex(list(fwd.items()))
+            index = self._index
             # linking against the whole map is exact: a pair that closes a
             # cycle walks only pairs of the path it closes, all linked before
-            fwd = self._live()
-            index = _OrbitIndex()
-            for n, m in fwd.items():
+            for n, m in index.pending:
                 index.link(fwd, n, m)
-            self._index = index
-        return self._index
+            index.pending.clear()
+            self._closed = (len(index.cycles), index.gap)
+        return index
 
     def apply(self, n: int) -> int | None:
         try:
@@ -225,10 +248,9 @@ class PartialInjection:
         child = PartialInjection.__new__(PartialInjection)
         child._fwd, child._bwd, child._size = self._live(), self._bwd, self._size
         child._toward, child._diff, child._adds = None, (), False
-        child._index = None if self._index is None else self._index.copy()
-        child._fixes = child._source = None
+        child._index, child._closed, child._fixes, child._source = self._index, None, None, None
         inserted = tuple(child._add(new))  # a clash leaves the dicts as they were, and self's
-        self._fwd = self._bwd = None
+        self._fwd = self._bwd = self._index = None
         self._toward, self._diff, self._adds = child, inserted, False
         return child
 
@@ -300,10 +322,6 @@ class Orbit:
     closed: bool
 
     @property
-    def elements(self) -> frozenset[int]:
-        return frozenset(self.ordered)
-
-    @property
     def size(self) -> int:
         return len(self.ordered)
 
@@ -350,40 +368,44 @@ def orbit_of(s: PartialInjection, n: int) -> Orbit:
     return Orbit(tuple(chain), closed=True)
 
 
+def _cycle_from(fwd: Mapping[int, int], m: int) -> tuple[int, ...]:
+    """The cycle of fwd through m, walked from its minimum."""
+    walk = [m]
+    cur = fwd[m]
+    while cur != m:
+        walk.append(cur)
+        cur = fwd[cur]
+    low = walk.index(min(walk))
+    return tuple(walk[low:] + walk[:low])
+
+
 class _OrbitIndex:
     """The orbits of a partial injection: open paths by their ends, cycles in min-order.
 
     `exit_of` maps each path's entry to its exit and `entry_of` the exit back
-    to the entry; `cycles` holds the closed orbits as Orbits sorted by
-    minimum, each walked from its minimum.  A point outside every path end
-    and cycle is interior to a path or outside the support.  Each cycle a
-    pair closes also updates what the codes read: `code`, the cycles' size
-    parities in min-order; `counts`, the cycles by size; `gap`, the least
-    natural no cycle covers, with `above` the covered points past it; and
-    `top`, the largest minimum (-1 with no cycle), so the minima are
-    initial exactly when top < gap.
+    to the entry; `cycles` lists the closed orbits sorted by minimum, each a
+    tuple walked from its minimum.  A point outside every path end and cycle
+    is interior to a path or outside the support.  Each cycle a pair closes
+    also updates what the codes read: `code`, the cycles' size parities in
+    min-order; `counts`, the cycles by size; `covered`, their points; and
+    `gap`, the least natural not covered, so the minima are initial exactly
+    when the last cycle's lies below it.  `pending` lists the map's newest
+    pairs, not linked yet.  One version at a time owns the index, as it owns
+    the dicts, and each pair links in O(1), or in O(points) of the cycle it
+    closes and of the gap's advance; a pair unlinks in O(points) of its orbit.
     """
 
-    __slots__ = ("exit_of", "entry_of", "cycles", "code", "counts", "gap", "above", "top")
+    __slots__ = ("exit_of", "entry_of", "cycles", "code", "counts", "covered", "gap", "pending")
 
-    def __init__(self):
+    def __init__(self, pending: list[tuple[int, int]]):
         self.exit_of: dict[int, int] = {}
         self.entry_of: dict[int, int] = {}
-        self.cycles: tuple[Orbit, ...] = ()
-        self.code: tuple[int, ...] = ()
+        self.cycles: list[tuple[int, ...]] = []
+        self.code: list[int] = []
         self.counts: dict[int, int] = {}
+        self.covered: set[int] = set()
         self.gap = 0
-        self.above: frozenset[int] = frozenset()
-        self.top = -1
-
-    def copy(self) -> "_OrbitIndex":
-        twin = _OrbitIndex()
-        twin.exit_of = dict(self.exit_of)
-        twin.entry_of = dict(self.entry_of)
-        twin.counts = dict(self.counts)
-        twin.cycles, twin.code = self.cycles, self.code
-        twin.gap, twin.above, twin.top = self.gap, self.above, self.top
-        return twin
+        self.pending = pending
 
     def link(self, fwd: Mapping[int, int], n: int, m: int) -> None:
         """Record the pair (n, m), just added to fwd, where n had no image and m no preimage.
@@ -398,25 +420,43 @@ class _OrbitIndex:
             self.exit_of[entry] = exit_
             self.entry_of[exit_] = entry
             return
-        walk = [m]
-        cur = fwd[m]
-        while cur != m:
-            walk.append(cur)
-            cur = fwd[cur]
-        low = walk.index(min(walk))
-        cycle = Orbit(tuple(walk[low:] + walk[:low]), closed=True)
-        at = bisect.bisect(self.cycles, cycle.ordered[0], key=lambda o: o.ordered[0])
-        self.cycles = self.cycles[:at] + (cycle,) + self.cycles[at:]
-        self.code = self.code[:at] + (len(walk) % 2,) + self.code[at:]
-        self.counts[len(walk)] = self.counts.get(len(walk), 0) + 1
-        self.top = max(self.top, walk[low])
-        # the new points are uncovered so far: the gap moves only if one is it
-        covered = self.above | cycle.elements
-        gap = self.gap
-        while gap in covered:
-            gap += 1
-        self.above = covered if gap == self.gap else frozenset(p for p in covered if p > gap)
-        self.gap = gap
+        cycle = _cycle_from(fwd, m)
+        at = bisect.bisect(self.cycles, cycle)  # distinct minima decide the order
+        self.cycles.insert(at, cycle)
+        self.code.insert(at, len(cycle) % 2)
+        self.counts[len(cycle)] = self.counts.get(len(cycle), 0) + 1
+        self.covered.update(cycle)
+        while self.gap in self.covered:
+            self.gap += 1
+
+    def unlink(self, fwd: Mapping[int, int], bwd: Mapping[int, int], n: int, m: int) -> None:
+        """Take out the pair (n, m) of fwd, whose pairs the index all holds linked.
+
+        A cycle through it opens into the path m … n; a path through it
+        splits in two, its ends found by walking it.
+        """
+        if n in self.covered:
+            cycle = _cycle_from(fwd, m)
+            at = bisect.bisect_left(self.cycles, cycle)
+            del self.cycles[at], self.code[at]
+            self.counts[len(cycle)] -= 1
+            if not self.counts[len(cycle)]:
+                del self.counts[len(cycle)]
+            self.covered.difference_update(cycle)
+            self.gap = min(self.gap, cycle[0])
+            ends = ((m, n),)
+        else:
+            entry, exit_ = n, m
+            while (prev := bwd.get(entry)) is not None:
+                entry = prev
+            while (nxt := fwd.get(exit_)) is not None:
+                exit_ = nxt
+            del self.exit_of[entry], self.entry_of[exit_]
+            ends = ((entry, n), (m, exit_))
+        for first, last in ends:
+            if first != last:
+                self.exit_of[first] = last
+                self.entry_of[last] = first
 
     def paths(self, fwd: Mapping[int, int]) -> tuple[Orbit, ...]:
         """The open orbits in min-order, each walked in fwd from its entry."""
@@ -435,7 +475,7 @@ def orbit_decomposition(s: PartialInjection) -> tuple[Orbit, ...]:
 
 
 def closed_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
-    return s._orbits().cycles
+    return tuple(Orbit(cycle, closed=True) for cycle in s._orbits().cycles)
 
 
 def open_orbits(s: PartialInjection) -> tuple[Orbit, ...]:
@@ -448,30 +488,40 @@ def has_open_orbits(s: PartialInjection) -> bool:
     return bool(s._orbits().exit_of)
 
 
-def closed_and_gap(s: PartialInjection) -> tuple[tuple[Orbit, ...], int]:
-    """The closed orbits in min-order, and the least natural none of them covers."""
-    index = s._orbits()
-    return index.cycles, index.gap
+def closed_and_gap(s: PartialInjection) -> tuple[int, int]:
+    """The number of closed orbits, and the least natural none of them covers.
+
+    Each version keeps them once read, so a second read leaves the index where it is.
+    """
+    if s._closed is None:
+        index = s._orbits()
+        s._closed = (len(index.cycles), index.gap)
+    return s._closed
 
 
 def indexed_gap(s: PartialInjection) -> int:
-    """The gap of s's orbit index, 0 if none is built yet: every point below it lies in a cycle."""
-    return 0 if s._index is None else s._index.gap
+    """The gap of s's orbit index, 0 if no version of s has one: points below it lie on cycles."""
+    if s._closed is None:
+        s._live()
+        if s._index is None:
+            return 0
+    return closed_and_gap(s)[1]
 
 
-def o_partial(s: PartialInjection) -> tuple[int, ...]:
-    """Size parities of closed orbits in min-order; the orbit-order code.
+def o_partial(s: PartialInjection, start: int = 0) -> tuple[int, ...]:
+    """Size parities of closed orbits in min-order, from the start-th on; the orbit-order code.
 
     Defined only for nice s, where every closed orbit's minimum lies below the
     first gap in their union, so new closed orbits keep covering an initial
     segment's worth of minima; raises NotNiceInjection otherwise.  The orbit
-    index keeps the code, the gap and the largest minimum as pairs close
-    cycles, so this reads them without a pass over the cycles.
+    index keeps the code and the gap as pairs close cycles, and its last
+    cycle has the largest minimum, so this reads them without a pass over
+    the cycles.
     """
     index = s._orbits()
-    if index.top >= index.gap:
+    if index.cycles and index.cycles[-1][0] >= index.gap:
         raise NotNiceInjection(f"closed-orbit minima not initial in {s!r}")
-    return index.code
+    return tuple(index.code[start:])
 
 
 _PRIMES: list[int] = [2, 3, 5, 7]
@@ -533,7 +583,7 @@ def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
     memo = _memo(v, s, oracle, misses)
     if misses:
         return frozenset(n for n, m in word_graph(w, s, oracle).pairs() if n == m)
-    return frozenset(p for c in memo.graph._orbits().cycles if j % c.size == 0 for p in c.ordered)
+    return frozenset(p for c in memo.graph._orbits().cycles if j % len(c) == 0 for p in c)
 
 
 @dataclass(slots=True, eq=False)
@@ -743,17 +793,13 @@ def injection_from_pairs(pairs: Iterable[Iterable[int]]) -> PartialInjection:
     return PartialInjection((wire_int(n), wire_int(m)) for n, m in pairs)
 
 
-def cycles_to_data(s: PartialInjection, old: PartialInjection | None = None) -> list[list[int]]:
+def cycles_to_data(s: PartialInjection, old: Container[int] = ()) -> list[list[int]]:
     """s's cycles on the wire, each walked from its minimum, in min-order.
 
-    With old, a map with only cycles that s extends, just the cycles old
-    has no point of: what a growth of a sealed map added.
+    With old, the cycle minima of a map with only cycles that s extends,
+    just the cycles not among them: what a growth of a sealed map added.
     """
-    return [
-        list(o.ordered)
-        for o in closed_orbits(s)
-        if old is None or old.apply(o.ordered[0]) is None
-    ]
+    return [list(c) for c in s._orbits().cycles if c[0] not in old]
 
 
 def pairs_from_cycles(cycles) -> list[tuple[int, int]]:

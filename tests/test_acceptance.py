@@ -216,7 +216,7 @@ def test_criterion_05_orbit_closing():
         validate(c, TRANS)
         open_points = [
             p for p in sorted(c.s.support)
-            if not any(p in o.elements for o in closed_orbits(c.s))
+            if not any(p in o.ordered for o in closed_orbits(c.s))
         ]
         if open_points and rng.random() < 0.5:
             n = rng.choice(open_points)
@@ -226,7 +226,7 @@ def test_criterion_05_orbit_closing():
         before = {w: fixed_points(w, c.s, TRANS) for w in c.words}
         for k in range(threshold + 1, threshold + 7):
             t = close_orbit(c, n, k, TRANS).upper
-            orbit = next(o for o in closed_orbits(t.s) if n in o.elements)
+            orbit = next(o for o in closed_orbits(t.s) if n in o.ordered)
             assert orbit.size == k
             assert isinstance(leq(t, c, TRANS), ExtensionCertificate)
             for w, points in before.items():
@@ -262,8 +262,8 @@ def test_criterion_06_strong_closure():
         before = closed_orbits(word_graph(v, c.s, TRANS))
         t = strong_close_orbit(c, v, k, TRANS).upper
         after = closed_orbits(word_graph(v, t.s, TRANS))
-        old_sets = {o.elements for o in before}
-        new = [o for o in after if o.elements not in old_sets]
+        old_sets = {frozenset(o.ordered) for o in before}
+        new = [o for o in after if frozenset(o.ordered) not in old_sets]
         assert len(after) == len(before) + 1
         assert len(new) == 1 and new[0].size == k
         before_counts = collections.Counter(o.size for o in before)

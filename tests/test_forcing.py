@@ -724,7 +724,7 @@ def test_random_orbit_closings_hit_their_size(c, bump):
         return
     closed_cover = set()
     for o in closed_orbits(c.s):
-        closed_cover |= set(o.elements)
+        closed_cover |= set(o.ordered)
     n = max(c.s.support | {9}, default=9) + 1  # always a fresh point
     k = closing_threshold(c, n) + bump
     t = close_orbit(c, n, k, TRANS).upper
@@ -1430,3 +1430,29 @@ def test_a_tree_walk_on_the_trivial_oracle_asks_it_nothing():
     trace = E.run(Flavor.PLAIN, None, schedule, oracle)
     assert Counting.calls == 0
     assert E.run(Flavor.PLAIN, None, schedule, TRIV).steps == trace.steps
+
+
+def test_domain_and_range_hits_read_the_map_not_its_domain_or_range(monkeypatch):
+    """A hit's scan asks the map about each value, so it never builds dom(s) or ran(s).
+
+    On a path of 5,000 pairs, a domain hit at the exit and a range hit at
+    the entry each scan past 5,000 taken values; a coding run's trace is
+    the same bytes with the two sets out of reach.
+    """
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
+
+    def coding_text():
+        trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, 64), TRIV)
+        return json.dumps(E.trace_to_data(trace, TRIV))
+
+    expected = coding_text()
+
+    def unreachable(self):
+        raise AssertionError("a hit built a domain or range set")
+
+    monkeypatch.setattr(PartialInjection, "domain", property(unreachable))
+    monkeypatch.setattr(PartialInjection, "range", property(unreachable))
+    c = plain_condition(PartialInjection((i + 1, i) for i in range(5000)))
+    assert extend_domain(c, 0, TRIV).upper.s.pairs_beyond(c.s) == ((0, 5000),)
+    assert extend_range(c, 5000, TRIV).upper.s.pairs_beyond(c.s) == ((0, 5000),)
+    assert coding_text() == expected

@@ -307,17 +307,85 @@ def test_least_value_scans_start_at_the_gap_of_an_indexed_map(monkeypatch):
     scanned = []
     scan = F._least_admissible
 
-    class Counted:
-        def __init__(self, taken):
-            self.taken = taken
-
-        def __contains__(self, v):
-            scanned.append(v)
-            return v in self.taken
-
     def counted(c, pair_at, taken, oracle, what):
-        return scan(c, pair_at, Counted(taken), oracle, what)
+        return scan(c, pair_at, lambda v: scanned.append(v) or taken(v), oracle, what)
 
     monkeypatch.setattr(F, "_least_admissible", counted)
     _auto_trace(Flavor.CODING, 256)
     assert len(scanned) == FROM_GAP_SCANNED <= FROM_ZERO_SCANNED // 100
+
+
+def test_refused_candidates_of_the_staged_strata_link_none_of_their_pairs(monkeypatch):
+    """A candidate's pairs wait in the orbit index until an orbit query reads it.
+
+    No query reads a candidate the checks refuse, so over the five strata
+    triples the index of a map's versions links no pair of one.  Each
+    candidate owns its map's dicts when it is checked, which tell the
+    index of its versions from a word graph's.
+    """
+    refused, kept, linked = set(), [], []
+    admissible, link = F._admissible, I._OrbitIndex.link
+
+    def counted_admissible(c, candidate, oracle):
+        fwd = candidate.s._fwd
+        try:
+            return admissible(c, candidate, oracle)
+        except F.Refused:
+            kept.append(fwd)
+            refused.update((id(fwd), n, m) for n, m in candidate.s.pairs_beyond(c.s))
+            raise
+
+    def counted_link(index, fwd, n, m):
+        kept.append(fwd)  # alive, so that no later dict takes its id
+        linked.append((id(fwd), n, m))
+        return link(index, fwd, n, m)
+
+    monkeypatch.setattr(F, "_admissible", counted_admissible)
+    monkeypatch.setattr(I._OrbitIndex, "link", counted_link)
+    assert not hasattr(I._OrbitIndex, "copy")
+    for code in STRATA_TRIPLES:
+        staged_run(_targets(code))
+    assert len(refused) >= 200 and len(linked) >= 1000, (len(refused), len(linked))
+    assert refused.isdisjoint(linked)
+
+
+def _index_points(monkeypatch, n):
+    """The points the orbit index's links and unlinks touch while coding auto:n builds.
+
+    A link touches its pair's point, and when it closes a cycle, the cycle's
+    points and those the gap advances past; an unlink touches the orbit it
+    takes the pair out of, walked.
+    """
+    touched = 0
+    link, unlink = I._OrbitIndex.link, I._OrbitIndex.unlink
+
+    def counted_link(index, fwd, a, b):
+        nonlocal touched
+        before = len(index.covered) + index.gap
+        link(index, fwd, a, b)
+        touched += 1 + len(index.covered) + index.gap - before
+
+    def counted_unlink(index, fwd, bwd, a, b):
+        nonlocal touched
+        p, walked = b, 1
+        while (p := fwd.get(p)) not in (None, b):
+            walked += 1
+        if p is None:  # a path: its points from its entry to a, too
+            p, walked = a, walked + 1
+            while (p := bwd.get(p)) is not None:
+                walked += 1
+        touched += walked
+        unlink(index, fwd, bwd, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(I._OrbitIndex, "link", counted_link)
+        patch.setattr(I._OrbitIndex, "unlink", counted_unlink)
+        _auto_trace(Flavor.CODING, n)
+    return touched
+
+
+def test_the_orbit_index_touches_points_linearly_in_a_coding_build(monkeypatch):
+    """Each link and unlink pays for its own orbit's points, never for every cycle so far."""
+    points = [_index_points(monkeypatch, n) for n in (512, 1024, 2048)]
+    for smaller, larger in zip(points, points[1:]):
+        assert larger <= 2.2 * smaller, points

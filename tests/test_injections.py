@@ -35,6 +35,8 @@ from orbitcode import (
 from orbitcode.injections import (
     closed_and_gap,
     gained_fixed_points,
+    has_open_orbits,
+    indexed_gap,
     prime_parities,
     primes_up_to,
     word_cycle_counts,
@@ -72,7 +74,7 @@ def test_closed_orbit_walk():
     s = inj({2: 0, 0: 10, 10: 3, 3: 2})
     orbit = orbit_of(s, 0)
     assert orbit.closed
-    assert orbit.elements == frozenset({0, 2, 3, 10})
+    assert frozenset(orbit.ordered) == frozenset({0, 2, 3, 10})
     assert orbit.entry is None and orbit.exit is None
 
 
@@ -80,7 +82,7 @@ def test_open_orbit_reports_its_endpoints():
     s = inj({4: 6, 6: 42, 42: 1})
     orbit = orbit_of(s, 6)
     assert not orbit.closed
-    assert orbit.elements == frozenset({1, 4, 6, 42})
+    assert frozenset(orbit.ordered) == frozenset({1, 4, 6, 42})
     assert orbit.entry == 4  # not in the range
     assert orbit.exit == 1  # not in the domain
 
@@ -88,7 +90,7 @@ def test_open_orbit_reports_its_endpoints():
 def test_fresh_point_is_an_open_singleton():
     orbit = orbit_of(inj({0: 1}), 9)
     assert not orbit.closed
-    assert orbit.elements == frozenset({9})
+    assert frozenset(orbit.ordered) == frozenset({9})
 
 
 def test_mex_examples():
@@ -155,10 +157,10 @@ def test_nth_prime_agrees_with_a_sieve_for_the_first_5000_primes():
 
 
 def test_closed_and_gap_reads_closed_orbits_and_their_first_gap():
-    closed, gap = closed_and_gap(inj({5: 6, 3: 3, 0: 1, 1: 0}))
-    assert [o.ordered for o in closed] == [(0, 1), (3,)]
-    assert gap == 2
-    assert closed_and_gap(inj({0: 1})) == ((), 0)
+    s = inj({5: 6, 3: 3, 0: 1, 1: 0})
+    assert [o.ordered for o in closed_orbits(s)] == [(0, 1), (3,)]
+    assert closed_and_gap(s) == (2, 2)
+    assert closed_and_gap(inj({0: 1})) == (0, 0)
 
 
 def test_prime_parity_bits_of_mixed_cycle_type():
@@ -218,8 +220,8 @@ def test_orbits_partition_the_support(s):
     union = set()
     total = 0
     for orbit in orbits:
-        assert not (orbit.elements & union)
-        union |= orbit.elements
+        assert union.isdisjoint(orbit.ordered)
+        union.update(orbit.ordered)
         total += orbit.size
     assert union == set(s.support)
     assert total == len(union)
@@ -315,8 +317,7 @@ def _assert_orbits_match_the_reference(s, graph):
     assert [o.ordered for o in open_orbits(s)] == opened, graph
     covered = {n for walk in closed for n in walk}
     gap = next(n for n in itertools.count() if n not in covered)
-    got_closed, got_gap = closed_and_gap(s)
-    assert ([o.ordered for o in got_closed], got_gap) == (closed, gap), graph
+    assert closed_and_gap(s) == (len(closed), gap), graph
 
 
 def _grown_one_pair_at_a_time(pairs):
@@ -586,12 +587,18 @@ def _check_version(version, model):
     assert version.as_dict() == model
     assert version.domain == frozenset(model) and version.range == frozenset(inverse)
     assert hash(version) == hash(frozenset(model.items()))
+
+
+def _check_orbits(version, model, indexed):
+    """Every orbit query of a version agrees with its dict model; `indexed`: some version was read.
+
+    indexed_gap reads 0 until an orbit query has built the index its versions share.
+    """
     orbits = helpers.orbits_by_minimum(model)
-    assert [(o.ordered, o.closed) for o in orbit_decomposition(version)] == orbits
-    assert [o.ordered for o in closed_orbits(version)] == [o for o, closed in orbits if closed]
-    assert closed_and_gap(version)[1] == helpers.mex(
-        p for o, closed in orbits if closed for p in o
-    )
+    assert indexed_gap(version) == (_reference_codes(model)[1] if indexed else 0)
+    assert has_open_orbits(version) == any(not is_closed for _, is_closed in orbits)
+    _assert_orbits_match_the_reference(version, model)
+    _assert_codes_match_the_reference(version, model)
 
 
 @given(
@@ -605,10 +612,13 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
     """with_pair / with_pairs chains from random older versions, then every version read back.
 
     Clashing pairs must raise and leave the version they were offered to as
-    it was, and reads in between re-root the versions in random orders, so
-    some versions build an orbit index that their children copy.
+    it was, and reads in between re-root the versions in random orders, some
+    reading the dicts alone and some the orbits, so the orbit index the
+    versions share is built at one of them, and children of versions never
+    queried link their pairs only when read.
     """
     versions = [(inj(base), dict(base))]
+    indexed = False
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
         version, model = versions[data.draw(st.integers(0, len(versions) - 1), label="from")]
         count = data.draw(st.integers(0, 3), label="count")
@@ -634,11 +644,18 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
             assert child.pairs_beyond(version) == tuple(
                 dict.fromkeys(p for p in pairs if p not in model.items())
             )
-        if data.draw(st.booleans(), label="read one now"):
-            _check_version(*versions[data.draw(st.integers(0, len(versions) - 1), label="read")])
+        read = data.draw(st.sampled_from(["none", "dicts", "orbits"]), label="read one now")
+        if read != "none":
+            version, model = versions[data.draw(st.integers(0, len(versions) - 1), label="read")]
+            _check_version(version, model)
+            if read == "orbits":
+                _check_orbits(version, model, indexed)
+                indexed = True
     order = data.draw(st.permutations(range(len(versions))), label="order")
     for i in order:
         _check_version(*versions[i])
+        _check_orbits(*versions[i], indexed)
+        indexed = True
     for i, j in zip(order, order[1:] + order[:1]):
         (a, model_a), (b, model_b) = versions[i], versions[j]
         assert (a == b) == (model_a == model_b)
@@ -647,6 +664,45 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
             assert sorted(a.pairs_beyond(b)) == sorted(model_a.items() - model_b.items())
     for i in order:
         _check_version(*versions[i])
+        _check_orbits(*versions[i], indexed)
+
+
+def test_orbit_queries_read_children_of_unqueried_versions_and_survive_clashes():
+    """Versions read in random orders after a with_pairs that clashes past its first pairs.
+
+    s is queried; a, made from it, never is before its child b and its
+    grandchild c are made; a with_pairs of b clashes after inserting two
+    pairs, once with b's pairs still pending and once with them linked.
+    """
+    rng = random.Random(5)
+    models = [{0: 1, 1: 2, 5: 5}]
+    models.append({**models[0], 2: 0, 3: 4})
+    models.append({**models[1], 4: 3, 6: 7})
+    models.append({**models[2], 7: 6})
+    for trial in range(60):
+        s = inj(models[0])
+        closed_orbits(s)
+        a = s.with_pairs([(2, 0), (3, 4)])
+        b = a.with_pairs([(4, 3), (6, 7)])
+        for query in (False, True):
+            if query:
+                closed_orbits(b)
+            with pytest.raises(ValueError):
+                b.with_pairs([(8, 9), (9, 8), (7, 0)])
+        c = b.with_pair(7, 6)
+        versions = list(zip([s, a, b, c], models))
+        for version, model in rng.sample(versions, len(versions)):
+            _check_orbits(version, model, True)
+            if rng.random() < 0.5:
+                _check_version(*rng.choice(versions))
+
+
+def test_a_map_grown_in_place_reads_its_new_count_and_gap():
+    """A word graph grows in place (_add), after its counts were read, as its memo moves on."""
+    s = inj({0: 0, 2: 3})
+    assert closed_and_gap(s) == (1, 1)
+    s._add([(1, 1), (3, 2)])
+    assert closed_and_gap(s) == (3, 4) and indexed_gap(s) == 4
 
 
 def test_pairs_beyond_a_version_two_links_away_is_the_dict_difference():

@@ -8,11 +8,14 @@ being (7i + 3) mod 5 mod 2, and prints:
   `verify_trace_data` replays that trace, against `final`, the pair count
   of the final condition;
 - `build_ms`, the median over the runs of `engine.run` building it;
+- `paused_ms`, the same with the cyclic garbage collector paused
+  (`gc.disable()`), so the time the collector spends traversing what a
+  build allocates shows apart from the build's own growth;
 - `verify_ms`, the median over the runs of `json.loads` plus
   `verify_trace_data` on that text.
 
 Each n is timed REPEATS times, or LARGE_REPEATS times from n = LARGE on.
-Each of the four columns is followed by its ratio to the previous n, so a
+Each of the five columns is followed by its ratio to the previous n, so a
 linear column reads about 2.0 per doubling and a quadratic one about 4.0.
 
 Then, over the 40 triples of the staged-3 benchmark pool (`STAGED_STRATA` in
@@ -50,20 +53,22 @@ and what their seals (`engine.seal`) do:
   PER_CLOSURE_PATH_WALKS, the figure when the seal listed the open paths
   again for every closure.
 
-Last, for SEAL_TREES trees (as trees-40 builds its 40, the seeds drawn from
-`random.Random(TREE_SEED)`), `seal_ms`, the median over REPEATS runs of
-sealing the run, each run built afresh and not timed, with its ratio to the
-previous count of trees.
+Last, for SEAL_TREES trees, 40 to 640 (as trees-40 builds its 40, the
+seeds drawn from `random.Random(TREE_SEED)`), `seal_ms`, the median over
+REPEATS runs of sealing the run, or LARGE_REPEATS runs past SEAL_LARGE
+trees, each run built afresh and not timed, with its ratio to the previous
+count of trees.
 
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 4096
 
 Run from the root of a checkout; the library is imported from `src/`.  It
-takes about 16 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
-builds and verifies.
+takes about 15 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
+builds and verifies and the 640-tree runs.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import statistics
@@ -96,20 +101,30 @@ PER_OPTION_OPTIONS = 4_308
 PER_OPTION_LEQ_CALLS = 4_308
 PER_CLOSURE_FRESH_CHECKS = 3_975
 PER_CLOSURE_PATH_WALKS = 113
-SEAL_TREES = (40, 80, 160)
+SEAL_TREES = (40, 80, 160, 320, 640)
+SEAL_LARGE = 160
 
 
-def coding_text(n: int, repeats: int) -> tuple[str, int, float]:
-    """The coding auto:n trace as compact JSON, its final pair count, and its median build time."""
+def coding_text(n: int, repeats: int) -> tuple[str, int, float, float]:
+    """The coding auto:n trace as compact JSON, its final pair count, and its median build
+    times with the garbage collector running and paused."""
     oracle = trivial_oracle()
     bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), oracle)
-        times.append(time.perf_counter() - start)
+    medians = []
+    for paused in (False, True):
+        times = []
+        if paused:
+            gc.disable()
+        try:
+            for _ in range(repeats):
+                start = time.perf_counter()
+                trace = E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), oracle)
+                times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+        medians.append(statistics.median(times))
     text = json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":"))
-    return text, len(trace.final.s), statistics.median(times)
+    return text, len(trace.final.s), *medians
 
 
 def verify_insertions(text: str) -> int:
@@ -252,7 +267,7 @@ def seal_seconds(trees: int) -> float:
     schedule += [E.DomainHits(i) for i in range(TREE_HITS)]
     schedule += [E.RangeHits(i) for i in range(TREE_HITS)]
     times = []
-    for _ in range(REPEATS):
+    for _ in range(LARGE_REPEATS if trees > SEAL_LARGE else REPEATS):
         oracle = trivial_oracle()
         trace = E.run(Flavor.PLAIN, None, schedule, oracle)
         start = time.perf_counter()
@@ -263,18 +278,19 @@ def seal_seconds(trees: int) -> float:
 
 def main() -> int:
     print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
-          f" {'build_ms':>10} {'x':>5} {'verify_ms':>10} {'x':>5}")
+          f" {'build_ms':>10} {'x':>5} {'paused_ms':>10} {'x':>5} {'verify_ms':>10} {'x':>5}")
     previous = None
     for n in SIZES:
         repeats = LARGE_REPEATS if n >= LARGE else REPEATS
-        text, final, build = coding_text(n, repeats)
+        text, final, build, paused = coding_text(n, repeats)
         verify = verify_seconds(text, repeats=repeats)
-        row = (len(text), verify_insertions(text), build * 1000, verify * 1000)
+        row = (len(text), verify_insertions(text), build * 1000, paused * 1000, verify * 1000)
         ratios = [f"{now / before:5.2f}" for now, before in zip(row, previous or row)]
         if previous is None:
-            ratios = ["    -"] * 4
+            ratios = ["    -"] * 5
         print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
-              f" {row[2]:>10.2f} {ratios[2]} {row[3]:>10.2f} {ratios[3]}", flush=True)
+              f" {row[2]:>10.2f} {ratios[2]} {row[3]:>10.2f} {ratios[3]}"
+              f" {row[4]:>10.2f} {ratios[4]}", flush=True)
         previous = row
     texts, built = evaluated_letters(staged_texts)
     _, verified = evaluated_letters(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
