@@ -64,7 +64,6 @@ from .errors import (
     InternalCheckFailed,
     KTooSmall,
     NotNiceInjection,
-    OrbitCodeError,
     PreconditionViolated,
     PrefixTooShort,
     Refused,
@@ -392,67 +391,58 @@ def many_extensions(
     g·x: under s plus fresh pairs it gains a fixed point only at a new k,
     and only when g(v) = k for that k's pair.  What the options gain
     together is thus what each gains alone, and one leq of c plus all of
-    them certifies the walk.  A walk that raises instead, the joint check
-    included, first checks the options it holds one at a time in walk order,
-    so it raises what checking each as it came would have raised first.
-    One barred set serves the whole walk: the node's values and the range,
-    each grown value added once, and at depth j the images g(j) for that
-    depth only, so only the values a tree adds past depth j are checked
-    against group images here.
+    them certifies the walk.  Only if that leq refuses are the options
+    checked one at a time, to name the first that gains.  A window miss
+    propagates from the evaluation that meets it.  One barred set serves
+    the whole walk: the node's values and the range, each grown value added
+    once, and at depth j the images g(j) for that depth only, so only the
+    values a tree adds past depth j are checked against group images here.
     """
     for w in c.words:
         if w.x_count() != 1:
             raise PreconditionViolated(
                 f"word {W.format_word(w, oracle)!r} has more than one x"
             )
-    # the identity maps p to p, so it is answered here and never asks the oracle;
-    # the other handles keep their order, so a window miss is the same one:
-    # `ahead` are those the identity comes after, all a v = k test asks
-    others: list = []
-    ahead: list = []
-    for h in W.graph_restriction(c.words, oracle):
-        if oracle.is_identity(h):
-            ahead = others[:]
-        else:
-            others.append(h)
+    # the identity maps p to p, so a v == k test answers it without the oracle
+    others = _nonidentity_handles(c.words, oracle)
     dom, ran = c.s.domain, c.s.range
     current = tuple(node)
     barred = T.Barred(itertools.chain(current, ran))
     options: list[tuple[int, int]] = []
     stall_budget = count + len(dom) + 64
-    try:
-        while True:
-            j = len(current)
-            once = [j]
-            for h in others:
-                once.append(oracle.eval(h, j))
-            barred.once = frozenset(once)
-            grown = tree.extend_avoiding(current, barred)
-            barred.update(grown[j:])
-            for k in range(j, len(grown)):
-                v = grown[k]
-                if k in dom or v in ran:
-                    continue
-                if k > j and (any(oracle.eval(h, k) == v for h in (ahead if v == k else others))
-                              or v == k):
-                    continue
-                options.append((k, v))
-                if v >= count:
+    while True:
+        j = len(current)
+        once = [j]
+        for h in others:
+            once.append(oracle.eval(h, j))
+        barred.once = frozenset(once)
+        grown = tree.extend_avoiding(current, barred)
+        barred.update(grown[j:])
+        for k in range(j, len(grown)):
+            v = grown[k]
+            if k in dom or v in ran:
+                continue
+            if k > j and (v == k or any(oracle.eval(h, k) == v for h in others)):
+                continue
+            options.append((k, v))
+            if v >= count:
+                try:
                     leq(Condition(c.s.with_pairs(options), c.words, c.flavor, c.target), c, oracle)
-                    return grown, tuple(options)
-            current = grown
-            stall_budget -= 1
-            if stall_budget < 0:
-                raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
-    except OrbitCodeError:
-        for k, v in options:
-            try:
-                leq(Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target), c, oracle)
-            except Refused as exc:
-                raise InternalCheckFailed(
-                    f"avoidance clauses missed a fixed point at ({k}, {v})"
-                ) from exc
-        raise
+                except Refused:
+                    for pair in options:
+                        one = Condition(c.s.with_pair(*pair), c.words, c.flavor, c.target)
+                        try:
+                            leq(one, c, oracle)
+                        except Refused as exc:
+                            raise InternalCheckFailed(
+                                f"avoidance clauses missed a fixed point at {pair}"
+                            ) from exc
+                    raise
+                return grown, tuple(options)
+        current = grown
+        stall_budget -= 1
+        if stall_budget < 0:
+            raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
 
 
 def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
@@ -474,7 +464,7 @@ def tree_extend(
     bound N: more than N options with pairwise distinct values guarantee one.
     A single-x word g·x gains a fixed point under fresh pairs only at a pair
     (k, v) with g(v) = k, so many_extensions checks its options with one leq
-    together, and one at a time, in walk order, only when the walk raises.
+    together, and one at a time only to name the option that gains.
     """
     if not tree.contains(node):
         raise PreconditionViolated(f"node {list(node)} is not in the tree")
@@ -764,8 +754,7 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     prime parity.  They walk the open paths once: a closure's chain points
     are fresh, so it leaves the paths after it as they were.  One chain
     scan runs through the whole seal (_close_path), and each closure is
-    certified on its own, so the first window miss is the one closing the
-    paths one at a time would raise.
+    certified on its own.
     """
     cert = None
     if c.flavor is Flavor.CODING:

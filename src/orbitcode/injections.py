@@ -26,8 +26,10 @@ checks read one memo per root and map, v[s]'s graph with its own orbit
 index (see _WordGraph).  A map reads only its own memo: kept, carried from
 the map the order check certified it over, or built in one pass.  The
 order check runs first and carries the memo, so along a run each step
-evaluates v only where its new pairs reach, and no power v^j of it;
-word_graph is the full scan.
+evaluates v only where its new pairs reach, and no power v^j of it.  A
+window miss propagates from the evaluation that meets it, and a memo is
+kept only once it is whole.  word_graph is the full scan, kept as the
+reference the memos are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import NotNiceInjection, PreconditionViolated, WindowTooSmall
+from .errors import NotNiceInjection, PreconditionViolated
 
 
 class PartialInjection:
@@ -575,15 +577,13 @@ def require_shape(w: W.Word, oracle) -> None:
 def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
     """Points n with w[s](n) = n, for a reduced word w ending in x: the reflexive check's.
 
-    w = v^j fixes the points on the cycles of v[s], read off v's memo, whose size divides j.
+    w = v^j fixes the points on the cycles of v[s], read off v's memo, whose size
+    divides j.  A window miss propagates from the point that meets it.
     """
     require_shape(w, oracle)
     v, j = W.period(w)
-    misses: dict = {}
-    memo = _memo(v, s, oracle, misses)
-    if misses:
-        return frozenset(n for n, m in word_graph(w, s, oracle).pairs() if n == m)
-    return frozenset(p for c in memo.graph._orbits().cycles if j % len(c) == 0 for p in c)
+    cycles = _memo(v, s, oracle).graph._orbits().cycles
+    return frozenset(p for c in cycles if j % len(c) == 0 for p in c)
 
 
 @dataclass(slots=True, eq=False)
@@ -610,15 +610,15 @@ class _WordGraph:
         return reached
 
 
-def _evaluate_at(w: W.Word, s: PartialInjection, oracle, points, stuck: dict, misses: dict):
-    """w[s] at `points`, where defined; points that stop are filed in `stuck`, misses in `misses`."""
+def _evaluate_at(w: W.Word, s: PartialInjection, oracle, points, stuck: dict):
+    """w[s] at `points`, where defined; points that stop are filed in `stuck`.
+
+    A window miss propagates from the first point that meets it, before
+    any caller keeps what was evaluated.
+    """
     values = {}
     for n in points:
-        try:
-            value = W.evaluate(w, s, oracle, n, stuck)
-        except WindowTooSmall as miss:
-            misses[n] = miss
-            continue
+        value = W.evaluate(w, s, oracle, n, stuck)
         if value is not None:
             values[n] = value
     return values
@@ -649,11 +649,11 @@ def _carried(s: PartialInjection, key) -> _WordGraph | None:
     return memo
 
 
-def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
+def _memo(w: W.Word, s: PartialInjection, oracle) -> _WordGraph:
     """s's memo for w: kept, carried forward, or built in one pass over dom(s).
 
     PreconditionViolated unless w is reduced and ends in x.  A pass that
-    misses the oracle's window records the misses by point and keeps nothing.
+    misses the oracle's window raises the miss and keeps nothing.
     """
     key = (w, oracle)
     if s._fixes is None:
@@ -662,10 +662,8 @@ def _memo(w: W.Word, s: PartialInjection, oracle, misses: dict) -> _WordGraph:
     if memo is None:
         require_shape(w, oracle)
         stuck: dict = {}
-        values = _evaluate_at(w, s, oracle, tuple(s._live()), stuck, misses)
+        values = _evaluate_at(w, s, oracle, tuple(s._live()), stuck)
         memo = _WordGraph(PartialInjection(values.items()), stuck)
-        if misses:
-            return memo
     s._fixes[key] = memo
     return memo
 
@@ -675,17 +673,14 @@ def gained_fixed_points(powers, upper: PartialInjection, lower: PartialInjection
 
     v^j gains the points of the cycles v[upper] adds to v[lower] whose size
     divides j, so only roots are evaluated, where upper's new pairs reach.  A
-    window miss gives a per-word scan's outcome instead (_scanned_gain).
-    With no gain, lower's memos move to upper on first use.
+    window miss propagates from the evaluation that meets it, and upper
+    keeps nothing.  With no gain, lower's memos move to upper on first use.
     """
     new, found, gains = upper.pairs_beyond(lower), {}, {}
     for v, exponents in powers.items():
-        misses: dict = {}
         stuck: dict = {}
-        memo = _memo(v, lower, oracle, misses)
-        values = _evaluate_at(v, upper, oracle, memo.reached(new), stuck, misses)
-        if misses:
-            return _scanned_gain(powers, upper, lower, oracle)
+        memo = _memo(v, lower, oracle)
+        values = _evaluate_at(v, upper, oracle, memo.reached(new), stuck)
         found[memo] = (values, stuck)
         loops = [[n] for n, m in values.items() if n == m]  # all that J = (1,) can gain
         for cycle in _closed_cycles(memo.graph, values) if exponents[-1] > 1 and values else loops:
@@ -694,16 +689,6 @@ def gained_fixed_points(powers, upper: PartialInjection, lower: PartialInjection
     if upper is not lower and found and not gains:
         upper._source = (lower._fixes, new, found)
     return gains
-
-
-def _scanned_gain(powers, upper: PartialInjection, lower: PartialInjection, oracle) -> dict:
-    """Words in text order, each scanned whole: the first's miss, or the first that gains."""
-    words = [(W.Word(v.letters * j), v, j) for v, exponents in powers.items() for j in exponents]
-    for _, w, v, j in sorted((W.format_word(w, oracle), w, v, j) for w, v, j in words):
-        fixed = [n for n, m in word_graph(w, upper, oracle).pairs() if n == m]
-        if gained := [n for n in fixed if W.evaluate(w, lower, oracle, n) != n]:
-            return {(v, j): gained}
-    return {}
 
 
 def _closed_cycles(graph: PartialInjection, values: Mapping[int, int]) -> list[list[int]]:
@@ -738,23 +723,20 @@ def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
     Read off s's memo for w: kept, carried forward from the map s was
     certified over, or built in one pass over dom(s).  A candidate the
     order check has certified has its memo carried, so it evaluates only
-    where its new pairs reach.  A window miss is raised as a scan of sorted
-    dom(s) would meet it first.
+    where its new pairs reach.  A window miss propagates from the point
+    that meets it.
     """
-    misses: dict = {}
-    memo = _memo(w, s, oracle, misses)
-    if misses:
-        raise misses[min(misses)]
-    return dict(memo.graph._orbits().counts)
+    return dict(_memo(w, s, oracle).graph._orbits().counts)
 
 
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
     """The graph of w[s] as a finite partial injection, for a reduced word w ending in x.
 
-    Scans dom(s), where alone w[s] is defined, in its set order, so a window
-    miss is raised at the first point of that order that meets one.  This is
-    the full scan; the checks read the same graph incrementally, through
-    word_cycle_counts and the memo behind it.
+    Scans dom(s), where alone w[s] is defined, evaluating the whole word
+    at each point.  Nothing in the library calls it: the checks read the
+    same graph incrementally, through the memos behind fixed_points and
+    word_cycle_counts, and it is kept as the reference scan they are
+    compared against.
     """
     require_shape(w, oracle)
     pairs = []

@@ -47,8 +47,9 @@ PER_WORD_LETTERS = 23160
 # validated each candidate before the order check, on its parent's memo
 VALIDATE_FIRST_LETTERS = 3168
 # what the build hands it today, under every string hash seed: the order
-# check walks E's roots in their text order
-STRATA_BUILD_LETTERS = 1716
+# check walks E's roots in their text order, and a window miss propagates
+# from the evaluation that meets it
+STRATA_BUILD_LETTERS = 1708
 # the words whose facts verifying their stage traces examined when each
 # word set's facts were derived from scratch
 FRESH_FACTS_WORDS = 480
