@@ -58,11 +58,30 @@ def _load_oracle(spec: str):
     raise ValueError(f"unknown oracle {spec!r} (trivial, translation, staged:<path>)")
 
 
+def _count(text: str) -> int:
+    """A flag's count: a natural number, written in decimal."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is a negative count")
+    return value
+
+
 def _build_schedule(args, flavor, oracle) -> list:
+    """The requirements the run's flags ask for.
+
+    A negative count or a word that reduces to the identity raises
+    ValueError naming the flag and the value as written.
+    """
     schedule: list = []
     if args.schedule is not None:
         if args.schedule.startswith("auto:"):
-            schedule = E.auto_schedule(flavor, int(args.schedule[len("auto:") :]))
+            n = int(args.schedule[len("auto:") :])
+            if n < 0:
+                raise ValueError(f"--schedule {args.schedule} is a negative count")
+            schedule = E.auto_schedule(flavor, n)
         else:
             data = _load_json(args.schedule)
             if isinstance(data, dict):
@@ -72,7 +91,10 @@ def _build_schedule(args, flavor, oracle) -> list:
         for token in args.words.split(","):
             token = token.strip()
             if token:
-                schedule.append(E.WordAdded(W.parse_word(token, oracle)))
+                word = W.parse_word(token, oracle)
+                if word.is_identity:
+                    raise ValueError(f"--words token {token!r} reduces to the identity")
+                schedule.append(E.WordAdded(word))
     for _ in range(args.full_trees):
         schedule.append(E.TreeDiagonalized(T.FullInjectiveTree()))
     for i in range(args.sparse_trees):
@@ -191,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule", help="auto:N for the stock schedule, or a JSON schedule file"
     )
     runp.add_argument("--words", help="comma-separated words to adjoin, e.g. x^2,x^3")
-    runp.add_argument("--full-trees", type=int, default=0, dest="full_trees")
-    runp.add_argument("--sparse-trees", type=int, default=0, dest="sparse_trees")
+    runp.add_argument("--full-trees", type=_count, default=0, dest="full_trees")
+    runp.add_argument("--sparse-trees", type=_count, default=0, dest="sparse_trees")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--out", default="trace.json")
     runp.set_defaults(handler=cmd_run)

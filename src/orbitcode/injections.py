@@ -22,9 +22,12 @@ The word layer (fixed_points, word_graph, word_cycle_counts and the order
 check's gained_fixed_points) takes only reduced words ending in x, as
 admissible words are, and raises PreconditionViolated for any other; x
 applies first, so a scan of dom(s) sees every point such a word maps.  The
-checks read one memo per root and map, v[s]'s graph with its own orbit
-index (see _WordGraph).  A map reads only its own memo: kept, carried from
-the map the order check certified it over, or built in one pass.  The
+root x is the map itself: x[s] is s, so the checks read x's new values off
+the pairs a map adds and its cycles off the map's own orbit index, and
+build, carry and evaluate nothing for it.  For every other root they read
+one memo per root and map, v[s]'s graph with its own orbit index (see
+_WordGraph).  A map reads only its own memo: kept, carried from the map
+the order check certified it over, or built in one pass.  The
 order check runs first and carries the memo, so along a run each step
 evaluates v only where its new pairs reach, and no power v^j of it.  A
 window miss propagates from the evaluation that meets it, and a memo is
@@ -78,7 +81,8 @@ class PartialInjection:
 
     Checks on words read a second private memo, `_fixes`: per root and
     oracle, the root's graph on this map and where its other evaluations
-    stopped (see _WordGraph).  Once this map is certified to extend another,
+    stopped (see _WordGraph), for every root but x, whose graph is the map
+    itself.  Once this map is certified to extend another,
     `_source` holds that map's memos, the new pairs, and what the points
     they reach evaluate to under this map, so each memo is carried forward
     on first use.  It holds the memos and not the map, since the map may
@@ -577,12 +581,13 @@ def require_shape(w: W.Word, oracle) -> None:
 def fixed_points(w: W.Word, s: PartialInjection, oracle) -> frozenset[int]:
     """Points n with w[s](n) = n, for a reduced word w ending in x: the reflexive check's.
 
-    w = v^j fixes the points on the cycles of v[s], read off v's memo, whose size
-    divides j.  A window miss propagates from the point that meets it.
+    w = v^j fixes the points on the cycles of v[s] whose size divides j,
+    read off s's own orbit index for v = x and off v's memo for any other
+    root.  A window miss propagates from the point that meets it.
     """
     require_shape(w, oracle)
     v, j = W.period(w)
-    cycles = _memo(v, s, oracle).graph._orbits().cycles
+    cycles = _graph(v, s, oracle)._orbits().cycles
     return frozenset(p for c in cycles if j % len(c) == 0 for p in c)
 
 
@@ -595,7 +600,7 @@ class _WordGraph:
     under ("x", a) when it waits for a pair (a, ·), under ("x^-1", b) when
     it waits for (·, b).  If t ⊇ s and w[s](p) is defined, w[t](p) = w[s](p):
     only t's new domain points and the points filed under t's new pairs can
-    gain a value.  The checks keep one per root (see gained_fixed_points).
+    gain a value.  The checks keep one per root but x (see gained_fixed_points).
     """
 
     graph: PartialInjection
@@ -649,6 +654,14 @@ def _carried(s: PartialInjection, key) -> _WordGraph | None:
     return memo
 
 
+_X_LETTERS = (W.X,)  # the root x, whose graph on s is s
+
+
+def _graph(v: W.Word, s: PartialInjection, oracle) -> PartialInjection:
+    """v[s], for a reduced root v ending in x: s itself for x, and v's memo's graph otherwise."""
+    return s if v.letters == _X_LETTERS else _memo(v, s, oracle).graph
+
+
 def _memo(w: W.Word, s: PartialInjection, oracle) -> _WordGraph:
     """s's memo for w: kept, carried forward, or built in one pass over dom(s).
 
@@ -672,18 +685,23 @@ def gained_fixed_points(powers, upper: PartialInjection, lower: PartialInjection
     """The words v^j that gain a fixed point, as (v, j): points, for `powers` mapping v to the j.
 
     v^j gains the points of the cycles v[upper] adds to v[lower] whose size
-    divides j, so only roots are evaluated, where upper's new pairs reach.  A
+    divides j, so only roots are evaluated, where upper's new pairs reach.
+    The root x is not evaluated at all: x[upper] is upper, so its new values
+    are the new pairs, and its cycles close over lower's own orbit index.  A
     window miss propagates from the evaluation that meets it, and upper
     keeps nothing.  With no gain, lower's memos move to upper on first use.
     """
     new, found, gains = upper.pairs_beyond(lower), {}, {}
     for v, exponents in powers.items():
-        stuck: dict = {}
-        memo = _memo(v, lower, oracle)
-        values = _evaluate_at(v, upper, oracle, memo.reached(new), stuck)
-        found[memo] = (values, stuck)
+        if v.letters == _X_LETTERS:
+            graph, values = lower, dict(new)
+        else:
+            stuck: dict = {}
+            memo = _memo(v, lower, oracle)
+            graph, values = memo.graph, _evaluate_at(v, upper, oracle, memo.reached(new), stuck)
+            found[memo] = (values, stuck)
         loops = [[n] for n, m in values.items() if n == m]  # all that J = (1,) can gain
-        for cycle in _closed_cycles(memo.graph, values) if exponents[-1] > 1 and values else loops:
+        for cycle in _closed_cycles(graph, values) if exponents[-1] > 1 and values else loops:
             for j in [j for j in exponents if j % len(cycle) == 0]:
                 gains.setdefault((v, j), []).extend(cycle)
     if upper is not lower and found and not gains:
@@ -720,13 +738,13 @@ def _closed_cycles(graph: PartialInjection, values: Mapping[int, int]) -> list[l
 def word_cycle_counts(w: W.Word, s: PartialInjection, oracle) -> dict[int, int]:
     """The closed cycles of w[s] by size, for a reduced word w ending in x.
 
-    Read off s's memo for w: kept, carried forward from the map s was
-    certified over, or built in one pass over dom(s).  A candidate the
-    order check has certified has its memo carried, so it evaluates only
-    where its new pairs reach.  A window miss propagates from the point
-    that meets it.
+    Read off s's own orbit index for x, and for any other word off s's
+    memo for it: kept, carried forward from the map s was certified over,
+    or built in one pass over dom(s).  A candidate the order check has
+    certified has its memo carried, so it evaluates only where its new
+    pairs reach.  A window miss propagates from the point that meets it.
     """
-    return dict(_memo(w, s, oracle).graph._orbits().counts)
+    return dict(_graph(w, s, oracle)._orbits().counts)
 
 
 def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
@@ -735,8 +753,8 @@ def word_graph(w: W.Word, s: PartialInjection, oracle) -> PartialInjection:
     Scans dom(s), where alone w[s] is defined, evaluating the whole word
     at each point.  Nothing in the library calls it: the checks read the
     same graph incrementally, through the memos behind fixed_points and
-    word_cycle_counts, and it is kept as the reference scan they are
-    compared against.
+    word_cycle_counts or, for x, the map itself, and it is kept as the
+    reference scan they are compared against.
     """
     require_shape(w, oracle)
     pairs = []

@@ -105,6 +105,43 @@ def test_inadmissible_word_fails_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["x^0", "x.x^-1", " x^-1.x "])
+def test_a_word_that_reduces_to_the_identity_is_a_usage_error(tmp_path, capsys, token):
+    """Refused while the schedule is built, by the token as written, before any step runs."""
+    out = tmp_path / "t.json"
+    assert run_cli("run", "--flavor", "plain", "--words", f"x,{token}", "--out", str(out)) == 2
+    message = f"cannot build schedule: --words token {token.strip()!r} reduces to the identity"
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--schedule", "auto:-1"], "cannot build schedule: --schedule auto:-1 is a negative count"),
+        (["--words", "x", "--full-trees", "-1"], "argument --full-trees: -1 is a negative count"),
+        (["--words", "x", "--sparse-trees", "-2"], "argument --sparse-trees: -2 is a negative count"),
+        (["--words", "x", "--full-trees", "two"], "argument --full-trees: 'two' is not a count"),
+    ],
+    ids=["schedule", "full-trees", "sparse-trees", "not-a-number"],
+)
+def test_a_negative_count_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.json"
+    assert run_cli("run", "--flavor", "plain", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "empty schedule" not in err
+    assert not out.exists()
+
+
+def test_zero_trees_are_no_trees(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code = run_cli("run", "--flavor", "plain", "--words", "x", "--full-trees", "0",
+                   "--sparse-trees", "0", "--out", str(out))
+    assert code == 0
+    assert [entry["kind"] for entry in json.loads(out.read_text())["schedule"]] == ["word_added"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

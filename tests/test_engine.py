@@ -907,13 +907,14 @@ def test_neither_a_coding_run_nor_its_verify_rebuilds_the_orbit_decomposition(mo
     assert len(calls) == 0
 
 
-def _plain_trees_schedule(per_kind=2):
+def _plain_trees_schedule(per_kind=2, word=x_power(1)):
     """The schedule of the plain-trees digest build (tests/test_trace_digests.py).
 
     With `per_kind` above 2 it takes that many full trees, and sparse trees
-    of seeds 3, 4, 5, ..., in place of two of each.
+    of seeds 3, 4, 5, ..., in place of two of each; with `word`, that word in
+    place of x.
     """
-    schedule = [WordAdded(x_power(1))]
+    schedule = [WordAdded(word)]
     schedule += [TreeDiagonalized(FullInjectiveTree()) for _ in range(per_kind)]
     schedule += [TreeDiagonalized(SparseCongruenceTree(seed)) for seed in range(3, 3 + per_kind)]
     for i in range(8):
@@ -966,14 +967,24 @@ def test_each_tree_option_check_costs_one_evaluation_per_scratch_word(monkeypatc
 
 
 def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):
-    """One evaluation per pair a step adds, not one per pair the step holds."""
-    oracle = trivial_oracle()
-    trace = run(Flavor.PLAIN, None, _plain_trees_schedule(), oracle)
+    """One evaluation of g1.x per pair a step adds, not one per pair the step holds.
+
+    The same schedule tracking x evaluates nothing: x[s] is s, so the order
+    check reads x's new values and cycles off the map itself.
+    """
+    oracle = translation_oracle()
+    schedule = _plain_trees_schedule(word=W.parse_word("g1.x", oracle))
+    trace = run(Flavor.PLAIN, None, schedule, oracle)
     data = _wire(trace, oracle)
     calls = _count_evaluations(monkeypatch)
     verify_trace_data(data)
     assert len(trace.final.s) == 10 and len(trace.final.words) == 1
     assert 0 < len(calls) <= len(trace.final.s)
+    trivial = trivial_oracle()
+    data = _wire(run(Flavor.PLAIN, None, _plain_trees_schedule(), trivial), trivial)
+    calls.clear()
+    verify_trace_data(data)
+    assert calls == []
 
 
 def test_verify_recertifies_only_the_steps_that_add(monkeypatch):
@@ -1140,9 +1151,11 @@ def test_a_word_that_is_not_text_fails_replay():
 
 
 def test_verify_cost_follows_the_trace_not_the_numbers_in_it(monkeypatch):
-    oracle = trivial_oracle()
-    data = _wire(run(Flavor.PLAIN, None, [WordAdded(x_power(1)), DomainHits(0)], oracle), oracle)
-    assert data["final"]["injection"] == [[0, 1]]
+    """g1.x over the translations, since the root x is not evaluated at all."""
+    oracle = translation_oracle()
+    word = W.parse_word("g1.x", oracle)
+    data = _wire(run(Flavor.PLAIN, None, [WordAdded(word), DomainHits(0)], oracle), oracle)
+    assert data["final"]["injection"] == [[0, 0]]
     calls = []
     evaluate = W.evaluate
 

@@ -1470,9 +1470,14 @@ def _validated_translation_condition():
 
 
 def _root_memos(c, oracle):
+    """What each root's graph on c.s reads: its memo, or for x, which keeps none, c.s and its cycles."""
     roots = {indecomposable_root(w, oracle)[0] for w in c.words}
     out = {}
     for v in roots:
+        if v == x_power(1):
+            assert (v, oracle) not in (c.s._fixes or {})
+            out[v] = (c.s.pairs(), [o.ordered for o in closed_orbits(c.s)])
+            continue
         memo = c.s._fixes[(v, oracle)]
         out[v] = (memo.graph.pairs(), {k: list(p) for k, p in memo.stuck.items()})
     return out
@@ -1500,13 +1505,7 @@ def test_a_refused_candidate_leaves_the_next_one_the_verdict_a_fresh_validate_gi
     assert any("miscodes" in v for v in refused) and len(refused) < len(verdicts)
 
 
-def test_certifying_a_one_pair_child_evaluates_each_root_once_at_its_new_point(monkeypatch):
-    """E unchanged and the parent validated: leq then validate, one evaluation per root in all.
-
-    The order check evaluates each root where the pair reaches and carries
-    the parent's memo to the child, so validate evaluates nothing more.
-    """
-    c = _validated_translation_condition()
+def _counted_evaluations(monkeypatch) -> list:
     calls = []
     evaluate = W.evaluate
 
@@ -1515,13 +1514,49 @@ def test_certifying_a_one_pair_child_evaluates_each_root_once_at_its_new_point(m
         return evaluate(w, s, oracle, n, stuck)
 
     monkeypatch.setattr(W, "evaluate", counted)
+    return calls
+
+
+def test_certifying_a_one_pair_child_evaluates_each_root_but_x_once_at_its_new_point(monkeypatch):
+    """E unchanged and the parent validated: leq then validate, one evaluation per root but x.
+
+    The order check evaluates g1.x where the pair reaches and carries the
+    parent's memo to the child, so validate evaluates nothing more; x[s] is
+    s, so x is read off the map and never evaluated.
+    """
+    c = _validated_translation_condition()
+    calls = _counted_evaluations(monkeypatch)
     far = 10 * (max(c.s.support) + 10)
     child = replace(c, s=c.s.with_pair(far, far + 2))
     assert F._admissible(c, child, TRANS).upper is child
     roots = {indecomposable_root(w, TRANS)[0] for w in c.words}
-    assert len(c.s) >= 10 and len(roots) == 2
-    assert sorted(n for _, n in calls) == [far, far]
-    assert {w for w, _ in calls} == roots
+    assert len(c.s) >= 10 and roots == {x_power(1), parse_word("g1.x", TRANS)}
+    assert calls == [(parse_word("g1.x", TRANS), far)]
+
+
+def test_certifying_an_extension_of_powers_of_x_evaluates_nothing(monkeypatch):
+    """A dagger condition whose words are all powers of x: leq, validate and the scans read the map.
+
+    Its closures and a one-pair child, certified and refused, call
+    words.evaluate zero times, and each verdict is the one a fresh copy of
+    the map gets.
+    """
+    schedule = [E.WordAdded(x_power(3))] + [E.DomainHits(i) for i in range(10)]
+    c = E.run(Flavor.DAGGER, (1, 0), schedule, TRIV).final
+    assert c.words == {x_power(j) for j in (1, 2, 3)} and len(c.s) >= 10
+    calls = _counted_evaluations(monkeypatch)
+    validate(c, TRIV)
+    verdicts = []
+    for n in sorted(set(range(len(c.s) + 3)) - c.s.domain):
+        for m in sorted(set(range(len(c.s) + 3)) - c.s.range):
+            candidate = replace(c, s=c.s.with_pair(n, m))
+            fresh = replace(c, s=PartialInjection(candidate.s.pairs()))
+            verdict = helpers.holds(F._admissible, c, candidate, TRIV)
+            assert verdict == helpers.holds(F._admissible, c, fresh, TRIV), (n, m)
+            verdicts.append(verdict)
+    sealed = F.close_all_orbits(c, TRIV).upper
+    assert not I.has_open_orbits(sealed.s)
+    assert calls == [] and any(verdicts) and not all(verdicts)
 
 
 def test_a_refused_candidate_formats_no_word_until_its_message_is_read(monkeypatch):

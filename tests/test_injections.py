@@ -425,6 +425,10 @@ def _powers(words):
 
 
 def _memo_state(s, w, oracle):
+    """w's memo on s; for the root x, which keeps none, s itself and its cycles."""
+    if w == x_power(1):
+        assert (w, oracle) not in (s._fixes or {})
+        return s.pairs(), [o.ordered for o in closed_orbits(s)]
     memo = s._fixes[(w, oracle)]
     stuck = {where: sorted(points) for where, points in memo.stuck.items()}
     return memo.graph.pairs(), stuck
@@ -435,7 +439,7 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
 
     Reading an uncertified child leaves s's memo as it was.  The carry
     check takes a fresh child, one nothing read before the order check
-    certified it.
+    certified it.  The root x keeps no memo: its graph is the map itself.
     """
     words = [parse_word(text, TRANS) for text in MEMO_WORDS]
     children = carried = 0
@@ -446,8 +450,9 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
             assert counts == _scanned_counts(w, s, TRANS), (w, graph)
             scan = word_graph(w, s, TRANS)
             assert prime_parities(counts, 2) == o_dagger(scan, 2)
-            assert s._fixes[(w, TRANS)].graph == scan
+            assert (s if w == x_power(1) else s._fixes[(w, TRANS)].graph) == scan
             assert fixed_points(w, s, TRANS) == frozenset(n for n, m in scan.pairs() if n == m)
+        assert (x_power(1), TRANS) not in s._fixes
         n = min(set(range(6)) - set(graph))
         for m in sorted(set(range(6)) - set(graph.values())):
             child = s.with_pair(n, m)
@@ -457,15 +462,55 @@ def test_the_word_graph_memo_agrees_with_a_fresh_scan_on_every_injection_on_five
                 assert _memo_state(s, w, TRANS) == before
             children += 1
         # certified (no word gains a fixed point), the child takes s's memos on
-        # first use: the order check keeps memos of roots only, and x^2's is x's
+        # first use: the order check keeps memos of roots other than x only,
+        # and x^2 is read off the child itself
         child = s.with_pair(n, m)
         if not gained_fixed_points(_powers(words), child, s, TRANS):
-            for w in (w for w in words if w != x_power(2)):
+            for w in (w for w in words if w not in (x_power(1), x_power(2))):
                 assert word_cycle_counts(w, child, TRANS) == _scanned_counts(w, child, TRANS)
                 assert child._fixes[(w, TRANS)].graph == word_graph(w, child, TRANS)
                 assert (w, TRANS) not in s._fixes
+            x = x_power(1)
+            assert word_cycle_counts(x, child, TRANS) == _scanned_counts(x, child, TRANS)
+            assert (x, TRANS) not in child._fixes
             carried += 1
     assert (children, carried) == (4051, 1121)
+
+
+def _scanned_fixed_points(w, s, oracle):
+    return frozenset(n for n, m in word_graph(w, s, oracle).pairs() if n == m)
+
+
+def test_the_root_x_reads_the_map_on_every_injection_on_five_points_and_every_one_pair_extension():
+    """x^j's gains, cycle counts and fixed points, j ≤ 3, against word_graph full scans.
+
+    Every partial injection on 0..4 and every one-pair extension of it on
+    0..5, made from the map itself, whose orbit index the reads of x build,
+    or from a fresh copy nothing has read.  The gains are the fixed points
+    x^j has on the child and not on the parent, and no map keeps a memo.
+    """
+    x, cubes = x_power(1), [x_power(j) for j in (1, 2, 3)]
+    children = gaining = 0
+    for graph in _all_partial_injections(range(5)):
+        s = inj(graph)
+        before = [_scanned_fixed_points(w, s, TRIV) for w in cubes]
+        assert [fixed_points(w, s, TRIV) for w in cubes] == before, graph
+        assert word_cycle_counts(x, s, TRIV) == _scanned_counts(x, s, TRIV), graph
+        for n in sorted(set(range(6)) - set(graph)):
+            for m in sorted(set(range(6)) - set(graph.values())):
+                parent = s if (n + m) % 2 else inj(graph)
+                child = parent.with_pair(n, m)
+                gains = gained_fixed_points({x: (1, 2, 3)}, child, parent, TRIV)
+                after = [_scanned_fixed_points(w, child, TRIV) for w in cubes]
+                expected = {(x, j): sorted(a - b) for j, a, b in zip((1, 2, 3), after, before) if a - b}
+                assert {key: sorted(p) for key, p in gains.items()} == expected, (graph, n, m)
+                assert [fixed_points(w, child, TRIV) for w in cubes] == after, (graph, n, m)
+                assert word_cycle_counts(x, child, TRIV) == _scanned_counts(x, child, TRIV)
+                assert child._fixes is None and parent._fixes is None
+                children += 1
+                gaining += bool(gains)
+        assert [fixed_points(w, s, TRIV) for w in cubes] == before, graph
+    assert (children, gaining) == (11781, 3691)
 
 
 ROOT_TEXTS = ("x", "g1.x", "g1.x^2", "g2.x^-1.g1.x")
@@ -589,6 +634,30 @@ def _check_version(version, model):
     assert hash(version) == hash(frozenset(model.items()))
 
 
+def _check_x_reads(version, model):
+    """x's cycle counts and x^j's fixed points, j ≤ 3, of a version against its dict model's cycles."""
+    cycles = [walk for walk, closed in helpers.orbits_by_minimum(model) if closed]
+    assert word_cycle_counts(x_power(1), version, TRIV) == dict(Counter(map(len, cycles)))
+    for j in (1, 2, 3):
+        expected = frozenset(p for walk in cycles if j % len(walk) == 0 for p in walk)
+        assert fixed_points(x_power(j), version, TRIV) == expected
+    assert version._fixes is None
+
+
+def _check_x_gains(exponents, upper, model_upper, lower, model_lower):
+    """gained_fixed_points of x between a version and one it extends, against their models' cycles."""
+    old = {walk for walk, closed in helpers.orbits_by_minimum(model_lower) if closed}
+    new = [walk for walk, closed in helpers.orbits_by_minimum(model_upper)
+           if closed and walk not in old]
+    expected = {}
+    for j in exponents:
+        points = sorted(p for walk in new if j % len(walk) == 0 for p in walk)
+        if points:
+            expected[(x_power(1), j)] = points
+    gains = gained_fixed_points({x_power(1): exponents}, upper, lower, TRIV)
+    assert {key: sorted(p) for key, p in gains.items()} == expected
+
+
 def _check_orbits(version, model, indexed):
     """Every orbit query of a version agrees with its dict model; `indexed`: some version was read.
 
@@ -613,12 +682,14 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
 
     Clashing pairs must raise and leave the version they were offered to as
     it was, and reads in between re-root the versions in random orders, some
-    reading the dicts alone and some the orbits, so the orbit index the
-    versions share is built at one of them, and children of versions never
-    queried link their pairs only when read.
+    reading the dicts alone, some the orbits, and some what the root x reads:
+    its cycle counts, x^j's fixed points and its gains over an older version.
+    So the orbit index the versions share is built at one of them, and
+    children of versions never queried link their pairs only when read.
     """
     versions = [(inj(base), dict(base))]
     indexed = False
+    exponents = data.draw(st.sampled_from([(1,), (2,), (1, 2, 3)]), label="x's exponents")
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
         version, model = versions[data.draw(st.integers(0, len(versions) - 1), label="from")]
         count = data.draw(st.integers(0, 3), label="count")
@@ -644,12 +715,20 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
             assert child.pairs_beyond(version) == tuple(
                 dict.fromkeys(p for p in pairs if p not in model.items())
             )
-        read = data.draw(st.sampled_from(["none", "dicts", "orbits"]), label="read one now")
+        read = data.draw(st.sampled_from(["none", "dicts", "orbits", "x"]), label="read one now")
         if read != "none":
-            version, model = versions[data.draw(st.integers(0, len(versions) - 1), label="read")]
+            at = data.draw(st.integers(0, len(versions) - 1), label="read")
+            version, model = versions[at]
             _check_version(version, model)
             if read == "orbits":
                 _check_orbits(version, model, indexed)
+                indexed = True
+            elif read == "x":
+                # every version extends the first, so an older one it extends exists
+                older = [k for k in range(at + 1) if model.items() >= versions[k][1].items()]
+                k = data.draw(st.sampled_from(older), label="older")
+                _check_x_gains(exponents, version, model, *versions[k])
+                _check_x_reads(version, model)
                 indexed = True
     order = data.draw(st.permutations(range(len(versions))), label="order")
     for i in order:
@@ -662,9 +741,11 @@ def test_persistent_versions_read_as_their_dict_models(base, data):
         assert a.extends(b) == (model_a.items() >= model_b.items())
         if a.extends(b):
             assert sorted(a.pairs_beyond(b)) == sorted(model_a.items() - model_b.items())
+            _check_x_gains(exponents, a, model_a, b, model_b)
     for i in order:
         _check_version(*versions[i])
         _check_orbits(*versions[i], indexed)
+        _check_x_reads(*versions[i])
 
 
 def test_orbit_queries_read_children_of_unqueried_versions_and_survive_clashes():
