@@ -2,12 +2,12 @@
 
 A run starts from the empty condition and meets one requirement per step:
 hit a domain or range point, adjoin a word, diagonalize against an injective
-tree, or close the next coded orbit.  Every step is certified once, by the
-forcing operation that takes it: the engine stores the certificate the
-operation returns and checks nothing again, except that a step leaving the
-condition unchanged records the reflexive certificate leq(c, c).  A trace
-serializes to JSON that an independent verifier replays without trusting
-the run.  Format version 8 writes each step as one flat object, its delta:
+tree, or close the next coded orbit.  Every step is checked once, by the
+forcing operation that takes it: the engine stores the condition the
+operation returns and checks nothing again, and a step whose requirement
+was already met stores the condition before it.  A trace serializes to
+JSON that an independent verifier replays without trusting the run.
+Format version 8 writes each step as one flat object, its delta:
 the `pairs` and `words` its upper condition adds to the previous one,
 which is its lower condition, and `upper_sum`, a checksum of the upper
 condition kept in O(delta); a tree step adds its `witness_node`, a node
@@ -112,13 +112,17 @@ def requirement_to_data(req: Requirement, oracle) -> dict:
 
 
 def requirement_from_data(data: Mapping, oracle) -> Requirement:
+    """The requirement an entry writes; ValueError for a word that reduces to the identity."""
     kind = data["kind"]
     if kind == "domain_hits":
         return DomainHits(I.wire_int(data["n"]))
     if kind == "range_hits":
         return RangeHits(I.wire_int(data["m"]))
     if kind == "word_added":
-        return WordAdded(W.parse_word(data["word"], oracle))
+        word = W.parse_word(data["word"], oracle)
+        if word.is_identity:
+            raise ValueError(f"word_added word {data['word']!r} reduces to the identity")
+        return WordAdded(word)
     if kind == "tree_diagonalized":
         return TreeDiagonalized(
             T.tree_from_descriptor(data["tree"]), tuple(map(I.wire_int, data["node"]))
@@ -133,7 +137,7 @@ class RunStep:
     index: int
     requirement: Requirement
     op: str
-    certificate: F.ExtensionCertificate
+    condition: F.Condition
     extra: dict = field(default_factory=dict)
 
 
@@ -150,22 +154,20 @@ class RunTrace:
 
 
 def _apply_requirement(req: Requirement, c: F.Condition, oracle):
-    """Meet one requirement; returns (op name, certificate, a tree step's witness or {}).
+    """Meet one requirement; returns (op name, condition reached, a tree step's witness or {}).
 
     A requirement c already meets, by the verifier's _requirement_holds,
-    leaves c unchanged.
+    returns c itself.
     """
     if isinstance(req, TreeDiagonalized):
-        cert, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
-        return "tree_extend", cert, {"witness_node": list(witness[: k + 1]), "witness_index": k}
+        c, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
+        return "tree_extend", c, {"witness_node": list(witness[: k + 1]), "witness_index": k}
     if isinstance(req, OrbitCoded):
-        cert = None
         while not _requirement_holds(req, (), c, oracle):
-            cert = F.chain(cert, F.code_next_orbit(c, oracle))
-            c = cert.upper
-        return "code_next_orbit", cert or F.leq(c, c, oracle), {}
+            c = F.code_next_orbit(c, oracle)
+        return "code_next_orbit", c, {}
     if _requirement_holds(req, (), c, oracle):
-        return "already_present", F.leq(c, c, oracle), {}
+        return "already_present", c, {}
     if isinstance(req, DomainHits):
         return "extend_domain", F.extend_domain(c, req.n, oracle), {}
     if isinstance(req, RangeHits):
@@ -226,7 +228,7 @@ def _decode_final(c: F.Condition) -> tuple[int, ...]:
 
 
 def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
-    """Meet the scheduled requirements in order, storing each step's certificate."""
+    """Meet the scheduled requirements in order, storing the condition each step reaches."""
     flavor = F.Flavor(flavor) if not isinstance(flavor, F.Flavor) else flavor
     if flavor is F.Flavor.PLAIN:
         if r:
@@ -242,11 +244,10 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
     steps: list[RunStep] = []
     growth_events: list[dict] = []
     for index, req in enumerate(schedule):
-        op, cert, extra = _attempt(
+        op, c, extra = _attempt(
             index, lambda: _apply_requirement(req, c, oracle), oracle, growth_events
         )
-        steps.append(RunStep(index, req, op, cert, extra))
-        c = cert.upper
+        steps.append(RunStep(index, req, op, c, extra))
     return RunTrace(
         flavor=flavor,
         target=target,
@@ -273,7 +274,7 @@ def seal(trace: RunTrace, oracle) -> O.CompletedStage:
         lambda: F.close_all_orbits(trace.final, oracle),
         oracle,
         trace.growth_events,
-    ).upper
+    )
     return O.CompletedStage(sealed, oracle, trace)
 
 
@@ -414,9 +415,12 @@ def _upper_sum(total: int, pairs, texts) -> int:
 
 
 def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
+    """Each step's delta against the condition before it, the empty condition before step 0."""
     steps, total = [], 0
+    lower = F.Condition(I.PartialInjection(), frozenset(), trace.flavor, trace.target)
     for step in trace.steps:
-        data = F.certificate_to_data(step.certificate, oracle)
+        data = F.certificate_to_data(step.condition, lower, oracle)
+        lower = step.condition
         total = _upper_sum(total, data["pairs"], data["words"])
         data["upper_sum"] = f"{total:016x}"
         if step.extra:
@@ -493,7 +497,7 @@ def _grow_stage_by(stage: O.CompletedStage, cycles) -> None:
     """
     if pairs := sorted(I.pairs_from_cycles(cycles)):
         delta = {"pairs": pairs, "words": []}
-        stage.condition = F.verify_certificate_data(delta, stage.condition, stage.oracle).upper
+        stage.condition = F.verify_certificate_data(delta, stage.condition, stage.oracle)
 
 
 def _check_growth(events, oracle, length: int) -> None:
@@ -601,7 +605,7 @@ def verify_trace_data(data: Mapping) -> None:
             lower, met = c, False
             if step["pairs"] != [] or step["words"] != []:  # else c is its own upper condition
                 met = not tree and _requirement_holds(req, witness, lower, oracle)
-                c = F.verify_certificate_data(step, lower, oracle, parsed).upper
+                c = F.verify_certificate_data(step, lower, oracle, parsed)
                 try:
                     F.validate(c, oracle, lower)
                 except Refused as exc:

@@ -12,18 +12,17 @@ flavors refine the base poset:
             and for every w = v^k in E the evaluation v[s] codes r in
             prime-parity up to every n with p_n ≤ k.
 
-Every operation here certifies its own step, once: it returns the
-ExtensionCertificate from its input to its result, and `.upper` is the new
-condition.  A single step's certificate comes from one leq + validate check
-of the result against the input, in the order verify checks a step; an
-operation made of several steps chains their certificates by transitivity
-instead of checking again.  Callers store the certificate as it is.
-Serialized, it keeps only what its upper condition adds to its lower one,
-and re-verifies against a lower condition the reader already holds: no
-fixed-point set is written, since the recheck recomputes each one it needs.
-A check that says no raises Refused naming the clause, and an operation
-lets it propagate.  All tie-breaking picks the least value, so runs are
-reproducible bit for bit.
+Every operation here returns the condition it reaches, and checks each
+step of it once: one leq + validate of the step's result against its input,
+in the order verify checks a step.  An operation made of several steps
+checks each step alone, and one that changes nothing returns its input.
+leq and validate return None or raise Refused naming the clause, and an
+operation lets a refusal propagate.  A step's certificate is its delta on
+the wire, what its upper condition adds to its lower one
+(certificate_to_data), which re-verifies against a lower condition the
+reader already holds: no fixed-point set is written, since the recheck
+recomputes each one it needs.  All tie-breaking picks the least value, so
+runs are reproducible bit for bit.
 
 A least-value scan (_least_admissible) tries candidates until one passes,
 so a refused candidate costs only its check: its map is a new version of
@@ -108,30 +107,6 @@ def coding_condition(r: Sequence[int], s=None, words: Iterable[W.Word] = ()) -> 
 
 def dagger_condition(r: Sequence[int], s=None, words: Iterable[W.Word] = ()) -> Condition:
     return Condition(s or I.PartialInjection(), frozenset(words), Flavor.DAGGER, tuple(r))
-
-
-@dataclass(frozen=True)
-class ExtensionCertificate:
-    """A verified instance of upper ≤ lower; the words' fixed points are not kept.
-
-    Each word's set is frozen from the step it enters E, so a reader that
-    needs one recomputes it, as injections.fixed_points(w, upper.s, oracle).
-    """
-
-    lower: Condition
-    upper: Condition
-
-
-def chain(
-    first: ExtensionCertificate | None, then: ExtensionCertificate
-) -> ExtensionCertificate:
-    """first (c → m) followed by then (m → u): the certificate c → u, by transitivity.
-
-    No first certificate means `then` starts the chain.
-    """
-    if first is None:
-        return then
-    return ExtensionCertificate(first.lower, then.upper)
 
 
 class _WordFacts:
@@ -262,8 +237,8 @@ def validate(c: Condition, oracle, lower: Condition | None = None) -> None:
                 raise Refused(f"evaluation of {text!r} miscodes bit {n}")
 
 
-def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
-    """Certificate that upper extends lower: graphs and words grow, fixed points don't.
+def leq(upper: Condition, lower: Condition, oracle) -> None:
+    """Check that upper extends lower: graphs and words grow, fixed points don't.
 
     Once upper.s extends lower.s, a point a word fixes under lower.s it
     fixes under upper.s too, so fixed points can be gained but never lost,
@@ -291,7 +266,6 @@ def leq(upper: Condition, lower: Condition, oracle) -> ExtensionCertificate:
         gains = I.gained_fixed_points(facts.powers(oracle), upper.s, lower.s, oracle)
         if gains:
             raise Refused("leq-fixed-points", _gain_text, gains=gains, oracle=oracle)
-    return ExtensionCertificate(lower, upper)
 
 
 def _gain_text(gains: dict, oracle) -> str:
@@ -301,20 +275,20 @@ def _gain_text(gains: dict, oracle) -> str:
     return f"word {text!r} changed fixed points (gained {gained})"
 
 
-def _admissible(c: Condition, candidate: Condition, oracle) -> ExtensionCertificate:
+def _admissible(c: Condition, candidate: Condition, oracle) -> Condition:
     """leq, then validate on the memos leq carried, as verify checks: candidate ≤ c, or Refused.
 
     c must be valid: validate compares only the code bits candidate adds to c's.
     """
-    cert = leq(candidate, c, oracle)
+    leq(candidate, c, oracle)
     validate(candidate, oracle, c)
-    return cert
+    return candidate
 
 
 def _least_admissible(
     c: Condition, pair_at, taken: Callable[[int], bool], oracle, what: str
-) -> ExtensionCertificate:
-    """Certificate of the least v not `taken` whose pair pair_at(v) extends c.
+) -> Condition:
+    """c plus the pair pair_at(v) for the least v not `taken` whose pair extends c.
 
     Every cycle point of c.s is taken, so the scan starts at its index's gap.
     """
@@ -329,7 +303,7 @@ def _least_admissible(
     raise InternalCheckFailed(f"no admissible {what} up to {_SCAN_CAP}")
 
 
-def extend_domain(c: Condition, n: int, oracle) -> ExtensionCertificate:
+def extend_domain(c: Condition, n: int, oracle) -> Condition:
     """Add n to the domain with the least value keeping the condition's order."""
     if c.s.apply(n) is not None:
         raise PreconditionViolated(f"{n} already in domain")
@@ -338,7 +312,7 @@ def extend_domain(c: Condition, n: int, oracle) -> ExtensionCertificate:
     )
 
 
-def extend_range(c: Condition, m: int, oracle) -> ExtensionCertificate:
+def extend_range(c: Condition, m: int, oracle) -> Condition:
     """Add m to the range with the least preimage keeping the condition's order."""
     if c.s.apply_inverse(m) is not None:
         raise PreconditionViolated(f"{m} already in range")
@@ -456,7 +430,7 @@ def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
 
 def tree_extend(
     c: Condition, tree: T.InjectiveTree, node: T.Node, oracle
-) -> tuple[ExtensionCertificate, T.Node, int]:
+) -> tuple[Condition, T.Node, int]:
     """One new pair (k, t'(k)) read off a positive tree, below c.
 
     Splits E into single-x words (plus the single-x subwords of the rest) for
@@ -535,7 +509,7 @@ def _least_fresh(start: int, ok) -> int:
     raise InternalCheckFailed("fresh-point scan exhausted")
 
 
-def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
+def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
     """Close the orbit through n into a cycle of size exactly k.
 
     Works for any k above the threshold K = |orbit(n)| + L: if n is
@@ -563,7 +537,7 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
         anchored = _least_admissible(
             c, lambda m: (n, m), used.__contains__, oracle, f"anchor image for {n}"
         )
-        anchor = (n, anchored.upper.s.apply(n))
+        anchor = (n, anchored.s.apply(n))
         orbit = I.Orbit(anchor, closed=False)
     handles = _nonidentity_handles(c.words, oracle)
     return _close_path(c, orbit, k, I.closed_and_gap(c.s)[1], handles, oracle, anchor)[0]
@@ -571,16 +545,16 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> ExtensionCertificate:
 
 def _close_path(
     c: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle, anchor=None
-) -> tuple[ExtensionCertificate, int]:
+) -> tuple[Condition, int]:
     """Close the open path `orbit` of c.s plus the pair `anchor`, if any, into a k-cycle.
 
     Routes k − |orbit| chain points from the path's exit back to its entry:
     the least points from `start` on that _fresh_point_ok takes against
     c.s's support, the anchor's points and the points picked, tested in
     increasing order.  The closed map is one with_pairs of c.s, the anchor
-    first, so its certificate reads its delta off that one link.  Returns
-    the certificate and the point past the last one picked, where a next
-    chain scan over the closed condition may resume.
+    first, so its check and its delta read off that one link.  Returns the
+    closed condition and the point past the last one picked, where a next
+    chain scan over it may resume.
     """
     chain_length = k - orbit.size
     if chain_length < 0:
@@ -607,7 +581,7 @@ def _close_path(
     return _admissible(c, closed, oracle), start
 
 
-def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
+def code_next_orbit(c: Condition, oracle) -> Condition:
     """Close the orbit at the least uncovered natural, parity-matched to the target."""
     if c.flavor is not Flavor.CODING:
         raise PreconditionViolated("coding flavor required")
@@ -620,7 +594,7 @@ def code_next_orbit(c: Condition, oracle) -> ExtensionCertificate:
     return close_orbit(c, n, k, oracle)
 
 
-def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCertificate:
+def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> Condition:
     """Give the evaluation v[s] exactly one new closed orbit, of size k.
 
     Walks the letters of v^k around a cycle of fresh points: group letters
@@ -687,26 +661,26 @@ def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> ExtensionCert
         else:
             pairs.append((points[target], points[i]))
     pairs.append((points[0], points[first]))
-    # certified first, the closure carries v's memo when v^(k-1) is in E
-    cert = _admissible(c, Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target), oracle)
+    # checked first, the closure carries v's memo when v^(k-1) is in E
+    closed = _admissible(c, Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target), oracle)
 
     # v[s] only grows, so its cycles before are cycles after: compare the counts
-    after = I.word_cycle_counts(v, cert.upper.s, oracle)
+    after = I.word_cycle_counts(v, closed.s, oracle)
     grown = {size: n - before.get(size, 0) for size, n in after.items()}
     if {size: n for size, n in grown.items() if n} != {k: 1}:
         raise InternalCheckFailed(
             f"expected one new size-{k} orbit of the evaluation,"
             f" got {_sizes(after)} from {_sizes(before)}"
         )
-    return cert
+    return closed
 
 
 def _sizes(counts: dict[int, int]) -> list[int]:
     return sorted(size for size, n in counts.items() for _ in range(n))
 
 
-def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
-    """Extend c so that w lies in E; a word already there leaves c unchanged.
+def add_word(c: Condition, w: W.Word, oracle) -> Condition:
+    """Extend c so that w lies in E; a word already there returns c itself.
 
     Plain and coding conditions adjoin the word alone.  Dagger conditions
     follow the density proof: powers of the indecomposable root are added
@@ -715,16 +689,15 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
     flips it before the word and its closure enter E.
     """
     if w in c.words:
-        return leq(c, c, oracle)
+        return c
     if not W.is_admissible(w, oracle):
         raise PreconditionViolated(f"not an admissible word: {W.format_word(w, oracle)!r}")
     if c.flavor is not Flavor.DAGGER:
         return _admissible(c, Condition(c.s, c.words | {w}, c.flavor, c.target), oracle)
     v, k = W.indecomposable_root(w, oracle)
-    cert = None
+    current = c
     if k > 1 and W.power(v, k - 1, oracle) not in c.words:
-        cert = add_word(c, W.power(v, k - 1, oracle), oracle)
-    current = c if cert is None else cert.upper
+        current = add_word(c, W.power(v, k - 1, oracle), oracle)
     n = I.prime_index(k)
     if n is not None:
         if len(current.target) <= n:
@@ -733,16 +706,15 @@ def add_word(c: Condition, w: W.Word, oracle) -> ExtensionCertificate:
             )
         # p_n = k: bit n counts v[s]'s k-cycles
         if I.word_cycle_counts(v, current.s, oracle).get(k, 0) % 2 != current.target[n]:
-            cert = chain(cert, strong_close_orbit(current, v, k, oracle))
-            current = cert.upper
+            current = strong_close_orbit(current, v, k, oracle)
             if I.word_cycle_counts(v, current.s, oracle).get(k, 0) % 2 != current.target[n]:
                 raise InternalCheckFailed(f"strong closure failed to flip bit {n}")
     closed = current.words.union(W.closure(v, k, oracle))
     upper = Condition(current.s, closed, current.flavor, current.target)
-    return chain(cert, _admissible(current, upper, oracle))
+    return _admissible(current, upper, oracle)
 
 
-def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
+def close_all_orbits(c: Condition, oracle) -> Condition:
     """Close every open orbit, respecting the flavor's coding discipline.
 
     Coding conditions consume target bits through code_next_orbit until the
@@ -754,21 +726,17 @@ def close_all_orbits(c: Condition, oracle) -> ExtensionCertificate:
     prime parity.  They walk the open paths once: a closure's chain points
     are fresh, so it leaves the paths after it as they were.  One chain
     scan runs through the whole seal (_close_path), and each closure is
-    certified on its own.
+    checked on its own.  With no open orbit, c itself is returned.
     """
-    cert = None
     if c.flavor is Flavor.CODING:
         while I.has_open_orbits(c.s):
-            cert = chain(cert, code_next_orbit(c, oracle))
-            c = cert.upper
-        return cert or leq(c, c, oracle)
+            c = code_next_orbit(c, oracle)
+        return c
     length, handles = c.max_word_length, _nonidentity_handles(c.words, oracle)
     start = I.closed_and_gap(c.s)[1]
     for orbit in I.open_orbits(c.s):
-        step, start = _close_path(c, orbit, orbit.size + length + 1, start, handles, oracle)
-        cert = chain(cert, step)
-        c = step.upper
-    return cert or leq(c, c, oracle)
+        c, start = _close_path(c, orbit, orbit.size + length + 1, start, handles, oracle)
+    return c
 
 
 def condition_to_data(c: Condition, oracle) -> dict:
@@ -810,17 +778,17 @@ def condition_from_data(
     return Condition(s, words, flavor, target)
 
 
-def certificate_to_data(cert: ExtensionCertificate, oracle) -> dict:
-    """The certificate on the wire: what upper adds to lower, which the reader holds."""
+def certificate_to_data(upper: Condition, lower: Condition, oracle) -> dict:
+    """upper ≤ lower's certificate on the wire: what upper adds to lower, which the reader holds."""
     return {
-        "pairs": [list(p) for p in sorted(cert.upper.s.pairs_beyond(cert.lower.s))],
-        "words": sorted(W.format_word(w, oracle) for w in cert.upper.words - cert.lower.words),
+        "pairs": [list(p) for p in sorted(upper.s.pairs_beyond(lower.s))],
+        "words": sorted(W.format_word(w, oracle) for w in upper.words - lower.words),
     }
 
 
 def verify_certificate_data(
     data: dict, lower: Condition, oracle, parsed: dict | None = None
-) -> ExtensionCertificate:
+) -> Condition:
     """Build upper from lower and the delta, then recheck that it extends lower.
 
     The delta is in the writer's form or raises ValueError (TypeError for
@@ -829,8 +797,8 @@ def verify_certificate_data(
     its word texts strictly increase, are each their parse's text and name
     no word of lower.  upper's injection is lower's
     with_pairs the delta, or lower's own for no pairs, so it keeps lower's
-    orbit index and leq reads only the new pairs.  Returns the recomputed
-    certificate; Refused names the failed clause.
+    orbit index and leq reads only the new pairs.  Returns the upper
+    condition it rechecked; Refused names the failed clause.
     """
     pairs = [(I.wire_int(n), I.wire_int(m)) for n, m in I.wire_list(data["pairs"], "pairs")]
     if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
@@ -845,6 +813,7 @@ def verify_certificate_data(
     s = lower.s.with_pairs(pairs) if pairs else lower.s
     upper = Condition(s, lower.words | words, lower.flavor, lower.target)
     try:
-        return leq(upper, lower, oracle)
+        leq(upper, lower, oracle)
     except Refused as exc:
         raise Refused(f"order recheck failed: {exc}") from None
+    return upper

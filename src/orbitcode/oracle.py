@@ -11,12 +11,13 @@ The staged oracle is windowed: its generators are finite injections, so
 evaluation beyond the settled region raises WindowTooSmall with the needed
 bound, and grow_window extends every stage's injection (re-running domain and
 range extensions plus orbit closing against the stage's own stored condition)
-without ever changing settled values: each of those operations certifies
-that its result extends its input, so the build takes their `.upper` and
-checks nothing again.  A sealed stage has only cycles, so it is written as
-its cycles (injections.cycles_to_data), and a growth adds whole new cycles
-that meet none of the old ones; a trace's growth events write those, and
-the verifier checks them (engine._check_growth) instead of growing again.
+without ever changing settled values: each of those operations checks
+that the condition it returns extends its input, so the build takes that
+condition and checks nothing again.  A sealed stage has only cycles, so it
+is written as its cycles (injections.cycles_to_data), and a growth adds
+whole new cycles that meet none of the old ones; a trace's growth events
+write those, and the verifier checks them (engine._check_growth) instead
+of growing again.
 """
 
 from __future__ import annotations
@@ -337,10 +338,10 @@ class StagedOracle(GroupOracle):
 
         for point in range(n):
             if cond.s.apply(point) is None:
-                cond = retrying(lambda: F.extend_domain(cond, point, sub)).upper
+                cond = retrying(lambda: F.extend_domain(cond, point, sub))
             if cond.s.apply_inverse(point) is None:
-                cond = retrying(lambda: F.extend_range(cond, point, sub)).upper
-        state.condition = retrying(lambda: F.close_all_orbits(cond, sub)).upper
+                cond = retrying(lambda: F.extend_range(cond, point, sub))
+        state.condition = retrying(lambda: F.close_all_orbits(cond, sub))
         if state.window < n:
             raise StageExtensionFailed(
                 f"stage {index} growth reached window {state.window} < {n}"

@@ -115,6 +115,19 @@ def test_a_word_that_reduces_to_the_identity_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["x^0", ""])
+def test_a_schedule_file_word_that_reduces_to_the_identity_is_a_usage_error(
+    tmp_path, capsys, text
+):
+    """Refused while the schedule file is read, by the text as written, before any step runs."""
+    schedule, out = tmp_path / "f.json", tmp_path / "t.json"
+    schedule.write_text(json.dumps([{"kind": "word_added", "word": text}]))
+    assert run_cli("run", "--flavor", "plain", "--schedule", str(schedule), "--out", str(out)) == 2
+    message = f"cannot build schedule: word_added word {text!r} reduces to the identity"
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

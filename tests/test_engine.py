@@ -95,18 +95,17 @@ def test_coding_run_round_trips_its_bits():
 
 
 def test_certificates_chain_across_the_run():
+    """Each step's condition extends the one before it, step 0's the empty condition."""
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, (1, 1), auto_schedule(Flavor.CODING, 2), oracle)
-    previous = None
+    empty = coding_condition((1, 1))
+    previous = empty
     for step in trace.steps:
-        cert = step.certificate
-        assert leq(cert.upper, cert.lower, oracle)
-        if previous is not None:
-            assert cert.lower == previous
-        previous = cert.upper
+        leq(step.condition, previous, oracle)
+        previous = step.condition
     assert trace.final == previous
-    # transitivity: the last condition sits below the first lower bound
-    assert leq(trace.final, trace.steps[0].certificate.lower, oracle)
+    # transitivity: the last condition sits below the empty one
+    leq(trace.final, empty, oracle)
 
 
 @pytest.mark.parametrize("flavor, bits", [(Flavor.PLAIN, None), (Flavor.CODING, (1, 0))])
@@ -117,12 +116,52 @@ def test_adjoining_an_inadmissible_word_is_refused(flavor, bits):
 
 
 def test_a_multi_orbit_coding_step_stores_the_chained_certificate():
+    """The step stores the condition its three closures reach, and its delta rebuilds it."""
     oracle = trivial_oracle()
     trace = run(Flavor.CODING, (1, 0, 1), [WordAdded(x_power(1)), OrbitCoded(2)], oracle)
-    step = trace.steps[1]
-    cert = step.certificate
-    assert len(closed_orbits(cert.upper.s)) - len(closed_orbits(cert.lower.s)) == 3
-    assert step.certificate == leq(step.certificate.upper, step.certificate.lower, oracle)
+    lower, upper = trace.steps[0].condition, trace.steps[1].condition
+    assert len(closed_orbits(upper.s)) - len(closed_orbits(lower.s)) == 3
+    leq(upper, lower, oracle)
+    validate(upper, oracle)
+    assert verify_certificate_data(_wire(trace, oracle)["steps"][1], lower, oracle) == upper
+
+
+def test_a_met_requirement_stores_the_condition_before_it_and_checks_nothing(monkeypatch):
+    """No leq of a condition against itself: what changes nothing returns its input.
+
+    A coding auto:8 run, a plain run that repeats a hit, a dagger run that
+    adjoins a word its E holds already, and a seal with no open orbit.  A
+    step whose requirement the condition before it met stores that very
+    condition and writes an empty delta.
+    """
+    reflexive = []
+    leq_ = F.leq
+
+    def counted(upper, lower, oracle):
+        reflexive.append(upper is lower)
+        return leq_(upper, lower, oracle)
+
+    monkeypatch.setattr(F, "leq", counted)
+    oracle = trivial_oracle()
+    traces = [
+        run(Flavor.CODING, (1, 0, 1, 1, 0, 0, 1, 0), auto_schedule(Flavor.CODING, 8), oracle),
+        run(Flavor.PLAIN, None, [DomainHits(0), RangeHits(3), DomainHits(0)], oracle),
+        run(Flavor.DAGGER, (1, 1), [WordAdded(x_power(2)), WordAdded(x_power(1))], oracle),
+    ]
+    for t, trace in enumerate(traces):
+        steps, met = _wire(trace, oracle)["steps"], 0
+        for i in range(1, len(trace.steps)):
+            before = trace.steps[i - 1].condition
+            if E._requirement_holds(trace.steps[i].requirement, (), before, oracle):
+                met += 1
+                assert trace.steps[i].condition is before, (t, i)
+                assert (steps[i]["pairs"], steps[i]["words"]) == ([], []), (t, i)
+        assert met > 0, t
+    dagger = traces[2].final
+    assert x_power(1) in dagger.words and not open_orbits(dagger.s)
+    assert F.add_word(dagger, x_power(1), oracle) is dagger
+    assert seal(traces[2], oracle).condition is dagger
+    assert reflexive and True not in reflexive
 
 
 def _workload_shaped_traces():
@@ -141,17 +180,30 @@ def _workload_shaped_traces():
     yield from (stage.trace for stage in staged_run(targets))
 
 
-def test_every_step_map_is_one_version_of_the_map_before_it():
-    """Each step certificate's upper map was made from its lower map by one with_pairs.
+def test_every_step_map_is_one_version_of_the_map_before_it(monkeypatch):
+    """Each step's map was made from the map of the condition it met by one with_pairs.
 
     No step of these runs chains operations, so leq, verify and the trace
     writer read each delta off that one link; an anchored orbit closure
-    makes its anchor pair and its chain in one.
+    makes its anchor pair and its chain in one.  The lower conditions are
+    the ones each step that returned was given, step 0's the run's own
+    empty condition.
     """
+    lowers = []
+    apply = E._apply_requirement
+
+    def recording(req, c, oracle):
+        reached = apply(req, c, oracle)
+        lowers.append(c)
+        return reached
+
+    monkeypatch.setattr(E, "_apply_requirement", recording)
     for t, trace in enumerate(_workload_shaped_traces()):
-        apart = [step.index for step in trace.steps
-                 if not helpers.one_link(step.certificate.upper.s, step.certificate.lower.s)]
+        given = [lowers.pop(0) for _ in trace.steps]
+        apart = [step.index for step, c in zip(trace.steps, given)
+                 if not helpers.one_link(step.condition.s, c.s)]
         assert apart == [], f"trace {t}"
+    assert lowers == []
 
 
 def test_dagger_run_codes_the_prime_parities():
@@ -1038,11 +1090,10 @@ def test_verify_inherits_an_orbit_index_equal_to_one_built_from_scratch():
     lower = coding_condition(CODING_16)
     closed_orbits(lower.s)
     for i, step in enumerate(_wire(trace, oracle)["steps"]):
-        cert = verify_certificate_data(step, lower, oracle)
-        assert cert, i
-        fresh = PartialInjection(cert.upper.s.pairs())
-        assert _index_state(cert.upper.s) == _index_state(fresh), i
-        lower = cert.upper
+        upper = verify_certificate_data(step, lower, oracle)
+        fresh = PartialInjection(upper.s.pairs())
+        assert _index_state(upper.s) == _index_state(fresh), i
+        lower = upper
 
 
 def test_a_negative_requirement_point_fails_replay():
@@ -1051,6 +1102,23 @@ def test_a_negative_requirement_point_fails_replay():
     data["schedule"][1]["m"] = -3
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 1: malformed: negative point -3"
+
+
+@pytest.mark.parametrize("text", ["x^0", "", "x.x^-1"])
+def test_a_word_added_entry_that_reduces_to_the_identity_is_refused(text):
+    """The entry names its word as written; no run would reach it."""
+    with pytest.raises(ValueError) as raised:
+        requirement_from_data({"kind": "word_added", "word": text}, trivial_oracle())
+    assert str(raised.value) == f"word_added word {text!r} reduces to the identity"
+
+
+@pytest.mark.parametrize("text", ["x^0", ""])
+def test_a_schedule_entry_adding_the_identity_fails_replay(text):
+    oracle = trivial_oracle()
+    data = _wire(run(Flavor.PLAIN, None, [WordAdded(x_power(1)), DomainHits(0)], oracle), oracle)
+    data["schedule"][0] = {"kind": "word_added", "word": text}
+    result = helpers.refusal(verify_trace_data, data)
+    assert result == f"step 0: malformed: word_added word {text!r} reduces to the identity"
 
 
 def test_an_orbit_coded_requirement_refuses_a_negative_index():

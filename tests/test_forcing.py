@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from orbitcode import (
     CompletedStage,
     ExplicitTree,
-    ExtensionCertificate,
     Flavor,
     FullInjectiveTree,
     InternalCheckFailed,
@@ -109,10 +108,10 @@ def test_coding_validation_checks_the_target_parity():
 
 
 def test_order_is_reflexive_with_a_certificate():
+    """c ≤ c holds, and its certificate on the wire adds nothing."""
     c = plain_condition(inj({0: 2}), [x_power(1)])
-    cert = leq(c, c, TRIV)
-    assert isinstance(cert, ExtensionCertificate)
-    assert cert.lower == c and cert.upper == c
+    leq(c, c, TRIV)
+    assert certificate_to_data(c, c, TRIV) == {"pairs": [], "words": []}
 
 
 def test_new_fixed_point_is_refused():
@@ -135,46 +134,46 @@ def test_dropping_pairs_is_refused():
 
 def test_domain_extension_skips_the_fixed_point():
     c = plain_condition(None, [x_power(1)])
-    t = extend_domain(c, 0, TRIV).upper
+    t = extend_domain(c, 0, TRIV)
     assert t.s.apply(0) == 1
-    assert leq(t, c, TRIV)
+    leq(t, c, TRIV)
 
 
 def test_domain_extension_takes_the_least_harmless_value():
     c = plain_condition(inj({0: 1}), [x_power(1)])
-    t = extend_domain(c, 2, TRIV).upper
+    t = extend_domain(c, 2, TRIV)
     assert t.s.apply(2) == 0
 
 
 def test_domain_extension_without_words_is_greedy():
     c = plain_condition()
-    assert extend_domain(c, 5, TRIV).upper.s.apply(5) == 0
+    assert extend_domain(c, 5, TRIV).s.apply(5) == 0
 
 
 def test_range_extension_mirrors_the_domain_case():
     c = plain_condition(None, [x_power(1)])
-    t = extend_range(c, 0, TRIV).upper
+    t = extend_range(c, 0, TRIV)
     assert t.s.apply_inverse(0) == 1
 
 
 def test_range_extension_skips_taken_domain_points():
     c = plain_condition(inj({0: 1}))
-    t = extend_range(c, 0, TRIV).upper
+    t = extend_range(c, 0, TRIV)
     assert t.s.apply_inverse(0) == 1
 
 
 def test_range_extension_without_constraints_is_greedy():
     c = plain_condition()
-    assert extend_range(c, 9, TRIV).upper.s.apply_inverse(9) == 0
+    assert extend_range(c, 9, TRIV).s.apply_inverse(9) == 0
 
 
 def test_extension_results_stay_below_the_input():
     c = coding_condition((1, 0), inj({0: 1, 1: 2, 2: 0}), [x_power(1)])
-    t = extend_domain(c, 5, TRIV).upper
-    assert leq(t, c, TRIV)
+    t = extend_domain(c, 5, TRIV)
+    leq(t, c, TRIV)
     validate(t, TRIV)
-    u = extend_range(t, 7, TRIV).upper
-    assert leq(u, c, TRIV)
+    u = extend_range(t, 7, TRIV)
+    leq(u, c, TRIV)
     validate(u, TRIV)
 
 
@@ -325,32 +324,30 @@ def test_a_tree_step_takes_the_least_viable_option_of_the_per_call_walk():
     """The pair and index the per-call walk past the bound N gives, and its node cut there."""
     for c, tree, start, _, oracle in _random_walks():
         node, _, (k0, v0) = _least_viable(c, tree, start, avoidance_bound(c, oracle), oracle)
-        cert, witness, k = tree_extend(c, tree, start, oracle)
-        assert cert.upper.s.pairs() == c.s.with_pair(k0, v0).pairs()
+        t, witness, k = tree_extend(c, tree, start, oracle)
+        assert t.s.pairs() == c.s.with_pair(k0, v0).pairs()
         assert (k, witness) == (k0, node[: k0 + 1])
 
 
 def test_tree_extension_adds_one_fresh_pair():
     c = plain_condition(None, [x_power(2)])
-    cert, node, k = tree_extend(c, FullInjectiveTree(), (), TRIV)
-    t = cert.upper
+    t, node, k = tree_extend(c, FullInjectiveTree(), (), TRIV)
     assert len(t.s) == 1
     assert t.s.apply(k) == node[k]
     assert t.words == c.words
-    assert leq(t, c, TRIV)
+    leq(t, c, TRIV)
     assert fixed_points(x_power(2), t.s, TRIV) == frozenset()
 
 
 def test_tree_extension_of_the_empty_condition():
-    cert, node, k = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
-    t = cert.upper
+    t, node, k = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
     assert t.s.apply(k) == node[k]
 
 
 def test_tree_extension_keeps_dagger_validity():
     c = dagger_condition((0,), None, [x_power(1), x_power(2)])
     validate(c, TRIV)
-    t = tree_extend(c, FullInjectiveTree(), (), TRIV)[0].upper
+    t = tree_extend(c, FullInjectiveTree(), (), TRIV)[0]
     validate(t, TRIV)
     assert not closed_orbits(t.s)
 
@@ -362,7 +359,7 @@ def test_closing_threshold_counts_orbit_and_word_length():
 
 def test_close_orbit_produces_the_requested_cycle():
     c = plain_condition(None, [x_power(1)])
-    t = close_orbit(c, 0, 3, TRIV).upper
+    t = close_orbit(c, 0, 3, TRIV)
     assert t.s.pairs() == ((0, 1), (1, 2), (2, 0))
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == 3
@@ -379,7 +376,7 @@ def test_close_orbit_refuses_at_the_threshold():
 
 def test_close_orbit_against_a_longer_word():
     c = plain_condition(None, [x_power(3)])
-    t = close_orbit(c, 0, 5, TRIV).upper
+    t = close_orbit(c, 0, 5, TRIV)
     assert orbit_of(t.s, 0).size == 5
     assert fixed_points(x_power(3), t.s, TRIV) == frozenset()
 
@@ -387,7 +384,7 @@ def test_close_orbit_against_a_longer_word():
 def test_close_orbit_grows_an_existing_chain():
     c = plain_condition(inj({0: 4, 4: 7}), [x_power(1)])
     k = closing_threshold(c, 0) + 1
-    t = close_orbit(c, 0, k, TRIV).upper
+    t = close_orbit(c, 0, k, TRIV)
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == k
     assert t.s.extends(c.s)
@@ -410,28 +407,28 @@ def test_the_chain_scan_starts_at_the_gap(monkeypatch):
 
 def test_coding_step_picks_the_parity_matched_length():
     c = coding_condition((1,), None, [x_power(1)])
-    t = code_next_orbit(c, TRIV).upper
+    t = code_next_orbit(c, TRIV)
     assert t.s.pairs() == ((0, 1), (1, 2), (2, 0))
     assert o_partial(t.s) == (1,)
 
 
 def test_coding_step_even_target():
     c = coding_condition((0,), None, [x_power(1)])
-    t = code_next_orbit(c, TRIV).upper
+    t = code_next_orbit(c, TRIV)
     assert orbit_of(t.s, 0).size == 4
     assert o_partial(t.s) == (0,)
 
 
 def test_two_coding_steps_commit_two_bits():
     c = coding_condition((1, 0), None, [x_power(1)])
-    t = code_next_orbit(code_next_orbit(c, TRIV).upper, TRIV).upper
+    t = code_next_orbit(code_next_orbit(c, TRIV), TRIV)
     assert o_partial(t.s) == (1, 0)
     validate(t, TRIV)
 
 
 def test_strong_closure_adds_one_small_cycle():
     c = dagger_condition((1,), None, [])
-    t = strong_close_orbit(c, x_power(1), 2, TRIV).upper
+    t = strong_close_orbit(c, x_power(1), 2, TRIV)
     assert t.s.pairs() == ((1, 2), (2, 1))
     assert o_dagger(t.s, 0) == (1,)
 
@@ -440,7 +437,7 @@ def test_strong_closure_of_x_once_adds_one_fixed_point():
     """v^k = x: the walk's one point maps to itself, the least point past the bound."""
     c = dagger_condition((1,), inj({0: 1, 1: 0, 3: 5}), [])
     for oracle in (TRIV, TRANS):
-        t = strong_close_orbit(c, x_power(1), 1, oracle).upper
+        t = strong_close_orbit(c, x_power(1), 1, oracle)
         assert t.s.pairs() == ((0, 1), (1, 0), (3, 5), (7, 7))
 
 
@@ -458,7 +455,7 @@ def test_strong_closure_refuses_decomposable_words():
 
 def test_strong_closure_through_a_group_letter():
     c = dagger_condition((), None, [])
-    t = strong_close_orbit(c, GX, 3, TRANS).upper
+    t = strong_close_orbit(c, GX, 3, TRANS)
     graph = word_graph(GX, t.s, TRANS)
     orbits = [o for o in orbit_decomposition(graph) if o.closed]
     assert [o.size for o in orbits] == [3]
@@ -507,16 +504,16 @@ def test_strong_closures_walk_x_inverse_letters(root, bits, inverse_pairs):
 
 
 def test_strong_closure_preserves_scheduled_fixed_points():
-    base = add_word(dagger_condition((1, 1), None, []), x_power(2), TRIV).upper
+    base = add_word(dagger_condition((1, 1), None, []), x_power(2), TRIV)
     before = {w: fixed_points(w, base.s, TRIV) for w in base.words}
-    t = strong_close_orbit(base, x_power(1), 5, TRIV).upper
+    t = strong_close_orbit(base, x_power(1), 5, TRIV)
     for w, points in before.items():
         assert fixed_points(w, t.s, TRIV) == points
 
 
 def test_word_addition_flips_the_first_parity():
     c = dagger_condition((1,), None, [])
-    t = add_word(c, x_power(2), TRIV).upper
+    t = add_word(c, x_power(2), TRIV)
     assert x_power(1) in t.words and x_power(2) in t.words
     assert o_dagger(t.s, 0) == (1,)
     validate(t, TRIV)
@@ -524,14 +521,14 @@ def test_word_addition_flips_the_first_parity():
 
 def test_word_addition_is_idempotent():
     c = dagger_condition((1,), None, [])
-    t = add_word(c, x_power(2), TRIV).upper
-    assert add_word(t, x_power(2), TRIV).upper == t
+    t = add_word(c, x_power(2), TRIV)
+    assert add_word(t, x_power(2), TRIV) == t
 
 
 def test_word_addition_skips_an_already_matched_parity():
     c = dagger_condition((1, 0), None, [])
-    t = add_word(c, x_power(2), TRIV).upper
-    u = add_word(t, x_power(3), TRIV).upper
+    t = add_word(c, x_power(2), TRIV)
+    u = add_word(t, x_power(3), TRIV)
     assert u.s == t.s  # zero 3-cycles already matches the target bit
     assert x_power(3) in u.words
     assert o_dagger(u.s, 1) == (1, 0)
@@ -539,23 +536,23 @@ def test_word_addition_skips_an_already_matched_parity():
 
 def test_word_addition_closes_an_odd_count_when_needed():
     c = dagger_condition((1, 1), None, [])
-    t = add_word(c, x_power(3), TRIV).upper
+    t = add_word(c, x_power(3), TRIV)
     assert o_dagger(t.s, 1) == (1, 1)
     validate(t, TRIV)
 
 
 def test_close_all_orbits_leaves_nothing_open():
     c = plain_condition(inj({0: 3, 5: 6}), [x_power(1)])
-    t = close_all_orbits(c, TRIV).upper
+    t = close_all_orbits(c, TRIV)
     assert not open_orbits(t.s)
-    assert leq(t, c, TRIV)
+    leq(t, c, TRIV)
 
 
 def test_close_all_orbits_respects_dagger_obligations():
     c = dagger_condition((1,), None, [])
-    c = add_word(c, x_power(2), TRIV).upper
-    c = extend_domain(c, 20, TRIV).upper
-    t = close_all_orbits(c, TRIV).upper
+    c = add_word(c, x_power(2), TRIV)
+    c = extend_domain(c, 20, TRIV)
+    t = close_all_orbits(c, TRIV)
     assert not open_orbits(t.s)
     assert o_dagger(t.s, 0) == (1,)
 
@@ -569,7 +566,7 @@ def test_a_seal_keeps_every_obligated_prime_parity():
     """
     rng = random.Random(29)
     for bits in itertools.product((0, 1), repeat=4):
-        c = add_word(dagger_condition(bits, None, []), x_power(7), TRIV).upper
+        c = add_word(dagger_condition(bits, None, []), x_power(7), TRIV)
         assert c.max_word_length == 7 and o_dagger(c.s, 3) == bits
         for sizes in ((1,), (2,), (3,), (1, 2, 3), (3, 1)):
             fresh = iter(rng.sample(range(max(c.s.support, default=0) + 1, 60), 16))
@@ -580,20 +577,39 @@ def test_a_seal_keeps_every_obligated_prime_parity():
             opened = F.Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target)
             validate(opened, TRIV)
             assert len(open_orbits(opened.s)) == len(sizes)
-            t = close_all_orbits(opened, TRIV).upper
+            t = close_all_orbits(opened, TRIV)
             assert not open_orbits(t.s)
             assert o_dagger(t.s, 3) == bits, (bits, sizes)
             validate(t, TRIV)
 
 
 def test_chained_operations_certify_like_a_direct_order_check():
+    """An operation made of several steps returns a condition that extends its input and validates."""
     c = dagger_condition((1, 1, 0), inj({0: 3, 5: 6, 8: 9}), [x_power(1)])
-    for cert in (add_word(c, x_power(5), TRIV), close_all_orbits(c, TRIV)):
-        assert cert.lower == c
-        assert cert == leq(cert.upper, c, TRIV)
-    coding = coding_condition((1, 0, 1), None, [x_power(1), x_power(2)])
-    cert = close_all_orbits(extend_domain(coding, 7, TRIV).upper, TRIV)
-    assert cert == leq(cert.upper, cert.lower, TRIV)
+    for t in (add_word(c, x_power(5), TRIV), close_all_orbits(c, TRIV)):
+        leq(t, c, TRIV)
+        validate(t, TRIV)
+    coding = extend_domain(coding_condition((1, 0, 1), None, [x_power(1), x_power(2)]), 7, TRIV)
+    t = close_all_orbits(coding, TRIV)
+    leq(t, coding, TRIV)
+    validate(t, TRIV)
+
+
+def test_a_word_added_through_strong_closures_extends_its_input(monkeypatch):
+    """Dagger over translations: (g1.x)^3 flips bits 0 and 1 by two strong closures.
+
+    The condition add_word returns, each of its steps checked once, passes
+    leq over its input and validates.
+    """
+    closures = []
+    strong = F.strong_close_orbit
+    monkeypatch.setattr(F, "strong_close_orbit", lambda *a: closures.append(a[2:]) or strong(*a))
+    c = dagger_condition((1, 1), inj({0: 4}), [])
+    t = add_word(c, W.power(GX, 3, TRANS), TRANS)
+    assert closures == [(2, TRANS), (3, TRANS)]
+    leq(t, c, TRANS)
+    validate(t, TRANS)
+    assert o_dagger(word_graph(GX, t.s, TRANS), 1) == (1, 1)
 
 
 def test_a_coding_seal_walks_no_open_path(monkeypatch):
@@ -606,7 +622,7 @@ def test_a_coding_seal_walks_no_open_path(monkeypatch):
     monkeypatch.setattr(I._OrbitIndex, "paths", lambda *args: walks.append(1) or paths(*args))
     bits = tuple((7 * i + 3) % 5 % 2 for i in range(64))
     c = coding_condition(bits, inj({10: 11, 20: 21, 30: 31}), [x_power(1)])
-    t = close_all_orbits(c, TRIV).upper
+    t = close_all_orbits(c, TRIV)
     assert len(closed_orbits(t.s)) == 10 and not I.has_open_orbits(t.s)
     assert walks == []
 
@@ -645,7 +661,7 @@ def _seal_inputs():
             c = dagger_condition(tuple(rng.randrange(2) for _ in range(4)), s)
             try:
                 for w in words:
-                    c = add_word(c, w, oracle).upper
+                    c = add_word(c, w, oracle)
             except OrbitCodeError:
                 continue
         if open_orbits(c.s) and helpers.holds(validate, c, oracle):
@@ -681,10 +697,10 @@ def test_the_one_pass_seal_agrees_with_the_per_closure_seal(monkeypatch):
             outcomes[type(exc), min(made, 1)] += 1
             continue
         made = len(closures) - before
-        cert = close_all_orbits(c, oracle)
+        sealed = close_all_orbits(c, oracle)
         assert len(closures) - before == made  # the one-pass seal calls no close_orbit
-        assert cert.lower == c and cert.upper == expected.upper
-        assert cert.upper.s.pairs() == expected.upper.s.pairs()
+        assert sealed == expected
+        assert sealed.s.pairs() == expected.s.pairs()
         outcomes[c.flavor, min(made, 2)] += 1
     assert set(outcomes) == {(Flavor.PLAIN, 1), (Flavor.PLAIN, 2), (Flavor.DAGGER, 1),
                              (Flavor.DAGGER, 2), (WindowTooSmall, 0),
@@ -708,9 +724,9 @@ def test_condition_serialization_round_trip():
 
 def test_certificate_serialization_and_replay():
     lower = plain_condition(None, [x_power(1)])
-    upper = extend_domain(lower, 0, TRIV).upper
-    cert = leq(upper, lower, TRIV)
-    data = certificate_to_data(cert, TRIV)
+    upper = extend_domain(lower, 0, TRIV)
+    leq(upper, lower, TRIV)
+    data = certificate_to_data(upper, lower, TRIV)
     assert data == {"pairs": [[0, 1]], "words": []}
     assert verify_certificate_data(data, lower, TRIV)
     data["pairs"] = [[0, 0]]
@@ -744,11 +760,11 @@ def test_order_is_transitive_along_extensions(c):
     if not helpers.holds(validate, c, TRANS):
         return
     n = max(c.s.domain, default=-1) + 1
-    mid = extend_domain(c, n, TRANS).upper
-    top = extend_range(mid, max(mid.s.range, default=-1) + 1, TRANS).upper
-    assert leq(mid, c, TRANS)
-    assert leq(top, mid, TRANS)
-    assert leq(top, c, TRANS)
+    mid = extend_domain(c, n, TRANS)
+    top = extend_range(mid, max(mid.s.range, default=-1) + 1, TRANS)
+    leq(mid, c, TRANS)
+    leq(top, mid, TRANS)
+    leq(top, c, TRANS)
 
 
 @given(small_conditions(), st.integers(0, 9))
@@ -756,9 +772,9 @@ def test_order_is_transitive_along_extensions(c):
 def test_extension_certificates_replay_from_their_wire_form(c, n):
     if not helpers.holds(validate, c, TRANS) or n in c.s.domain:
         return
-    t = extend_domain(c, n, TRANS).upper
-    cert = leq(t, c, TRANS)
-    assert verify_certificate_data(certificate_to_data(cert, TRANS), c, TRANS)
+    t = extend_domain(c, n, TRANS)
+    leq(t, c, TRANS)
+    assert verify_certificate_data(certificate_to_data(t, c, TRANS), c, TRANS) == t
 
 
 @given(small_conditions(), st.integers(1, 4))
@@ -771,10 +787,10 @@ def test_random_orbit_closings_hit_their_size(c, bump):
         closed_cover |= set(o.ordered)
     n = max(c.s.support | {9}, default=9) + 1  # always a fresh point
     k = closing_threshold(c, n) + bump
-    t = close_orbit(c, n, k, TRANS).upper
+    t = close_orbit(c, n, k, TRANS)
     orbit = orbit_of(t.s, n)
     assert orbit.closed and orbit.size == k
-    assert leq(t, c, TRANS)
+    leq(t, c, TRANS)
 
 
 def _small_words():
@@ -959,7 +975,7 @@ def test_a_chain_of_certified_steps_reads_the_carried_memo(monkeypatch):
     # a copy of c2 certified over it takes c2's memo, so the last step alone
     # evaluates only where its pair reaches
     lower = plain_condition(c2.s.with_pairs(()), words)
-    assert leq(lower, c2, oracle)
+    leq(lower, c2, oracle)
     upper = plain_condition(lower.s.with_pair(3, 0), words)
     expected = _full_scan_leq(c3, c2, oracle)
     calls.clear()
@@ -1251,7 +1267,7 @@ def _staged_walks():
 
 def _same_outcome_as_the_per_option_walk(walk, checks):
     """None when both walks return the same, else the type both raise;
-    and the checks of the per-option walk that passed, read off the certificates `checks` holds.
+    and the checks of the per-option walk that passed, one per entry `checks` gains.
 
     A window miss may differ in which evaluation meets it, and so in its
     text and `required`: the joint check evaluates other points than the
@@ -1280,9 +1296,8 @@ def test_the_walk_agrees_with_the_per_option_walk(monkeypatch):
     checks = []
 
     def counted(*args):
-        cert = leq(*args)
-        checks.append(cert)
-        return cert
+        leq(*args)
+        checks.append(args)
 
     monkeypatch.setattr(F, "leq", counted)
     assert {_same_outcome_as_the_per_option_walk(walk, checks)[0]
@@ -1312,9 +1327,8 @@ def test_a_tree_step_walks_the_group_blocks_of_a_word_with_several_x(monkeypatch
     for (scratch, *rest), step in zip(walks, trace.steps[2:]):
         assert scratch.words == {x_power(1), GX}
         _, options = helpers.per_option_walk(scratch, *rest)
-        assert tuple(step.certificate.upper.s.pairs_beyond(step.certificate.lower.s)) == (
-            options[-1],
-        )
+        lower = trace.steps[step.index - 1].condition
+        assert tuple(step.condition.s.pairs_beyond(lower.s)) == (options[-1],)
         assert step.extra["witness_index"] == options[-1][0]
     E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
 
@@ -1528,7 +1542,7 @@ def test_certifying_a_one_pair_child_evaluates_each_root_but_x_once_at_its_new_p
     calls = _counted_evaluations(monkeypatch)
     far = 10 * (max(c.s.support) + 10)
     child = replace(c, s=c.s.with_pair(far, far + 2))
-    assert F._admissible(c, child, TRANS).upper is child
+    assert F._admissible(c, child, TRANS) is child
     roots = {indecomposable_root(w, TRANS)[0] for w in c.words}
     assert len(c.s) >= 10 and roots == {x_power(1), parse_word("g1.x", TRANS)}
     assert calls == [(parse_word("g1.x", TRANS), far)]
@@ -1554,7 +1568,7 @@ def test_certifying_an_extension_of_powers_of_x_evaluates_nothing(monkeypatch):
             verdict = helpers.holds(F._admissible, c, candidate, TRIV)
             assert verdict == helpers.holds(F._admissible, c, fresh, TRIV), (n, m)
             verdicts.append(verdict)
-    sealed = F.close_all_orbits(c, TRIV).upper
+    sealed = F.close_all_orbits(c, TRIV)
     assert not I.has_open_orbits(sealed.s)
     assert calls == [] and any(verdicts) and not all(verdicts)
 
@@ -1582,7 +1596,7 @@ def test_a_refused_candidate_formats_no_word_until_its_message_is_read(monkeypat
         leq(candidate, c, TRIV)
     assert refused.value.clause == "leq-fixed-points"
     # the scan's first candidate, (0, 1), closes a 2-cycle that x^2 fixes
-    assert extend_domain(c, 0, TRIV).upper.s.apply(0) == 2
+    assert extend_domain(c, 0, TRIV).s.apply(0) == 2
     barred = False
     assert str(refused.value) == "word 'x' changed fixed points (gained [2])"
 
@@ -1654,6 +1668,6 @@ def test_domain_and_range_hits_read_the_map_not_its_domain_or_range(monkeypatch)
     monkeypatch.setattr(PartialInjection, "domain", property(unreachable))
     monkeypatch.setattr(PartialInjection, "range", property(unreachable))
     c = plain_condition(PartialInjection((i + 1, i) for i in range(5000)))
-    assert extend_domain(c, 0, TRIV).upper.s.pairs_beyond(c.s) == ((0, 5000),)
-    assert extend_range(c, 5000, TRIV).upper.s.pairs_beyond(c.s) == ((0, 5000),)
+    assert extend_domain(c, 0, TRIV).s.pairs_beyond(c.s) == ((0, 5000),)
+    assert extend_range(c, 5000, TRIV).s.pairs_beyond(c.s) == ((0, 5000),)
     assert coding_text() == expected

@@ -64,8 +64,8 @@ def _words(*texts):
 def _forged_certificate(forge):
     """verify_certificate_data on the certificate of one domain step, forged by `forge`."""
     lower = plain_condition(None, [x_power(1)])
-    upper = extend_domain(lower, 0, TRIV).upper
-    data = certificate_to_data(leq(upper, lower, TRIV), TRIV)
+    upper = extend_domain(lower, 0, TRIV)
+    data = certificate_to_data(upper, lower, TRIV)
     forge(data)
     return verify_certificate_data, data, lower, TRIV
 

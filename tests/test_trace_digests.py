@@ -5,8 +5,8 @@ the text `orbitcode run --out` writes.  A refactor of the forcing operations or
 of the engine must leave these bytes alone; a deliberate format change updates
 the digests together with `CONVENTIONS["format_version"]`, which is pinned here
 beside them, so a change to one without the other fails in this file.  The
-same builds check that every stored certificate is exactly what `leq`
-recomputes, and that the deltas a trace writes encode the chain the run
+same builds check that every stored condition passes `leq` over the one
+before it, and that the deltas a trace writes encode the chain the run
 built: the union of the deltas up to each step is that step's upper
 condition, its `upper_sum` that union's checksum, and the last union the
 final condition.
@@ -17,10 +17,12 @@ import json
 
 from orbitcode import (
     CONVENTIONS,
+    Condition,
     DomainHits,
     Flavor,
     FullInjectiveTree,
     OrbitCoded,
+    PartialInjection,
     RangeHits,
     SparseCongruenceTree,
     StagedOracle,
@@ -106,9 +108,11 @@ def _digest(data) -> str:
 
 
 def _assert_certificates_recompute(trace, oracle):
+    """Each step's condition passes leq over the one before it, step 0's the empty condition."""
+    lower = Condition(PartialInjection(), frozenset(), trace.flavor, trace.target)
     for step in trace.steps:
-        cert = step.certificate
-        assert cert == leq(cert.upper, cert.lower, oracle), f"step {step.index}"
+        assert helpers.holds(leq, step.condition, lower, oracle), f"step {step.index}"
+        lower = step.condition
 
 
 def _coding():
@@ -192,7 +196,7 @@ def _assert_deltas_encode_the_chain(trace, data, oracle):
     unions = helpers.delta_unions(data)
     assert len(unions) == len(trace.steps) > 0
     for step, written, (pairs, texts) in zip(trace.steps, data["steps"], unions):
-        upper = condition_to_data(step.certificate.upper, oracle)
+        upper = condition_to_data(step.condition, oracle)
         assert (pairs, texts) == (upper["injection"], upper["words"]), f"step {step.index}"
         assert written["upper_sum"] == helpers.upper_sum(pairs, texts), f"step {step.index}"
     assert (data["final"]["injection"], data["final"]["words"]) == unions[-1]
