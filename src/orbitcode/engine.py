@@ -143,8 +143,7 @@ class RunStep:
 
 @dataclass
 class RunTrace:
-    flavor: F.Flavor
-    target: tuple[int, ...] | None
+    start: F.Condition  # the empty condition of the run's flavor and target
     schedule: tuple[Requirement, ...]
     steps: list[RunStep]
     final: F.Condition
@@ -238,7 +237,7 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
         target = tuple(r or ())
         if any(type(b) is not int or b not in (0, 1) for b in target):
             raise ValueError(f"target bits must be 0 or 1, got {list(target)}")
-    c = F.Condition(I.PartialInjection(), frozenset(), flavor, target)
+    c = start = F.Condition(I.PartialInjection(), frozenset(), flavor, target)
     oracle_spec = oracle.descriptor()
     schedule = tuple(schedule)
     steps: list[RunStep] = []
@@ -249,8 +248,7 @@ def run(flavor, r, schedule: Sequence[Requirement], oracle) -> RunTrace:
         )
         steps.append(RunStep(index, req, op, c, extra))
     return RunTrace(
-        flavor=flavor,
-        target=target,
+        start=start,
         schedule=schedule,
         steps=steps,
         final=c,
@@ -415,9 +413,11 @@ def _upper_sum(total: int, pairs, texts) -> int:
 
 
 def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
-    """Each step's delta against the condition before it, the empty condition before step 0."""
-    steps, total = [], 0
-    lower = F.Condition(I.PartialInjection(), frozenset(), trace.flavor, trace.target)
+    """Each step's delta against the condition before it, the run's start before step 0.
+
+    Each lower condition is a version of its step's map, so no delta compares dicts.
+    """
+    steps, total, lower = [], 0, trace.start
     for step in trace.steps:
         data = F.certificate_to_data(step.condition, lower, oracle)
         lower = step.condition
@@ -433,8 +433,8 @@ def trace_to_data(trace: RunTrace, oracle) -> dict:
     """The trace on the wire, sharing no mutable object with it: editing one leaves the other."""
     return {
         "conventions": dict(CONVENTIONS),
-        "flavor": trace.flavor.value,
-        "target": None if trace.target is None else list(trace.target),
+        "flavor": trace.start.flavor.value,
+        "target": None if trace.start.target is None else list(trace.start.target),
         "oracle": copy.deepcopy(trace.oracle_spec),
         "schedule": [requirement_to_data(req, oracle) for req in trace.schedule],
         "steps": _steps_to_data(trace, oracle),

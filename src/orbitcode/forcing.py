@@ -39,8 +39,8 @@ to each certified candidate, so a step costs O(its new pairs).  The
 fresh-point clause is _fresh_point_ok, checked against one _Used view of
 the used points per closure and searched by _least_fresh for both
 strong_close_orbit's cycle and the chains of _close_path, which
-close_orbit and close_all_orbits share.  Each closure's map is one
-with_pairs of its input's, an anchor pair first if the orbit needs one, so
+close_orbit and close_all_orbits share; an isolated point is the one-point
+path.  Each closure's map is one with_pairs of its input's, so
 leq, verify and the trace writer read its delta off one link; only a step
 that chains several closures compares dicts.  A chain scan starts at the gap
 and a seal's next one resumes past the last point picked, so a seal
@@ -512,14 +512,14 @@ def _least_fresh(start: int, ok) -> int:
 def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
     """Close the orbit through n into a cycle of size exactly k.
 
-    Works for any k above the threshold K = |orbit(n)| + L: if n is
-    isolated, the least admissible anchor pair (n, m) is found first, then a
-    fresh chain of k − |orbit| points is routed from the orbit's exit back
-    to its entry (_close_path), and the closed map is c.s with the anchor
-    and the chain, made in one with_pairs.  Chain points and their group
-    images avoid everything already present, so no word of E gains a fixed
-    point.  The orbit is walked once, and the chain scan starts at c.s's
-    gap: every point below it lies in a cycle, and an anchor closes none.
+    Works for any k above the threshold K = |orbit(n)| + L: a fresh chain of
+    k − |orbit| points is routed from the orbit's exit back to its entry
+    (_close_path), an isolated n being the path (n,) that both enters and
+    leaves at n, and the closed map is c.s with the chain, made in one
+    with_pairs.  Chain points and their group images avoid everything
+    already present, so no word of E gains a fixed point.  The orbit is
+    walked once, and the chain scan starts at c.s's gap: every point below
+    it lies in a cycle.
     """
     orbit = I.orbit_of(c.s, n)
     if orbit.closed:
@@ -527,42 +527,28 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
     threshold = orbit.size + c.max_word_length
     if k <= threshold:
         raise KTooSmall(f"need k > {threshold}, got {k}")
-
-    anchor = None
-    if orbit.size == 1:
-        # anchor the isolated point with a fresh image so the size arithmetic
-        # stays exact: the orbit becomes {n, m} and only then grows a chain
-        used = _Used(c.s)
-        used.add(n)
-        anchored = _least_admissible(
-            c, lambda m: (n, m), used.__contains__, oracle, f"anchor image for {n}"
-        )
-        anchor = (n, anchored.s.apply(n))
-        orbit = I.Orbit(anchor, closed=False)
     handles = _nonidentity_handles(c.words, oracle)
-    return _close_path(c, orbit, k, I.closed_and_gap(c.s)[1], handles, oracle, anchor)[0]
+    return _close_path(c, orbit, k, I.closed_and_gap(c.s)[1], handles, oracle)[0]
 
 
 def _close_path(
-    c: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle, anchor=None
+    c: Condition, orbit: I.Orbit, k: int, start: int, handles, oracle
 ) -> tuple[Condition, int]:
-    """Close the open path `orbit` of c.s plus the pair `anchor`, if any, into a k-cycle.
+    """Close the open path `orbit` of c.s into a k-cycle.
 
     Routes k − |orbit| chain points from the path's exit back to its entry:
     the least points from `start` on that _fresh_point_ok takes against
-    c.s's support, the anchor's points and the points picked, tested in
-    increasing order.  The closed map is one with_pairs of c.s, the anchor
-    first, so its check and its delta read off that one link.  Returns the
-    closed condition and the point past the last one picked, where a next
-    chain scan over it may resume.
+    c.s's support, the exit (an isolated point lies outside the support)
+    and the points picked, tested in increasing order.  The closed map is
+    one with_pairs of c.s, so its check and its delta read off that one
+    link.  Returns the closed condition and the point past the last one
+    picked, where a next chain scan over it may resume.
     """
     chain_length = k - orbit.size
     if chain_length < 0:
         raise InternalCheckFailed("orbit outgrew the requested size")
     used = _Used(c.s)
-    for p in anchor or ():
-        used.add(p)
-    pairs = [anchor] if anchor else []
+    used.add(orbit.exit)
     route = [orbit.exit]
     for _ in range(chain_length):
         start = _least_fresh(start, lambda a: _fresh_point_ok(a, -1, used, handles, oracle))
@@ -570,8 +556,7 @@ def _close_path(
         used.add(start)
         start += 1
     route.append(orbit.entry)
-    pairs += zip(route, route[1:])
-    closed = Condition(c.s.with_pairs(pairs), c.words, c.flavor, c.target)
+    closed = Condition(c.s.with_pairs(zip(route, route[1:])), c.words, c.flavor, c.target)
 
     final_orbit = I.orbit_of(closed.s, orbit.entry)
     if not final_orbit.closed or final_orbit.size != k:

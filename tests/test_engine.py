@@ -184,10 +184,11 @@ def test_every_step_map_is_one_version_of_the_map_before_it(monkeypatch):
     """Each step's map was made from the map of the condition it met by one with_pairs.
 
     No step of these runs chains operations, so leq, verify and the trace
-    writer read each delta off that one link; an anchored orbit closure
-    makes its anchor pair and its chain in one.  The lower conditions are
-    the ones each step that returned was given, step 0's the run's own
-    empty condition.
+    writer read each delta off that one link; an orbit closure through an
+    isolated point makes the point's image and the rest of its chain in
+    one.  The lower conditions are the ones each step that returned was
+    given, step 0's the run's own empty condition, which the trace keeps as
+    its start.
     """
     lowers = []
     apply = E._apply_requirement
@@ -200,6 +201,7 @@ def test_every_step_map_is_one_version_of_the_map_before_it(monkeypatch):
     monkeypatch.setattr(E, "_apply_requirement", recording)
     for t, trace in enumerate(_workload_shaped_traces()):
         given = [lowers.pop(0) for _ in trace.steps]
+        assert given[0] is trace.start, f"trace {t}"
         apart = [step.index for step, c in zip(trace.steps, given)
                  if not helpers.one_link(step.condition.s, c.s)]
         assert apart == [], f"trace {t}"

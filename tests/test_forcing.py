@@ -405,6 +405,89 @@ def test_the_chain_scan_starts_at_the_gap(monkeypatch):
     assert 0 < len(checks) <= len(trace.final.s)
 
 
+def test_an_isolated_point_closes_with_one_check_and_no_scan_for_its_image(monkeypatch):
+    """The point is the one-point path (n,): its image is the chain's first point.
+
+    That is the least point the fresh-point clause admits, 5 here: g1 and
+    its inverse take it to 3 and 7, both unused.  The least admissible
+    image is 4, which the clause refuses, since g1 takes 2, a point of the
+    map, to it.
+    """
+    checks, scans = [], []
+    admissible, scan = F._admissible, F._least_admissible
+    monkeypatch.setattr(F, "_admissible", lambda *a: checks.append(a) or admissible(*a))
+    monkeypatch.setattr(F, "_least_admissible", lambda *a: scans.append(a) or scan(*a))
+    c = plain_condition(inj({0: 2, 2: 0}), [parse_word("g1.x", TRANS)])
+    t = close_orbit(c, 1, 4, TRANS)
+    assert t.s.pairs_beyond(c.s) == ((1, 5), (5, 6), (6, 9), (9, 1))
+    assert (len(checks), scans) == (1, [])
+
+
+ISOLATED_WORDS = ("x", "x^2", "g1.x", "g-2.x", "g-2.x.g1.x")
+
+
+def _isolated_closures():
+    """(c, n, k): plain, dagger and coding conditions on the translation oracle, n isolated.
+
+    Their words are drawn from ISOLATED_WORDS, dagger ones adjoined through
+    add_word.  A coding condition's n is its gap, closed at the size
+    code_next_orbit picks, and its map leaves the points up to n alone.
+    """
+    rng = random.Random(35)
+    pool = [parse_word(text, TRANS) for text in ISOLATED_WORDS]
+    for i in range(900):
+        flavor = (Flavor.PLAIN, Flavor.DAGGER, Flavor.CODING)[i % 3]
+        bits = tuple(rng.randrange(2) for _ in range(4))
+        words = rng.sample(pool, rng.randrange(len(pool) + 1))
+        if flavor is Flavor.CODING:
+            gap = rng.randrange(4)
+            cycles = {p: p for p in range(gap)}
+            bits = tuple(1 for _ in range(gap)) + bits
+            rest = helpers.random_injection(rng, rng.randrange(8), 16)
+            s = inj({**cycles, **{a + gap + 1: b + gap + 1 for a, b in rest.items()}})
+            c = coding_condition(bits, s, words)
+        elif flavor is Flavor.PLAIN:
+            c = plain_condition(inj(helpers.random_injection(rng, rng.randrange(12), 20)), words)
+        else:
+            c = dagger_condition(bits, inj(helpers.random_injection(rng, rng.randrange(12), 20)))
+            try:
+                for w in words:
+                    c = add_word(c, w, TRANS)
+            except OrbitCodeError:
+                continue
+        if not helpers.holds(validate, c, TRANS):
+            continue
+        if flavor is Flavor.CODING:
+            n = I.closed_and_gap(c.s)[1]
+            k = closing_threshold(c, n) + 1
+            k += k % 2 != c.target[len(o_partial(c.s))]
+        else:
+            n = rng.choice(sorted(set(range(22)) - c.s.support))
+            k = closing_threshold(c, n) + rng.randrange(1, 4)
+        if orbit_of(c.s, n).size == 1:
+            yield c, n, k
+
+
+def test_isolated_points_close_into_checked_k_cycles_after_group_words():
+    """Each closure is a closed k-cycle through n that extends its input and validates.
+
+    Its image is now the least point the fresh-point clause admits, where an
+    anchor scan took the least admissible one: with group letters in E the
+    two can differ.
+    """
+    made = Counter()
+    for c, n, k in _isolated_closures():
+        t = close_orbit(c, n, k, TRANS)
+        orbit = orbit_of(t.s, n)
+        assert orbit.closed and orbit.size == k, (c, n, k)
+        leq(t, c, TRANS)
+        validate(t, TRANS)
+        made[c.flavor] += 1
+        made["group words"] += any(w.letters[0].kind is W.LetterKind.GROUP for w in c.words)
+    assert sum(made[f] for f in Flavor) >= 400 and min(made[f] for f in Flavor) >= 100, made
+    assert made["group words"] >= 200, made
+
+
 def test_coding_step_picks_the_parity_matched_length():
     c = coding_condition((1,), None, [x_power(1)])
     t = code_next_orbit(c, TRIV)

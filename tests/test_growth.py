@@ -59,9 +59,12 @@ FRESH_FACTS_WORDS = 480
 # word its word_added schedule entry had parsed
 ENTRY_REPARSED_TEXTS = 320
 # the values the least-value scans of a coding auto:256 build looked at, when
-# each scan started at 0, and since it starts at the orbit index's gap
+# each scan started at 0; and since both its scans start at the orbit index's
+# gap, the values _least_admissible and the chain scans' _fresh_point_ok look
+# at together (513 + 306 = 819 while an isolated point was anchored by a
+# _least_admissible scan of its own before its chain)
 FROM_ZERO_SCANNED = 78340
-FROM_GAP_SCANNED = 513
+FROM_GAP_SCANNED = 615
 # the open-path walks and fresh-point checks of sealing _ten_tree_pairs_schedule's
 # run, when the seal listed the open paths and scanned from the gap per closure
 PER_CLOSURE_PATH_WALKS = 16
@@ -308,12 +311,17 @@ def test_incremental_word_facts_agree_with_facts_derived_from_scratch():
 def test_least_value_scans_start_at_the_gap_of_an_indexed_map(monkeypatch):
     """Every point below the gap lies in a cycle, so no scan looks at one."""
     scanned = []
-    scan = F._least_admissible
+    scan, fresh = F._least_admissible, F._fresh_point_ok
 
     def counted(c, pair_at, taken, oracle, what):
         return scan(c, pair_at, lambda v: scanned.append(v) or taken(v), oracle, what)
 
+    def counted_fresh(b, *args, **kwargs):
+        scanned.append(b)
+        return fresh(b, *args, **kwargs)
+
     monkeypatch.setattr(F, "_least_admissible", counted)
+    monkeypatch.setattr(F, "_fresh_point_ok", counted_fresh)
     _auto_trace(Flavor.CODING, 256)
     assert len(scanned) == FROM_GAP_SCANNED <= FROM_ZERO_SCANNED // 100
 
@@ -395,3 +403,39 @@ def test_the_orbit_index_touches_points_linearly_in_a_coding_build(monkeypatch):
     points = [_index_points(monkeypatch, n) for n in (512, 1024, 2048)]
     for smaller, larger in zip(points, points[1:]):
         assert larger <= 2.2 * smaller, points
+
+
+def _coding_run(n):
+    oracle = trivial_oracle()
+    bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
+    return run(Flavor.CODING, bits, auto_schedule(Flavor.CODING, n), oracle), oracle
+
+
+def test_a_coding_build_checks_each_step_once_and_unlinks_at_most_once(monkeypatch):
+    """n closures, a hit of 0 and of 1, and the one refused fixed point: n + 2 checks.
+
+    An isolated point closes as a one-point path, with one check and no
+    least-value scan for its image, so no candidate is refused but the
+    fixed point (1, 1) a hit of 1 tries first when bit 1 is 0.  Its pair is
+    linked as validate reads the code, and unlinked once as the next
+    candidate re-roots the map.  Anchoring each isolated point by a scan of
+    its own checked 2n and unlinked n - 1 pairs.
+    """
+    for n in (64, 256):
+        checks, unlinks = [], []
+        admissible, unlink = F._admissible, I._OrbitIndex.unlink
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "_admissible", lambda *a: checks.append(a) or admissible(*a))
+            patch.setattr(I._OrbitIndex, "unlink", lambda *a: unlinks.append(a) or unlink(*a))
+            _coding_run(n)
+        assert len(checks) == n + 2 and len(unlinks) <= 1, (n, len(checks), len(unlinks))
+
+
+def test_writing_a_coding_trace_re_roots_no_map(monkeypatch):
+    """Step 0's delta is taken against the run's own start, a version of its map."""
+    trace, oracle = _coding_run(64)
+    reroots = []
+    reroot = PartialInjection._reroot
+    monkeypatch.setattr(PartialInjection, "_reroot", lambda s: reroots.append(s) or reroot(s))
+    trace_to_data(trace, oracle)
+    assert reroots == []

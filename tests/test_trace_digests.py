@@ -17,12 +17,10 @@ import json
 
 from orbitcode import (
     CONVENTIONS,
-    Condition,
     DomainHits,
     Flavor,
     FullInjectiveTree,
     OrbitCoded,
-    PartialInjection,
     RangeHits,
     SparseCongruenceTree,
     StagedOracle,
@@ -34,6 +32,7 @@ from orbitcode import (
     condition_to_data,
     group,
     leq,
+    parse_word,
     power,
     run,
     seal,
@@ -100,6 +99,10 @@ DIGESTS = {
         "ba6f0768b8cbfc1124c7160a162c672b"
         "e5cea50e72cd1c7829d7de859d3671f3"
     ),
+    "coding-group-words": (
+        "b927a15afcadd6b9f3d2e2f520ba2161"
+        "b2af76ba6f9e64f3aca48d0ea030aacd"
+    ),
 }
 
 
@@ -108,8 +111,8 @@ def _digest(data) -> str:
 
 
 def _assert_certificates_recompute(trace, oracle):
-    """Each step's condition passes leq over the one before it, step 0's the empty condition."""
-    lower = Condition(PartialInjection(), frozenset(), trace.flavor, trace.target)
+    """Each step's condition passes leq over the one before it, step 0's the run's start."""
+    lower = trace.start
     for step in trace.steps:
         assert helpers.holds(leq, step.condition, lower, oracle), f"step {step.index}"
         lower = step.condition
@@ -192,6 +195,20 @@ def _chained():
     return {"coding-chained": (coding, trivial), "dagger-chained-translation": (dagger, translation)}
 
 
+def _coding_group_words():
+    """Orbit closures after group-letter words: each isolated point closes as a one-point path.
+
+    Its chain's first point is the least the fresh-point clause admits, not
+    the least admissible image, so steps 10 to 25 differ from a build that
+    anchored the point first.
+    """
+    oracle = translation_oracle()
+    schedule = [WordAdded(parse_word(text, oracle)) for text in ("g1.x", "g-2.x.g1.x")]
+    schedule += auto_schedule(Flavor.CODING, 8)
+    trace = run(Flavor.CODING, (1, 0, 1, 1, 0, 1, 1, 0), schedule, oracle)
+    return {"coding-group-words": (trace, oracle)}
+
+
 def _assert_deltas_encode_the_chain(trace, data, oracle):
     unions = helpers.delta_unions(data)
     assert len(unions) == len(trace.steps) > 0
@@ -242,3 +259,10 @@ def test_chained_step_trace_digests_and_replays():
     _check(builds)
     for trace, oracle in builds.values():
         verify_trace_data(json.loads(json.dumps(trace_to_data(trace, oracle))))
+
+
+def test_coding_trace_digest_with_group_words_replays():
+    builds = _coding_group_words()
+    _check(builds)
+    (trace, oracle), = builds.values()
+    verify_trace_data(json.loads(json.dumps(trace_to_data(trace, oracle))))

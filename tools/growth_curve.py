@@ -12,10 +12,14 @@ being (7i + 3) mod 5 mod 2, and prints:
   (`gc.disable()`), so the time the collector spends traversing what a
   build allocates shows apart from the build's own growth;
 - `verify_ms`, the median over the runs of `json.loads` plus
-  `verify_trace_data` on that text.
+  `verify_trace_data` on that text;
+- `checks`, the `forcing._admissible` calls of one more build, untimed, and
+  `unlinks`, the `_OrbitIndex.unlink` calls in it: n + 2 and 1, since an
+  isolated point closes as a one-point path with no scan for its image
+  (2n and n - 1 while a scan of its own anchored it).
 
 Each n is timed REPEATS times, or LARGE_REPEATS times from n = LARGE on.
-Each of the five columns is followed by its ratio to the previous n, so a
+Each of the five columns before `checks` is followed by its ratio to the previous n, so a
 linear column reads about 2.0 per doubling and a quadratic one about 4.0.
 
 Then, over the 40 triples of the staged-3 benchmark pool (`STAGED_STRATA` in
@@ -125,6 +129,30 @@ def coding_text(n: int, repeats: int) -> tuple[str, int, float, float]:
         medians.append(statistics.median(times))
     text = json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":"))
     return text, len(trace.final.s), *medians
+
+
+def coding_checks(n: int) -> tuple[int, int]:
+    """The _admissible calls and orbit-index unlinks of one coding auto:n build."""
+    admissible, unlink = F._admissible, _OrbitIndex.unlink
+    checks = unlinks = 0
+
+    def counting_admissible(*args):
+        nonlocal checks
+        checks += 1
+        return admissible(*args)
+
+    def counting_unlink(*args):
+        nonlocal unlinks
+        unlinks += 1
+        return unlink(*args)
+
+    F._admissible, _OrbitIndex.unlink = counting_admissible, counting_unlink
+    try:
+        bits = tuple((7 * i + 3) % 5 % 2 for i in range(n))
+        E.run(Flavor.CODING, bits, E.auto_schedule(Flavor.CODING, n), trivial_oracle())
+    finally:
+        F._admissible, _OrbitIndex.unlink = admissible, unlink
+    return checks, unlinks
 
 
 def verify_insertions(text: str) -> int:
@@ -278,19 +306,21 @@ def seal_seconds(trees: int) -> float:
 
 def main() -> int:
     print(f"{'n':>5} {'bytes':>9} {'x':>5} {'inserted':>9} {'final':>6} {'x':>5}"
-          f" {'build_ms':>10} {'x':>5} {'paused_ms':>10} {'x':>5} {'verify_ms':>10} {'x':>5}")
+          f" {'build_ms':>10} {'x':>5} {'paused_ms':>10} {'x':>5} {'verify_ms':>10} {'x':>5}"
+          f" {'checks':>7} {'unlinks':>7}")
     previous = None
     for n in SIZES:
         repeats = LARGE_REPEATS if n >= LARGE else REPEATS
         text, final, build, paused = coding_text(n, repeats)
         verify = verify_seconds(text, repeats=repeats)
         row = (len(text), verify_insertions(text), build * 1000, paused * 1000, verify * 1000)
+        checks, unlinks = coding_checks(n)
         ratios = [f"{now / before:5.2f}" for now, before in zip(row, previous or row)]
         if previous is None:
             ratios = ["    -"] * 5
         print(f"{n:>5} {row[0]:>9} {ratios[0]} {row[1]:>9} {final:>6} {ratios[1]}"
               f" {row[2]:>10.2f} {ratios[2]} {row[3]:>10.2f} {ratios[3]}"
-              f" {row[4]:>10.2f} {ratios[4]}", flush=True)
+              f" {row[4]:>10.2f} {ratios[4]} {checks:>7} {unlinks:>7}", flush=True)
         previous = row
     texts, built = evaluated_letters(staged_texts)
     _, verified = evaluated_letters(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
