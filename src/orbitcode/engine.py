@@ -159,8 +159,8 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
     returns c itself.
     """
     if isinstance(req, TreeDiagonalized):
-        c, witness, k = F.tree_extend(c, req.tree, req.node, oracle)
-        return "tree_extend", c, {"witness_node": list(witness[: k + 1]), "witness_index": k}
+        c, witness = F.tree_extend(c, req.tree, req.node, oracle)
+        return "tree_extend", c, {"witness_node": list(witness), "witness_index": len(witness) - 1}
     if isinstance(req, OrbitCoded):
         while not _requirement_holds(req, (), c, oracle):
             c = F.code_next_orbit(c, oracle)

@@ -64,7 +64,7 @@ class StageExtensionFailed(OrbitCodeError):
 
 
 class TreeRefusedExtension(OrbitCodeError):
-    """A generated tree's extension oracle refused to produce a longer node."""
+    """A tree's extension oracle found no child whose value is not barred."""
 
 
 class KTooSmall(OrbitCodeError):

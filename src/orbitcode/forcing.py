@@ -357,66 +357,52 @@ def many_extensions(
 ) -> tuple[T.Node, tuple[tuple[int, int], ...]]:
     """Walk the tree yielding one-point extensions of c up to the first with value ≥ `count`.
 
-    Every option (k, v) has k fresh for the node and the domain, v outside
-    the range, and v ≠ g(k) for each g in the word set's group restriction;
-    each such pair extends c on its own.  Options come in increasing k with
-    distinct values, so at most count + 1 come; the node returned may run on
-    past the last.  Words must all have a single x occurrence, so each is
-    g·x: under s plus fresh pairs it gains a fixed point only at a new k,
-    and only when g(v) = k for that k's pair.  What the options gain
-    together is thus what each gains alone, and one leq of c plus all of
-    them certifies the walk.  Only if that leq refuses are the options
-    checked one at a time, to name the first that gains.  A window miss
-    propagates from the evaluation that meets it.  One barred set serves
-    the whole walk: the node's values and the range, each grown value added
-    once, and at depth j the images g(j) for that depth only, so only the
-    values a tree adds past depth j are checked against group images here.
+    The walk grows the node by one value per depth j, and (j, v) is an
+    option when j is outside the domain: v is outside the range and v ≠ g(j)
+    for each g in the word set's group restriction, since the barred set
+    holds them, so each option extends c on its own.  Options come in
+    increasing j with distinct values, so at most count + 1 come, and at
+    most len(c.s) depths yield none; the node returned ends at the last.
+    Words must all have a single x occurrence, so each is g·x: under s plus
+    fresh pairs it gains a fixed point only at a new k, and only when
+    g(v) = k for that k's pair.  What the options gain together is thus
+    what each gains alone, and one leq of c plus all of them certifies the
+    walk; if it refuses, its least gained point is the index of the first
+    option in walk order that gains.  A window miss propagates from the
+    evaluation that meets it.  One barred set serves the whole walk: the
+    node's values and the range, each grown value added once, and at depth
+    j the images g(j) for that depth only.
     """
     for w in c.words:
         if w.x_count() != 1:
             raise PreconditionViolated(
                 f"word {W.format_word(w, oracle)!r} has more than one x"
             )
-    # the identity maps p to p, so a v == k test answers it without the oracle
+    # the identity maps p to p, so barring j answers it without the oracle
     others = _nonidentity_handles(c.words, oracle)
-    dom, ran = c.s.domain, c.s.range
-    current = tuple(node)
-    barred = T.Barred(itertools.chain(current, ran))
+    grown = list(node)
+    barred = T.Barred(itertools.chain(grown, c.s.range))
     options: list[tuple[int, int]] = []
-    stall_budget = count + len(dom) + 64
-    while True:
-        j = len(current)
-        once = [j]
-        for h in others:
-            once.append(oracle.eval(h, j))
-        barred.once = frozenset(once)
-        grown = tree.extend_avoiding(current, barred)
-        barred.update(grown[j:])
-        for k in range(j, len(grown)):
-            v = grown[k]
-            if k in dom or v in ran:
-                continue
-            if k > j and (v == k or any(oracle.eval(h, k) == v for h in others)):
-                continue
-            options.append((k, v))
-            if v >= count:
-                try:
-                    leq(Condition(c.s.with_pairs(options), c.words, c.flavor, c.target), c, oracle)
-                except Refused:
-                    for pair in options:
-                        one = Condition(c.s.with_pair(*pair), c.words, c.flavor, c.target)
-                        try:
-                            leq(one, c, oracle)
-                        except Refused as exc:
-                            raise InternalCheckFailed(
-                                f"avoidance clauses missed a fixed point at {pair}"
-                            ) from exc
-                    raise
-                return grown, tuple(options)
-        current = grown
-        stall_budget -= 1
-        if stall_budget < 0:
-            raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
+    for _ in range(len(c.s) + count + 1):
+        j = len(grown)
+        barred.once = frozenset([j, *(oracle.eval(h, j) for h in others)])
+        v = tree.extend_avoiding(grown, barred)
+        grown.append(v)
+        barred.add(v)
+        if c.s.apply(j) is not None:
+            continue
+        options.append((j, v))
+        if v >= count:
+            upper = c.s.with_pairs(options)
+            try:
+                leq(Condition(upper, c.words, c.flavor, c.target), c, oracle)
+            except Refused as exc:
+                k = min(min(points) for points in exc.fields["gains"].values())
+                raise InternalCheckFailed(
+                    f"avoidance clauses missed a fixed point at {(k, upper.apply(k))}"
+                ) from exc
+            return tuple(grown), tuple(options)
+    raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
 
 
 def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
@@ -430,15 +416,16 @@ def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
 
 def tree_extend(
     c: Condition, tree: T.InjectiveTree, node: T.Node, oracle
-) -> tuple[Condition, T.Node, int]:
-    """One new pair (k, t'(k)) read off a positive tree, below c.
+) -> tuple[Condition, T.Node]:
+    """One new pair (k, t(k)) read off a positive tree, below c, and the witness t.
 
-    Splits E into single-x words (plus the single-x subwords of the rest) for
-    the option search, which stops at the first option clearing the avoidance
-    bound N: more than N options with pairwise distinct values guarantee one.
-    A single-x word g·x gains a fixed point under fresh pairs only at a pair
-    (k, v) with g(v) = k, so many_extensions checks its options with one leq
-    together, and one at a time only to name the option that gains.
+    The witness t extends node and ends at its index k.  Splits E into
+    single-x words (plus the single-x subwords of the rest) for the option
+    search, which stops at the first option clearing the avoidance bound N:
+    more than N options with pairwise distinct values guarantee one.  A
+    single-x word g·x gains a fixed point under fresh pairs only at a pair
+    (k, v) with g(v) = k, so many_extensions checks its options with one
+    leq together.
     """
     if not tree.contains(node):
         raise PreconditionViolated(f"node {list(node)} is not in the tree")
@@ -450,10 +437,9 @@ def tree_extend(
             single |= _single_occurrence_subwords(w)
     scratch = plain_condition(c.s, single)
     bound = avoidance_bound(c, oracle)
-    grown, options = many_extensions(scratch, tree, node, bound, oracle)
-    k0, v0 = options[-1]
-    upper = Condition(c.s.with_pair(k0, v0), c.words, c.flavor, c.target)
-    return _admissible(c, upper, oracle), grown, k0
+    witness, options = many_extensions(scratch, tree, node, bound, oracle)
+    upper = Condition(c.s.with_pair(*options[-1]), c.words, c.flavor, c.target)
+    return _admissible(c, upper, oracle), witness
 
 
 def closing_threshold(c: Condition, n: int) -> int:

@@ -1,14 +1,15 @@
 """Injective trees: prefix-closed sets of injective finite sequences.
 
 Explicit trees are finite node sets used for exact predicate checks.
-Generated trees expose an extension oracle instead: given a node and the
-values barred at its next index, produce a strictly longer node whose value
-there is not barred.  A walk keeps one Barred set from node to node: the
-set holds the node's values and whatever the walk keeps out all along, and
-only grows, while `once` holds the values barred at the next index alone.
-A generated tree takes the least unbarred value of one class (every
-natural, or one residue class) and resumes from the set's cursor for that
-class, so a walk of length L over a set of R values makes O(L + R) probes.
+Every tree exposes an extension oracle: given a node and the values barred
+at its next index, it gives the value there of a child that is not barred,
+so a walk grows its node by one value per call.  A walk keeps one Barred
+set from node to node: the set holds the node's values and whatever the
+walk keeps out all along, and only grows, while `once` holds the values
+barred at the next index alone.  A generated tree takes the least unbarred
+value of one class (every natural, or one residue class) and resumes from
+the set's cursor for that class, so a walk of length L over a set of R
+values makes O(L + R) probes.
 Positivity (no finite family of function graphs covers the tree) is
 undecidable from finite data in general, so generated trees promise it
 through the oracle contract: they never refuse a finite barred set.
@@ -16,7 +17,7 @@ through the oracle contract: they never refuse a finite barred set.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import TreeRefusedExtension
 from .injections import wire_int
@@ -72,12 +73,12 @@ class InjectiveTree:
     def contains(self, node: Node) -> bool:
         raise NotImplementedError
 
-    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
-        """A strictly longer node whose value at index len(node) is not barred.
+    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
+        """A value v, not barred, with node + (v,) in the tree.
 
-        `barred` holds every value of node, so a tree that adds one value
-        stays injective by avoiding it; the caller adds the new values to it
-        before it asks for the next extension.
+        `barred` holds every value of node, so the child stays injective by
+        avoiding it; the caller adds v to it before it asks for the next
+        value.
         """
         raise NotImplementedError
 
@@ -91,8 +92,8 @@ class FullInjectiveTree(InjectiveTree):
     def contains(self, node: Node) -> bool:
         return all(v >= 0 for v in node) and _is_injective(node)
 
-    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
-        return node + (barred.least(0, 1),)
+    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
+        return barred.least(0, 1)
 
     def descriptor(self) -> dict:
         return {"kind": "full"}
@@ -129,8 +130,8 @@ class SparseCongruenceTree(InjectiveTree):
             return False
         return all(v % self.modulus == self.residue_at(i) for i, v in enumerate(node))
 
-    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
-        return node + (barred.least(self.residue_at(len(node)), self.modulus),)
+    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
+        return barred.least(self.residue_at(len(node)), self.modulus)
 
     def descriptor(self) -> dict:
         return {"kind": "sparse", "seed": self.seed, "modulus": self.modulus}
@@ -175,13 +176,14 @@ class ExplicitTree(InjectiveTree):
     def is_maximal(self, node: Node) -> bool:
         return not self.strict_extensions(node)
 
-    def extend_avoiding(self, node: Node, barred: Barred) -> Node:
-        """The least strict extension, by length then values, not barred at index len(node)."""
+    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
+        """The least value of a child of node that is not barred."""
         node = tuple(node)
-        candidates = sorted(self.strict_extensions(node), key=lambda t: (len(t), t))
-        for t in candidates:
-            if not barred.bars(t[len(node)]):
-                return t
+        k = len(node)
+        values = [t[k] for t in self._nodes
+                  if len(t) == k + 1 and t[:k] == node and not barred.bars(t[k])]
+        if values:
+            return min(values)
         raise TreeRefusedExtension(
             f"no extension of {node} avoids {sorted(barred | barred.once)}"
         )

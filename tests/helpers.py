@@ -216,8 +216,8 @@ def per_call_walk(c, tree, node, count: int, oracle):
     and their inverses.  At depth j the walk takes the least v with
     tree.contains(node + (v,)) outside c's range and the images g(j), and
     (j, v) is an option when j is outside c's domain and v ≠ g(j) for each g;
-    it stops once it holds more than `count` options.  For trees that add
-    one value per step; reads the tree only through `contains`.
+    it stops once it holds more than `count` options.  Reads the tree only
+    through `contains`.
     """
     handles = {oracle.identity()}
     for w in c.words:
@@ -431,7 +431,7 @@ def per_option_walk(c, tree, node, count: int, oracle):
     while True:
         j = len(current)
         barred.once = frozenset([oracle.eval(h, j) for h in handles])
-        grown = tree.extend_avoiding(current, barred)
+        grown = current + (tree.extend_avoiding(current, barred),)
         barred.update(grown[j:])
         for k in range(j, len(grown)):
             v = grown[k]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from orbitcode import (
     CompletedStage,
-    ExplicitTree,
     Flavor,
     FullInjectiveTree,
     InternalCheckFailed,
@@ -251,30 +250,24 @@ def test_many_extensions_base_case():
     assert len(options) >= 1
 
 
-class _LeapingTree(ExplicitTree):
-    """An explicit tree whose extension runs on to the end of the branch it picks.
+def test_a_walk_that_finds_no_value_past_the_count_stops_at_its_bound():
+    """A tree that breaks the contract by always giving 0 is cut after len(c.s) + count + 1 depths.
 
-    The tree contract lets an extension add several values at once; the walk
-    bars group images at the first new index only, and checks the rest.
+    A tree that keeps it yields no option at most at the len(c.s) domain
+    points, and count + 1 distinct values include one ≥ count, so no walk
+    of a contract-keeping tree goes deeper.
     """
+    depths = []
 
-    def extend_avoiding(self, node, barred):
-        first = super().extend_avoiding(node, barred)
-        return max((t for t in self.nodes if t[: len(first)] == first), key=len)
+    class ZeroTree(FullInjectiveTree):
+        def extend_avoiding(self, node, barred):
+            depths.append(len(node))
+            return 0
 
-
-def test_many_extensions_checks_the_later_values_of_a_longer_extension():
-    """One extension adds 5, 1, 2, 7, 8: 1 and 2 sit at their own index, fixed points of x.
-
-    The walk stops inside the extension at the first value past the bound,
-    and returns the whole extension as its node.
-    """
-    c = plain_condition(None, [x_power(1)])
-    tree = _LeapingTree.from_branch((5, 1, 2, 7, 8))
-    node, options = many_extensions(c, tree, (), 8, TRIV)
-    assert node == (5, 1, 2, 7, 8)
-    assert options == ((0, 5), (3, 7), (4, 8))
-    assert many_extensions(c, tree, (), 7, TRIV) == (node, ((0, 5), (3, 7)))
+    c = plain_condition(inj({0: 7, 3: 9, 5: 2}), [x_power(1)])
+    with pytest.raises(InternalCheckFailed, match="tree extensions stopped yielding fresh indices"):
+        many_extensions(c, ZeroTree(), (), 10, TRIV)
+    assert depths == list(range(len(c.s) + 10 + 1))
 
 
 def test_many_extensions_rejects_repeated_x_words():
@@ -324,24 +317,24 @@ def test_a_tree_step_takes_the_least_viable_option_of_the_per_call_walk():
     """The pair and index the per-call walk past the bound N gives, and its node cut there."""
     for c, tree, start, _, oracle in _random_walks():
         node, _, (k0, v0) = _least_viable(c, tree, start, avoidance_bound(c, oracle), oracle)
-        t, witness, k = tree_extend(c, tree, start, oracle)
+        t, witness = tree_extend(c, tree, start, oracle)
         assert t.s.pairs() == c.s.with_pair(k0, v0).pairs()
-        assert (k, witness) == (k0, node[: k0 + 1])
+        assert witness == node[: k0 + 1]
 
 
 def test_tree_extension_adds_one_fresh_pair():
     c = plain_condition(None, [x_power(2)])
-    t, node, k = tree_extend(c, FullInjectiveTree(), (), TRIV)
+    t, node = tree_extend(c, FullInjectiveTree(), (), TRIV)
     assert len(t.s) == 1
-    assert t.s.apply(k) == node[k]
+    assert t.s.apply(len(node) - 1) == node[-1]
     assert t.words == c.words
     leq(t, c, TRIV)
     assert fixed_points(x_power(2), t.s, TRIV) == frozenset()
 
 
 def test_tree_extension_of_the_empty_condition():
-    t, node, k = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
-    assert t.s.apply(k) == node[k]
+    t, node = tree_extend(plain_condition(), FullInjectiveTree(), (), TRIV)
+    assert t.s.apply(len(node) - 1) == node[-1]
 
 
 def test_tree_extension_keeps_dagger_validity():
@@ -1414,39 +1407,6 @@ def test_a_tree_step_walks_the_group_blocks_of_a_word_with_several_x(monkeypatch
         assert tuple(step.condition.s.pairs_beyond(lower.s)) == (options[-1],)
         assert step.extra["witness_index"] == options[-1][0]
     E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
-
-
-def test_a_leaping_walk_on_a_sealed_stage_agrees_with_the_per_option_walk():
-    """Extensions that add several values, some at their own index, past a stage's window.
-
-    The walk answers the identity handle itself, so a value past the first
-    new index that equals its index asks the oracle nothing.
-    """
-    rng = random.Random(41)
-    outcomes = Counter()
-    for _ in range(80):
-        window = rng.randrange(4, 10)
-        perm = list(range(window))
-        rng.shuffle(perm)
-        stage = CompletedStage(dagger_condition((), PartialInjection(enumerate(perm))),
-                               staged_oracle([]))
-        oracle = staged_oracle([stage])
-        g = oracle.generator(0)
-        words = [Word((group(h), X)) for h in rng.choice(
-            [[g], [g, oracle.invert(g)], [oracle.compose(g, g)]])]
-        branches = []
-        for _ in range(3):
-            # values inside the window, then at the first index past it its
-            # own index half the time, then values past it
-            tail = rng.sample(range(window + 1, 2 * window + 6), 3)
-            head = [window] if rng.random() < 0.5 else tail[:1]
-            branches.append(rng.sample(range(window), window) + head + tail[1:])
-        tree = _LeapingTree(b[:i] for b in branches for i in range(len(b) + 1))
-        # with a count past every value the walk runs on past the window
-        count = rng.choice([rng.randrange(2 * window), 2 * window + 6])
-        walk = (plain_condition(inj({}), words), tree, (), count, oracle)
-        outcomes[_same_outcome_as_the_per_option_walk(walk, [])[0]] += 1
-    assert outcomes[None] and outcomes[WindowTooSmall], outcomes
 
 
 def _word_of_tokens(tokens):

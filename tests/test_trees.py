@@ -1,6 +1,7 @@
 """Injective trees: extension oracles, explicit truncations, diagonalization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,9 @@ def _barred(values=(), once=()):
 
 def test_full_tree_extends_by_the_least_free_value():
     tree = FullInjectiveTree()
-    assert tree.extend_avoiding((), _barred({0})) == (1,)
-    assert tree.extend_avoiding((5,), _barred({5})) == (5, 0)
-    assert tree.extend_avoiding((0, 1), _barred({0, 1}, once={2, 3})) == (0, 1, 4)
+    assert tree.extend_avoiding((), _barred({0})) == 1
+    assert tree.extend_avoiding((5,), _barred({5})) == 0
+    assert tree.extend_avoiding((0, 1), _barred({0, 1}, once={2, 3})) == 4
 
 
 def test_a_value_barred_once_is_free_at_the_next_index():
@@ -38,20 +39,49 @@ def test_a_value_barred_once_is_free_at_the_next_index():
     sparse = next(tree for tree in trees if tree.residue_at(0) == tree.residue_at(1))
     for tree, want, step in ((FullInjectiveTree(), 0, 1), (sparse, sparse.residue_at(0), 2)):
         barred = _barred(once={want})
-        node = tree.extend_avoiding((), barred)
-        assert node == (want + step,)
-        barred.add(node[-1])
+        v = tree.extend_avoiding((), barred)
+        assert v == want + step
+        barred.add(v)
         barred.once = frozenset()
-        assert tree.extend_avoiding(node, barred) == node + (want,)
+        assert tree.extend_avoiding((v,), barred) == want
 
 
 def test_explicit_tree_takes_the_least_extension_unbarred_at_the_next_index():
     tree = ExplicitTree([(), (1,), (1, 2), (2,), (3,), (3, 1), (3, 1, 0)])
-    assert tree.extend_avoiding((), _barred({1})) == (2,)
-    assert tree.extend_avoiding((), _barred({1}, once={2})) == (3,)
-    assert tree.extend_avoiding((3,), _barred({3})) == (3, 1)
+    assert tree.extend_avoiding((), _barred({1})) == 2
+    assert tree.extend_avoiding((), _barred({1}, once={2})) == 3
+    assert tree.extend_avoiding((3,), _barred({3})) == 1
     with pytest.raises(TreeRefusedExtension):
         tree.extend_avoiding((), _barred({1, 2}, once={3}))
+
+
+def test_explicit_tree_extends_by_the_least_unbarred_child_value():
+    """2,000 trees of up to three branches of up to three values below 5, every node,
+    every barred subset of {0..4}, each value barred for the walk or once.
+
+    The value is the least unbarred child value read off `nodes`, and the
+    value at len(node) of the least strict extension, by length then values,
+    unbarred there; the tree refuses exactly when no child is unbarred.
+    """
+    rng = random.Random(36)
+    for _ in range(2000):
+        branches = [rng.sample(range(5), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        tree = ExplicitTree(b[:i] for b in branches for i in range(len(b) + 1))
+        for node in tree.nodes:
+            k = len(node)
+            children = [t[k] for t in tree.nodes if len(t) == k + 1 and t[:k] == node]
+            longer = sorted(tree.strict_extensions(node), key=lambda t: (len(t), t))
+            for subset in range(32):
+                values = {v for v in range(5) if subset >> v & 1}
+                once = {v for v in values if rng.random() < 0.5}
+                barred = _barred(values - once, once)
+                free = [v for v in children if v not in values]
+                if not free:
+                    with pytest.raises(TreeRefusedExtension):
+                        tree.extend_avoiding(node, barred)
+                    continue
+                old = next(t for t in longer if t[k] not in values)
+                assert tree.extend_avoiding(node, barred) == min(free) == old[k]
 
 
 def _probes_of_a_walk(tree, resume: bool) -> int:
@@ -75,7 +105,7 @@ def _probes_of_a_walk(tree, resume: bool) -> int:
         if not resume:
             barred = Counting(barred)
         barred.once = frozenset({2000 + depth, 2001 + 3 * depth})
-        node = tree.extend_avoiding(node, barred)
+        node += (tree.extend_avoiding(node, barred),)
         barred.add(node[-1])
     assert tree.contains(node)
     return probes[0]
@@ -103,7 +133,7 @@ def test_sparse_tree_respects_its_residues():
     node = ()
     barred = _barred()
     for _ in range(5):
-        node = tree.extend_avoiding(node, barred)
+        node += (tree.extend_avoiding(node, barred),)
         barred.add(node[-1])
         assert tree.contains(node)
         depth = len(node) - 1
@@ -114,9 +144,9 @@ def test_sparse_tree_extension_avoids_the_forbidden_pairs():
     tree = SparseCongruenceTree(seed=11)
     want = tree.residue_at(0)
     barred = _barred(once={want, want + 7})
-    node = tree.extend_avoiding((), barred)
-    assert node[0] not in barred.once
-    assert node[0] == want + 14
+    v = tree.extend_avoiding((), barred)
+    assert v not in barred.once
+    assert v == want + 14
 
 
 def test_explicit_tree_is_prefix_closed():

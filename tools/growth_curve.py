@@ -57,11 +57,18 @@ and what their seals (`engine.seal`) do:
   PER_CLOSURE_PATH_WALKS, the figure when the seal listed the open paths
   again for every closure.
 
-Last, for SEAL_TREES trees, 40 to 640 (as trees-40 builds its 40, the
-seeds drawn from `random.Random(TREE_SEED)`), `seal_ms`, the median over
-REPEATS runs of sealing the run, or LARGE_REPEATS runs past SEAL_LARGE
-trees, each run built afresh and not timed, with its ratio to the previous
-count of trees.
+Last, for TREE_RUNS trees, 40 to 640 (as trees-40 builds its 40, the
+seeds drawn from `random.Random(TREE_SEED)`), it builds the run and seals
+it REPEATS times, or LARGE_REPEATS times past TREE_LARGE trees, and prints:
+
+- `build_ms`, the median time of `engine.run` building it;
+- `seal_ms`, the median time of `engine.seal` sealing it;
+- `verify_ms`, the median time of `json.loads` plus `verify_trace_data` on
+  the run's trace as compact JSON;
+- `bytes`, the length of that text;
+
+each with its ratio to the previous count of trees.  No run is built that
+is not reported.
 
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 4096
 
@@ -105,8 +112,8 @@ PER_OPTION_OPTIONS = 4_308
 PER_OPTION_LEQ_CALLS = 4_308
 PER_CLOSURE_FRESH_CHECKS = 3_975
 PER_CLOSURE_PATH_WALKS = 113
-SEAL_TREES = (40, 80, 160, 320, 640)
-SEAL_LARGE = 160
+TREE_RUNS = (40, 80, 160, 320, 640)
+TREE_LARGE = 160
 
 
 def coding_text(n: int, repeats: int) -> tuple[str, int, float, float]:
@@ -285,8 +292,9 @@ def walk_and_seal_counts() -> tuple[int, int, int, int]:
     return options, calls, fresh, walks
 
 
-def seal_seconds(trees: int) -> float:
-    """The median time to seal the run of `trees` trees, built as trees-40 builds its 40."""
+def tree_run_row(trees: int) -> tuple[float, float, float, int]:
+    """Median build, seal and verify times of the run of `trees` trees, built as trees-40
+    builds its 40, and the length of its trace as compact JSON."""
     rng = random.Random(TREE_SEED)
     schedule = [E.WordAdded(W.x_power(1))]
     for seed in [rng.randrange(1 << 30) for _ in range(trees // 2)]:
@@ -294,14 +302,20 @@ def seal_seconds(trees: int) -> float:
                      E.TreeDiagonalized(T.SparseCongruenceTree(seed))]
     schedule += [E.DomainHits(i) for i in range(TREE_HITS)]
     schedule += [E.RangeHits(i) for i in range(TREE_HITS)]
-    times = []
-    for _ in range(LARGE_REPEATS if trees > SEAL_LARGE else REPEATS):
+    repeats = LARGE_REPEATS if trees > TREE_LARGE else REPEATS
+    builds, seals = [], []
+    for _ in range(repeats):
         oracle = trivial_oracle()
+        start = time.perf_counter()
         trace = E.run(Flavor.PLAIN, None, schedule, oracle)
+        builds.append(time.perf_counter() - start)
         start = time.perf_counter()
         E.seal(trace, oracle)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        seals.append(time.perf_counter() - start)
+    # the trivial oracle never grows, so the seal adds no growth event to the trace
+    text = json.dumps(E.trace_to_data(trace, oracle), separators=(",", ":"))
+    verify = verify_seconds(text, repeats=repeats)
+    return statistics.median(builds), statistics.median(seals), verify, len(text)
 
 
 def main() -> int:
@@ -342,13 +356,18 @@ def main() -> int:
           f" {fresh / PER_CLOSURE_FRESH_CHECKS:.3f}x)")
     print(f"  seal path walks {walks:>6} (per-closure seal {PER_CLOSURE_PATH_WALKS},"
           f" {walks / PER_CLOSURE_PATH_WALKS:.3f}x)")
-    print(f"\n{'trees':>5} {'seal_ms':>9} {'x':>5}")
+    print(f"\n{'trees':>5} {'build_ms':>10} {'x':>5} {'seal_ms':>9} {'x':>5}"
+          f" {'verify_ms':>10} {'x':>5} {'bytes':>9} {'x':>5}")
     previous = None
-    for trees in SEAL_TREES:
-        ms = seal_seconds(trees) * 1000
-        ratio = "    -" if previous is None else f"{ms / previous:5.2f}"
-        print(f"{trees:>5} {ms:>9.2f} {ratio}", flush=True)
-        previous = ms
+    for trees in TREE_RUNS:
+        build, seal, verify, size = tree_run_row(trees)
+        row = (build * 1000, seal * 1000, verify * 1000, size)
+        ratios = [f"{now / before:5.2f}" for now, before in zip(row, previous or row)]
+        if previous is None:
+            ratios = ["    -"] * 4
+        print(f"{trees:>5} {row[0]:>10.2f} {ratios[0]} {row[1]:>9.2f} {ratios[1]}"
+              f" {row[2]:>10.2f} {ratios[2]} {row[3]:>9} {ratios[3]}", flush=True)
+        previous = row
     return 0
 
 
