@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed run or failed verification, 2 usage errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import string
 import sys
@@ -194,6 +195,7 @@ def cmd_decode(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitcode",
@@ -234,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.handler(args)

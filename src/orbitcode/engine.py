@@ -7,17 +7,16 @@ forcing operation that takes it: the engine stores the condition the
 operation returns and checks nothing again, and a step whose requirement
 was already met stores the condition before it.  A trace serializes to
 JSON that an independent verifier replays without trusting the run.
-Format version 8 writes each step as one flat object, its delta:
+Format version 9 writes each step as one flat object, its delta:
 the `pairs` and `words` its upper condition adds to the previous one,
 which is its lower condition, and `upper_sum`, a checksum of the upper
-condition kept in O(delta); a tree step adds its `witness_node`, a node
-ending at its index, which the reader takes as its length less one.  No
-fixed-point set is written: a word's set is frozen from the step it
-enters E, and the verifier recomputes what it checks.  Its requirement is
-the schedule's entry; only the final condition's map and words are
-written whole, and no number the reader derives: a witness's index, a
-stage's index or window, a growth event's target or the window it
-reaches.
+condition kept in O(delta).  A tree step writes the same three keys: its
+tree decides whether it admits the pair the step adds, so no witness node
+is written.  No fixed-point set is written: a word's set is frozen from
+the step it enters E, and the verifier recomputes what it checks.  Its
+requirement is the schedule's entry; only the final condition's map and
+words are written whole, and no number the reader derives: a stage's
+index or window, a growth event's target or the window it reaches.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
 window once, generously, and retries that step a single time.  A step that
@@ -49,7 +48,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 8,
+    "format_version": 9,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -162,10 +161,10 @@ def _apply_requirement(req: Requirement, c: F.Condition, oracle):
         c, witness = F.tree_extend(c, req.tree, req.node, oracle)
         return "tree_extend", c, {"witness_node": list(witness), "witness_index": len(witness) - 1}
     if isinstance(req, OrbitCoded):
-        while not _requirement_holds(req, (), c, oracle):
+        while not _requirement_holds(req, c, c, oracle):
             c = F.code_next_orbit(c, oracle)
         return "code_next_orbit", c, {}
-    if _requirement_holds(req, (), c, oracle):
+    if _requirement_holds(req, c, c, oracle):
         return "already_present", c, {}
     if isinstance(req, DomainHits):
         return "extend_domain", F.extend_domain(c, req.n, oracle), {}
@@ -423,8 +422,6 @@ def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
         lower = step.condition
         total = _upper_sum(total, data["pairs"], data["words"])
         data["upper_sum"] = f"{total:016x}"
-        if step.extra:
-            data["witness_node"] = list(step.extra["witness_node"])
         steps.append(data)
     return steps
 
@@ -444,8 +441,8 @@ def trace_to_data(trace: RunTrace, oracle) -> dict:
     }
 
 
-def _requirement_holds(req: Requirement, witness: T.Node, c: F.Condition, oracle) -> bool:
-    """Whether c meets req; a tree step's witness is the node that ends at its index."""
+def _requirement_holds(req: Requirement, lower: F.Condition, c: F.Condition, oracle) -> bool:
+    """Whether the step from lower to c meets req: a tree's, when its tree admits a pair it adds."""
     if isinstance(req, DomainHits):
         return c.s.apply(req.n) is not None
     if isinstance(req, RangeHits):
@@ -455,13 +452,7 @@ def _requirement_holds(req: Requirement, witness: T.Node, c: F.Condition, oracle
     if isinstance(req, OrbitCoded):
         return I.closed_and_gap(c.s)[0] > req.index
     if isinstance(req, TreeDiagonalized):
-        k = len(witness) - 1
-        return (
-            req.tree.contains(witness)
-            and witness[: len(req.node)] == tuple(req.node)
-            and len(req.node) <= k
-            and c.s.apply(k) == witness[k]
-        )
+        return any(req.tree.admits(req.node, k, v) for k, v in c.s.pairs_beyond(lower.s))
     return False
 
 
@@ -470,7 +461,6 @@ _TRACE_KEYS = frozenset(
      "growth_events")
 )
 _STEP_KEYS = frozenset(("pairs", "words", "upper_sum"))
-_TREE_STEP_KEYS = _STEP_KEYS | {"witness_node"}
 _GROWTH_KEYS = frozenset(("step", "required", "cycles"))
 _CONDITION_KEYS = frozenset(("injection", "words"))
 
@@ -542,33 +532,31 @@ def _check_growth(events, oracle, length: int) -> None:
 def verify_trace_data(data: Mapping) -> None:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
-    Anything trace_to_data would not write is malformed: a key missing from
-    an object's closed key set or outside it (a step's is `pairs`, `words`
-    and `upper_sum`, plus `witness_node` for a tree step), a list written as
-    another type (a step's pairs, words or witness node, the target or the
-    decoded bits), a number that is not a JSON integer (or a bit other than
-    0 or 1), a schedule entry other than its requirement writes, a delta
-    (the step itself, see forcing.verify_certificate_data) or the final
-    condition with pairs or word texts out of order or form, an embedded
-    stage seal did not make, other conventions, and growth events off the
-    engine's rule.  Each step's upper condition, the one before it plus its
-    delta, each word text parsed once, must extend the condition before it,
-    no word of that condition gaining a fixed point, validate, and meet its
-    schedule entry, a tree step's at its witness, parsed once, whose index
-    is its length less one, so a witness running past its index is refused
-    there; a step other than a tree step whose entry the condition before
-    it already met must add nothing, as the engine does; and last, its
-    `upper_sum` must be the running sum.  A step whose pairs and words are
-    both empty has the condition before it as its upper condition, which
-    the step before validated or which is the empty condition every flavor
-    admits, so it is checked only against its entry and the sum: no delta
-    is parsed, no order rechecked and nothing validated again.  validate is
-    given the condition before a step, so its coding clause compares only
-    the code bits the step adds.  So a step parses and inserts only its
-    delta, with_pairs makes its map a new version of lower's without
-    copying it, and no fixed-point set is read off the wire.  The final
-    condition and decoded bits must recompute; Refused names the first
-    claim that fails, and the step it fails at.
+    Anything trace_to_data would not write is malformed: a key missing from an
+    object's closed key set or outside it (a step's is `pairs`, `words` and
+    `upper_sum`, a tree step's too), a list written as another type (a step's
+    pairs or words, the target or the decoded bits), a number that is not a
+    JSON integer (or a bit other than 0 or 1), a schedule entry other than its
+    requirement writes, a delta (the step itself, see
+    forcing.verify_certificate_data) or the final condition with pairs or word
+    texts out of order or form, an embedded stage seal did not make, other
+    conventions, and growth events off the engine's rule.  Each step's upper
+    condition, the one before it plus its delta, each word text parsed once,
+    must extend the condition before it, no word of that condition gaining a
+    fixed point, validate, and meet its schedule entry, a tree step's when its
+    tree admits a pair (k, v) the step adds (trees.InjectiveTree.admits), which
+    no condition before the step can meet; a step whose entry the condition
+    before it already met must add nothing, as the engine does; and last, its
+    `upper_sum` must be the running sum.  A step whose pairs and words are both
+    empty has the condition before it as its upper condition, which the step
+    before validated or which is the empty condition every flavor admits, so it
+    is checked only against its entry and the sum: no delta is parsed, no order
+    rechecked and nothing validated again.  validate is given the condition
+    before a step, so its coding clause compares only the code bits the step
+    adds.  So a step parses and inserts only its delta, with_pairs makes its
+    map a new version of lower's without copying it, and no fixed-point set is
+    read off the wire.  The final condition and decoded bits must recompute;
+    Refused names the first claim that fails, and the step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:
@@ -586,7 +574,7 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 8.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 9.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _check_growth(data["growth_events"], oracle, len(schedule))
@@ -596,21 +584,16 @@ def verify_trace_data(data: Mapping) -> None:
             req = _requirement_from_entry(entry, oracle)
             if isinstance(req, WordAdded):  # the entry's text is its parse's, so the delta's reads it
                 parsed.setdefault(entry["word"], req.word)
-            tree = isinstance(req, TreeDiagonalized)
-            I.wire_object(step, _TREE_STEP_KEYS if tree else _STEP_KEYS, "step")
-            witness = (
-                tuple(map(I.wire_int, I.wire_list(step["witness_node"], "witness_node")))
-                if tree else ()
-            )
+            I.wire_object(step, _STEP_KEYS, "step")
             lower, met = c, False
             if step["pairs"] != [] or step["words"] != []:  # else c is its own upper condition
-                met = not tree and _requirement_holds(req, witness, lower, oracle)
+                met = _requirement_holds(req, lower, lower, oracle)
                 c = F.verify_certificate_data(step, lower, oracle, parsed)
                 try:
                     F.validate(c, oracle, lower)
                 except Refused as exc:
                     raise Refused(f"invalid condition: {exc}") from None
-            if not _requirement_holds(req, witness, c, oracle):
+            if not _requirement_holds(req, lower, c, oracle):
                 raise Refused("requirement not satisfied")
             if met:
                 raise Refused("requirement already met, but the step changes the condition")

@@ -442,9 +442,9 @@ def tree_extend(
     return _admissible(c, upper, oracle), witness
 
 
-def closing_threshold(c: Condition, n: int) -> int:
-    """K: any orbit size above it is reachable when closing through n."""
-    return I.orbit_of(c.s, n).size + c.max_word_length
+def closing_threshold(c: Condition, orbit: I.Orbit) -> int:
+    """K = |orbit| + L: any size above it is reachable when closing the orbit of c.s."""
+    return orbit.size + c.max_word_length
 
 
 class _Used:
@@ -510,8 +510,7 @@ def close_orbit(c: Condition, n: int, k: int, oracle) -> Condition:
     orbit = I.orbit_of(c.s, n)
     if orbit.closed:
         raise PreconditionViolated(f"{n} lies in a closed orbit")
-    threshold = orbit.size + c.max_word_length
-    if k <= threshold:
+    if k <= (threshold := closing_threshold(c, orbit)):
         raise KTooSmall(f"need k > {threshold}, got {k}")
     handles = _nonidentity_handles(c.words, oracle)
     return _close_path(c, orbit, k, I.closed_and_gap(c.s)[1], handles, oracle)[0]
@@ -553,16 +552,22 @@ def _close_path(
 
 
 def code_next_orbit(c: Condition, oracle) -> Condition:
-    """Close the orbit at the least uncovered natural, parity-matched to the target."""
+    """Close the orbit at the least uncovered natural, parity-matched to the target.
+
+    That natural n is c.s's gap, so its orbit is an open path, walked once,
+    and the chain scan starts at n; the size is the least past the
+    threshold with the target bit's parity.
+    """
     if c.flavor is not Flavor.CODING:
         raise PreconditionViolated("coding flavor required")
     index, n = I.closed_and_gap(c.s)
     if index >= len(c.target):
         raise PrefixTooShort(f"target has only {len(c.target)} bits")
-    k = closing_threshold(c, n) + 1
+    orbit = I.orbit_of(c.s, n)
+    k = closing_threshold(c, orbit) + 1
     if k % 2 != c.target[index] % 2:
         k += 1
-    return close_orbit(c, n, k, oracle)
+    return _close_path(c, orbit, k, n, _nonidentity_handles(c.words, oracle), oracle)[0]
 
 
 def strong_close_orbit(c: Condition, v: W.Word, k: int, oracle) -> Condition:
@@ -703,10 +708,10 @@ def close_all_orbits(c: Condition, oracle) -> Condition:
         while I.has_open_orbits(c.s):
             c = code_next_orbit(c, oracle)
         return c
-    length, handles = c.max_word_length, _nonidentity_handles(c.words, oracle)
+    handles = _nonidentity_handles(c.words, oracle)
     start = I.closed_and_gap(c.s)[1]
     for orbit in I.open_orbits(c.s):
-        c, start = _close_path(c, orbit, orbit.size + length + 1, start, handles, oracle)
+        c, start = _close_path(c, orbit, closing_threshold(c, orbit) + 1, start, handles, oracle)
     return c
 
 

@@ -10,6 +10,9 @@ barred at the next index alone.  A generated tree takes the least unbarred
 value of one class (every natural, or one residue class) and resumes from
 the set's cursor for that class, so a walk of length L over a set of R
 values makes O(L + R) probes.
+Every tree also decides, with `admits`, whether some node extending a
+given one has a given value at a given new index: the check a trace's
+reader makes of a tree step's pair.
 Positivity (no finite family of function graphs covers the tree) is
 undecidable from finite data in general, so generated trees promise it
 through the oracle contract: they never refuse a finite barred set.
@@ -73,6 +76,15 @@ class InjectiveTree:
     def contains(self, node: Node) -> bool:
         raise NotImplementedError
 
+    def admits(self, node: Node, k: int, v: int) -> bool:
+        """Whether some node of the tree extends node and has value v at index k >= len(node).
+
+        A generated tree decides it from its class: node is in the tree and
+        v is a natural outside it that the class allows at depth k.  Each
+        class is infinite, so the indices between can always be filled.
+        """
+        raise NotImplementedError
+
     def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
         """A value v, not barred, with node + (v,) in the tree.
 
@@ -91,6 +103,9 @@ class FullInjectiveTree(InjectiveTree):
 
     def contains(self, node: Node) -> bool:
         return all(v >= 0 for v in node) and _is_injective(node)
+
+    def admits(self, node: Node, k: int, v: int) -> bool:
+        return len(node) <= k and 0 <= v and v not in node and self.contains(node)
 
     def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
         return barred.least(0, 1)
@@ -129,6 +144,10 @@ class SparseCongruenceTree(InjectiveTree):
         if not _is_injective(node) or any(v < 0 for v in node):
             return False
         return all(v % self.modulus == self.residue_at(i) for i, v in enumerate(node))
+
+    def admits(self, node: Node, k: int, v: int) -> bool:
+        return (len(node) <= k and 0 <= v and v not in node
+                and v % self.modulus == self.residue_at(k) and self.contains(node))
 
     def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
         return barred.least(self.residue_at(len(node)), self.modulus)
@@ -172,6 +191,11 @@ class ExplicitTree(InjectiveTree):
         return sorted(
             t for t in self._nodes if len(t) > k and t[:k] == node
         )
+
+    def admits(self, node: Node, k: int, v: int) -> bool:
+        """A search of the tree's own nodes, bounded by its descriptor."""
+        node, d = tuple(node), len(node)
+        return d <= k and any(len(t) > k and t[k] == v and t[:d] == node for t in self._nodes)
 
     def is_maximal(self, node: Node) -> bool:
         return not self.strict_extensions(node)

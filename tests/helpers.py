@@ -479,7 +479,7 @@ def per_closure_seal(c, oracle):
         if not open_now:
             return c
         n = open_now[0].minimum
-        k = F.closing_threshold(c, n) + 1
+        k = F.closing_threshold(c, open_now[0]) + 1
         while k in avoid:
             k += 1
         c = F.close_orbit(c, n, k, oracle)

@@ -45,6 +45,7 @@ from orbitcode import (
     group,
     leq,
     o_dagger,
+    orbit_of,
     plain_condition,
     power,
     run,
@@ -223,7 +224,7 @@ def test_criterion_05_orbit_closing():
             n = rng.choice(open_points)
         else:
             n = max(c.s.support, default=0) + 1 + rng.randrange(4)
-        threshold = closing_threshold(c, n)
+        threshold = closing_threshold(c, orbit_of(c.s, n))
         before = {w: fixed_points(w, c.s, TRANS) for w in c.words}
         for k in range(threshold + 1, threshold + 7):
             t = close_orbit(c, n, k, TRANS)

@@ -1,5 +1,6 @@
 """Command-line round trips and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,6 +16,28 @@ from orbitcode.injections import cycles_to_data, injection_from_pairs
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_successive_calls_build_one_parser_and_share_no_state(tmp_path, capsys, monkeypatch):
+    """A run with trees, a usage error, a run without trees, then verify of the first trace.
+
+    The parser is built once per process, so no call constructs one, and no
+    call's flags carry over: the second run takes no tree from the first.
+    """
+    trees, plain = tmp_path / "trees.json", tmp_path / "plain.json"
+    run = ["run", "--flavor", "plain", "--schedule", "auto:2"]
+    assert run_cli(*run, "--full-trees", "2", "--seed", "5", "--out", str(trees)) == 0
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+    assert run_cli(*run, "--bogus") == 2
+    assert run_cli(*run, "--out", str(plain)) == 0
+    assert run_cli("verify", str(trees)) == 0
+    assert made == []
+    schedule = json.loads(plain.read_text(encoding="utf-8"))["schedule"]
+    assert [entry["kind"] for entry in schedule] == ["domain_hits", "range_hits"] * 2
+    assert capsys.readouterr().out.endswith("ok: 6 steps verified\n")
 
 
 def test_bit_parsing_binary_and_hex():
@@ -226,7 +249,7 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
      ("format_version", 4), ("format_version", 5), ("format_version", 6),
-     ("format_version", 7), ("format_version", 99),
+     ("format_version", 7), ("format_version", 8), ("format_version", 99),
      ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
@@ -238,7 +261,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 8" in capsys.readouterr().err
+    assert "format version 9" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):

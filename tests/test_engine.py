@@ -540,59 +540,47 @@ def test_a_dagger_run_over_translations_replays_its_word_requirement():
 
 
 def _tree_step_wire():
+    """A domain hit at 0, then a full-tree step from the node (7, 8), which adds one pair."""
     oracle = trivial_oracle()
-    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
+    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree(), (7, 8))]
     data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
     verify_trace_data(data)
     return data
 
 
-def _index_99(step):
-    """Index 99: the node run on by fresh values so that it ends there."""
-    node = step["witness_node"]
-    return {"witness_node": node + list(range(1000, 1100 - len(node)))}
-
-
 @pytest.mark.parametrize(
     "forge",
-    [_index_99, lambda step: {"witness_node": [5] * len(step["witness_node"])}],
+    [lambda pair: [1, pair[1]], lambda pair: [pair[0], 7]],
     ids=["witness_index", "witness_node"],
 )
 def test_a_forged_tree_witness_fails_replay(forge):
+    """The pair a tree step adds is its witness: at an index inside the node, or with a value of
+    the node, no node of the full tree that extends (7, 8) agrees with it.
+
+    The forged pair is still a delta the condition before the step admits, so
+    the step fails at its requirement, where the tree is asked.
+    """
     data = _tree_step_wire()
     step = data["steps"][1]
-    step.update(forge(step))
+    [pair] = step["pairs"]
+    assert pair[0] >= 2 and pair[1] not in (7, 8)
+    step["pairs"] = [forge(pair)]
     result = helpers.refusal(verify_trace_data, data)
     assert result == "step 1: requirement not satisfied"
 
 
 def test_the_wire_form_shares_no_mutable_object_with_its_trace():
-    """Editing the witness or oracle trace_to_data wrote leaves the trace and its next writing."""
+    """Editing a tree step's pair or the oracle trace_to_data wrote leaves the trace and its next
+    writing."""
     oracle = trivial_oracle()
     trace = run(Flavor.PLAIN, None, [DomainHits(0), TreeDiagonalized(FullInjectiveTree())], oracle)
     extra = json.loads(json.dumps(trace.steps[1].extra))
     fresh = json.dumps(trace_to_data(trace, oracle))
     data = trace_to_data(trace, oracle)
-    data["steps"][1]["witness_node"].append(99)
+    data["steps"][1]["pairs"][0].append(99)
     data["oracle"]["kind"] = "forged"
     assert trace.steps[1].extra == extra
     assert json.dumps(trace_to_data(trace, oracle)) == fresh
-
-
-def test_a_tree_witness_past_its_index_is_refused_at_its_step():
-    """The witness a trace writes ends at its index: values past it move the index the reader takes.
-
-    The step then claims s(k) = node[k] at a later k, which its map does not
-    meet, whether the node runs on by one value or by several.
-    """
-    trace = run(Flavor.PLAIN, None, [DomainHits(0), TreeDiagonalized(FullInjectiveTree())],
-                trivial_oracle())
-    assert trace.steps[1].extra["witness_index"] == len(trace.steps[1].extra["witness_node"]) - 1
-    for more in ([1000], [1000, 1001, 1002]):
-        data = _tree_step_wire()
-        data["steps"][1]["witness_node"] += more
-        result = helpers.refusal(verify_trace_data, data)
-        assert result == "step 1: requirement not satisfied"
 
 
 def test_a_growth_event_on_an_unwindowed_oracle_fails_replay():
@@ -683,16 +671,17 @@ def test_a_step_with_a_key_outside_the_format_fails_replay(forge):
     "key, forged", [("witness_index", 1), ("witness_node", None), ("origin", "forged")]
 )
 def test_a_tree_witness_with_a_key_outside_the_format_fails_replay(key, forged):
-    """A tree step writes its witness node alone: no index beside it, and no other key."""
+    """A tree step writes the closed key set of every step: no witness node (None: the node the
+    run walked, as format 8 wrote it), no index, and no other key."""
     oracle = trivial_oracle()
     schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
-    data = _wire(run(Flavor.PLAIN, None, schedule, oracle), oracle)
-    if forged is None:
-        del data["steps"][1][key]
-    else:
-        data["steps"][1][key] = forged
+    trace = run(Flavor.PLAIN, None, schedule, oracle)
+    data = _wire(trace, oracle)
+    verify_trace_data(data)
+    data["steps"][1][key] = list(trace.steps[1].extra["witness_node"]) if forged is None else forged
     result = helpers.refusal(verify_trace_data, data)
-    assert result.startswith("step 1: malformed: step has keys")
+    assert result == (f"step 1: malformed: step has keys {sorted(['pairs', 'upper_sum', 'words', key])},"
+                      " format gives ['pairs', 'upper_sum', 'words']")
 
 
 @pytest.mark.parametrize("key", ["growth_events", "target", "note"])
@@ -889,11 +878,6 @@ def _rewrite_zero(side, value):
     return forge
 
 
-def _float_witness(data):
-    step = data["steps"][1]
-    step["witness_node"] = [float(v) for v in step["witness_node"]]
-
-
 @pytest.mark.parametrize(
     "trace, forge, reason",
     [
@@ -924,16 +908,15 @@ def _float_witness(data):
             lambda data: data["schedule"][1]["tree"].__setitem__("seed", 1.0),
             "step 1: malformed: 1.0 is not an integer",
         ),
-        (_sparse_tree_trace, _float_witness, "step 1: malformed: 1.0 is not an integer"),
         (
             _coding_trace,
-            lambda data: data["conventions"].__setitem__("format_version", 8.0),
-            "malformed trace: 8.0 is not an integer",
+            lambda data: data["conventions"].__setitem__("format_version", 9.0),
+            "malformed trace: 9.0 is not an integer",
         ),
     ],
     ids=["float-point", "string-point", "float-target-bit", "string-decoded-bits",
          "boolean-target-bits", "boolean-schedule-point", "float-tree-seed",
-         "float-witness-node", "float-format-version"],
+         "float-format-version"],
 )
 def test_a_number_not_written_as_a_json_integer_fails_replay(trace, forge, reason):
     data = trace()

@@ -346,8 +346,9 @@ def test_tree_extension_keeps_dagger_validity():
 
 
 def test_closing_threshold_counts_orbit_and_word_length():
-    assert closing_threshold(plain_condition(None, [x_power(1)]), 0) == 2
-    assert closing_threshold(plain_condition(None, [x_power(3)]), 0) == 4
+    for length, threshold in ((1, 2), (3, 4)):
+        c = plain_condition(None, [x_power(length)])
+        assert closing_threshold(c, orbit_of(c.s, 0)) == threshold
 
 
 def test_close_orbit_produces_the_requested_cycle():
@@ -376,7 +377,7 @@ def test_close_orbit_against_a_longer_word():
 
 def test_close_orbit_grows_an_existing_chain():
     c = plain_condition(inj({0: 4, 4: 7}), [x_power(1)])
-    k = closing_threshold(c, 0) + 1
+    k = closing_threshold(c, orbit_of(c.s, 0)) + 1
     t = close_orbit(c, 0, k, TRIV)
     orbit = orbit_of(t.s, 0)
     assert orbit.closed and orbit.size == k
@@ -452,11 +453,11 @@ def _isolated_closures():
             continue
         if flavor is Flavor.CODING:
             n = I.closed_and_gap(c.s)[1]
-            k = closing_threshold(c, n) + 1
+            k = closing_threshold(c, orbit_of(c.s, n)) + 1
             k += k % 2 != c.target[len(o_partial(c.s))]
         else:
             n = rng.choice(sorted(set(range(22)) - c.s.support))
-            k = closing_threshold(c, n) + rng.randrange(1, 4)
+            k = closing_threshold(c, orbit_of(c.s, n)) + rng.randrange(1, 4)
         if orbit_of(c.s, n).size == 1:
             yield c, n, k
 
@@ -862,7 +863,7 @@ def test_random_orbit_closings_hit_their_size(c, bump):
     for o in closed_orbits(c.s):
         closed_cover |= set(o.ordered)
     n = max(c.s.support | {9}, default=9) + 1  # always a fresh point
-    k = closing_threshold(c, n) + bump
+    k = closing_threshold(c, orbit_of(c.s, n)) + bump
     t = close_orbit(c, n, k, TRANS)
     orbit = orbit_of(t.s, n)
     assert orbit.closed and orbit.size == k

@@ -3,7 +3,8 @@
 tools/growth_curve.py prints the coding columns, with verify's wall time,
 for n = 32 to 512, and the letters a staged verify evaluates.  A dagger
 step writes its delta alone, so its bytes do not grow with the word set E
-a run has built up.  A tree step's walk stops at the first option past its
+a run has built up, and a tree step the one pair it adds, so a tree run's
+bytes grow at most 2.4x per doubling of its trees.  A tree step's walk stops at the first option past its
 bound, so it yields no option it does not use, and checks those it yields
 with one leq.  The order check evaluates E's roots alone, never their
 powers nor the root x, which it reads off the map, and a build validates a
@@ -124,6 +125,34 @@ def _ten_tree_pairs_schedule():
     for i in range(8):
         schedule += [DomainHits(i), RangeHits(i)]
     return schedule
+
+
+def _tree_run_bytes(trees):
+    """The compact-JSON trace of x, then trees // 2 full and sparse tree pairs, then hits 0..15.
+
+    The sparse seeds are drawn from random.Random(7), as trees-40 and
+    tools/growth_curve.py draw theirs.
+    """
+    rng = random.Random(7)
+    schedule = [WordAdded(x_power(1))]
+    for seed in [rng.randrange(1 << 30) for _ in range(trees // 2)]:
+        schedule += [TreeDiagonalized(FullInjectiveTree()),
+                     TreeDiagonalized(SparseCongruenceTree(seed))]
+    schedule += [DomainHits(i) for i in range(16)] + [RangeHits(i) for i in range(16)]
+    oracle = trivial_oracle()
+    return len(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, oracle), oracle),
+                          separators=(",", ":")))
+
+
+def test_tree_run_trace_bytes_grow_at_most_2_4x_per_doubling():
+    """40, 80, 160 and 320 trees: a tree step writes the one pair it adds, and no node.
+
+    When each step wrote its witness node, k + 1 values for an index k that
+    grows with the map, the bytes grew 3.00x, 3.47x and 3.82x.
+    """
+    sizes = [_tree_run_bytes(trees) for trees in (40, 80, 160, 320)]
+    for smaller, larger in zip(sizes, sizes[1:]):
+        assert larger <= 2.4 * smaller, sizes
 
 
 def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monkeypatch):

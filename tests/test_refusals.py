@@ -5,7 +5,7 @@ closing clauses of `verify_trace_data`, its clause on a step whose entry
 was already met and on a step's `upper_sum`, the clauses on a delta in a
 form the writer never writes, a list the writer writes written as another
 type, a step that adds nothing to a condition that does not meet its entry,
-a tree witness running past its index, those
+a tree step whose pair its tree does not admit, those
 on a growth event's cycles and the stages they grow, and the closed key
 sets of a step, an embedded stage, a growth event and `final`, which hold
 none of the numbers their reader derives and no object format 7 wrapped a
@@ -22,10 +22,12 @@ import pytest
 
 from orbitcode import (
     DomainHits,
+    ExplicitTree,
     Flavor,
     FullInjectiveTree,
     PartialInjection,
     Refused,
+    SparseCongruenceTree,
     TreeDiagonalized,
     auto_schedule,
     certificate_to_data,
@@ -83,12 +85,20 @@ def _forged_trace(forge, flavor=Flavor.CODING):
     return verify_trace_data, data
 
 
-def _forged_witness(forge):
-    """verify_trace_data on a domain hit at 0 then a full-tree step, that step forged."""
-    schedule = [DomainHits(0), TreeDiagonalized(FullInjectiveTree())]
+def _forged_tree_step(forge, tree=FullInjectiveTree(), node=()):
+    """verify_trace_data on a domain hit at 0 then a step on `tree` from `node`, that step forged.
+
+    On the full tree from () the step adds [1, 2]; on sparse(1) [1, 6],
+    index 1's class being 6 mod 7; on _EXPLICIT from (3,) [1, 5].
+    """
+    schedule = [DomainHits(0), TreeDiagonalized(tree, node)]
     data = json.loads(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, TRIV), TRIV)))
     forge(data["steps"][1])
     return verify_trace_data, data
+
+
+# two branches, (3, 5) and (4, 6): the value 6 sits at index 1 only below (4,)
+_EXPLICIT = ExplicitTree([(), (3,), (3, 5), (4,), (4, 6)])
 
 
 @functools.cache
@@ -135,8 +145,7 @@ def _format_7_step(step):
 
 def _format_7_witness(step):
     """A tree step's witness as format 7 wrote it: wrapped in `extra`, its index beside it."""
-    node = step.pop("witness_node")
-    step["extra"] = {"witness_node": node, "witness_index": len(node) - 1}
+    step["extra"] = {"witness_node": [1], "witness_index": 0}
 
 
 _UNMET = {"kind": "domain_hits", "n": 5}  # not in the domain at step 1, which adds nothing
@@ -240,7 +249,7 @@ CASES = {
         "step 1: requirement not satisfied",
     ),
     "trace-empty-tree-step": (
-        lambda: _forged_witness(lambda step: step.__setitem__("pairs", [])),
+        lambda: _forged_tree_step(lambda step: step.__setitem__("pairs", [])),
         "step 1: requirement not satisfied",
     ),
     "trace-pairs-object": (
@@ -254,14 +263,6 @@ CASES = {
     "trace-words-object": (
         lambda: _set_delta(1, "words", {}),
         "step 1: malformed: words is not a list",
-    ),
-    "trace-witness-object": (
-        lambda: _forged_witness(lambda step: step.__setitem__("witness_node", {})),
-        "step 1: malformed: witness_node is not a list",
-    ),
-    "trace-witness-string": (
-        lambda: _forged_witness(lambda step: step.__setitem__("witness_node", "")),
-        "step 1: malformed: witness_node is not a list",
     ),
     "trace-decoded-object": (
         lambda: _forged_trace(lambda data: data.__setitem__("decoded", {}), Flavor.PLAIN),
@@ -297,36 +298,51 @@ CASES = {
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-version-4": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-version-5": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 5)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-version-6": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 6)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-version-7": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 7)),
-        "malformed trace: conventions are not those of format version 8",
+        "malformed trace: conventions are not those of format version 9",
     ),
-    "trace-witness-length": (
-        lambda: _forged_witness(lambda step: step["witness_node"].append(99)),
-        "step 1: requirement not satisfied",
+    "trace-version-8": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 8)),
+        "malformed trace: conventions are not those of format version 9",
     ),
     "trace-witness-wrapped": (
-        lambda: _forged_witness(_format_7_witness),
+        lambda: _forged_tree_step(_format_7_witness),
         "step 1: malformed: step has keys ['extra', 'pairs', 'upper_sum', 'words'],"
-        " format gives ['pairs', 'upper_sum', 'witness_node', 'words']",
+        " format gives ['pairs', 'upper_sum', 'words']",
+    ),
+    "trace-witness-written": (
+        lambda: _forged_tree_step(lambda step: step.update(witness_node=[1])),
+        "step 1: malformed: step has keys ['pairs', 'upper_sum', 'witness_node', 'words'],"
+        " format gives ['pairs', 'upper_sum', 'words']",
+    ),
+    "trace-tree-residue": (
+        lambda: _forged_tree_step(
+            lambda step: step.update(pairs=[[1, 5]]), SparseCongruenceTree(1)
+        ),
+        "step 1: requirement not satisfied",
+    ),
+    "trace-tree-off-node": (
+        lambda: _forged_tree_step(lambda step: step.update(pairs=[[1, 6]]), _EXPLICIT, (3,)),
+        "step 1: requirement not satisfied",
     ),
     "growth-cycle-minimum": (
         lambda: _set_first_cycles([6, 7, 5]),

@@ -46,62 +46,62 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "1d593b5b545d2ac90812f1f648194a12"
-        "67b1053d24ccdcf8dca98c1a0155900e"
+        "9ea4037e4419c380ad56e31bcbaa0e77"
+        "81fef105a238a02e565f962a3bc0307c"
     ),
     "dagger-3-translation": (
-        "915716167b75d727bc0418e753153288"
-        "b315e502e31e259bdabb838dc4728150"
+        "d4990f3010f79a23cc111fa948524fde"
+        "387507fbf3339c758c391c961c07a0fb"
     ),
     "plain-trees": (
-        "ca2e0a594a0fc844ca41bc2f7028e9f2"
-        "95e2f519600a4e1911ce882aee48c5e0"
+        "7d143bb21f681b1675655e1878d16b84"
+        "acdcaff869bee8d74d10f12353652159"
     ),
     "plain-trees-sealed": (
         "7f4afa3fa9a4b038d33f3c3a8d919cc8"
         "8e6c64edaef52eced315c54bd3056a26"
     ),
     "staged-0": (
-        "038774ce6549f3347ba87b92bcf98ec1"
-        "cdd5650e7f62ef7e09fafcaa94e82927"
+        "c01233f721219f7d56ce89f2a46fcde3"
+        "32a758d6bb6a8839edfcbca3a7ef3536"
     ),
     "staged-1": (
-        "44fb7c35ce92cf5afedde5669b9e8a42"
-        "4d7aa8d985695a3920373fe8532347d1"
+        "7deb04a22fd73c1a0b8ac65c365677d6"
+        "e9f8b161b81520e27d0d1cc95f572ebb"
     ),
     "translation-trees": (
-        "4b17be387c46865f8d7b1231649cefd4"
-        "0a972505a57048380db9dd3d5cfb2c53"
+        "2bf3820039e4e8ff39766e96d8c4654f"
+        "433803b0fc119defe7dd3d82deed9ba5"
     ),
     "staged-trees-full": (
-        "ffe4d94101a54113aaa17f904b1b0423"
-        "681ff26139a8838794bae97e0262701b"
+        "82b07cc188f45f07ae63d0bc1ef7aa0c"
+        "90e1cc66faeffd6bbcbbcd841e1fc65c"
     ),
     "staged-trees-sparse-1": (
-        "693f9dfe8d949652b38fd1bb575c83f4"
-        "9412dd04d02f33eda403ddcd6c2d5f1c"
+        "563a16958741abeb1a4a269ef271b881"
+        "2277f316d9e397e69d7be7c7eafe7dd0"
     ),
     "staged-trees-sparse-2-5": (
-        "efc921d23568b6011d82bd3416b246b3"
-        "fc502b32e9e75efb41ba2f35e54879ee"
+        "7952d29396d3cf68a6faee7b2a7846b2"
+        "dab532da5539e9e798b74af883ed064b"
     ),
     "coding-chained": (
-        "7c4d48e837b1d7a3ce36e5768ff6a54c"
-        "c4cbd3c9175c0356e86d6f951d219b9d"
+        "166dbff44298940cc3e3e9f313750490"
+        "68b1b3d280e138b8355a22878db0a730"
     ),
     "dagger-chained-translation": (
-        "ba6f0768b8cbfc1124c7160a162c672b"
-        "e5cea50e72cd1c7829d7de859d3671f3"
+        "4c5891067781bd9bf945bd283f668d26"
+        "8e1908c16f95afe41ee099d0aa829401"
     ),
     "coding-group-words": (
-        "b927a15afcadd6b9f3d2e2f520ba2161"
-        "b2af76ba6f9e64f3aca48d0ea030aacd"
+        "7ca25f29f71cbe013c2fada97b493396"
+        "98bbe1c5d6d75dda435a91e9ca87a2c0"
     ),
 }
 

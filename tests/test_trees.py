@@ -84,6 +84,66 @@ def test_explicit_tree_extends_by_the_least_unbarred_child_value():
                 assert tree.extend_avoiding(node, barred) == min(free) == old[k]
 
 
+def _truncation_witnesses(tree, modulus: int) -> set:
+    """(node, k, v), node of length <= 3, for each node of the tree's truncation to 5 values
+    below 9 · modulus that extends node and has v < 8 at index k.
+
+    A breadth-first search of the truncation, by `contains` alone: each
+    level's nodes are grown by every value below the cap, and each is asked
+    for the values v < 8 at its next index.  Each residue class has 9
+    members below the cap, more than the at most 8 values a query's node,
+    its v and the indices between take, so the truncation agrees with the
+    tree on every query.
+    """
+    cap, level, found = 9 * modulus, [()], set()
+    for k in range(5):
+        if k:
+            level = [t + (u,) for t in level for u in range(cap) if tree.contains(t + (u,))]
+        for t in level:
+            for v in range(8):
+                if tree.contains(t + (v,)):
+                    found.update((t[:d], k, v) for d in range(min(k, 3) + 1))
+    return found
+
+
+@pytest.mark.parametrize(
+    "tree, modulus",
+    [(FullInjectiveTree(), 1), (SparseCongruenceTree(3, 7), 7), (SparseCongruenceTree(2, 5), 5)],
+    ids=["full", "sparse-3-7", "sparse-2-5"],
+)
+def test_a_generated_tree_admits_exactly_what_a_search_of_its_truncation_finds(tree, modulus):
+    """Every node of length <= 3 over values < 6, every k < 5 and every v < 8.
+
+    admits decides from the tree's class what the search finds among the
+    nodes of its explicit truncation: some node extends the node and has v
+    at index k, k at least the node's length.
+    """
+    witnesses = _truncation_witnesses(tree, modulus)
+    admitted = 0
+    for length in range(4):
+        for node in itertools.product(range(6), repeat=length):
+            for k, v in itertools.product(range(5), range(8)):
+                assert tree.admits(node, k, v) == ((node, k, v) in witnesses), (node, k, v)
+                admitted += tree.admits(node, k, v)
+    assert 0 < admitted < len(witnesses)
+
+
+def test_an_explicit_tree_admits_what_a_search_of_its_extensions_finds():
+    """500 trees of up to three branches of up to four values below 5, every node of length
+    <= 2 over values < 5, every k < 5 and every v < 6: admitted exactly when a strict extension
+    of the node has v at k, and never at an index inside the node."""
+    rng = random.Random(37)
+    for _ in range(500):
+        branches = [rng.sample(range(5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        tree = ExplicitTree(b[:i] for b in branches for i in range(len(b) + 1))
+        for length in range(3):
+            for node in itertools.product(range(5), repeat=length):
+                longer = tree.strict_extensions(node) if tree.contains(node) else []
+                for k, v in itertools.product(range(5), range(6)):
+                    want = k >= length and any(len(t) > k and t[k] == v for t in longer)
+                    assert tree.admits(node, k, v) == want, (tree, node, k, v)
+
+
 def _probes_of_a_walk(tree, resume: bool) -> int:
     """Probes of a 300-step walk over 2,000 barred values, each step barring two more once.
 

@@ -30,6 +30,11 @@ verified trace and of `stage_to_data(seal(...))` of it:
     python3 tools/trace_digests.py            # print the digests
     python3 tools/trace_digests.py --check    # compare with tools/trace_digests.txt
 
+The digests cover the traces as the current format version writes them
+(its `conventions` included), so a format bump re-pins every line but the
+two digested by their error; format version 9, whose tree steps write no
+witness node, did.
+
 Run from the root of a checkout; the library is imported from `src/`.  It
 takes 6 to 9 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
 in the tier-1 job.  `--check` exits 1 and names the runs whose digest
