@@ -42,8 +42,12 @@ def parse_bits(text: str) -> tuple[int, ...]:
 
 
 def _load_json(path: str):
+    """The file's JSON value; ValueError for one that is not UTF-8 JSON, or nests too deep to read."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nests too deep to read") from None
 
 
 def _load_oracle(spec: str):
@@ -157,10 +161,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     try:
         data = _load_json(args.trace)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot read trace: {exc}", 2)
-    except json.JSONDecodeError as exc:
-        return _fail(f"not JSON: {exc}", 2)
     try:
         E.verify_trace_data(data)
     except Refused as exc:
@@ -172,10 +174,8 @@ def cmd_verify(args) -> int:
 def cmd_decode(args) -> int:
     try:
         data = _load_json(args.source)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot read input: {exc}", 2)
-    except json.JSONDecodeError as exc:
-        return _fail(f"not JSON: {exc}", 2)
     if not (isinstance(data, dict) and ("final" in data or "cycles" in data)):
         return _fail("input holds neither a trace nor a stage", 2)
     try:

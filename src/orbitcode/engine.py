@@ -7,15 +7,15 @@ forcing operation that takes it: the engine stores the condition the
 operation returns and checks nothing again, and a step whose requirement
 was already met stores the condition before it.  A trace serializes to
 JSON that an independent verifier replays without trusting the run.
-Format version 9 writes each step as one flat object, its delta:
+Format version 10 writes each step as one flat object, its delta:
 the `pairs` and `words` its upper condition adds to the previous one,
-which is its lower condition, and `upper_sum`, a checksum of the upper
-condition kept in O(delta).  A tree step writes the same three keys: its
+which is its lower condition.  A tree step writes the same two keys: its
 tree decides whether it admits the pair the step adds, so no witness node
 is written.  No fixed-point set is written: a word's set is frozen from
 the step it enters E, and the verifier recomputes what it checks.  Its
 requirement is the schedule's entry; only the final condition's map and
-words are written whole, and no number the reader derives: a stage's
+words are written whole, each step's delta must be part of them, and no
+number the reader derives is written: a checksum, a stage's
 index or window, a growth event's target or the window it reaches.
 
 Windowed oracles may refuse evaluations mid-step; the engine then grows the
@@ -29,7 +29,6 @@ checks in place of growing the stages again.
 from __future__ import annotations
 
 import copy
-import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -48,7 +47,7 @@ from .errors import (
 )
 
 CONVENTIONS = {
-    "format_version": 9,
+    "format_version": 10,
     "prime_indexing": "p0=2",
     "integer_pairing": "0,-1,1,-2,2,...",
     "orbit_order": "closed orbits sorted by minimum",
@@ -110,15 +109,20 @@ def requirement_to_data(req: Requirement, oracle) -> dict:
     raise TypeError(f"not a requirement: {req!r}")
 
 
-def requirement_from_data(data: Mapping, oracle) -> Requirement:
-    """The requirement an entry writes; ValueError for a word that reduces to the identity."""
+def requirement_from_data(data: Mapping, oracle, parsed: Mapping = {}) -> Requirement:
+    """The requirement an entry writes; ValueError for a word that reduces to the identity.
+
+    A word text `parsed` holds, as its parse, is not parsed again.
+    """
     kind = data["kind"]
     if kind == "domain_hits":
         return DomainHits(I.wire_int(data["n"]))
     if kind == "range_hits":
         return RangeHits(I.wire_int(data["m"]))
     if kind == "word_added":
-        word = W.parse_word(data["word"], oracle)
+        text = data["word"]
+        cached = isinstance(text, str) and text in parsed
+        word = parsed[text] if cached else W.parse_word(text, oracle)
         if word.is_identity:
             raise ValueError(f"word_added word {data['word']!r} reduces to the identity")
         return WordAdded(word)
@@ -400,30 +404,14 @@ def auto_schedule(flavor, n: int) -> list[Requirement]:
     return reqs
 
 
-def _upper_sum(total: int, pairs, texts) -> int:
-    """total plus the 8-byte blake2b digest of "n m" per pair and "w " + text per word, mod 2^64.
-
-    Summed from 0 over the deltas up to a step, it commits that step to its
-    whole upper condition at O(delta) cost, and a step writes it in hex.
-    """
-    for item in [f"{n} {m}" for n, m in pairs] + ["w " + text for text in texts]:
-        total += int.from_bytes(hashlib.blake2b(item.encode(), digest_size=8).digest(), "big")
-    return total % 2**64
-
-
 def _steps_to_data(trace: RunTrace, oracle) -> list[dict]:
     """Each step's delta against the condition before it, the run's start before step 0.
 
     Each lower condition is a version of its step's map, so no delta compares dicts.
     """
-    steps, total, lower = [], 0, trace.start
-    for step in trace.steps:
-        data = F.certificate_to_data(step.condition, lower, oracle)
-        lower = step.condition
-        total = _upper_sum(total, data["pairs"], data["words"])
-        data["upper_sum"] = f"{total:016x}"
-        steps.append(data)
-    return steps
+    lowers = [trace.start] + [step.condition for step in trace.steps]
+    return [F.certificate_to_data(step.condition, lower, oracle)
+            for step, lower in zip(trace.steps, lowers)]
 
 
 def trace_to_data(trace: RunTrace, oracle) -> dict:
@@ -460,14 +448,14 @@ _TRACE_KEYS = frozenset(
     ("conventions", "flavor", "target", "oracle", "schedule", "steps", "final", "decoded",
      "growth_events")
 )
-_STEP_KEYS = frozenset(("pairs", "words", "upper_sum"))
+_STEP_KEYS = frozenset(("pairs", "words"))
 _GROWTH_KEYS = frozenset(("step", "required", "cycles"))
 _CONDITION_KEYS = frozenset(("injection", "words"))
 
 
-def _requirement_from_entry(entry, oracle) -> Requirement:
+def _requirement_from_entry(entry, oracle, parsed: dict) -> Requirement:
     """A schedule entry exactly as requirement_to_data writes it: keys, tree, word text."""
-    req = requirement_from_data(entry, oracle)
+    req = requirement_from_data(entry, oracle, parsed)
     written = requirement_to_data(req, oracle)
     I.wire_object(entry, written.keys(), "schedule entry")
     for key, value in written.items():
@@ -533,30 +521,34 @@ def verify_trace_data(data: Mapping) -> None:
     """Replay a serialized trace from scratch and recheck every claim in it.
 
     Anything trace_to_data would not write is malformed: a key missing from an
-    object's closed key set or outside it (a step's is `pairs`, `words` and
-    `upper_sum`, a tree step's too), a list written as another type (a step's
-    pairs or words, the target or the decoded bits), a number that is not a
-    JSON integer (or a bit other than 0 or 1), a schedule entry other than its
-    requirement writes, a delta (the step itself, see
-    forcing.verify_certificate_data) or the final condition with pairs or word
-    texts out of order or form, an embedded stage seal did not make, other
-    conventions, and growth events off the engine's rule.  Each step's upper
+    object's closed key set or outside it (a step's is `pairs` and `words`, a
+    tree step's too), a list written as another type (a step's pairs or words,
+    the target or the decoded bits), a number that is not a JSON integer (or a
+    bit other than 0 or 1), a schedule entry other than its requirement
+    writes, a delta (the step itself, see forcing.verify_certificate_data) or
+    the final condition with pairs or word texts out of order or form, an
+    embedded stage seal did not make, other conventions, and growth events off
+    the engine's rule.  The final condition is read first.  Each step's upper
     condition, the one before it plus its delta, each word text parsed once,
     must extend the condition before it, no word of that condition gaining a
-    fixed point, validate, and meet its schedule entry, a tree step's when its
-    tree admits a pair (k, v) the step adds (trees.InjectiveTree.admits), which
-    no condition before the step can meet; a step whose entry the condition
-    before it already met must add nothing, as the engine does; and last, its
-    `upper_sum` must be the running sum.  A step whose pairs and words are both
-    empty has the condition before it as its upper condition, which the step
-    before validated or which is the empty condition every flavor admits, so it
-    is checked only against its entry and the sum: no delta is parsed, no order
-    rechecked and nothing validated again.  validate is given the condition
-    before a step, so its coding clause compares only the code bits the step
-    adds.  So a step parses and inserts only its delta, with_pairs makes its
-    map a new version of lower's without copying it, and no fixed-point set is
-    read off the wire.  The final condition and decoded bits must recompute;
-    Refused names the first claim that fails, and the step it fails at.
+    fixed point; every pair and word its delta adds must be the final
+    condition's, one lookup each, so a forged delta is refused at its own
+    step; then the upper condition must validate and meet its schedule entry,
+    a tree step's when its tree admits a pair (k, v) the step adds
+    (trees.InjectiveTree.admits), which no condition before the step can
+    meet; and a step whose entry the condition before it already met must add
+    nothing, as the engine does.  A step whose pairs and words are both empty
+    has the condition before it as its upper condition, which the step before
+    validated or which is the empty condition every flavor admits, so it is
+    checked only against its entry: no delta is parsed, no order rechecked and
+    nothing validated again.  validate is given the condition before a step,
+    so its coding clause compares only the code bits the step adds.  So a step
+    parses and inserts only its delta, with_pairs makes its map a new version
+    of lower's without copying it, and no fixed-point set is read off the
+    wire.  Last, the replay, which the final condition holds, must be all of
+    it, else the refusal names the first pair or word no step adds, and the
+    decoded bits must recompute; Refused names the first claim that fails, and
+    the step it fails at.
     """
     i = None  # the step being replayed; None before and after the steps
     try:
@@ -574,21 +566,30 @@ def verify_trace_data(data: Mapping) -> None:
         if data["conventions"] != CONVENTIONS:
             version = CONVENTIONS["format_version"]
             raise ValueError(f"conventions are not those of format version {version}")
-        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 9.0
+        I.wire_int(data["conventions"]["format_version"])  # equal, but maybe written 10.0
         if len(schedule) != len(steps):
             raise ValueError("schedule and steps disagree in length")
         _check_growth(data["growth_events"], oracle, len(schedule))
         parsed: dict = {}
-        total = 0
+        final = I.wire_object(data["final"], _CONDITION_KEYS, "final")
+        try:
+            goal = F.condition_from_data(final, c.flavor, c.target, oracle, parsed)
+        except (TypeError, ValueError, OrbitCodeError) as exc:
+            raise ValueError(f"final: {exc}") from None
         for i, (entry, step) in enumerate(zip(schedule, steps)):
-            req = _requirement_from_entry(entry, oracle)
-            if isinstance(req, WordAdded):  # the entry's text is its parse's, so the delta's reads it
-                parsed.setdefault(entry["word"], req.word)
+            req = _requirement_from_entry(entry, oracle, parsed)
             I.wire_object(step, _STEP_KEYS, "step")
             lower, met = c, False
             if step["pairs"] != [] or step["words"] != []:  # else c is its own upper condition
                 met = _requirement_holds(req, lower, lower, oracle)
                 c = F.verify_certificate_data(step, lower, oracle, parsed)
+                for n, m in step["pairs"]:
+                    if (image := goal.s.apply(n)) != m:
+                        has = f"has no image for {n}" if image is None else f"maps {n} to {image}"
+                        raise Refused(f"pair ({n}, {m}) is not in the final condition, which {has}")
+                for text in step["words"]:
+                    if parsed[text] not in goal.words:
+                        raise Refused(f"word {text!r} is not in the final condition")
                 try:
                     F.validate(c, oracle, lower)
                 except Refused as exc:
@@ -597,13 +598,11 @@ def verify_trace_data(data: Mapping) -> None:
                 raise Refused("requirement not satisfied")
             if met:
                 raise Refused("requirement already met, but the step changes the condition")
-            total = _upper_sum(total, step["pairs"], step["words"])
-            if step["upper_sum"] != f"{total:016x}":
-                raise Refused(f"upper_sum {step['upper_sum']!r}, but deltas sum to {total:016x}")
         i = None
-        final = I.wire_object(data["final"], _CONDITION_KEYS, "final")
-        if F.condition_from_data(final, c.flavor, c.target, oracle, parsed) != c:
-            raise Refused("final condition does not match the last step")
+        if goal != c:  # every step's delta is in goal, so goal holds more
+            extra = [f"pair ({n}, {m})" for n, m in final["injection"] if c.s.apply(n) is None]
+            extra += [f"word {text!r}" for text in final["words"] if parsed[text] not in c.words]
+            raise Refused(f"final condition holds {extra[0]}, which no step adds")
         decoded = I.wire_list(data["decoded"], "decoded")
         if _decode_final(c) != tuple(I.wire_int(b, bit=True) for b in decoded):
             raise Refused("decoded bits do not match the final condition")

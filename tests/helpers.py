@@ -24,7 +24,6 @@ describes it.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import replace
 
@@ -365,24 +364,10 @@ def delta_unions(data) -> list[tuple[list[list[int]], list[str]]]:
     return out
 
 
-def upper_sum(pairs, texts) -> str:
-    """The checksum of a whole condition, summed from scratch: 16 hex digits.
-
-    The sum, mod 2^64, of the 8-byte blake2b digest of "n m" for each pair
-    and of "w " + text for each word text, each read as a big-endian number.
-    """
-    items = [f"{n} {m}" for n, m in pairs] + ["w " + text for text in texts]
-    total = sum(
-        int.from_bytes(hashlib.blake2b(item.encode(), digest_size=8).digest(), "big")
-        for item in items
-    )
-    return format(total % 2**64, "016x")
-
-
 def reseal(data) -> None:
-    """Rewrite each step's upper_sum for the union of its deltas, after a forger edits a delta."""
-    for step, (pairs, texts) in zip(data["steps"], delta_unions(data)):
-        step["upper_sum"] = upper_sum(pairs, texts)
+    """Rewrite `final` as the union of the deltas, after a forger edits a delta."""
+    pairs, texts = delta_unions(data)[-1]
+    data["final"] = {"injection": pairs, "words": texts}
 
 
 def refusal(call, *args) -> str:

@@ -22,6 +22,7 @@ from orbitcode import (
     Flavor,
     FullInjectiveTree,
     KTooSmall,
+    OrbitCoded,
     PartialInjection,
     RangeHits,
     SparseCongruenceTree,
@@ -46,6 +47,7 @@ from orbitcode import (
     leq,
     o_dagger,
     orbit_of,
+    parse_word,
     plain_condition,
     power,
     run,
@@ -58,6 +60,7 @@ from orbitcode import (
     trivial_oracle,
     validate,
     verify_tightness_sample,
+    verify_trace_data,
     word_graph,
     x_power,
 )
@@ -377,61 +380,86 @@ def test_criterion_09_staged_construction():
     print(f"criterion 9 (staged construction, 3 stages, {elapsed:.2f}s): PASS")
 
 
-def test_criterion_10_replay_integrity(tmp_path, capsys):
-    oracle = trivial_oracle()
-    trace = run(Flavor.CODING, (1, 0, 1, 1), auto_schedule(Flavor.CODING, 4), oracle)
-    data = json.loads(json.dumps(trace_to_data(trace, oracle)))
-    clean = tmp_path / "trace.json"
-    clean.write_text(json.dumps(data), encoding="utf-8")
-    assert cli_main(["verify", str(clean)]) == 0
-    capsys.readouterr()
-    last = len(data["steps"]) - 1
+def _replay_corpus() -> dict:
+    """The traces criterion 10 forges, on the wire, by name."""
+    trivial = trivial_oracle()
+    stages = staged_run([(1,), (1,)])
+    v = parse_word("g1.x.g1.x", TRANS)
+    trees = [FullInjectiveTree(), SparseCongruenceTree(1)]
+    builds = {
+        "coding-auto-4": (run(Flavor.CODING, (1, 0, 1, 1), auto_schedule(Flavor.CODING, 4),
+                              trivial), trivial),
+        "coding-chained": (run(Flavor.CODING, (1, 0, 1, 1, 0, 1), [OrbitCoded(5)], trivial),
+                           trivial),
+        "dagger-translation": (run(Flavor.DAGGER, (1, 0, 1),
+                                   [WordAdded(v)] + auto_schedule(Flavor.DAGGER, 3), TRANS), TRANS),
+        "plain-trees": (run(Flavor.PLAIN, None, auto_schedule(Flavor.PLAIN, 3)
+                            + [TreeDiagonalized(tree) for tree in trees], trivial), trivial),
+        "stage-1": (stages[1].trace, staged_oracle(stages[:1])),
+    }
+    return {name: json.loads(json.dumps(trace_to_data(trace, oracle)))
+            for name, (trace, oracle) in builds.items()}
 
-    def assert_fails(broken, step_index):
-        """verify refuses, at a step at most one past step_index, or at final."""
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(broken), encoding="utf-8")
-        assert cli_main(["verify", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "verification failed" in err
-        numbered = re.search(r"step (\d+)", err)
-        if numbered:
-            assert step_index is not None and int(numbered.group(1)) <= step_index + 1
-        else:
-            # a drift in the last delta can surface only at the final-condition
-            # comparison, and a forged final pair at its parse
-            assert step_index is None or (step_index == last and "final" in err)
 
-    fresh = 1 + max(n for pair in data["final"]["injection"] for n in pair)
-
-    def forgeries(step_index):
-        """Each delta pair shifted on either side or dropped, a fresh pair added, the sum moved."""
-        for pair_index in range(len(data["steps"][step_index]["pairs"])):
-            for side in (0, 1):
-                broken = copy.deepcopy(data)
-                broken["steps"][step_index]["pairs"][pair_index][side] += 1
-                yield broken
+def _delta_forgeries(data, step_index, fresh):
+    """Each pair of a step's delta shifted on either side or dropped, and a fresh pair added."""
+    for pair_index in range(len(data["steps"][step_index]["pairs"])):
+        for side in (0, 1):
             broken = copy.deepcopy(data)
-            del broken["steps"][step_index]["pairs"][pair_index]
+            broken["steps"][step_index]["pairs"][pair_index][side] += 1
             yield broken
         broken = copy.deepcopy(data)
-        # above every point, so the pairs stay in order
-        broken["steps"][step_index]["pairs"].append([fresh, fresh + 1])
+        del broken["steps"][step_index]["pairs"][pair_index]
         yield broken
-        broken = copy.deepcopy(data)
-        written = int(broken["steps"][step_index]["upper_sum"], 16)
-        broken["steps"][step_index]["upper_sum"] = f"{(written + 1) % 2**64:016x}"
-        yield broken
+    broken = copy.deepcopy(data)
+    # above every point, so the pairs stay in order
+    broken["steps"][step_index]["pairs"].append([fresh, fresh + 1])
+    yield broken
 
+
+def _final_forgeries(data):
+    """(forged trace, the step that adds the pair) per final pair shifted on either side."""
+    for pair_index, pair in enumerate(data["final"]["injection"]):
+        adds = next(i for i, step in enumerate(data["steps"]) if pair in step["pairs"])
+        for side in (0, 1):
+            broken = copy.deepcopy(data)
+            broken["final"]["injection"][pair_index][side] += 1
+            yield broken, adds
+
+
+def test_criterion_10_replay_integrity(tmp_path, capsys):
+    """A coding trace, one step chaining six closures, a dagger run over group letters, tree
+    steps and a stage-1 trace, each forged one pair at a time; all under 5 s.
+
+    A forged delta is refused at most one step past its own, or at the final
+    comparison if it is the last; a forged final pair names "final", at its
+    parse or at the step that adds the pair it no longer holds.
+    """
+    started = time.monotonic()
     mutations = 0
-    for step_index in range(len(data["steps"])):
-        for broken in forgeries(step_index):
-            assert_fails(broken, step_index)
+    for name, data in _replay_corpus().items():
+        clean = tmp_path / f"{name}.json"
+        clean.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["verify", str(clean)]) == 0, name
+        capsys.readouterr()
+        last = len(data["steps"]) - 1
+        fresh = 1 + max(n for pair in data["final"]["injection"] for n in pair)
+        for step_index in range(len(data["steps"])):
+            for broken in _delta_forgeries(data, step_index, fresh):
+                err = helpers.refusal(verify_trace_data, broken)
+                numbered = re.match(r"step (\d+): ", err)
+                if numbered:
+                    assert int(numbered.group(1)) <= step_index + 1, (name, step_index, err)
+                else:
+                    # a drift in the last delta can surface only at the final comparison
+                    assert step_index == last and err.startswith("final condition"), (name, err)
+                mutations += 1
+        for broken, adds in _final_forgeries(data):
+            err = helpers.refusal(verify_trace_data, broken)
+            assert "final" in err, (name, err)
+            assert err.startswith((f"step {adds}: pair ", "malformed trace: final: ")), (name, err)
             mutations += 1
-    for pair_index in range(len(data["final"]["injection"])):
-        broken = copy.deepcopy(data)
-        broken["final"]["injection"][pair_index][0] += 1
-        assert_fails(broken, None)
-        mutations += 1
-    assert mutations > 50
-    print(f"criterion 10 (replay integrity, {mutations} mutations): PASS")
+    elapsed = time.monotonic() - started
+    assert mutations > 200
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    print(f"criterion 10 (replay integrity, {mutations} mutations, {elapsed:.2f}s): PASS")

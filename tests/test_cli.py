@@ -233,6 +233,29 @@ def test_verify_rejects_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each reader's argv, given the file it reads and where a run writes its trace
+READERS = {
+    "verify": lambda path, out: ["verify", path],
+    "decode": lambda path, out: ["decode", path, "--mode", "orbit_order"],
+    "run-schedule": lambda path, out: [
+        "run", "--flavor", "coding", "--bits", "1", "--schedule", path, "--out", out],
+    "run-staged-oracle": lambda path, out: [
+        "run", "--flavor", "dagger", "--bits", "1", "--schedule", "auto:1",
+        "--oracle", f"staged:{path}", "--out", out],
+}
+HOSTILE = {"not-utf8": b"\xff\xfe", "too-deep": b"[" * 200_000 + b"]" * 200_000}
+
+
+@pytest.mark.parametrize("content", HOSTILE.values(), ids=HOSTILE.keys())
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_a_json_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, reader, content):
+    """Every reader of a JSON file exits 2, with no traceback, on one that is not UTF-8 or nests
+    arrays 200,000 deep."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    _assert_usage_error(capsys, *reader(str(bad), str(tmp_path / "t.json")))
+
+
 @pytest.mark.parametrize("schedule, steps", [(3, 5), ([], 5), (3, [])])
 def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
     tmp_path, capsys, schedule, steps
@@ -249,7 +272,8 @@ def test_verify_reports_a_schedule_or_steps_that_is_not_a_list(
     "key, value",
     [("format_version", 1), ("format_version", 2), ("format_version", 3),
      ("format_version", 4), ("format_version", 5), ("format_version", 6),
-     ("format_version", 7), ("format_version", 8), ("format_version", 99),
+     ("format_version", 7), ("format_version", 8), ("format_version", 9),
+     ("format_version", 99),
      ("prime_indexing", "p1=2")],
 )
 def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, value):
@@ -261,7 +285,7 @@ def test_verify_rejects_a_trace_with_other_conventions(tmp_path, capsys, key, va
     data["conventions"][key] = value
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "format version 9" in capsys.readouterr().err
+    assert "format version 10" in capsys.readouterr().err
 
 
 def test_verify_flags_a_tampered_pair(tmp_path, capsys):
@@ -300,7 +324,8 @@ def test_verify_flags_a_changed_delta_pair(tmp_path, capsys):
     step["pairs"][0][1] += 1
     out.write_text(json.dumps(data), encoding="utf-8")
     assert run_cli("verify", str(out)) == 1
-    assert "step 0: upper_sum" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "step 0: pair (0, 1) is not in the final condition, which maps 0 to 0" in err
 
 
 def test_decode_needs_a_bound_for_prime_parity(tmp_path, capsys):

@@ -286,7 +286,7 @@ def test_staged_verify_examines_half_the_words_of_facts_derived_from_scratch(mon
 
 
 def test_staged_verify_parses_a_word_added_entry_once(monkeypatch):
-    """The step's delta reads the word its schedule entry parsed."""
+    """Each word text is parsed once: `final`'s parse, which a word_added entry and a delta read."""
     texts = [text for code in STRATA_TRIPLES for text in _stage_texts(code)]
     entries = sum(entry["kind"] == "word_added"
                   for text in texts for entry in json.loads(text)["schedule"])

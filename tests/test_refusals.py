@@ -2,14 +2,14 @@
 
 One case per clause of `validate`, `leq`, `verify_certificate_data`, the
 closing clauses of `verify_trace_data`, its clause on a step whose entry
-was already met and on a step's `upper_sum`, the clauses on a delta in a
-form the writer never writes, a list the writer writes written as another
+was already met and on a pair or word a step adds that the final condition
+does not hold, the clauses on a delta in a form the writer never writes, a list the writer writes written as another
 type, a step that adds nothing to a condition that does not meet its entry,
 a tree step whose pair its tree does not admit, those
 on a growth event's cycles and the stages they grow, and the closed key
 sets of a step, an embedded stage, a growth event and `final`, which hold
 none of the numbers their reader derives and no object format 7 wrapped a
-step's parts in; each case builds the call and its arguments, and the
+step's parts in, nor the checksum format 9 wrote; each case builds the call and its arguments, and the
 refusal it raises must read exactly as listed.  leq's gain clause formats
 its text only when it is read, so a last test holds each such refusal of a
 staged run to the text formatted at the moment it was raised.
@@ -94,6 +94,7 @@ def _forged_tree_step(forge, tree=FullInjectiveTree(), node=()):
     schedule = [DomainHits(0), TreeDiagonalized(tree, node)]
     data = json.loads(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, TRIV), TRIV)))
     forge(data["steps"][1])
+    helpers.reseal(data)  # so a forged pair reaches the tree
     return verify_trace_data, data
 
 
@@ -212,9 +213,17 @@ CASES = {
         lambda: _set_delta(1, "words", ["x"], Flavor.DAGGER),
         "step 1: requirement already met, but the step changes the condition",
     ),
-    "trace-upper-sum": (
-        lambda: _forged_trace(lambda data: data["steps"][3].__setitem__("upper_sum", "0" * 16)),
-        "step 3: upper_sum '0000000000000000', but deltas sum to de0805d239259f0d",
+    "trace-pair-not-in-final": (
+        lambda: _set_delta(4, "pairs", [[2, 3]]),
+        "step 4: pair (2, 3) is not in the final condition, which maps 2 to 1",
+    ),
+    "trace-pair-without-final-image": (
+        lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),
+        "step 4: pair (2, 1) is not in the final condition, which has no image for 2",
+    ),
+    "trace-word-not-in-final": (
+        lambda: _forged_trace(lambda data: data["final"]["words"].remove("x^3"), Flavor.DAGGER),
+        "step 6: word 'x^3' is not in the final condition",
     ),
     "trace-delta-repeats-a-pair": (
         lambda: _set_delta(4, "pairs", [[1, 2], [2, 1]]),
@@ -278,61 +287,65 @@ CASES = {
     ),
     "trace-certificate-missing-key": (
         lambda: _forged_trace(lambda data: data["steps"][1].pop("words")),
-        "step 1: malformed: step has keys ['pairs', 'upper_sum'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['pairs'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-certificate-extra-key": (
         lambda: _set_delta(1, "upper", {}),
-        "step 1: malformed: step has keys ['pairs', 'upper', 'upper_sum', 'words'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['pairs', 'upper', 'words'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-certificate-snapshots": (
         lambda: _set_delta(1, "fixpoint_snapshots", []),
-        "step 1: malformed: step has keys ['fixpoint_snapshots', 'pairs', 'upper_sum', 'words'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['fixpoint_snapshots', 'pairs', 'words'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-certificate-wrapped": (
         lambda: _forged_trace(lambda data: _format_7_step(data["steps"][1])),
-        "step 1: malformed: step has keys ['certificate', 'upper_sum'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['certificate'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-version-2": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 2)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-3": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 3)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-4": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 4)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-5": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 5)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-6": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 6)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-7": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 7)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-version-8": (
         lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 8)),
-        "malformed trace: conventions are not those of format version 9",
+        "malformed trace: conventions are not those of format version 10",
+    ),
+    "trace-version-9": (
+        lambda: _forged_trace(lambda data: data["conventions"].__setitem__("format_version", 9)),
+        "malformed trace: conventions are not those of format version 10",
     ),
     "trace-witness-wrapped": (
         lambda: _forged_tree_step(_format_7_witness),
-        "step 1: malformed: step has keys ['extra', 'pairs', 'upper_sum', 'words'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['extra', 'pairs', 'words'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-witness-written": (
         lambda: _forged_tree_step(lambda step: step.update(witness_node=[1])),
-        "step 1: malformed: step has keys ['pairs', 'upper_sum', 'witness_node', 'words'],"
-        " format gives ['pairs', 'upper_sum', 'words']",
+        "step 1: malformed: step has keys ['pairs', 'witness_node', 'words'],"
+        " format gives ['pairs', 'words']",
     ),
     "trace-tree-residue": (
         lambda: _forged_tree_step(
@@ -394,8 +407,12 @@ CASES = {
         "malformed trace: growth event 0: cycles must be 1 lists, one per stage",
     ),
     "trace-final": (
-        lambda: _forged_trace(lambda data: data["final"]["injection"].pop()),
-        "final condition does not match the last step",
+        lambda: _forged_trace(lambda data: data["final"]["injection"].append([3, 4])),
+        "final condition holds pair (3, 4), which no step adds",
+    ),
+    "trace-final-word": (
+        lambda: _forged_trace(lambda data: data["final"]["words"].append("x^4"), Flavor.DAGGER),
+        "final condition holds word 'x^4', which no step adds",
     ),
     "trace-decoded": (
         lambda: _forged_trace(lambda data: data.__setitem__("decoded", [0, 0])),

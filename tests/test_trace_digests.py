@@ -8,8 +8,8 @@ beside them, so a change to one without the other fails in this file.  The
 same builds check that every stored condition passes `leq` over the one
 before it, and that the deltas a trace writes encode the chain the run
 built: the union of the deltas up to each step is that step's upper
-condition, its `upper_sum` that union's checksum, and the last union the
-final condition.
+condition, each delta is contained in the final condition, and the last
+union is the final condition.
 """
 
 import hashlib
@@ -46,62 +46,62 @@ from orbitcode import (
 
 import helpers
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 CODING_BITS = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1)
 
 DIGESTS = {
     "coding-16": (
-        "9ea4037e4419c380ad56e31bcbaa0e77"
-        "81fef105a238a02e565f962a3bc0307c"
+        "7b04b5ddf84b741ae21473f38d9ec417"
+        "b8a4f2389ffa7abf5e118790e4ce5636"
     ),
     "dagger-3-translation": (
-        "d4990f3010f79a23cc111fa948524fde"
-        "387507fbf3339c758c391c961c07a0fb"
+        "23da36026cdfa8cb51c83ff511129925"
+        "2dfabcf58f1216df12f9ac18a0c01e0f"
     ),
     "plain-trees": (
-        "7d143bb21f681b1675655e1878d16b84"
-        "acdcaff869bee8d74d10f12353652159"
+        "0eccb7008efe17e814e9f587e869bff0"
+        "4215d1cd188749c768274feb7a5510a1"
     ),
     "plain-trees-sealed": (
         "7f4afa3fa9a4b038d33f3c3a8d919cc8"
         "8e6c64edaef52eced315c54bd3056a26"
     ),
     "staged-0": (
-        "c01233f721219f7d56ce89f2a46fcde3"
-        "32a758d6bb6a8839edfcbca3a7ef3536"
+        "a5fb29a3f1258c0052bc4e82a04edb5c"
+        "826113f535f9820ed9582a246a3dcd4e"
     ),
     "staged-1": (
-        "7deb04a22fd73c1a0b8ac65c365677d6"
-        "e9f8b161b81520e27d0d1cc95f572ebb"
+        "e985f6fede73f9c43c879ddea944c1aa"
+        "27f8fdbaa79c7a46974305808f18e018"
     ),
     "translation-trees": (
-        "2bf3820039e4e8ff39766e96d8c4654f"
-        "433803b0fc119defe7dd3d82deed9ba5"
+        "9e97f2685c6a2fe50ee39ed4803734e2"
+        "561116b1066370aeb7f8223c885184a6"
     ),
     "staged-trees-full": (
-        "82b07cc188f45f07ae63d0bc1ef7aa0c"
-        "90e1cc66faeffd6bbcbbcd841e1fc65c"
+        "9575f7e635edc6bdce8d63d047817784"
+        "68b672906c8c6858199efb66d3e508cc"
     ),
     "staged-trees-sparse-1": (
-        "563a16958741abeb1a4a269ef271b881"
-        "2277f316d9e397e69d7be7c7eafe7dd0"
+        "b612cd1a3091ba51095ef1bd53dd550e"
+        "8fbb746b531673a2ce6799655a8b6dea"
     ),
     "staged-trees-sparse-2-5": (
-        "7952d29396d3cf68a6faee7b2a7846b2"
-        "dab532da5539e9e798b74af883ed064b"
+        "65563f0c0a2f7bb80fc0e1672c1f6231"
+        "b98d3488e6fc80faa29bc8d2262ca309"
     ),
     "coding-chained": (
-        "166dbff44298940cc3e3e9f313750490"
-        "68b1b3d280e138b8355a22878db0a730"
+        "2c2f79588e59ec651a961224891a1726"
+        "ba2dc17112ce9e5fc2232e168e3b24e9"
     ),
     "dagger-chained-translation": (
-        "4c5891067781bd9bf945bd283f668d26"
-        "8e1908c16f95afe41ee099d0aa829401"
+        "fb2571a7748eeb92f27791fb986e53a9"
+        "2f41dc6f25b3c45e5cd4d999f2b2bde2"
     ),
     "coding-group-words": (
-        "7ca25f29f71cbe013c2fada97b493396"
-        "98bbe1c5d6d75dda435a91e9ca87a2c0"
+        "518db0d27542bbd5cbf7fa9ef6409f45"
+        "ac084f2f4d4ca8ed224597e1b28fc2d0"
     ),
 }
 
@@ -212,10 +212,12 @@ def _coding_group_words():
 def _assert_deltas_encode_the_chain(trace, data, oracle):
     unions = helpers.delta_unions(data)
     assert len(unions) == len(trace.steps) > 0
+    image = dict(map(tuple, data["final"]["injection"]))
     for step, written, (pairs, texts) in zip(trace.steps, data["steps"], unions):
         upper = condition_to_data(step.condition, oracle)
         assert (pairs, texts) == (upper["injection"], upper["words"]), f"step {step.index}"
-        assert written["upper_sum"] == helpers.upper_sum(pairs, texts), f"step {step.index}"
+        assert all(image.get(n) == m for n, m in written["pairs"]), f"step {step.index}"
+        assert set(written["words"]) <= set(data["final"]["words"]), f"step {step.index}"
     assert (data["final"]["injection"], data["final"]["words"]) == unions[-1]
 
 

@@ -33,7 +33,8 @@ verified trace and of `stage_to_data(seal(...))` of it:
 The digests cover the traces as the current format version writes them
 (its `conventions` included), so a format bump re-pins every line but the
 two digested by their error; format version 9, whose tree steps write no
-witness node, did.
+witness node, did, and so did format version 10, whose steps write no
+`upper_sum`.
 
 Run from the root of a checkout; the library is imported from `src/`.  It
 takes 6 to 9 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
