@@ -454,9 +454,16 @@ _CONDITION_KEYS = frozenset(("injection", "words"))
 
 
 def _requirement_from_entry(entry, oracle, parsed: dict) -> Requirement:
-    """A schedule entry exactly as requirement_to_data writes it: keys, tree, word text."""
+    """A schedule entry exactly as requirement_to_data writes it: keys, tree, word text.
+
+    A word text `parsed` holds was checked as its parse's text when it was
+    parsed (forcing.map_and_words_from_data), so it is not formatted again.
+    """
     req = requirement_from_data(entry, oracle, parsed)
-    written = requirement_to_data(req, oracle)
+    if isinstance(req, WordAdded) and entry["word"] in parsed:
+        written = {"kind": "word_added", "word": entry["word"]}
+    else:
+        written = requirement_to_data(req, oracle)
     I.wire_object(entry, written.keys(), "schedule entry")
     for key, value in written.items():
         if entry[key] != value:

@@ -64,7 +64,7 @@ class StageExtensionFailed(OrbitCodeError):
 
 
 class TreeRefusedExtension(OrbitCodeError):
-    """A tree's extension oracle found no child whose value is not barred."""
+    """An explicit tree has no node above the given one that reaches the asked index."""
 
 
 class KTooSmall(OrbitCodeError):

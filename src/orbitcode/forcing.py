@@ -355,54 +355,36 @@ def avoidance_bound(
 def many_extensions(
     c: Condition, tree: T.InjectiveTree, node: T.Node, count: int, oracle
 ) -> tuple[T.Node, tuple[tuple[int, int], ...]]:
-    """Walk the tree yielding one-point extensions of c up to the first with value ≥ `count`.
+    """The pair (k, v) a tree step adds to c from node, and the tree's node ending with v at k.
 
-    The walk grows the node by one value per depth j, and (j, v) is an
-    option when j is outside the domain: v is outside the range and v ≠ g(j)
-    for each g in the word set's group restriction, since the barred set
-    holds them, so each option extends c on its own.  Options come in
-    increasing j with distinct values, so at most count + 1 come, and at
-    most len(c.s) depths yield none; the node returned ends at the last.
-    Words must all have a single x occurrence, so each is g·x: under s plus
-    fresh pairs it gains a fixed point only at a new k, and only when
-    g(v) = k for that k's pair.  What the options gain together is thus
-    what each gains alone, and one leq of c plus all of them certifies the
-    walk; if it refuses, its least gained point is the index of the first
-    option in walk order that gains.  A window miss propagates from the
-    evaluation that meets it.  One barred set serves the whole walk: the
-    node's values and the range, each grown value added once, and at depth
-    j the images g(j) for that depth only.
+    k is the least index at or past node's length outside the domain at
+    which the tree has a value v ≥ `count` that is outside the range and is
+    neither k nor g(k) for a group element g of the word set's restriction,
+    and v is the least such value: tree.extend_avoiding answers at each k,
+    and a generated tree answers at the first.  Words must all have a
+    single x occurrence, so each is g·x, which under s plus the fresh pair
+    gains a fixed point only at k, and only when g(v) = k: barring g(k)
+    keeps that out, and barring k keeps out x's.  A window miss propagates
+    from the evaluation that meets it.
     """
     for w in c.words:
         if w.x_count() != 1:
             raise PreconditionViolated(
                 f"word {W.format_word(w, oracle)!r} has more than one x"
             )
-    # the identity maps p to p, so barring j answers it without the oracle
+    # the identity maps p to p, so barring k answers it without the oracle
     others = _nonidentity_handles(c.words, oracle)
-    grown = list(node)
-    barred = T.Barred(itertools.chain(grown, c.s.range))
-    options: list[tuple[int, int]] = []
-    for _ in range(len(c.s) + count + 1):
-        j = len(grown)
-        barred.once = frozenset([j, *(oracle.eval(h, j) for h in others)])
-        v = tree.extend_avoiding(grown, barred)
-        grown.append(v)
-        barred.add(v)
-        if c.s.apply(j) is not None:
-            continue
-        options.append((j, v))
-        if v >= count:
-            upper = c.s.with_pairs(options)
-            try:
-                leq(Condition(upper, c.words, c.flavor, c.target), c, oracle)
-            except Refused as exc:
-                k = min(min(points) for points in exc.fields["gains"].values())
-                raise InternalCheckFailed(
-                    f"avoidance clauses missed a fixed point at {(k, upper.apply(k))}"
-                ) from exc
-            return tuple(grown), tuple(options)
-    raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
+    k = len(node)
+    while True:
+        while c.s.apply(k) is not None:
+            k += 1
+        images = {k, *(oracle.eval(h, k) for h in others)}
+        v = tree.extend_avoiding(
+            node, k, count, lambda u: u in images or c.s.apply_inverse(u) is not None
+        )
+        if v is not None:
+            return tree.branch(node, k, v), ((k, v),)
+        k += 1
 
 
 def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
@@ -417,15 +399,13 @@ def _single_occurrence_subwords(w: W.Word) -> set[W.Word]:
 def tree_extend(
     c: Condition, tree: T.InjectiveTree, node: T.Node, oracle
 ) -> tuple[Condition, T.Node]:
-    """One new pair (k, t(k)) read off a positive tree, below c, and the witness t.
+    """One new pair (k, v) read off a positive tree, below c, and the witness t.
 
-    The witness t extends node and ends at its index k.  Splits E into
-    single-x words (plus the single-x subwords of the rest) for the option
-    search, which stops at the first option clearing the avoidance bound N:
-    more than N options with pairwise distinct values guarantee one.  A
-    single-x word g·x gains a fixed point under fresh pairs only at a pair
-    (k, v) with g(v) = k, so many_extensions checks its options with one
-    leq together.
+    The witness t is a node of the tree that extends node and ends with v
+    at its index k.  Splits E into single-x words (plus the single-x
+    subwords of the rest) for the pick, many_extensions, whose value
+    clears the avoidance bound N, and certifies the pair with one check;
+    a refusal there means the avoidance clauses missed a fixed point.
     """
     if not tree.contains(node):
         raise PreconditionViolated(f"node {list(node)} is not in the tree")
@@ -436,10 +416,14 @@ def tree_extend(
         else:
             single |= _single_occurrence_subwords(w)
     scratch = plain_condition(c.s, single)
-    bound = avoidance_bound(c, oracle)
-    witness, options = many_extensions(scratch, tree, node, bound, oracle)
-    upper = Condition(c.s.with_pair(*options[-1]), c.words, c.flavor, c.target)
-    return _admissible(c, upper, oracle), witness
+    witness, ((k, v),) = many_extensions(scratch, tree, node, avoidance_bound(c, oracle), oracle)
+    upper = Condition(c.s.with_pair(k, v), c.words, c.flavor, c.target)
+    try:
+        return _admissible(c, upper, oracle), witness
+    except Refused as exc:
+        raise InternalCheckFailed(
+            f"avoidance clauses missed a fixed point at {(k, v)}"
+        ) from exc
 
 
 def closing_threshold(c: Condition, orbit: I.Orbit) -> int:

@@ -231,7 +231,7 @@ class PartialInjection:
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._live()) | frozenset(self._bwd)
+        return self.domain | self.range
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._live().items()))

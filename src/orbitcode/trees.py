@@ -1,26 +1,23 @@
 """Injective trees: prefix-closed sets of injective finite sequences.
 
 Explicit trees are finite node sets used for exact predicate checks.
-Every tree exposes an extension oracle: given a node and the values barred
-at its next index, it gives the value there of a child that is not barred,
-so a walk grows its node by one value per call.  A walk keeps one Barred
-set from node to node: the set holds the node's values and whatever the
-walk keeps out all along, and only grows, while `once` holds the values
-barred at the next index alone.  A generated tree takes the least unbarred
-value of one class (every natural, or one residue class) and resumes from
-the set's cursor for that class, so a walk of length L over a set of R
-values makes O(L + R) probes.
-Every tree also decides, with `admits`, whether some node extending a
-given one has a given value at a given new index: the check a trace's
-reader makes of a tree step's pair.
+Every tree answers one query, `extend_avoiding`: at a given index k at
+or past a node's length, the least value from a floor up, not barred,
+that some node of the tree extending the node has at k.  `branch` gives
+that node, and `admits` decides, without one, whether some node extending
+a given one has a given value at a given new index: the check a trace's
+reader makes of a tree step's pair.  A generated tree answers from its
+class at k (every natural, or one residue class), which is infinite, so it
+always has such a value and fills the indices between arithmetically; an
+explicit tree answers from its own nodes, and refuses past its depth.
 Positivity (no finite family of function graphs covers the tree) is
 undecidable from finite data in general, so generated trees promise it
-through the oracle contract: they never refuse a finite barred set.
+through their classes: they never refuse a finite barred set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import TreeRefusedExtension
 from .injections import wire_int
@@ -40,57 +37,30 @@ def _natural_node(values: Iterable[int]) -> Node:
     return node
 
 
-class Barred(set):
-    """The values a walk may not place at a tree node's next index.
-
-    The set holds those barred for the whole walk, every value of the
-    current node among them, and may only grow while the walk lasts; `once`
-    holds those barred at the next index alone.  Per value class, the
-    naturals start + i·step, a cursor marks a point below which every value
-    of the class is in the set, so a scan of the class resumes there.
-    """
-
-    __slots__ = ("once", "_cursors")
-
-    def __init__(self, values: Iterable[int] = ()):
-        super().__init__(values)
-        self.once: frozenset[int] = frozenset()
-        self._cursors: dict[tuple[int, int], int] = {}
-
-    def bars(self, value: int) -> bool:
-        return value in self or value in self.once
-
-    def least(self, start: int, step: int) -> int:
-        """The least start + i·step, i >= 0, that is not barred; `once` is tested inline."""
-        value = self._cursors.get((start, step), start)
-        while value in self:
-            value += step
-        self._cursors[(start, step)] = value
-        once = self.once
-        while value in once or value in self:
-            value += step
-        return value
-
-
 class InjectiveTree:
     def contains(self, node: Node) -> bool:
         raise NotImplementedError
 
     def admits(self, node: Node, k: int, v: int) -> bool:
-        """Whether some node of the tree extends node and has value v at index k >= len(node).
+        """Whether some node of the tree extends node and has value v at index k >= len(node)."""
+        raise NotImplementedError
 
-        A generated tree decides it from its class: node is in the tree and
-        v is a natural outside it that the class allows at depth k.  Each
-        class is infinite, so the indices between can always be filled.
+    def extend_avoiding(
+        self, node: Sequence[int], k: int, floor: int, barred: Callable[[int], bool]
+    ) -> int | None:
+        """The least v >= floor, not barred, that the tree admits at index k above node.
+
+        node must be in the tree and k at least its length.  None when the
+        tree admits no such value at k; TreeRefusedExtension when no node of
+        the tree that extends node reaches index k, so no later index serves
+        either.
         """
         raise NotImplementedError
 
-    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
-        """A value v, not barred, with node + (v,) in the tree.
+    def branch(self, node: Sequence[int], k: int, v: int) -> Node:
+        """A node of the tree that extends node and ends with v at index k.
 
-        `barred` holds every value of node, so the child stays injective by
-        avoiding it; the caller adds v to it before it asks for the next
-        value.
+        admits(node, k, v) must hold: this is the node it says exists.
         """
         raise NotImplementedError
 
@@ -98,17 +68,56 @@ class InjectiveTree:
         raise NotImplementedError
 
 
-class FullInjectiveTree(InjectiveTree):
-    """All injective finite sequences; extension picks the least fresh value."""
+class _ClassTree(InjectiveTree):
+    """A generated tree: its values at depth d are the naturals ≡ residue_at(d) mod `modulus`.
+
+    Each class is infinite, so the tree is positive, and every query is
+    answered from the class alone: admits(node, k, v) holds when node is in
+    the tree and v is a value of k's class outside it, since the indices
+    between can always be filled with values of their own classes.
+    """
+
+    modulus = 1
+
+    def residue_at(self, depth: int) -> int:
+        return 0
 
     def contains(self, node: Node) -> bool:
-        return all(v >= 0 for v in node) and _is_injective(node)
+        return _is_injective(node) and all(
+            v >= 0 and v % self.modulus == self.residue_at(i) for i, v in enumerate(node)
+        )
 
     def admits(self, node: Node, k: int, v: int) -> bool:
-        return len(node) <= k and 0 <= v and v not in node and self.contains(node)
+        return (len(node) <= k and 0 <= v and v not in node
+                and v % self.modulus == self.residue_at(k) and self.contains(node))
 
-    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
-        return barred.least(0, 1)
+    def extend_avoiding(
+        self, node: Sequence[int], k: int, floor: int, barred: Callable[[int], bool]
+    ) -> int:
+        """The first member of k's class at or past floor, outside node and not barred."""
+        step, values = self.modulus, set(node)
+        v = floor + (self.residue_at(k) - floor) % step
+        while v in values or barred(v):
+            v += step
+        return v
+
+    def branch(self, node: Sequence[int], k: int, v: int) -> Node:
+        """Index i between fills with the member of its class in its own run of `modulus`
+        naturals past max(node, v), so the values are distinct and clear both."""
+        node, step = tuple(node), self.modulus
+        base = max((*node, v)) + 1
+        fill = []
+        for i in range(len(node), k):
+            low = base + (i - len(node)) * step
+            fill.append(low + (self.residue_at(i) - low) % step)
+        return (*node, *fill, v)
+
+
+class FullInjectiveTree(_ClassTree):
+    """All injective finite sequences: every depth's class is every natural."""
+
+    # the bench traces each tree class's own query
+    extend_avoiding = _ClassTree.extend_avoiding
 
     def descriptor(self) -> dict:
         return {"kind": "full"}
@@ -124,12 +133,11 @@ def _mix(seed: int, depth: int) -> int:
     return h & 0x7FFFFFFF
 
 
-class SparseCongruenceTree(InjectiveTree):
-    """Depth d admits only values in one residue class mod `modulus`.
+class SparseCongruenceTree(_ClassTree):
+    """Depth d admits only values in one residue class mod `modulus`, drawn from the seed."""
 
-    Each class is infinite, so every finite barred set can be avoided and
-    the tree is positive; membership stays decidable from the node alone.
-    """
+    # as for the full tree
+    extend_avoiding = _ClassTree.extend_avoiding
 
     def __init__(self, seed: int, modulus: int = 7):
         if modulus < 2:
@@ -139,18 +147,6 @@ class SparseCongruenceTree(InjectiveTree):
 
     def residue_at(self, depth: int) -> int:
         return _mix(self.seed, depth) % self.modulus
-
-    def contains(self, node: Node) -> bool:
-        if not _is_injective(node) or any(v < 0 for v in node):
-            return False
-        return all(v % self.modulus == self.residue_at(i) for i, v in enumerate(node))
-
-    def admits(self, node: Node, k: int, v: int) -> bool:
-        return (len(node) <= k and 0 <= v and v not in node
-                and v % self.modulus == self.residue_at(k) and self.contains(node))
-
-    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
-        return barred.least(self.residue_at(len(node)), self.modulus)
 
     def descriptor(self) -> dict:
         return {"kind": "sparse", "seed": self.seed, "modulus": self.modulus}
@@ -186,31 +182,32 @@ class ExplicitTree(InjectiveTree):
         return tuple(node) in self._nodes
 
     def strict_extensions(self, node: Node) -> list[Node]:
-        node = tuple(node)
-        k = len(node)
-        return sorted(
-            t for t in self._nodes if len(t) > k and t[:k] == node
-        )
+        return sorted(self._above(node, len(node)))
 
     def admits(self, node: Node, k: int, v: int) -> bool:
         """A search of the tree's own nodes, bounded by its descriptor."""
-        node, d = tuple(node), len(node)
-        return d <= k and any(len(t) > k and t[k] == v and t[:d] == node for t in self._nodes)
+        return len(node) <= k and any(t[k] == v for t in self._above(node, k))
 
     def is_maximal(self, node: Node) -> bool:
         return not self.strict_extensions(node)
 
-    def extend_avoiding(self, node: Sequence[int], barred: Barred) -> int:
-        """The least value of a child of node that is not barred."""
+    def _above(self, node: Sequence[int], k: int) -> list[Node]:
+        """The tree's nodes that extend node and reach index k."""
         node = tuple(node)
-        k = len(node)
-        values = [t[k] for t in self._nodes
-                  if len(t) == k + 1 and t[:k] == node and not barred.bars(t[k])]
-        if values:
-            return min(values)
-        raise TreeRefusedExtension(
-            f"no extension of {node} avoids {sorted(barred | barred.once)}"
-        )
+        return [t for t in self._nodes if len(t) > k and t[: len(node)] == node]
+
+    def extend_avoiding(
+        self, node: Sequence[int], k: int, floor: int, barred: Callable[[int], bool]
+    ) -> int | None:
+        """Read off the tree's own nodes above node."""
+        above = self._above(node, k)
+        if not above:
+            raise TreeRefusedExtension(f"no node of the tree extends {list(node)} to index {k}")
+        return min((t[k] for t in above if t[k] >= floor and not barred(t[k])), default=None)
+
+    def branch(self, node: Sequence[int], k: int, v: int) -> Node:
+        """The least such node of the tree's own."""
+        return min(t[: k + 1] for t in self._above(node, k) if t[k] == v)
 
     def descriptor(self) -> dict:
         return {"kind": "explicit", "nodes": [list(n) for n in sorted(self._nodes)]}

@@ -7,11 +7,9 @@ their attributes: a word's `.letters` with `.kind.value` and `.handle`, an
 injection's `.apply`, `.apply_inverse`, `.domain`, `.range` and `.support`, a
 condition's `.s` and `.words`, an oracle's `.eval`, `.fixed_points`,
 `.compose`, `.invert`, `.identity` and `.is_identity`, and a tree's
-`.contains`.  Only `refusal` and `holds` import from the package: its one
-refusal type, to read a check's text or verdict.  `per_option_walk` is the
-exception: a copy of the tree walk that checks each option with the
-package's own leq, to compare the walk that checks them together against.  So is
-`eager_gain_text`, a copy of the text leq wrote for its gain clause when it
+`.contains` and `.admits`.  Only `refusal` and `holds` import from the
+package: its one refusal type, to read a check's text or verdict.
+`eager_gain_text` is the exception: a copy of the text leq wrote for its gain clause when it
 formatted it as it raised, to compare the text it now formats when read
 against.  And so is `per_closure_seal`, the seal that listed the open paths
 and scanned for chain points from the gap again for every closure, through
@@ -25,7 +23,6 @@ describes it.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -208,15 +205,19 @@ def two_sided_leq(upper, lower, oracle) -> dict:
     }
 
 
-def per_call_walk(c, tree, node, count: int, oracle):
-    """(node, options) of a tree walk that rebuilds its blocked values at every step.
+# past the largest value a reference pick reads, so a search below it is exhaustive
+PICK_CAP = 400
+
+
+def least_admitted_pair(c, tree, node, count: int, oracle):
+    """The pair (k, v) a tree step from node takes below c, by a search over `tree.admits`.
 
     The group restriction is the identity, every group letter of c's words
-    and their inverses.  At depth j the walk takes the least v with
-    tree.contains(node + (v,)) outside c's range and the images g(j), and
-    (j, v) is an option when j is outside c's domain and v ≠ g(j) for each g;
-    it stops once it holds more than `count` options.  Reads the tree only
-    through `contains`.
+    and their inverses.  k runs up from len(node) over the points outside
+    c's domain; at each, v runs from `count` up to PICK_CAP over values
+    outside c's range with v ≠ g(k) for each g, and the first v the tree
+    admits is taken.  None when the tree admits no value below PICK_CAP at
+    some k reached first, as an explicit tree past its depth does.
     """
     handles = {oracle.identity()}
     for w in c.words:
@@ -225,18 +226,16 @@ def per_call_walk(c, tree, node, count: int, oracle):
                 handles.add(letter.handle)
                 handles.add(oracle.invert(letter.handle))
     dom, ran = set(c.s.domain), set(c.s.range)
-    node = tuple(node)
-    options = []
-    while len(options) <= count:
-        j = len(node)
-        blocked = ran | {oracle.eval(h, j) for h in handles}
-        v = 0
-        while v in blocked or not tree.contains(node + (v,)):
-            v += 1
-        node += (v,)
-        if j not in dom and all(oracle.eval(h, j) != v for h in handles):
-            options.append((j, v))
-    return node, tuple(options)
+    k = len(node)
+    while True:
+        if k not in dom:
+            if not any(tree.admits(node, k, u) for u in range(PICK_CAP)):
+                return None
+            images = {oracle.eval(h, k) for h in handles}
+            for v in range(count, PICK_CAP):
+                if v not in ran and v not in images and tree.admits(node, k, v):
+                    return k, v
+        k += 1
 
 
 def x_balance(word) -> int:
@@ -393,50 +392,6 @@ def holds(call, *args) -> bool:
     except Refused:
         return False
     return True
-
-
-def per_option_walk(c, tree, node, count: int, oracle):
-    """many_extensions as it was when the walk called leq on each option as it came.
-
-    Same walk, same barred set; the pair (k, v) is checked alone, the moment
-    it is found, and a refusal raises InternalCheckFailed naming it.  Reads
-    the package's leq through its module, so a test can count the calls.
-    """
-    from orbitcode import InternalCheckFailed
-    from orbitcode import forcing as F
-    from orbitcode import trees as T
-    from orbitcode import words as W
-
-    handles = W.graph_restriction(c.words, oracle)
-    dom, ran = c.s.domain, c.s.range
-    current = tuple(node)
-    barred = T.Barred([*current, *ran])
-    options = []
-    stall_budget = count + len(dom) + 64
-    while True:
-        j = len(current)
-        barred.once = frozenset([oracle.eval(h, j) for h in handles])
-        grown = current + (tree.extend_avoiding(current, barred),)
-        barred.update(grown[j:])
-        for k in range(j, len(grown)):
-            v = grown[k]
-            if k in dom or v in ran:
-                continue
-            if k > j and any(oracle.eval(h, k) == v for h in handles):
-                continue
-            try:
-                F.leq(replace(c, s=c.s.with_pair(k, v)), c, oracle)
-            except Refused as exc:
-                raise InternalCheckFailed(
-                    f"avoidance clauses missed a fixed point at ({k}, {v})"
-                ) from exc
-            options.append((k, v))
-            if v >= count:
-                return grown, tuple(options)
-        current = grown
-        stall_budget -= 1
-        if stall_budget < 0:
-            raise InternalCheckFailed("tree extensions stopped yielding fresh indices")
 
 
 def per_closure_seal(c, oracle):

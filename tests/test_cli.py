@@ -570,13 +570,16 @@ def test_staged_oracle_file_round_trip(tmp_path, capsys):
 
 
 def test_run_prints_each_growth_by_its_step_and_need(tmp_path, capsys):
+    """The first tree step, step 9, takes (4, 5): index 4 is the first outside the domain
+    {0..3}, and 5 is the avoidance bound, which clears the map and g0's images of it.
+    The step's one check evaluates g0 at 5, which needs a window of 6."""
     stages = tmp_path / "stages.json"
     data = [stage_to_data(stage) for stage in staged_run([(1,), (0,)])]
     stages.write_text(json.dumps(data), encoding="utf-8")
     argv = ("run", "--flavor", "plain", "--words", "g0.x", "--full-trees", "2",
             "--schedule", "auto:4", "--oracle", f"staged:{stages}")
     assert run_cli(*argv, "--out", str(tmp_path / "t.json")) == 0
-    assert "\ngrowth at step 9 (needed 9)\n" in capsys.readouterr().out
+    assert "\ngrowth at step 9 (needed 6)\n" in capsys.readouterr().out
     assert run_cli("verify", str(tmp_path / "t.json")) == 0
     capsys.readouterr()
 

@@ -974,35 +974,36 @@ def _count_evaluations(monkeypatch) -> list:
 
 
 def test_each_tree_option_check_costs_one_evaluation_per_scratch_word(monkeypatch):
-    """A walk checks its options together, with one leq over all of them.
+    """A tree step takes one option, its pair, and checks it with one leq.
 
-    That check evaluates each scratch word once per option at most.
+    E holds g1.x alone, so E is its own single-x split, the scratch words
+    whose images the pick bars; the check evaluates g1.x once, at the pair.
     """
+    oracle = translation_oracle()
     calls = _count_evaluations(monkeypatch)
     checks = []
-    walks = []
-    leq, many_extensions = F.leq, F.many_extensions
+    steps = []
+    leq, tree_extend = F.leq, F.tree_extend
 
     def counted_leq(upper, lower, oracle):
         before = len(calls)
         result = leq(upper, lower, oracle)
-        if walks and walks[-1] is None:
+        if steps and steps[-1]:
             checks.append((len(calls) - before, len(lower.words), len(upper.s) - len(lower.s)))
         return result
 
     def flagged(*args):
-        walks.append(None)
-        node, options = many_extensions(*args)
-        walks[-1] = len(options)
-        return node, options
+        steps.append(True)
+        try:
+            return tree_extend(*args)
+        finally:
+            steps[-1] = False
 
     monkeypatch.setattr(F, "leq", counted_leq)
-    monkeypatch.setattr(F, "many_extensions", flagged)
-    # eight walks, two trees of each kind four times over, and one check each
-    run(Flavor.PLAIN, None, _plain_trees_schedule(4), trivial_oracle())
-    assert len(walks) == len(checks) == 8 and max(walks) >= 3
-    assert [options for *_, options in checks] == walks
-    assert all(spent <= options * words for spent, words, options in checks), checks
+    monkeypatch.setattr(F, "tree_extend", flagged)
+    # eight steps, two trees of each kind four times over, and one check each
+    run(Flavor.PLAIN, None, _plain_trees_schedule(4, W.parse_word("g1.x", oracle)), oracle)
+    assert len(steps) == 8 and checks == [(1, 1, 1)] * 8, checks
 
 
 def test_verify_evaluates_only_where_the_added_pairs_reach(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from orbitcode import (
     CompletedStage,
+    ExplicitTree,
     Flavor,
     FullInjectiveTree,
     InternalCheckFailed,
@@ -25,6 +26,7 @@ from orbitcode import (
     SparseCongruenceTree,
     StagedOracle,
     TranslationOracle,
+    TreeRefusedExtension,
     WindowTooSmall,
     Word,
     X,
@@ -229,11 +231,10 @@ def test_validate_formats_no_word_of_a_valid_condition(monkeypatch):
 
 
 def test_many_extensions_with_nothing_forbidden():
+    """On the empty condition: index 0, and the least value from the count up that is not 0."""
     c = plain_condition()
-    node, options = many_extensions(c, FullInjectiveTree(), (), 2, TRIV)
-    assert len(node) >= 3
-    assert len(options) >= 3
-    assert len({k for k, _ in options}) == len(options)
+    assert many_extensions(c, FullInjectiveTree(), (), 2, TRIV) == ((2,), ((0, 2),))
+    assert many_extensions(c, FullInjectiveTree(), (), 0, TRIV) == ((1,), ((0, 1),))
 
 
 def test_many_extensions_avoids_the_group_translate():
@@ -251,23 +252,19 @@ def test_many_extensions_base_case():
 
 
 def test_a_walk_that_finds_no_value_past_the_count_stops_at_its_bound():
-    """A tree that breaks the contract by always giving 0 is cut after len(c.s) + count + 1 depths.
+    """An explicit tree whose values all lie below the count is asked at each index outside
+    the domain, up to its depth, where it refuses: the tree's depth bounds the pick."""
+    asked = []
 
-    A tree that keeps it yields no option at most at the len(c.s) domain
-    points, and count + 1 distinct values include one ≥ count, so no walk
-    of a contract-keeping tree goes deeper.
-    """
-    depths = []
+    class Recording(ExplicitTree):
+        def extend_avoiding(self, node, k, floor, barred):
+            asked.append(k)
+            return super().extend_avoiding(node, k, floor, barred)
 
-    class ZeroTree(FullInjectiveTree):
-        def extend_avoiding(self, node, barred):
-            depths.append(len(node))
-            return 0
-
-    c = plain_condition(inj({0: 7, 3: 9, 5: 2}), [x_power(1)])
-    with pytest.raises(InternalCheckFailed, match="tree extensions stopped yielding fresh indices"):
-        many_extensions(c, ZeroTree(), (), 10, TRIV)
-    assert depths == list(range(len(c.s) + 10 + 1))
+    c = plain_condition(inj({1: 7, 3: 9}), [x_power(1)])
+    with pytest.raises(TreeRefusedExtension):
+        many_extensions(c, Recording.from_branch((1, 2, 3, 4, 5)), (), 10, TRIV)
+    assert asked == [0, 2, 4, 5]
 
 
 def test_many_extensions_rejects_repeated_x_words():
@@ -276,12 +273,25 @@ def test_many_extensions_rejects_repeated_x_words():
         many_extensions(c, FullInjectiveTree(), (), 1, TRIV)
 
 
+def _random_node(rng, tree):
+    """A node of the tree: a random one of an explicit tree's, or up to three values read
+    off a generated tree's query from random floors."""
+    if isinstance(tree, ExplicitTree):
+        return rng.choice(sorted(tree.nodes))
+    node = ()
+    for k in range(rng.randrange(4)):
+        node += (tree.extend_avoiding(node, k, rng.randrange(8), lambda v: False),)
+    return node
+
+
 def _random_walks():
-    """(c, tree, start node, count, oracle): full and sparse trees (moduli 2, 5, 7)
+    """(c, tree, start node, count, oracle): full, sparse (moduli 2, 5, 7) and explicit trees
     over random maps, nodes and single-x words."""
     rng = random.Random(12)
     trees = [FullInjectiveTree()]
     trees += [SparseCongruenceTree(seed, m) for m in (2, 5, 7) for seed in (1, 6)]
+    trees += [ExplicitTree(b[:i] for b in branches for i in range(len(b) + 1))
+              for branches in ([rng.sample(range(40), 8) for _ in range(3)] for _ in range(3))]
     word_sets = {
         TRIV: [[], [x_power(1)]],
         TRANS: [
@@ -295,31 +305,43 @@ def _random_walks():
             for _ in range(4):
                 s = inj(helpers.random_injection(rng, rng.randrange(12), 30))
                 c = plain_condition(s, words)
-                start, _ = helpers.per_call_walk(plain_condition(), tree, (), rng.randrange(4), TRIV)
-                yield c, tree, start, rng.randrange(12), oracle
+                yield c, tree, _random_node(rng, tree), rng.randrange(12), oracle
 
 
-def _least_viable(c, tree, start, count, oracle):
-    """The per-call walk's node and options, and the least of them with value ≥ `count`."""
-    node, options = helpers.per_call_walk(c, tree, start, count, oracle)
-    return node, options, min((k, v) for k, v in options if v >= count)
-
-
-def test_the_walk_returns_what_the_per_call_walk_returns():
-    """The per-call walk collects more than `count` options; this one stops at the first past it."""
+def test_the_pick_is_the_least_pair_a_search_over_admits_finds():
+    """many_extensions takes the pair helpers.least_admitted_pair finds, or the tree refuses
+    where the search finds none; its node is the tree's, extends the start and has v at k."""
+    outcomes = Counter()
     for c, tree, start, count, oracle in _random_walks():
-        node, options, (k0, v0) = _least_viable(c, tree, start, count, oracle)
-        expected = (node[: k0 + 1], options[: options.index((k0, v0)) + 1])
-        assert many_extensions(c, tree, start, count, oracle) == expected
+        want = helpers.least_admitted_pair(c, tree, start, count, oracle)
+        outcomes[type(tree).__name__, want is None] += 1
+        if want is None:
+            with pytest.raises(TreeRefusedExtension):
+                many_extensions(c, tree, start, count, oracle)
+            continue
+        node, options = many_extensions(c, tree, start, count, oracle)
+        (k, v), = options
+        assert (k, v) == want and tree.contains(node) and len(node) == k + 1
+        assert node[: len(start)] == start and node[k] == v
+    assert set(outcomes) == {("FullInjectiveTree", False), ("SparseCongruenceTree", False),
+                             ("ExplicitTree", False), ("ExplicitTree", True)}, outcomes
 
 
-def test_a_tree_step_takes_the_least_viable_option_of_the_per_call_walk():
-    """The pair and index the per-call walk past the bound N gives, and its node cut there."""
+def test_a_tree_step_takes_the_least_pair_a_search_over_admits_finds():
+    """The pair the search finds past the avoidance bound N, and a node of the tree ending there."""
+    refused = 0
     for c, tree, start, _, oracle in _random_walks():
-        node, _, (k0, v0) = _least_viable(c, tree, start, avoidance_bound(c, oracle), oracle)
+        want = helpers.least_admitted_pair(c, tree, start, avoidance_bound(c, oracle), oracle)
+        if want is None:
+            with pytest.raises(TreeRefusedExtension):
+                tree_extend(c, tree, start, oracle)
+            refused += 1
+            continue
         t, witness = tree_extend(c, tree, start, oracle)
-        assert t.s.pairs() == c.s.with_pair(k0, v0).pairs()
-        assert witness == node[: k0 + 1]
+        assert t.s.pairs() == c.s.with_pair(*want).pairs()
+        assert tree.contains(witness) and witness[:len(start)] == start
+        assert (len(witness) - 1, witness[-1]) == want
+    assert refused
 
 
 def test_tree_extension_adds_one_fresh_pair():
@@ -1299,30 +1321,24 @@ def test_a_window_miss_leaves_no_partial_memo(data):
 
 
 def test_many_extensions_still_checks_each_option(monkeypatch):
-    """Without the group clause, (0, 1) makes 0 a fixed point of g1·x, and the check says so.
+    """Without the group clause the pick takes (0, 1), which makes 0 a fixed point of g1·x.
 
-    Under g-5·x the options (0, 1) .. (4, 5) are clean and (5, 4) is the
-    first to gain: the walk checks its options together, and names the
-    first that gains in walk order, as checking each as it came would.
+    The pick checks nothing itself; the tree step's one check of its option
+    refuses it, and the step names the pair.
     """
     c = plain_condition(None, [Word((group(1), X))])
     monkeypatch.setattr(W, "graph_restriction", lambda words, oracle: frozenset({0}))
-    with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(0, 1\)"):
-        many_extensions(c, FullInjectiveTree(), (), 3, TRANS)
-    c = plain_condition(None, [Word((group(-5), X))])
-    clean = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5)]
-    for k, v in clean:
-        leq(plain_condition(c.s.with_pair(k, v), c.words), c, TRANS)
-    with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(5, 4\)$"):
-        many_extensions(c, FullInjectiveTree(), (), 12, TRANS)
+    assert many_extensions(c, FullInjectiveTree(), (), 0, TRANS) == ((1,), ((0, 1),))
+    with pytest.raises(InternalCheckFailed, match=r"missed a fixed point at \(0, 1\)$"):
+        tree_extend(c, FullInjectiveTree(), (), TRANS)
 
 
 def _staged_walks():
-    """(c, tree, start node, count, oracle) over one sealed stage of window 6 to 19.
+    """(c, tree, start node, oracle) over one sealed stage of window 6 to 19.
 
     Full and sparse trees, maps with values up to a few past the window, and
-    g·x words for g = g0, its inverse and its square: a walk that runs past
-    the window misses there, in its own evaluation or in an option's check.
+    g·x words for g = g0, its inverse and its square: a step whose pick or
+    check evaluates past the window misses there.
     """
     rng = random.Random(25)
     trees = [FullInjectiveTree(), SparseCongruenceTree(1, 2), SparseCongruenceTree(6, 5)]
@@ -1338,75 +1354,60 @@ def _staged_walks():
         words = [Word((group(h), X)) for h in handles] + [x_power(1)] * rng.randrange(2)
         s = inj(helpers.random_injection(rng, rng.randrange(window // 2), window + 3))
         tree = rng.choice(trees)
-        start, _ = helpers.per_call_walk(plain_condition(), tree, (), rng.randrange(3), TRIV)
-        yield plain_condition(s, words), tree, start, rng.randrange(2 * window), oracle
+        yield plain_condition(s, words), tree, _random_node(rng, tree), oracle
 
 
-def _same_outcome_as_the_per_option_walk(walk, checks):
-    """None when both walks return the same, else the type both raise;
-    and the checks of the per-option walk that passed, one per entry `checks` gains.
+def _searched_step(c, tree, start, oracle):
+    """The pair least_admitted_pair finds past the avoidance bound, checked with one leq."""
+    want = helpers.least_admitted_pair(c, tree, start, avoidance_bound(c, oracle), oracle)
+    upper = replace(c, s=c.s.with_pair(*want))
+    leq(upper, c, oracle)
+    return upper
 
-    A window miss may differ in which evaluation meets it, and so in its
-    text and `required`: the joint check evaluates other points than the
-    per-option checks do.
+
+def test_a_tree_step_on_a_staged_oracle_agrees_with_a_search_over_admits():
+    """Same pair, or a failure of the same type.
+
+    Among the staged walks, some steps return and some miss the window,
+    in an evaluation of the pick or of its check.  A miss may differ in
+    which evaluation meets it, and so in its text and `required`.
     """
-    before = len(checks)
-    try:
-        expected = helpers.per_option_walk(*walk)
-    except OrbitCodeError as exc:
-        checked = len(checks) - before
-        with pytest.raises(OrbitCodeError) as raised:
-            many_extensions(*walk)
-        assert type(raised.value) is type(exc), (raised.value, exc)
-        return type(exc), checked
-    checked = len(checks) - before
-    assert many_extensions(*walk) == expected
-    return None, checked
-
-
-def test_the_walk_agrees_with_the_per_option_walk(monkeypatch):
-    """Same node and options, or a failure of the same type.
-
-    Among the staged walks, some return, some miss before any check of the
-    per-option walk passes, and some miss after one or several have.
-    """
-    checks = []
-
-    def counted(*args):
-        leq(*args)
-        checks.append(args)
-
-    monkeypatch.setattr(F, "leq", counted)
-    assert {_same_outcome_as_the_per_option_walk(walk, checks)[0]
-            for walk in _random_walks()} == {None}
     outcomes = Counter()
-    for walk in _staged_walks():
-        outcome, checked = _same_outcome_as_the_per_option_walk(walk, checks)
-        outcomes[outcome, min(checked, 2)] += 1
-    assert set(outcomes) == {(None, 1), (None, 2), (WindowTooSmall, 0),
-                             (WindowTooSmall, 1), (WindowTooSmall, 2)}, outcomes
+    for c, tree, start, oracle in _staged_walks():
+        try:
+            expected = _searched_step(c, tree, start, oracle)
+        except OrbitCodeError as exc:
+            with pytest.raises(OrbitCodeError) as raised:
+                tree_extend(c, tree, start, oracle)
+            assert type(raised.value) is type(exc), (raised.value, exc)
+            outcomes[type(exc)] += 1
+            continue
+        assert tree_extend(c, tree, start, oracle)[0].s.pairs() == expected.s.pairs()
+        outcomes[None] += 1
+    assert set(outcomes) == {None, WindowTooSmall}, outcomes
 
 
 def test_a_tree_step_walks_the_group_blocks_of_a_word_with_several_x(monkeypatch):
-    """E holds g1.x.g1.x, with two x: the walk's scratch words take its block g1.x beside x.
+    """E holds g1.x.g1.x, with two x: the pick's scratch words take its block g1.x beside x.
 
-    The option the step takes is the last the per-option walk finds over
-    the same scratch words, and the run's trace verifies.
+    The pair the step takes is the one the search over admits finds over
+    the same scratch words, so the pick bars the images of g1 and its
+    inverse, and the run's trace verifies.
     """
-    walks = []
-    walk = F.many_extensions
-    monkeypatch.setattr(F, "many_extensions", lambda *args: walks.append(args) or walk(*args))
+    picks = []
+    pick = F.many_extensions
+    monkeypatch.setattr(F, "many_extensions", lambda *args: picks.append(args) or pick(*args))
     schedule = [E.WordAdded(parse_word("g1.x.g1.x", TRANS)), E.DomainHits(0)]
     trees = (FullInjectiveTree(), SparseCongruenceTree(3))
     schedule += [E.TreeDiagonalized(tree) for tree in trees]
     trace = E.run(Flavor.PLAIN, None, schedule, TRANS)
-    assert trace.final.words == {schedule[0].word} and len(walks) == 2
-    for (scratch, *rest), step in zip(walks, trace.steps[2:]):
+    assert trace.final.words == {schedule[0].word} and len(picks) == 2
+    for (scratch, *rest), step in zip(picks, trace.steps[2:]):
         assert scratch.words == {x_power(1), GX}
-        _, options = helpers.per_option_walk(scratch, *rest)
+        want = helpers.least_admitted_pair(scratch, *rest)
         lower = trace.steps[step.index - 1].condition
-        assert tuple(step.condition.s.pairs_beyond(lower.s)) == (options[-1],)
-        assert step.extra["witness_index"] == options[-1][0]
+        assert tuple(step.condition.s.pairs_beyond(lower.s)) == (want,)
+        assert step.extra["witness_index"] == want[0]
     E.verify_trace_data(json.loads(json.dumps(E.trace_to_data(trace, TRANS))))
 
 

@@ -4,11 +4,11 @@ tools/growth_curve.py prints the coding columns, with verify's wall time,
 for n = 32 to 512, and the letters a staged verify evaluates.  A dagger
 step writes its delta alone, so its bytes do not grow with the word set E
 a run has built up, and a tree step the one pair it adds, so a tree run's
-bytes grow at most 2.4x per doubling of its trees.  A tree step's walk stops at the first option past its
-bound, so it yields no option it does not use, and checks those it yields
-with one leq.  The order check evaluates E's roots alone, never their
-powers nor the root x, which it reads off the map, and a build validates a
-candidate only after the order check has carried its memos, so it
+bytes grow at most 2.4x per doubling of its trees.  A tree step on a
+generated tree asks its tree once, at the first index outside the domain,
+and checks the one pair it takes with one leq.  The order check evaluates
+E's roots alone, never their powers nor the root x, which it reads off the
+map, and a build validates a candidate only after the order check has carried its memos, so it
 evaluates no root twice.
 """
 
@@ -68,8 +68,9 @@ FROM_ZERO_SCANNED = 78340
 FROM_GAP_SCANNED = 615
 # the open-path walks and fresh-point checks of sealing _ten_tree_pairs_schedule's
 # run, when the seal listed the open paths and scanned from the gap per closure
-PER_CLOSURE_PATH_WALKS = 16
-PER_CLOSURE_FRESH_CHECKS = 338
+# (16 and 338 on the run the depth-by-depth tree walk built, with 15 open paths)
+PER_CLOSURE_PATH_WALKS = 12
+PER_CLOSURE_FRESH_CHECKS = 340
 
 
 def _auto_trace(flavor, n):
@@ -127,8 +128,8 @@ def _ten_tree_pairs_schedule():
     return schedule
 
 
-def _tree_run_bytes(trees):
-    """The compact-JSON trace of x, then trees // 2 full and sparse tree pairs, then hits 0..15.
+def _tree_run_schedule(trees):
+    """x, then trees // 2 full and sparse tree pairs, then hits 0..15.
 
     The sparse seeds are drawn from random.Random(7), as trees-40 and
     tools/growth_curve.py draw theirs.
@@ -138,10 +139,14 @@ def _tree_run_bytes(trees):
     for seed in [rng.randrange(1 << 30) for _ in range(trees // 2)]:
         schedule += [TreeDiagonalized(FullInjectiveTree()),
                      TreeDiagonalized(SparseCongruenceTree(seed))]
-    schedule += [DomainHits(i) for i in range(16)] + [RangeHits(i) for i in range(16)]
+    return schedule + [DomainHits(i) for i in range(16)] + [RangeHits(i) for i in range(16)]
+
+
+def _tree_run_bytes(trees):
+    """The length of _tree_run_schedule(trees)'s trace as compact JSON."""
     oracle = trivial_oracle()
-    return len(json.dumps(trace_to_data(run(Flavor.PLAIN, None, schedule, oracle), oracle),
-                          separators=(",", ":")))
+    trace = run(Flavor.PLAIN, None, _tree_run_schedule(trees), oracle)
+    return len(json.dumps(trace_to_data(trace, oracle), separators=(",", ":")))
 
 
 def test_tree_run_trace_bytes_grow_at_most_2_4x_per_doubling():
@@ -155,53 +160,50 @@ def test_tree_run_trace_bytes_grow_at_most_2_4x_per_doubling():
         assert larger <= 2.4 * smaller, sizes
 
 
-def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monkeypatch):
-    """The twenty walks of _ten_tree_pairs_schedule.
+def test_each_tree_step_makes_one_leq_and_one_tree_query(monkeypatch):
+    """40, 80, 160 and 320 trees: every step asks its tree once and checks its pair once.
 
-    A walk that collected more than the bound's worth of options, keeping
-    the least one past it, yielded 728 options on this schedule.
+    A generated tree has a value at every index, so the pick takes the
+    first index outside the domain, and the step's one leq is its check.
+    The depth-by-depth walk asked its tree once per depth: 1,855 times over
+    the 40-tree run, 46 a step, and it yielded an option at every depth
+    outside the domain, 1,189 there.
     """
-    yielded = []
-    walk = F.many_extensions
-
-    def counted(*args):
-        node, options = walk(*args)
-        yielded.append(len(options))
-        return node, options
-
-    monkeypatch.setattr(F, "many_extensions", counted)
-    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
-    assert len(yielded) == 20 and sum(yielded) <= 728 // 2, yielded
-
-
-def test_each_tree_walk_runs_one_leq(monkeypatch):
-    """The twenty walks of _ten_tree_pairs_schedule run leq twenty times: one per walk.
-
-    A walk that checked each option as it came ran leq once per option.
-    """
+    counts = {"steps": 0, "leq": 0, "queries": 0}
     inside = []
-    checks = []
-    leq, walk = F.leq, F.many_extensions
+    leq, tree_extend = F.leq, F.tree_extend
 
     def counted_leq(*args):
-        checks.append(bool(inside))
+        counts["leq"] += bool(inside)
         return leq(*args)
 
     def flagged(*args):
+        counts["steps"] += 1
         inside.append(True)
         try:
-            return walk(*args)
+            return tree_extend(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(F, "leq", counted_leq)
-    monkeypatch.setattr(F, "many_extensions", flagged)
-    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
-    assert checks.count(True) == 20
+    monkeypatch.setattr(F, "tree_extend", flagged)
+    for cls in (FullInjectiveTree, SparseCongruenceTree):
+        query = cls.extend_avoiding
+
+        def counted_query(*args, query=query):
+            counts["queries"] += 1
+            return query(*args)
+
+        monkeypatch.setattr(cls, "extend_avoiding", counted_query)
+    for trees in (40, 80, 160, 320):
+        for key in counts:
+            counts[key] = 0
+        run(Flavor.PLAIN, None, _tree_run_schedule(trees), trivial_oracle())
+        assert counts == {"steps": trees, "leq": trees, "queries": trees}, (trees, counts)
 
 
 def test_a_seal_walks_its_open_paths_once_and_tests_each_point_once(monkeypatch):
-    """Sealing _ten_tree_pairs_schedule's run closes its 15 open paths in one pass.
+    """Sealing _ten_tree_pairs_schedule's run closes its 11 open paths in one pass.
 
     Each chain scan resumes past the last point picked, so no point is
     tested twice, and every point tested lies in the sealed support.  A seal
@@ -217,7 +219,7 @@ def test_a_seal_walks_its_open_paths_once_and_tests_each_point_once(monkeypatch)
     monkeypatch.setattr(I._OrbitIndex, "paths", lambda *args: walks.append(1) or paths(*args))
     sealed = seal(trace, trivial_oracle()).injection
     assert len(walks) == 1 < PER_CLOSURE_PATH_WALKS
-    assert len(open_orbits(trace.final.s)) == 15
+    assert len(open_orbits(trace.final.s)) == 11
     assert len(set(tested)) == len(tested) <= len(sealed.support) < PER_CLOSURE_FRESH_CHECKS
     assert set(tested) <= sealed.support
 

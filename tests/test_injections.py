@@ -601,9 +601,9 @@ def test_single_x_words_gain_under_fresh_pairs_what_each_pair_gains_alone():
 
     A single-x word is g·x, so under s plus fresh pairs it gains a fixed
     point only at a new k, and only when g(v) = k for k's pair: the gains
-    over all the pairs are the merge of each pair's gains alone, which is
-    why forcing.many_extensions checks its options with one leq.  x^2 has
-    two x's, and for it the two differ.
+    over all the pairs are the merge of each pair's gains alone, so a tree
+    step's one fresh pair (k, v) gains only at k, which its pick keeps out
+    by barring g(k).  x^2 has two x's, and for it the two differ.
     """
     singles = [parse_word(text, TRANS) for text in ("x", "g1.x", "g-1.x", "g2.x")]
     sets = [words for count in (1, 2) for words in itertools.combinations(singles, count)]

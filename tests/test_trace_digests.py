@@ -60,12 +60,12 @@ DIGESTS = {
         "2dfabcf58f1216df12f9ac18a0c01e0f"
     ),
     "plain-trees": (
-        "0eccb7008efe17e814e9f587e869bff0"
-        "4215d1cd188749c768274feb7a5510a1"
+        "469a85077465b04acafd2bf0b7424d49"
+        "4e35cc5b8f30e92e8c6d6974b3597094"
     ),
     "plain-trees-sealed": (
-        "7f4afa3fa9a4b038d33f3c3a8d919cc8"
-        "8e6c64edaef52eced315c54bd3056a26"
+        "3ad8d9036e0fcfdb5d80119ef71d1107"
+        "f3626f2f44816f69ebf9ce8cf873c761"
     ),
     "staged-0": (
         "a5fb29a3f1258c0052bc4e82a04edb5c"
@@ -76,20 +76,20 @@ DIGESTS = {
         "27f8fdbaa79c7a46974305808f18e018"
     ),
     "translation-trees": (
-        "9e97f2685c6a2fe50ee39ed4803734e2"
-        "561116b1066370aeb7f8223c885184a6"
+        "16132566349882ec09ecbe942f229883"
+        "43699891ebe6ab88ef6dfcc7cd79a4ed"
     ),
     "staged-trees-full": (
-        "9575f7e635edc6bdce8d63d047817784"
-        "68b672906c8c6858199efb66d3e508cc"
+        "fa812f48efd9ea87ba9a2ef2ccc15123"
+        "983cfc4be8e7588ea5649ce74435f582"
     ),
     "staged-trees-sparse-1": (
-        "b612cd1a3091ba51095ef1bd53dd550e"
-        "8fbb746b531673a2ce6799655a8b6dea"
+        "5f2825cefa5995a504980a1010c9cddf"
+        "29ea0bfec44dcd84dd874b41ba5f933b"
     ),
     "staged-trees-sparse-2-5": (
-        "65563f0c0a2f7bb80fc0e1672c1f6231"
-        "b98d3488e6fc80faa29bc8d2262ca309"
+        "efd35d726a43c79d20d2abd50e237159"
+        "922bef65a4b29c6a8191cad94978c30d"
     ),
     "coding-chained": (
         "2c2f79588e59ec651a961224891a1726"

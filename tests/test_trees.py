@@ -15,53 +15,58 @@ from orbitcode import (
     diagonalization_witness,
     tree_from_descriptor,
 )
-from orbitcode.trees import Barred, undiagonalized_node
+from orbitcode.trees import undiagonalized_node
 
 import helpers
 
 
-def _barred(values=(), once=()):
-    barred = Barred(values)
-    barred.once = frozenset(once)
-    return barred
+def _nothing(value: int) -> bool:
+    return False
 
 
 def test_full_tree_extends_by_the_least_free_value():
     tree = FullInjectiveTree()
-    assert tree.extend_avoiding((), _barred({0})) == 1
-    assert tree.extend_avoiding((5,), _barred({5})) == 0
-    assert tree.extend_avoiding((0, 1), _barred({0, 1}, once={2, 3})) == 4
+    assert tree.extend_avoiding((), 0, 0, {0}.__contains__) == 1
+    assert tree.extend_avoiding((5,), 1, 0, _nothing) == 0
+    assert tree.extend_avoiding((0, 1), 2, 0, {2, 3}.__contains__) == 4
+    assert tree.extend_avoiding((0, 1), 6, 1, {2}.__contains__) == 3
 
 
 def test_a_value_barred_once_is_free_at_the_next_index():
-    """The cursor stops at a value barred for one index only, so the next extension takes it."""
+    """A value barred at one index is the answer at the next, where nothing bars it."""
     trees = (SparseCongruenceTree(seed, 2) for seed in itertools.count())
     sparse = next(tree for tree in trees if tree.residue_at(0) == tree.residue_at(1))
     for tree, want, step in ((FullInjectiveTree(), 0, 1), (sparse, sparse.residue_at(0), 2)):
-        barred = _barred(once={want})
-        v = tree.extend_avoiding((), barred)
+        v = tree.extend_avoiding((), 0, 0, {want}.__contains__)
         assert v == want + step
-        barred.add(v)
-        barred.once = frozenset()
-        assert tree.extend_avoiding((v,), barred) == want
+        assert tree.extend_avoiding((v,), 1, 0, _nothing) == want
 
 
 def test_explicit_tree_takes_the_least_extension_unbarred_at_the_next_index():
+    """At the next index and past it: the values there of the nodes that reach it, from the
+    floor up; None when every such value is barred, a refusal when no node reaches it."""
     tree = ExplicitTree([(), (1,), (1, 2), (2,), (3,), (3, 1), (3, 1, 0)])
-    assert tree.extend_avoiding((), _barred({1})) == 2
-    assert tree.extend_avoiding((), _barred({1}, once={2})) == 3
-    assert tree.extend_avoiding((3,), _barred({3})) == 1
-    with pytest.raises(TreeRefusedExtension):
-        tree.extend_avoiding((), _barred({1, 2}, once={3}))
+    assert tree.extend_avoiding((), 0, 0, {1}.__contains__) == 2
+    assert tree.extend_avoiding((), 0, 0, {1, 2}.__contains__) == 3
+    assert tree.extend_avoiding((3,), 1, 0, _nothing) == 1
+    assert tree.extend_avoiding((), 0, 0, {1, 2, 3}.__contains__) is None
+    assert tree.extend_avoiding((), 1, 0, _nothing) == 1
+    assert tree.extend_avoiding((), 1, 2, _nothing) == 2
+    assert tree.extend_avoiding((), 2, 1, _nothing) is None
+    assert tree.branch((), 2, 0) == (3, 1, 0)
+    for node, k in (((), 3), ((1,), 2), ((2,), 1)):
+        with pytest.raises(TreeRefusedExtension):
+            tree.extend_avoiding(node, k, 0, _nothing)
 
 
 def test_explicit_tree_extends_by_the_least_unbarred_child_value():
     """2,000 trees of up to three branches of up to three values below 5, every node,
-    every barred subset of {0..4}, each value barred for the walk or once.
+    every barred subset of {0..4}, asked at the node's next index from 0.
 
     The value is the least unbarred child value read off `nodes`, and the
     value at len(node) of the least strict extension, by length then values,
-    unbarred there; the tree refuses exactly when no child is unbarred.
+    unbarred there; None when every child is barred, and a refusal when the
+    node has no child.
     """
     rng = random.Random(36)
     for _ in range(2000):
@@ -73,15 +78,81 @@ def test_explicit_tree_extends_by_the_least_unbarred_child_value():
             longer = sorted(tree.strict_extensions(node), key=lambda t: (len(t), t))
             for subset in range(32):
                 values = {v for v in range(5) if subset >> v & 1}
-                once = {v for v in values if rng.random() < 0.5}
-                barred = _barred(values - once, once)
+                if not children:
+                    with pytest.raises(TreeRefusedExtension):
+                        tree.extend_avoiding(node, k, 0, values.__contains__)
+                    continue
+                got = tree.extend_avoiding(node, k, 0, values.__contains__)
                 free = [v for v in children if v not in values]
                 if not free:
-                    with pytest.raises(TreeRefusedExtension):
-                        tree.extend_avoiding(node, barred)
+                    assert got is None
                     continue
                 old = next(t for t in longer if t[k] not in values)
-                assert tree.extend_avoiding(node, barred) == min(free) == old[k]
+                assert got == min(free) == old[k]
+
+
+def _answers_as_admits_does(tree, node, k, floors, barred_sets, cap):
+    """Check the query and branch at (node, k) against a search of admits over values < cap.
+
+    The query must give the least value from the floor up, not barred, that
+    admits allows, or None when the search finds none; it refuses exactly
+    when admits allows no value at all there.  branch must give a node the
+    tree contains that extends node and has that value at k.
+    """
+    admitted = [v for v in range(cap) if tree.admits(node, k, v)]
+    if not admitted:
+        with pytest.raises(TreeRefusedExtension):
+            tree.extend_avoiding(node, k, 0, _nothing)
+        return
+    for v in admitted:
+        t = tree.branch(node, k, v)
+        assert tree.contains(t) and len(t) == k + 1, (tree, node, k, v, t)
+        assert t[: len(node)] == node and t[k] == v, (tree, node, k, v, t)
+    for floor in floors:
+        for barred in barred_sets:
+            want = next((v for v in admitted if v >= floor and v not in barred), None)
+            got = tree.extend_avoiding(node, k, floor, barred.__contains__)
+            assert got == want, (tree, node, k, floor, barred)
+
+
+_BARRED_SETS = [frozenset(v for v in range(8) if subset >> v & 1) for subset in range(256)]
+
+
+@pytest.mark.parametrize(
+    "tree", [FullInjectiveTree(), SparseCongruenceTree(3, 7), SparseCongruenceTree(2, 5)],
+    ids=["full", "sparse-3-7", "sparse-2-5"],
+)
+def test_a_generated_tree_answers_its_query_as_a_search_over_admits_does(tree):
+    """Every node of the tree of length <= 3 over the six least values of each depth's class
+    (values < 6 on the full tree), every k < 5 from its length, every floor < 8 and every
+    barred subset of {0..7}.
+
+    The answer is at most floor + modulus · (|node| + |barred| + 1) < 100,
+    so the search below 100 sees it; the tree never refuses.
+    """
+    least = [[tree.residue_at(d) + j * tree.modulus for j in range(6)] for d in range(3)]
+    nodes = [node for length in range(4) for node in itertools.product(*least[:length])
+             if tree.contains(node)]
+    assert len(nodes) >= 1 + 6 + 6 * 5 + 6 * 5 * 4  # as many as when every class is the same
+    for node in nodes:
+        for k in range(len(node), 5):
+            _answers_as_admits_does(tree, node, k, range(8), _BARRED_SETS, 100)
+
+
+def test_an_explicit_tree_answers_its_query_as_a_search_over_admits_does():
+    """300 seeded trees of up to three branches of up to four values below 6, every node,
+    every k < 5 from its length, every floor < 7 and 16 seeded barred subsets of {0..7}."""
+    rng = random.Random(39)
+    refused = 0
+    for _ in range(300):
+        branches = [rng.sample(range(6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        tree = ExplicitTree(b[:i] for b in branches for i in range(len(b) + 1))
+        for node in tree.nodes:
+            for k in range(len(node), 5):
+                barred_sets = rng.sample(_BARRED_SETS, 16)
+                _answers_as_admits_does(tree, node, k, range(7), barred_sets, 6)
+                refused += not any(tree.admits(node, k, v) for v in range(6))
+    assert refused > 0
 
 
 def _truncation_witnesses(tree, modulus: int) -> set:
@@ -144,41 +215,17 @@ def test_an_explicit_tree_admits_what_a_search_of_its_extensions_finds():
                     assert tree.admits(node, k, v) == want, (tree, node, k, v)
 
 
-def _probes_of_a_walk(tree, resume: bool) -> int:
-    """Probes of a 300-step walk over 2,000 barred values, each step barring two more once.
-
-    Without `resume`, every step gets a fresh copy of the set, so it scans
-    its class from the least value again, as a walk without cursors does.
-    """
-    probes = [0]
-
-    class Counting(Barred):
-        __slots__ = ()
-
-        def __contains__(self, value):
-            probes[0] += 1
-            return super().__contains__(value)
-
-    barred = Counting(range(2000))
-    node = ()
-    for depth in range(300):
-        if not resume:
-            barred = Counting(barred)
-        barred.once = frozenset({2000 + depth, 2001 + 3 * depth})
-        node += (tree.extend_avoiding(node, barred),)
-        barred.add(node[-1])
-    assert tree.contains(node)
-    return probes[0]
-
-
 @pytest.mark.parametrize(
     "tree", [FullInjectiveTree(), SparseCongruenceTree(5, 2), SparseCongruenceTree(5, 7)]
 )
-def test_a_walk_probes_its_barred_set_linearly(tree):
-    """Probes grow with the walk plus the barred set, not with their product."""
-    bound = 2 * (2000 + 300) + 6 * 300
-    assert _probes_of_a_walk(tree, resume=True) <= bound
-    assert _probes_of_a_walk(tree, resume=False) > 10 * bound
+def test_a_query_tests_each_member_of_its_class_once(tree):
+    """Over 2,000 barred values, a query asks about each member of k's class from the floor
+    to its answer once, in order, and about no other value."""
+    asked = []
+    barred = set(range(2000))
+    v = tree.extend_avoiding((), 3, 100, lambda u: asked.append(u) or u in barred)
+    assert v >= 2000 and tree.admits((), 3, v)
+    assert asked == list(range(asked[0], v + 1, tree.modulus)) and asked[0] < 100 + tree.modulus
 
 
 def test_full_tree_contains_exactly_the_injective_nodes():
@@ -191,22 +238,16 @@ def test_full_tree_contains_exactly_the_injective_nodes():
 def test_sparse_tree_respects_its_residues():
     tree = SparseCongruenceTree(seed=3)
     node = ()
-    barred = _barred()
-    for _ in range(5):
-        node += (tree.extend_avoiding(node, barred),)
-        barred.add(node[-1])
+    for depth in range(5):
+        node += (tree.extend_avoiding(node, depth, 0, _nothing),)
         assert tree.contains(node)
-        depth = len(node) - 1
         assert node[depth] % 7 == tree.residue_at(depth)
 
 
 def test_sparse_tree_extension_avoids_the_forbidden_pairs():
     tree = SparseCongruenceTree(seed=11)
     want = tree.residue_at(0)
-    barred = _barred(once={want, want + 7})
-    v = tree.extend_avoiding((), barred)
-    assert v not in barred.once
-    assert v == want + 14
+    assert tree.extend_avoiding((), 0, 0, {want, want + 7}.__contains__) == want + 14
 
 
 def test_explicit_tree_is_prefix_closed():

@@ -40,22 +40,25 @@ and `verify_s`, the median over REPEATS runs of verifying them all.
 
 Last, over TREE_INPUTS trees-40 inputs (`bench/workloads.py`, drawn from
 `random.Random(TREE_SEED)` as that workload draws them), it prints what the
-tree walks (`forcing.many_extensions`) do while those inputs are built:
+tree steps (`forcing.tree_extend`) do while those inputs are built:
 
-- `walk options`, the options they yield, beside PER_OPTION_OPTIONS, the
-  figure when a walk checked each option with its own `leq` as it came: the
-  walk itself is the same, so the two agree;
-- `walk leq calls`, the `leq` calls made inside them, beside
-  PER_OPTION_LEQ_CALLS, one per option then, one per walk now;
+- `tree steps`, how many there are;
+- `pick options`, the options their picks (`forcing.many_extensions`)
+  yield, one per step, beside WALK_OPTIONS, the figure when a step walked
+  its tree one depth at a time and yielded an option at every depth
+  outside the domain;
+- `step leq calls`, the `leq` calls made inside the steps, one per step,
+  beside PER_OPTION_LEQ_CALLS, the figure when the walk checked each
+  option with its own `leq` as it came;
 
 and what their seals (`engine.seal`) do:
 
 - `seal fresh checks`, the `forcing._fresh_point_ok` calls, beside
-  PER_CLOSURE_FRESH_CHECKS, the figure when every closure's chain scan
-  started again at the gap;
+  PER_CLOSURE_FRESH_CHECKS, the figure on the same runs when every
+  closure's chain scan started again at the gap;
 - `seal path walks`, the `_OrbitIndex.paths` calls, beside
-  PER_CLOSURE_PATH_WALKS, the figure when the seal listed the open paths
-  again for every closure.
+  PER_CLOSURE_PATH_WALKS, the figure on the same runs when the seal listed
+  the open paths again for every closure.
 
 Last, for TREE_RUNS trees, 40 to 640 (as trees-40 builds its 40, the
 seeds drawn from `random.Random(TREE_SEED)`), it builds the run and seals
@@ -73,8 +76,8 @@ is not reported.
     python3 tools/growth_curve.py                     # n = 32, 64, ..., 4096
 
 Run from the root of a checkout; the library is imported from `src/`.  It
-takes about 15 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
-builds and verifies and the 640-tree runs.
+takes about 10 s with CPython 3.11 on a 2-CPU host, most of it the n = 4096
+builds and verifies and the staged-3 pool.
 """
 
 from __future__ import annotations
@@ -108,10 +111,12 @@ PER_WORD_LETTERS = 191_623
 FRESH_FACTS_WORDS = 3_840
 TREE_INPUTS = 4
 TREE_SEED = 7
-PER_OPTION_OPTIONS = 4_308
+WALK_OPTIONS = 4_308
 PER_OPTION_LEQ_CALLS = 4_308
-PER_CLOSURE_FRESH_CHECKS = 3_975
-PER_CLOSURE_PATH_WALKS = 113
+# on the runs the direct tree pick builds; 3,975 and 113 on those the
+# depth-by-depth walk built
+PER_CLOSURE_FRESH_CHECKS = 4_857
+PER_CLOSURE_PATH_WALKS = 82
 TREE_RUNS = (40, 80, 160, 320, 640)
 TREE_LARGE = 160
 
@@ -240,26 +245,31 @@ def examined_words(action) -> int:
     return examined
 
 
-def walk_and_seal_counts() -> tuple[int, int, int, int]:
-    """As the trees-40 inputs build: options the tree walks yield and leq calls inside them,
-    then fresh-point checks and open-path walks inside the seals."""
+def pick_and_seal_counts() -> tuple[int, int, int, int, int]:
+    """As the trees-40 inputs build: tree steps, the options their picks yield and the leq
+    calls inside them, then fresh-point checks and open-path walks inside the seals."""
     workload = WORKLOADS["trees-40"]
-    leq, walk, seal = F.leq, F.many_extensions, E.seal
+    leq, step, pick, seal = F.leq, F.tree_extend, F.many_extensions, E.seal
     fresh_point_ok, paths = F._fresh_point_ok, _OrbitIndex.paths
-    inside = options = calls = sealing = fresh = walks = 0
+    inside = steps = options = calls = sealing = fresh = walks = 0
 
     def counting_leq(*args):
         nonlocal calls
         calls += inside
         return leq(*args)
 
-    def counting_walk(*args):
-        nonlocal inside, options
+    def counting_step(*args):
+        nonlocal inside, steps
         inside += 1
+        steps += 1
         try:
-            node, found = walk(*args)
+            return step(*args)
         finally:
             inside -= 1
+
+    def counting_pick(*args):
+        nonlocal options
+        node, found = pick(*args)
         options += len(found)
         return node, found
 
@@ -281,15 +291,17 @@ def walk_and_seal_counts() -> tuple[int, int, int, int]:
         walks += sealing
         return paths(*args)
 
-    F.leq, F.many_extensions, E.seal = counting_leq, counting_walk, counting_seal
+    F.leq, F.tree_extend, F.many_extensions, E.seal = (
+        counting_leq, counting_step, counting_pick, counting_seal
+    )
     F._fresh_point_ok, _OrbitIndex.paths = counting_fresh, counting_paths
     try:
         for inp in workload.inputs(random.Random(TREE_SEED), TREE_INPUTS):
             workload.build(inp)
     finally:
-        F.leq, F.many_extensions, E.seal = leq, walk, seal
+        F.leq, F.tree_extend, F.many_extensions, E.seal = leq, step, pick, seal
         F._fresh_point_ok, _OrbitIndex.paths = fresh_point_ok, paths
-    return options, calls, fresh, walks
+    return steps, options, calls, fresh, walks
 
 
 def tree_run_row(trees: int) -> tuple[float, float, float, int]:
@@ -346,11 +358,12 @@ def main() -> int:
     examined = examined_words(lambda: [E.verify_trace_data(json.loads(t)) for t in texts])
     print(f"  verify facts words {examined:>5} (from scratch {FRESH_FACTS_WORDS},"
           f" {examined / FRESH_FACTS_WORDS:.3f}x)")
-    options, calls, fresh, walks = walk_and_seal_counts()
+    steps, options, calls, fresh, walks = pick_and_seal_counts()
     print(f"\ntrees-40, {TREE_INPUTS} inputs of seed {TREE_SEED}:")
-    print(f"  walk options {options:>7} (per-option walk {PER_OPTION_OPTIONS},"
-          f" {options / PER_OPTION_OPTIONS:.3f}x)")
-    print(f"  walk leq calls {calls:>5} (per-option walk {PER_OPTION_LEQ_CALLS},"
+    print(f"  tree steps {steps:>9}")
+    print(f"  pick options {options:>7} (depth-by-depth walk {WALK_OPTIONS},"
+          f" {options / WALK_OPTIONS:.3f}x)")
+    print(f"  step leq calls {calls:>5} (per-option walk {PER_OPTION_LEQ_CALLS},"
           f" {calls / PER_OPTION_LEQ_CALLS:.3f}x)")
     print(f"  seal fresh checks {fresh:>4} (per-closure seal {PER_CLOSURE_FRESH_CHECKS},"
           f" {fresh / PER_CLOSURE_FRESH_CHECKS:.3f}x)")

@@ -11,9 +11,11 @@ group ends with a sha256 over its lines, `combined` for the staged group:
 - 27 plain tree runs over the staged oracle of triples 052, 488 and 512:
   three word sets with group letters, each with two steps on a full, a
   sparse(1) or a sparse(2, 5) tree, then domain and range hits 0..3, on
-  fresh stages per run.  One of them, tree-488-words2-full, stops at a
-  window the engine's one growth per step does not settle, and is digested
-  by its error.
+  fresh stages per run.  Each tree step takes the least index outside the
+  map's domain and the least value its tree admits there past the
+  avoidance bound, so these digests moved when that pick replaced the
+  depth-by-depth walk, and tree-488-words2-full, which the walk drove to
+  a window the engine's one growth per step did not settle, now builds.
 
 and `combined-closure` for the closure group, which pins the orbit closures
 on single oracles.  Each of its digests covers the compact JSON of the
@@ -31,10 +33,11 @@ verified trace and of `stage_to_data(seal(...))` of it:
     python3 tools/trace_digests.py --check    # compare with tools/trace_digests.txt
 
 The digests cover the traces as the current format version writes them
-(its `conventions` included), so a format bump re-pins every line but the
-two digested by their error; format version 9, whose tree steps write no
-witness node, did, and so did format version 10, whose steps write no
-`upper_sum`.
+(its `conventions` included), so a format bump re-pins every line but
+triple-b91, digested by its error; format version 9, whose tree steps
+write no witness node, did, and so did format version 10, whose steps
+write no `upper_sum`.  A change to which pair a step picks re-pins only the
+runs that make such steps, as the direct tree pick re-pinned the tree lines.
 
 Run from the root of a checkout; the library is imported from `src/`.  It
 takes 6 to 9 s with CPython 3.11 on a 2-CPU host, and CI runs `--check`
