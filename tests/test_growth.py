@@ -202,6 +202,53 @@ def test_each_tree_step_makes_one_leq_and_one_tree_query(monkeypatch):
         assert counts == {"steps": trees, "leq": trees, "queries": trees}, (trees, counts)
 
 
+def test_tree_walks_check_at_most_half_the_options_of_a_walk_past_the_bound(monkeypatch):
+    """The twenty tree steps of _ten_tree_pairs_schedule: one option each.
+
+    A walk that collected more than the bound's worth of options, keeping
+    the least one past it, yielded 728 options on this schedule; the
+    depth-by-depth walk that kept only the options past the bound yielded
+    at most half of them.  The pick yields the one pair it takes.
+    """
+    yielded = []
+    pick = F.many_extensions
+
+    def counted(*args):
+        node, options = pick(*args)
+        yielded.append(len(options))
+        return node, options
+
+    monkeypatch.setattr(F, "many_extensions", counted)
+    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
+    assert yielded == [1] * 20 and sum(yielded) <= 728 // 2, yielded
+
+
+def test_each_tree_walk_runs_one_leq(monkeypatch):
+    """The twenty tree steps of _ten_tree_pairs_schedule run leq twenty times: one per step.
+
+    A walk that checked each option as it came ran leq once per option.
+    """
+    inside = []
+    checks = []
+    leq, tree_extend = F.leq, F.tree_extend
+
+    def counted_leq(*args):
+        checks.append(bool(inside))
+        return leq(*args)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return tree_extend(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(F, "leq", counted_leq)
+    monkeypatch.setattr(F, "tree_extend", flagged)
+    run(Flavor.PLAIN, None, _ten_tree_pairs_schedule(), trivial_oracle())
+    assert checks.count(True) == 20
+
+
 def test_a_seal_walks_its_open_paths_once_and_tests_each_point_once(monkeypatch):
     """Sealing _ten_tree_pairs_schedule's run closes its 11 open paths in one pass.
 
